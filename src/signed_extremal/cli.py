@@ -92,8 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", default="c3-minus", help="c3-minus | c3-plus | none")
     p.add_argument("--allow-balanced", action="store_true",
                    help="include balanced signed graphs")
-    p.add_argument("--no-prune", action="store_true",
-                   help="disable the sqrt(e) prune of the -lambda_n branch")
     p.add_argument("--workers", type=int, default=None)
     p.add_argument("--checkpoint", default=None, help="resumable checkpoint path")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
@@ -253,7 +251,6 @@ def _cmd_search(args, out) -> int:
         require_unbalanced=not args.allow_balanced,
         require_connected=True,
         workers=workers,
-        prune_with_edge_bound=not args.no_prune,
     )
     rep = search(config, checkpoint=args.checkpoint, progress=_make_progress())
     print(f"wall_time: {rep.wall_time:.3f}s", file=sys.stderr)

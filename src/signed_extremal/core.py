@@ -8,8 +8,10 @@ values; SignedGraph instances are immutable and hashable.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -328,9 +330,14 @@ def shortest_unbalanced_cycle(g: SignedGraph) -> Cycle | None:
 # Canonical labeling machinery (shared with the search engine)
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def _triu_cells(n: int):
+    """Row and column indices of the upper-triangle cells, row by row (read-only)."""
     iu, ju = np.triu_indices(n, k=1)
-    return iu.astype(np.intp), ju.astype(np.intp)
+    iu, ju = iu.astype(np.intp), ju.astype(np.intp)
+    iu.setflags(write=False)
+    ju.setflags(write=False)
+    return iu, ju
 
 
 def refined_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
@@ -340,40 +347,64 @@ def refined_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
     each round re-ranks (color, sorted neighbor colors) keys, so isomorphic
     graphs produce corresponding classes in the same order.
     """
-    n = adj_bool.shape[0]
-    nbrs = [np.nonzero(adj_bool[v])[0] for v in range(n)]
+    nbrs = [[u for u, x in enumerate(row) if x] for row in adj_bool.tolist()]
     degs = [len(nb) for nb in nbrs]
     ranks = {d: r for r, d in enumerate(sorted(set(degs)))}
     colors = [ranks[d] for d in degs]
+    count = len(ranks)
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[int(u)] for u in nbrs[v])))
-            for v in range(n)
-        ]
+        keys = [(colors[v], tuple(sorted([colors[u] for u in nb])))
+                for v, nb in enumerate(nbrs)]
         ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
-        new_colors = [ranks[k] for k in keys]
-        if len(set(new_colors)) == len(set(colors)):
-            colors = new_colors
+        colors = [ranks[k] for k in keys]
+        if len(ranks) == count:
             break
-        colors = new_colors
+        count = len(ranks)
     classes: dict[int, list[int]] = {}
     for v, c in enumerate(colors):
         classes.setdefault(c, []).append(v)
     return [classes[c] for c in sorted(classes)]
 
 
+@lru_cache(maxsize=None)
+def _permutation_table(k: int) -> np.ndarray:
+    """Every permutation of range(k), one per row, in itertools.permutations order."""
+    table = np.array(list(itertools.permutations(range(k))), dtype=np.uint8)
+    table.setflags(write=False)
+    return table
+
+
 def _candidate_orders(classes) -> np.ndarray:
-    """All vertex orders that respect the refined class order, as an array."""
-    pools = [list(itertools.permutations(c)) for c in classes]
-    orders = [sum(combo, ()) for combo in itertools.product(*pools)]
-    return np.array(orders, dtype=np.intp)
+    """All vertex orders that respect the refined class order, as an array.
+
+    Rows follow itertools.product over the per-class permutations: the first
+    class varies slowest.
+    """
+    sizes = [math.factorial(len(c)) for c in classes]
+    total = math.prod(sizes)
+    orders = np.empty((total, sum(len(c) for c in classes)), dtype=np.intp)
+    before, col = 1, 0
+    for c, size in zip(classes, sizes):
+        k = len(c)
+        after = total // (before * size)
+        # a view of orders: [earlier classes, this class, later classes, vertex]
+        blocks = orders.reshape(before, size, after, -1)
+        blocks[:, :, :, col:col + k] = np.asarray(c, dtype=np.intp)[
+            _permutation_table(k)][None, :, None, :]
+        before *= size
+        col += k
+    return orders
 
 
 def _minimal_rows(values: np.ndarray) -> np.ndarray:
-    """Indices of rows equal to the lexicographic minimum row."""
-    idx = np.lexsort(values.T[::-1])
-    lo = values[idx[0]]
-    return np.nonzero((values == lo).all(axis=1))[0]
+    """Indices of rows equal to the lexicographic minimum row, ascending."""
+    rows = np.arange(values.shape[0])
+    for j in range(values.shape[1]):
+        if len(rows) == 1:
+            break
+        col = values[rows, j]
+        rows = rows[col == col.min()]
+    return rows
 
 
 def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
@@ -388,10 +419,10 @@ def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
     classes = refined_color_classes(adj_bool)
     orders = _candidate_orders(classes)
     iu, ju = _triu_cells(n)
-    vals = adj_bool[orders[:, iu], orders[:, ju]].astype(np.uint8)
-    mins = _minimal_rows(vals)
-    bits = vals[mins[0]]
-    code = int.from_bytes(np.packbits(bits).tobytes(), "big")
+    # bytes compare in the same order as the bit strings they pack
+    packed = np.packbits(adj_bool[orders[:, iu], orders[:, ju]], axis=1)
+    mins = _minimal_rows(packed)
+    code = int.from_bytes(packed[mins[0]].tobytes(), "big")
     return code, orders[mins]
 
 

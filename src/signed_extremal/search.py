@@ -5,6 +5,15 @@ graphs, and per underlying graph one signed representative per switching class
 (spanning-tree edges pinned positive). Searches maximize edges, spectral
 radius, or negative edges at maximum edge count, and theorem verifiers match
 the maximizers against the named constructions.
+
+The classes are grown one vertex at a time by canonical augmentation (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998). A class on n
+vertices is extended by one attachment mask per orbit of its automorphism
+group. A child G is kept only if its new vertex may be canonically deleted:
+among the non-cut vertices that maximize (-degree, sorted neighbour degrees),
+it must share an orbit with the one that gets the smallest canonical label.
+Each class then arises exactly once, from the class of G minus that vertex.
+Each kept class is stored as its canonical bitmap.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from .bounds import (
 )
 from .core import (
     SignedGraph,
+    _triu_cells,
     canonical_form,
     canonical_signed_code,
     find_signed_triangles,
@@ -78,7 +88,6 @@ class SearchConfig:
     require_unbalanced: bool = True
     require_connected: bool = True
     workers: int = 1
-    prune_with_edge_bound: bool = True
 
     def validate(self):
         if not (_MIN_N <= self.n <= _MAX_N):
@@ -100,7 +109,6 @@ class SearchConfig:
             f'"require_unbalanced":{json_scalar(self.require_unbalanced)}',
             f'"require_connected":{json_scalar(self.require_connected)}',
             f'"workers":{self.workers}',
-            f'"prune_with_edge_bound":{json_scalar(self.prune_with_edge_bound)}',
         ]
         return "{" + ",".join(parts) + "}"
 
@@ -146,40 +154,108 @@ class SearchTimeout(RuntimeError):
 # Underlying-graph enumeration (one representative per isomorphism class)
 # ---------------------------------------------------------------------------
 
-def _cells(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
 def _bitmap_to_adj(code: int, n: int) -> np.ndarray:
-    ncells = n * (n - 1) // 2
-    nbytes = (ncells + 7) // 8
-    raw = np.frombuffer(code.to_bytes(nbytes, "big"), dtype=np.uint8)
-    bits = np.unpackbits(raw)[:ncells]
+    iu, ju = _triu_cells(n)
+    ncells = len(iu)
+    raw = np.frombuffer(code.to_bytes((ncells + 7) // 8, "big"), dtype=np.uint8)
     adj = np.zeros((n, n), dtype=bool)
-    for (i, j), b in zip(_cells(n), bits):
-        if b:
-            adj[i, j] = adj[j, i] = True
-    return adj
+    adj[iu, ju] = np.unpackbits(raw, count=ncells)
+    return adj | adj.T
+
+
+def _orbit_masks(auts: np.ndarray, m: int) -> list[int]:
+    """The smallest nonempty vertex subset of each orbit of the automorphism
+    group auts (one permutation per row) on subsets of range(m), as bitmasks."""
+    masks = np.arange(1, 1 << m, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(m)) & 1
+    images = bits @ (np.int64(1) << auts.astype(np.int64)).T
+    return masks[images.min(axis=1) == masks].tolist()
+
+
+def _is_cut_vertex(nbrs: list[int], v: int) -> bool:
+    """True iff deleting v disconnects the graph given as neighbour bitmasks."""
+    rest = ((1 << len(nbrs)) - 1) & ~(1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= nbrs[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & rest & ~seen
+        seen |= frontier
+    return seen != rest
+
+
+def _deletion_set(nbrs: list[int]) -> list[int] | None:
+    """M(G), the non-cut vertices maximizing (-degree, sorted neighbour
+    degrees), or None when the last vertex of G is not in it."""
+    n = len(nbrs)
+    degs = [nb.bit_count() for nb in nbrs]
+
+    def key(v):
+        return -degs[v], sorted([degs[u] for u in range(n) if nbrs[v] >> u & 1])
+
+    new = key(n - 1)
+    # the last vertex is never a cut vertex: deleting it leaves the parent
+    tied = [n - 1]
+    for v in range(n - 1):
+        if degs[v] > degs[-1]:
+            continue
+        other = key(v)
+        if other >= new and not _is_cut_vertex(nbrs, v):
+            if other > new:
+                return None
+            tied.append(v)
+    return tied
+
+
+def _canonical_children(n: int) -> list[int]:
+    """Codes of the children of every (n-1)-vertex class that pass McKay's
+    canonical deletion test, in generation order."""
+    m = n - 1
+    children = []
+    for parent_code in _connected_class_bitmaps(m):
+        parent = _bitmap_to_adj(parent_code, m)
+        # the parent is stored in canonical form, so the orders that attain
+        # its own bitmap are exactly its automorphisms
+        auts = canonical_form(parent)[1]
+        nbrs = (parent.astype(np.int64) @ (np.int64(1) << np.arange(m))).tolist()
+        adj = np.zeros((n, n), dtype=bool)
+        adj[:m, :m] = parent
+        for mask in _orbit_masks(auts, m):
+            child = [nb | (mask >> v & 1) << m for v, nb in enumerate(nbrs)]
+            deletable = _deletion_set(child + [mask])
+            if deletable is None:
+                continue
+            adj[m, :m] = adj[:m, m] = (mask >> np.arange(m)) & 1
+            code, orders = canonical_form(adj)
+            # a vertex's canonical label is its position in an optimal order;
+            # accept iff the new vertex shares an orbit with the vertex of
+            # M(G) that gets the smallest label
+            in_set = np.zeros(n, dtype=bool)
+            in_set[deletable] = True
+            if ((orders == m).argmax(axis=1).min()
+                    == in_set[orders].argmax(axis=1).min()):
+                children.append(code)
+    return children
 
 
 @lru_cache(maxsize=None)
 def _connected_class_bitmaps(n: int) -> tuple[int, ...]:
-    # Grow by one vertex at a time: every connected graph arises from a
-    # connected graph minus a non-cutvertex, so extending each smaller class
-    # representative by every nonempty attachment mask reaches every class.
+    # Canonical augmentation (McKay 1998, see the module docstring). A
+    # connected G on n >= 2 vertices has a non-cut vertex, so M(G) is nonempty
+    # and the canonical deletion vertex d (the vertex of M(G) with the
+    # smallest canonical label) is fixed by G up to automorphism. G - d is
+    # connected, so G is reached from the class of G - d through the orbit of
+    # the neighbourhood of d, and passes the test there. Another accepted path
+    # to G would add a vertex of the orbit of d to the same parent class with
+    # a mask of the same orbit, which orbit pruning has already merged; every
+    # other path adds a vertex outside that orbit and fails the test. So no
+    # class appears twice and no set of codes is needed.
     if n == 1:
         return (0,)
-    out = set()
-    for code in _connected_class_bitmaps(n - 1):
-        base = _bitmap_to_adj(code, n - 1)
-        for mask in range(1, 1 << (n - 1)):
-            adj = np.zeros((n, n), dtype=bool)
-            adj[: n - 1, : n - 1] = base
-            for v in range(n - 1):
-                if (mask >> v) & 1:
-                    adj[v, n - 1] = adj[n - 1, v] = True
-            out.add(canonical_form(adj)[0])
-    return tuple(sorted(out))
+    return tuple(sorted(_canonical_children(n)))
 
 
 def enumerate_underlying(n: int):
@@ -211,7 +287,9 @@ def _bfs_nontree_edges(adj: np.ndarray) -> list[tuple[int, int]]:
                 order.append(u)
     if not seen.all():
         raise ValueError("graph must be connected")
-    return [(i, j) for i, j in _cells(n) if adj[i, j] and (i, j) not in tree]
+    iu, ju = _triu_cells(n)
+    return [(i, j) for i, j in zip(iu.tolist(), ju.tolist())
+            if adj[i, j] and (i, j) not in tree]
 
 
 def enumerate_signatures(g: SignedGraph):
@@ -274,7 +352,7 @@ def _feasible_patterns(k: int, tri_masks, forbidden: str,
 # ---------------------------------------------------------------------------
 
 def _scan_chunk(args):
-    codes, n, objective, forbidden, require_unbalanced, prune = args
+    codes, n, objective, forbidden, require_unbalanced = args
     slack = SPECTRAL_SLACK if objective == "MAX_RHO" else 0
     best = -math.inf
     cands: list[tuple[int, int, float]] = []
@@ -311,13 +389,7 @@ def _scan_chunk(args):
                 w = np.linalg.eigvalsh(stack)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise SpectralError(f"batch eigensolver failed: {exc}") from exc
-            lam1 = w[:, -1]
-            if prune and math.sqrt(m) < best - slack:
-                # sqrt(e) dominates -lambda_n on feasible graphs, so only the
-                # lambda_1 branch can still improve the current best
-                vals = lam1
-            else:
-                vals = np.maximum(lam1, -w[:, 0])
+            vals = np.maximum(w[:, -1], -w[:, 0])
             vmax = float(vals.max())
             if vmax > best:
                 best = vmax
@@ -465,7 +537,7 @@ def _scan(config: SearchConfig, checkpoint, time_budget, progress, t0) -> Search
             batch = batches[bi]
             args = [
                 (chunk, config.n, config.objective, config.forbidden,
-                 config.require_unbalanced, config.prune_with_edge_bound)
+                 config.require_unbalanced)
                 for chunk in _chunks(batch, config.workers)
             ]
             partials = pool.map(_scan_chunk, args) if pool else [_scan_chunk(a) for a in args]

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import os
 
@@ -19,7 +21,9 @@ from signed_extremal.search import (
     SearchConfig,
     SearchTimeout,
     _bfs_nontree_edges,
+    _canonical_children,
     _complete_signature_classes,
+    _connected_class_bitmaps,
     _feasible_patterns,
     _gf2_affine_solutions,
     _triangle_masks,
@@ -32,11 +36,37 @@ from signed_extremal.search import (
 
 from _oracles import all_signatures, connected_labeled_graphs, graphs_isomorphic
 
+# class count and sha256 of the comma-joined sorted canonical codes, recorded
+# from the enumerator that canonicalized every attachment of every smaller
+# class; canonical augmentation must reproduce them exactly
+PINNED_CLASS_CODES = {
+    4: (6, "2616ba19de6bbfb8edbe3ae6a6625078b947668cd3273569d50a58c3bf6f0c2b"),
+    5: (21, "4207e04809af7de40870bc26c3b3505acbbd306fb1946049b270926136d44085"),
+    6: (112, "1696f1cbed93aee140ee101d74477966c3b8ee0b76f0569d796739c0fe60f260"),
+    7: (853, "445bff1262eee9d2e95df7cbaf4085403530a5a43aafa9a28d097aa150aa96a8"),
+}
+
+
+def codes_digest(codes) -> str:
+    return hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
+
 
 class TestEnumerateUnderlying:
     @pytest.mark.parametrize("n,expect", [(4, 6), (5, 21), (6, 112)])
     def test_class_counts(self, n, expect):
         assert sum(1 for _ in enumerate_underlying(n)) == expect
+
+    @pytest.mark.parametrize("n", sorted(PINNED_CLASS_CODES))
+    def test_class_codes_are_pinned(self, n):
+        count, digest = PINNED_CLASS_CODES[n]
+        codes = _connected_class_bitmaps(n)
+        assert len(codes) == count
+        assert codes_digest(codes) == digest
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_augmentation_emits_each_class_once(self, n):
+        children = _canonical_children(n)
+        assert len(children) == len(set(children))
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -143,10 +173,44 @@ class TestSearch:
         ]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_prune_does_not_change_results(self):
-        a = search(SearchConfig(n=5, objective="MAX_RHO", prune_with_edge_bound=True))
-        b = search(SearchConfig(n=5, objective="MAX_RHO", prune_with_edge_bound=False))
-        assert self._results(a) == self._results(b)
+    @staticmethod
+    def _brute_rho_optima(n):
+        # largest spectral radius in every (forbidden, require_unbalanced)
+        # cell over all labeled connected signed graphs on n vertices
+        adj = np.array([g.adj for a in connected_labeled_graphs(n)
+                        for g in all_signatures(a)])
+        rho = np.abs(np.linalg.eigvalsh(adj.astype(np.float64))).max(axis=1)
+        tri = np.array([adj[:, i, j] * adj[:, j, k] * adj[:, i, k]
+                        for i, j, k in itertools.combinations(range(n), 3)])
+        has = {"C3_MINUS": (tri == -1).any(axis=0),
+               "C3_PLUS": (tri == 1).any(axis=0),
+               "NONE": np.zeros(len(adj), dtype=bool)}
+        balanced = np.zeros(len(adj), dtype=bool)
+        for bits in range(1 << n):
+            spin = np.array([-1 if (bits >> v) & 1 else 1 for v in range(n)])
+            balanced |= (adj * np.outer(spin, spin) >= 0).all(axis=(1, 2))
+        return {
+            (forbidden, unbal): rho[~has[forbidden] & ~(unbal & balanced)].max()
+            for forbidden in ("C3_MINUS", "C3_PLUS", "NONE")
+            for unbal in (True, False)
+        }
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_rho_optimum_matches_brute_force(self, n):
+        for (forbidden, unbal), expect in self._brute_rho_optima(n).items():
+            rep = search(SearchConfig(n=n, objective="MAX_RHO", forbidden=forbidden,
+                                      require_unbalanced=unbal))
+            assert rep.optimum == pytest.approx(expect, abs=1e-9), (forbidden, unbal)
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    @pytest.mark.parametrize("forbidden", ["C3_PLUS", "NONE"])
+    @pytest.mark.parametrize("unbal", [True, False])
+    def test_rho_optimum_without_c3_minus_is_complete_graph(self, n, forbidden, unbal):
+        # the all-negative K_n is unbalanced, has only negative triangles and
+        # spectral radius n - 1, the most any graph on n vertices has
+        rep = search(SearchConfig(n=n, objective="MAX_RHO", forbidden=forbidden,
+                                  require_unbalanced=unbal))
+        assert rep.optimum == pytest.approx(n - 1, abs=1e-9)
 
     def test_neg_edges_objective(self):
         rep = search(SearchConfig(n=6, objective="MAX_NEG_EDGES_AT_MAX_EDGES"))
@@ -213,6 +277,20 @@ class TestCheckpoint:
             pass
         with pytest.raises(ValueError, match="checkpoint"):
             search(SearchConfig(n=6, objective="MAX_RHO"), checkpoint=path)
+
+    def test_v1_checkpoint_refused(self, tmp_path):
+        # a v1 fingerprint carries the removed prune_with_edge_bound key; its
+        # candidates may come from the pruned MAX_RHO scan, so it must not resume
+        path = tmp_path / "ckpt.json"
+        v1 = ('{"n":5,"objective":"MAX_RHO","forbidden":"C3_PLUS",'
+              '"require_unbalanced":true,"require_connected":true,"workers":1,'
+              '"prune_with_edge_bound":true}')
+        counters = {"underlying_scanned": 21, "signatures_scanned": 0, "feasible": 0}
+        path.write_text(json.dumps({"fingerprint": v1, "next_batch": 1, "best": 2.56,
+                                    "cands": [], "counters": counters}))
+        with pytest.raises(ValueError, match="checkpoint"):
+            search(SearchConfig(n=5, objective="MAX_RHO", forbidden="C3_PLUS"),
+                   checkpoint=str(path))
 
 
 class TestSwitchingNegMaximum:
