@@ -249,7 +249,6 @@ def _cmd_search(args, out) -> int:
         objective=_enum_value(args.objective, OBJECTIVES, "objective"),
         forbidden=_enum_value(args.forbid, FORBIDDEN, "forbidden triangle"),
         require_unbalanced=not args.allow_balanced,
-        require_connected=True,
         workers=workers,
     )
     rep = search(config, checkpoint=args.checkpoint, progress=_make_progress())

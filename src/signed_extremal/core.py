@@ -41,13 +41,16 @@ class SignedGraph:
     __slots__ = ("adj",)
 
     def __init__(self, adj):
-        a = np.array(adj, dtype=np.int8)
+        raw = np.asarray(adj)
+        # checked before the int8 cast, which would truncate 0.6 to 0 and
+        # wrap 255 to -1
+        if not np.all(np.isin(raw, (-1, 0, 1))):
+            raise ValueError("adjacency entries must be in {-1, 0, +1}")
+        a = raw.astype(np.int8)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
         if a.shape[0] < 1:
             raise ValueError("signed graph needs at least one vertex")
-        if not np.all(np.isin(a, (-1, 0, 1))):
-            raise ValueError("adjacency entries must be in {-1, 0, +1}")
         if np.any(np.diag(a) != 0):
             raise ValueError("loops are not allowed (diagonal must be zero)")
         if not np.array_equal(a, a.T):
@@ -212,23 +215,40 @@ def is_balanced(g: SignedGraph) -> bool:
     return True
 
 
-def _bfs_tree_spins(g: SignedGraph) -> np.ndarray:
-    # Spins that make every edge of the canonical spanning forest positive.
-    # Tree: breadth-first from the smallest-index vertex of each component,
-    # neighbors visited in increasing index order.
-    spin = np.zeros(g.n, dtype=np.int8)
-    for root in range(g.n):
-        if spin[root] != 0:
+def _bfs_tree(adj: np.ndarray) -> list[tuple[int, int]]:
+    """Edges (parent, child) of the canonical spanning forest, in discovery order.
+
+    Breadth-first from the smallest vertex of each component, neighbours
+    visited in increasing index order. The forest spans a connected graph iff
+    it has n - 1 edges. canonical_switch and the search's signature
+    enumerator both pin this forest positive, so they must share it.
+    """
+    rows = adj.tolist()
+    seen = [False] * len(rows)
+    tree = []
+    for root in range(len(rows)):
+        if seen[root]:
             continue
-        spin[root] = 1
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in np.nonzero(g.adj[v])[0]:
-                if spin[u] == 0:
-                    spin[u] = spin[v] * g.adj[v, u]
-                    queue.append(int(u))
-    return spin
+        seen[root] = True
+        queue = [root]
+        # the loop also visits the vertices appended while it runs
+        for v in queue:
+            for u, x in enumerate(rows[v]):
+                if x and not seen[u]:
+                    seen[u] = True
+                    tree.append((v, u))
+                    queue.append(u)
+    return tree
+
+
+def _bfs_tree_spins(g: SignedGraph) -> np.ndarray:
+    """Spins that make every edge of the canonical spanning forest positive."""
+    rows = g.adj.tolist()
+    spin = [1] * g.n
+    # a parent is discovered before its children, so its spin is final
+    for v, u in _bfs_tree(g.adj):
+        spin[u] = spin[v] * rows[v][u]
+    return np.array(spin, dtype=np.int8)
 
 
 def canonical_switch(g: SignedGraph) -> SignedGraph:

@@ -14,6 +14,13 @@ among the non-cut vertices that maximize (-degree, sorted neighbour degrees),
 it must share an orbit with the one that gets the smallest canonical label.
 Each class then arises exactly once, from the class of G minus that vertex.
 Each kept class is stored as its canonical bitmap.
+
+The signatures of a class are the 2^k sign patterns on its k edges off the
+canonical spanning tree. With the tree pinned +1, the sign of a triangle is
+the parity of its non-tree bits, so the patterns that avoid the forbidden
+triangle are the solutions of an affine system over GF(2). They are found by
+elimination, never by scanning all 2^k patterns (switching classes are fixed
+by their cycle signs: Zaslavsky, "Signed graphs", 1982).
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ from .bounds import (
 )
 from .core import (
     SignedGraph,
+    _bfs_tree,
     _triu_cells,
     canonical_form,
     canonical_signed_code,
@@ -86,7 +94,6 @@ class SearchConfig:
     objective: str = "MAX_EDGES"
     forbidden: str = "C3_MINUS"
     require_unbalanced: bool = True
-    require_connected: bool = True
     workers: int = 1
 
     def validate(self):
@@ -98,8 +105,6 @@ class SearchConfig:
             raise ValueError(f"unknown forbidden-triangle selector {self.forbidden!r}")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
-        if not self.require_connected:
-            raise ValueError("search only enumerates connected graphs")
 
     def to_json(self) -> str:
         parts = [
@@ -107,7 +112,6 @@ class SearchConfig:
             f'"objective":{json_scalar(self.objective)}',
             f'"forbidden":{json_scalar(self.forbidden)}',
             f'"require_unbalanced":{json_scalar(self.require_unbalanced)}',
-            f'"require_connected":{json_scalar(self.require_connected)}',
             f'"workers":{self.workers}',
         ]
         return "{" + ",".join(parts) + "}"
@@ -267,29 +271,15 @@ def enumerate_underlying(n: int):
         yield SignedGraph(_bitmap_to_adj(code, n).astype(np.int8))
 
 
-def _bfs_nontree_edges(adj: np.ndarray) -> list[tuple[int, int]]:
-    # Same spanning tree as canonical_switch: breadth-first from vertex 0,
-    # neighbors in increasing index order.
+def _nontree_cells(adj: np.ndarray) -> list[tuple[int, int]]:
+    """Edges (i, j), i < j, off the canonical spanning tree, in row-major order."""
     n = adj.shape[0]
-    seen = np.zeros(n, dtype=bool)
-    seen[0] = True
-    order = [0]
-    tree = set()
-    head = 0
-    while head < len(order):
-        v = order[head]
-        head += 1
-        for u in np.nonzero(adj[v])[0]:
-            u = int(u)
-            if not seen[u]:
-                seen[u] = True
-                tree.add((min(v, u), max(v, u)))
-                order.append(u)
-    if not seen.all():
+    tree = {(min(v, u), max(v, u)) for v, u in _bfs_tree(adj)}
+    if len(tree) != n - 1:
         raise ValueError("graph must be connected")
-    iu, ju = _triu_cells(n)
-    return [(i, j) for i, j in zip(iu.tolist(), ju.tolist())
-            if adj[i, j] and (i, j) not in tree]
+    rows = adj.tolist()
+    return [(i, j) for i in range(n) for j in range(i + 1, n)
+            if rows[i][j] and (i, j) not in tree]
 
 
 def enumerate_signatures(g: SignedGraph):
@@ -299,7 +289,7 @@ def enumerate_signatures(g: SignedGraph):
     non-tree edges enumerate the switching classes exactly once each.
     """
     adj = np.abs(g.adj).astype(bool)
-    nontree = _bfs_nontree_edges(adj)
+    nontree = _nontree_cells(adj)
     for pattern in range(1 << len(nontree)):
         yield _signature_graph(adj, nontree, pattern)
 
@@ -313,38 +303,21 @@ def _signature_graph(adj_bool: np.ndarray, nontree, pattern: int) -> SignedGraph
 
 
 def _triangle_masks(adj: np.ndarray, nontree) -> list[int]:
-    n = adj.shape[0]
-    index = {e: i for i, e in enumerate(nontree)}
+    """One bitmask of non-tree edges per triangle, triangles in lexicographic order."""
+    rows = adj.tolist()
+    n = len(rows)
+    bit = [[0] * n for _ in range(n)]
+    for b, (i, j) in enumerate(nontree):
+        bit[i][j] = 1 << b
     masks = []
     for i in range(n):
         for j in range(i + 1, n):
-            if not adj[i, j]:
+            if not rows[i][j]:
                 continue
             for k in range(j + 1, n):
-                if adj[i, k] and adj[j, k]:
-                    m = 0
-                    for e in ((i, j), (i, k), (j, k)):
-                        if e in index:
-                            m |= 1 << index[e]
-                    masks.append(m)
+                if rows[i][k] and rows[j][k]:
+                    masks.append(bit[i][j] | bit[i][k] | bit[j][k])
     return masks
-
-
-def _feasible_patterns(k: int, tri_masks, forbidden: str,
-                       require_unbalanced: bool) -> np.ndarray:
-    pats = np.arange(1 << k, dtype=np.uint64)
-    ok = np.ones(pats.shape, dtype=bool)
-    if forbidden != "NONE":
-        want_odd = forbidden == "C3_PLUS"
-        for m in tri_masks:
-            par = (np.bitwise_count(pats & np.uint64(m)) & 1).astype(bool)
-            ok &= par if want_odd else ~par
-            if not ok.any():
-                break
-    if require_unbalanced:
-        # with the tree pinned +1, pattern 0 is exactly the balanced class
-        ok &= pats != 0
-    return pats[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -361,10 +334,13 @@ def _scan_chunk(args):
     for code in codes:
         adj = _bitmap_to_adj(code, n)
         m = int(adj.sum()) // 2
-        nontree = _bfs_nontree_edges(adj)
+        nontree = _nontree_cells(adj)
         k = len(nontree)
         tri_masks = _triangle_masks(adj, nontree) if forbidden != "NONE" else []
-        feas = _feasible_patterns(k, tri_masks, forbidden, require_unbalanced)
+        feas = _gf2_affine_solutions(tri_masks, k, forbidden == "C3_PLUS")
+        if require_unbalanced:
+            # with the tree pinned +1, pattern 0 is exactly the balanced class
+            feas = feas[feas != 0]
         scanned += 1 << k
         feasible += len(feas)
         if len(feas) == 0:
@@ -435,7 +411,7 @@ def _match_family(w: SignedGraph, n: int) -> str | None:
 
 
 def _recheck_witness(w: SignedGraph, config: SearchConfig, value):
-    if config.require_connected and not is_connected(w):
+    if not is_connected(w):
         raise RuntimeError("internal error: disconnected witness emitted")
     if config.require_unbalanced and is_balanced(w):
         raise RuntimeError("internal error: balanced witness emitted")
@@ -470,7 +446,7 @@ def _finalize(config, best, cands, counters, t0) -> SearchReport:
     seen = {}
     for code, pattern, _val in survivors:
         adj = _bitmap_to_adj(code, config.n)
-        g = _signature_graph(adj, _bfs_nontree_edges(adj), pattern)
+        g = _signature_graph(adj, _nontree_cells(adj), pattern)
         key = canonical_signed_code(g)
         if key not in seen:
             seen[key] = g
@@ -586,6 +562,22 @@ def switching_neg_edge_maximum(g: SignedGraph):
     return best, [maximizers[k] for k in sorted(maximizers)]
 
 
+def _neg_edge_maximizers(graphs) -> tuple[int, list[SignedGraph]]:
+    """The largest switching_neg_edge_maximum over graphs, and the distinct
+    switched graphs attaining it, in deterministic order."""
+    best = -1
+    maximizers: dict[bytes, SignedGraph] = {}
+    for g in graphs:
+        neg, maxs = switching_neg_edge_maximum(g)
+        if neg > best:
+            best = neg
+            maximizers = {}
+        if neg == best:
+            for m in maxs:
+                maximizers.setdefault(m.adj.tobytes(), m)
+    return best, [maximizers[k] for k in sorted(maximizers)]
+
+
 def search(config: SearchConfig, *, checkpoint: str | None = None,
            time_budget: float | None = None, progress=None) -> SearchReport:
     """Run an exhaustive search; returns optimum, deduplicated witnesses, and counters.
@@ -602,25 +594,13 @@ def search(config: SearchConfig, *, checkpoint: str | None = None,
     # all switchings of every maximizer class
     base = replace(config, objective="MAX_EDGES")
     edge_rep = _scan(base, checkpoint, time_budget, progress, t0)
-    best_neg = -1
-    maximizers: dict[bytes, SignedGraph] = {}
-    switchings = 0
-    for w in edge_rep.witnesses:
-        switchings += 1 << config.n
-        neg, maxs = switching_neg_edge_maximum(w)
-        if neg > best_neg:
-            best_neg = neg
-            maximizers = {}
-        if neg == best_neg:
-            for m in maxs:
-                maximizers.setdefault(m.adj.tobytes(), m)
-    witnesses = [maximizers[k] for k in sorted(maximizers)]
+    best_neg, witnesses = _neg_edge_maximizers(edge_rep.witnesses)
     matched = [
         "gst-maxneg" if signed_isomorphic(w, build_gst_maxneg(config.n)) else None
         for w in witnesses
     ]
     counts = dict(edge_rep.counts)
-    counts["signatures_scanned"] += switchings
+    counts["signatures_scanned"] += len(edge_rep.witnesses) << config.n
     return SearchReport(
         config=config,
         optimum=best_neg,
@@ -638,19 +618,18 @@ def search(config: SearchConfig, *, checkpoint: str | None = None,
 def _complete_signature_classes(n: int, forbidden: str) -> list[SignedGraph]:
     """All switching classes of signatures of K_n avoiding the forbidden triangle."""
     adj = np.abs(build_complete(n, 1).adj).astype(bool)
-    nontree = _bfs_nontree_edges(adj)
-    k = len(nontree)
-    tri_masks = _triangle_masks(adj, nontree)
-    if k <= 22:
-        feas = _feasible_patterns(k, tri_masks, forbidden, False)
-        return [_signature_graph(adj, nontree, int(p)) for p in feas]
-    # beyond scan range the constraint set is an affine GF(2) system
-    solutions = _gf2_affine_solutions(tri_masks, k, forbidden == "C3_PLUS")
-    return [_signature_graph(adj, nontree, p) for p in solutions]
+    nontree = _nontree_cells(adj)
+    solutions = _gf2_affine_solutions(_triangle_masks(adj, nontree), len(nontree),
+                                      forbidden == "C3_PLUS")
+    return [_signature_graph(adj, nontree, int(p)) for p in solutions]
 
 
-def _gf2_affine_solutions(masks: list[int], width: int, want_odd: bool) -> list[int]:
-    """Solutions of parity(x & mask) = want_odd for every mask, as bit patterns."""
+def _gf2_affine_solutions(masks: list[int], width: int, want_odd: bool) -> np.ndarray:
+    """Solutions of parity(x & mask) = want_odd for every mask, as bit patterns.
+
+    Returns the solutions of the affine GF(2) system as an ascending uint64
+    array; with no masks every pattern of width bits is a solution.
+    """
     # rows augmented with a constant column at bit `width`; pivots are chosen
     # among the variable bits only
     rhs = 1 << width
@@ -659,12 +638,13 @@ def _gf2_affine_solutions(masks: list[int], width: int, want_odd: bool) -> list[
     pivots: dict[int, int] = {}
     for row in rows:
         r = row
-        for col in sorted(pivots, reverse=True):
+        # pivot rows are kept reduced, so one pass in any order suffices
+        for col, prow in pivots.items():
             if (r >> col) & 1:
-                r ^= pivots[col]
+                r ^= prow
         if r & var_mask == 0:
             if r & rhs:
-                return []  # inconsistent system
+                return np.zeros(0, dtype=np.uint64)  # inconsistent system
             continue
         lead = (r & var_mask).bit_length() - 1
         for col in list(pivots):
@@ -672,7 +652,8 @@ def _gf2_affine_solutions(masks: list[int], width: int, want_odd: bool) -> list[
                 pivots[col] ^= r
         pivots[lead] = r
     free = [c for c in range(width) if c not in pivots]
-    if len(free) > 20:
+    # the largest supported call is K_8 with no constraint: 21 free bits
+    if len(free) > 21:
         raise ValueError("solution space too large to enumerate")
     particular = 0
     for col, row in pivots.items():
@@ -685,14 +666,10 @@ def _gf2_affine_solutions(masks: list[int], width: int, want_odd: bool) -> list[
             if (row >> f) & 1:
                 v |= 1 << col
         basis.append(v)
-    out = []
-    for sel in range(1 << len(basis)):
-        x = particular
-        for i, b in enumerate(basis):
-            if (sel >> i) & 1:
-                x ^= b
-        out.append(x)
-    return sorted(out)
+    out = np.array([particular], dtype=np.uint64)
+    for b in basis:
+        out = np.concatenate((out, out ^ np.uint64(b)))
+    return np.sort(out)
 
 
 def _verify_t1_1(n: int, workers: int) -> BoundReport:
@@ -834,17 +811,7 @@ def _verify_l2_2(n: int) -> BoundReport:
         raise ValueError("L2_2 verification supports 3 <= n <= 12")
     reps = _complete_signature_classes(n, "C3_MINUS")
     bound = (n // 2) * ((n + 1) // 2)
-    best = -1
-    maximizers: dict[bytes, SignedGraph] = {}
-    for rep_graph in reps:
-        neg, maxs = switching_neg_edge_maximum(rep_graph)
-        if neg > best:
-            best = neg
-            maximizers = {}
-        if neg == best:
-            for m in maxs:
-                maximizers.setdefault(m.adj.tobytes(), m)
-    winners = [maximizers[k] for k in sorted(maximizers)]
+    best, winners = _neg_edge_maximizers(reps)
     structure_ok = len(winners) > 0 and all(
         _is_halved_switching_of_positive(m) for m in winners
     )

@@ -109,3 +109,23 @@ def all_signatures(adj_bool: np.ndarray):
             if (bits >> idx) & 1:
                 adj[i, j] = adj[j, i] = -1
         yield SignedGraph(adj)
+
+
+def forbidden_and_balance_flags(adj: np.ndarray):
+    """Flags for a stack of sign matrices of shape (batch, n, n), by definition.
+
+    Returns ({selector: has a triangle of the forbidden sign}, balanced):
+    triangle signs are recomputed as edge-sign products, and balance tries
+    every spin assignment.
+    """
+    n = adj.shape[-1]
+    tri = np.array([adj[:, i, j] * adj[:, j, k] * adj[:, i, k]
+                    for i, j, k in itertools.combinations(range(n), 3)])
+    has = {"C3_MINUS": (tri == -1).any(axis=0),
+           "C3_PLUS": (tri == 1).any(axis=0),
+           "NONE": np.zeros(len(adj), dtype=bool)}
+    balanced = np.zeros(len(adj), dtype=bool)
+    for bits in range(1 << n):
+        spin = np.array([-1 if (bits >> v) & 1 else 1 for v in range(n)])
+        balanced |= (adj * np.outer(spin, spin) >= 0).all(axis=(1, 2))
+    return has, balanced

@@ -77,6 +77,13 @@ class TestConstruction:
         with pytest.raises(ValueError):
             SignedGraph(np.array([[1]]))
 
+    @pytest.mark.parametrize("value", [0.6, -1.9, 255])
+    def test_rejects_entries_the_int8_cast_would_change(self, value):
+        # 0.6 -> 0, -1.9 -> -1 and int64 255 -> -1 under a plain int8 cast
+        adj = np.array([[0, value], [value, 0]])
+        with pytest.raises(ValueError, match="entries"):
+            SignedGraph(adj)
+
     def test_immutability(self):
         g = unbalanced_c4()
         with pytest.raises(ValueError):

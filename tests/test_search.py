@@ -20,12 +20,12 @@ from signed_extremal.families import build_complete, build_gst, build_gst_maxneg
 from signed_extremal.search import (
     SearchConfig,
     SearchTimeout,
-    _bfs_nontree_edges,
     _canonical_children,
     _complete_signature_classes,
     _connected_class_bitmaps,
-    _feasible_patterns,
     _gf2_affine_solutions,
+    _nontree_cells,
+    _signature_graph,
     _triangle_masks,
     enumerate_signatures,
     enumerate_underlying,
@@ -34,7 +34,12 @@ from signed_extremal.search import (
     verify_theorem,
 )
 
-from _oracles import all_signatures, connected_labeled_graphs, graphs_isomorphic
+from _oracles import (
+    all_signatures,
+    connected_labeled_graphs,
+    forbidden_and_balance_flags,
+    graphs_isomorphic,
+)
 
 # class count and sha256 of the comma-joined sorted canonical codes, recorded
 # from the enumerator that canonicalized every attachment of every smaller
@@ -113,6 +118,13 @@ class TestEnumerateSignatures:
         with pytest.raises(ValueError):
             list(enumerate_signatures(new_signed_graph(3, [(0, 1, 1)])))
 
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    def test_signatures_are_their_own_canonical_switch(self, n):
+        # the enumerator pins the same spanning tree positive as canonical_switch
+        for underlying in enumerate_underlying(n):
+            for g in enumerate_signatures(underlying):
+                assert canonical_switch(g) == g
+
     def test_completeness_against_naive_method(self):
         # our (underlying class) x (tree signature) enumeration must produce
         # exactly the signed-graph classes the naive method finds
@@ -174,33 +186,36 @@ class TestSearch:
         assert reports[0] == reports[1] == reports[2]
 
     @staticmethod
-    def _brute_rho_optima(n):
-        # largest spectral radius in every (forbidden, require_unbalanced)
-        # cell over all labeled connected signed graphs on n vertices
+    def _brute_optima(n):
+        # the optimum of every objective in every (forbidden,
+        # require_unbalanced) cell over all labeled connected signed graphs on
+        # n vertices; switching keeps triangle signs and balance, so the most
+        # negative edges over switchings of the edge maximizers is the most
+        # over all admissible graphs with the maximum edge count
         adj = np.array([g.adj for a in connected_labeled_graphs(n)
                         for g in all_signatures(a)])
         rho = np.abs(np.linalg.eigvalsh(adj.astype(np.float64))).max(axis=1)
-        tri = np.array([adj[:, i, j] * adj[:, j, k] * adj[:, i, k]
-                        for i, j, k in itertools.combinations(range(n), 3)])
-        has = {"C3_MINUS": (tri == -1).any(axis=0),
-               "C3_PLUS": (tri == 1).any(axis=0),
-               "NONE": np.zeros(len(adj), dtype=bool)}
-        balanced = np.zeros(len(adj), dtype=bool)
-        for bits in range(1 << n):
-            spin = np.array([-1 if (bits >> v) & 1 else 1 for v in range(n)])
-            balanced |= (adj * np.outer(spin, spin) >= 0).all(axis=(1, 2))
-        return {
-            (forbidden, unbal): rho[~has[forbidden] & ~(unbal & balanced)].max()
-            for forbidden in ("C3_MINUS", "C3_PLUS", "NONE")
-            for unbal in (True, False)
-        }
+        edges = np.count_nonzero(adj, axis=(1, 2)) // 2
+        neg = np.count_nonzero(adj == -1, axis=(1, 2)) // 2
+        has, balanced = forbidden_and_balance_flags(adj)
+        optima = {}
+        for forbidden in ("C3_MINUS", "C3_PLUS", "NONE"):
+            for unbal in (True, False):
+                ok = ~has[forbidden] & ~(unbal & balanced)
+                most = edges[ok].max()
+                optima[("MAX_RHO", forbidden, unbal)] = rho[ok].max()
+                optima[("MAX_EDGES", forbidden, unbal)] = most
+                optima[("MAX_NEG_EDGES_AT_MAX_EDGES", forbidden, unbal)] = (
+                    neg[ok & (edges == most)].max())
+        return optima
 
     @pytest.mark.parametrize("n", [4, 5])
-    def test_rho_optimum_matches_brute_force(self, n):
-        for (forbidden, unbal), expect in self._brute_rho_optima(n).items():
-            rep = search(SearchConfig(n=n, objective="MAX_RHO", forbidden=forbidden,
+    def test_optimum_matches_brute_force(self, n):
+        for (objective, forbidden, unbal), expect in self._brute_optima(n).items():
+            rep = search(SearchConfig(n=n, objective=objective, forbidden=forbidden,
                                       require_unbalanced=unbal))
-            assert rep.optimum == pytest.approx(expect, abs=1e-9), (forbidden, unbal)
+            assert rep.optimum == pytest.approx(expect, abs=1e-9), (
+                objective, forbidden, unbal)
 
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     @pytest.mark.parametrize("forbidden", ["C3_PLUS", "NONE"])
@@ -231,8 +246,6 @@ class TestSearch:
             search(SearchConfig(n=5, objective="MIN_EDGES"))
         with pytest.raises(ValueError):
             search(SearchConfig(n=5, forbidden="C5"))
-        with pytest.raises(ValueError):
-            search(SearchConfig(n=5, require_connected=False))
         with pytest.raises(ValueError):
             search(SearchConfig(n=5, workers=0))
 
@@ -280,17 +293,22 @@ class TestCheckpoint:
 
     def test_v1_checkpoint_refused(self, tmp_path):
         # a v1 fingerprint carries the removed prune_with_edge_bound key; its
-        # candidates may come from the pruned MAX_RHO scan, so it must not resume
+        # candidates may come from the pruned MAX_RHO scan, so it must not
+        # resume; a v2 fingerprint carries the removed require_connected key
         path = tmp_path / "ckpt.json"
         v1 = ('{"n":5,"objective":"MAX_RHO","forbidden":"C3_PLUS",'
               '"require_unbalanced":true,"require_connected":true,"workers":1,'
               '"prune_with_edge_bound":true}')
+        v2 = ('{"n":5,"objective":"MAX_RHO","forbidden":"C3_PLUS",'
+              '"require_unbalanced":true,"require_connected":true,"workers":1}')
         counters = {"underlying_scanned": 21, "signatures_scanned": 0, "feasible": 0}
-        path.write_text(json.dumps({"fingerprint": v1, "next_batch": 1, "best": 2.56,
-                                    "cands": [], "counters": counters}))
-        with pytest.raises(ValueError, match="checkpoint"):
-            search(SearchConfig(n=5, objective="MAX_RHO", forbidden="C3_PLUS"),
-                   checkpoint=str(path))
+        for fingerprint in (v1, v2):
+            path.write_text(json.dumps({"fingerprint": fingerprint, "next_batch": 1,
+                                        "best": 2.56, "cands": [],
+                                        "counters": counters}))
+            with pytest.raises(ValueError, match="checkpoint"):
+                search(SearchConfig(n=5, objective="MAX_RHO", forbidden="C3_PLUS"),
+                       checkpoint=str(path))
 
 
 class TestSwitchingNegMaximum:
@@ -311,17 +329,31 @@ class TestSwitchingNegMaximum:
 
 
 class TestGF2Solutions:
-    def test_matches_scan_on_complete_graphs(self):
-        for n in (4, 5, 6):
-            adj = np.abs(build_complete(n, 1).adj).astype(bool)
-            nontree = _bfs_nontree_edges(adj)
-            k = len(nontree)
+    def test_matches_brute_force(self):
+        # every class at n = 4, 5 and K_6: the switching classes that avoid the
+        # forbidden triangle, found by canonically switching every signature,
+        # are exactly the graphs built from the GF(2) solutions
+        classes = [g.adj.astype(bool) for n in (4, 5) for g in enumerate_underlying(n)]
+        classes.append(np.abs(build_complete(6, 1).adj).astype(bool))
+        for adj in classes:
+            sigs = list(all_signatures(adj))
+            canon = [canonical_switch(g) for g in sigs]
+            has, balanced = forbidden_and_balance_flags(np.array([g.adj for g in sigs]))
+            nontree = _nontree_cells(adj)
             masks = _triangle_masks(adj, nontree)
-            for want_odd, forbidden in ((False, "C3_MINUS"), (True, "C3_PLUS")):
-                scan = sorted(int(p) for p in
-                              _feasible_patterns(k, masks, forbidden, False))
-                solved = _gf2_affine_solutions(masks, k, want_odd)
-                assert solved == scan
+            for forbidden in ("C3_MINUS", "C3_PLUS", "NONE"):
+                sols = _gf2_affine_solutions(masks if forbidden != "NONE" else [],
+                                             len(nontree), forbidden == "C3_PLUS")
+                assert sols.dtype == np.uint64
+                assert np.all(sols[1:] > sols[:-1])
+                for unbal in (True, False):
+                    ok = ~has[forbidden] & ~(unbal & balanced)
+                    brute = {c for c, keep in zip(canon, ok) if keep}
+                    # pattern 0 is the balanced class
+                    pats = sols[sols != 0] if unbal else sols
+                    ours = {_signature_graph(adj, nontree, int(p)) for p in pats}
+                    assert ours == brute, (forbidden, unbal)
+                    assert len(pats) == len(brute)
 
     def test_complete_signature_classes(self):
         classes = _complete_signature_classes(5, "C3_MINUS")
