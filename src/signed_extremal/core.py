@@ -161,20 +161,6 @@ def negate(g: SignedGraph) -> SignedGraph:
     return SignedGraph(-g.adj)
 
 
-def is_connected(g: SignedGraph) -> bool:
-    """Breadth-first reachability on the underlying graph."""
-    seen = np.zeros(g.n, dtype=bool)
-    seen[0] = True
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
-        for u in np.nonzero(g.adj[v])[0]:
-            if not seen[u]:
-                seen[u] = True
-                queue.append(int(u))
-    return bool(seen.all())
-
-
 def _components(g: SignedGraph):
     seen = np.zeros(g.n, dtype=bool)
     for root in range(g.n):
@@ -191,6 +177,11 @@ def _components(g: SignedGraph):
                     comp.append(int(u))
                     queue.append(int(u))
         yield comp
+
+
+def is_connected(g: SignedGraph) -> bool:
+    """True iff the component of vertex 0 in the underlying graph is everything."""
+    return len(next(_components(g))) == g.n
 
 
 def is_balanced(g: SignedGraph) -> bool:
@@ -341,14 +332,18 @@ def shortest_unbalanced_cycle(g: SignedGraph) -> Cycle | None:
             best_path = [p % n for p in path[:-1]]
     vs = tuple(best_path)
     # the globally shortest negative closed walk is a simple cycle
-    assert len(set(vs)) == len(vs) and len(vs) >= 3
-    assert cycle_sign(g, vs) == -1
+    if len(set(vs)) != len(vs) or len(vs) < 3 or cycle_sign(g, vs) != -1:
+        raise RuntimeError(f"internal error: {vs} is not a negative simple cycle")
     return Cycle(vs, -1)
 
 
 # ---------------------------------------------------------------------------
 # Canonical labeling machinery (shared with the search engine)
 # ---------------------------------------------------------------------------
+
+# orders per batch in canonical_signed_code; K_9 has 362,880 optimal orders
+_ORDER_CHUNK = 8192
+
 
 @lru_cache(maxsize=None)
 def _triu_cells(n: int):
@@ -446,23 +441,33 @@ def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
     return code, orders[mins]
 
 
+def _min_sign_row(vals: np.ndarray) -> bytes:
+    """The least row of a stack of sign rows, -1/0/+1 compared as bytes 2/0/1."""
+    vals = np.where(vals == -1, 2, vals).astype(np.uint8)
+    return vals[_minimal_rows(vals)[0]].tobytes()
+
+
 def canonical_signed_code(g: SignedGraph) -> tuple[int, bytes]:
     """A complete invariant of the (relabeling, switching) class of g.
 
     First minimizes the underlying bitmap over class-respecting relabelings,
     then minimizes the canonical-switch sign pattern over the relabelings that
-    attain that minimum.
+    attain that minimum. These all give the same underlying graph, hence one
+    spanning forest, whose spins are propagated for a chunk of orders at once.
     """
     code, orders = canonical_form(np.abs(g.adj).astype(bool))
+    tree = _bfs_tree(g.adj[np.ix_(orders[0], orders[0])])
     iu, ju = _triu_cells(g.n)
-    best = None
-    for order in orders:
-        c = canonical_switch(permute(g, order))
-        # entries -1/0/+1 -> bytes 2/0/1 so the comparison is deterministic
-        row = np.where(c.adj[iu, ju] == -1, 2, c.adj[iu, ju]).astype(np.uint8).tobytes()
-        if best is None or row < best:
-            best = row
-    return code, best
+    rows = []
+    for start in range(0, len(orders), _ORDER_CHUNK):
+        chunk = orders[start:start + _ORDER_CHUNK]
+        adj = g.adj[chunk[:, :, None], chunk[:, None, :]]
+        spin = np.ones(chunk.shape, dtype=np.int8)
+        # a parent is discovered before its children, so its spin is final
+        for v, u in tree:
+            spin[:, u] = spin[:, v] * adj[:, v, u]
+        rows.append(_min_sign_row(spin[:, iu] * spin[:, ju] * adj[:, iu, ju]))
+    return code, min(rows)
 
 
 def signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
@@ -477,10 +482,7 @@ def signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
 def _exact_signed_code(g: SignedGraph) -> tuple[int, bytes]:
     code, orders = canonical_form(np.abs(g.adj).astype(bool))
     iu, ju = _triu_cells(g.n)
-    vals = g.adj[orders[:, iu], orders[:, ju]]
-    vals = np.where(vals == -1, 2, vals).astype(np.uint8)
-    best = vals[_minimal_rows(vals)[0]].tobytes()
-    return code, best
+    return code, _min_sign_row(g.adj[orders[:, iu], orders[:, ju]])
 
 
 def switching_isomorphic(g1: SignedGraph, g2: SignedGraph, max_order: int = 9) -> bool:

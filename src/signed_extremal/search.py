@@ -86,6 +86,7 @@ THEOREMS = ("T1_1", "T1_2_EDGES", "T1_2_NEG", "T1_3", "L2_2", "L3_6_ORDER")
 _MIN_N, _MAX_N = 4, 8
 _BATCH_CLASSES = 256
 _EIG_BATCH = 8192
+_SWITCH_CHUNK = 4096
 
 
 @dataclass(frozen=True)
@@ -538,28 +539,41 @@ def _scan(config: SearchConfig, checkpoint, time_budget, progress, t0) -> Search
     return _finalize(config, best, cands, counters, t0)
 
 
+def _mask_spins(masks: np.ndarray, n: int, dtype) -> np.ndarray:
+    """Spins of switching masks, one row each: bit v of a mask switches vertex v."""
+    return (1 - 2 * ((masks[:, None] >> np.arange(n)) & 1)).astype(dtype)
+
+
+def _switching_neg_counts(adj: np.ndarray) -> np.ndarray:
+    """Negative edge count after each of the 2^n switchings of adj, indexed by mask.
+
+    With spins s in {+1, -1}^n and m edges, neg(s) = (m - s^T A s / 2) / 2, a
+    max-cut objective, evaluated a chunk of masks at a time. float64 is exact
+    here (sums of at most n^2 unit terms) and runs in BLAS, unlike int matmul.
+    """
+    n = adj.shape[0]
+    a = adj.astype(np.float64)
+    twice_m = np.count_nonzero(adj)
+    masks = np.arange(1 << n)
+    out = np.empty(1 << n, dtype=np.int32)
+    for start in range(0, 1 << n, _SWITCH_CHUNK):
+        spins = _mask_spins(masks[start:start + _SWITCH_CHUNK], n, np.float64)
+        out[start:start + _SWITCH_CHUNK] = (twice_m - ((spins @ a) * spins).sum(1)) // 4
+    return out
+
+
 def switching_neg_edge_maximum(g: SignedGraph):
     """Maximum negative edge count over all 2^n switchings of g.
 
     Returns (best, maximizers) where maximizers are the distinct switched
-    graphs attaining the maximum, in deterministic order.
+    graphs attaining the maximum, sorted by sign matrix bytes. Only the masks
+    that attain the maximum are turned into graphs.
     """
-    best = -1
-    maximizers: dict[bytes, SignedGraph] = {}
-    n = g.n
-    for mask in range(1 << n):
-        spin = np.array([-1 if (mask >> v) & 1 else 1 for v in range(n)],
-                        dtype=np.int8)
-        adj = np.outer(spin, spin) * g.adj
-        neg = int(np.count_nonzero(adj == -1)) // 2
-        if neg > best:
-            best = neg
-            maximizers = {}
-        if neg == best:
-            key = adj.tobytes()
-            if key not in maximizers:
-                maximizers[key] = SignedGraph(adj)
-    return best, [maximizers[k] for k in sorted(maximizers)]
+    counts = _switching_neg_counts(g.adj)
+    best = int(counts.max())
+    spins = _mask_spins(np.flatnonzero(counts == best), g.n, np.int8)
+    maximizers = {a.tobytes(): a for a in spins[:, :, None] * spins[:, None, :] * g.adj}
+    return best, [SignedGraph(maximizers[k]) for k in sorted(maximizers)]
 
 
 def _neg_edge_maximizers(graphs) -> tuple[int, list[SignedGraph]]:
@@ -735,25 +749,14 @@ def _verify_t1_2_neg(n: int, workers: int) -> BoundReport:
         notes = (f"switchings of every enumerated edge-maximizer class; "
                  f"{len(maximizers)} maximizers, {hits} in canonical layout")
     else:
-        # beyond enumeration range: brute-force the 2^n switchings of every
-        # split of the extremal construction itself
-        observed = -1
-        maximizers = []
-        at_balanced_split_only = True
-        s_star = (n - 2) // 2
-        for s in range(1, (n - 2) // 2 + 1):
-            neg, maxs = switching_neg_edge_maximum(build_gst(s, n - 2 - s))
-            if neg > observed:
-                observed = neg
-                maximizers = maxs
-                at_balanced_split_only = s == s_star
-            elif neg == observed:
-                maximizers.extend(maxs)
-                at_balanced_split_only = at_balanced_split_only and s == s_star
-        structure_ok = (
-            at_balanced_split_only
-            and maximizers == [build_gst_maxneg(n)]
-        )
+        # beyond enumeration range: the 2^n switchings of every split of the
+        # extremal construction; only the splits attaining the maximum build graphs
+        splits = {s: build_gst(s, n - 2 - s) for s in range(1, (n - 2) // 2 + 1)}
+        peaks = {s: int(_switching_neg_counts(g.adj).max()) for s, g in splits.items()}
+        observed = max(peaks.values())
+        winners = [s for s, peak in peaks.items() if peak == observed]
+        maximizers = [m for s in winners for m in switching_neg_edge_maximum(splits[s])[1]]
+        structure_ok = winners == [(n - 2) // 2] and maximizers == [build_gst_maxneg(n)]
         notes = "switchings of the construction family (n beyond enumeration)"
     passed = observed == bound and structure_ok
     return BoundReport(

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._render import fmt_float
 from .core import SignedGraph
 
 __all__ = [
@@ -269,10 +270,7 @@ class CharPolyId:
 
 def char_poly_eval(poly_id: CharPolyId, x: float) -> float:
     """Exact-integer-coefficient polynomial evaluated at x by Horner's rule."""
-    acc = 0.0
-    for c in poly_id.coefficients():
-        acc = acc * x + c
-    return acc
+    return _poly_eval(poly_id.coefficients(), x)
 
 
 def _poly_eval(coeffs, x: float) -> float:
@@ -359,14 +357,10 @@ def interlacing_check(g: SignedGraph, kept, tol: float = IDENTITY_TOL) -> bool:
     return True
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
-
-
 def spectrum_to_json(sp: Spectrum) -> str:
     """Fixed 15-significant-digit JSON rendering of a spectrum."""
-    vals = ",".join(_fmt(v) for v in sp.eigenvalues)
-    return f'{{"eigenvalues":[{vals}],"rho":{_fmt(sp.rho)},"tol":{_fmt(sp.tol)}}}'
+    vals = ",".join(fmt_float(v) for v in sp.eigenvalues)
+    return f'{{"eigenvalues":[{vals}],"rho":{fmt_float(sp.rho)},"tol":{fmt_float(sp.tol)}}}'
 
 
 def check_spectrum_identities(g: SignedGraph, sp: Spectrum) -> None:

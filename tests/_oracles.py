@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the library's own algorithms: sign
 recomputation by definition, cycle enumeration by DFS, isomorphism by scanning
-every permutation, balance by trying every spin assignment.
+every permutation, balance by trying every spin assignment. The exceptions are
+the last two functions: the per-order and per-mask loops that the batched
+canonical_signed_code and switching_neg_edge_maximum replaced, kept as
+references that must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -11,7 +14,13 @@ import itertools
 
 import numpy as np
 
-from signed_extremal.core import SignedGraph
+from signed_extremal.core import (
+    SignedGraph,
+    _triu_cells,
+    canonical_form,
+    canonical_switch,
+    permute,
+)
 
 
 def brute_switch(g: SignedGraph, vertex_set) -> SignedGraph:
@@ -99,6 +108,26 @@ def connected_labeled_graphs(n: int):
             yield adj
 
 
+def all_labeled_signed_graphs(n: int):
+    """Every signed graph on vertices 0..n-1: each cell -1, 0 or +1 (3^C(n,2))."""
+    cells = list(itertools.combinations(range(n), 2))
+    for signs in itertools.product((-1, 0, 1), repeat=len(cells)):
+        adj = np.zeros((n, n), dtype=np.int8)
+        for (i, j), x in zip(cells, signs):
+            adj[i, j] = adj[j, i] = x
+        yield SignedGraph(adj)
+
+
+def seeded_signed_graphs(seed: int, n: int, count: int):
+    """count random signed graphs on n vertices, edge densities 0.2 to 0.9."""
+    rng = np.random.default_rng(seed)
+    for density in np.linspace(0.2, 0.9, count):
+        upper = np.triu(rng.random((n, n)) < density, 1)
+        signs = np.where(rng.random((n, n)) < 0.5, -1, 1)
+        adj = (upper * signs).astype(np.int8)
+        yield SignedGraph(adj + adj.T)
+
+
 def all_signatures(adj_bool: np.ndarray):
     """All 2^m signed graphs over a fixed underlying graph."""
     n = adj_bool.shape[0]
@@ -129,3 +158,37 @@ def forbidden_and_balance_flags(adj: np.ndarray):
         spin = np.array([-1 if (bits >> v) & 1 else 1 for v in range(n)])
         balanced |= (adj * np.outer(spin, spin) >= 0).all(axis=(1, 2))
     return has, balanced
+
+
+def per_order_signed_code(g: SignedGraph) -> tuple[int, bytes]:
+    """canonical_signed_code, one relabeling and canonical switch per optimal order."""
+    code, orders = canonical_form(np.abs(g.adj).astype(bool))
+    iu, ju = _triu_cells(g.n)
+    best = None
+    for order in orders:
+        c = canonical_switch(permute(g, order))
+        # entries -1/0/+1 -> bytes 2/0/1 so the comparison is deterministic
+        row = np.where(c.adj[iu, ju] == -1, 2, c.adj[iu, ju]).astype(np.uint8).tobytes()
+        if best is None or row < best:
+            best = row
+    return code, best
+
+
+def per_mask_neg_edge_maximum(g: SignedGraph):
+    """switching_neg_edge_maximum, one switched matrix per mask of the 2^n."""
+    best = -1
+    maximizers: dict[bytes, SignedGraph] = {}
+    n = g.n
+    for mask in range(1 << n):
+        spin = np.array([-1 if (mask >> v) & 1 else 1 for v in range(n)],
+                        dtype=np.int8)
+        adj = np.outer(spin, spin) * g.adj
+        neg = int(np.count_nonzero(adj == -1)) // 2
+        if neg > best:
+            best = neg
+            maximizers = {}
+        if neg == best:
+            key = adj.tobytes()
+            if key not in maximizers:
+                maximizers[key] = SignedGraph(adj)
+    return best, [maximizers[k] for k in sorted(maximizers)]

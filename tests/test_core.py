@@ -21,14 +21,22 @@ from signed_extremal.core import (
     switching_equivalent,
     switching_isomorphic,
 )
-from signed_extremal.families import build_complete, build_gst, build_gst_maxneg
+from signed_extremal.families import (
+    build_complete,
+    build_gst,
+    build_gst_maxneg,
+    build_kn_switched_maxneg,
+)
 
 from _oracles import (
+    all_labeled_signed_graphs,
     all_signatures,
     all_simple_cycles,
     brute_is_balanced,
     brute_switch,
     connected_labeled_graphs,
+    per_order_signed_code,
+    seeded_signed_graphs,
 )
 
 
@@ -342,3 +350,29 @@ class TestCanonicalCode:
         assert canonical_signed_code(build_complete(3, 1)) != canonical_signed_code(
             c3_minus()
         )
+
+    def test_matches_per_order_reference_on_every_small_graph(self):
+        for n in range(1, 5):
+            for g in all_labeled_signed_graphs(n):
+                assert canonical_signed_code(g) == per_order_signed_code(g)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_per_order_reference_on_random_graphs(self, n):
+        graphs = list(seeded_signed_graphs(100 + n, n, 16))
+        assert any(not is_connected(g) for g in graphs)
+        for g in graphs:
+            assert canonical_signed_code(g) == per_order_signed_code(g)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_per_order_reference_on_complete_graphs(self, n):
+        # every relabeling is optimal on K_n: n! orders per code
+        for g in (build_complete(n, 1), build_complete(n, -1), build_kn_switched_maxneg(n)):
+            assert canonical_signed_code(g) == per_order_signed_code(g)
+
+    def test_chunks_of_orders_merge_to_the_reference(self, monkeypatch):
+        # K_5 with two disjoint negative edges first attains its least sign row
+        # at order 99 of 120: with 33 orders per chunk, in the last, partial one
+        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 33)
+        g = new_signed_graph(5, [(u, v, -1 if (u, v) in ((0, 1), (2, 3)) else 1)
+                                 for u, v in itertools.combinations(range(5), 2)])
+        assert canonical_signed_code(g) == per_order_signed_code(g)

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -16,7 +17,12 @@ from signed_extremal.core import (
     new_signed_graph,
     switching_equivalent,
 )
-from signed_extremal.families import build_complete, build_gst, build_gst_maxneg
+from signed_extremal.families import (
+    build_complete,
+    build_gst,
+    build_gst_maxneg,
+    build_kn_switched_maxneg,
+)
 from signed_extremal.search import (
     SearchConfig,
     SearchTimeout,
@@ -35,10 +41,13 @@ from signed_extremal.search import (
 )
 
 from _oracles import (
+    all_labeled_signed_graphs,
     all_signatures,
     connected_labeled_graphs,
     forbidden_and_balance_flags,
     graphs_isomorphic,
+    per_mask_neg_edge_maximum,
+    seeded_signed_graphs,
 )
 
 # class count and sha256 of the comma-joined sorted canonical codes, recorded
@@ -173,6 +182,20 @@ class TestSearch:
         )
         assert rep.optimum == 10
         assert rep.matched_family == ["complete-pos"]
+
+    @pytest.mark.parametrize("require_unbalanced", [False, True])
+    def test_unconstrained_edge_maximum_n6(self, require_unbalanced):
+        # every signature of K_6 ties; the witnesses are its switching classes,
+        # the 16 two-graphs on 6 vertices (OEIS A002854), less the balanced
+        # class (K_6, +) when it is excluded
+        rep = search(SearchConfig(n=6, objective="MAX_EDGES", forbidden="NONE",
+                                  require_unbalanced=require_unbalanced))
+        assert rep.optimum == 15
+        assert len(rep.witnesses) == (15 if require_unbalanced else 16)
+        expect = [None] * 14 + ["complete-neg"]
+        if not require_unbalanced:
+            expect.insert(0, "complete-pos")
+        assert rep.matched_family == expect
 
     @staticmethod
     def _results(rep):
@@ -315,17 +338,39 @@ class TestSwitchingNegMaximum:
     def test_matches_direct_scan(self):
         g = build_gst(2, 3)
         best, maxs = switching_neg_edge_maximum(g)
-        # independent scan
+        # independent scan: every switching, by the cut rule
         from _oracles import brute_switch
 
-        seen = -1
-        for bits in range(1 << g.n):
-            u = [v for v in range(g.n) if (bits >> v) & 1]
-            seen = max(seen, brute_switch(g, u).neg_edge_count)
-        assert best == seen
+        switched = [brute_switch(g, [v for v in range(g.n) if (bits >> v) & 1])
+                    for bits in range(1 << g.n)]
+        assert best == max(h.neg_edge_count for h in switched)
+        attaining = {h.adj.tobytes() for h in switched if h.neg_edge_count == best}
+        # complete, without duplicates, sorted by sign matrix bytes
+        assert [m.adj.tobytes() for m in maxs] == sorted(attaining)
         for m in maxs:
-            assert m.neg_edge_count == best
             assert switching_equivalent(m, g)
+
+    def test_matches_per_mask_reference(self):
+        graphs = [g for n in range(1, 5) for g in all_labeled_signed_graphs(n)]
+        graphs += [g for n in range(5, 9) for g in seeded_signed_graphs(100 + n, n, 16)]
+        for n in range(3, 9):
+            graphs += [build_complete(n, 1), build_complete(n, -1),
+                       build_kn_switched_maxneg(n)]
+        graphs += [build_gst(s, n - 2 - s) for n in range(4, 13)
+                   for s in range(1, (n - 2) // 2 + 1)]
+        for g in graphs:
+            best, maxs = switching_neg_edge_maximum(g)
+            ref_best, ref_maxs = per_mask_neg_edge_maximum(g)
+            assert best == ref_best
+            assert maxs == ref_maxs
+
+    def test_chunks_of_masks_merge_to_the_reference(self, monkeypatch):
+        # 5 masks per chunk: the 128 masks of n = 7 span 26 chunks, the last partial
+        # the package exports a function named search, so reach the module itself
+        module = sys.modules[switching_neg_edge_maximum.__module__]
+        monkeypatch.setattr(module, "_SWITCH_CHUNK", 5)
+        for g in (build_gst(2, 3), build_kn_switched_maxneg(7)):
+            assert switching_neg_edge_maximum(g) == per_mask_neg_edge_maximum(g)
 
 
 class TestGF2Solutions:

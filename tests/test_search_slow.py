@@ -5,12 +5,16 @@ import hashlib
 import pytest
 
 from signed_extremal.bounds import edge_bound, rho_bound
+from signed_extremal.core import canonical_signed_code
+from signed_extremal.families import build_complete, build_kn_switched_maxneg
 from signed_extremal.search import (
     SearchConfig,
     _connected_class_bitmaps,
     enumerate_underlying,
     search,
 )
+
+from _oracles import per_order_signed_code
 
 pytestmark = pytest.mark.slow
 
@@ -36,3 +40,9 @@ def test_spectral_maximum_n8():
     rep = search(SearchConfig(n=8, objective="MAX_RHO"))
     assert rep.optimum == pytest.approx(rho_bound(8), abs=1e-9)
     assert rep.matched_family == ["gst(1,5)"]
+
+
+def test_signed_code_matches_per_order_reference_on_k8():
+    # 40,320 optimal orders each; the tier-1 test stops at K_7
+    for g in (build_complete(8, 1), build_complete(8, -1), build_kn_switched_maxneg(8)):
+        assert canonical_signed_code(g) == per_order_signed_code(g)
