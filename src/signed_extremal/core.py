@@ -187,23 +187,12 @@ def is_connected(g: SignedGraph) -> bool:
 def is_balanced(g: SignedGraph) -> bool:
     """True iff a spin assignment s:V->{+1,-1} has sign(uv) = s(u)s(v) on every edge.
 
-    Checked by spin propagation over a breadth-first search, per component.
+    The spins that make the canonical spanning forest positive are the only
+    candidates up to a sign per component, so g is balanced iff switching by
+    them leaves no negative edge.
     """
-    spin = np.zeros(g.n, dtype=np.int8)
-    for comp in _components(g):
-        root = comp[0]
-        spin[root] = 1
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in np.nonzero(g.adj[v])[0]:
-                want = spin[v] * g.adj[v, u]
-                if spin[u] == 0:
-                    spin[u] = want
-                    queue.append(int(u))
-                elif spin[u] != want:
-                    return False
-    return True
+    s = _bfs_tree_spins(g)
+    return np.array_equal(np.outer(s, s) * g.adj, np.abs(g.adj))
 
 
 def _bfs_tree(adj: np.ndarray) -> list[tuple[int, int]]:
@@ -452,10 +441,19 @@ def canonical_signed_code(g: SignedGraph) -> tuple[int, bytes]:
 
     First minimizes the underlying bitmap over class-respecting relabelings,
     then minimizes the canonical-switch sign pattern over the relabelings that
-    attain that minimum. These all give the same underlying graph, hence one
-    spanning forest, whose spins are propagated for a chunk of orders at once.
+    attain that minimum (_least_switched_row).
     """
     code, orders = canonical_form(np.abs(g.adj).astype(bool))
+    return code, _least_switched_row(g, orders)
+
+
+def _least_switched_row(g: SignedGraph, orders: np.ndarray) -> bytes:
+    """The least canonical-switch sign row of g over the optimal orders of its
+    underlying graph (from canonical_form).
+
+    All these orders give the same underlying graph, hence one spanning
+    forest, whose spins are propagated for a chunk of orders at once.
+    """
     tree = _bfs_tree(g.adj[np.ix_(orders[0], orders[0])])
     iu, ju = _triu_cells(g.n)
     rows = []
@@ -467,7 +465,7 @@ def canonical_signed_code(g: SignedGraph) -> tuple[int, bytes]:
         for v, u in tree:
             spin[:, u] = spin[:, v] * adj[:, v, u]
         rows.append(_min_sign_row(spin[:, iu] * spin[:, ju] * adj[:, iu, ju]))
-    return code, min(rows)
+    return min(rows)
 
 
 def signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:

@@ -21,10 +21,19 @@ the parity of its non-tree bits, so the patterns that avoid the forbidden
 triangle are the solutions of an affine system over GF(2). They are found by
 elimination, never by scanning all 2^k patterns (switching classes are fixed
 by their cycle signs: Zaslavsky, "Signed graphs", 1982).
+
+The class table (adjacency, edge count, non-tree cells and triangle masks of
+every class) is built once per n, on the first search at that n, and the
+triangle systems of all classes are solved together once per (n, forbidden
+triangle); later searches only read them. Feasible counts follow from the
+rank of each system, and MAX_RHO stacks the signatures of consecutive classes
+into eigvalsh calls of up to _EIG_BATCH matrices.
 """
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import json
 import math
 import os
@@ -32,6 +41,7 @@ import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from multiprocessing import get_context
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +56,9 @@ from .bounds import (
 from .core import (
     SignedGraph,
     _bfs_tree,
+    _least_switched_row,
     _triu_cells,
     canonical_form,
-    canonical_signed_code,
     find_signed_triangles,
     is_balanced,
     is_connected,
@@ -86,6 +96,9 @@ THEOREMS = ("T1_1", "T1_2_EDGES", "T1_2_NEG", "T1_3", "L2_2", "L3_6_ORDER")
 _MIN_N, _MAX_N = 4, 8
 _BATCH_CLASSES = 256
 _EIG_BATCH = 8192
+# classes per block while the class table and its spans are built, which
+# bounds their transient arrays
+_TABLE_BLOCK = 1024
 _SWITCH_CHUNK = 4096
 
 
@@ -322,62 +335,272 @@ def _triangle_masks(adj: np.ndarray, nontree) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
+# The class table and the triangle systems, built once per n
+# ---------------------------------------------------------------------------
+
+class _ClassTable(NamedTuple):
+    """Every connected class on n vertices, one row per class in code order."""
+
+    codes: tuple[int, ...]
+    adj: np.ndarray          # (classes, n, n) bool adjacency
+    edges: np.ndarray        # (classes,) edge count
+    widths: np.ndarray       # (classes,) k, the number of non-tree edges
+    nontree: np.ndarray      # (classes, k of K_n) upper-triangle cell of non-tree bit b
+    tri_masks: np.ndarray    # (classes, C(n,3)) non-tree bitmask per triangle, 0 if absent
+    tri_present: np.ndarray  # (classes, C(n,3)) the triangle is in the graph
+
+
+@lru_cache(maxsize=None)
+def _class_table(n: int) -> _ClassTable:
+    """The class table of n, built from the cached class codes on first use.
+
+    Each row matches _bitmap_to_adj, _nontree_cells and _triangle_masks of its
+    code: the spanning trees come from _bfs_tree, one class at a time, so the
+    pinned tree is the one canonical_switch uses.
+    """
+    codes = _connected_class_bitmaps(n)
+    blocks = [_table_block(codes[lo:lo + _TABLE_BLOCK], n)
+              for lo in range(0, len(codes), _TABLE_BLOCK)]
+    return _ClassTable(codes, *map(_read_only, zip(*blocks)))
+
+
+def _read_only(parts) -> np.ndarray:
+    """The concatenation of parts, read-only: cached results are shared."""
+    out = np.concatenate(parts)
+    out.setflags(write=False)
+    return out
+
+
+def _table_block(codes, n: int):
+    """The _ClassTable fields after `codes`, for one block of codes."""
+    iu, ju = _triu_cells(n)
+    ncells = len(iu)
+    nbytes = (ncells + 7) // 8
+    # a code packs its upper-triangle cells MSB first, padded to whole bytes
+    raw = np.frombuffer(b"".join(c.to_bytes(nbytes, "big") for c in codes), dtype=np.uint8)
+    bits = np.unpackbits(raw.reshape(len(codes), nbytes), axis=1, count=ncells).astype(bool)
+    adj = np.zeros((len(codes), n, n), dtype=bool)
+    adj[:, iu, ju] = bits
+    adj |= adj.transpose(0, 2, 1)
+    cell = np.zeros((n, n), dtype=np.intp)
+    cell[iu, ju] = cell[ju, iu] = np.arange(ncells)
+    cell_rows = cell.tolist()
+    tree_cells = [[cell_rows[v][u] for v, u in _bfs_tree(a)] for a in adj]
+    tree = np.zeros_like(bits)
+    tree[np.arange(len(codes))[:, None], np.array(tree_cells, dtype=np.intp)] = True
+    off = bits & ~tree
+    # non-tree bit b is the b-th non-tree cell in row-major order; K_n has
+    # the most non-tree edges, and n <= 8 has at most 28 cells
+    pos = np.cumsum(off, axis=1) - 1
+    rows, cols = np.nonzero(off)
+    nontree = np.zeros((len(codes), ncells - n + 1), dtype=np.uint8)
+    nontree[rows, pos[rows, cols]] = cols
+    cell_mask = off.astype(np.uint32) << np.maximum(pos, 0).astype(np.uint32)
+    i, j, k = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).T
+    e1, e2, e3 = cell[i, j], cell[i, k], cell[j, k]
+    present = bits[:, e1] & bits[:, e2] & bits[:, e3]
+    masks = np.where(present, cell_mask[:, e1] | cell_mask[:, e2] | cell_mask[:, e3], 0)
+    return adj, bits.sum(axis=1), off.sum(axis=1), nontree, masks, present
+
+
+def _class_nontree(table: _ClassTable, c: int) -> list[tuple[int, int]]:
+    """Non-tree edges (i, j) of class c, as _nontree_cells gives them."""
+    iu, ju = _triu_cells(table.adj.shape[1])
+    cells = table.nontree[c, :table.widths[c]]
+    return list(zip(iu[cells].tolist(), ju[cells].tolist()))
+
+
+class _Span(NamedTuple):
+    """Solution sets of a stack of affine GF(2) systems, one row per system."""
+
+    particular: np.ndarray  # (systems,) uint64, the solution with every free bit 0
+    basis: np.ndarray       # (systems, width) uint64, by ascending free bit, 0-padded
+    free: np.ndarray        # (systems,) the dimension of the solution space
+    consistent: np.ndarray  # (systems,) bool
+
+
+def _gf2_solve(rows: np.ndarray, widths: np.ndarray, rhs_bit: int) -> _Span:
+    """Gauss-Jordan elimination of every system of the stack at once.
+
+    rows[s] holds the equations of system s: parity(x & row) = the bit of row
+    at rhs_bit, over the variable bits below widths[s] <= rhs_bit; zero rows
+    say nothing. The solution set is unique, so the pivot order is free.
+    """
+    rows = rows.copy()
+    systems = np.arange(len(rows))
+    one = rows.dtype.type(1)
+    pivot = np.full((len(rows), rhs_bit), -1, dtype=np.intp)
+    used = np.zeros(rows.shape, dtype=bool)
+    for c in range(rhs_bit if rows.shape[1] else 0):
+        bit = ((rows >> c) & one).astype(bool)
+        cand = bit & ~used
+        has = cand.any(axis=1)
+        r = cand.argmax(axis=1)
+        # clear bit c from every other row with the pivot row; 0 where no pivot
+        prow = np.where(has, rows[systems, r], 0)
+        bit[systems, r] = False
+        rows ^= np.where(bit, prow[:, None], 0)
+        used[systems[has], r[has]] = True
+        pivot[has, c] = r[has]
+    rows = rows.astype(np.uint64)
+    rhs_bit64 = np.uint64(rhs_bit)
+    # a row reduced to 0 = 1
+    consistent = ~(rows == np.uint64(1) << rhs_bit64).any(axis=1)
+    # the reduced pivot row of each pivot column, 0 for free columns
+    by_col = np.zeros(pivot.shape, dtype=np.uint64)
+    s, c = np.nonzero(pivot >= 0)
+    by_col[s, c] = rows[s, pivot[s, c]]
+    cols = np.arange(rhs_bit, dtype=np.uint64)
+    particular = np.bitwise_or.reduce(((by_col >> rhs_bit64) & 1) << cols, axis=1)
+    # the basis vector of free bit f sets f and every pivot bit whose row has f
+    full = np.broadcast_to(np.uint64(1) << cols, by_col.shape)
+    for c in range(rhs_bit):
+        full = full | ((by_col[:, c:c + 1] >> cols) & 1) << np.uint64(c)
+    is_free = (np.arange(rhs_bit) < widths[:, None]) & (pivot < 0)
+    free = is_free.sum(axis=1)
+    basis = np.zeros((len(rows), rhs_bit), dtype=np.uint64)
+    s, f = np.nonzero(is_free)
+    basis[s, (np.cumsum(is_free, axis=1) - 1)[s, f]] = full[s, f]
+    return _Span(particular, basis, free, consistent)
+
+
+@lru_cache(maxsize=None)
+def _class_span(n: int, forbidden: str) -> _Span:
+    """The triangle-avoiding signatures of every class of n, as GF(2) spans.
+
+    With the tree pinned +1 a triangle's sign is the parity of its non-tree
+    bits: forbidding C3_MINUS asks for even parity, C3_PLUS for odd.
+    """
+    table = _class_table(n)
+    rhs_bit = table.nontree.shape[1]
+    rhs = np.uint32(int(forbidden == "C3_PLUS") << rhs_bit)
+    parts = []
+    for lo in range(0, len(table.codes), _TABLE_BLOCK):
+        block = slice(lo, lo + _TABLE_BLOCK)
+        if forbidden == "NONE":
+            rows = np.zeros((len(table.codes[block]), 0), dtype=np.uint32)
+        else:
+            rows = np.where(table.tri_present[block], table.tri_masks[block] | rhs, 0)
+        parts.append(_gf2_solve(rows.astype(np.uint32), table.widths[block], rhs_bit))
+    return _Span._make(map(_read_only, zip(*parts)))
+
+
+def _feasible_counts(span: _Span, idx: np.ndarray, require_unbalanced: bool) -> np.ndarray:
+    """Number of feasible signatures of each system idx, by arithmetic."""
+    ok = span.consistent[idx]
+    counts = np.where(ok, np.int64(1) << span.free[idx], 0)
+    if require_unbalanced:
+        # with the tree pinned +1, pattern 0 is the balanced class; it is a
+        # solution iff the particular solution is 0
+        counts -= ok & (span.particular[idx] == 0)
+    return counts
+
+
+def _span_patterns(span: _Span, idx: np.ndarray, require_unbalanced: bool):
+    """Every solution of the systems idx: (system, pattern) arrays, patterns
+    ascending within each system, pattern 0 dropped under require_unbalanced."""
+    idx = idx[span.consistent[idx]]
+    # the largest supported call is K_8 with no constraint: 21 free bits
+    if (span.free[idx] > 21).any():
+        raise ValueError("solution space too large to enumerate")
+    counts = np.int64(1) << span.free[idx]
+    system = np.repeat(idx, counts)
+    offset = np.arange(len(system)) - np.repeat(np.cumsum(counts) - counts, counts)
+    patterns = span.particular[system]
+    for t in range(int(span.free[idx].max(initial=0))):
+        on = ((offset >> t) & 1).astype(bool)
+        patterns[on] ^= span.basis[system[on], t]
+    order = np.lexsort((patterns, system))
+    system, patterns = system[order], patterns[order]
+    if require_unbalanced:
+        keep = patterns != 0
+        system, patterns = system[keep], patterns[keep]
+    return system, patterns
+
+
+def _rho_values(table: _ClassTable, system: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Spectral radius of each signature (class system[i], non-tree pattern
+    patterns[i]), from one eigvalsh call over the whole stack."""
+    iu, ju = _triu_cells(table.adj.shape[1])
+    stack = table.adj[system].astype(np.float64)
+    slots = np.arange(table.nontree.shape[1], dtype=np.uint64)
+    mat, slot = np.nonzero((patterns[:, None] >> slots) & np.uint64(1))
+    cells = table.nontree[system[mat], slot]
+    stack[mat, iu[cells], ju[cells]] = -1.0
+    stack[mat, ju[cells], iu[cells]] = -1.0
+    try:
+        w = np.linalg.eigvalsh(stack)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover
+        raise SpectralError(f"batch eigensolver failed: {exc}") from exc
+    return np.maximum(w[:, -1], -w[:, 0])
+
+
+# ---------------------------------------------------------------------------
 # Scan workers and the coordinator
 # ---------------------------------------------------------------------------
 
 def _scan_chunk(args):
-    codes, n, objective, forbidden, require_unbalanced = args
-    slack = SPECTRAL_SLACK if objective == "MAX_RHO" else 0
+    """Scan classes lo..hi-1 of the class table.
+
+    MAX_RHO signatures queue after `carry` (signatures an earlier call left
+    unsolved) and are solved _EIG_BATCH at a time; what is left over is
+    returned as the new carry, or solved too when `flush` is set.
+    """
+    lo, hi, n, objective, forbidden, require_unbalanced, carry, flush = args
+    table = _class_table(n)
+    span = _class_span(n, forbidden)
+    idx = np.arange(lo, hi)
+    counts = _feasible_counts(span, idx, require_unbalanced)
+    out = {"best": -math.inf, "cands": [], "carry": None, "classes": hi - lo,
+           "scanned": int((np.int64(1) << table.widths[lo:hi]).sum()),
+           "feasible": int(counts.sum())}
+    idx, counts = idx[counts > 0], counts[counts > 0]
+    if objective == "MAX_EDGES":
+        if len(idx):
+            m = table.edges[idx]
+            best = int(m.max())
+            system, patterns = _span_patterns(span, idx[m == best], require_unbalanced)
+            out["best"] = best
+            out["cands"] = [(table.codes[c], p, float(best))
+                            for c, p in zip(system.tolist(), patterns.tolist())]
+        return out
+
+    # MAX_RHO: one eigvalsh call per _EIG_BATCH signatures, across classes
     best = -math.inf
     cands: list[tuple[int, int, float]] = []
-    scanned = 0
-    feasible = 0
-    for code in codes:
-        adj = _bitmap_to_adj(code, n)
-        m = int(adj.sum()) // 2
-        nontree = _nontree_cells(adj)
-        k = len(nontree)
-        tri_masks = _triangle_masks(adj, nontree) if forbidden != "NONE" else []
-        feas = _gf2_affine_solutions(tri_masks, k, forbidden == "C3_PLUS")
-        if require_unbalanced:
-            # with the tree pinned +1, pattern 0 is exactly the balanced class
-            feas = feas[feas != 0]
-        scanned += 1 << k
-        feasible += len(feas)
-        if len(feas) == 0:
-            continue
-        if objective == "MAX_EDGES":
-            if m > best:
-                best = m
-                cands = [c for c in cands if c[2] >= best]
-            if m >= best:
-                cands.extend((code, int(p), float(m)) for p in feas)
-            continue
-        # MAX_RHO: batched symmetric eigenvalues of all feasible signatures
-        base = adj.astype(np.float64)
-        for lo in range(0, len(feas), _EIG_BATCH):
-            part = feas[lo:lo + _EIG_BATCH]
-            stack = np.repeat(base[None, :, :], len(part), axis=0)
-            for i, (u, v) in enumerate(nontree):
-                neg = ((part >> np.uint64(i)) & np.uint64(1)).astype(bool)
-                stack[neg, u, v] = -1.0
-                stack[neg, v, u] = -1.0
-            try:
-                w = np.linalg.eigvalsh(stack)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
-                raise SpectralError(f"batch eigensolver failed: {exc}") from exc
-            vals = np.maximum(w[:, -1], -w[:, 0])
-            vmax = float(vals.max())
-            if vmax > best:
-                best = vmax
-                if len(cands) > 20000:
-                    cands = [c for c in cands if c[2] >= best - slack]
-            sel = vals >= best - slack
-            cands.extend(
-                (code, int(p), float(v)) for p, v in zip(part[sel], vals[sel])
-            )
-    return {"best": best, "cands": cands, "scanned": scanned,
-            "feasible": feasible, "classes": len(codes)}
+
+    def solve(system, patterns):
+        nonlocal best, cands
+        vals = _rho_values(table, system, patterns)
+        vmax = float(vals.max())
+        if vmax > best:
+            best = vmax
+            if len(cands) > 20000:
+                cands = [c for c in cands if c[2] >= best - SPECTRAL_SLACK]
+        sel = vals >= best - SPECTRAL_SLACK
+        cands.extend((table.codes[c], p, v) for c, p, v in zip(
+            system[sel].tolist(), patterns[sel].tolist(), vals[sel].tolist()))
+
+    q_sys, q_pat = carry if carry is not None else (
+        np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint64))
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(idx):
+        # expand whole classes, about one batch of signatures at a time
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - counts[start] + _EIG_BATCH, side="right")))
+        system, patterns = _span_patterns(span, idx[start:stop], require_unbalanced)
+        q_sys, q_pat = np.concatenate((q_sys, system)), np.concatenate((q_pat, patterns))
+        while len(q_sys) >= _EIG_BATCH:
+            solve(q_sys[:_EIG_BATCH], q_pat[:_EIG_BATCH])
+            q_sys, q_pat = q_sys[_EIG_BATCH:], q_pat[_EIG_BATCH:]
+        start = stop
+    if flush and len(q_sys):
+        solve(q_sys, q_pat)
+    elif not flush:
+        out["carry"] = (q_sys, q_pat)
+    out["best"], out["cands"] = best, cands
+    return out
 
 
 def _merge(partials):
@@ -393,9 +616,11 @@ def _merge(partials):
     return best, cands, counters
 
 
-def _chunks(seq, pieces):
-    size = max(1, math.ceil(len(seq) / pieces))
-    return [seq[i:i + size] for i in range(0, len(seq), size)]
+def _ranges(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
+    """lo..hi-1 cut into at most `pieces` consecutive ranges of one size (the
+    last may be shorter)."""
+    size = max(1, math.ceil((hi - lo) / pieces))
+    return [(a, min(a + size, hi)) for a in range(lo, hi, size)]
 
 
 def _match_family(w: SignedGraph, n: int) -> str | None:
@@ -444,11 +669,18 @@ def _finalize(config, best, cands, counters, t0) -> SearchReport:
             f"{len(survivors)} signatures tie the optimum; witness "
             "materialization is only supported for constrained searches"
         )
+    table = _class_table(config.n)
     seen = {}
+    last = None
     for code, pattern, _val in survivors:
-        adj = _bitmap_to_adj(code, config.n)
-        g = _signature_graph(adj, _nontree_cells(adj), pattern)
-        key = canonical_signed_code(g)
+        if code != last:
+            # survivors come sorted by class code: one canonical_form per class
+            last = code
+            c = bisect.bisect_left(table.codes, code)
+            nontree = _class_nontree(table, c)
+            canon, orders = canonical_form(table.adj[c])
+        g = _signature_graph(table.adj[c], nontree, pattern)
+        key = (canon, _least_switched_row(g, orders))
         if key not in seen:
             seen[key] = g
     witnesses = [seen[k] for k in sorted(seen)]
@@ -491,7 +723,9 @@ def _checkpoint_save(path, fingerprint, next_batch, best, cands, counters):
 
 
 def _scan(config: SearchConfig, checkpoint, time_budget, progress, t0) -> SearchReport:
-    codes = list(_connected_class_bitmaps(config.n))
+    # built here, before any worker starts, so that forked workers inherit them
+    total = len(_class_table(config.n).codes)
+    _class_span(config.n, config.forbidden)
     # results are worker-independent, so a resumed run may change parallelism
     fingerprint = replace(config, workers=1).to_json()
     best = -math.inf
@@ -505,19 +739,25 @@ def _scan(config: SearchConfig, checkpoint, time_budget, progress, t0) -> Search
         counters = {k: int(v) for k, v in state["counters"].items()}
         start_batch = int(state["next_batch"])
 
-    batches = _chunks(codes, math.ceil(len(codes) / _BATCH_CLASSES))
+    batches = _ranges(0, total, math.ceil(total / _BATCH_CLASSES))
+    task = (config.n, config.objective, config.forbidden, config.require_unbalanced)
+    carry = None
     pool = None
     try:
         if config.workers > 1:
             pool = get_context().Pool(processes=config.workers)
         for bi in range(start_batch, len(batches)):
-            batch = batches[bi]
-            args = [
-                (chunk, config.n, config.objective, config.forbidden,
-                 config.require_unbalanced)
-                for chunk in _chunks(batch, config.workers)
-            ]
-            partials = pool.map(_scan_chunk, args) if pool else [_scan_chunk(a) for a in args]
+            lo, hi = batches[bi]
+            if pool:
+                args = [(a, b, *task, None, True)
+                        for a, b in _ranges(lo, hi, config.workers)]
+                partials = pool.map(_scan_chunk, args)
+            else:
+                # unsolved MAX_RHO signatures carry over to the next batch, so
+                # eigvalsh gets full batches, unless the state is saved here
+                flush = bool(checkpoint) or time_budget is not None or bi == len(batches) - 1
+                partials = [_scan_chunk((lo, hi, *task, carry, flush))]
+                carry = partials[0]["carry"]
             pbest, pcands, pcounts = _merge(partials)
             best = max(best, pbest)
             slack = SPECTRAL_SLACK if config.objective == "MAX_RHO" else 0
@@ -641,49 +881,13 @@ def _complete_signature_classes(n: int, forbidden: str) -> list[SignedGraph]:
 def _gf2_affine_solutions(masks: list[int], width: int, want_odd: bool) -> np.ndarray:
     """Solutions of parity(x & mask) = want_odd for every mask, as bit patterns.
 
-    Returns the solutions of the affine GF(2) system as an ascending uint64
-    array; with no masks every pattern of width bits is a solution.
+    The one-graph case of _gf2_solve: returns the solutions of the affine GF(2)
+    system as an ascending uint64 array; with no masks every pattern of width
+    bits is a solution.
     """
-    # rows augmented with a constant column at bit `width`; pivots are chosen
-    # among the variable bits only
-    rhs = 1 << width
-    var_mask = rhs - 1
-    rows = [m | (rhs if want_odd else 0) for m in masks]
-    pivots: dict[int, int] = {}
-    for row in rows:
-        r = row
-        # pivot rows are kept reduced, so one pass in any order suffices
-        for col, prow in pivots.items():
-            if (r >> col) & 1:
-                r ^= prow
-        if r & var_mask == 0:
-            if r & rhs:
-                return np.zeros(0, dtype=np.uint64)  # inconsistent system
-            continue
-        lead = (r & var_mask).bit_length() - 1
-        for col in list(pivots):
-            if (pivots[col] >> lead) & 1:
-                pivots[col] ^= r
-        pivots[lead] = r
-    free = [c for c in range(width) if c not in pivots]
-    # the largest supported call is K_8 with no constraint: 21 free bits
-    if len(free) > 21:
-        raise ValueError("solution space too large to enumerate")
-    particular = 0
-    for col, row in pivots.items():
-        if (row >> width) & 1:
-            particular |= 1 << col
-    basis = []
-    for f in free:
-        v = 1 << f
-        for col, row in pivots.items():
-            if (row >> f) & 1:
-                v |= 1 << col
-        basis.append(v)
-    out = np.array([particular], dtype=np.uint64)
-    for b in basis:
-        out = np.concatenate((out, out ^ np.uint64(b)))
-    return np.sort(out)
+    rows = np.array([[m | int(want_odd) << width for m in masks]], dtype=np.uint64)
+    span = _gf2_solve(rows, np.array([width]), width)
+    return _span_patterns(span, np.zeros(1, dtype=np.intp), False)[1]
 
 
 def _verify_t1_1(n: int, workers: int) -> BoundReport:

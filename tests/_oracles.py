@@ -3,9 +3,10 @@
 Everything here deliberately avoids the library's own algorithms: sign
 recomputation by definition, cycle enumeration by DFS, isomorphism by scanning
 every permutation, balance by trying every spin assignment. The exceptions are
-the last two functions: the per-order and per-mask loops that the batched
-canonical_signed_code and switching_neg_edge_maximum replaced, kept as
-references that must agree with them exactly.
+the last three functions: the per-order and per-mask loops that the batched
+canonical_signed_code and switching_neg_edge_maximum replaced, and the row
+loop that the stacked GF(2) elimination replaced, kept as references that must
+agree with them exactly.
 """
 
 from __future__ import annotations
@@ -192,3 +193,46 @@ def per_mask_neg_edge_maximum(g: SignedGraph):
             if key not in maximizers:
                 maximizers[key] = SignedGraph(adj)
     return best, [maximizers[k] for k in sorted(maximizers)]
+
+
+def row_loop_gf2_solutions(masks: list[int], width: int, want_odd: bool) -> np.ndarray:
+    """_gf2_affine_solutions by Gauss-Jordan elimination of one Python int per row."""
+    # rows augmented with a constant column at bit `width`; pivots are chosen
+    # among the variable bits only
+    rhs = 1 << width
+    var_mask = rhs - 1
+    rows = [m | (rhs if want_odd else 0) for m in masks]
+    pivots: dict[int, int] = {}
+    for row in rows:
+        r = row
+        # pivot rows are kept reduced, so one pass in any order suffices
+        for col, prow in pivots.items():
+            if (r >> col) & 1:
+                r ^= prow
+        if r & var_mask == 0:
+            if r & rhs:
+                return np.zeros(0, dtype=np.uint64)  # inconsistent system
+            continue
+        lead = (r & var_mask).bit_length() - 1
+        for col in list(pivots):
+            if (pivots[col] >> lead) & 1:
+                pivots[col] ^= r
+        pivots[lead] = r
+    free = [c for c in range(width) if c not in pivots]
+    if len(free) > 21:
+        raise ValueError("solution space too large to enumerate")
+    particular = 0
+    for col, row in pivots.items():
+        if (row >> width) & 1:
+            particular |= 1 << col
+    basis = []
+    for f in free:
+        v = 1 << f
+        for col, row in pivots.items():
+            if (row >> f) & 1:
+                v |= 1 << col
+        basis.append(v)
+    out = np.array([particular], dtype=np.uint64)
+    for b in basis:
+        out = np.concatenate((out, out ^ np.uint64(b)))
+    return np.sort(out)

@@ -35,6 +35,7 @@ from _oracles import (
     brute_is_balanced,
     brute_switch,
     connected_labeled_graphs,
+    forbidden_and_balance_flags,
     per_order_signed_code,
     seeded_signed_graphs,
 )
@@ -175,6 +176,20 @@ class TestBalance:
                     assert b == (canonical_switch(g).neg_edge_count == 0)
                     if n <= 4:
                         assert b == brute_is_balanced(g)
+
+    def test_matches_oracle_on_every_small_graph(self):
+        # every labeled signed graph on up to 4 vertices, disconnected ones too
+        for n in range(1, 5):
+            graphs = list(all_labeled_signed_graphs(n))
+            _, balanced = forbidden_and_balance_flags(np.array([g.adj for g in graphs]))
+            assert [is_balanced(g) for g in graphs] == balanced.tolist()
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_matches_oracle_on_random_graphs(self, n):
+        graphs = list(seeded_signed_graphs(100 + n, n, 24))
+        assert not all(is_connected(g) for g in graphs)
+        _, balanced = forbidden_and_balance_flags(np.array([g.adj for g in graphs]))
+        assert [is_balanced(g) for g in graphs] == balanced.tolist()
 
 
 class TestCanonicalSwitch:

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,13 +25,20 @@ from signed_extremal.families import (
     build_kn_switched_maxneg,
 )
 from signed_extremal.search import (
+    FORBIDDEN,
     SearchConfig,
     SearchTimeout,
+    _bitmap_to_adj,
     _canonical_children,
+    _class_nontree,
+    _class_span,
+    _class_table,
     _complete_signature_classes,
     _connected_class_bitmaps,
+    _feasible_counts,
     _gf2_affine_solutions,
     _nontree_cells,
+    _span_patterns,
     _signature_graph,
     _triangle_masks,
     enumerate_signatures,
@@ -47,8 +55,11 @@ from _oracles import (
     forbidden_and_balance_flags,
     graphs_isomorphic,
     per_mask_neg_edge_maximum,
+    row_loop_gf2_solutions,
     seeded_signed_graphs,
 )
+
+SEARCH = sys.modules[search.__module__]
 
 # class count and sha256 of the comma-joined sorted canonical codes, recorded
 # from the enumerator that canonicalized every attachment of every smaller
@@ -63,6 +74,16 @@ PINNED_CLASS_CODES = {
 
 def codes_digest(codes) -> str:
     return hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
+
+
+@pytest.fixture
+def fresh_tables():
+    """Drop the cached class tables and spans before and after the test."""
+    SEARCH._class_table.cache_clear()
+    SEARCH._class_span.cache_clear()
+    yield
+    SEARCH._class_table.cache_clear()
+    SEARCH._class_span.cache_clear()
 
 
 class TestEnumerateUnderlying:
@@ -147,6 +168,37 @@ class TestEnumerateSignatures:
                 for g in enumerate_signatures(underlying):
                     ours.add(canonical_signed_code(g))
             assert ours == naive
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7])
+    def test_rows_match_the_per_class_helpers(self, n):
+        table = _class_table(n)
+        assert table.codes == _connected_class_bitmaps(n)
+        for c, code in enumerate(table.codes):
+            adj = _bitmap_to_adj(code, n)
+            nontree = _nontree_cells(adj)
+            assert np.array_equal(table.adj[c], adj)
+            assert table.edges[c] == adj.sum() // 2
+            assert table.widths[c] == len(nontree)
+            assert _class_nontree(table, c) == nontree
+            present = table.tri_present[c]
+            assert table.tri_masks[c][present].tolist() == _triangle_masks(adj, nontree)
+            assert not table.tri_masks[c][~present].any()
+
+    def test_blocks_concatenate_to_the_whole_table(self, monkeypatch, fresh_tables):
+        whole = _class_table(6)
+        spans = {f: _class_span(6, f) for f in FORBIDDEN}
+        SEARCH._class_table.cache_clear()
+        SEARCH._class_span.cache_clear()
+        monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", 5)
+        blocked = _class_table(6)
+        assert blocked.codes == whole.codes
+        for name, a, b in zip(whole._fields[1:], whole[1:], blocked[1:]):
+            assert np.array_equal(a, b), name
+        for f, span in spans.items():
+            for name, a, b in zip(span._fields, span, _class_span(6, f)):
+                assert np.array_equal(a, b), (f, name)
 
 
 class TestSearch:
@@ -249,6 +301,55 @@ class TestSearch:
         rep = search(SearchConfig(n=n, objective="MAX_RHO", forbidden=forbidden,
                                   require_unbalanced=unbal))
         assert rep.optimum == pytest.approx(n - 1, abs=1e-9)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_eigensolver_batches_do_not_change_reports(self, n, monkeypatch, tmp_path):
+        # tiny batches cut eigvalsh stacks across classes and carry them over
+        # class batches; the checkpoint and worker paths solve every batch
+        configs = [SearchConfig(n=n, objective="MAX_RHO", forbidden=f,
+                                require_unbalanced=u)
+                   for f in FORBIDDEN for u in (True, False)]
+        expect = [search(c).to_json() for c in configs]
+        monkeypatch.setattr(SEARCH, "_EIG_BATCH", 7)
+        monkeypatch.setattr(SEARCH, "_BATCH_CLASSES", 5)
+        assert [search(c).to_json() for c in configs] == expect
+        path = str(tmp_path / "ck.json")
+        assert [search(c, checkpoint=path).to_json() for c in configs] == expect
+        pooled = [search(replace(c, workers=2)).to_json() for c in configs]
+        assert [j.replace('"workers":2', '"workers":1') for j in pooled] == expect
+
+    def test_second_search_builds_no_trees(self, monkeypatch, fresh_tables):
+        calls = []
+        tree = SEARCH._bfs_tree
+        monkeypatch.setattr(SEARCH, "_bfs_tree", lambda adj: calls.append(1) or tree(adj))
+        config = SearchConfig(n=6, objective="MAX_RHO")
+        first = search(config)
+        assert len(calls) == 112  # one spanning tree per class
+        calls.clear()
+        assert search(config).to_json() == first.to_json()
+        search(SearchConfig(n=6, objective="MAX_EDGES", forbidden="C3_PLUS"))
+        assert calls == []
+
+    def test_finalize_runs_one_canonical_form_per_class(self, monkeypatch):
+        # all 1,023 tied signatures of K_6 share one class code
+        _connected_class_bitmaps(6)
+        calls = []
+        core = sys.modules[canonical_signed_code.__module__]
+        original = core.canonical_form
+
+        def counting(adj):
+            calls.append(1)
+            return original(adj)
+
+        monkeypatch.setattr(core, "canonical_form", counting)
+        monkeypatch.setattr(SEARCH, "canonical_form", counting)
+        rep = search(SearchConfig(n=6, objective="MAX_EDGES", forbidden="NONE"))
+        assert len(rep.witnesses) == 15
+        assert len(calls) == 1
+        # sha256 of the report, recorded when every survivor ran its own
+        # canonical_signed_code
+        assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
+            "8ef112c63bc33b934cac26794c18fc2fde404767079d2dc7eda08c8046d3d777")
 
     def test_neg_edges_objective(self):
         rep = search(SearchConfig(n=6, objective="MAX_NEG_EDGES_AT_MAX_EDGES"))
@@ -399,6 +500,46 @@ class TestGF2Solutions:
                     ours = {_signature_graph(adj, nontree, int(p)) for p in pats}
                     assert ours == brute, (forbidden, unbal)
                     assert len(pats) == len(brute)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_stacked_elimination_matches_row_loop(self, n):
+        # every class, each forbidden triangle, with and without pattern 0
+        table = _class_table(n)
+        everything = np.arange(len(table.codes))
+        for forbidden in FORBIDDEN:
+            span = _class_span(n, forbidden)
+            for unbal in (True, False):
+                expect = []
+                for c, code in enumerate(table.codes):
+                    adj = _bitmap_to_adj(code, n)
+                    nontree = _nontree_cells(adj)
+                    masks = _triangle_masks(adj, nontree) if forbidden != "NONE" else []
+                    ref = row_loop_gf2_solutions(masks, len(nontree), forbidden == "C3_PLUS")
+                    assert np.array_equal(
+                        _gf2_affine_solutions(masks, len(nontree), forbidden == "C3_PLUS"), ref)
+                    ref = ref[ref != 0] if unbal else ref
+                    system, pats = _span_patterns(span, np.array([c]), unbal)
+                    assert pats.tolist() == ref.tolist() and (system == c).all()
+                    assert _feasible_counts(span, np.array([c]), unbal)[0] == len(ref)
+                    expect += [(c, p) for p in ref.tolist()]
+                system, pats = _span_patterns(span, everything, unbal)
+                assert list(zip(system.tolist(), pats.tolist())) == expect
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_complete_graphs_match_row_loop(self, n):
+        adj = np.abs(build_complete(n, 1).adj).astype(bool)
+        nontree = _nontree_cells(adj)
+        masks = _triangle_masks(adj, nontree)
+        for forbidden in FORBIDDEN:
+            args = (masks if forbidden != "NONE" else [], len(nontree), forbidden == "C3_PLUS")
+            if forbidden == "NONE" and len(nontree) > 21:
+                with pytest.raises(ValueError, match="too large"):
+                    _gf2_affine_solutions(*args)
+                with pytest.raises(ValueError, match="too large"):
+                    row_loop_gf2_solutions(*args)
+            else:
+                assert np.array_equal(_gf2_affine_solutions(*args),
+                                      row_loop_gf2_solutions(*args))
 
     def test_complete_signature_classes(self):
         classes = _complete_signature_classes(5, "C3_MINUS")

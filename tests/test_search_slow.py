@@ -46,3 +46,14 @@ def test_signed_code_matches_per_order_reference_on_k8():
     # 40,320 optimal orders each; the tier-1 test stops at K_7
     for g in (build_complete(8, 1), build_complete(8, -1), build_kn_switched_maxneg(8)):
         assert canonical_signed_code(g) == per_order_signed_code(g)
+
+
+@pytest.mark.parametrize("objective,digest", [
+    ("MAX_EDGES", "6f80b0d3ccc754c6ed90bac40e5bbe799197f00ad8582e8e4f497da659ce3d82"),
+    ("MAX_RHO", "bca92010863c3769449c790b1873ee605df58e19804a604e639e341b35d0fe98"),
+])
+def test_report_pinned_n8(objective, digest):
+    # sha256 of the report, recorded when every class's adjacency, tree,
+    # triangles and GF(2) solutions were rebuilt on each search
+    rep = search(SearchConfig(n=8, objective=objective))
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
