@@ -539,19 +539,13 @@ def _rho_values(table: _ClassTable, system: np.ndarray, patterns: np.ndarray) ->
 # Scan workers and the coordinator
 # ---------------------------------------------------------------------------
 
-def _scan_chunk(args):
-    """Scan classes lo..hi-1 of the class table.
-
-    MAX_RHO signatures queue after `carry` (signatures an earlier call left
-    unsolved) and are solved _EIG_BATCH at a time; what is left over is
-    returned as the new carry, or solved too when `flush` is set.
-    """
-    lo, hi, n, objective, forbidden, require_unbalanced, carry, flush = args
-    table = _class_table(n)
-    span = _class_span(n, forbidden)
+def _scan_chunk(table: _ClassTable, span: _Span, lo: int, hi: int, objective: str,
+                require_unbalanced: bool):
+    """Scan classes lo..hi-1 of the class table, whose triangle systems `span`
+    solves."""
     idx = np.arange(lo, hi)
     counts = _feasible_counts(span, idx, require_unbalanced)
-    out = {"best": -math.inf, "cands": [], "carry": None, "classes": hi - lo,
+    out = {"best": -math.inf, "cands": [], "classes": hi - lo,
            "scanned": int((np.int64(1) << table.widths[lo:hi]).sum()),
            "feasible": int(counts.sum())}
     idx, counts = idx[counts > 0], counts[counts > 0]
@@ -565,7 +559,7 @@ def _scan_chunk(args):
                             for c, p in zip(system.tolist(), patterns.tolist())]
         return out
 
-    # MAX_RHO: one eigvalsh call per _EIG_BATCH signatures, across classes
+    # MAX_RHO: eigvalsh calls of up to _EIG_BATCH signatures, stacked across classes
     best = -math.inf
     cands: list[tuple[int, int, float]] = []
 
@@ -581,8 +575,6 @@ def _scan_chunk(args):
         cands.extend((table.codes[c], p, v) for c, p, v in zip(
             system[sel].tolist(), patterns[sel].tolist(), vals[sel].tolist()))
 
-    q_sys, q_pat = carry if carry is not None else (
-        np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.uint64))
     ends = np.cumsum(counts)
     start = 0
     while start < len(idx):
@@ -590,17 +582,26 @@ def _scan_chunk(args):
         stop = max(start + 1, int(np.searchsorted(
             ends, ends[start] - counts[start] + _EIG_BATCH, side="right")))
         system, patterns = _span_patterns(span, idx[start:stop], require_unbalanced)
-        q_sys, q_pat = np.concatenate((q_sys, system)), np.concatenate((q_pat, patterns))
-        while len(q_sys) >= _EIG_BATCH:
-            solve(q_sys[:_EIG_BATCH], q_pat[:_EIG_BATCH])
-            q_sys, q_pat = q_sys[_EIG_BATCH:], q_pat[_EIG_BATCH:]
+        for a in range(0, len(system), _EIG_BATCH):
+            solve(system[a:a + _EIG_BATCH], patterns[a:a + _EIG_BATCH])
         start = stop
-    if flush and len(q_sys):
-        solve(q_sys, q_pat)
-    elif not flush:
-        out["carry"] = (q_sys, q_pat)
     out["best"], out["cands"] = best, cands
     return out
+
+
+# the class table and span of the pool's search, set in each worker on start
+_worker_tables: tuple[_ClassTable, _Span] | None = None
+
+
+def _init_worker(table: _ClassTable, span: _Span) -> None:
+    """Pool initializer: hand the worker the parent's built table and span,
+    so that no worker enumerates classes or solves triangle systems."""
+    global _worker_tables
+    _worker_tables = (table, span)
+
+
+def _worker_chunk(args):
+    return _scan_chunk(*_worker_tables, *args)
 
 
 def _merge(partials):
@@ -723,9 +724,9 @@ def _checkpoint_save(path, fingerprint, next_batch, best, cands, counters):
 
 
 def _scan(config: SearchConfig, checkpoint, time_budget, progress, t0) -> SearchReport:
-    # built here, before any worker starts, so that forked workers inherit them
-    total = len(_class_table(config.n).codes)
-    _class_span(config.n, config.forbidden)
+    table = _class_table(config.n)
+    span = _class_span(config.n, config.forbidden)
+    total = len(table.codes)
     # results are worker-independent, so a resumed run may change parallelism
     fingerprint = replace(config, workers=1).to_json()
     best = -math.inf
@@ -740,24 +741,18 @@ def _scan(config: SearchConfig, checkpoint, time_budget, progress, t0) -> Search
         start_batch = int(state["next_batch"])
 
     batches = _ranges(0, total, math.ceil(total / _BATCH_CLASSES))
-    task = (config.n, config.objective, config.forbidden, config.require_unbalanced)
-    carry = None
+    task = (config.objective, config.require_unbalanced)
     pool = None
     try:
         if config.workers > 1:
-            pool = get_context().Pool(processes=config.workers)
+            pool = get_context().Pool(config.workers, _init_worker, (table, span))
         for bi in range(start_batch, len(batches)):
             lo, hi = batches[bi]
             if pool:
-                args = [(a, b, *task, None, True)
-                        for a, b in _ranges(lo, hi, config.workers)]
-                partials = pool.map(_scan_chunk, args)
+                args = [(a, b, *task) for a, b in _ranges(lo, hi, config.workers)]
+                partials = pool.map(_worker_chunk, args)
             else:
-                # unsolved MAX_RHO signatures carry over to the next batch, so
-                # eigvalsh gets full batches, unless the state is saved here
-                flush = bool(checkpoint) or time_budget is not None or bi == len(batches) - 1
-                partials = [_scan_chunk((lo, hi, *task, carry, flush))]
-                carry = partials[0]["carry"]
+                partials = [_scan_chunk(table, span, lo, hi, *task)]
             pbest, pcands, pcounts = _merge(partials)
             best = max(best, pbest)
             slack = SPECTRAL_SLACK if config.objective == "MAX_RHO" else 0

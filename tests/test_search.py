@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import multiprocessing
 import os
 import sys
 from dataclasses import replace
@@ -74,6 +75,12 @@ PINNED_CLASS_CODES = {
 
 def codes_digest(codes) -> str:
     return hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
+
+
+def cache_misses():
+    """Misses of the enumeration, table and span caches in this process."""
+    return [f.cache_info().misses for f in (
+        SEARCH._connected_class_bitmaps, SEARCH._class_table, SEARCH._class_span)]
 
 
 @pytest.fixture
@@ -304,8 +311,8 @@ class TestSearch:
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_eigensolver_batches_do_not_change_reports(self, n, monkeypatch, tmp_path):
-        # tiny batches cut eigvalsh stacks across classes and carry them over
-        # class batches; the checkpoint and worker paths solve every batch
+        # tiny batches cut eigvalsh stacks inside and across classes, also
+        # on the checkpoint and worker paths
         configs = [SearchConfig(n=n, objective="MAX_RHO", forbidden=f,
                                 require_unbalanced=u)
                    for f in FORBIDDEN for u in (True, False)]
@@ -317,6 +324,23 @@ class TestSearch:
         assert [search(c, checkpoint=path).to_json() for c in configs] == expect
         pooled = [search(replace(c, workers=2)).to_json() for c in configs]
         assert [j.replace('"workers":2', '"workers":1') for j in pooled] == expect
+
+    def test_spawned_workers_get_the_built_tables(self, monkeypatch):
+        # spawned workers start with empty caches; the pool initializer hands
+        # them the parent's table and span, so none enumerates classes
+        ctx = multiprocessing.get_context("spawn")
+        config = SearchConfig(n=5, objective="MAX_RHO")
+        expect = search(config).to_json()
+        monkeypatch.setattr(SEARCH, "get_context", lambda: ctx)
+        pooled = search(replace(config, workers=2)).to_json()
+        assert pooled.replace('"workers":2', '"workers":1') == expect
+        table, span = _class_table(5), _class_span(5, "C3_MINUS")
+        args = (0, len(table.codes), "MAX_RHO", True)
+        with ctx.Pool(1, SEARCH._init_worker, (table, span)) as pool:
+            part = pool.apply(SEARCH._worker_chunk, (args,))
+            misses = pool.apply(cache_misses)
+        assert part == SEARCH._scan_chunk(table, span, *args)
+        assert misses == [0, 0, 0]
 
     def test_second_search_builds_no_trees(self, monkeypatch, fresh_tables):
         calls = []
