@@ -63,7 +63,6 @@ from .bounds import (
 from .search import (
     SearchConfig,
     SearchReport,
-    SearchTimeout,
     enumerate_signatures,
     enumerate_underlying,
     search,

@@ -9,8 +9,8 @@ identical flags and seed; timing and progress go to stderr.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
+import time
 
 from ._render import fmt_float, json_scalar
 from .bounds import (
@@ -29,7 +29,6 @@ from .search import (
     OBJECTIVES,
     THEOREMS,
     SearchConfig,
-    SearchTimeout,
     search,
     verify_theorem,
 )
@@ -41,16 +40,6 @@ from .spectral import (
 )
 
 __all__ = ["run", "main"]
-
-_PROGRESS_EVERY = 1_000_000
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("SIGNED_EXTREMAL_WORKERS", "1")))
-    except ValueError:
-        return 1
-
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -92,15 +81,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--forbid", default="c3-minus", help="c3-minus | c3-plus | none")
     p.add_argument("--allow-balanced", action="store_true",
                    help="include balanced signed graphs")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--checkpoint", default=None, help="resumable checkpoint path")
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = sub.add_parser("verify", help="verify a named theorem or lemma at order n")
     p.add_argument("--theorem", required=True,
                    help="one of: " + ", ".join(t.lower() for t in THEOREMS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     return parser
@@ -232,26 +218,23 @@ def _cmd_bounds(args, out) -> int:
 
 
 def _make_progress():
-    state = {"next": _PROGRESS_EVERY}
+    t0 = time.perf_counter()
 
-    def progress(counters):
-        while counters["signatures_scanned"] >= state["next"]:
-            print(f"progress: {state['next']} signatures scanned", file=sys.stderr)
-            state["next"] += _PROGRESS_EVERY
+    def progress(level):
+        print(f"progress: {level['classes']} classes on {level['vertices']} vertices "
+              f"({time.perf_counter() - t0:.3f}s)", file=sys.stderr)
 
     return progress
 
 
 def _cmd_search(args, out) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
     config = SearchConfig(
         n=args.n,
         objective=_enum_value(args.objective, OBJECTIVES, "objective"),
         forbidden=_enum_value(args.forbid, FORBIDDEN, "forbidden triangle"),
         require_unbalanced=not args.allow_balanced,
-        workers=workers,
     )
-    rep = search(config, checkpoint=args.checkpoint, progress=_make_progress())
+    rep = search(config, progress=_make_progress())
     print(f"wall_time: {rep.wall_time:.3f}s", file=sys.stderr)
     if args.format == "json":
         _emit(rep.to_json(), out)
@@ -273,8 +256,7 @@ def _cmd_search(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    workers = args.workers if args.workers is not None else _default_workers()
-    rep = verify_theorem(args.theorem, args.n, workers=workers)
+    rep = verify_theorem(args.theorem, args.n)
     if args.format == "json":
         _emit(rep.to_json(), out)
     elif args.format == "csv":
@@ -315,9 +297,6 @@ def run(argv, out=None) -> int:
     except (GraphFormatError, FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SearchTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (SpectralError, BracketError, RuntimeError) as exc:
         print(f"internal numeric failure: {exc}", file=sys.stderr)
         return 3

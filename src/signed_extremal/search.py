@@ -34,13 +34,10 @@ from __future__ import annotations
 
 import bisect
 import itertools
-import json
 import math
-import os
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from multiprocessing import get_context
 from typing import NamedTuple
 
 import numpy as np
@@ -81,7 +78,6 @@ __all__ = [
     "THEOREMS",
     "SearchConfig",
     "SearchReport",
-    "SearchTimeout",
     "enumerate_underlying",
     "enumerate_signatures",
     "search",
@@ -94,7 +90,6 @@ FORBIDDEN = ("C3_MINUS", "C3_PLUS", "NONE")
 THEOREMS = ("T1_1", "T1_2_EDGES", "T1_2_NEG", "T1_3", "L2_2", "L3_6_ORDER")
 
 _MIN_N, _MAX_N = 4, 8
-_BATCH_CLASSES = 256
 _EIG_BATCH = 8192
 # classes per block while the class table and its spans are built, which
 # bounds their transient arrays
@@ -108,17 +103,20 @@ class SearchConfig:
     objective: str = "MAX_EDGES"
     forbidden: str = "C3_MINUS"
     require_unbalanced: bool = True
-    workers: int = 1
 
     def validate(self):
+        # bool is a subclass of int; numpy integers are not ints
+        if not isinstance(self.n, int) or isinstance(self.n, bool):
+            raise ValueError(f"n must be an int, got {self.n!r}")
+        if not isinstance(self.require_unbalanced, bool):
+            raise ValueError(
+                f"require_unbalanced must be a bool, got {self.require_unbalanced!r}")
         if not (_MIN_N <= self.n <= _MAX_N):
             raise ValueError(f"search supports {_MIN_N} <= n <= {_MAX_N}, got {self.n}")
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.forbidden not in FORBIDDEN:
             raise ValueError(f"unknown forbidden-triangle selector {self.forbidden!r}")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
 
     def to_json(self) -> str:
         parts = [
@@ -126,7 +124,6 @@ class SearchConfig:
             f'"objective":{json_scalar(self.objective)}',
             f'"forbidden":{json_scalar(self.forbidden)}',
             f'"require_unbalanced":{json_scalar(self.require_unbalanced)}',
-            f'"workers":{self.workers}',
         ]
         return "{" + ",".join(parts) + "}"
 
@@ -155,17 +152,6 @@ class SearchReport:
             f'"counts":{{{cnt}}}',
         ]
         return "{" + ",".join(parts) + "}"
-
-
-class SearchTimeout(RuntimeError):
-    """Time budget exceeded; carries the partial report."""
-
-    def __init__(self, partial: SearchReport):
-        self.partial = partial
-        super().__init__(
-            f"time budget exceeded after {partial.counts['underlying_scanned']} "
-            f"underlying classes"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -536,28 +522,28 @@ def _rho_values(table: _ClassTable, system: np.ndarray, patterns: np.ndarray) ->
 
 
 # ---------------------------------------------------------------------------
-# Scan workers and the coordinator
+# The scan
 # ---------------------------------------------------------------------------
 
-def _scan_chunk(table: _ClassTable, span: _Span, lo: int, hi: int, objective: str,
-                require_unbalanced: bool):
-    """Scan classes lo..hi-1 of the class table, whose triangle systems `span`
-    solves."""
-    idx = np.arange(lo, hi)
+def _scan_classes(table: _ClassTable, span: _Span, objective: str,
+                  require_unbalanced: bool):
+    """Scan every class of the class table, whose triangle systems `span`
+    solves: the best value, the candidates (code, pattern, value) within
+    reach of it, and the report's counters."""
+    idx = np.arange(len(table.codes))
     counts = _feasible_counts(span, idx, require_unbalanced)
-    out = {"best": -math.inf, "cands": [], "classes": hi - lo,
-           "scanned": int((np.int64(1) << table.widths[lo:hi]).sum()),
-           "feasible": int(counts.sum())}
+    counters = {"underlying_scanned": len(idx),
+                "signatures_scanned": int((np.int64(1) << table.widths).sum()),
+                "feasible": int(counts.sum())}
     idx, counts = idx[counts > 0], counts[counts > 0]
     if objective == "MAX_EDGES":
-        if len(idx):
-            m = table.edges[idx]
-            best = int(m.max())
-            system, patterns = _span_patterns(span, idx[m == best], require_unbalanced)
-            out["best"] = best
-            out["cands"] = [(table.codes[c], p, float(best))
-                            for c, p in zip(system.tolist(), patterns.tolist())]
-        return out
+        if not len(idx):
+            return -math.inf, [], counters
+        m = table.edges[idx]
+        best = int(m.max())
+        system, patterns = _span_patterns(span, idx[m == best], require_unbalanced)
+        return best, [(table.codes[c], p, float(best))
+                      for c, p in zip(system.tolist(), patterns.tolist())], counters
 
     # MAX_RHO: eigvalsh calls of up to _EIG_BATCH signatures, stacked across classes
     best = -math.inf
@@ -585,43 +571,7 @@ def _scan_chunk(table: _ClassTable, span: _Span, lo: int, hi: int, objective: st
         for a in range(0, len(system), _EIG_BATCH):
             solve(system[a:a + _EIG_BATCH], patterns[a:a + _EIG_BATCH])
         start = stop
-    out["best"], out["cands"] = best, cands
-    return out
-
-
-# the class table and span of the pool's search, set in each worker on start
-_worker_tables: tuple[_ClassTable, _Span] | None = None
-
-
-def _init_worker(table: _ClassTable, span: _Span) -> None:
-    """Pool initializer: hand the worker the parent's built table and span,
-    so that no worker enumerates classes or solves triangle systems."""
-    global _worker_tables
-    _worker_tables = (table, span)
-
-
-def _worker_chunk(args):
-    return _scan_chunk(*_worker_tables, *args)
-
-
-def _merge(partials):
-    best = -math.inf
-    cands = []
-    counters = {"underlying_scanned": 0, "signatures_scanned": 0, "feasible": 0}
-    for p in partials:
-        best = max(best, p["best"])
-        cands.extend(p["cands"])
-        counters["underlying_scanned"] += p["classes"]
-        counters["signatures_scanned"] += p["scanned"]
-        counters["feasible"] += p["feasible"]
     return best, cands, counters
-
-
-def _ranges(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
-    """lo..hi-1 cut into at most `pieces` consecutive ranges of one size (the
-    last may be shorter)."""
-    size = max(1, math.ceil((hi - lo) / pieces))
-    return [(a, min(a + size, hi)) for a in range(lo, hi, size)]
 
 
 def _match_family(w: SignedGraph, n: int) -> str | None:
@@ -699,78 +649,15 @@ def _finalize(config, best, cands, counters, t0) -> SearchReport:
     )
 
 
-def _checkpoint_load(path, fingerprint):
-    if not path or not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if data.get("fingerprint") != fingerprint:
-        raise ValueError("checkpoint does not match this search configuration")
-    return data
-
-
-def _checkpoint_save(path, fingerprint, next_batch, best, cands, counters):
-    data = {
-        "fingerprint": fingerprint,
-        "next_batch": next_batch,
-        "best": None if best == -math.inf else best,
-        "cands": [[c, p, v] for c, p, v in cands],
-        "counters": counters,
-    }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(data, fh)
-    os.replace(tmp, path)
-
-
-def _scan(config: SearchConfig, checkpoint, time_budget, progress, t0) -> SearchReport:
+def _scan(config: SearchConfig, progress, t0) -> SearchReport:
+    if progress:
+        # one call per enumerated level, as each level's classes are ready
+        for k in range(1, config.n + 1):
+            progress({"vertices": k, "classes": len(_connected_class_bitmaps(k))})
     table = _class_table(config.n)
     span = _class_span(config.n, config.forbidden)
-    total = len(table.codes)
-    # results are worker-independent, so a resumed run may change parallelism
-    fingerprint = replace(config, workers=1).to_json()
-    best = -math.inf
-    cands: list[tuple[int, int, float]] = []
-    counters = {"underlying_scanned": 0, "signatures_scanned": 0, "feasible": 0}
-    start_batch = 0
-    state = _checkpoint_load(checkpoint, fingerprint)
-    if state is not None:
-        best = -math.inf if state["best"] is None else state["best"]
-        cands = [(int(c), int(p), float(v)) for c, p, v in state["cands"]]
-        counters = {k: int(v) for k, v in state["counters"].items()}
-        start_batch = int(state["next_batch"])
-
-    batches = _ranges(0, total, math.ceil(total / _BATCH_CLASSES))
-    task = (config.objective, config.require_unbalanced)
-    pool = None
-    try:
-        if config.workers > 1:
-            pool = get_context().Pool(config.workers, _init_worker, (table, span))
-        for bi in range(start_batch, len(batches)):
-            lo, hi = batches[bi]
-            if pool:
-                args = [(a, b, *task) for a, b in _ranges(lo, hi, config.workers)]
-                partials = pool.map(_worker_chunk, args)
-            else:
-                partials = [_scan_chunk(table, span, lo, hi, *task)]
-            pbest, pcands, pcounts = _merge(partials)
-            best = max(best, pbest)
-            slack = SPECTRAL_SLACK if config.objective == "MAX_RHO" else 0
-            cands = [c for c in cands + pcands if c[2] >= best - slack]
-            for key in counters:
-                counters[key] += pcounts[key]
-            if checkpoint:
-                _checkpoint_save(checkpoint, fingerprint, bi + 1, best, cands, counters)
-            if progress:
-                progress(dict(counters))
-            if time_budget is not None and time.perf_counter() - t0 > time_budget:
-                raise SearchTimeout(_finalize(config, best, cands, counters, t0))
-    finally:
-        if pool:
-            pool.close()
-            pool.join()
-    if checkpoint and os.path.exists(checkpoint):
-        os.remove(checkpoint)
+    best, cands, counters = _scan_classes(table, span, config.objective,
+                                          config.require_unbalanced)
     return _finalize(config, best, cands, counters, t0)
 
 
@@ -827,22 +714,22 @@ def _neg_edge_maximizers(graphs) -> tuple[int, list[SignedGraph]]:
     return best, [maximizers[k] for k in sorted(maximizers)]
 
 
-def search(config: SearchConfig, *, checkpoint: str | None = None,
-           time_budget: float | None = None, progress=None) -> SearchReport:
+def search(config: SearchConfig, *, progress=None) -> SearchReport:
     """Run an exhaustive search; returns optimum, deduplicated witnesses, and counters.
 
-    Results are deterministic and independent of the worker count. A checkpoint
-    path makes long runs resumable (class-batch high-water mark).
+    Results are deterministic. `progress`, if given, is called with
+    {"vertices": k, "classes": count} once per k = 1..n, in ascending order,
+    as the connected classes on k vertices become available.
     """
     config.validate()
     t0 = time.perf_counter()
     if config.objective != "MAX_NEG_EDGES_AT_MAX_EDGES":
-        return _scan(config, checkpoint, time_budget, progress, t0)
+        return _scan(config, progress, t0)
 
     # two-phase: find the edge maximizers, then maximize negative edges over
     # all switchings of every maximizer class
     base = replace(config, objective="MAX_EDGES")
-    edge_rep = _scan(base, checkpoint, time_budget, progress, t0)
+    edge_rep = _scan(base, progress, t0)
     best_neg, witnesses = _neg_edge_maximizers(edge_rep.witnesses)
     matched = [
         "gst-maxneg" if signed_isomorphic(w, build_gst_maxneg(config.n)) else None
@@ -885,7 +772,7 @@ def _gf2_affine_solutions(masks: list[int], width: int, want_odd: bool) -> np.nd
     return _span_patterns(span, np.zeros(1, dtype=np.intp), False)[1]
 
 
-def _verify_t1_1(n: int, workers: int) -> BoundReport:
+def _verify_t1_1(n: int) -> BoundReport:
     if not (3 <= n <= _MAX_N):
         raise ValueError(f"T1_1 verification supports 3 <= n <= {_MAX_N}")
     outcomes = {}
@@ -912,8 +799,8 @@ def _verify_t1_1(n: int, workers: int) -> BoundReport:
     return rep
 
 
-def _verify_t1_2_edges(n: int, workers: int) -> BoundReport:
-    rep = search(SearchConfig(n=n, objective="MAX_EDGES", workers=workers))
+def _verify_t1_2_edges(n: int) -> BoundReport:
+    rep = search(SearchConfig(n=n, objective="MAX_EDGES"))
     bound = edge_bound(n)
     matched = all(m is not None and m.startswith("gst(") for m in rep.matched_family)
     passed = rep.optimum == bound and len(rep.witnesses) > 0 and matched
@@ -932,13 +819,12 @@ def _verify_t1_2_edges(n: int, workers: int) -> BoundReport:
     return out
 
 
-def _verify_t1_2_neg(n: int, workers: int) -> BoundReport:
+def _verify_t1_2_neg(n: int) -> BoundReport:
     if not (4 <= n <= 16):
         raise ValueError("T1_2_NEG verification supports 4 <= n <= 16")
     bound = neg_edge_bound(n)
     if n <= _MAX_N:
-        rep = search(SearchConfig(n=n, objective="MAX_NEG_EDGES_AT_MAX_EDGES",
-                                  workers=workers))
+        rep = search(SearchConfig(n=n, objective="MAX_NEG_EDGES_AT_MAX_EDGES"))
         observed = rep.optimum
         maximizers = rep.witnesses
         hits = sum(1 for m in rep.matched_family if m == "gst-maxneg")
@@ -970,8 +856,8 @@ def _verify_t1_2_neg(n: int, workers: int) -> BoundReport:
     )
 
 
-def _verify_t1_3(n: int, workers: int) -> BoundReport:
-    rep = search(SearchConfig(n=n, objective="MAX_RHO", workers=workers))
+def _verify_t1_3(n: int) -> BoundReport:
+    rep = search(SearchConfig(n=n, objective="MAX_RHO"))
     bound = rho_bound(n)
     expect = f"gst(1,{n - 3})"
     passed = (
@@ -1059,19 +945,19 @@ def _verify_l3_6_order(n: int) -> BoundReport:
     )
 
 
-def verify_theorem(name: str, n: int, workers: int = 1) -> BoundReport:
+def verify_theorem(name: str, n: int) -> BoundReport:
     """Verify one of the named statements at order n; `passed` is the verdict."""
     key = name.upper().replace("-", "_")
     if key not in THEOREMS:
         raise ValueError(f"unknown theorem {name!r}; known: {', '.join(THEOREMS)}")
     if key == "T1_1":
-        return _verify_t1_1(n, workers)
+        return _verify_t1_1(n)
     if key == "T1_2_EDGES":
-        return _verify_t1_2_edges(n, workers)
+        return _verify_t1_2_edges(n)
     if key == "T1_2_NEG":
-        return _verify_t1_2_neg(n, workers)
+        return _verify_t1_2_neg(n)
     if key == "T1_3":
-        return _verify_t1_3(n, workers)
+        return _verify_t1_3(n)
     if key == "L2_2":
         return _verify_l2_2(n)
     return _verify_l3_6_order(n)

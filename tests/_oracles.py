@@ -109,6 +109,25 @@ def connected_labeled_graphs(n: int):
             yield adj
 
 
+def connected_graphs_up_to_isomorphism(n: int):
+    """One labeled connected graph per isomorphism class on n vertices: the
+    one whose bitmap is the least over all n! relabelings."""
+    cells = list(itertools.combinations(range(n), 2))
+    index = {cell: b for b, cell in enumerate(cells)}
+    graphs = list(connected_labeled_graphs(n))
+    iu, ju = np.array(cells, dtype=np.intp).reshape(-1, 2).T
+    bits = np.array([a[iu, ju] for a in graphs], dtype=np.int64).reshape(len(graphs), -1)
+    own = bits @ (np.int64(1) << np.arange(len(cells), dtype=np.int64))
+    least = own
+    for perm in itertools.permutations(range(n)):
+        # cell (i, j) of a graph is cell (perm[i], perm[j]) of its relabeling
+        moved = [index[tuple(sorted((perm[i], perm[j])))] for i, j in cells]
+        least = np.minimum(least, bits @ (np.int64(1) << np.array(moved, dtype=np.int64)))
+    for adj, keep in zip(graphs, own == least):
+        if keep:
+            yield adj
+
+
 def all_labeled_signed_graphs(n: int):
     """Every signed graph on vertices 0..n-1: each cell -1, 0 or +1 (3^C(n,2))."""
     cells = list(itertools.combinations(range(n), 2))

@@ -83,7 +83,7 @@ def test_criterion_4_exhaustive_edge_maximum():
     details = []
     for n in (4, 5, 6, 7):
         t0 = time.perf_counter()
-        rep = search(SearchConfig(n=n, objective="MAX_EDGES", workers=1))
+        rep = search(SearchConfig(n=n, objective="MAX_EDGES"))
         elapsed = time.perf_counter() - t0
         good = (
             rep.optimum == expected[n]
@@ -102,7 +102,7 @@ def test_criterion_5_exhaustive_spectral_maximum():
     details = []
     for n in (4, 5, 6, 7):
         t0 = time.perf_counter()
-        rep = search(SearchConfig(n=n, objective="MAX_RHO", workers=1))
+        rep = search(SearchConfig(n=n, objective="MAX_RHO"))
         elapsed = time.perf_counter() - t0
         good = (
             abs(rep.optimum - rho_bound(n)) <= 1e-9

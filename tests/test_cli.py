@@ -1,5 +1,7 @@
 import io
 import json
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from signed_extremal.cli import run
 from signed_extremal.core import canonical_switch
 from signed_extremal.families import build_gst
 from signed_extremal.graphio import format_graph, parse_graph
+from signed_extremal.search import SearchConfig, search
 from signed_extremal.spectral import eigenvalues, spectrum_to_json
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -207,18 +210,16 @@ class TestUsage:
     def test_unknown_flag(self):
         code, _ = run_cli("bounds", "--n", "7", "--frobnicate")
         assert code == 2
+        # search and verify take no --workers or --checkpoint flag
+        for extra in (["--workers", "2"], ["--checkpoint", "x"]):
+            code, text = run_cli("search", "--n", "5", *extra)
+            assert code == 2 and text == ""
+        code, _ = run_cli("verify", "--theorem", "t1_3", "--n", "5", "--workers", "2")
+        assert code == 2
 
     def test_help_exit_0(self):
         code, _ = run_cli("--help")
         assert code == 0
-
-    def test_workers_env_default(self, monkeypatch):
-        from signed_extremal import cli
-
-        monkeypatch.setenv("SIGNED_EXTREMAL_WORKERS", "3")
-        assert cli._default_workers() == 3
-        monkeypatch.setenv("SIGNED_EXTREMAL_WORKERS", "junk")
-        assert cli._default_workers() == 1
 
     def test_internal_numeric_failure_exit_3(self, monkeypatch):
         from signed_extremal import cli
@@ -231,14 +232,32 @@ class TestUsage:
         code, _ = run_cli("verify", "--theorem", "t1_3", "--n", "5")
         assert code == 3
 
-    def test_progress_milestones(self, capsys):
-        from signed_extremal.cli import _make_progress
+    def test_progress_per_enumeration_level(self, capsys):
+        # connected graphs on 1..6 vertices (OEIS A001349): from a cold cache
+        # each level is reported once enumerated and before the class table is
+        # built; from a warm cache the same levels come again
+        module = sys.modules[search.__module__]
+        bitmaps, table = module._connected_class_bitmaps, module._class_table
+        for cache in (bitmaps, table, module._class_span):
+            cache.cache_clear()
+        config = SearchConfig(n=6, objective="MAX_RHO")
 
-        progress = _make_progress()
-        progress({"signatures_scanned": 500_000})
-        progress({"signatures_scanned": 2_100_000})
-        err = capsys.readouterr().err
-        assert err.splitlines() == [
-            "progress: 1000000 signatures scanned",
-            "progress: 2000000 signatures scanned",
-        ]
+        def levels_seen():
+            seen = []
+            search(config, progress=lambda level: seen.append(
+                (level, bitmaps.cache_info().currsize, table.cache_info().currsize)))
+            return seen
+
+        counts = list(enumerate([1, 1, 2, 6, 21, 112], start=1))
+        assert levels_seen() == [({"vertices": k, "classes": c}, k, 0) for k, c in counts]
+        assert levels_seen() == [({"vertices": k, "classes": c}, 6, 1) for k, c in counts]
+        rep = search(config)
+        capsys.readouterr()
+        code, text = run_cli("search", "--n", "6", "--objective", "max-rho",
+                             "--format", "json")
+        assert code == 0 and text == rep.to_json() + "\n"
+        lines = capsys.readouterr().err.splitlines()
+        assert [re.fullmatch(r"progress: (\d+) classes on (\d+) vertices "
+                             r"\(\d+\.\d{3}s\)", line).groups() for line in lines[:6]] == [
+            ("1", "1"), ("1", "2"), ("2", "3"), ("6", "4"), ("21", "5"), ("112", "6")]
+        assert lines[6].startswith("wall_time: ")

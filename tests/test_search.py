@@ -1,11 +1,7 @@
 import hashlib
 import itertools
-import json
 import math
-import multiprocessing
-import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +24,6 @@ from signed_extremal.families import (
 from signed_extremal.search import (
     FORBIDDEN,
     SearchConfig,
-    SearchTimeout,
     _bitmap_to_adj,
     _canonical_children,
     _class_nontree,
@@ -52,6 +47,7 @@ from signed_extremal.search import (
 from _oracles import (
     all_labeled_signed_graphs,
     all_signatures,
+    connected_graphs_up_to_isomorphism,
     connected_labeled_graphs,
     forbidden_and_balance_flags,
     graphs_isomorphic,
@@ -77,12 +73,6 @@ def codes_digest(codes) -> str:
     return hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
 
 
-def cache_misses():
-    """Misses of the enumeration, table and span caches in this process."""
-    return [f.cache_info().misses for f in (
-        SEARCH._connected_class_bitmaps, SEARCH._class_table, SEARCH._class_span)]
-
-
 @pytest.fixture
 def fresh_tables():
     """Drop the cached class tables and spans before and after the test."""
@@ -97,6 +87,8 @@ class TestEnumerateUnderlying:
     @pytest.mark.parametrize("n,expect", [(4, 6), (5, 21), (6, 112)])
     def test_class_counts(self, n, expect):
         assert sum(1 for _ in enumerate_underlying(n)) == expect
+        # the oracle behind the slow n = 6 brute-force check (OEIS A001349)
+        assert sum(1 for _ in connected_graphs_up_to_isomorphism(n)) == expect
 
     @pytest.mark.parametrize("n", sorted(PINNED_CLASS_CODES))
     def test_class_codes_are_pinned(self, n):
@@ -257,25 +249,13 @@ class TestSearch:
         assert rep.matched_family == expect
 
     @staticmethod
-    def _results(rep):
-        return (rep.optimum, rep.witnesses, rep.matched_family, rep.counts)
-
-    def test_worker_count_does_not_change_results(self):
-        reports = [
-            self._results(search(SearchConfig(n=5, objective="MAX_RHO", workers=w)))
-            for w in (1, 2, 8)
-        ]
-        assert reports[0] == reports[1] == reports[2]
-
-    @staticmethod
-    def _brute_optima(n):
+    def _brute_optima(graphs):
         # the optimum of every objective in every (forbidden,
-        # require_unbalanced) cell over all labeled connected signed graphs on
-        # n vertices; switching keeps triangle signs and balance, so the most
+        # require_unbalanced) cell over every signature of the connected
+        # graphs given; switching keeps triangle signs and balance, so the most
         # negative edges over switchings of the edge maximizers is the most
         # over all admissible graphs with the maximum edge count
-        adj = np.array([g.adj for a in connected_labeled_graphs(n)
-                        for g in all_signatures(a)])
+        adj = np.array([g.adj for a in graphs for g in all_signatures(a)])
         rho = np.abs(np.linalg.eigvalsh(adj.astype(np.float64))).max(axis=1)
         edges = np.count_nonzero(adj, axis=(1, 2)) // 2
         neg = np.count_nonzero(adj == -1, axis=(1, 2)) // 2
@@ -291,9 +271,17 @@ class TestSearch:
                     neg[ok & (edges == most)].max())
         return optima
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_optimum_matches_brute_force(self, n):
-        for (objective, forbidden, unbal), expect in self._brute_optima(n).items():
+    @pytest.mark.parametrize("n,graphs", [
+        pytest.param(4, connected_labeled_graphs, id="4"),
+        pytest.param(5, connected_labeled_graphs, id="5"),
+        # every labeled graph on 6 vertices is too slow for tier-1; one per
+        # isomorphism class carries the same optima, since they are invariants
+        pytest.param(6, connected_graphs_up_to_isomorphism, id="6",
+                     marks=pytest.mark.slow),
+    ])
+    def test_optimum_matches_brute_force(self, n, graphs):
+        optima = self._brute_optima(graphs(n))
+        for (objective, forbidden, unbal), expect in optima.items():
             rep = search(SearchConfig(n=n, objective=objective, forbidden=forbidden,
                                       require_unbalanced=unbal))
             assert rep.optimum == pytest.approx(expect, abs=1e-9), (
@@ -310,37 +298,14 @@ class TestSearch:
         assert rep.optimum == pytest.approx(n - 1, abs=1e-9)
 
     @pytest.mark.parametrize("n", [5, 6])
-    def test_eigensolver_batches_do_not_change_reports(self, n, monkeypatch, tmp_path):
-        # tiny batches cut eigvalsh stacks inside and across classes, also
-        # on the checkpoint and worker paths
+    def test_eigensolver_batches_do_not_change_reports(self, n, monkeypatch):
+        # tiny batches cut eigvalsh stacks inside and across classes
         configs = [SearchConfig(n=n, objective="MAX_RHO", forbidden=f,
                                 require_unbalanced=u)
                    for f in FORBIDDEN for u in (True, False)]
         expect = [search(c).to_json() for c in configs]
         monkeypatch.setattr(SEARCH, "_EIG_BATCH", 7)
-        monkeypatch.setattr(SEARCH, "_BATCH_CLASSES", 5)
         assert [search(c).to_json() for c in configs] == expect
-        path = str(tmp_path / "ck.json")
-        assert [search(c, checkpoint=path).to_json() for c in configs] == expect
-        pooled = [search(replace(c, workers=2)).to_json() for c in configs]
-        assert [j.replace('"workers":2', '"workers":1') for j in pooled] == expect
-
-    def test_spawned_workers_get_the_built_tables(self, monkeypatch):
-        # spawned workers start with empty caches; the pool initializer hands
-        # them the parent's table and span, so none enumerates classes
-        ctx = multiprocessing.get_context("spawn")
-        config = SearchConfig(n=5, objective="MAX_RHO")
-        expect = search(config).to_json()
-        monkeypatch.setattr(SEARCH, "get_context", lambda: ctx)
-        pooled = search(replace(config, workers=2)).to_json()
-        assert pooled.replace('"workers":2', '"workers":1') == expect
-        table, span = _class_table(5), _class_span(5, "C3_MINUS")
-        args = (0, len(table.codes), "MAX_RHO", True)
-        with ctx.Pool(1, SEARCH._init_worker, (table, span)) as pool:
-            part = pool.apply(SEARCH._worker_chunk, (args,))
-            misses = pool.apply(cache_misses)
-        assert part == SEARCH._scan_chunk(table, span, *args)
-        assert misses == [0, 0, 0]
 
     def test_second_search_builds_no_trees(self, monkeypatch, fresh_tables):
         calls = []
@@ -371,9 +336,9 @@ class TestSearch:
         assert len(rep.witnesses) == 15
         assert len(calls) == 1
         # sha256 of the report, recorded when every survivor ran its own
-        # canonical_signed_code
+        # canonical_signed_code, less the config's removed "workers" key
         assert hashlib.sha256(rep.to_json().encode()).hexdigest() == (
-            "8ef112c63bc33b934cac26794c18fc2fde404767079d2dc7eda08c8046d3d777")
+            "b51d7f87a3a60f58f92ed291657cf48797d09eb86124dd2c0e6fd5042a9eef3a")
 
     def test_neg_edges_objective(self):
         rep = search(SearchConfig(n=6, objective="MAX_NEG_EDGES_AT_MAX_EDGES"))
@@ -394,69 +359,17 @@ class TestSearch:
             search(SearchConfig(n=5, objective="MIN_EDGES"))
         with pytest.raises(ValueError):
             search(SearchConfig(n=5, forbidden="C5"))
-        with pytest.raises(ValueError):
-            search(SearchConfig(n=5, workers=0))
+        for n in (6.5, 6.0, np.int64(5), True):
+            with pytest.raises(ValueError, match="n must be an int"):
+                search(SearchConfig(n=n))
+        for flag in ("false", 0):
+            with pytest.raises(ValueError, match="require_unbalanced must be a bool"):
+                search(SearchConfig(n=5, require_unbalanced=flag))
 
     def test_witnesses_are_canonical(self):
         rep = search(SearchConfig(n=6, objective="MAX_EDGES"))
         for w in rep.witnesses:
             assert canonical_switch(w) == w
-
-    def test_timeout_carries_partial_report(self):
-        with pytest.raises(SearchTimeout) as err:
-            search(SearchConfig(n=6, objective="MAX_EDGES"), time_budget=0.0)
-        assert err.value.partial.counts["underlying_scanned"] > 0
-
-
-class TestCheckpoint:
-    def test_resume_equals_fresh_run(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        fresh = search(SearchConfig(n=5, objective="MAX_RHO"))
-        resumed = search(SearchConfig(n=5, objective="MAX_RHO"), checkpoint=path)
-        assert fresh.to_json() == resumed.to_json()
-        assert not os.path.exists(path)
-
-    def test_partial_then_resume(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        config = SearchConfig(n=6, objective="MAX_EDGES")
-        try:
-            search(config, checkpoint=path, time_budget=0.0)
-        except SearchTimeout:
-            pass
-        assert os.path.exists(path)
-        resumed = search(config, checkpoint=path)
-        fresh = search(config)
-        assert fresh.to_json() == resumed.to_json()
-        assert not os.path.exists(path)
-
-    def test_fingerprint_mismatch_rejected(self, tmp_path):
-        path = str(tmp_path / "ckpt.json")
-        try:
-            search(SearchConfig(n=6, objective="MAX_EDGES"),
-                   checkpoint=path, time_budget=0.0)
-        except SearchTimeout:
-            pass
-        with pytest.raises(ValueError, match="checkpoint"):
-            search(SearchConfig(n=6, objective="MAX_RHO"), checkpoint=path)
-
-    def test_v1_checkpoint_refused(self, tmp_path):
-        # a v1 fingerprint carries the removed prune_with_edge_bound key; its
-        # candidates may come from the pruned MAX_RHO scan, so it must not
-        # resume; a v2 fingerprint carries the removed require_connected key
-        path = tmp_path / "ckpt.json"
-        v1 = ('{"n":5,"objective":"MAX_RHO","forbidden":"C3_PLUS",'
-              '"require_unbalanced":true,"require_connected":true,"workers":1,'
-              '"prune_with_edge_bound":true}')
-        v2 = ('{"n":5,"objective":"MAX_RHO","forbidden":"C3_PLUS",'
-              '"require_unbalanced":true,"require_connected":true,"workers":1}')
-        counters = {"underlying_scanned": 21, "signatures_scanned": 0, "feasible": 0}
-        for fingerprint in (v1, v2):
-            path.write_text(json.dumps({"fingerprint": fingerprint, "next_batch": 1,
-                                        "best": 2.56, "cands": [],
-                                        "counters": counters}))
-            with pytest.raises(ValueError, match="checkpoint"):
-                search(SearchConfig(n=5, objective="MAX_RHO", forbidden="C3_PLUS"),
-                       checkpoint=str(path))
 
 
 class TestSwitchingNegMaximum:

@@ -1,10 +1,13 @@
-"""Opt-in n = 8 runs: pytest -m slow."""
+"""Opt-in long runs (n = 8, the pinned CLI reports, brute force at n = 6):
+pytest -m slow."""
 
 import hashlib
+import io
 
 import pytest
 
 from signed_extremal.bounds import edge_bound, rho_bound
+from signed_extremal.cli import run
 from signed_extremal.core import canonical_signed_code
 from signed_extremal.families import build_complete, build_kn_switched_maxneg
 from signed_extremal.search import (
@@ -17,6 +20,227 @@ from signed_extremal.search import (
 from _oracles import per_order_signed_code
 
 pytestmark = pytest.mark.slow
+
+# sha256 of the stdout of `<argv> --format json`, less its final newline: every
+# search cell at n = 4..7, the two n = 8 searches of the theorems, and every
+# verifier over its exhaustive range. Recorded when the scan ran in batches of
+# 256 classes with an optional worker pool, with the config's since-removed
+# "workers":1 key taken out.
+PINNED_REPORTS = {
+    "search --n 4 --objective max-edges --forbid c3-minus":
+        "3de588893c60d4aa0b669079b35c9ccb4f344f74563e1171c1e2d25ba83a9821",
+    "search --n 4 --objective max-edges --forbid c3-minus --allow-balanced":
+        "57669d2c08807054a7f24486d5e8f36983e5869a471a44ec62ede6e5c8fa275e",
+    "search --n 4 --objective max-edges --forbid c3-plus":
+        "62a1afb24d3a0b4fe99490178473a6ca8a258c3d764a147ff41550032f4be98f",
+    "search --n 4 --objective max-edges --forbid c3-plus --allow-balanced":
+        "132dbfe6556afcecc9ce80aa922720670049c04f033f9f0cbbf4f159be43f75c",
+    "search --n 4 --objective max-edges --forbid none":
+        "29f38254537d8c5ae63c6fa132f131a9b51448dc89c1f7749ce86e7f5986d4a8",
+    "search --n 4 --objective max-edges --forbid none --allow-balanced":
+        "1fcd622baa645fb85771bd504ba7918eafb21e895a7c9042937bc889a8d97e61",
+    "search --n 4 --objective max-rho --forbid c3-minus":
+        "5abb33f5d887a663c1807156e45d6a8e327a2567426143d4be85a695963b63fb",
+    "search --n 4 --objective max-rho --forbid c3-minus --allow-balanced":
+        "33621bd4ed157071babe6e1b6af91819b5ce41a45f75d257a026df8af41b59b4",
+    "search --n 4 --objective max-rho --forbid c3-plus":
+        "43cbe87a2a56c3b83ce488cc05b4af89c9dec6c0739cde2482c6d93263be1870",
+    "search --n 4 --objective max-rho --forbid c3-plus --allow-balanced":
+        "3e6e3213c007381d317e99b07f6d304c0d0f3f95af13363e3c7c37fae9ce0e69",
+    "search --n 4 --objective max-rho --forbid none":
+        "324ffe951ff19f03f174c39f0662ddd3e6f03bcec89acd23b4694f29166f9907",
+    "search --n 4 --objective max-rho --forbid none --allow-balanced":
+        "a7b43bd9450669f4a46d72643177f27e3e94c0969a1c08edf21187a53eb5903f",
+    "search --n 4 --objective max-neg-edges-at-max-edges --forbid c3-minus":
+        "3a61d1a107b52d32f2b288414208b7494ce0bf451aba24c036ffc69b9f0cc676",
+    "search --n 4 --objective max-neg-edges-at-max-edges --forbid c3-minus --allow-balanced":
+        "be94563bec08dc643ebe962ae026b44d08f18552521c37918400a6d69fa7011e",
+    "search --n 4 --objective max-neg-edges-at-max-edges --forbid c3-plus":
+        "84b4a7b93045e32fef47d5ce17d4179fa6b0485fd1ff2466484181efb6e929d2",
+    "search --n 4 --objective max-neg-edges-at-max-edges --forbid c3-plus --allow-balanced":
+        "5d453984aef23b1beda717f7b4a00cd53c246c3c9061ee0e8643fc44cc7fe86a",
+    "search --n 4 --objective max-neg-edges-at-max-edges --forbid none":
+        "b8269c2b78ac5fc8ad1897374048d97a5bed4489ad2c5f66c9c203c6bde4aa04",
+    "search --n 4 --objective max-neg-edges-at-max-edges --forbid none --allow-balanced":
+        "c262e854f667d330ff8141409e9dde297d8dc5a2bba55b9c850c59726ec07f8a",
+    "search --n 5 --objective max-edges --forbid c3-minus":
+        "1801980c605c2e951b1763b16a13318d51f753d9ef45e6590ac274744d1113ac",
+    "search --n 5 --objective max-edges --forbid c3-minus --allow-balanced":
+        "6970cabcad045a6118fe85ed81cdaa8392df022af9fb5d1a1d6e927cf619c5fd",
+    "search --n 5 --objective max-edges --forbid c3-plus":
+        "dd6641b21bf2a48a628dbcd0e21c27108b0a20b6764bf3814a5d45d8e43e3ead",
+    "search --n 5 --objective max-edges --forbid c3-plus --allow-balanced":
+        "43a2483e17f12c43b5472ed4fc326fda31cf968b735714283f5c8946d8fce943",
+    "search --n 5 --objective max-edges --forbid none":
+        "5de0c996f572ff2491e5ed825b5c3faac52ebd671f4e6eba488c36c8c5c806d8",
+    "search --n 5 --objective max-edges --forbid none --allow-balanced":
+        "2f801addb042680a41b43302f44923cbbca5e126d1cb1901ff3bb2697e96abf4",
+    "search --n 5 --objective max-rho --forbid c3-minus":
+        "6675e293e600587a25ec0d8cc51819d51e0dae992012c1a05da1d17f61bf1b0a",
+    "search --n 5 --objective max-rho --forbid c3-minus --allow-balanced":
+        "9fd1b35da7479c8775130054503468f3c6683e479ac2e6c2d29d0b4a5a2da884",
+    "search --n 5 --objective max-rho --forbid c3-plus":
+        "952d366ecc174eb9d46779270174c5d172f6a0eeb60665d01707aaa3a6ce8064",
+    "search --n 5 --objective max-rho --forbid c3-plus --allow-balanced":
+        "79fba55bbe595acea9dbe27a191da3367f39bb4a6b8f286c291641c0da536034",
+    "search --n 5 --objective max-rho --forbid none":
+        "6d1cf3cbb04809e6c6f3dd5e7dbc02dbe20dd164272f6f03fa1d4eb4366f2f69",
+    "search --n 5 --objective max-rho --forbid none --allow-balanced":
+        "9b3587ceb8c90266b19cf5312e80b9d867380e2cd50bb9793d8a3cd528d37d1e",
+    "search --n 5 --objective max-neg-edges-at-max-edges --forbid c3-minus":
+        "dc413adca8ac1fb1a335cf52dbdadaa12b8516853718e94d1bbe29aba61f2027",
+    "search --n 5 --objective max-neg-edges-at-max-edges --forbid c3-minus --allow-balanced":
+        "3ffc0f971b48c3d12474d94597e9bc07c07724fdc25b318f4a5422783e24c91b",
+    "search --n 5 --objective max-neg-edges-at-max-edges --forbid c3-plus":
+        "4d46373c3357a08252b4c8cfbcec99ea5bb7244b5c10c9a26fe0387eb95fb1e5",
+    "search --n 5 --objective max-neg-edges-at-max-edges --forbid c3-plus --allow-balanced":
+        "b8c24769c2c0a795da0ddc7c70cc20480fb8fe47f1bcf3a4f2aba7cfca0353e1",
+    "search --n 5 --objective max-neg-edges-at-max-edges --forbid none":
+        "499a661680e69387f7435392d718b31b9cd392c087d9bbe83d24d4753af9002d",
+    "search --n 5 --objective max-neg-edges-at-max-edges --forbid none --allow-balanced":
+        "e93cc8da0e670024c336288db84e37ad306e0c4308a63fc93298ff1f17b91482",
+    "search --n 6 --objective max-edges --forbid c3-minus":
+        "442cc111b36f786bd539be5dd9aac5f46ae431e0a943fdee4ea13b5f4be8e6e0",
+    "search --n 6 --objective max-edges --forbid c3-minus --allow-balanced":
+        "dbc5b12448bcdf650ae070acee7fcf6f6107849085d07b5f02382f63fa82e179",
+    "search --n 6 --objective max-edges --forbid c3-plus":
+        "b88562674f90b14e41f06705c5a15da8af08947df2cddc9f62e1eb9cb359bb89",
+    "search --n 6 --objective max-edges --forbid c3-plus --allow-balanced":
+        "abf3db2bc8835844168660b637934c7f15dad933a123e63858a0dd5cd83adca2",
+    "search --n 6 --objective max-edges --forbid none":
+        "b51d7f87a3a60f58f92ed291657cf48797d09eb86124dd2c0e6fd5042a9eef3a",
+    "search --n 6 --objective max-edges --forbid none --allow-balanced":
+        "4853a6300ac25449f373709d91e914616edbe371b09ca0be62e924146f1929d0",
+    "search --n 6 --objective max-rho --forbid c3-minus":
+        "123e08cad061ac7dfe54c2a274dcc538a93ba99ab6a0c2c8a9245b3a78becb57",
+    "search --n 6 --objective max-rho --forbid c3-minus --allow-balanced":
+        "cc86f2c622cd6fbbc7084d228cabd756875e5ff3c23fc6d5bed2ee70b56ac4e3",
+    "search --n 6 --objective max-rho --forbid c3-plus":
+        "0ecba0f89096dbc9ad61ebb0b1e6605867c14518a6c1c7c2c562545bbfda9bb0",
+    "search --n 6 --objective max-rho --forbid c3-plus --allow-balanced":
+        "a87dbbaf7132ebe615c396a638d820118f5906cb926562fb348e954e7d456711",
+    "search --n 6 --objective max-rho --forbid none":
+        "aa1830956b0c93353fce1d787d8996eb0123722d97a0e3894b70d1a044703159",
+    "search --n 6 --objective max-rho --forbid none --allow-balanced":
+        "b95a70d17324b9b4a0a024e7cc9442afcd4bb56a853ce7123984a3245244cad6",
+    "search --n 6 --objective max-neg-edges-at-max-edges --forbid c3-minus":
+        "28abfdcb26c204737cffc782e1bf639084026042db90f67ab66e39538b86187e",
+    "search --n 6 --objective max-neg-edges-at-max-edges --forbid c3-minus --allow-balanced":
+        "a8c70297435fd2a0eb0a6421ff4a15dfc06194992670948c47a8c5b52dc9d70b",
+    "search --n 6 --objective max-neg-edges-at-max-edges --forbid c3-plus":
+        "1522b0b3a2d1ed7a3d5bc6517cd73a773a71a8cdee39064b94ce05a29b34d1c8",
+    "search --n 6 --objective max-neg-edges-at-max-edges --forbid c3-plus --allow-balanced":
+        "029f699d3c547b7d08c7deea143d8e2492c4412c77b80cae2f23566be1843fe9",
+    "search --n 6 --objective max-neg-edges-at-max-edges --forbid none":
+        "a7c4c5621c945eb5decbc9ee7970aea9bd5cf17aff62fd747d51e01e46276999",
+    "search --n 6 --objective max-neg-edges-at-max-edges --forbid none --allow-balanced":
+        "1360ec6d3575e32c86b87b42f8ee2aa6443b28287565ec2f774660bfd6904dae",
+    "search --n 7 --objective max-edges --forbid c3-minus":
+        "eb7fb7b60e242f7ec19ce613fefd08a91b88eb89eea3cd8934534a8013af8244",
+    "search --n 7 --objective max-edges --forbid c3-minus --allow-balanced":
+        "03b5202b173da9ba53ad9ab36bf471b53a94f5592e211201830e258060d925b7",
+    "search --n 7 --objective max-edges --forbid c3-plus":
+        "513b310ef56993d46474559760b7b7da1687d540fad2a27799e3efeae66b51bd",
+    "search --n 7 --objective max-edges --forbid c3-plus --allow-balanced":
+        "22a2dc932d46fffd62449c19c06668a150bb924465be50f95d510af8e3b4142c",
+    "search --n 7 --objective max-rho --forbid c3-minus":
+        "ae65758e486b7fabef31b4c285e85bc96b4afafe011a74c69016ab64a173891e",
+    "search --n 7 --objective max-rho --forbid c3-minus --allow-balanced":
+        "5473ac7f076186e857c8e713706f4b24e63fb08bbd2402c7899dc043df9274db",
+    "search --n 7 --objective max-rho --forbid c3-plus":
+        "05ab3bbda117803ec429c0a4a36804264488060bc60eb5ae508072fdf2ec06ad",
+    "search --n 7 --objective max-rho --forbid c3-plus --allow-balanced":
+        "fa7d97e2537e68c26b04df36cd29b155cde928bb39def81ba4806838beec5aa0",
+    "search --n 7 --objective max-rho --forbid none":
+        "264585b5b0fb4d1457cc1b7f0b2f05dbb387a06c6b84d6ddf85583ce3113c957",
+    "search --n 7 --objective max-rho --forbid none --allow-balanced":
+        "29047b01f801da329a85ea1167b7c8c1a925e4568f9496f239140026599866db",
+    "search --n 7 --objective max-neg-edges-at-max-edges --forbid c3-minus":
+        "c864a14ad5d006b19d31474d5a6a04122959a2d3c82898cbb64bf6c37138fcd7",
+    "search --n 7 --objective max-neg-edges-at-max-edges --forbid c3-minus --allow-balanced":
+        "d3ac30a6939d7b62f6b3e58df44935501f5927e1153f683f43819351061a7bbd",
+    "search --n 7 --objective max-neg-edges-at-max-edges --forbid c3-plus":
+        "a873da2507ab7300a08706c6418c1f495de496568bbe28e7494f5252397a1e71",
+    "search --n 7 --objective max-neg-edges-at-max-edges --forbid c3-plus --allow-balanced":
+        "ec2c876aa6974769ef4371c3340f6e1cedb711df85ac59d550c65ac181845997",
+    "search --n 8 --objective max-edges":
+        "57a6a958b193708828e56af049f8bd0ed9c4509d344d8a58c900d2a9fe9568a9",
+    "search --n 8 --objective max-rho":
+        "5350b09e2813c0dca7d80bc8fb931d2b9d2f84a483e26cb654f6736202c7e4d0",
+    "verify --theorem t1_1 --n 3":
+        "eb71442ad69274935e41fa6aca81a2bdc16fd44ab4fd7d3b20fdcc78320299bb",
+    "verify --theorem t1_1 --n 4":
+        "057c8e083ed3149c393a4ac430bf6a9cc4654806e8d6d89084179ffbf8fffc31",
+    "verify --theorem t1_1 --n 5":
+        "84c78cfc83e16ea315d247a6d66df50292f94164293a2ffbc4d4cb6a3c1bfd62",
+    "verify --theorem t1_1 --n 6":
+        "076cf4b29c18dad67be77ee675e955801ce9f6c67f0584fbfb4949bcb62e895b",
+    "verify --theorem t1_1 --n 7":
+        "ca04f827b506ec4ba94ebba80f0cd9194ed090d7d2f937b0f3b1bb2cc7c87591",
+    "verify --theorem t1_1 --n 8":
+        "046b67a8ccfbc6c3d319b67f61565f5806da9bbcdf548df28c0b623116d387b7",
+    "verify --theorem t1_2_edges --n 5":
+        "1cad4b1320981e07d14bcccdb681b6d0b58a70f067ae75a4a0c68773c26dc930",
+    "verify --theorem t1_2_edges --n 6":
+        "68f22f553ce5133b44231726005a9a4c440d1c527f72a54279028ecf193612f1",
+    "verify --theorem t1_2_edges --n 7":
+        "c2bdb468e88968580fab91742cf1c01c2232f604fe3fd2effeb4ff5661853f4a",
+    "verify --theorem t1_2_edges --n 8":
+        "96e6245a6f60b10fd8cb91c0ddcaed78c00216e6bbdc029a0d9ea0a5d70de2b9",
+    "verify --theorem t1_3 --n 5":
+        "2ab255cc9b61ef64fb9a682c478e1f620b91a5b8e51f8cdecfa347403a47e199",
+    "verify --theorem t1_3 --n 6":
+        "3992e9698bce6e953e019ca8e6626670a1ef485c5618cba59d33c75039f70ca2",
+    "verify --theorem t1_3 --n 7":
+        "fa27c5a2ac156ae3994920b9def618a0bd6f4db183b17209dc94662c2837b508",
+    "verify --theorem t1_3 --n 8":
+        "ca39f34b6b3f6ab97f3f9fa46e07660ba21712f6872f7a38a00c76f171720d37",
+    "verify --theorem t1_2_neg --n 4":
+        "4563b944c5a18cb72c9bf322bce5a6c1bd16d94720632953c37cd0b1f565d21b",
+    "verify --theorem t1_2_neg --n 5":
+        "807fa74e1d927081d9bd5b78eb53b5bc1f7e0b7701bcb997bb90ec07a8a939d8",
+    "verify --theorem t1_2_neg --n 6":
+        "c8e94745bed3db71dc264839c59cc1084438cc1362011dc67323060ca8717555",
+    "verify --theorem t1_2_neg --n 7":
+        "25185c0ae424b9a789ccfe25336e849108a0afd295651e7d241add74862a2a36",
+    "verify --theorem t1_2_neg --n 8":
+        "839ff7003f34d8333f04b7e8c0cc99e58f42ea9e8bdd4d3869eeec679ab875ca",
+    "verify --theorem l2_2 --n 3":
+        "bd7a51f6e88f0bd2107d579c0ebed0006d208b45d4a837d007a1afa8346dd8a0",
+    "verify --theorem l2_2 --n 4":
+        "c2d77137af7dc948b76b1fbbf199eee4a58ef4dc0c3dcfcf26f63388fa513ea7",
+    "verify --theorem l2_2 --n 5":
+        "b6b35b8c608c5cd07cc2cefb30944f670ef6e757a1fc98941f48b4ff22b00089",
+    "verify --theorem l2_2 --n 6":
+        "d58e362b660be87453d9c6d4881749fc90b00adf7606e9b5778f9aed5ccee8dc",
+    "verify --theorem l2_2 --n 7":
+        "57a50b3255129f25ee50adc9d2d9849f3a20c52c1d6814890967417f36c4b850",
+    "verify --theorem l2_2 --n 8":
+        "0d76ba20a95b311292a58e00b65afcac5c3962b3f1aa813bfe7c33251c1227ec",
+    "verify --theorem l2_2 --n 9":
+        "9f16d5dccd3080e000f917a9fd302826c998a416ac01646dcae1bac8f32fc4b8",
+    "verify --theorem l2_2 --n 10":
+        "111c39fe48e6806c071cb84e6f38a59073314c7b9dd7b9f3432edeaad2b83e45",
+    "verify --theorem l2_2 --n 11":
+        "2faa55aeeb0139a56e7eeeb5d674d9ec75393651593cdb8c1e6466e5395b12d2",
+    "verify --theorem l2_2 --n 12":
+        "67a61fd8a0e8ba1843a5a49325a38e5031fc23571a53fabd6e9a009d42c79265",
+}
+
+_TIES = ("signatures tie the optimum; witness materialization is only supported "
+         "for constrained searches")
+
+# the n = 7 NONE cells whose tied K_7 signatures exceed the witness cap
+PINNED_REFUSALS = {
+    "search --n 7 --objective max-edges --forbid none":
+        f"32767 {_TIES}",
+    "search --n 7 --objective max-edges --forbid none --allow-balanced":
+        f"32768 {_TIES}",
+    "search --n 7 --objective max-neg-edges-at-max-edges --forbid none":
+        f"32767 {_TIES}",
+    "search --n 7 --objective max-neg-edges-at-max-edges --forbid none --allow-balanced":
+        f"32768 {_TIES}",
+}
 
 
 def test_underlying_class_count_n8():
@@ -48,12 +272,20 @@ def test_signed_code_matches_per_order_reference_on_k8():
         assert canonical_signed_code(g) == per_order_signed_code(g)
 
 
-@pytest.mark.parametrize("objective,digest", [
-    ("MAX_EDGES", "6f80b0d3ccc754c6ed90bac40e5bbe799197f00ad8582e8e4f497da659ce3d82"),
-    ("MAX_RHO", "bca92010863c3769449c790b1873ee605df58e19804a604e639e341b35d0fe98"),
-])
-def test_report_pinned_n8(objective, digest):
-    # sha256 of the report, recorded when every class's adjacency, tree,
-    # triangles and GF(2) solutions were rebuilt on each search
-    rep = search(SearchConfig(n=8, objective=objective))
-    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == digest
+@pytest.mark.parametrize("argv", sorted(PINNED_REPORTS))
+def test_report_pinned(argv):
+    out = io.StringIO()
+    assert run([*argv.split(), "--format", "json"], out=out) == 0
+    text = out.getvalue()
+    assert text.endswith("\n")
+    assert hashlib.sha256(text[:-1].encode()).hexdigest() == PINNED_REPORTS[argv]
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_REFUSALS))
+def test_refusal_pinned(argv, capsys):
+    out = io.StringIO()
+    assert run([*argv.split(), "--format", "json"], out=out) == 2
+    assert out.getvalue() == ""
+    # search prints its progress lines to stderr before the error
+    err = capsys.readouterr().err.splitlines()
+    assert err[-1] == f"error: {PINNED_REFUSALS[argv]}"
