@@ -29,6 +29,8 @@ __all__ = [
 ]
 
 SPECTRAL_SLACK = 1e-9
+# balanced_clique_number branches over every clique of the underlying graph
+_CLIQUE_MAX_ORDER = 14
 
 
 @dataclass
@@ -101,15 +103,16 @@ def rho_bound(n: int) -> float:
     return 0.5 * (math.sqrt(n * n - 8) + n - 4)
 
 
-def balanced_clique_number(g: SignedGraph, max_order: int = 14) -> int:
+def balanced_clique_number(g: SignedGraph) -> int:
     """Largest vertex count of a balanced complete induced signed subgraph.
 
     Branch and bound over cliques of the underlying graph, testing balance by
     spin propagation: a clique stays balanced iff every added vertex w admits a
-    spin with sign(w,c) = spin(w)spin(c) against all current members.
+    spin with sign(w,c) = spin(w)spin(c) against all current members. Rejects
+    graphs above _CLIQUE_MAX_ORDER vertices to bound the cost.
     """
-    if g.n > max_order:
-        raise ValueError(f"balanced clique search capped at {max_order} vertices")
+    if g.n > _CLIQUE_MAX_ORDER:
+        raise ValueError(f"balanced clique search capped at {_CLIQUE_MAX_ORDER} vertices")
     adj = g.adj
     best = 1  # a single vertex is a balanced complete subgraph
 

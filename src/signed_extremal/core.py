@@ -161,27 +161,9 @@ def negate(g: SignedGraph) -> SignedGraph:
     return SignedGraph(-g.adj)
 
 
-def _components(g: SignedGraph):
-    seen = np.zeros(g.n, dtype=bool)
-    for root in range(g.n):
-        if seen[root]:
-            continue
-        comp = [root]
-        seen[root] = True
-        queue = deque([root])
-        while queue:
-            v = queue.popleft()
-            for u in np.nonzero(g.adj[v])[0]:
-                if not seen[u]:
-                    seen[u] = True
-                    comp.append(int(u))
-                    queue.append(int(u))
-        yield comp
-
-
 def is_connected(g: SignedGraph) -> bool:
-    """True iff the component of vertex 0 in the underlying graph is everything."""
-    return len(next(_components(g))) == g.n
+    """True iff the canonical spanning forest of the underlying graph is one tree."""
+    return len(_bfs_tree(g.adj)) == g.n - 1
 
 
 def is_balanced(g: SignedGraph) -> bool:
@@ -332,6 +314,8 @@ def shortest_unbalanced_cycle(g: SignedGraph) -> Cycle | None:
 
 # orders per batch in canonical_signed_code; K_9 has 362,880 optimal orders
 _ORDER_CHUNK = 8192
+# switching_isomorphic scans class-respecting relabelings, n! for K_n
+_SWITCHING_ISO_MAX_ORDER = 9
 
 
 @lru_cache(maxsize=None)
@@ -483,16 +467,17 @@ def _exact_signed_code(g: SignedGraph) -> tuple[int, bytes]:
     return code, _min_sign_row(g.adj[orders[:, iu], orders[:, ju]])
 
 
-def switching_isomorphic(g1: SignedGraph, g2: SignedGraph, max_order: int = 9) -> bool:
+def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff some vertex bijection maps g1 onto a switching of g2.
 
     Exhaustive over class-respecting relabelings, so intended for small orders;
-    rejects graphs larger than max_order to bound the cost.
+    rejects graphs above _SWITCHING_ISO_MAX_ORDER vertices to bound the cost.
     """
     if g1.n != g2.n:
         return False
-    if g1.n > max_order:
-        raise ValueError(f"switching isomorphism capped at {max_order} vertices")
+    if g1.n > _SWITCHING_ISO_MAX_ORDER:
+        raise ValueError(
+            f"switching isomorphism capped at {_SWITCHING_ISO_MAX_ORDER} vertices")
     if g1.edge_count != g2.edge_count:
         return False
     if sorted(len(nb) for nb in map(g1.neighbors, range(g1.n))) != sorted(

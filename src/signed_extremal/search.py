@@ -28,6 +28,11 @@ triangle systems of all classes are solved together once per (n, forbidden
 triangle); later searches only read them. Feasible counts follow from the
 rank of each system, and MAX_RHO stacks the signatures of consecutive classes
 into eigvalsh calls of up to _EIG_BATCH matrices.
+
+Every signed graph this module builds comes from a table row (_table_block)
+and a non-tree pattern (_signature_stack): the search witnesses, the switching
+classes of K_n that T1_1 and L2_2 check, and the output of
+enumerate_signatures, whose one-row table is built for the graph it is given.
 """
 
 from __future__ import annotations
@@ -97,6 +102,12 @@ _TABLE_BLOCK = 1024
 _SWITCH_CHUNK = 4096
 
 
+def _check_n(n) -> None:
+    # bool is a subclass of int; numpy integers are not ints
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an int, got {n!r}")
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     n: int
@@ -105,9 +116,7 @@ class SearchConfig:
     require_unbalanced: bool = True
 
     def validate(self):
-        # bool is a subclass of int; numpy integers are not ints
-        if not isinstance(self.n, int) or isinstance(self.n, bool):
-            raise ValueError(f"n must be an int, got {self.n!r}")
+        _check_n(self.n)
         if not isinstance(self.require_unbalanced, bool):
             raise ValueError(
                 f"require_unbalanced must be a bool, got {self.require_unbalanced!r}")
@@ -158,13 +167,16 @@ class SearchReport:
 # Underlying-graph enumeration (one representative per isomorphism class)
 # ---------------------------------------------------------------------------
 
-def _bitmap_to_adj(code: int, n: int) -> np.ndarray:
+def _codes_to_adj(codes, n: int) -> np.ndarray:
+    """The (len(codes), n, n) bool adjacency stack of class codes on n vertices."""
     iu, ju = _triu_cells(n)
     ncells = len(iu)
-    raw = np.frombuffer(code.to_bytes((ncells + 7) // 8, "big"), dtype=np.uint8)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[iu, ju] = np.unpackbits(raw, count=ncells)
-    return adj | adj.T
+    nbytes = (ncells + 7) // 8
+    # a code packs its upper-triangle cells MSB first, padded to whole bytes
+    raw = np.frombuffer(b"".join(c.to_bytes(nbytes, "big") for c in codes), dtype=np.uint8)
+    adj = np.zeros((len(codes), n, n), dtype=bool)
+    adj[:, iu, ju] = np.unpackbits(raw.reshape(len(codes), nbytes), axis=1, count=ncells)
+    return adj | adj.transpose(0, 2, 1)
 
 
 def _orbit_masks(auts: np.ndarray, m: int) -> list[int]:
@@ -219,8 +231,7 @@ def _canonical_children(n: int) -> list[int]:
     canonical deletion test, in generation order."""
     m = n - 1
     children = []
-    for parent_code in _connected_class_bitmaps(m):
-        parent = _bitmap_to_adj(parent_code, m)
+    for parent in _codes_to_adj(_connected_class_bitmaps(m), m):
         # the parent is stored in canonical form, so the orders that attain
         # its own bitmap are exactly its automorphisms
         auts = canonical_form(parent)[1]
@@ -265,21 +276,11 @@ def _connected_class_bitmaps(n: int) -> tuple[int, ...]:
 def enumerate_underlying(n: int):
     """Yield one all-positive representative per isomorphism class of connected
     graphs on n vertices, in canonical-bitmap order."""
+    _check_n(n)
     if not (_MIN_N <= n <= _MAX_N):
         raise ValueError(f"enumeration supports {_MIN_N} <= n <= {_MAX_N}, got {n}")
-    for code in _connected_class_bitmaps(n):
-        yield SignedGraph(_bitmap_to_adj(code, n).astype(np.int8))
-
-
-def _nontree_cells(adj: np.ndarray) -> list[tuple[int, int]]:
-    """Edges (i, j), i < j, off the canonical spanning tree, in row-major order."""
-    n = adj.shape[0]
-    tree = {(min(v, u), max(v, u)) for v, u in _bfs_tree(adj)}
-    if len(tree) != n - 1:
-        raise ValueError("graph must be connected")
-    rows = adj.tolist()
-    return [(i, j) for i in range(n) for j in range(i + 1, n)
-            if rows[i][j] and (i, j) not in tree]
+    for adj in _codes_to_adj(_connected_class_bitmaps(n), n):
+        yield SignedGraph(adj.astype(np.int8))
 
 
 def enumerate_signatures(g: SignedGraph):
@@ -288,36 +289,11 @@ def enumerate_signatures(g: SignedGraph):
     Spanning-tree edges are pinned +1; the 2^(m-n+1) sign patterns on the
     non-tree edges enumerate the switching classes exactly once each.
     """
-    adj = np.abs(g.adj).astype(bool)
-    nontree = _nontree_cells(adj)
-    for pattern in range(1 << len(nontree)):
-        yield _signature_graph(adj, nontree, pattern)
-
-
-def _signature_graph(adj_bool: np.ndarray, nontree, pattern: int) -> SignedGraph:
-    a = adj_bool.astype(np.int8)
-    for i, (u, v) in enumerate(nontree):
-        if (pattern >> i) & 1:
-            a[u, v] = a[v, u] = -1
-    return SignedGraph(a)
-
-
-def _triangle_masks(adj: np.ndarray, nontree) -> list[int]:
-    """One bitmask of non-tree edges per triangle, triangles in lexicographic order."""
-    rows = adj.tolist()
-    n = len(rows)
-    bit = [[0] * n for _ in range(n)]
-    for b, (i, j) in enumerate(nontree):
-        bit[i][j] = 1 << b
-    masks = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not rows[i][j]:
-                continue
-            for k in range(j + 1, n):
-                if rows[i][k] and rows[j][k]:
-                    masks.append(bit[i][j] | bit[i][k] | bit[j][k])
-    return masks
+    table = _graph_table(np.abs(g.adj).astype(bool))
+    row = np.zeros(1, dtype=np.intp)
+    for pattern in range(1 << int(table.widths[0])):
+        yield SignedGraph(_signature_stack(
+            table, row, np.array([pattern], dtype=np.uint64), np.int8)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -325,29 +301,36 @@ def _triangle_masks(adj: np.ndarray, nontree) -> list[int]:
 # ---------------------------------------------------------------------------
 
 class _ClassTable(NamedTuple):
-    """Every connected class on n vertices, one row per class in code order."""
+    """Connected graphs on n vertices, one row each; for the class table of n,
+    every connected class in code order."""
 
-    codes: tuple[int, ...]
-    adj: np.ndarray          # (classes, n, n) bool adjacency
-    edges: np.ndarray        # (classes,) edge count
-    widths: np.ndarray       # (classes,) k, the number of non-tree edges
-    nontree: np.ndarray      # (classes, k of K_n) upper-triangle cell of non-tree bit b
-    tri_masks: np.ndarray    # (classes, C(n,3)) non-tree bitmask per triangle, 0 if absent
-    tri_present: np.ndarray  # (classes, C(n,3)) the triangle is in the graph
+    codes: tuple[int, ...]   # class codes, () for a table of a given graph
+    adj: np.ndarray          # (rows, n, n) bool adjacency
+    edges: np.ndarray        # (rows,) edge count
+    widths: np.ndarray       # (rows,) k, the number of non-tree edges
+    nontree: np.ndarray      # (rows, max k) upper-triangle cell of non-tree bit b
+    tri_masks: np.ndarray    # (rows, C(n,3)) non-tree bitmask per triangle, 0 if absent
+    tri_present: np.ndarray  # (rows, C(n,3)) the triangle is in the graph
 
 
 @lru_cache(maxsize=None)
 def _class_table(n: int) -> _ClassTable:
     """The class table of n, built from the cached class codes on first use.
 
-    Each row matches _bitmap_to_adj, _nontree_cells and _triangle_masks of its
-    code: the spanning trees come from _bfs_tree, one class at a time, so the
+    The spanning trees come from _bfs_tree, one class at a time, so the
     pinned tree is the one canonical_switch uses.
     """
     codes = _connected_class_bitmaps(n)
-    blocks = [_table_block(codes[lo:lo + _TABLE_BLOCK], n)
+    # K_n has the most non-tree edges
+    width = n * (n - 1) // 2 - n + 1
+    blocks = [_table_block(_codes_to_adj(codes[lo:lo + _TABLE_BLOCK], n), width)
               for lo in range(0, len(codes), _TABLE_BLOCK)]
     return _ClassTable(codes, *map(_read_only, zip(*blocks)))
+
+
+def _graph_table(adj: np.ndarray) -> _ClassTable:
+    """The one-row table, without codes, of the connected graph adj (bool)."""
+    return _ClassTable((), *_table_block(adj[None], int(adj.sum()) // 2 - len(adj) + 1))
 
 
 def _read_only(parts) -> np.ndarray:
@@ -357,43 +340,38 @@ def _read_only(parts) -> np.ndarray:
     return out
 
 
-def _table_block(codes, n: int):
-    """The _ClassTable fields after `codes`, for one block of codes."""
+def _table_block(adj: np.ndarray, width: int):
+    """The _ClassTable fields after `codes` for an adjacency stack, with
+    `width` non-tree columns (at least the largest k of the stack)."""
+    n = adj.shape[1]
     iu, ju = _triu_cells(n)
     ncells = len(iu)
-    nbytes = (ncells + 7) // 8
-    # a code packs its upper-triangle cells MSB first, padded to whole bytes
-    raw = np.frombuffer(b"".join(c.to_bytes(nbytes, "big") for c in codes), dtype=np.uint8)
-    bits = np.unpackbits(raw.reshape(len(codes), nbytes), axis=1, count=ncells).astype(bool)
-    adj = np.zeros((len(codes), n, n), dtype=bool)
-    adj[:, iu, ju] = bits
-    adj |= adj.transpose(0, 2, 1)
+    bits = adj[:, iu, ju]
     cell = np.zeros((n, n), dtype=np.intp)
     cell[iu, ju] = cell[ju, iu] = np.arange(ncells)
     cell_rows = cell.tolist()
     tree_cells = [[cell_rows[v][u] for v, u in _bfs_tree(a)] for a in adj]
+    if any(len(t) != n - 1 for t in tree_cells):
+        raise ValueError("graph must be connected")
+    # the rhs of a triangle equation is bit `width` of its mask
+    if width > 63:
+        raise ValueError(f"{width} non-tree edges; at most 63 are supported")
+    mask_dtype = np.uint32 if width < 32 else np.uint64
     tree = np.zeros_like(bits)
-    tree[np.arange(len(codes))[:, None], np.array(tree_cells, dtype=np.intp)] = True
+    tree[np.arange(len(adj))[:, None], np.array(tree_cells, dtype=np.intp)] = True
     off = bits & ~tree
-    # non-tree bit b is the b-th non-tree cell in row-major order; K_n has
-    # the most non-tree edges, and n <= 8 has at most 28 cells
+    # non-tree bit b is the b-th non-tree cell in row-major order
     pos = np.cumsum(off, axis=1) - 1
     rows, cols = np.nonzero(off)
-    nontree = np.zeros((len(codes), ncells - n + 1), dtype=np.uint8)
+    nontree = np.zeros((len(adj), width), dtype=np.min_scalar_type(ncells))
     nontree[rows, pos[rows, cols]] = cols
-    cell_mask = off.astype(np.uint32) << np.maximum(pos, 0).astype(np.uint32)
-    i, j, k = np.array(list(itertools.combinations(range(n), 3)), dtype=np.intp).T
+    cell_mask = off.astype(mask_dtype) << np.maximum(pos, 0).astype(mask_dtype)
+    i, j, k = np.array(list(itertools.combinations(range(n), 3)),
+                       dtype=np.intp).reshape(-1, 3).T
     e1, e2, e3 = cell[i, j], cell[i, k], cell[j, k]
     present = bits[:, e1] & bits[:, e2] & bits[:, e3]
     masks = np.where(present, cell_mask[:, e1] | cell_mask[:, e2] | cell_mask[:, e3], 0)
     return adj, bits.sum(axis=1), off.sum(axis=1), nontree, masks, present
-
-
-def _class_nontree(table: _ClassTable, c: int) -> list[tuple[int, int]]:
-    """Non-tree edges (i, j) of class c, as _nontree_cells gives them."""
-    iu, ju = _triu_cells(table.adj.shape[1])
-    cells = table.nontree[c, :table.widths[c]]
-    return list(zip(iu[cells].tolist(), ju[cells].tolist()))
 
 
 class _Span(NamedTuple):
@@ -452,23 +430,27 @@ def _gf2_solve(rows: np.ndarray, widths: np.ndarray, rhs_bit: int) -> _Span:
 
 @lru_cache(maxsize=None)
 def _class_span(n: int, forbidden: str) -> _Span:
-    """The triangle-avoiding signatures of every class of n, as GF(2) spans.
+    """The triangle-avoiding signatures of every class of n, as GF(2) spans."""
+    table = _class_table(n)
+    return _Span._make(map(_read_only, zip(*(
+        _table_span(table, slice(lo, lo + _TABLE_BLOCK), forbidden)
+        for lo in range(0, len(table.codes), _TABLE_BLOCK)))))
+
+
+def _table_span(table: _ClassTable, rows, forbidden: str) -> _Span:
+    """The triangle-avoiding signatures of the table rows `rows`, as GF(2) spans.
 
     With the tree pinned +1 a triangle's sign is the parity of its non-tree
     bits: forbidding C3_MINUS asks for even parity, C3_PLUS for odd.
     """
-    table = _class_table(n)
     rhs_bit = table.nontree.shape[1]
-    rhs = np.uint32(int(forbidden == "C3_PLUS") << rhs_bit)
-    parts = []
-    for lo in range(0, len(table.codes), _TABLE_BLOCK):
-        block = slice(lo, lo + _TABLE_BLOCK)
-        if forbidden == "NONE":
-            rows = np.zeros((len(table.codes[block]), 0), dtype=np.uint32)
-        else:
-            rows = np.where(table.tri_present[block], table.tri_masks[block] | rhs, 0)
-        parts.append(_gf2_solve(rows.astype(np.uint32), table.widths[block], rhs_bit))
-    return _Span._make(map(_read_only, zip(*parts)))
+    masks = table.tri_masks[rows]
+    if forbidden == "NONE":
+        masks = masks[:, :0]
+    else:
+        rhs = masks.dtype.type(int(forbidden == "C3_PLUS") << rhs_bit)
+        masks = np.where(table.tri_present[rows], masks | rhs, 0)
+    return _gf2_solve(masks, table.widths[rows], rhs_bit)
 
 
 def _feasible_counts(span: _Span, idx: np.ndarray, require_unbalanced: bool) -> np.ndarray:
@@ -504,18 +486,26 @@ def _span_patterns(span: _Span, idx: np.ndarray, require_unbalanced: bool):
     return system, patterns
 
 
-def _rho_values(table: _ClassTable, system: np.ndarray, patterns: np.ndarray) -> np.ndarray:
-    """Spectral radius of each signature (class system[i], non-tree pattern
-    patterns[i]), from one eigvalsh call over the whole stack."""
+def _signature_stack(table: _ClassTable, system: np.ndarray, patterns: np.ndarray,
+                     dtype) -> np.ndarray:
+    """Sign matrices, as dtype, of the signatures (table row system[i], uint64
+    non-tree pattern patterns[i]): the row's edges +1, pattern bit b negating
+    non-tree edge b."""
     iu, ju = _triu_cells(table.adj.shape[1])
-    stack = table.adj[system].astype(np.float64)
+    stack = table.adj[system].astype(dtype)
     slots = np.arange(table.nontree.shape[1], dtype=np.uint64)
     mat, slot = np.nonzero((patterns[:, None] >> slots) & np.uint64(1))
     cells = table.nontree[system[mat], slot]
-    stack[mat, iu[cells], ju[cells]] = -1.0
-    stack[mat, ju[cells], iu[cells]] = -1.0
+    stack[mat, iu[cells], ju[cells]] = -1
+    stack[mat, ju[cells], iu[cells]] = -1
+    return stack
+
+
+def _rho_values(table: _ClassTable, system: np.ndarray, patterns: np.ndarray) -> np.ndarray:
+    """Spectral radius of each signature (class system[i], non-tree pattern
+    patterns[i]), from one eigvalsh call over the whole stack."""
     try:
-        w = np.linalg.eigvalsh(stack)
+        w = np.linalg.eigvalsh(_signature_stack(table, system, patterns, np.float64))
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise SpectralError(f"batch eigensolver failed: {exc}") from exc
     return np.maximum(w[:, -1], -w[:, 0])
@@ -622,18 +612,14 @@ def _finalize(config, best, cands, counters, t0) -> SearchReport:
         )
     table = _class_table(config.n)
     seen = {}
-    last = None
-    for code, pattern, _val in survivors:
-        if code != last:
-            # survivors come sorted by class code: one canonical_form per class
-            last = code
-            c = bisect.bisect_left(table.codes, code)
-            nontree = _class_nontree(table, c)
-            canon, orders = canonical_form(table.adj[c])
-        g = _signature_graph(table.adj[c], nontree, pattern)
-        key = (canon, _least_switched_row(g, orders))
-        if key not in seen:
-            seen[key] = g
+    # survivors come sorted by class code: one canonical_form per class
+    for code, group in itertools.groupby(survivors, key=lambda cand: cand[0]):
+        c = bisect.bisect_left(table.codes, code)
+        patterns = np.array([p for _, p, _ in group], dtype=np.uint64)
+        canon, orders = canonical_form(table.adj[c])
+        for a in _signature_stack(table, np.full(len(patterns), c), patterns, np.int8):
+            g = SignedGraph(a)
+            seen.setdefault((canon, _least_switched_row(g, orders)), g)
     witnesses = [seen[k] for k in sorted(seen)]
     optimum = int(best) if config.objective == "MAX_EDGES" else best
     for w in witnesses:
@@ -753,23 +739,10 @@ def search(config: SearchConfig, *, progress=None) -> SearchReport:
 
 def _complete_signature_classes(n: int, forbidden: str) -> list[SignedGraph]:
     """All switching classes of signatures of K_n avoiding the forbidden triangle."""
-    adj = np.abs(build_complete(n, 1).adj).astype(bool)
-    nontree = _nontree_cells(adj)
-    solutions = _gf2_affine_solutions(_triangle_masks(adj, nontree), len(nontree),
-                                      forbidden == "C3_PLUS")
-    return [_signature_graph(adj, nontree, int(p)) for p in solutions]
-
-
-def _gf2_affine_solutions(masks: list[int], width: int, want_odd: bool) -> np.ndarray:
-    """Solutions of parity(x & mask) = want_odd for every mask, as bit patterns.
-
-    The one-graph case of _gf2_solve: returns the solutions of the affine GF(2)
-    system as an ascending uint64 array; with no masks every pattern of width
-    bits is a solution.
-    """
-    rows = np.array([[m | int(want_odd) << width for m in masks]], dtype=np.uint64)
-    span = _gf2_solve(rows, np.array([width]), width)
-    return _span_patterns(span, np.zeros(1, dtype=np.intp), False)[1]
+    table = _graph_table(~np.eye(n, dtype=bool))
+    row = np.zeros(1, dtype=np.intp)
+    system, patterns = _span_patterns(_table_span(table, row, forbidden), row, False)
+    return [SignedGraph(a) for a in _signature_stack(table, system, patterns, np.int8)]
 
 
 def _verify_t1_1(n: int) -> BoundReport:
@@ -950,6 +923,7 @@ def verify_theorem(name: str, n: int) -> BoundReport:
     key = name.upper().replace("-", "_")
     if key not in THEOREMS:
         raise ValueError(f"unknown theorem {name!r}; known: {', '.join(THEOREMS)}")
+    _check_n(n)
     if key == "T1_1":
         return _verify_t1_1(n)
     if key == "T1_2_EDGES":

@@ -215,7 +215,8 @@ def per_mask_neg_edge_maximum(g: SignedGraph):
 
 
 def row_loop_gf2_solutions(masks: list[int], width: int, want_odd: bool) -> np.ndarray:
-    """_gf2_affine_solutions by Gauss-Jordan elimination of one Python int per row."""
+    """Ascending solutions of parity(x & mask) = want_odd for every mask, by
+    Gauss-Jordan elimination of one Python int per row."""
     # rows augmented with a constant column at bit `width`; pivots are chosen
     # among the variable bits only
     rhs = 1 << width

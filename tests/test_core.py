@@ -155,6 +155,15 @@ class TestConnectivity:
     def test_single_vertex(self):
         assert is_connected(new_signed_graph(1, []))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_matches_every_labeled_graph(self, n):
+        connected = {adj.tobytes() for adj in connected_labeled_graphs(n)}
+        cells = list(itertools.combinations(range(n), 2))
+        for bits in range(1 << len(cells)):
+            g = new_signed_graph(n, [(i, j, 1) for b, (i, j) in enumerate(cells)
+                                     if bits >> b & 1])
+            assert is_connected(g) == (g.adj.astype(bool).tobytes() in connected)
+
 
 class TestBalance:
     def test_all_positive(self):

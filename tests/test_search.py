@@ -8,6 +8,7 @@ import pytest
 
 from signed_extremal.bounds import rho_bound
 from signed_extremal.core import (
+    SignedGraph,
     canonical_signed_code,
     canonical_switch,
     is_balanced,
@@ -23,20 +24,18 @@ from signed_extremal.families import (
 )
 from signed_extremal.search import (
     FORBIDDEN,
+    THEOREMS,
     SearchConfig,
-    _bitmap_to_adj,
     _canonical_children,
-    _class_nontree,
     _class_span,
     _class_table,
     _complete_signature_classes,
     _connected_class_bitmaps,
     _feasible_counts,
-    _gf2_affine_solutions,
-    _nontree_cells,
+    _graph_table,
+    _signature_stack,
     _span_patterns,
-    _signature_graph,
-    _triangle_masks,
+    _table_span,
     enumerate_signatures,
     enumerate_underlying,
     search,
@@ -107,6 +106,9 @@ class TestEnumerateUnderlying:
             list(enumerate_underlying(3))
         with pytest.raises(ValueError):
             list(enumerate_underlying(9))
+        for n in (5.0, np.int64(5)):
+            with pytest.raises(ValueError, match="n must be an int"):
+                list(enumerate_underlying(n))
 
     def test_reps_are_connected_and_pairwise_nonisomorphic(self):
         reps = [g.adj.astype(bool) for g in enumerate_underlying(5)]
@@ -144,8 +146,22 @@ class TestEnumerateSignatures:
         assert len(list(enumerate_signatures(build_complete(4, 1)))) == 8
 
     def test_disconnected_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="connected"):
             list(enumerate_signatures(new_signed_graph(3, [(0, 1, 1)])))
+
+    def test_long_cycle_keeps_its_non_tree_cell(self):
+        # the non-tree edge (15, 16) of C_30 is upper-triangle cell 330, which
+        # a uint8 cell table would wrap to cell 74, the non-edge (2, 20)
+        n = 30
+        sigs = list(enumerate_signatures(new_signed_graph(n, [(i, (i + 1) % n, 1)
+                                                              for i in range(n)])))
+        assert [g.neg_edge_count for g in sigs] == [0, 1]
+        assert [e for e in sigs[1].edges() if e[2] == -1] == [(15, 16, -1)]
+
+    def test_more_than_63_non_tree_edges_rejected(self):
+        # the rhs bit of a triangle equation must fit a uint64 mask
+        with pytest.raises(ValueError, match="66 non-tree edges"):
+            next(enumerate_signatures(build_complete(13, 1)))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_signatures_are_their_own_canonical_switch(self, n):
@@ -172,18 +188,33 @@ class TestEnumerateSignatures:
 class TestClassTable:
     @pytest.mark.parametrize("n", [4, 5, 6, 7])
     def test_rows_match_the_per_class_helpers(self, n):
+        # each row against its code and the definitions: negating non-tree bit
+        # b alone must give a graph that is its own canonical switch (the edge
+        # is off the tree canonical_switch pins), one distinct edge per bit in
+        # row-major order, whose negative triangles are those with mask bit b
         table = _class_table(n)
         assert table.codes == _connected_class_bitmaps(n)
+        iu, ju = np.triu_indices(n, 1)
+        ti, tj, tk = np.array(list(itertools.combinations(range(n), 3))).T
         for c, code in enumerate(table.codes):
-            adj = _bitmap_to_adj(code, n)
-            nontree = _nontree_cells(adj)
-            assert np.array_equal(table.adj[c], adj)
-            assert table.edges[c] == adj.sum() // 2
-            assert table.widths[c] == len(nontree)
-            assert _class_nontree(table, c) == nontree
-            present = table.tri_present[c]
-            assert table.tri_masks[c][present].tolist() == _triangle_masks(adj, nontree)
-            assert not table.tri_masks[c][~present].any()
+            adj = table.adj[c]
+            assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
+            assert int.from_bytes(np.packbits(adj[iu, ju]).tobytes(), "big") == code
+            edges = int(adj[iu, ju].sum())
+            k = int(table.widths[c])
+            assert table.edges[c] == edges and k == edges - n + 1
+            assert np.array_equal(table.tri_present[c], adj[ti, tj] & adj[ti, tk] & adj[tj, tk])
+            bits = np.arange(k, dtype=np.uint64)
+            sigs = _signature_stack(table, np.full(k, c), np.uint64(1) << bits, np.int8)
+            negated = []
+            for a in sigs:
+                g = SignedGraph(a)
+                assert np.array_equal(np.abs(a), adj) and canonical_switch(g) == g
+                negated += [(u, v) for u, v, sign in g.edges() if sign == -1]
+            assert negated == sorted(set(negated)) and len(negated) == k
+            negative = sigs[:, ti, tj] * sigs[:, ti, tk] * sigs[:, tj, tk] == -1
+            assert np.array_equal(negative, (table.tri_masks[c] >> bits[:, None]) & 1 == 1)
+            assert not table.tri_masks[c][~table.tri_present[c]].any()
 
     def test_blocks_concatenate_to_the_whole_table(self, monkeypatch, fresh_tables):
         whole = _class_table(6)
@@ -415,48 +446,49 @@ class TestGF2Solutions:
     def test_matches_brute_force(self):
         # every class at n = 4, 5 and K_6: the switching classes that avoid the
         # forbidden triangle, found by canonically switching every signature,
-        # are exactly the graphs built from the GF(2) solutions
+        # are exactly the graphs built from the GF(2) solutions of the one-row
+        # table of the class
         classes = [g.adj.astype(bool) for n in (4, 5) for g in enumerate_underlying(n)]
         classes.append(np.abs(build_complete(6, 1).adj).astype(bool))
+        row = np.zeros(1, dtype=np.intp)
         for adj in classes:
             sigs = list(all_signatures(adj))
             canon = [canonical_switch(g) for g in sigs]
             has, balanced = forbidden_and_balance_flags(np.array([g.adj for g in sigs]))
-            nontree = _nontree_cells(adj)
-            masks = _triangle_masks(adj, nontree)
-            for forbidden in ("C3_MINUS", "C3_PLUS", "NONE"):
-                sols = _gf2_affine_solutions(masks if forbidden != "NONE" else [],
-                                             len(nontree), forbidden == "C3_PLUS")
-                assert sols.dtype == np.uint64
-                assert np.all(sols[1:] > sols[:-1])
+            table = _graph_table(adj)
+            for forbidden in FORBIDDEN:
+                span = _table_span(table, row, forbidden)
                 for unbal in (True, False):
+                    system, pats = _span_patterns(span, row, unbal)
+                    assert pats.dtype == np.uint64
+                    assert np.all(pats[1:] > pats[:-1])
                     ok = ~has[forbidden] & ~(unbal & balanced)
                     brute = {c for c, keep in zip(canon, ok) if keep}
-                    # pattern 0 is the balanced class
-                    pats = sols[sols != 0] if unbal else sols
-                    ours = {_signature_graph(adj, nontree, int(p)) for p in pats}
-                    assert ours == brute, (forbidden, unbal)
-                    assert len(pats) == len(brute)
+                    ours = [SignedGraph(a) for a in
+                            _signature_stack(table, system, pats, np.int8)]
+                    assert set(ours) == brute, (forbidden, unbal)
+                    assert len(ours) == len(brute)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_stacked_elimination_matches_row_loop(self, n):
-        # every class, each forbidden triangle, with and without pattern 0
+        # every class, each forbidden triangle, with and without pattern 0;
+        # the one-row table of each class must give the same solutions
         table = _class_table(n)
         everything = np.arange(len(table.codes))
+        row = np.zeros(1, dtype=np.intp)
         for forbidden in FORBIDDEN:
             span = _class_span(n, forbidden)
+            alone = [_table_span(_graph_table(adj), row, forbidden) for adj in table.adj]
             for unbal in (True, False):
                 expect = []
-                for c, code in enumerate(table.codes):
-                    adj = _bitmap_to_adj(code, n)
-                    nontree = _nontree_cells(adj)
-                    masks = _triangle_masks(adj, nontree) if forbidden != "NONE" else []
-                    ref = row_loop_gf2_solutions(masks, len(nontree), forbidden == "C3_PLUS")
-                    assert np.array_equal(
-                        _gf2_affine_solutions(masks, len(nontree), forbidden == "C3_PLUS"), ref)
+                for c in everything:
+                    masks = table.tri_masks[c][table.tri_present[c]].tolist()
+                    ref = row_loop_gf2_solutions(masks if forbidden != "NONE" else [],
+                                                 int(table.widths[c]), forbidden == "C3_PLUS")
                     ref = ref[ref != 0] if unbal else ref
                     system, pats = _span_patterns(span, np.array([c]), unbal)
                     assert pats.tolist() == ref.tolist() and (system == c).all()
+                    assert _span_patterns(alone[c], row, unbal)[1].tolist() == ref.tolist()
                     assert _feasible_counts(span, np.array([c]), unbal)[0] == len(ref)
                     expect += [(c, p) for p in ref.tolist()]
                 system, pats = _span_patterns(span, everything, unbal)
@@ -464,19 +496,29 @@ class TestGF2Solutions:
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_complete_graphs_match_row_loop(self, n):
-        adj = np.abs(build_complete(n, 1).adj).astype(bool)
-        nontree = _nontree_cells(adj)
-        masks = _triangle_masks(adj, nontree)
+        table = _graph_table(~np.eye(n, dtype=bool))
+        width = n * (n - 1) // 2 - n + 1
+        assert table.widths[0] == width
+        # the rhs of a triangle equation is bit `width`
+        assert table.tri_masks.dtype == (np.uint32 if width < 32 else np.uint64)
+        row = np.zeros(1, dtype=np.intp)
         for forbidden in FORBIDDEN:
-            args = (masks if forbidden != "NONE" else [], len(nontree), forbidden == "C3_PLUS")
-            if forbidden == "NONE" and len(nontree) > 21:
+            span = _table_span(table, row, forbidden)
+            args = (table.tri_masks[0].tolist() if forbidden != "NONE" else [], width,
+                    forbidden == "C3_PLUS")
+            if forbidden == "NONE" and width > 21:
                 with pytest.raises(ValueError, match="too large"):
-                    _gf2_affine_solutions(*args)
+                    _span_patterns(span, row, False)
                 with pytest.raises(ValueError, match="too large"):
                     row_loop_gf2_solutions(*args)
-            else:
-                assert np.array_equal(_gf2_affine_solutions(*args),
-                                      row_loop_gf2_solutions(*args))
+                continue
+            system, pats = _span_patterns(span, row, False)
+            assert np.array_equal(pats, row_loop_gf2_solutions(*args))
+            if forbidden != "NONE":
+                # by definition, no solution has a triangle of the forbidden sign
+                has, _ = forbidden_and_balance_flags(
+                    _signature_stack(table, system, pats, np.int8))
+                assert not has[forbidden].any()
 
     def test_complete_signature_classes(self):
         classes = _complete_signature_classes(5, "C3_MINUS")
@@ -513,6 +555,11 @@ class TestVerifyTheorem:
         rep = verify_theorem("L2_2", 5)
         assert rep.passed and rep.observed == 6
 
+    def test_l2_2_largest_order(self):
+        # K_12 has 55 non-tree edges, past the 32 bits of the class tables
+        rep = verify_theorem("L2_2", 12)
+        assert rep.passed and rep.observed == 36
+
     def test_l3_6_order(self):
         rep = verify_theorem("L3_6_ORDER", 10)
         assert rep.passed
@@ -520,6 +567,12 @@ class TestVerifyTheorem:
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown theorem"):
             verify_theorem("T9_9", 5)
+
+    @pytest.mark.parametrize("n", [5.0, np.int64(5)], ids=["float", "int64"])
+    @pytest.mark.parametrize("name", THEOREMS)
+    def test_non_int_n_rejected(self, name, n):
+        with pytest.raises(ValueError, match="n must be an int"):
+            verify_theorem(name, n)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
