@@ -80,7 +80,14 @@ def make_bound_report(name: str, n: int, bound, observed, witness=None,
     )
 
 
+def _check_n(n) -> None:
+    # bool is a subclass of int; numpy integers are not ints
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"n must be an int, got {n!r}")
+
+
 def _check_order(n: int):
+    _check_n(n)
     if n < 4:
         raise ValueError(f"bound defined for n >= 4, got {n}")
 

@@ -256,7 +256,7 @@ def _cmd_search(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    rep = verify_theorem(args.theorem, args.n)
+    rep = verify_theorem(args.theorem, args.n, progress=_make_progress())
     if args.format == "json":
         _emit(rep.to_json(), out)
     elif args.format == "csv":

@@ -12,6 +12,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -328,30 +329,68 @@ def _triu_cells(n: int):
     return iu, ju
 
 
-def refined_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
-    """Vertex classes under iterated neighbor-multiset (degree) refinement.
+class Labelling(NamedTuple):
+    """Canonical labelling of a stack of G unsigned graphs (canonical_forms)."""
 
-    Class order is an isomorphism invariant: colors start as degree ranks and
-    each round re-ranks (color, sorted neighbor colors) keys, so isomorphic
-    graphs produce corresponding classes in the same order.
+    codes: list[int]        # canonical bitmap of each graph
+    orders: np.ndarray      # (rows, n) optimal orders, graph by graph
+    counts: np.ndarray      # (G,) optimal orders of each graph
+    colours: np.ndarray     # (G, n) refined colour of each vertex
+
+
+def refined_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
+    """Vertex classes under colour refinement, in colour order: the one-graph
+    view of canonical_forms. Colours start as degree ranks and each round
+    re-ranks (colour, sorted neighbour colours), so isomorphic graphs get
+    corresponding classes in the same order."""
+    colours = canonical_forms(adj_bool[None]).colours[0]
+    return [np.flatnonzero(colours == c).tolist() for c in range(colours.max() + 1)]
+
+
+def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
+    """The canonical bitmap of one graph and its optimal orders (canonical_forms)."""
+    lab = canonical_forms(adj_bool[None])
+    return lab.codes[0], lab.orders
+
+
+def _dense_ranks(keys: np.ndarray) -> np.ndarray:
+    """The rank of each row keys[g, v] among the distinct rows of graph g, in
+    lexicographic order: a (G, n, width) integer stack gives (G, n) ranks."""
+    g, n, width = keys.shape
+    flat = keys.reshape(g * n, width)
+    # the graph is the primary key, so graph g fills sorted rows g*n .. g*n+n-1
+    order = np.lexsort((*flat.T[::-1], np.arange(g * n) // n))
+    rows = flat[order]
+    new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
+    new[::n] = True
+    run = np.cumsum(new)
+    ranks = np.empty(g * n, dtype=np.intp)
+    ranks[order] = run - np.repeat(run[::n], n)
+    return ranks.reshape(g, n)
+
+
+def _refine(adj: np.ndarray) -> np.ndarray:
+    """Colours (G, n) of a bool adjacency stack under colour refinement.
+
+    Colours start as degree ranks; each round ranks (colour, sorted neighbour
+    colours) within each graph until no class splits. Within a colour class
+    all degrees are equal, so comparing sorted neighbour-colour tuples is
+    comparing the neighbour-colour counts in descending order: a round ranks
+    the rows (colour, -counts) with counts = adj @ onehot(colours).
     """
-    nbrs = [[u for u, x in enumerate(row) if x] for row in adj_bool.tolist()]
-    degs = [len(nb) for nb in nbrs]
-    ranks = {d: r for r, d in enumerate(sorted(set(degs)))}
-    colors = [ranks[d] for d in degs]
-    count = len(ranks)
-    while True:
-        keys = [(colors[v], tuple(sorted([colors[u] for u in nb])))
-                for v, nb in enumerate(nbrs)]
-        ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
-        colors = [ranks[k] for k in keys]
-        if len(ranks) == count:
-            break
-        count = len(ranks)
-    classes: dict[int, list[int]] = {}
-    for v, c in enumerate(colors):
-        classes.setdefault(c, []).append(v)
-    return [classes[c] for c in sorted(classes)]
+    n = adj.shape[1]
+    a = adj.astype(np.uint8)
+    colours = _dense_ranks(a.sum(axis=2, dtype=np.intp)[:, :, None])
+    active = np.flatnonzero(colours.max(axis=1) < n - 1)
+    while len(active):
+        col = colours[active]
+        counts = a[active] @ (col[:, :, None] == np.arange(col.max() + 1)).astype(np.uint8)
+        new = _dense_ranks(np.concatenate((col[:, :, None], -counts.astype(np.intp)), axis=2))
+        colours[active] = new
+        # a partition that did not split is stable; a discrete one cannot split
+        top = new.max(axis=1)
+        active = active[(top > col.max(axis=1)) & (top < n - 1)]
+    return colours
 
 
 @lru_cache(maxsize=None)
@@ -362,62 +401,89 @@ def _permutation_table(k: int) -> np.ndarray:
     return table
 
 
-def _candidate_orders(classes) -> np.ndarray:
-    """All vertex orders that respect the refined class order, as an array.
-
-    Rows follow itertools.product over the per-class permutations: the first
-    class varies slowest.
-    """
-    sizes = [math.factorial(len(c)) for c in classes]
-    total = math.prod(sizes)
-    orders = np.empty((total, sum(len(c) for c in classes)), dtype=np.intp)
-    before, col = 1, 0
-    for c, size in zip(classes, sizes):
-        k = len(c)
-        after = total // (before * size)
-        # a view of orders: [earlier classes, this class, later classes, vertex]
-        blocks = orders.reshape(before, size, after, -1)
-        blocks[:, :, :, col:col + k] = np.asarray(c, dtype=np.intp)[
-            _permutation_table(k)][None, :, None, :]
-        before *= size
-        col += k
+def _candidate_orders(sizes) -> np.ndarray:
+    """Every order of range(sum(sizes)) that keeps each run of consecutive
+    positions, of the given sizes, in place; rows follow itertools.product
+    over the per-run permutations, the first run varying slowest."""
+    orders = np.arange(sum(sizes))[None]
+    for start, k in zip(itertools.accumulate(sizes, initial=0), sizes):
+        if k > 1:
+            orders = np.repeat(orders, math.factorial(k), axis=0)
+            orders[:, start:start + k] = np.tile(start + _permutation_table(k),
+                                                 (len(orders) // math.factorial(k), 1))
     return orders
 
 
-def _minimal_rows(values: np.ndarray) -> np.ndarray:
-    """Indices of rows equal to the lexicographic minimum row, ascending."""
-    rows = np.arange(values.shape[0])
-    for j in range(values.shape[1]):
-        if len(rows) == 1:
-            break
-        col = values[rows, j]
-        rows = rows[col == col.min()]
+def _least_rows(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Indices, ascending, of the uint8 rows that equal the lexicographically
+    least row of their owner; owner is ascending."""
+    # zero-padded to big-endian uint64 words, rows compare as their bytes do
+    words = np.zeros((len(values), -(-values.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, :values.shape[1]] = values
+    words = words.view(">u8")
+    rows = np.arange(len(owner))
+    for w in range(words.shape[1]):
+        own = owner[rows]
+        first = np.concatenate(([True], own[1:] != own[:-1]))
+        col = words[rows, w]
+        rows = rows[col == np.minimum.reduceat(col, np.flatnonzero(first))[np.cumsum(first) - 1]]
     return rows
 
 
-def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
-    """Canonical bitmap of an unsigned graph and the orders achieving it.
+def canonical_forms(adj: np.ndarray) -> Labelling:
+    """Canonical bitmaps of a (G, n, n) bool stack of G >= 1 unsigned graphs
+    and the orders achieving them.
 
-    The bitmap is the lexicographically smallest upper-triangle bit string over
-    all class-respecting relabelings, packed into a Python int (MSB first).
+    A graph's bitmap is the least upper-triangle bit string over all orders
+    that respect its refined colour classes, packed into a Python int (MSB
+    first). Graphs with the same class sizes share one template of candidate
+    orders over their vertices sorted by colour; candidates are gathered about
+    _ORDER_CHUNK rows at a time, and come out in template order.
     """
-    n = adj_bool.shape[0]
-    if n == 1:
-        return 0, np.zeros((1, 1), dtype=np.intp)
-    classes = refined_color_classes(adj_bool)
-    orders = _candidate_orders(classes)
+    g, n = adj.shape[:2]
+    colours = _refine(adj)
+    by_colour = np.argsort(colours, axis=1, kind="stable")
+    # each graph with its vertices sorted by colour, flattened
+    flat = adj[np.arange(g)[:, None, None], by_colour[:, :, None],
+               by_colour[:, None, :]].reshape(-1)
+    # the class sizes of each graph, in colour order
+    sizes = (colours[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.uint8)
+    groups: dict[bytes, list[int]] = {}
+    for i, sig in enumerate(map(bytes, sizes)):
+        groups.setdefault(sig, []).append(i)
     iu, ju = _triu_cells(n)
-    # bytes compare in the same order as the bit strings they pack
-    packed = np.packbits(adj_bool[orders[:, iu], orders[:, ju]], axis=1)
-    mins = _minimal_rows(packed)
-    code = int.from_bytes(packed[mins[0]].tobytes(), "big")
-    return code, orders[mins]
+    kept = []
+    for sig, members in groups.items():
+        members = np.array(members)
+        template = _candidate_orders([k for k in sig if k])
+        per = max(1, _ORDER_CHUNK // len(template))
+        for lo in range(0, len(template), _ORDER_CHUNK):
+            part = template[lo:lo + _ORDER_CHUNK]
+            cells = part[:, iu] * n + part[:, ju]
+            for b in range(0, len(members), per):
+                batch = members[b:b + per]
+                bits = flat[(batch * (n * n))[:, None, None] + cells]
+                packed = np.packbits(bits.reshape(len(batch) * len(part), len(iu)), axis=1)
+                owner = np.repeat(batch, len(part))
+                rows = _least_rows(owner, packed)
+                kept.append((owner[rows], packed[rows],
+                             by_colour[owner[rows, None], part[rows % len(part)]]))
+    owner, packed, orders = (np.concatenate(parts) for parts in zip(*kept))
+    if len(kept) > 1:
+        # each graph's rows are in candidate order; gather them graph by graph
+        by_graph = np.argsort(owner, kind="stable")
+        owner, packed, orders = owner[by_graph], packed[by_graph], orders[by_graph]
+        rows = _least_rows(owner, packed)
+        owner, packed, orders = owner[rows], packed[rows], orders[rows]
+    counts = np.bincount(owner, minlength=g)
+    codes = [int.from_bytes(row.tobytes(), "big") for row in packed[np.cumsum(counts) - counts]]
+    return Labelling(codes, orders, counts, colours)
 
 
 def _min_sign_row(vals: np.ndarray) -> bytes:
     """The least row of a stack of sign rows, -1/0/+1 compared as bytes 2/0/1."""
     vals = np.where(vals == -1, 2, vals).astype(np.uint8)
-    return vals[_minimal_rows(vals)[0]].tobytes()
+    return vals[_least_rows(np.zeros(len(vals), dtype=np.intp), vals)[0]].tobytes()
 
 
 def canonical_signed_code(g: SignedGraph) -> tuple[int, bytes]:

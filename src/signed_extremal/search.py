@@ -7,13 +7,13 @@ radius, or negative edges at maximum edge count, and theorem verifiers match
 the maximizers against the named constructions.
 
 The classes are grown one vertex at a time by canonical augmentation (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998). A class on n
-vertices is extended by one attachment mask per orbit of its automorphism
-group. A child G is kept only if its new vertex may be canonically deleted:
-among the non-cut vertices that maximize (-degree, sorted neighbour degrees),
-it must share an orbit with the one that gets the smallest canonical label.
-Each class then arises exactly once, from the class of G minus that vertex.
-Each kept class is stored as its canonical bitmap.
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998), a whole level
+per pass in numpy blocks of _TABLE_BLOCK graphs. The automorphisms of the
+classes on n - 1 vertices give one attachment mask per orbit. A child G is
+kept if its new vertex may be canonically deleted: among the non-cut vertices
+that maximize (-degree, sorted neighbour degrees), it must share an orbit with
+the one that gets the smallest label in core.canonical_forms, which labels a
+block at once. Each class then arises once, stored as its canonical bitmap.
 
 The signatures of a class are the 2^k sign patterns on its k edges off the
 canonical spanning tree. With the tree pinned +1, the sign of a triangle is
@@ -51,6 +51,7 @@ from ._render import json_scalar
 from .bounds import (
     SPECTRAL_SLACK,
     BoundReport,
+    _check_n,
     edge_bound,
     neg_edge_bound,
     rho_bound,
@@ -61,6 +62,7 @@ from .core import (
     _least_switched_row,
     _triu_cells,
     canonical_form,
+    canonical_forms,
     find_signed_triangles,
     is_balanced,
     is_connected,
@@ -100,12 +102,6 @@ _EIG_BATCH = 8192
 # bounds their transient arrays
 _TABLE_BLOCK = 1024
 _SWITCH_CHUNK = 4096
-
-
-def _check_n(n) -> None:
-    # bool is a subclass of int; numpy integers are not ints
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"n must be an int, got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -188,71 +184,68 @@ def _orbit_masks(auts: np.ndarray, m: int) -> list[int]:
     return masks[images.min(axis=1) == masks].tolist()
 
 
-def _is_cut_vertex(nbrs: list[int], v: int) -> bool:
-    """True iff deleting v disconnects the graph given as neighbour bitmasks."""
-    rest = ((1 << len(nbrs)) - 1) & ~(1 << v)
-    seen = frontier = rest & -rest
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= nbrs[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & rest & ~seen
-        seen |= frontier
-    return seen != rest
-
-
-def _deletion_set(nbrs: list[int]) -> list[int] | None:
-    """M(G), the non-cut vertices maximizing (-degree, sorted neighbour
-    degrees), or None when the last vertex of G is not in it."""
-    n = len(nbrs)
-    degs = [nb.bit_count() for nb in nbrs]
-
-    def key(v):
-        return -degs[v], sorted([degs[u] for u in range(n) if nbrs[v] >> u & 1])
-
-    new = key(n - 1)
-    # the last vertex is never a cut vertex: deleting it leaves the parent
-    tied = [n - 1]
-    for v in range(n - 1):
-        if degs[v] > degs[-1]:
-            continue
-        other = key(v)
-        if other >= new and not _is_cut_vertex(nbrs, v):
-            if other > new:
-                return None
-            tied.append(v)
-    return tied
+def _deletion_sets(adj: np.ndarray) -> np.ndarray:
+    """M(G) of each graph of a bool stack, as a (G, n) mask that is all False
+    where the last vertex is not in M(G): the non-cut vertices maximizing
+    (-degree, sorted neighbour degrees). The last vertex is never a cut
+    vertex, since deleting it leaves the parent."""
+    n = adj.shape[1]
+    degs = adj.sum(axis=2)
+    # the key as one integer of base n + 1 digits, exact for n <= 15: n -
+    # degree, then the neighbour degrees ascending, padded with n
+    weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = np.sort(np.where(adj, degs[:, None, :], n), axis=2)[:, :, :-1]
+    key = (n - degs) * weights[0] + digits @ weights[1:]
+    rivals = key >= key[:, -1:]
+    child, v = np.nonzero(rivals[:, :-1])
+    # the vertices of G - v reachable from its least vertex, as bitmasks
+    nbrs = (adj.astype(np.int64) @ (np.int64(1) << np.arange(n)))[child]
+    rest = ((1 << n) - 1) ^ (np.int64(1) << v)
+    seen = rest & -rest
+    for _ in range(n - 2):
+        on = ((seen[:, None] >> np.arange(n)) & 1).astype(bool)
+        seen |= np.bitwise_or.reduce(np.where(on, nbrs, 0), axis=1) & rest
+    rivals[child, v] = seen == rest
+    in_set = rivals & (key == key[:, -1:])
+    in_set[(rivals & (key > key[:, -1:])).any(axis=1)] = False
+    return in_set
 
 
 def _canonical_children(n: int) -> list[int]:
     """Codes of the children of every (n-1)-vertex class that pass McKay's
     canonical deletion test, in generation order."""
     m = n - 1
+    parents = _codes_to_adj(_connected_class_bitmaps(m), m)
+    # the parents are stored in canonical form, so the orders that attain
+    # their own bitmaps are exactly their automorphisms
+    owner, masks = [], []
+    for lo in range(0, len(parents), _TABLE_BLOCK):
+        lab = canonical_forms(parents[lo:lo + _TABLE_BLOCK])
+        for p, auts in enumerate(np.split(lab.orders, np.cumsum(lab.counts)[:-1]), lo):
+            orbit = _orbit_masks(auts, m)
+            owner += [p] * len(orbit)
+            masks += orbit
+    bits = ((np.array(masks, dtype=np.int64)[:, None] >> np.arange(m)) & 1).astype(bool)
+    # the children whose new vertex is in M(G), with M(G)
+    kids = []
+    for lo in range(0, len(owner), _TABLE_BLOCK):
+        adj = np.pad(parents[owner[lo:lo + _TABLE_BLOCK]], ((0, 0), (0, 1), (0, 1)))
+        adj[:, m, :m] = adj[:, :m, m] = bits[lo:lo + _TABLE_BLOCK]
+        in_set = _deletion_sets(adj)
+        kids.append((adj[in_set[:, m]], in_set[in_set[:, m]]))
+    kids, sets = map(np.concatenate, zip(*kids))
     children = []
-    for parent in _codes_to_adj(_connected_class_bitmaps(m), m):
-        # the parent is stored in canonical form, so the orders that attain
-        # its own bitmap are exactly its automorphisms
-        auts = canonical_form(parent)[1]
-        nbrs = (parent.astype(np.int64) @ (np.int64(1) << np.arange(m))).tolist()
-        adj = np.zeros((n, n), dtype=bool)
-        adj[:m, :m] = parent
-        for mask in _orbit_masks(auts, m):
-            child = [nb | (mask >> v & 1) << m for v, nb in enumerate(nbrs)]
-            deletable = _deletion_set(child + [mask])
-            if deletable is None:
-                continue
-            adj[m, :m] = adj[:m, m] = (mask >> np.arange(m)) & 1
-            code, orders = canonical_form(adj)
-            # a vertex's canonical label is its position in an optimal order;
-            # accept iff the new vertex shares an orbit with the vertex of
-            # M(G) that gets the smallest label
-            in_set = np.zeros(n, dtype=bool)
-            in_set[deletable] = True
-            if ((orders == m).argmax(axis=1).min()
-                    == in_set[orders].argmax(axis=1).min()):
-                children.append(code)
+    for lo in range(0, len(kids), _TABLE_BLOCK):
+        lab = canonical_forms(kids[lo:lo + _TABLE_BLOCK])
+        # a vertex's canonical label is its position in an optimal order;
+        # accept iff the new vertex shares an orbit with the vertex of M(G)
+        # that gets the smallest label
+        row_owner = np.repeat(np.arange(len(lab.counts)), lab.counts)
+        starts = np.cumsum(lab.counts) - lab.counts
+        new_label = (lab.orders == m).argmax(axis=1)
+        set_label = sets[lo + row_owner[:, None], lab.orders].argmax(axis=1)
+        accept = np.minimum.reduceat(new_label, starts) == np.minimum.reduceat(set_label, starts)
+        children += itertools.compress(lab.codes, accept)
     return children
 
 
@@ -772,8 +765,8 @@ def _verify_t1_1(n: int) -> BoundReport:
     return rep
 
 
-def _verify_t1_2_edges(n: int) -> BoundReport:
-    rep = search(SearchConfig(n=n, objective="MAX_EDGES"))
+def _verify_t1_2_edges(n: int, progress) -> BoundReport:
+    rep = search(SearchConfig(n=n, objective="MAX_EDGES"), progress=progress)
     bound = edge_bound(n)
     matched = all(m is not None and m.startswith("gst(") for m in rep.matched_family)
     passed = rep.optimum == bound and len(rep.witnesses) > 0 and matched
@@ -792,12 +785,13 @@ def _verify_t1_2_edges(n: int) -> BoundReport:
     return out
 
 
-def _verify_t1_2_neg(n: int) -> BoundReport:
+def _verify_t1_2_neg(n: int, progress) -> BoundReport:
     if not (4 <= n <= 16):
         raise ValueError("T1_2_NEG verification supports 4 <= n <= 16")
     bound = neg_edge_bound(n)
     if n <= _MAX_N:
-        rep = search(SearchConfig(n=n, objective="MAX_NEG_EDGES_AT_MAX_EDGES"))
+        rep = search(SearchConfig(n=n, objective="MAX_NEG_EDGES_AT_MAX_EDGES"),
+                     progress=progress)
         observed = rep.optimum
         maximizers = rep.witnesses
         hits = sum(1 for m in rep.matched_family if m == "gst-maxneg")
@@ -829,8 +823,8 @@ def _verify_t1_2_neg(n: int) -> BoundReport:
     )
 
 
-def _verify_t1_3(n: int) -> BoundReport:
-    rep = search(SearchConfig(n=n, objective="MAX_RHO"))
+def _verify_t1_3(n: int, progress) -> BoundReport:
+    rep = search(SearchConfig(n=n, objective="MAX_RHO"), progress=progress)
     bound = rho_bound(n)
     expect = f"gst(1,{n - 3})"
     passed = (
@@ -918,20 +912,16 @@ def _verify_l3_6_order(n: int) -> BoundReport:
     )
 
 
-def verify_theorem(name: str, n: int) -> BoundReport:
-    """Verify one of the named statements at order n; `passed` is the verdict."""
+def verify_theorem(name: str, n: int, *, progress=None) -> BoundReport:
+    """Verify one of the named statements at order n; `passed` is the verdict.
+    `progress` gets search's per-level dicts when T1_2_EDGES, T1_3 or
+    T1_2_NEG (n <= 8) enumerate."""
     key = name.upper().replace("-", "_")
     if key not in THEOREMS:
         raise ValueError(f"unknown theorem {name!r}; known: {', '.join(THEOREMS)}")
     _check_n(n)
-    if key == "T1_1":
-        return _verify_t1_1(n)
-    if key == "T1_2_EDGES":
-        return _verify_t1_2_edges(n)
-    if key == "T1_2_NEG":
-        return _verify_t1_2_neg(n)
-    if key == "T1_3":
-        return _verify_t1_3(n)
-    if key == "L2_2":
-        return _verify_l2_2(n)
-    return _verify_l3_6_order(n)
+    enumerating = {"T1_2_EDGES": _verify_t1_2_edges, "T1_2_NEG": _verify_t1_2_neg,
+                   "T1_3": _verify_t1_3}
+    if key in enumerating:
+        return enumerating[key](n, progress)
+    return {"T1_1": _verify_t1_1, "L2_2": _verify_l2_2, "L3_6_ORDER": _verify_l3_6_order}[key](n)

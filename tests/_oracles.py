@@ -3,10 +3,11 @@
 Everything here deliberately avoids the library's own algorithms: sign
 recomputation by definition, cycle enumeration by DFS, isomorphism by scanning
 every permutation, balance by trying every spin assignment. The exceptions are
-the last three functions: the per-order and per-mask loops that the batched
-canonical_signed_code and switching_neg_edge_maximum replaced, and the row
-loop that the stacked GF(2) elimination replaced, kept as references that must
-agree with them exactly.
+the last five functions: the per-order and per-mask loops that the batched
+canonical_signed_code and switching_neg_edge_maximum replaced, the row loop
+that the stacked GF(2) elimination replaced, and the per-graph colour
+refinement and canonical deletion test that the level-wide numpy passes
+replaced, kept as references that must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -107,6 +108,25 @@ def connected_labeled_graphs(n: int):
                     stack.append(u)
         if len(seen) == n:
             yield adj
+
+
+def labeled_graph_stack(n: int) -> np.ndarray:
+    """Every labeled graph on n vertices, as a (2^C(n,2), n, n) bool stack;
+    bit b of the row index sets the b-th upper-triangle cell, row by row."""
+    cells = list(itertools.combinations(range(n), 2))
+    index = np.arange(1 << len(cells))
+    adj = np.zeros((len(index), n, n), dtype=bool)
+    for b, (i, j) in enumerate(cells):
+        adj[:, i, j] = adj[:, j, i] = (index >> b) & 1
+    return adj
+
+
+def brute_automorphisms(adj: np.ndarray) -> set[tuple[int, ...]]:
+    """Every permutation p with adj[p][:, p] == adj, by scanning all n! of them."""
+    n = adj.shape[0]
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+    moved = adj[perms[:, :, None], perms[:, None, :]]
+    return {tuple(p) for p in perms[(moved == adj).all(axis=(1, 2))].tolist()}
 
 
 def connected_graphs_up_to_isomorphism(n: int):
@@ -256,3 +276,49 @@ def row_loop_gf2_solutions(masks: list[int], width: int, want_odd: bool) -> np.n
     for b in basis:
         out = np.concatenate((out, out ^ np.uint64(b)))
     return np.sort(out)
+
+
+def tuple_sorting_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
+    """Colour refinement of one graph by sorting (colour, sorted neighbour
+    colours) tuples: colours start as degree ranks and each round ranks the
+    distinct tuples, until no class splits. Classes in colour order."""
+    nbrs = [[u for u, x in enumerate(row) if x] for row in adj_bool.tolist()]
+    degs = [len(nb) for nb in nbrs]
+    ranks = {d: r for r, d in enumerate(sorted(set(degs)))}
+    colors = [ranks[d] for d in degs]
+    count = len(ranks)
+    while True:
+        keys = [(colors[v], tuple(sorted(colors[u] for u in nb)))
+                for v, nb in enumerate(nbrs)]
+        ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
+        colors = [ranks[k] for k in keys]
+        if len(ranks) == count:
+            break
+        count = len(ranks)
+    return [[v for v in range(len(nbrs)) if colors[v] == c] for c in range(count)]
+
+
+def per_child_deletion_set(adj_bool: np.ndarray) -> list[int] | None:
+    """M(G) by definition: the non-cut vertices that maximize (-degree, sorted
+    neighbour degrees), ascending, or None when the last vertex is not in it.
+    A cut vertex is found by deleting it and searching the rest."""
+    n = adj_bool.shape[0]
+    nbrs = [[u for u, x in enumerate(row) if x] for row in adj_bool.tolist()]
+
+    def key(v):
+        return -len(nbrs[v]), sorted(len(nbrs[u]) for u in nbrs[v])
+
+    def is_cut(v):
+        rest = [u for u in range(n) if u != v]
+        seen, stack = {rest[0]}, [rest[0]]
+        while stack:
+            for u in nbrs[stack.pop()]:
+                if u != v and u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        return len(seen) != len(rest)
+
+    candidates = [v for v in range(n) if not is_cut(v)]
+    best = max(key(v) for v in candidates)
+    chosen = [v for v in candidates if key(v) == best]
+    return chosen if n - 1 in chosen else None

@@ -48,6 +48,13 @@ class TestClosedFormBounds:
         with pytest.raises(ValueError):
             fn(3)
 
+    @pytest.mark.parametrize("fn", [edge_bound, neg_edge_bound, rho_bound])
+    @pytest.mark.parametrize("n", [5.0, np.int64(5), True])
+    def test_non_int_n_rejected(self, fn, n):
+        # edge_bound(5.0) used to return 7.0 and rho_bound(5.0) 2.56
+        with pytest.raises(ValueError, match="n must be an int"):
+            fn(n)
+
     def test_bounds_met_with_equality_by_constructions(self):
         for n in range(4, 15):
             s = (n - 2) // 2

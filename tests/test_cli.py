@@ -12,7 +12,7 @@ from signed_extremal.cli import run
 from signed_extremal.core import canonical_switch
 from signed_extremal.families import build_gst
 from signed_extremal.graphio import format_graph, parse_graph
-from signed_extremal.search import SearchConfig, search
+from signed_extremal.search import SearchConfig, search, verify_theorem
 from signed_extremal.spectral import eigenvalues, spectrum_to_json
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "docs" / "schemas"
@@ -261,3 +261,30 @@ class TestUsage:
                              r"\(\d+\.\d{3}s\)", line).groups() for line in lines[:6]] == [
             ("1", "1"), ("1", "2"), ("2", "3"), ("6", "4"), ("21", "5"), ("112", "6")]
         assert lines[6].startswith("wall_time: ")
+
+    def test_verify_progress_per_enumeration_level(self, capsys):
+        # connected graphs on 1..6 vertices (OEIS A001349), once per level and
+        # verifier, cold or warm; stdout is the report alone
+        module = sys.modules[search.__module__]
+        for cache in (module._connected_class_bitmaps, module._class_table,
+                      module._class_span):
+            cache.cache_clear()
+        levels = [{"vertices": k, "classes": c}
+                  for k, c in enumerate([1, 1, 2, 6, 21, 112], start=1)]
+        for theorem in ("T1_2_EDGES", "T1_3", "T1_2_NEG"):
+            seen = []
+            rep = verify_theorem(theorem, 6, progress=seen.append)
+            assert seen == levels
+            assert rep.to_json() == verify_theorem(theorem, 6).to_json()
+            capsys.readouterr()
+            code, text = run_cli("verify", "--theorem", theorem.lower(), "--n", "6",
+                                 "--format", "json")
+            assert code == 0 and text == rep.to_json() + "\n"
+            lines = capsys.readouterr().err.splitlines()
+            assert [re.fullmatch(r"progress: (\d+) classes on (\d+) vertices "
+                                 r"\(\d+\.\d{3}s\)", line).groups() for line in lines] == [
+                ("1", "1"), ("1", "2"), ("2", "3"), ("6", "4"), ("21", "5"), ("112", "6")]
+        # the other verifiers enumerate nothing and stay silent
+        seen = []
+        verify_theorem("T1_1", 6, progress=seen.append)
+        assert seen == []

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -6,6 +7,9 @@ import pytest
 
 from signed_extremal.core import (
     SignedGraph,
+    _triu_cells,
+    canonical_form,
+    canonical_forms,
     canonical_switch,
     canonical_signed_code,
     counts,
@@ -16,6 +20,7 @@ from signed_extremal.core import (
     negate,
     new_signed_graph,
     permute,
+    refined_color_classes,
     shortest_unbalanced_cycle,
     switch,
     switching_equivalent,
@@ -32,12 +37,15 @@ from _oracles import (
     all_labeled_signed_graphs,
     all_signatures,
     all_simple_cycles,
+    brute_automorphisms,
     brute_is_balanced,
     brute_switch,
     connected_labeled_graphs,
     forbidden_and_balance_flags,
+    labeled_graph_stack,
     per_order_signed_code,
     seeded_signed_graphs,
+    tuple_sorting_color_classes,
 )
 
 
@@ -400,3 +408,91 @@ class TestCanonicalCode:
         g = new_signed_graph(5, [(u, v, -1 if (u, v) in ((0, 1), (2, 3)) else 1)
                                  for u, v in itertools.combinations(range(5), 2)])
         assert canonical_signed_code(g) == per_order_signed_code(g)
+
+
+@functools.lru_cache(maxsize=None)
+def labelling_of_every_graph(n):
+    """Every labeled graph on n vertices and its canonical_forms labelling."""
+    adj = labeled_graph_stack(n)
+    return adj, canonical_forms(adj)
+
+
+def colour_classes(colours):
+    return [np.flatnonzero(colours == c).tolist() for c in range(colours.max() + 1)]
+
+
+def seeded_unsigned_stack(seed, n, count):
+    return np.array([g.adj != 0 for g in seeded_signed_graphs(seed, n, count)])
+
+
+def graph_orders(lab, g):
+    start = int(lab.counts[:g].sum())
+    return lab.orders[start:start + lab.counts[g]]
+
+
+class TestCanonicalForms:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_colour_classes_match_tuple_sorting_on_every_graph(self, n):
+        adj, lab = labelling_of_every_graph(n)
+        for a, colours in zip(adj, lab.colours):
+            assert colour_classes(colours) == tuple_sorting_color_classes(a)
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_colour_classes_match_tuple_sorting_on_random_graphs(self, n):
+        adj = seeded_unsigned_stack(300 + n, n, 200)
+        lab = canonical_forms(adj)
+        for a, colours in zip(adj, lab.colours):
+            assert colour_classes(colours) == tuple_sorting_color_classes(a)
+            assert refined_color_classes(a) == tuple_sorting_color_classes(a)
+
+    @pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34),
+                                           (6, 156)])
+    def test_counts_isomorphism_classes(self, n, classes):
+        # graphs on n vertices up to isomorphism (OEIS A000088)
+        assert len(set(labelling_of_every_graph(n)[1].codes)) == classes
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_codes_invariant_under_relabeling(self, n):
+        adj = seeded_unsigned_stack(400 + n, n, 40)
+        rng = np.random.default_rng(n)
+        perms = np.array([rng.permutation(n) for _ in adj])
+        moved = adj[np.arange(len(adj))[:, None, None], perms[:, :, None], perms[:, None, :]]
+        assert canonical_forms(moved).codes == canonical_forms(adj).codes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_optimal_orders_of_canonical_graphs_are_automorphisms(self, n):
+        # a graph relabeled by any optimal order is in canonical form, and
+        # the orders attaining its own bitmap are exactly its automorphisms
+        adj, lab = labelling_of_every_graph(n)
+        # one graph per class and its first optimal order
+        reps = np.unique(lab.codes, return_index=True)[1]
+        orders = lab.orders[(np.cumsum(lab.counts) - lab.counts)[reps]]
+        canon = adj[reps[:, None, None], orders[:, :, None], orders[:, None, :]]
+        relabeled = canonical_forms(canon)
+        iu, ju = _triu_cells(n)
+        for g, a in enumerate(canon):
+            bits = np.packbits(a[iu, ju]).tobytes()
+            assert relabeled.codes[g] == int.from_bytes(bits, "big")
+            assert set(map(tuple, graph_orders(relabeled, g).tolist())) == (
+                brute_automorphisms(a))
+
+    def test_order_chunks_do_not_change_the_labelling(self, monkeypatch):
+        # K_7 and the empty graph put all 5,040 orders in one class; 33
+        # orders per chunk split every larger template
+        adj = np.concatenate((seeded_unsigned_stack(7, 7, 30),
+                              [~np.eye(7, dtype=bool), np.zeros((7, 7), dtype=bool)]))
+        expect = canonical_forms(adj)
+        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 33)
+        lab = canonical_forms(adj)
+        assert lab.codes == expect.codes
+        assert np.array_equal(lab.counts, expect.counts)
+        assert np.array_equal(lab.orders, expect.orders)
+
+    def test_one_graph_views(self):
+        adj = seeded_unsigned_stack(11, 6, 12)
+        lab = canonical_forms(adj)
+        for g, a in enumerate(adj):
+            code, orders = canonical_form(a)
+            assert code == lab.codes[g]
+            assert np.array_equal(orders, graph_orders(lab, g))
+            assert refined_color_classes(a) == colour_classes(lab.colours[g])

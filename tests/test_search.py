@@ -31,6 +31,7 @@ from signed_extremal.search import (
     _class_table,
     _complete_signature_classes,
     _connected_class_bitmaps,
+    _deletion_sets,
     _feasible_counts,
     _graph_table,
     _signature_stack,
@@ -50,6 +51,7 @@ from _oracles import (
     connected_labeled_graphs,
     forbidden_and_balance_flags,
     graphs_isomorphic,
+    per_child_deletion_set,
     per_mask_neg_edge_maximum,
     row_loop_gf2_solutions,
     seeded_signed_graphs,
@@ -65,6 +67,7 @@ PINNED_CLASS_CODES = {
     5: (21, "4207e04809af7de40870bc26c3b3505acbbd306fb1946049b270926136d44085"),
     6: (112, "1696f1cbed93aee140ee101d74477966c3b8ee0b76f0569d796739c0fe60f260"),
     7: (853, "445bff1262eee9d2e95df7cbaf4085403530a5a43aafa9a28d097aa150aa96a8"),
+    8: (11117, "23ba93b3b82fac17178a6601153e23e9c6d4473627de122f86a7ef5016620b2a"),
 }
 
 
@@ -100,6 +103,32 @@ class TestEnumerateUnderlying:
     def test_augmentation_emits_each_class_once(self, n):
         children = _canonical_children(n)
         assert len(children) == len(set(children))
+
+    def test_underlying_class_count_n8(self):
+        # connected graphs on 8 vertices (OEIS A001349)
+        assert sum(1 for _ in enumerate_underlying(8)) == 11117
+
+    def test_blocks_do_not_change_any_level(self, monkeypatch):
+        # blocks of 7 split the children of every level from n = 4 on and
+        # the parents from n = 6 on
+        expect = {n: _canonical_children(n) for n in range(2, 8)}
+        monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", 7)
+        for n, children in expect.items():
+            assert _canonical_children(n) == children
+            assert sorted(children) == list(_connected_class_bitmaps(n))
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
+    def test_deletion_sets_match_the_definition(self, n):
+        # every labeled graph up to n = 5, seeded ones above; the stack takes
+        # children of connected parents: G and G - (n - 1) both connected
+        graphs = (connected_labeled_graphs(n) if n <= 5 else
+                  (g.adj != 0 for g in seeded_signed_graphs(500 + n, n, 300)))
+        adj = np.array([a for a in graphs if is_connected(SignedGraph(a.astype(np.int8)))
+                        and is_connected(SignedGraph(a[:-1, :-1].astype(np.int8)))])
+        assert len(adj) > 10
+        for a, in_set in zip(adj, _deletion_sets(adj)):
+            expect = per_child_deletion_set(a)
+            assert (np.flatnonzero(in_set).tolist() if in_set[-1] else None) == expect
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):

@@ -10,12 +10,7 @@ from signed_extremal.bounds import edge_bound, rho_bound
 from signed_extremal.cli import run
 from signed_extremal.core import canonical_signed_code
 from signed_extremal.families import build_complete, build_kn_switched_maxneg
-from signed_extremal.search import (
-    SearchConfig,
-    _connected_class_bitmaps,
-    enumerate_underlying,
-    search,
-)
+from signed_extremal.search import SearchConfig, search
 
 from _oracles import per_order_signed_code
 
@@ -241,17 +236,6 @@ PINNED_REFUSALS = {
     "search --n 7 --objective max-neg-edges-at-max-edges --forbid none --allow-balanced":
         f"32768 {_TIES}",
 }
-
-
-def test_underlying_class_count_n8():
-    assert sum(1 for _ in enumerate_underlying(8)) == 11117
-
-
-def test_class_codes_pinned_n8():
-    # sha256 of the comma-joined sorted canonical codes, as in test_search.py
-    codes = ",".join(map(str, _connected_class_bitmaps(8)))
-    assert hashlib.sha256(codes.encode()).hexdigest() == (
-        "23ba93b3b82fac17178a6601153e23e9c6d4473627de122f86a7ef5016620b2a")
 
 
 def test_edge_maximum_n8():
