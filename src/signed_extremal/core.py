@@ -135,25 +135,30 @@ def from_adjacency(adj) -> SignedGraph:
 
 def permute(g: SignedGraph, order) -> SignedGraph:
     """Relabel so that new vertex i is old vertex order[i]."""
-    idx = np.asarray(order, dtype=np.intp)
-    if sorted(int(i) for i in idx) != list(range(g.n)):
+    idx = _check_vertex_set(g, order)
+    if sorted(idx) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
     return SignedGraph(g.adj[np.ix_(idx, idx)])
 
 
-def _check_vertex_set(g: SignedGraph, vertex_set) -> np.ndarray:
-    members = frozenset(int(v) for v in vertex_set)
-    if any(v < 0 or v >= g.n for v in members):
-        raise ValueError("vertex set contains vertices outside the graph")
-    mask = np.zeros(g.n, dtype=bool)
-    mask[list(members)] = True
-    return mask
+def _check_vertex_set(g: SignedGraph, vertices) -> list[int]:
+    """The entries of vertices as ints, in order; ValueError for an entry that
+    is not an int or numpy integer (bool included) or not a vertex of g."""
+    out = []
+    for v in vertices:
+        # bool is a subclass of int; numpy bools are not numpy integers
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            raise ValueError(f"vertex {v!r} is not an integer")
+        if not 0 <= v < g.n:
+            raise ValueError(f"vertex {v} is outside the graph 0..{g.n - 1}")
+        out.append(int(v))
+    return out
 
 
 def switch(g: SignedGraph, vertex_set) -> SignedGraph:
     """Negate every edge with exactly one endpoint in vertex_set."""
-    mask = _check_vertex_set(g, vertex_set)
-    s = np.where(mask, -1, 1).astype(np.int8)
+    s = np.ones(g.n, dtype=np.int8)
+    s[_check_vertex_set(g, vertex_set)] = -1
     return SignedGraph(np.outer(s, s) * g.adj)
 
 
@@ -204,14 +209,19 @@ def _bfs_tree(adj: np.ndarray) -> list[tuple[int, int]]:
     return tree
 
 
+def _tree_spins(adj: np.ndarray, tree) -> np.ndarray:
+    """Spins (G, n) that make every edge of the forest `tree` positive in each
+    matrix of the (G, n, n) stack adj."""
+    spin = np.ones(adj.shape[:2], dtype=np.int8)
+    # a parent is discovered before its children, so its spin is final
+    for v, u in tree:
+        spin[:, u] = spin[:, v] * adj[:, v, u]
+    return spin
+
+
 def _bfs_tree_spins(g: SignedGraph) -> np.ndarray:
     """Spins that make every edge of the canonical spanning forest positive."""
-    rows = g.adj.tolist()
-    spin = [1] * g.n
-    # a parent is discovered before its children, so its spin is final
-    for v, u in _bfs_tree(g.adj):
-        spin[u] = spin[v] * rows[v][u]
-    return np.array(spin, dtype=np.int8)
+    return _tree_spins(g.adj[None], _bfs_tree(g.adj))[0]
 
 
 def canonical_switch(g: SignedGraph) -> SignedGraph:
@@ -313,7 +323,7 @@ def shortest_unbalanced_cycle(g: SignedGraph) -> Cycle | None:
 # Canonical labeling machinery (shared with the search engine)
 # ---------------------------------------------------------------------------
 
-# orders per batch in canonical_signed_code; K_9 has 362,880 optimal orders
+# orders per batch in canonical_forms and _least_sign_row; K_9 has 362,880 optimal orders
 _ORDER_CHUNK = 8192
 # switching_isomorphic scans class-respecting relabelings, n! for K_n
 _SWITCHING_ISO_MAX_ORDER = 9
@@ -480,57 +490,43 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     return Labelling(codes, orders, counts, colours)
 
 
-def _min_sign_row(vals: np.ndarray) -> bytes:
-    """The least row of a stack of sign rows, -1/0/+1 compared as bytes 2/0/1."""
-    vals = np.where(vals == -1, 2, vals).astype(np.uint8)
-    return vals[_least_rows(np.zeros(len(vals), dtype=np.intp), vals)[0]].tobytes()
+def _least_sign_row(adj: np.ndarray, orders: np.ndarray, switched: bool) -> bytes:
+    """The least upper-triangle sign row of the sign matrix adj relabeled by
+    each of its underlying graph's optimal orders (from canonical_form).
 
-
-def canonical_signed_code(g: SignedGraph) -> tuple[int, bytes]:
-    """A complete invariant of the (relabeling, switching) class of g.
-
-    First minimizes the underlying bitmap over class-respecting relabelings,
-    then minimizes the canonical-switch sign pattern over the relabelings that
-    attain that minimum (_least_switched_row).
+    When switched, each relabeled matrix is first switched so that its
+    canonical spanning forest is positive. All these orders give the same
+    underlying graph, hence one forest.
     """
-    code, orders = canonical_form(np.abs(g.adj).astype(bool))
-    return code, _least_switched_row(g, orders)
-
-
-def _least_switched_row(g: SignedGraph, orders: np.ndarray) -> bytes:
-    """The least canonical-switch sign row of g over the optimal orders of its
-    underlying graph (from canonical_form).
-
-    All these orders give the same underlying graph, hence one spanning
-    forest, whose spins are propagated for a chunk of orders at once.
-    """
-    tree = _bfs_tree(g.adj[np.ix_(orders[0], orders[0])])
-    iu, ju = _triu_cells(g.n)
+    tree = _bfs_tree(adj[np.ix_(orders[0], orders[0])]) if switched else []
+    iu, ju = _triu_cells(len(adj))
     rows = []
     for start in range(0, len(orders), _ORDER_CHUNK):
         chunk = orders[start:start + _ORDER_CHUNK]
-        adj = g.adj[chunk[:, :, None], chunk[:, None, :]]
-        spin = np.ones(chunk.shape, dtype=np.int8)
-        # a parent is discovered before its children, so its spin is final
-        for v, u in tree:
-            spin[:, u] = spin[:, v] * adj[:, v, u]
-        rows.append(_min_sign_row(spin[:, iu] * spin[:, ju] * adj[:, iu, ju]))
+        moved = adj[chunk[:, :, None], chunk[:, None, :]]
+        spin = _tree_spins(moved, tree)
+        # signs -1/0/+1 compare as the bytes 2/0/1
+        vals = (spin[:, iu] * spin[:, ju] * moved[:, iu, ju] % 3).astype(np.uint8)
+        rows.append(vals[_least_rows(np.zeros(len(vals), dtype=np.intp), vals)[0]].tobytes())
     return min(rows)
+
+
+def _signed_code(g: SignedGraph, switched: bool) -> tuple[int, bytes]:
+    code, orders = canonical_form(np.abs(g.adj).astype(bool))
+    return code, _least_sign_row(g.adj, orders, switched)
+
+
+def canonical_signed_code(g: SignedGraph) -> tuple[int, bytes]:
+    """A complete invariant of the (relabeling, switching) class of g: the
+    least underlying bitmap over class-respecting relabelings, then the least
+    canonical-switch sign row over the relabelings that attain it."""
+    return _signed_code(g, switched=True)
 
 
 def signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff some relabeling maps g1 onto g2 with identical signs (no switching)."""
-    if g1.n != g2.n or g1.edge_count != g2.edge_count:
-        return False
-    if g1.neg_edge_count != g2.neg_edge_count:
-        return False
-    return _exact_signed_code(g1) == _exact_signed_code(g2)
-
-
-def _exact_signed_code(g: SignedGraph) -> tuple[int, bytes]:
-    code, orders = canonical_form(np.abs(g.adj).astype(bool))
-    iu, ju = _triu_cells(g.n)
-    return code, _min_sign_row(g.adj[orders[:, iu], orders[:, ju]])
+    # graphs of different orders have sign rows of different lengths
+    return _signed_code(g1, switched=False) == _signed_code(g2, switched=False)
 
 
 def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
@@ -544,13 +540,4 @@ def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     if g1.n > _SWITCHING_ISO_MAX_ORDER:
         raise ValueError(
             f"switching isomorphism capped at {_SWITCHING_ISO_MAX_ORDER} vertices")
-    if g1.edge_count != g2.edge_count:
-        return False
-    if sorted(len(nb) for nb in map(g1.neighbors, range(g1.n))) != sorted(
-        len(nb) for nb in map(g2.neighbors, range(g2.n))
-    ):
-        return False
-    # triangle sign counts are invariant under both relabeling and switching
-    if len(find_signed_triangles(g1, -1)) != len(find_signed_triangles(g2, -1)):
-        return False
     return canonical_signed_code(g1) == canonical_signed_code(g2)

@@ -44,6 +44,8 @@ def build_gst(s: int, t: int) -> SignedGraph:
 
 def gst_partition(s: int, t: int) -> list[list[int]]:
     """The 4-block equitable partition {u}, {v}, u-side, v-side."""
+    if s < 1 or t < 1:
+        raise ValueError("build_gst needs s,t >= 1")
     n = s + t + 2
     return [[0], [1], list(range(2, s + 2)), list(range(s + 2, n))]
 
@@ -59,6 +61,16 @@ def build_gst_maxneg(n: int) -> SignedGraph:
     return switch(build_gst(s, t), u_set)
 
 
+def _check_h(family: str, s: int, t: int) -> None:
+    """ValueError unless build_h builds `family` with these s and t."""
+    if family not in ("H1", "H2", "H3"):
+        raise ValueError(f"unknown family {family!r}, expected H1, H2 or H3")
+    if family == "H2" and (s < 2 or t < 1):
+        raise ValueError("H2 needs s >= 2 and t >= 1")
+    if s < 1 or t < 1:
+        raise ValueError(f"{family} needs s,t >= 1")
+
+
 def build_h(family: str, s: int, t: int) -> SignedGraph:
     """All-positive comparison graphs derived from the clique-plus-apexes family.
 
@@ -67,51 +79,34 @@ def build_h(family: str, s: int, t: int) -> SignedGraph:
     first two u-side vertices instead. H3(s,t): forget signs and add a new
     vertex adjacent to every clique vertex (order s+t+3).
     """
+    _check_h(family, s, t)
+    adj = np.abs(build_gst(s, t).adj)
     if family == "H1":
-        if s < 1 or t < 1:
-            raise ValueError("H1 needs s,t >= 1")
-        base = build_gst(s, t)
-        adj = np.abs(base.adj)
         adj[2, s + 2] = adj[s + 2, 2] = 0
-        return SignedGraph(adj)
-    if family == "H2":
-        if s < 2 or t < 1:
-            raise ValueError("H2 needs s >= 2 and t >= 1")
-        base = build_gst(s, t)
-        adj = np.abs(base.adj)
+    elif family == "H2":
         adj[2, 3] = adj[3, 2] = 0
-        return SignedGraph(adj)
-    if family == "H3":
-        if s < 1 or t < 1:
-            raise ValueError("H3 needs s,t >= 1")
-        base = build_gst(s, t)
+    else:
         m = s + t + 2
-        adj = np.zeros((m + 1, m + 1), dtype=np.int8)
-        adj[:m, :m] = np.abs(base.adj)
-        for i in range(2, m):
-            adj[m, i] = adj[i, m] = 1
-        return SignedGraph(adj)
-    raise ValueError(f"unknown family {family!r}, expected H1, H2 or H3")
+        adj = np.pad(adj, ((0, 1), (0, 1)))
+        adj[m, 2:m] = adj[2:m, m] = 1
+    return SignedGraph(adj)
 
 
 def h_partition(family: str, s: int, t: int) -> list[list[int]]:
     """Equitable partitions matching the build_h layouts."""
+    _check_h(family, s, t)
     n = s + t + 2
     if family == "H1":
-        if s == 1:
-            if t < 2:
-                raise ValueError("H1 partition needs t >= 2 when s = 1")
-            return [[0], [1], [2], [3], list(range(4, n))]
         if t < 2:
-            raise ValueError("H1 partition needs t >= 2 when s >= 2")
+            raise ValueError("H1 partition needs t >= 2")
+        if s == 1:
+            return [[0], [1], [2], [3], list(range(4, n))]
         return [[0], [1], [2], [s + 2], list(range(3, s + 2)), list(range(s + 3, n))]
     if family == "H2":
         if s == 2:
             return [[0], [1], [2], [3], list(range(4, n))]
         return [[0], [1], [2], [3], list(range(4, s + 2)), list(range(s + 2, n))]
-    if family == "H3":
-        return [[0], [1], list(range(2, s + 2)), list(range(s + 2, n)), [n]]
-    raise ValueError(f"unknown family {family!r}")
+    return [[0], [1], list(range(2, s + 2)), list(range(s + 2, n)), [n]]
 
 
 def build_complete(n: int, sign: int) -> SignedGraph:

@@ -151,6 +151,9 @@ _CHECKS = {
 def run_suite(name: str, seed: int, instances: int = 200) -> SuiteResult:
     if name not in _CHECKS:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    # bool is a subclass of int
+    if not isinstance(instances, int) or isinstance(instances, bool) or instances < 0:
+        raise ValueError(f"instances must be a non-negative int, got {instances!r}")
     # per-suite stream derived from (seed, suite) so suites are independent
     rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
     check = _CHECKS[name]

@@ -33,11 +33,14 @@ Every signed graph this module builds comes from a table row (_table_block)
 and a non-tree pattern (_signature_stack): the search witnesses, the switching
 classes of K_n that T1_1 and L2_2 check, and the output of
 enumerate_signatures, whose one-row table is built for the graph it is given.
+The survivors of a scan stay (row, pattern) arrays until the witnesses are
+chosen, one per switching-isomorphism class. They are deduplicated by the key
+that core computes (canonical_signed_code): the class's canonical bitmap and
+the least canonical-switch sign row over its automorphisms (_least_sign_row).
 """
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import math
 import time
@@ -59,7 +62,7 @@ from .bounds import (
 from .core import (
     SignedGraph,
     _bfs_tree,
-    _least_switched_row,
+    _least_sign_row,
     _triu_cells,
     canonical_form,
     canonical_forms,
@@ -511,39 +514,26 @@ def _rho_values(table: _ClassTable, system: np.ndarray, patterns: np.ndarray) ->
 def _scan_classes(table: _ClassTable, span: _Span, objective: str,
                   require_unbalanced: bool):
     """Scan every class of the class table, whose triangle systems `span`
-    solves: the best value, the candidates (code, pattern, value) within
-    reach of it, and the report's counters."""
+    solves: the best value, the signatures (table row, pattern) within reach
+    of it, rows ascending and patterns ascending within a row, and the
+    report's counters."""
     idx = np.arange(len(table.codes))
     counts = _feasible_counts(span, idx, require_unbalanced)
     counters = {"underlying_scanned": len(idx),
                 "signatures_scanned": int((np.int64(1) << table.widths).sum()),
                 "feasible": int(counts.sum())}
     idx, counts = idx[counts > 0], counts[counts > 0]
+    if not len(idx):
+        raise ValueError("no feasible signed graph under this configuration")
     if objective == "MAX_EDGES":
-        if not len(idx):
-            return -math.inf, [], counters
         m = table.edges[idx]
         best = int(m.max())
-        system, patterns = _span_patterns(span, idx[m == best], require_unbalanced)
-        return best, [(table.codes[c], p, float(best))
-                      for c, p in zip(system.tolist(), patterns.tolist())], counters
+        return (best, *_span_patterns(span, idx[m == best], require_unbalanced), counters)
 
-    # MAX_RHO: eigvalsh calls of up to _EIG_BATCH signatures, stacked across classes
+    # MAX_RHO: eigvalsh calls of up to _EIG_BATCH signatures, stacked across
+    # classes; each keeps what is within reach of the best value so far
     best = -math.inf
-    cands: list[tuple[int, int, float]] = []
-
-    def solve(system, patterns):
-        nonlocal best, cands
-        vals = _rho_values(table, system, patterns)
-        vmax = float(vals.max())
-        if vmax > best:
-            best = vmax
-            if len(cands) > 20000:
-                cands = [c for c in cands if c[2] >= best - SPECTRAL_SLACK]
-        sel = vals >= best - SPECTRAL_SLACK
-        cands.extend((table.codes[c], p, v) for c, p, v in zip(
-            system[sel].tolist(), patterns[sel].tolist(), vals[sel].tolist()))
-
+    kept = []
     ends = np.cumsum(counts)
     start = 0
     while start < len(idx):
@@ -552,9 +542,15 @@ def _scan_classes(table: _ClassTable, span: _Span, objective: str,
             ends, ends[start] - counts[start] + _EIG_BATCH, side="right")))
         system, patterns = _span_patterns(span, idx[start:stop], require_unbalanced)
         for a in range(0, len(system), _EIG_BATCH):
-            solve(system[a:a + _EIG_BATCH], patterns[a:a + _EIG_BATCH])
+            part = slice(a, a + _EIG_BATCH)
+            vals = _rho_values(table, system[part], patterns[part])
+            best = max(best, float(vals.max()))
+            sel = vals >= best - SPECTRAL_SLACK
+            kept.append((system[part][sel], patterns[part][sel], vals[sel]))
         start = stop
-    return best, cands, counters
+    system, patterns, vals = map(np.concatenate, zip(*kept))
+    sel = vals >= best - SPECTRAL_SLACK
+    return best, system[sel], patterns[sel], counters
 
 
 def _match_family(w: SignedGraph, n: int) -> str | None:
@@ -591,53 +587,35 @@ def _recheck_witness(w: SignedGraph, config: SearchConfig, value):
         )
 
 
-def _finalize(config, best, cands, counters, t0) -> SearchReport:
-    if best == -math.inf:
-        raise ValueError("no feasible signed graph under this configuration")
-    slack = SPECTRAL_SLACK if config.objective == "MAX_RHO" else 0
-    survivors = sorted(
-        (c for c in cands if c[2] >= best - slack), key=lambda c: (c[0], c[1])
-    )
-    if len(survivors) > 5000:
-        raise ValueError(
-            f"{len(survivors)} signatures tie the optimum; witness "
-            "materialization is only supported for constrained searches"
-        )
-    table = _class_table(config.n)
-    seen = {}
-    # survivors come sorted by class code: one canonical_form per class
-    for code, group in itertools.groupby(survivors, key=lambda cand: cand[0]):
-        c = bisect.bisect_left(table.codes, code)
-        patterns = np.array([p for _, p, _ in group], dtype=np.uint64)
-        canon, orders = canonical_form(table.adj[c])
-        for a in _signature_stack(table, np.full(len(patterns), c), patterns, np.int8):
-            g = SignedGraph(a)
-            seen.setdefault((canon, _least_switched_row(g, orders)), g)
-    witnesses = [seen[k] for k in sorted(seen)]
-    optimum = int(best) if config.objective == "MAX_EDGES" else best
-    for w in witnesses:
-        _recheck_witness(w, config, optimum)
-    matched = [_match_family(w, config.n) for w in witnesses]
-    return SearchReport(
-        config=config,
-        optimum=optimum,
-        witnesses=witnesses,
-        matched_family=matched,
-        counts=counters,
-        wall_time=time.perf_counter() - t0,
-    )
-
-
-def _scan(config: SearchConfig, progress, t0) -> SearchReport:
+def _scan(config: SearchConfig, progress):
+    """The optimum of a MAX_EDGES or MAX_RHO search, its witnesses (one per
+    switching-isomorphism class, in key order) and the report's counters."""
     if progress:
         # one call per enumerated level, as each level's classes are ready
         for k in range(1, config.n + 1):
             progress({"vertices": k, "classes": len(_connected_class_bitmaps(k))})
     table = _class_table(config.n)
-    span = _class_span(config.n, config.forbidden)
-    best, cands, counters = _scan_classes(table, span, config.objective,
-                                          config.require_unbalanced)
-    return _finalize(config, best, cands, counters, t0)
+    best, system, patterns, counters = _scan_classes(
+        table, _class_span(config.n, config.forbidden), config.objective,
+        config.require_unbalanced)
+    if len(system) > 5000:
+        raise ValueError(
+            f"{len(system)} signatures tie the optimum; witness "
+            "materialization is only supported for constrained searches"
+        )
+    stack = _signature_stack(table, system, patterns, np.int8)
+    seen = {}
+    # a row's signatures are one run; its optimal orders are its automorphisms
+    rows, starts = np.unique(system, return_index=True)
+    for row, part in zip(rows, np.split(stack, starts[1:])):
+        canon, orders = canonical_form(table.adj[row])
+        for a in part:
+            seen.setdefault((canon, _least_sign_row(a, orders, switched=True)), a)
+    witnesses = [SignedGraph(seen[k]) for k in sorted(seen)]
+    optimum = int(best) if config.objective == "MAX_EDGES" else best
+    for w in witnesses:
+        _recheck_witness(w, config, optimum)
+    return optimum, witnesses, counters
 
 
 def _mask_spins(masks: np.ndarray, n: int, dtype) -> np.ndarray:
@@ -702,28 +680,19 @@ def search(config: SearchConfig, *, progress=None) -> SearchReport:
     """
     config.validate()
     t0 = time.perf_counter()
-    if config.objective != "MAX_NEG_EDGES_AT_MAX_EDGES":
-        return _scan(config, progress, t0)
-
-    # two-phase: find the edge maximizers, then maximize negative edges over
-    # all switchings of every maximizer class
-    base = replace(config, objective="MAX_EDGES")
-    edge_rep = _scan(base, progress, t0)
-    best_neg, witnesses = _neg_edge_maximizers(edge_rep.witnesses)
-    matched = [
-        "gst-maxneg" if signed_isomorphic(w, build_gst_maxneg(config.n)) else None
-        for w in witnesses
-    ]
-    counts = dict(edge_rep.counts)
-    counts["signatures_scanned"] += len(edge_rep.witnesses) << config.n
-    return SearchReport(
-        config=config,
-        optimum=best_neg,
-        witnesses=witnesses,
-        matched_family=matched,
-        counts=counts,
-        wall_time=time.perf_counter() - t0,
-    )
+    if config.objective == "MAX_NEG_EDGES_AT_MAX_EDGES":
+        # two-phase: find the edge maximizers, then maximize negative edges
+        # over all switchings of every maximizer class
+        _, edge_witnesses, counts = _scan(replace(config, objective="MAX_EDGES"), progress)
+        optimum, witnesses = _neg_edge_maximizers(edge_witnesses)
+        matched = ["gst-maxneg" if signed_isomorphic(w, build_gst_maxneg(config.n)) else None
+                   for w in witnesses]
+        counts["signatures_scanned"] += len(edge_witnesses) << config.n
+    else:
+        optimum, witnesses, counts = _scan(config, progress)
+        matched = [_match_family(w, config.n) for w in witnesses]
+    return SearchReport(config, optimum, witnesses, matched, counts,
+                        wall_time=time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

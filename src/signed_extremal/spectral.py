@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._render import fmt_float
-from .core import SignedGraph
+from .core import SignedGraph, _check_vertex_set
 
 __all__ = [
     "SpectralError",
@@ -131,7 +131,7 @@ def quotient_matrix(g: SignedGraph, partition) -> QuotientMatrix:
     Equitability is verified in exact integer arithmetic on block row sums;
     violations raise NotEquitableError identifying the block pair and rows.
     """
-    blocks = [tuple(sorted(int(v) for v in b)) for b in partition]
+    blocks = [tuple(sorted(_check_vertex_set(g, b))) for b in partition]
     flat = [v for b in blocks for v in b]
     if sorted(flat) != list(range(g.n)):
         raise ValueError("partition blocks must be disjoint and cover all vertices")
@@ -167,10 +167,11 @@ def multiset_contains(haystack, needles, tol: float) -> bool:
     return True
 
 
-def quotient_spectrum_check(g: SignedGraph, partition, tol: float = IDENTITY_TOL) -> bool:
-    """True iff every quotient eigenvalue (with multiplicity) appears in the full spectrum."""
+def quotient_spectrum_check(g: SignedGraph, partition) -> bool:
+    """True iff every quotient eigenvalue (with multiplicity) appears in the
+    full spectrum, within IDENTITY_TOL."""
     qm = quotient_matrix(g, partition)
-    return multiset_contains(eigenvalues(g).eigenvalues, qm.eigenvalues(), tol)
+    return multiset_contains(eigenvalues(g).eigenvalues, qm.eigenvalues(), IDENTITY_TOL)
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +201,11 @@ class CharPolyId:
     n: int | None = None
 
     def __post_init__(self):
+        for name in ("s", "t", "n"):
+            value = getattr(self, name)
+            # bool is a subclass of int; a float would make the coefficients floats
+            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown polynomial family {self.family!r}")
         if self.family in ("F_GST", "F1_GEN", "F2_GEN", "F3"):
@@ -285,9 +291,9 @@ def _poly_derivative(coeffs):
     return tuple((deg - i) * c for i, c in enumerate(coeffs[:-1]))
 
 
-def _bisect_root(coeffs, lo, hi, refine_tol):
+def _bisect_root(coeffs, lo, hi):
     flo = _poly_eval(coeffs, lo)
-    while hi - lo > refine_tol:
+    while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
         if (_poly_eval(coeffs, mid) < 0) == (flo < 0):
             lo = mid
@@ -296,7 +302,7 @@ def _bisect_root(coeffs, lo, hi, refine_tol):
     return 0.5 * (lo + hi)
 
 
-def _roots_in_interval(coeffs, lo, hi, refine_tol):
+def _roots_in_interval(coeffs, lo, hi):
     """Real roots in (lo, hi], ascending: bisection on the monotone segments
     cut out by the derivative's roots. Even-multiplicity roots show up as
     critical points where the polynomial vanishes."""
@@ -306,7 +312,7 @@ def _roots_in_interval(coeffs, lo, hi, refine_tol):
         r = -coeffs[1] / coeffs[0]
         return [r] if lo < r <= hi else []
     deg = len(coeffs) - 1
-    breaks = _roots_in_interval(_poly_derivative(coeffs), lo, hi, refine_tol)
+    breaks = _roots_in_interval(_poly_derivative(coeffs), lo, hi)
     points = [lo] + [b for b in breaks if lo < b < hi] + [hi]
     roots: list[float] = []
 
@@ -321,12 +327,12 @@ def _roots_in_interval(coeffs, lo, hi, refine_tol):
         if abs(fb) <= zb:
             accept(b)
         elif abs(fa) > za and (fa < 0) != (fb < 0):
-            accept(_bisect_root(coeffs, a, b, refine_tol))
+            accept(_bisect_root(coeffs, a, b))
     return roots
 
 
-def largest_root(poly_id: CharPolyId, refine_tol: float = 1e-12) -> float:
-    """Largest real root in (0, n], by sign-bracketed bisection.
+def largest_root(poly_id: CharPolyId) -> float:
+    """Largest real root in (0, n], by sign-bracketed bisection to a 1e-12 bracket.
 
     n is the order of the underlying graph, which bounds every eigenvalue.
     The bisection runs on the monotone segments between critical points, so
@@ -334,25 +340,24 @@ def largest_root(poly_id: CharPolyId, refine_tol: float = 1e-12) -> float:
     found as well.
     """
     hi = float(poly_id.matrix_order)
-    roots = _roots_in_interval(poly_id.coefficients(), 0.0, hi, refine_tol)
+    roots = _roots_in_interval(poly_id.coefficients(), 0.0, hi)
     if not roots:
         raise BracketError(f"{poly_id}: no real root found in (0, {hi}]")
     return roots[-1]
 
 
-def interlacing_check(g: SignedGraph, kept, tol: float = IDENTITY_TOL) -> bool:
-    """Cauchy interlacing of the principal submatrix on the kept vertices."""
-    idx = sorted(set(int(v) for v in kept))
+def interlacing_check(g: SignedGraph, kept) -> bool:
+    """Cauchy interlacing, within IDENTITY_TOL, of the principal submatrix on
+    the kept vertices."""
+    idx = sorted(set(_check_vertex_set(g, kept)))
     if not idx:
         raise ValueError("kept vertex set must be nonempty")
-    if idx[0] < 0 or idx[-1] >= g.n:
-        raise ValueError("kept vertices out of range")
     lam = eigenvalues(g).eigenvalues
     b = g.adj[np.ix_(idx, idx)].astype(np.float64)
     mu = _symmetric_eigh(b)[0][::-1]
     n, m = g.n, len(idx)
     for i in range(m):
-        if not (lam[i] >= mu[i] - tol and mu[i] >= lam[n - m + i] - tol):
+        if not (lam[i] >= mu[i] - IDENTITY_TOL and mu[i] >= lam[n - m + i] - IDENTITY_TOL):
             return False
     return True
 

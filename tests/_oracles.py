@@ -90,6 +90,30 @@ def graphs_isomorphic(a1: np.ndarray, a2: np.ndarray) -> bool:
     return False
 
 
+def _relabelings(g: SignedGraph) -> np.ndarray:
+    """The sign matrices of g under all n! relabelings, one per permutation."""
+    perms = np.array(list(itertools.permutations(range(g.n))), dtype=np.intp).reshape(-1, g.n)
+    return g.adj[perms[:, :, None], perms[:, None, :]]
+
+
+def brute_signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
+    """Some relabeling maps g1 onto g2 sign for sign, by scanning all n! of them."""
+    if g1.n != g2.n:
+        return False
+    return bool((_relabelings(g1) == g2.adj).all(axis=(1, 2)).any())
+
+
+def brute_switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
+    """Some relabeling followed by some switching maps g1 onto g2, by scanning
+    all n! relabelings and all 2^n switchings."""
+    if g1.n != g2.n:
+        return False
+    spins = np.array(list(itertools.product((1, -1), repeat=g1.n))).reshape(-1, g1.n)
+    signs = spins[:, :, None] * spins[:, None, :]
+    moved = _relabelings(g1)[:, None] * signs[None]
+    return bool((moved == g2.adj).all(axis=(2, 3)).any())
+
+
 def connected_labeled_graphs(n: int):
     """All labeled connected graphs on n vertices as boolean matrices."""
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]

@@ -108,6 +108,15 @@ class TestCheck:
         b = run_cli("check", "--seed", "3", "--instances", "15", "--format", "json")
         assert a == b
 
+    def test_negative_instances_exit_2(self):
+        code, text = run_cli("check", "--instances", "-5", "--format", "json")
+        assert (code, text) == (2, "")
+
+    def test_zero_instances_validate(self):
+        code, text = run_cli("check", "--instances", "0", "--format", "json")
+        assert code == 0
+        jsonschema.validate(json.loads(text), load_schema("check_report.schema.json"))
+
     def test_csv_shape(self):
         code, text = run_cli("check", "--seed", "1", "--instances", "5",
                              "--format", "csv")

@@ -22,6 +22,7 @@ from signed_extremal.core import (
     permute,
     refined_color_classes,
     shortest_unbalanced_cycle,
+    signed_isomorphic,
     switch,
     switching_equivalent,
     switching_isomorphic,
@@ -39,7 +40,9 @@ from _oracles import (
     all_simple_cycles,
     brute_automorphisms,
     brute_is_balanced,
+    brute_signed_isomorphic,
     brute_switch,
+    brute_switching_isomorphic,
     connected_labeled_graphs,
     forbidden_and_balance_flags,
     labeled_graph_stack,
@@ -139,6 +142,25 @@ class TestSwitching:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             switch(c3_minus(), [5])
+
+    @pytest.mark.parametrize("bad, msg", [(1.7, "not an integer"), (True, "not an integer"),
+                                          (3, "outside the graph"), (-1, "outside the graph")])
+    def test_entries_must_be_vertex_ints(self, bad, msg):
+        with pytest.raises(ValueError, match=msg):
+            switch(c3_minus(), [0, bad])
+
+
+class TestPermute:
+    @pytest.mark.parametrize("order, msg", [
+        ([1.7, 0, 2, 3, 4], "not an integer"),
+        ([0.5, 1, 2, 3, 4], "not an integer"),
+        ([0, True, 2, 3, 4], "not an integer"),
+        ([0, 1, 2, 3, 5], "outside the graph"),
+        ([0, 1, 2, 3, 3], "permutation"),
+    ])
+    def test_rejects_orders_that_are_not_permutations(self, order, msg):
+        with pytest.raises(ValueError, match=msg):
+            permute(build_gst(1, 2), order)
 
 
 class TestNegation:
@@ -283,6 +305,50 @@ class TestSwitchingIsomorphic:
         for perm in itertools.permutations(range(g.n)):
             u = [v for v in range(g.n) if rng.random() < 0.5]
             assert switching_isomorphic(g, switch(permute(g, perm), u))
+
+
+class TestIsomorphismKey:
+    """switching_isomorphic and signed_isomorphic decide by core's key alone;
+    the brute-force oracles scan every relabeling (and switching)."""
+
+    def test_every_pair_of_labeled_graphs_at_n3(self):
+        graphs = list(all_labeled_signed_graphs(3))
+        for g, h in itertools.product(graphs, repeat=2):
+            assert switching_isomorphic(g, h) == brute_switching_isomorphic(g, h)
+            assert signed_isomorphic(g, h) == brute_signed_isomorphic(g, h)
+
+    def test_seeded_pairs_with_equal_degrees_and_edge_counts_at_n5(self):
+        # the pairs that degree, edge and triangle counts cannot tell apart
+        def degrees(g):
+            return sorted(np.count_nonzero(g.adj, axis=0).tolist())
+
+        rng = np.random.default_rng(5)
+        pool = list(seeded_signed_graphs(41, 5, 30))
+        pairs, copies = [], []
+        for g in pool:
+            for _ in range(2):
+                moved = permute(g, rng.permutation(5))
+                copies.append((g, moved, switch(moved, np.flatnonzero(rng.random(5) < 0.5))))
+            pairs.append((g, negate(g)))
+            for u, v, _ in g.edges():
+                adj = np.array(g.adj)
+                adj[u, v] = adj[v, u] = -adj[u, v]
+                pairs.append((g, SignedGraph(adj)))
+        pairs += [(g, h) for g, h in itertools.combinations(pool, 2)
+                  if degrees(g) == degrees(h)]
+        for g, moved, switched in copies:
+            assert signed_isomorphic(g, moved) and switching_isomorphic(g, switched)
+            pairs += [(g, moved), (g, switched)]
+        undecided = 0
+        for g, h in pairs:
+            assert degrees(g) == degrees(h)
+            assert switching_isomorphic(g, h) == brute_switching_isomorphic(g, h)
+            assert signed_isomorphic(g, h) == brute_signed_isomorphic(g, h)
+            undecided += (not brute_switching_isomorphic(g, h)
+                          and len(find_signed_triangles(g, -1))
+                          == len(find_signed_triangles(h, -1)))
+        # cases where every filter the key replaced agrees and the answer is False
+        assert undecided > 10
 
 
 class TestTriangles:

@@ -20,6 +20,8 @@ from signed_extremal.families import (
     build_gst_maxneg,
     build_h,
     build_kn_switched_maxneg,
+    gst_partition,
+    h_partition,
 )
 from signed_extremal.search import switching_neg_edge_maximum
 from signed_extremal.spectral import eigenvalues
@@ -45,6 +47,14 @@ class TestGst:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             build_gst(0, 3)
+
+    @pytest.mark.parametrize("s, t", [(0, 1), (1, 0), (0, 0)])
+    def test_partition_rejects_what_the_builder_rejects(self, s, t):
+        with pytest.raises(ValueError) as built:
+            build_gst(s, t)
+        with pytest.raises(ValueError) as split:
+            gst_partition(s, t)
+        assert str(split.value) == str(built.value)
 
 
 class TestGstMaxneg:
@@ -94,6 +104,15 @@ class TestHFamilies:
             build_h("H2", 1, 4)
         with pytest.raises(ValueError):
             build_h("H9", 1, 1)
+
+    @pytest.mark.parametrize("family, s, t", [("H2", 1, 3), ("H2", 2, 0), ("H1", 0, 3),
+                                              ("H3", 1, 0), ("H9", 1, 1)])
+    def test_partition_rejects_what_the_builder_rejects(self, family, s, t):
+        with pytest.raises(ValueError) as built:
+            build_h(family, s, t)
+        with pytest.raises(ValueError) as split:
+            h_partition(family, s, t)
+        assert str(split.value) == str(built.value)
 
 
 class TestComplete:

@@ -45,3 +45,12 @@ class TestSuites:
     def test_unknown_suite(self):
         with pytest.raises(ValueError, match="unknown suite"):
             run_suite("spin-glass", seed=0)
+
+    @pytest.mark.parametrize("instances", [-5, 2.5, True, "3"])
+    def test_instances_must_be_a_non_negative_int(self, instances):
+        with pytest.raises(ValueError, match="instances must be a non-negative int"):
+            run_suite("interlacing", seed=0, instances=instances)
+
+    def test_zero_instances_allowed(self):
+        r = run_suite("interlacing", seed=0, instances=0)
+        assert r.instances == 0 and r.violations == 0 and r.passed

@@ -152,6 +152,16 @@ class TestQuotient:
         with pytest.raises(ValueError):
             quotient_matrix(g, [[0, 1], [2]])
 
+    @pytest.mark.parametrize("partition, msg", [
+        ([[0.2], [1], [2], [3, 4]], "not an integer"),
+        ([[1.7], [0], [2], [3, 4]], "not an integer"),
+        ([[True], [0], [2], [3, 4]], "not an integer"),
+        ([[0], [1], [2], [3, 4, 5]], "outside the graph"),
+    ])
+    def test_blocks_must_hold_vertex_ints(self, partition, msg):
+        with pytest.raises(ValueError, match=msg):
+            quotient_matrix(build_gst(1, 2), partition)
+
     def test_quotient_spectrum_check(self):
         g = build_gst(1, 4)
         assert quotient_spectrum_check(g, gst_partition(1, 4))
@@ -267,6 +277,17 @@ class TestCharPoly:
         with pytest.raises(ValueError):
             CharPolyId(**kwargs)
 
+    @pytest.mark.parametrize("kwargs", [
+        dict(family="F1_S1", n=5.5),
+        dict(family="F1_S1", n=6.0),
+        dict(family="F_GST", s=2.0, t=3),
+        dict(family="F3", s=1, t=True),
+    ])
+    def test_non_int_parameters_rejected(self, kwargs):
+        # a float parameter would make the "exact integer" coefficients floats
+        with pytest.raises(ValueError, match="must be an int"):
+            CharPolyId(**kwargs)
+
 
 class TestLargestRoot:
     def test_matches_closed_form(self):
@@ -309,6 +330,14 @@ class TestInterlacing:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             interlacing_check(build_gst(1, 1), [])
+
+    @pytest.mark.parametrize("kept, msg", [([0.9, 1.2], "not an integer"),
+                                           ([1.7], "not an integer"),
+                                           ([True, 2], "not an integer"),
+                                           ([0, 5], "outside the graph")])
+    def test_kept_vertices_must_be_vertex_ints(self, kept, msg):
+        with pytest.raises(ValueError, match=msg):
+            interlacing_check(build_gst(1, 2), kept)
 
     def test_random_principal_submatrices(self):
         rng = np.random.default_rng(8)
