@@ -44,17 +44,21 @@ class SignedGraph:
     def __init__(self, adj):
         raw = np.asarray(adj)
         # checked before the int8 cast, which would truncate 0.6 to 0 and
-        # wrap 255 to -1
-        if not np.all(np.isin(raw, (-1, 0, 1))):
+        # wrap 255 to -1; for bools and integers the range is the same test
+        if raw.dtype.kind in "biu":
+            ok = raw.size == 0 or (raw.min() >= -1 and raw.max() <= 1)
+        else:
+            ok = np.isin(raw, (-1, 0, 1)).all()
+        if not ok:
             raise ValueError("adjacency entries must be in {-1, 0, +1}")
         a = raw.astype(np.int8)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("adjacency must be a square matrix")
         if a.shape[0] < 1:
             raise ValueError("signed graph needs at least one vertex")
-        if np.any(np.diag(a) != 0):
+        if a.diagonal().any():
             raise ValueError("loops are not allowed (diagonal must be zero)")
-        if not np.array_equal(a, a.T):
+        if not (a == a.T).all():
             raise ValueError("adjacency must be symmetric")
         a.setflags(write=False)
         self.adj = a

@@ -45,20 +45,21 @@ def random_connected_signed_graph(rng: np.random.Generator, n_min: int = 3,
                                   n_max: int = 10) -> SignedGraph:
     """Random spanning tree plus density-controlled extra signed edges."""
     n = int(rng.integers(n_min, n_max + 1))
-    adj = np.zeros((n, n), dtype=np.int8)
-    order = rng.permutation(n)
+    adj = [[0] * n for _ in range(n)]
+    order = rng.permutation(n).tolist()
+    # a sign is 2 * integers(0, 2) - 1: the value rng.choice((-1, 1)) takes
+    # from the stream, so seeded suites keep their graphs
     for idx in range(1, n):
-        parent = int(order[int(rng.integers(0, idx))])
-        child = int(order[idx])
-        sign = int(rng.choice((-1, 1)))
-        adj[parent, child] = adj[child, parent] = sign
+        parent = order[int(rng.integers(0, idx))]
+        child = order[idx]
+        adj[parent][child] = adj[child][parent] = 2 * int(rng.integers(0, 2)) - 1
     density = float(rng.uniform(0.15, 0.75))
     for i in range(n):
+        row = adj[i]
         for j in range(i + 1, n):
-            if adj[i, j] == 0 and rng.random() < density:
-                sign = int(rng.choice((-1, 1)))
-                adj[i, j] = adj[j, i] = sign
-    return SignedGraph(adj)
+            if row[j] == 0 and rng.random() < density:
+                row[j] = adj[j][i] = 2 * int(rng.integers(0, 2)) - 1
+    return SignedGraph(np.array(adj, dtype=np.int8))
 
 
 def _random_vertex_subset(rng, n):
@@ -121,8 +122,9 @@ def _check_edge_addition(rng) -> str | None:
     for _ in range(50):
         g = random_connected_signed_graph(rng)
         g = g.underlying()
+        rows = g.adj.tolist()
         non_edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
-                     if g.adj[i, j] == 0]
+                     if rows[i][j] == 0]
         if non_edges:
             break
     else:  # pragma: no cover - generator always leaves gaps eventually

@@ -60,12 +60,14 @@ from .bounds import (
     rho_bound,
 )
 from .core import (
+    _SWITCHING_ISO_MAX_ORDER,
     SignedGraph,
     _bfs_tree,
     _least_sign_row,
     _triu_cells,
     canonical_form,
     canonical_forms,
+    canonical_signed_code,
     find_signed_triangles,
     is_balanced,
     is_connected,
@@ -553,6 +555,16 @@ def _scan_classes(table: _ClassTable, span: _Span, objective: str,
     return best, system[sel], patterns[sel], counters
 
 
+@lru_cache(maxsize=None)
+def _gst_split_keys(n: int) -> tuple[tuple[tuple[int, bytes], str], ...]:
+    """The switching key and name of each split gst(s, n - 2 - s), by s."""
+    if n > _SWITCHING_ISO_MAX_ORDER:
+        raise ValueError(
+            f"switching isomorphism capped at {_SWITCHING_ISO_MAX_ORDER} vertices")
+    return tuple((canonical_signed_code(build_gst(s, n - 2 - s)), f"gst({s},{n - 2 - s})")
+                 for s in range(1, (n - 2) // 2 + 1))
+
+
 def _match_family(w: SignedGraph, n: int) -> str | None:
     if w.edge_count == n * (n - 1) // 2:
         if switching_equivalent(w, build_complete(n, 1)):
@@ -560,9 +572,11 @@ def _match_family(w: SignedGraph, n: int) -> str | None:
         if switching_equivalent(w, build_complete(n, -1)):
             return "complete-neg"
     if n >= 4 and w.edge_count == edge_bound(n):
-        for s in range(1, (n - 2) // 2 + 1):
-            if switching_isomorphic(w, build_gst(s, n - 2 - s)):
-                return f"gst({s},{n - 2 - s})"
+        splits = _gst_split_keys(n)  # checks n against the cap before w's key is built
+        key = canonical_signed_code(w)
+        for split_key, name in splits:
+            if key == split_key:
+                return name
     return None
 
 

@@ -37,6 +37,7 @@ __all__ = [
 
 IDENTITY_TOL = 1e-8   # eigenvalue multiset identity checks
 FORMULA_TOL = 1e-9    # closed-form formula checks
+_EPS = np.finfo(np.float64).eps
 
 
 class SpectralError(RuntimeError):
@@ -83,17 +84,14 @@ def eigenvalues(g: SignedGraph) -> Spectrum:
     The principal eigenvector is sign-normalized so its largest-magnitude entry
     is positive, ties broken by lowest index.
     """
-    a = g.adj.astype(np.float64)
-    w, vecs = _symmetric_eigh(a)
-    w = w[::-1]
-    x = vecs[:, -1].copy()
-    k = int(np.argmax(np.abs(x)))
-    if x[k] < 0:
+    w, vecs = _symmetric_eigh(g.adj.astype(np.float64))
+    vals = w[::-1].tolist()
+    x = vecs[:, -1]
+    if x[int(np.argmax(np.abs(x)))] < 0:
         x = -x
-    rho = max(float(w[0]), -float(w[-1]))
-    eps = np.finfo(np.float64).eps
-    tol = max(1e-12, 16.0 * g.n * eps * max(1.0, rho))
-    return Spectrum(tuple(float(v) for v in w), rho, tuple(float(v) for v in x), tol)
+    rho = max(vals[0], -vals[-1])
+    tol = max(1e-12, 16.0 * g.n * _EPS * max(1.0, rho))
+    return Spectrum(tuple(vals), rho, tuple(x.tolist()), tol)
 
 
 def spectral_radius(g: SignedGraph) -> float:

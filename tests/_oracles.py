@@ -3,11 +3,12 @@
 Everything here deliberately avoids the library's own algorithms: sign
 recomputation by definition, cycle enumeration by DFS, isomorphism by scanning
 every permutation, balance by trying every spin assignment. The exceptions are
-the last five functions: the per-order and per-mask loops that the batched
+the last six functions: the per-order and per-mask loops that the batched
 canonical_signed_code and switching_neg_edge_maximum replaced, the row loop
-that the stacked GF(2) elimination replaced, and the per-graph colour
-refinement and canonical deletion test that the level-wide numpy passes
-replaced, kept as references that must agree with them exactly.
+that the stacked GF(2) elimination replaced, the per-graph colour refinement
+and canonical deletion test that the level-wide numpy passes replaced, and the
+np.isin entry check that SignedGraph replaced for bool and integer input, kept
+as references that must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -346,3 +347,21 @@ def per_child_deletion_set(adj_bool: np.ndarray) -> list[int] | None:
     best = max(key(v) for v in candidates)
     chosen = [v for v in candidates if key(v) == best]
     return chosen if n - 1 in chosen else None
+
+
+def isin_signed_graph_adj(adj) -> np.ndarray:
+    """The int8 matrix SignedGraph stores for adj, validated with every entry
+    tested by np.isin; raises what SignedGraph raises."""
+    raw = np.asarray(adj)
+    if not np.all(np.isin(raw, (-1, 0, 1))):
+        raise ValueError("adjacency entries must be in {-1, 0, +1}")
+    a = raw.astype(np.int8)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("adjacency must be a square matrix")
+    if a.shape[0] < 1:
+        raise ValueError("signed graph needs at least one vertex")
+    if np.any(np.diag(a) != 0):
+        raise ValueError("loops are not allowed (diagonal must be zero)")
+    if not np.array_equal(a, a.T):
+        raise ValueError("adjacency must be symmetric")
+    return a

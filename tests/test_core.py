@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,7 @@ from _oracles import (
     brute_switching_isomorphic,
     connected_labeled_graphs,
     forbidden_and_balance_flags,
+    isin_signed_graph_adj,
     labeled_graph_stack,
     per_order_signed_code,
     seeded_signed_graphs,
@@ -58,6 +60,15 @@ def unbalanced_c4():
 
 def c3_minus():
     return new_signed_graph(3, [(0, 1, 1), (1, 2, 1), (0, 2, -1)])
+
+
+def _outcome(build):
+    """The built matrix's dtype, shape and bytes, or the error raised."""
+    try:
+        a = build()
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return a.dtype, a.shape, a.tobytes()
 
 
 class TestConstruction:
@@ -108,6 +119,38 @@ class TestConstruction:
         g = unbalanced_c4()
         with pytest.raises(ValueError):
             g.adj[0, 1] = 1
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint8, np.int16, np.int64, np.uint64,
+                                       np.float32, np.float64, np.complex128, object])
+    def test_validation_agrees_with_an_isin_check(self, dtype):
+        values = [1, -1, 2, np.int8(-128), np.uint8(255), 0.6, -0.0, np.nan, np.inf,
+                  1 + 0j, 1j, None]
+        cells = [((0, 1), (1, 0)), ((0, 1),), ((2, 2),), ((),), ((0,),)]
+        inputs = [np.zeros(shape, dtype=dtype)
+                  for shape in [(), (0,), (1,), (0, 0), (2, 0), (1, 1), (3, 3)]]
+        with warnings.catch_warnings():
+            # some values cannot be stored in some dtypes, or only with a warning
+            warnings.simplefilter("ignore")
+            for value, where in itertools.product(values, cells):
+                raw = np.zeros((3, 3) if len(where[0]) == 2 else (1,) * len(where[0]),
+                               dtype=dtype)
+                try:
+                    for cell in where:
+                        raw[cell] = value
+                except (TypeError, ValueError, OverflowError):
+                    continue
+                inputs.append(raw)
+            for raw in inputs:
+                assert _outcome(lambda: SignedGraph(raw).adj) == \
+                    _outcome(lambda: isin_signed_graph_adj(raw)), raw
+        assert len(inputs) > 20
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.int64, np.float64])
+    def test_later_writes_to_the_input_do_not_reach_the_graph(self, dtype):
+        raw = np.array([[0, 1], [1, 0]], dtype=dtype)
+        g = SignedGraph(raw)
+        raw[0, 1] = raw[1, 0] = 0
+        assert g.adj.tolist() == [[0, 1], [1, 0]]
 
 
 class TestSwitching:

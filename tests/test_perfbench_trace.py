@@ -1,8 +1,9 @@
 """The traced benchmark (perfbench/spans.py) wraps library functions by name.
 
-This runs its tracer over a short verification in a fresh interpreter, so a
-change that deletes or renames a traced function fails here, not first in a
-benchmark run. It only reads perfbench/.
+This runs its tracer over a short verification and a short property suite in
+a fresh interpreter, so a change that deletes or renames a traced function, or
+routes the one-graph path (SignedGraph, eigenvalues, run_suite) around it,
+fails here, not first in a benchmark run. It only reads perfbench/.
 """
 
 import subprocess
@@ -21,9 +22,12 @@ tracer = Tracer()
 tracer.install()
 se.verify_theorem("T1_3", 5)
 se.switching_isomorphic(se.build_gst(1, 3), se.build_gst(2, 2))
-calls = tracer.layer_metrics(0.0)["core.canonical_signed_code.calls"]
-if not calls:
-    sys.exit("core.canonical_signed_code was never traced")
+se.run_suite("edge-addition", 0, 20)
+metrics = tracer.layer_metrics(0.0)
+for name in ("core.canonical_signed_code.calls", "core.SignedGraph.inits",
+             "spectral.eigenvalues.calls", "properties.instances"):
+    if not metrics[name]:
+        sys.exit(f"{name} is zero")
 """
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from signed_extremal.core import is_connected
@@ -18,6 +20,28 @@ class TestGenerator:
             g = random_connected_signed_graph(rng, 3, 10)
             assert 3 <= g.n <= 10
             assert is_connected(g)
+
+    # the first 500 graphs of default_rng([7, k]) and the state after them:
+    # `check --seed S` must draw the same graphs in every version
+    @pytest.mark.parametrize("k,digest,state", [
+        (0, "a083716d5e09ebd41853189b28d7299b25f5a84a2000721b0ced5f46dad04855",
+         {"bit_generator": "PCG64",
+          "state": {"state": 116434472622729142676131383727857806437,
+                    "inc": 261136684632268670825940853076396136793},
+          "has_uint32": 1, "uinteger": 1055820313}),
+        (5, "c5fd25298b283e727f3de8889a0efc68a13f398b64606b0bb459dd13de9005cc",
+         {"bit_generator": "PCG64",
+          "state": {"state": 242653755658478114853582938727121163041,
+                    "inc": 59238047567946217723630907172911787849},
+          "has_uint32": 0, "uinteger": 2492043429}),
+    ])
+    def test_stream_is_pinned(self, k, digest, state):
+        rng = np.random.default_rng([7, k])
+        h = hashlib.sha256()
+        for _ in range(500):
+            h.update(random_connected_signed_graph(rng).adj.tobytes())
+        assert h.hexdigest() == digest
+        assert rng.bit_generator.state == state
 
 
 class TestSuites:
