@@ -13,7 +13,6 @@ from .core import (
     counts,
     cycle_sign,
     find_signed_triangles,
-    from_adjacency,
     is_balanced,
     is_connected,
     negate,

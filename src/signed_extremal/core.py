@@ -20,7 +20,6 @@ __all__ = [
     "SignedGraph",
     "Cycle",
     "new_signed_graph",
-    "from_adjacency",
     "permute",
     "switch",
     "negate",
@@ -129,11 +128,6 @@ def new_signed_graph(n: int, edges) -> SignedGraph:
             raise ValueError(f"duplicate edge ({u},{v})")
         seen.add(key)
         adj[u, v] = adj[v, u] = s
-    return SignedGraph(adj)
-
-
-def from_adjacency(adj) -> SignedGraph:
-    """Wrap a full sign matrix (validated) as a SignedGraph."""
     return SignedGraph(adj)
 
 
@@ -444,24 +438,85 @@ def _least_rows(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
     return rows
 
 
+def _template_sizes(cells: np.ndarray) -> np.ndarray:
+    """The number of orders that keep the cells of each row of cells (B, n),
+    prod |cell|!, as floats (rounded only far above _ORDER_CHUNK)."""
+    n = cells.shape[1]
+    factorials = np.concatenate(([1.0], np.cumprod(np.arange(1.0, n + 1))))
+    return factorials[(cells[:, :, None] == np.arange(n)).sum(axis=1)].prod(axis=1)
+
+
+def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The branches of a (G, n, n) bool stack whose templates fit one chunk.
+
+    A graph whose colour classes keep more than _ORDER_CHUNK orders is
+    individualized one position at a time (McKay and Piperno, "Practical
+    graph isomorphism, II", J. Symbolic Comput. 60, 2014): each vertex of the
+    cell at the next open position i is tried there, and every later cell
+    splits into its non-neighbours, then its neighbours. That split is the
+    least row i of the code, so only the branches of each graph whose row i
+    is least are kept; they all have the same cell sizes and leave together.
+
+    Returns the graph of each branch and its cells, numbered in position
+    order (each cell by its first position once any graph branches), graph
+    by graph, each graph's branches in lexicographic order of their
+    individualized prefixes.
+    """
+    owner = np.arange(len(adj))
+    big = _template_sizes(colours) > _ORDER_CHUNK
+    if not big.any():
+        return owner, colours
+    n = adj.shape[1]
+    cells = (colours[:, None, :] < colours[:, :, None]).sum(axis=2)
+    done = []
+    # every template shrinks to one order once all positions are individualized
+    for i in itertools.count():
+        done.append((owner[~big], cells[~big]))
+        owner, cells = owner[big], cells[big]
+        if not len(owner):
+            break
+        # one branch per vertex of the cell at position i, in vertex order
+        branch, v = np.nonzero(cells == i)
+        owner, cells = owner[branch], cells[branch]
+        nbr = adj[owner, v]
+        # the rest of v's cell starts at i + 1
+        cells[cells == i] = i + 1
+        cells[np.arange(len(v)), v] = i
+        later = cells > i
+        # each later cell's non-neighbours keep its first position
+        zeros = ((cells[:, :, None] == np.arange(n)) & ~nbr[:, :, None]).sum(axis=1)
+        cells = np.where(later & nbr, cells + np.take_along_axis(zeros, cells, axis=1), cells)
+        # row i of the code: a position holds a neighbour iff its cell does
+        row = np.take_along_axis(nbr, np.argsort(cells, axis=1, kind="stable"), axis=1)
+        keep = _least_rows(owner, row[:, i + 1:].view(np.uint8))
+        owner, cells = owner[keep], cells[keep]
+        big = _template_sizes(cells) > _ORDER_CHUNK
+    owner, cells = (np.concatenate(parts) for parts in zip(*done))
+    # a graph's branches all leave at one depth, already in prefix order
+    by_graph = np.argsort(owner, kind="stable")
+    return owner[by_graph], cells[by_graph]
+
+
 def canonical_forms(adj: np.ndarray) -> Labelling:
     """Canonical bitmaps of a (G, n, n) bool stack of G >= 1 unsigned graphs
     and the orders achieving them.
 
     A graph's bitmap is the least upper-triangle bit string over all orders
     that respect its refined colour classes, packed into a Python int (MSB
-    first). Graphs with the same class sizes share one template of candidate
-    orders over their vertices sorted by colour; candidates are gathered about
-    _ORDER_CHUNK rows at a time, and come out in template order.
+    first). Each graph's optimal orders come out in ascending lexicographic
+    order. A graph whose classes keep more than _ORDER_CHUNK orders is first
+    split into branches by individualization (_individualize). Branches
+    with the same cell sizes share one template of candidate orders over
+    their vertices sorted by cell, gathered about _ORDER_CHUNK rows at a time.
     """
     g, n = adj.shape[:2]
     colours = _refine(adj)
-    by_colour = np.argsort(colours, axis=1, kind="stable")
-    # each graph with its vertices sorted by colour, flattened
-    flat = adj[np.arange(g)[:, None, None], by_colour[:, :, None],
-               by_colour[:, None, :]].reshape(-1)
-    # the class sizes of each graph, in colour order
-    sizes = (colours[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.uint8)
+    graph, classes = _individualize(adj, colours)
+    by_cell = np.argsort(classes, axis=1, kind="stable")
+    # each branch's graph with its vertices sorted by cell, flattened
+    flat = adj[graph[:, None, None], by_cell[:, :, None], by_cell[:, None, :]].reshape(-1)
+    # the cell sizes of each branch, in position order
+    sizes = (classes[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.uint8)
     groups: dict[bytes, list[int]] = {}
     for i, sig in enumerate(map(bytes, sizes)):
         groups.setdefault(sig, []).append(i)
@@ -481,12 +536,13 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
                 owner = np.repeat(batch, len(part))
                 rows = _least_rows(owner, packed)
                 kept.append((owner[rows], packed[rows],
-                             by_colour[owner[rows, None], part[rows % len(part)]]))
+                             by_cell[owner[rows, None], part[rows % len(part)]]))
     owner, packed, orders = (np.concatenate(parts) for parts in zip(*kept))
-    if len(kept) > 1:
-        # each graph's rows are in candidate order; gather them graph by graph
-        by_graph = np.argsort(owner, kind="stable")
-        owner, packed, orders = owner[by_graph], packed[by_graph], orders[by_graph]
+    if len(kept) > 1 or len(graph) > g:
+        # each branch's rows are in candidate order; gather them branch by
+        # branch, which puts each graph's rows in lexicographic order
+        by_branch = np.argsort(owner, kind="stable")
+        owner, packed, orders = graph[owner[by_branch]], packed[by_branch], orders[by_branch]
         rows = _least_rows(owner, packed)
         owner, packed, orders = owner[rows], packed[rows], orders[rows]
     counts = np.bincount(owner, minlength=g)

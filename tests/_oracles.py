@@ -225,6 +225,23 @@ def forbidden_and_balance_flags(adj: np.ndarray):
     return has, balanced
 
 
+def brute_labelling(adj_bool: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
+    """The least upper-triangle bitmap of one graph (n <= 11) over every order
+    that keeps its tuple_sorting_color_classes in place, and the orders that
+    attain it, sorted. Order p puts vertex p[i] at position i, each class
+    filling the next positions in colour order; the bitmap is read row by row,
+    padded with zeros to whole bytes, as a big-endian int."""
+    n = adj_bool.shape[0]
+    classes = tuple_sorting_color_classes(adj_bool)
+    orders = np.array([sum(parts, ()) for parts in itertools.product(
+        *(itertools.permutations(c) for c in classes))], dtype=np.intp)
+    iu, ju = np.triu_indices(n, k=1)
+    weights = np.int64(1) << (np.arange(len(iu) - 1, -1, -1) + -len(iu) % 8)
+    codes = adj_bool[orders[:, iu], orders[:, ju]].astype(np.int64) @ weights
+    best = codes.min()
+    return int(best), sorted(map(tuple, orders[codes == best].tolist()))
+
+
 def per_order_signed_code(g: SignedGraph) -> tuple[int, bytes]:
     """canonical_signed_code, one relabeling and canonical switch per optimal order."""
     code, orders = canonical_form(np.abs(g.adj).astype(bool))

@@ -8,6 +8,8 @@ import pytest
 
 from signed_extremal.core import (
     SignedGraph,
+    _individualize,
+    _refine,
     _triu_cells,
     canonical_form,
     canonical_forms,
@@ -34,6 +36,7 @@ from signed_extremal.families import (
     build_gst_maxneg,
     build_kn_switched_maxneg,
 )
+from signed_extremal.search import enumerate_underlying
 
 from _oracles import (
     all_labeled_signed_graphs,
@@ -41,6 +44,7 @@ from _oracles import (
     all_simple_cycles,
     brute_automorphisms,
     brute_is_balanced,
+    brute_labelling,
     brute_signed_isomorphic,
     brute_switch,
     brute_switching_isomorphic,
@@ -539,6 +543,28 @@ def graph_orders(lab, g):
     return lab.orders[start:start + lab.counts[g]]
 
 
+@functools.lru_cache(maxsize=None)
+def connected_regular_graphs(n):
+    """The connected regular graphs on n vertices, one per class, each
+    relabeled by a seeded random order."""
+    rng = np.random.default_rng(n)
+    out = []
+    for g in enumerate_underlying(n):
+        degrees = np.count_nonzero(g.adj, axis=1)
+        if (degrees == degrees[0]).all():
+            p = rng.permutation(n)
+            out.append(g.adj[np.ix_(p, p)] != 0)
+    return np.array(out)
+
+
+def assert_matches_brute_force_labelling(adj, lab):
+    for g, a in enumerate(adj):
+        code, orders = brute_labelling(a)
+        assert lab.codes[g] == code
+        assert lab.counts[g] == len(orders)
+        assert graph_orders(lab, g).tolist() == [list(p) for p in orders]
+
+
 class TestCanonicalForms:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_colour_classes_match_tuple_sorting_on_every_graph(self, n):
@@ -585,17 +611,63 @@ class TestCanonicalForms:
             assert set(map(tuple, graph_orders(relabeled, g).tolist())) == (
                 brute_automorphisms(a))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("chunk", [None, 2])
+    def test_matches_brute_force_labelling_on_every_graph(self, n, chunk, monkeypatch):
+        # 2 orders per chunk individualizes every graph with a larger template
+        if chunk:
+            monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
+        adj = labeled_graph_stack(n)
+        assert_matches_brute_force_labelling(adj, canonical_forms(adj))
+
+    @pytest.mark.parametrize("n,count", [(7, 4), (8, 17)])
+    def test_matches_brute_force_labelling_on_regular_graphs(self, n, count):
+        # colour refinement cannot split a regular graph, so all n! orders
+        # are candidates; on 8 vertices that is more than one chunk
+        adj = connected_regular_graphs(n)
+        assert len(adj) == count
+        assert_matches_brute_force_labelling(adj, canonical_forms(adj))
+        # one graph at a time, each graph's branches fill a single batch
+        for a in adj:
+            assert_matches_brute_force_labelling(a[None], canonical_forms(a[None]))
+
+    def test_regular_graphs_branch_once_per_vertex(self):
+        # a regular graph keeps one colour class, so 8! orders, more than one
+        # chunk; each vertex at position 0 leaves (7 - d)! d! orders per branch
+        adj = connected_regular_graphs(8)
+        graph, cells = _individualize(adj, _refine(adj))
+        assert np.array_equal(graph, np.repeat(np.arange(len(adj)), 8))
+        assert np.array_equal(cells.argmin(axis=1), np.tile(np.arange(8), len(adj)))
+        for row, d in zip(np.sort(cells, axis=1), adj[graph, 0].sum(axis=1)):
+            assert row.tolist() == [0] + [1] * (7 - d) + [8 - d] * d
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_optimal_orders_ascend_lexicographically(self, n):
+        _, lab = labelling_of_every_graph(n)
+        owner = np.repeat(np.arange(len(lab.counts)), lab.counts)
+        # as base-n numbers, orders compare as they do lexicographically
+        value = lab.orders @ n ** np.arange(n - 1, -1, -1)
+        same = owner[1:] == owner[:-1]
+        assert (value[1:][same] > value[:-1][same]).all()
+
     def test_order_chunks_do_not_change_the_labelling(self, monkeypatch):
-        # K_7 and the empty graph put all 5,040 orders in one class; 33
-        # orders per chunk split every larger template
-        adj = np.concatenate((seeded_unsigned_stack(7, 7, 30),
-                              [~np.eye(7, dtype=bool), np.zeros((7, 7), dtype=bool)]))
-        expect = canonical_forms(adj)
+        # K_7 and the empty graph put all 5,040 orders in one class; on 8
+        # vertices so do the empty graph and the regular graphs, K_8 among
+        # them, which are individualized even at the default chunk. 33 orders
+        # per chunk split and individualize every larger template
+        stacks = [
+            np.concatenate((seeded_unsigned_stack(7, 7, 30),
+                            [~np.eye(7, dtype=bool), np.zeros((7, 7), dtype=bool)])),
+            np.concatenate((connected_regular_graphs(8), [np.zeros((8, 8), dtype=bool)])),
+        ]
+        expected = [canonical_forms(adj) for adj in stacks]
         monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 33)
-        lab = canonical_forms(adj)
-        assert lab.codes == expect.codes
-        assert np.array_equal(lab.counts, expect.counts)
-        assert np.array_equal(lab.orders, expect.orders)
+        for adj, expect in zip(stacks, expected):
+            lab = canonical_forms(adj)
+            assert lab.codes == expect.codes
+            assert np.array_equal(lab.counts, expect.counts)
+            assert np.array_equal(lab.orders, expect.orders)
+            assert np.array_equal(lab.colours, expect.colours)
 
     def test_one_graph_views(self):
         adj = seeded_unsigned_stack(11, 6, 12)
