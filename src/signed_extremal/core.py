@@ -409,16 +409,21 @@ def _permutation_table(k: int) -> np.ndarray:
     return table
 
 
-def _candidate_orders(sizes) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _candidate_orders(sizes: tuple[int, ...]) -> np.ndarray:
     """Every order of range(sum(sizes)) that keeps each run of consecutive
     positions, of the given sizes, in place; rows follow itertools.product
-    over the per-run permutations, the first run varying slowest."""
+    over the per-run permutations, the first run varying slowest. Cached by
+    sizes and read-only, in the smallest unsigned dtype that holds a position,
+    so arithmetic on positions must widen them first."""
     orders = np.arange(sum(sizes))[None]
     for start, k in zip(itertools.accumulate(sizes, initial=0), sizes):
         if k > 1:
             orders = np.repeat(orders, math.factorial(k), axis=0)
             orders[:, start:start + k] = np.tile(start + _permutation_table(k),
                                                  (len(orders) // math.factorial(k), 1))
+    orders = orders.astype(np.min_scalar_type(sum(sizes)))
+    orders.setflags(write=False)
     return orders
 
 
@@ -524,11 +529,12 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     kept = []
     for sig, members in groups.items():
         members = np.array(members)
-        template = _candidate_orders([k for k in sig if k])
+        template = _candidate_orders(tuple(k for k in sig if k))
         per = max(1, _ORDER_CHUNK // len(template))
         for lo in range(0, len(template), _ORDER_CHUNK):
             part = template[lo:lo + _ORDER_CHUNK]
-            cells = part[:, iu] * n + part[:, ju]
+            # widened first: p * n + q passes 255 from n = 17 on
+            cells = part[:, iu].astype(np.intp) * n + part[:, ju]
             for b in range(0, len(members), per):
                 batch = members[b:b + per]
                 bits = flat[(batch * (n * n))[:, None, None] + cells]

@@ -30,8 +30,12 @@ The class table (adjacency, edge count, non-tree cells and triangle masks of
 every class) is built once per n, on the first search at that n, and the
 triangle systems of all classes are solved together once per (n, forbidden
 triangle); later searches only read them. Feasible counts follow from the
-rank of each system, and MAX_RHO stacks the signatures of consecutive classes
-into eigvalsh calls of up to _EIG_BATCH matrices.
+rank of each system. MAX_RHO eigensolves the classes densest first, one edge
+count at a time, in eigvalsh calls of up to _EIG_BATCH matrices, and stops at
+the first edge count m whose bound (sqrt(1 + 8m) - 1) / 2 on the spectral
+radius of every signature (Perron-Frobenius and Stanley, 1987) is out of
+reach of the best value found: the T1_3 scan at n = 8 solves 51 of its
+24,841 feasible signatures.
 
 Every signed graph this module builds comes from a table row (_table_block)
 and a non-tree pattern (_signature_stack): the search witnesses, the switching
@@ -519,11 +523,24 @@ def _rho_values(table: _ClassTable, system: np.ndarray, patterns: np.ndarray) ->
 
 def _scan_classes(table: _ClassTable, span: _Span, objective: str,
                   require_unbalanced: bool):
-    """Scan every class of the class table, whose triangle systems `span`
-    solves: the best value, the signatures (table row, pattern) within reach
-    of it, rows ascending and patterns ascending within a row, and the
-    report's counters."""
-    idx = np.arange(len(table.codes))
+    """Scan every row of a table (for the class table of n, every class),
+    whose triangle systems `span` solves: the best value, the signatures
+    (table row, pattern) within reach of it, rows ascending and patterns
+    ascending within a row, and the report's counters.
+
+    MAX_RHO takes the rows with feasible signatures densest first, a stable
+    sort keeping rows ascending within an edge count, and eigensolves them
+    one edge count m at a time. Every signature S of a graph with m edges
+    has rho(A_S) <= rho(|A_S|) <= (sqrt(1 + 8m) - 1) / 2: |lambda||x| <=
+    |A_S||x| entrywise for every eigenpair (Perron-Frobenius), which bounds
+    both lambda_1 and -lambda_n, and the second step is Stanley's bound
+    (Linear Algebra Appl. 87, 1987). The bound grows with m, so the scan stops
+    before the first count whose bound is below best - 2 x SPECTRAL_SLACK;
+    the extra slack covers eigvalsh rounding. Nothing it skips is within
+    SPECTRAL_SLACK of the best value, so the result is that of a full scan.
+    The counters come from the ranks of the systems, not from eigensolves.
+    """
+    idx = np.arange(len(table.adj))
     counts = _feasible_counts(span, idx, require_unbalanced)
     counters = {"underlying_scanned": len(idx),
                 "signatures_scanned": int((np.int64(1) << table.widths).sum()),
@@ -536,27 +553,39 @@ def _scan_classes(table: _ClassTable, span: _Span, objective: str,
         best = int(m.max())
         return (best, *_span_patterns(span, idx[m == best], require_unbalanced), counters)
 
-    # MAX_RHO: eigvalsh calls of up to _EIG_BATCH signatures, stacked across
-    # classes; each keeps what is within reach of the best value so far
+    # MAX_RHO: eigvalsh calls of up to _EIG_BATCH signatures, one edge count
+    # at a time; each keeps what is within reach of the best value so far
+    order = np.argsort(-table.edges[idx], kind="stable")
+    idx, counts = idx[order], counts[order]
+    edges = table.edges[idx]
     best = -math.inf
     kept = []
-    ends = np.cumsum(counts)
-    start = 0
-    while start < len(idx):
-        # expand whole classes, about one batch of signatures at a time
-        stop = max(start + 1, int(np.searchsorted(
-            ends, ends[start] - counts[start] + _EIG_BATCH, side="right")))
-        system, patterns = _span_patterns(span, idx[start:stop], require_unbalanced)
-        for a in range(0, len(system), _EIG_BATCH):
-            part = slice(a, a + _EIG_BATCH)
-            vals = _rho_values(table, system[part], patterns[part])
-            best = max(best, float(vals.max()))
-            sel = vals >= best - SPECTRAL_SLACK
-            kept.append((system[part][sel], patterns[part][sel], vals[sel]))
-        start = stop
+    # the first class of each edge count, then the end
+    cuts = np.flatnonzero(np.diff(edges, prepend=-1, append=-1)).tolist()
+    for lo, hi in zip(cuts, cuts[1:]):
+        if (math.sqrt(1 + 8 * int(edges[lo])) - 1) / 2 < best - 2 * SPECTRAL_SLACK:
+            break
+        group, sizes = idx[lo:hi], counts[lo:hi]
+        ends = np.cumsum(sizes)
+        start = 0
+        while start < len(group):
+            # expand whole classes, about one batch of signatures at a time
+            stop = max(start + 1, int(np.searchsorted(
+                ends, ends[start] - sizes[start] + _EIG_BATCH, side="right")))
+            system, patterns = _span_patterns(span, group[start:stop], require_unbalanced)
+            for a in range(0, len(system), _EIG_BATCH):
+                part = slice(a, a + _EIG_BATCH)
+                vals = _rho_values(table, system[part], patterns[part])
+                best = max(best, float(vals.max()))
+                sel = vals >= best - SPECTRAL_SLACK
+                kept.append((system[part][sel], patterns[part][sel], vals[sel]))
+            start = stop
     system, patterns, vals = map(np.concatenate, zip(*kept))
     sel = vals >= best - SPECTRAL_SLACK
-    return best, system[sel], patterns[sel], counters
+    system, patterns = system[sel], patterns[sel]
+    # _scan keeps the first survivor of each key
+    order = np.lexsort((patterns, system))
+    return best, system[order], patterns[order], counters
 
 
 @lru_cache(maxsize=None)

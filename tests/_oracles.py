@@ -3,12 +3,14 @@
 Everything here deliberately avoids the library's own algorithms: sign
 recomputation by definition, cycle enumeration by DFS, isomorphism by scanning
 every permutation, balance by trying every spin assignment. The exceptions are
-the last six functions: the per-order and per-mask loops that the batched
+the last seven functions: the per-order and per-mask loops that the batched
 canonical_signed_code and switching_neg_edge_maximum replaced, the row loop
 that the stacked GF(2) elimination replaced, the per-graph colour refinement
-and canonical deletion test that the level-wide numpy passes replaced, and the
-np.isin entry check that SignedGraph replaced for bool and integer input, kept
-as references that must agree with them exactly.
+and canonical deletion test that the level-wide numpy passes replaced, the
+np.isin entry check that SignedGraph replaced for bool and integer input, and
+the MAX_RHO scan that eigensolves every feasible signature, which the scan
+stopped by the edge-count bound replaced, kept as references that must agree
+with them exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import itertools
 
 import numpy as np
 
+from signed_extremal.bounds import SPECTRAL_SLACK
 from signed_extremal.core import (
     SignedGraph,
     _triu_cells,
@@ -24,6 +27,7 @@ from signed_extremal.core import (
     canonical_switch,
     permute,
 )
+from signed_extremal.search import _feasible_counts, _rho_values, _span_patterns
 
 
 def brute_switch(g: SignedGraph, vertex_set) -> SignedGraph:
@@ -382,3 +386,34 @@ def isin_signed_graph_adj(adj) -> np.ndarray:
     if not np.array_equal(a, a.T):
         raise ValueError("adjacency must be symmetric")
     return a
+
+
+def unpruned_rho_scan(table, span, require_unbalanced: bool):
+    """The MAX_RHO scan of search._scan_classes with no edge-count bound: every
+    feasible signature of every class eigensolved, classes in row order, in
+    eigvalsh calls of up to 8192 signatures. Returns the best value and the
+    signatures (row, pattern) within SPECTRAL_SLACK of it, rows ascending and
+    patterns ascending within a row."""
+    batch = 8192
+    idx = np.arange(len(table.adj))
+    counts = _feasible_counts(span, idx, require_unbalanced)
+    idx, counts = idx[counts > 0], counts[counts > 0]
+    best = -np.inf
+    kept = []
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(idx):
+        # expand whole classes, about one batch of signatures at a time
+        stop = max(start + 1, int(np.searchsorted(
+            ends, ends[start] - counts[start] + batch, side="right")))
+        system, patterns = _span_patterns(span, idx[start:stop], require_unbalanced)
+        for a in range(0, len(system), batch):
+            part = slice(a, a + batch)
+            vals = _rho_values(table, system[part], patterns[part])
+            best = max(best, float(vals.max()))
+            sel = vals >= best - SPECTRAL_SLACK
+            kept.append((system[part][sel], patterns[part][sel], vals[sel]))
+        start = stop
+    system, patterns, vals = map(np.concatenate, zip(*kept))
+    sel = vals >= best - SPECTRAL_SLACK
+    return best, system[sel], patterns[sel]

@@ -8,6 +8,7 @@ import pytest
 
 from signed_extremal.core import (
     SignedGraph,
+    _candidate_orders,
     _individualize,
     _refine,
     _triu_cells,
@@ -610,6 +611,25 @@ class TestCanonicalForms:
             assert relabeled.codes[g] == int.from_bytes(bits, "big")
             assert set(map(tuple, graph_orders(relabeled, g).tolist())) == (
                 brute_automorphisms(a))
+
+    def test_candidate_orders_are_cached_read_only(self):
+        template = _candidate_orders((2, 1, 3))
+        assert template is _candidate_orders((2, 1, 3))
+        assert not template.flags.writeable
+        assert template.tolist() == [
+            [*a, 2, *(3 + x for x in b)] for a, b in itertools.product(
+                itertools.permutations(range(2)), itertools.permutations(range(3)))]
+
+    def test_orders_attain_the_codes_of_large_graphs(self):
+        # from 17 vertices on, the cell p * n + q of positions p < q passes 255
+        n = 20
+        adj = seeded_unsigned_stack(420, n, 40)
+        lab = canonical_forms(adj)
+        iu, ju = _triu_cells(n)
+        for a, order, code in zip(adj, lab.orders[np.cumsum(lab.counts) - lab.counts],
+                                  lab.codes):
+            bits = np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes()
+            assert int.from_bytes(bits, "big") == code
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("chunk", [None, 2])

@@ -55,6 +55,7 @@ from _oracles import (
     per_mask_neg_edge_maximum,
     row_loop_gf2_solutions,
     seeded_signed_graphs,
+    unpruned_rho_scan,
 )
 
 SEARCH = sys.modules[search.__module__]
@@ -430,6 +431,78 @@ class TestSearch:
         rep = search(SearchConfig(n=6, objective="MAX_EDGES"))
         for w in rep.witnesses:
             assert canonical_switch(w) == w
+
+
+class TestRhoScan:
+    @pytest.mark.parametrize("batch", [None, 7], ids=["default-batch", "batch-7"])
+    @pytest.mark.parametrize("n", [4, 5, 6, pytest.param(7, marks=pytest.mark.slow)])
+    def test_matches_the_unpruned_scan(self, n, batch, monkeypatch):
+        # tiny batches also cut eigvalsh stacks inside and across classes
+        if batch:
+            monkeypatch.setattr(SEARCH, "_EIG_BATCH", batch)
+        table = _class_table(n)
+        for forbidden in FORBIDDEN:
+            span = _class_span(n, forbidden)
+            for unbal in (True, False):
+                best, system, patterns, _ = SEARCH._scan_classes(table, span, "MAX_RHO", unbal)
+                expect_best, expect_system, expect_patterns = unpruned_rho_scan(
+                    table, span, unbal)
+                assert best == expect_best, (forbidden, unbal)
+                np.testing.assert_array_equal(system, expect_system)
+                np.testing.assert_array_equal(patterns, expect_patterns)
+
+    def test_ties_across_edge_counts_come_back_in_row_order(self):
+        # the star K_{1,4} (4 edges) and both signatures of C_5 (5 edges)
+        # have spectral radius 2, and the scan solves the denser row first;
+        # no class table at n <= 8 has a tie across edge counts
+        star = np.zeros((5, 5), dtype=bool)
+        star[0, 1:] = star[1:, 0] = True
+        cycle = np.roll(np.eye(5, dtype=bool), 1, axis=1)
+        table = SEARCH._ClassTable((), *SEARCH._table_block(np.stack([star, cycle | cycle.T]), 1))
+        span = _table_span(table, slice(None), "NONE")
+        best, system, patterns, _ = SEARCH._scan_classes(table, span, "MAX_RHO", False)
+        assert best == pytest.approx(2, abs=1e-9)
+        assert system.tolist() == [0, 1, 1] and patterns.tolist() == [0, 0, 1]
+        expect_best, expect_system, expect_patterns = unpruned_rho_scan(table, span, False)
+        assert best == expect_best
+        assert system.tolist() == expect_system.tolist()
+        assert patterns.tolist() == expect_patterns.tolist()
+
+    @pytest.mark.parametrize("forbidden,unbal,expect", [
+        ("C3_MINUS", True, 40),
+        ("C3_MINUS", False, 1),
+        ("C3_PLUS", True, 1),
+        ("C3_PLUS", False, 1),
+        # every signature of K_7, the only class with 21 edges
+        ("NONE", True, 32767),
+        ("NONE", False, 32768),
+    ])
+    def test_eigensolves_at_n7_are_pinned(self, forbidden, unbal, expect, monkeypatch):
+        # the reports cannot tell a scan stopped by the edge-count bound from
+        # one that eigensolves all 1,116 to 192,817 feasible signatures
+        solved = self._count_eigensolves(monkeypatch)
+        search(SearchConfig(n=7, objective="MAX_RHO", forbidden=forbidden,
+                            require_unbalanced=unbal))
+        assert sum(solved) == expect
+
+    @pytest.mark.slow
+    def test_eigensolves_of_t1_3_at_n8_are_pinned(self, monkeypatch):
+        solved = self._count_eigensolves(monkeypatch)
+        rep = verify_theorem("T1_3", 8)
+        assert rep.details["counts"]["feasible"] == 24841
+        assert sum(solved) == 51
+
+    @staticmethod
+    def _count_eigensolves(monkeypatch) -> list[int]:
+        solved = []
+        rho_values = SEARCH._rho_values
+
+        def counting(table, system, patterns):
+            solved.append(len(system))
+            return rho_values(table, system, patterns)
+
+        monkeypatch.setattr(SEARCH, "_rho_values", counting)
+        return solved
 
 
 class TestSwitchingNegMaximum:

@@ -12,6 +12,7 @@ from signed_extremal.families import (
     gst_partition,
     h_partition,
 )
+from signed_extremal.search import enumerate_underlying
 from signed_extremal.spectral import (
     CharPolyId,
     NotEquitableError,
@@ -370,3 +371,30 @@ class TestExhaustiveSmallSpectra:
                 assert sp.rho == pytest.approx(
                     spectral_radius(switch(g, [0, 2])), abs=1e-9
                 )
+
+
+def stanley_bound(m):
+    """(sqrt(1 + 8m) - 1) / 2: Stanley's bound on the spectral radius of a
+    graph with m edges (Linear Algebra Appl. 87, 1987), elementwise."""
+    return (np.sqrt(1 + 8 * m) - 1) / 2
+
+
+class TestStanleyBound:
+    # rho(S) <= rho(|S|) <= (sqrt(1 + 8m) - 1) / 2 is what lets the MAX_RHO
+    # scan stop at the first edge count whose bound is out of reach
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_every_signature_of_every_labeled_graph(self, n):
+        for adj in connected_labeled_graphs(n):
+            signed = np.stack([g.adj for g in all_signatures(adj)]).astype(np.float64)
+            w = np.linalg.eigvalsh(signed)
+            rho = np.maximum(w[:, -1], -w[:, 0])
+            top = np.linalg.eigvalsh(adj.astype(np.float64))[-1]
+            assert rho.max() <= top + 1e-9
+            assert top <= stanley_bound(int(adj.sum()) // 2) + 1e-9
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+    def test_every_connected_class(self, n):
+        adj = np.stack([g.adj for g in enumerate_underlying(n)]).astype(np.float64)
+        top = np.linalg.eigvalsh(adj)[:, -1]
+        assert (top <= stanley_bound(adj.sum(axis=(1, 2)) // 2) + 1e-9).all()
