@@ -445,10 +445,12 @@ def _least_rows(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 def _template_sizes(cells: np.ndarray) -> np.ndarray:
     """The number of orders that keep the cells of each row of cells (B, n),
-    prod |cell|!, as floats (rounded only far above _ORDER_CHUNK)."""
+    prod |cell|!, as floats (rounded only far above _ORDER_CHUNK; inf past
+    the float range, from 171 vertices on, which still exceeds it)."""
     n = cells.shape[1]
-    factorials = np.concatenate(([1.0], np.cumprod(np.arange(1.0, n + 1))))
-    return factorials[(cells[:, :, None] == np.arange(n)).sum(axis=1)].prod(axis=1)
+    with np.errstate(over="ignore"):
+        factorials = np.concatenate(([1.0], np.cumprod(np.arange(1.0, n + 1))))
+        return factorials[(cells[:, :, None] == np.arange(n)).sum(axis=1)].prod(axis=1)
 
 
 def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -529,20 +531,19 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     kept = []
     for sig, members in groups.items():
         members = np.array(members)
+        # _individualize leaves every template at or under _ORDER_CHUNK rows
         template = _candidate_orders(tuple(k for k in sig if k))
-        per = max(1, _ORDER_CHUNK // len(template))
-        for lo in range(0, len(template), _ORDER_CHUNK):
-            part = template[lo:lo + _ORDER_CHUNK]
-            # widened first: p * n + q passes 255 from n = 17 on
-            cells = part[:, iu].astype(np.intp) * n + part[:, ju]
-            for b in range(0, len(members), per):
-                batch = members[b:b + per]
-                bits = flat[(batch * (n * n))[:, None, None] + cells]
-                packed = np.packbits(bits.reshape(len(batch) * len(part), len(iu)), axis=1)
-                owner = np.repeat(batch, len(part))
-                rows = _least_rows(owner, packed)
-                kept.append((owner[rows], packed[rows],
-                             by_cell[owner[rows, None], part[rows % len(part)]]))
+        per = _ORDER_CHUNK // len(template)
+        # widened first: p * n + q passes 255 from n = 17 on
+        cells = template[:, iu].astype(np.intp) * n + template[:, ju]
+        for b in range(0, len(members), per):
+            batch = members[b:b + per]
+            bits = flat[(batch * (n * n))[:, None, None] + cells]
+            packed = np.packbits(bits.reshape(len(batch) * len(template), len(iu)), axis=1)
+            owner = np.repeat(batch, len(template))
+            rows = _least_rows(owner, packed)
+            kept.append((owner[rows], packed[rows],
+                         by_cell[owner[rows, None], template[rows % len(template)]]))
     owner, packed, orders = (np.concatenate(parts) for parts in zip(*kept))
     if len(kept) > 1 or len(graph) > g:
         # each branch's rows are in candidate order; gather them branch by

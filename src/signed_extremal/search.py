@@ -64,6 +64,7 @@ from .bounds import (
     BoundReport,
     _check_n,
     edge_bound,
+    make_bound_report,
     neg_edge_bound,
     rho_bound,
 )
@@ -529,8 +530,11 @@ def _scan_classes(table: _ClassTable, span: _Span, objective: str,
     ascending within a row, and the report's counters.
 
     MAX_RHO takes the rows with feasible signatures densest first, a stable
-    sort keeping rows ascending within an edge count, and eigensolves them
-    one edge count m at a time. Every signature S of a graph with m edges
+    sort keeping rows ascending within an edge count, and solves them one
+    edge count m at a time: one _span_patterns call expands the signatures of
+    the count, eigvalsh takes them _EIG_BATCH at a time. Under NONE the
+    first count is K_n alone, whose 2^21 signatures at n = 8 are the largest
+    expansion. Every signature S of a graph with m edges
     has rho(A_S) <= rho(|A_S|) <= (sqrt(1 + 8m) - 1) / 2: |lambda||x| <=
     |A_S||x| entrywise for every eigenpair (Perron-Frobenius), which bounds
     both lambda_1 and -lambda_n, and the second step is Stanley's bound
@@ -545,7 +549,7 @@ def _scan_classes(table: _ClassTable, span: _Span, objective: str,
     counters = {"underlying_scanned": len(idx),
                 "signatures_scanned": int((np.int64(1) << table.widths).sum()),
                 "feasible": int(counts.sum())}
-    idx, counts = idx[counts > 0], counts[counts > 0]
+    idx = idx[counts > 0]
     if not len(idx):
         raise ValueError("no feasible signed graph under this configuration")
     if objective == "MAX_EDGES":
@@ -553,10 +557,9 @@ def _scan_classes(table: _ClassTable, span: _Span, objective: str,
         best = int(m.max())
         return (best, *_span_patterns(span, idx[m == best], require_unbalanced), counters)
 
-    # MAX_RHO: eigvalsh calls of up to _EIG_BATCH signatures, one edge count
-    # at a time; each keeps what is within reach of the best value so far
-    order = np.argsort(-table.edges[idx], kind="stable")
-    idx, counts = idx[order], counts[order]
+    # MAX_RHO: one edge count at a time, in eigvalsh calls of up to
+    # _EIG_BATCH signatures; each keeps what is within reach of the best so far
+    idx = idx[np.argsort(-table.edges[idx], kind="stable")]
     edges = table.edges[idx]
     best = -math.inf
     kept = []
@@ -565,21 +568,13 @@ def _scan_classes(table: _ClassTable, span: _Span, objective: str,
     for lo, hi in zip(cuts, cuts[1:]):
         if (math.sqrt(1 + 8 * int(edges[lo])) - 1) / 2 < best - 2 * SPECTRAL_SLACK:
             break
-        group, sizes = idx[lo:hi], counts[lo:hi]
-        ends = np.cumsum(sizes)
-        start = 0
-        while start < len(group):
-            # expand whole classes, about one batch of signatures at a time
-            stop = max(start + 1, int(np.searchsorted(
-                ends, ends[start] - sizes[start] + _EIG_BATCH, side="right")))
-            system, patterns = _span_patterns(span, group[start:stop], require_unbalanced)
-            for a in range(0, len(system), _EIG_BATCH):
-                part = slice(a, a + _EIG_BATCH)
-                vals = _rho_values(table, system[part], patterns[part])
-                best = max(best, float(vals.max()))
-                sel = vals >= best - SPECTRAL_SLACK
-                kept.append((system[part][sel], patterns[part][sel], vals[sel]))
-            start = stop
+        system, patterns = _span_patterns(span, idx[lo:hi], require_unbalanced)
+        for a in range(0, len(system), _EIG_BATCH):
+            part = slice(a, a + _EIG_BATCH)
+            vals = _rho_values(table, system[part], patterns[part])
+            best = max(best, float(vals.max()))
+            sel = vals >= best - SPECTRAL_SLACK
+            kept.append((system[part][sel], patterns[part][sel], vals[sel]))
     system, patterns, vals = map(np.concatenate, zip(*kept))
     sel = vals >= best - SPECTRAL_SLACK
     system, patterns = system[sel], patterns[sel]
@@ -703,18 +698,17 @@ def switching_neg_edge_maximum(g: SignedGraph):
 
 
 def _neg_edge_maximizers(graphs) -> tuple[int, list[SignedGraph]]:
-    """The largest switching_neg_edge_maximum over graphs, and the distinct
-    switched graphs attaining it, in deterministic order."""
-    best = -1
-    maximizers: dict[bytes, SignedGraph] = {}
-    for g in graphs:
-        neg, maxs = switching_neg_edge_maximum(g)
-        if neg > best:
-            best = neg
-            maximizers = {}
-        if neg == best:
-            for m in maxs:
-                maximizers.setdefault(m.adj.tobytes(), m)
+    """The largest negative edge count over the switchings of graphs, and the
+    distinct switched graphs attaining it, sorted by sign matrix bytes.
+
+    Every graph's peak comes from _switching_neg_counts; only the graphs at
+    the overall peak go through switching_neg_edge_maximum, which builds the
+    switched graphs.
+    """
+    peaks = [int(_switching_neg_counts(g.adj).max()) for g in graphs]
+    best = max(peaks)
+    maximizers = {m.adj.tobytes(): m for g, peak in zip(graphs, peaks) if peak == best
+                  for m in switching_neg_edge_maximum(g)[1]}
     return best, [maximizers[k] for k in sorted(maximizers)]
 
 
@@ -763,54 +757,34 @@ def _verify_t1_1(n: int) -> BoundReport:
         ("C3_PLUS", build_complete(n, -1)),
     ):
         classes = _complete_signature_classes(n, forbidden)
-        outcomes[forbidden] = (
-            len(classes) == 1 and switching_equivalent(classes[0], target)
-        )
-    passed = all(outcomes.values())
-    rep = BoundReport(
-        bound_name="t1_1",
-        n=n,
-        bound_value=n * (n - 1) // 2,
-        observed=n * (n - 1) // 2,
-        satisfied=True,
-        witness=build_complete(n, 1),
-        passed=passed,
-        notes="unique homogeneous switching class per forbidden triangle sign",
-    )
-    rep.details = {k: bool(v) for k, v in outcomes.items()}
+        outcomes[forbidden] = len(classes) == 1 and switching_equivalent(classes[0], target)
+    rep = make_bound_report("t1_1", n, n * (n - 1) // 2, n * (n - 1) // 2,
+                            build_complete(n, 1))
+    rep.passed = all(outcomes.values())
+    rep.notes = "unique homogeneous switching class per forbidden triangle sign"
+    rep.details = outcomes
     return rep
 
 
 def _verify_t1_2_edges(n: int, progress) -> BoundReport:
-    rep = search(SearchConfig(n=n, objective="MAX_EDGES"), progress=progress)
-    bound = edge_bound(n)
-    matched = all(m is not None and m.startswith("gst(") for m in rep.matched_family)
-    passed = rep.optimum == bound and len(rep.witnesses) > 0 and matched
-    out = BoundReport(
-        bound_name="t1_2_edges",
-        n=n,
-        bound_value=bound,
-        observed=rep.optimum,
-        satisfied=rep.optimum <= bound,
-        witness=rep.witnesses[0] if rep.witnesses else None,
-        passed=passed,
-        notes=f"{len(rep.witnesses)} maximizer classes: "
-              + ", ".join(str(m) for m in rep.matched_family),
-    )
-    out.details = {"counts": rep.counts, "matched_family": rep.matched_family}
-    return out
+    found = search(SearchConfig(n=n, objective="MAX_EDGES"), progress=progress)
+    rep = make_bound_report("t1_2_edges", n, edge_bound(n), found.optimum, found.witnesses[0])
+    rep.passed = found.optimum == rep.bound_value and all(
+        m is not None and m.startswith("gst(") for m in found.matched_family)
+    rep.notes = (f"{len(found.witnesses)} maximizer classes: "
+                 + ", ".join(str(m) for m in found.matched_family))
+    rep.details = {"counts": found.counts, "matched_family": found.matched_family}
+    return rep
 
 
 def _verify_t1_2_neg(n: int, progress) -> BoundReport:
     if not (4 <= n <= 16):
         raise ValueError("T1_2_NEG verification supports 4 <= n <= 16")
-    bound = neg_edge_bound(n)
     if n <= _MAX_N:
-        rep = search(SearchConfig(n=n, objective="MAX_NEG_EDGES_AT_MAX_EDGES"),
-                     progress=progress)
-        observed = rep.optimum
-        maximizers = rep.witnesses
-        hits = sum(1 for m in rep.matched_family if m == "gst-maxneg")
+        found = search(SearchConfig(n=n, objective="MAX_NEG_EDGES_AT_MAX_EDGES"),
+                       progress=progress)
+        observed, maximizers = found.optimum, found.witnesses
+        hits = found.matched_family.count("gst-maxneg")
         # the maximum must be attained by the canonical layout; from n = 6 on
         # it is also the unique maximizer (n = 5 admits one extra tie class)
         structure_ok = hits > 0 and (n <= 5 or hits == len(maximizers))
@@ -818,48 +792,28 @@ def _verify_t1_2_neg(n: int, progress) -> BoundReport:
                  f"{len(maximizers)} maximizers, {hits} in canonical layout")
     else:
         # beyond enumeration range: the 2^n switchings of every split of the
-        # extremal construction; only the splits attaining the maximum build graphs
-        splits = {s: build_gst(s, n - 2 - s) for s in range(1, (n - 2) // 2 + 1)}
-        peaks = {s: int(_switching_neg_counts(g.adj).max()) for s, g in splits.items()}
-        observed = max(peaks.values())
-        winners = [s for s, peak in peaks.items() if peak == observed]
-        maximizers = [m for s in winners for m in switching_neg_edge_maximum(splits[s])[1]]
-        structure_ok = winners == [(n - 2) // 2] and maximizers == [build_gst_maxneg(n)]
+        # extremal construction. A second split at the peak would add the
+        # switchings of another underlying graph to the maximizers
+        observed, maximizers = _neg_edge_maximizers(
+            [build_gst(s, n - 2 - s) for s in range(1, (n - 2) // 2 + 1)])
+        structure_ok = maximizers == [build_gst_maxneg(n)]
         notes = "switchings of the construction family (n beyond enumeration)"
-    passed = observed == bound and structure_ok
-    return BoundReport(
-        bound_name="t1_2_neg",
-        n=n,
-        bound_value=bound,
-        observed=observed,
-        satisfied=observed <= bound,
-        witness=maximizers[0] if maximizers else None,
-        passed=passed,
-        notes=notes,
-    )
+    rep = make_bound_report("t1_2_neg", n, neg_edge_bound(n), observed, maximizers[0])
+    rep.passed = observed == rep.bound_value and structure_ok
+    rep.notes = notes
+    return rep
 
 
 def _verify_t1_3(n: int, progress) -> BoundReport:
-    rep = search(SearchConfig(n=n, objective="MAX_RHO"), progress=progress)
-    bound = rho_bound(n)
-    expect = f"gst(1,{n - 3})"
-    passed = (
-        abs(rep.optimum - bound) <= FORMULA_TOL
-        and len(rep.witnesses) == 1
-        and rep.matched_family == [expect]
-    )
-    out = BoundReport(
-        bound_name="t1_3",
-        n=n,
-        bound_value=bound,
-        observed=rep.optimum,
-        satisfied=rep.optimum <= bound + FORMULA_TOL,
-        witness=rep.witnesses[0] if rep.witnesses else None,
-        passed=passed,
-        notes=f"maximizers: {', '.join(str(m) for m in rep.matched_family)}",
-    )
-    out.details = {"counts": rep.counts}
-    return out
+    found = search(SearchConfig(n=n, objective="MAX_RHO"), progress=progress)
+    rep = make_bound_report("t1_3", n, rho_bound(n), found.optimum, found.witnesses[0],
+                            spectral=True)
+    # one family entry per witness, so a single match means a single witness
+    rep.passed = (abs(found.optimum - rep.bound_value) <= FORMULA_TOL
+                  and found.matched_family == [f"gst(1,{n - 3})"])
+    rep.notes = f"maximizers: {', '.join(str(m) for m in found.matched_family)}"
+    rep.details = {"counts": found.counts}
+    return rep
 
 
 def _is_halved_switching_of_positive(g: SignedGraph) -> bool:
@@ -881,29 +835,19 @@ def _verify_l2_2(n: int) -> BoundReport:
     if not (3 <= n <= 12):
         raise ValueError("L2_2 verification supports 3 <= n <= 12")
     reps = _complete_signature_classes(n, "C3_MINUS")
-    bound = (n // 2) * ((n + 1) // 2)
     best, winners = _neg_edge_maximizers(reps)
-    structure_ok = len(winners) > 0 and all(
-        _is_halved_switching_of_positive(m) for m in winners
-    )
+    structure_ok = all(_is_halved_switching_of_positive(m) for m in winners)
     if n <= 6:
         # cheap cross-validation of the structural predicate; complete graphs
         # force a full permutation scan, so keep this to small orders
         structure_ok = structure_ok and all(
             switching_isomorphic(m, build_kn_switched_maxneg(n)) for m in winners
         )
-    passed = best == bound and structure_ok
-    return BoundReport(
-        bound_name="l2_2",
-        n=n,
-        bound_value=bound,
-        observed=best,
-        satisfied=best <= bound,
-        witness=winners[0] if winners else None,
-        passed=passed,
-        notes=f"{len(reps)} negative-triangle-free switching classes, "
-              f"{len(winners)} maximizers",
-    )
+    rep = make_bound_report("l2_2", n, (n // 2) * ((n + 1) // 2), best, winners[0])
+    rep.passed = best == rep.bound_value and structure_ok
+    rep.notes = (f"{len(reps)} negative-triangle-free switching classes, "
+                 f"{len(winners)} maximizers")
+    return rep
 
 
 def _verify_l3_6_order(n: int) -> BoundReport:
@@ -913,19 +857,12 @@ def _verify_l3_6_order(n: int) -> BoundReport:
         eigenvalues(build_gst(s, n - 2 - s)).eigenvalues[0]
         for s in range(1, (n - 2) // 2 + 1)
     ]
-    strict = all(a - b > 1e-6 for a, b in zip(lams, lams[1:]))
-    bound = rho_bound(n)
-    formula_ok = abs(lams[0] - bound) <= FORMULA_TOL
-    return BoundReport(
-        bound_name="l3_6_order",
-        n=n,
-        bound_value=bound,
-        observed=lams[0],
-        satisfied=lams[0] <= bound + FORMULA_TOL,
-        witness=build_gst(1, n - 3),
-        passed=strict and formula_ok,
-        notes="descending top eigenvalues: " + ", ".join(f"{v:.12g}" for v in lams),
-    )
+    rep = make_bound_report("l3_6_order", n, rho_bound(n), lams[0], build_gst(1, n - 3),
+                            spectral=True)
+    rep.passed = (all(a - b > 1e-6 for a, b in zip(lams, lams[1:]))
+                  and abs(lams[0] - rep.bound_value) <= FORMULA_TOL)
+    rep.notes = "descending top eigenvalues: " + ", ".join(f"{v:.12g}" for v in lams)
+    return rep
 
 
 def verify_theorem(name: str, n: int, *, progress=None) -> BoundReport:

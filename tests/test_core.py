@@ -631,6 +631,32 @@ class TestCanonicalForms:
             bits = np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes()
             assert int.from_bytes(bits, "big") == code
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n,leaves,chunk", [(200, 1, 2), (302, 2, None)],
+                             ids=["path-200", "forked-path-302"])
+    def test_graphs_past_the_float_factorials_label_without_warnings(
+            self, n, leaves, chunk, monkeypatch):
+        # 171! is past the float range. The 200-vertex path has 100 mirrored
+        # pairs; 2 orders per chunk individualize it one pair at a time (at
+        # the default chunk its last template of 8,192 orders gathers 19,900
+        # cells each, gigabytes). The 302-vertex path with two leaves on one
+        # end keeps one pair and takes the default gather.
+        if chunk:
+            monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
+        # a path on n + 1 - leaves vertices; a second leaf joins its last
+        # inner vertex
+        a = np.zeros((n, n), dtype=bool)
+        u = np.arange(n - leaves)
+        a[u, u + 1] = a[u + 1, u] = True
+        if leaves == 2:
+            a[n - 3, n - 1] = a[n - 1, n - 3] = True
+        code, orders = canonical_form(a)
+        assert len(orders) == 2
+        iu, ju = _triu_cells(n)
+        for order in orders:
+            bits = np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes()
+            assert int.from_bytes(bits, "big") == code
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("chunk", [None, 2])
     def test_matches_brute_force_labelling_on_every_graph(self, n, chunk, monkeypatch):

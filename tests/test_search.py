@@ -14,6 +14,7 @@ from signed_extremal.core import (
     is_balanced,
     is_connected,
     new_signed_graph,
+    switch,
     switching_equivalent,
 )
 from signed_extremal.families import (
@@ -34,6 +35,7 @@ from signed_extremal.search import (
     _deletion_sets,
     _feasible_counts,
     _graph_table,
+    _neg_edge_maximizers,
     _signature_stack,
     _span_patterns,
     _table_span,
@@ -542,6 +544,58 @@ class TestSwitchingNegMaximum:
         monkeypatch.setattr(module, "_SWITCH_CHUNK", 5)
         for g in (build_gst(2, 3), build_kn_switched_maxneg(7)):
             assert switching_neg_edge_maximum(g) == per_mask_neg_edge_maximum(g)
+
+
+def merged_neg_edge_maximizers(graphs):
+    """The per-mask maxima of graphs, merged over the graphs at the peak."""
+    results = [per_mask_neg_edge_maximum(g) for g in graphs]
+    best = max(peak for peak, _ in results)
+    merged = {m.adj.tobytes(): m for peak, maxs in results if peak == best for m in maxs}
+    return best, [merged[k] for k in sorted(merged)]
+
+
+class TestNegEdgeMaximizers:
+    @staticmethod
+    def mixed_peaks():
+        # peaks 7, 9, 8, 9, 9, then 3 to 8: K_6 and its switching share
+        # their maximizers, which the merge keeps once, and K_3,3 adds its own
+        k33 = new_signed_graph(6, [(u, v, 1) for u in range(3) for v in range(3, 6)])
+        return [build_gst(1, 3), build_complete(6, 1), build_gst(2, 2),
+                build_kn_switched_maxneg(6), k33, *seeded_signed_graphs(61, 6, 8)]
+
+    def test_gst_splits_match_the_per_mask_merge(self):
+        splits = [build_gst(s, 6 - s) for s in (1, 2, 3)]
+        assert _neg_edge_maximizers(splits) == merged_neg_edge_maximizers(splits)
+
+    def test_mixed_peaks_match_the_per_mask_merge(self):
+        graphs = self.mixed_peaks()
+        peaks = [per_mask_neg_edge_maximum(g)[0] for g in graphs]
+        assert len(set(peaks)) > 2 and peaks.count(max(peaks)) > 1
+        assert _neg_edge_maximizers(graphs) == merged_neg_edge_maximizers(graphs)
+
+    def test_only_peak_graphs_build_their_maximizers(self, monkeypatch):
+        called = []
+        maximum = SEARCH.switching_neg_edge_maximum
+
+        def counting(g):
+            called.append(g)
+            return maximum(g)
+
+        monkeypatch.setattr(SEARCH, "switching_neg_edge_maximum", counting)
+        graphs = self.mixed_peaks()
+        peaks = [per_mask_neg_edge_maximum(g)[0] for g in graphs]
+        _neg_edge_maximizers(graphs)
+        assert [id(g) for g in called] == [
+            id(g) for g, peak in zip(graphs, peaks) if peak == max(peaks)]
+
+    def test_t1_2_neg_fails_when_the_maximizer_is_not_the_layout(self, monkeypatch):
+        # a switched copy is switching equivalent to the layout, but not the
+        # labelled graph that the splits attain
+        layout = SEARCH.build_gst_maxneg
+        monkeypatch.setattr(SEARCH, "build_gst_maxneg", lambda n: switch(layout(n), [0]))
+        rep = verify_theorem("T1_2_NEG", 12)
+        assert rep.observed == 35 and rep.satisfied
+        assert not rep.passed
 
 
 class TestGF2Solutions:

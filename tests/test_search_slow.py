@@ -18,9 +18,11 @@ pytestmark = pytest.mark.slow
 
 # sha256 of the stdout of `<argv> --format json`, less its final newline: every
 # search cell at n = 4..7, the two n = 8 searches of the theorems, and every
-# verifier over its exhaustive range. Recorded when the scan ran in batches of
-# 256 classes with an optional worker pool, with the config's since-removed
-# "workers":1 key taken out.
+# verifier over its full range. Those up to `l2_2 --n 12` were recorded when the
+# scan ran in batches of 256 classes with an optional worker pool, with the
+# config's since-removed "workers":1 key taken out; the closed-form ranges
+# after them (t1_2_neg n = 9..16, l3_6_order n = 5..40) were recorded when
+# t1_2_neg compared the peaks of the gst splits by hand.
 PINNED_REPORTS = {
     "search --n 4 --objective max-edges --forbid c3-minus":
         "3de588893c60d4aa0b669079b35c9ccb4f344f74563e1171c1e2d25ba83a9821",
@@ -220,6 +222,94 @@ PINNED_REPORTS = {
         "2faa55aeeb0139a56e7eeeb5d674d9ec75393651593cdb8c1e6466e5395b12d2",
     "verify --theorem l2_2 --n 12":
         "67a61fd8a0e8ba1843a5a49325a38e5031fc23571a53fabd6e9a009d42c79265",
+    "verify --theorem t1_2_neg --n 9":
+        "31e813924493563e2367dd56797686d6fc293ef4d26ee824d6bdfd871439846e",
+    "verify --theorem t1_2_neg --n 10":
+        "4f11fb707d1dd1a0db27ee8b2a69c55d108158a3711de2dba5723e533c827967",
+    "verify --theorem t1_2_neg --n 11":
+        "e4bc5bfd1a486e1295e57f064e10456f532daf13f25f6bc6ab82129649939691",
+    "verify --theorem t1_2_neg --n 12":
+        "7c38d6cc95def6cf6e4e056732e49cd80be54865055764232b0761806094a2d7",
+    "verify --theorem t1_2_neg --n 13":
+        "b19866103d1624f7b1f69b4966b8a3ac0ad5bcd550a5a1f09b6e6a84401ccf42",
+    "verify --theorem t1_2_neg --n 14":
+        "143318d37632e1d2b939e38e27c8256dd4d468584fd4a8cd2218053f911ca95c",
+    "verify --theorem t1_2_neg --n 15":
+        "f736e5fa147b1f6a45b14821e11da7a90c6e9788ee1ed960f665b7781f8b0cf4",
+    "verify --theorem t1_2_neg --n 16":
+        "96b494023f4928c68819d0deaf493c5c662c74387c19b784a6a770ed93541391",
+    "verify --theorem l3_6_order --n 5":
+        "0e2a88018f41606aca6762c7e9c3c5d4b387aa99f39a66839577f0f9a226c68b",
+    "verify --theorem l3_6_order --n 6":
+        "3bdb227a96fc935e0a9edd67c6f2b254360289803d30547d628917ab949a98f8",
+    "verify --theorem l3_6_order --n 7":
+        "252cdd93c7d7f6d16061c1fa161b6f879bff087f0068b19e172417a32b1df0f0",
+    "verify --theorem l3_6_order --n 8":
+        "c2dbbc1540e68077eff4a6ef973cc166f6f6929eff9769e523fe485ed3f47560",
+    "verify --theorem l3_6_order --n 9":
+        "690875dc179487a03ca0c7fe5c48615bdc30339cc8ee502a8fac367ab3fd31f0",
+    "verify --theorem l3_6_order --n 10":
+        "71b818e7158498fe907021e7e13f16595fa9a93ddcd3e263934f6e29d7150777",
+    "verify --theorem l3_6_order --n 11":
+        "29592a3a93368daa98b31ff0a2e5e6610b4feef2ebe8c32fb0bca2b0b495b9ef",
+    "verify --theorem l3_6_order --n 12":
+        "4c80f5655d4f90c0352619d1d003c2c48a0c9f498a647ed8f6ee5cab1dca0cad",
+    "verify --theorem l3_6_order --n 13":
+        "875ee968b0792c03f177f60d475eb4c36c5edf819f26496143bf1e47596882a6",
+    "verify --theorem l3_6_order --n 14":
+        "93790a96dafdd7abb5664fe2d8c04a084c0528312a6dd815605a2f9523ee53a8",
+    "verify --theorem l3_6_order --n 15":
+        "70c5db661923f49348ba82a2abb071da1947c6f706ed6309c92a18e35611844b",
+    "verify --theorem l3_6_order --n 16":
+        "331ff6436fc6f795f546b23370020efc010e67331629b90acd2d8f011def7a47",
+    "verify --theorem l3_6_order --n 17":
+        "cf4ae43240bbdf4691e8892db48f8b83a6a6e8b1518f471182deddb4a3720263",
+    "verify --theorem l3_6_order --n 18":
+        "dd9f2ab49abff94ebd9cfe054e4a6b1946d752589857de38c781a1aeb9a6e317",
+    "verify --theorem l3_6_order --n 19":
+        "5262b1bea49dbe38ae821120b4b82922b224f8ee7bff713b2b0a9ecaa00418f0",
+    "verify --theorem l3_6_order --n 20":
+        "7d2541ed8e3fc3f558533745fa4a2ffba61298b222d8554e3a718b5001d79dc2",
+    "verify --theorem l3_6_order --n 21":
+        "5c2b713e9406e98b914dcc059c9aaf20c61fc0018627f577a9c96bb9a39240c9",
+    "verify --theorem l3_6_order --n 22":
+        "5a9b3f19172fc1ed91241896fbee0a94fd8d09bfba4ad597d389d1b509553fe1",
+    "verify --theorem l3_6_order --n 23":
+        "9c78cea30ca5a4f9bd940f1d7a07768fb94ce9b5e40e380e3a810400299f6498",
+    "verify --theorem l3_6_order --n 24":
+        "5f8ede2014a9b4f638877766e5c51030ddece4a70b0456c8ab2d6cdba6ca9914",
+    "verify --theorem l3_6_order --n 25":
+        "e2590bd166df1b7f66a878114bceed8bfcd2164e1713eab61410fa88b921b580",
+    "verify --theorem l3_6_order --n 26":
+        "abf7d1f014d28a35a234661f59e84f09dae00dd8b9e7d58b287e7424864ef804",
+    "verify --theorem l3_6_order --n 27":
+        "57505b5203d77c759bd17245cd308785783327acf5ca1e96d2932de94d8a97b4",
+    "verify --theorem l3_6_order --n 28":
+        "403a82819785d62df79dce533472a37e59a44d28105f01647a6f92f3847a4a92",
+    "verify --theorem l3_6_order --n 29":
+        "ce40d9ef3dbc37f690821f35d93d7190618422139dd59f5740348bb918e0515b",
+    "verify --theorem l3_6_order --n 30":
+        "8667f10079d4c0690d1a2c604b3fdb7b1e63beb6ba4e1183514a4635bf9c85e7",
+    "verify --theorem l3_6_order --n 31":
+        "01259d329ebe3697a72b3065554300f9297d8f98220afddcfb802cef73eefcbe",
+    "verify --theorem l3_6_order --n 32":
+        "f24d718afc104349642fdb023b18fd9d916a58bff70500d18852e9d8022b27c5",
+    "verify --theorem l3_6_order --n 33":
+        "c8fc8a0572f61b93486dab2084002b38fe24df136294f1721a5b0dc496a60803",
+    "verify --theorem l3_6_order --n 34":
+        "2b0828e464c66740a50b048a003bca14c6678cce1abbf60d31cce60ba4aef822",
+    "verify --theorem l3_6_order --n 35":
+        "aaebf8d8c8113869eb9287e4e30aaa90f6ef5a846c87baa974e9b0a1cbd9650a",
+    "verify --theorem l3_6_order --n 36":
+        "f73046e91140d6173b42d6e667215f2078a0f34d92504a88d0aaac9d8f184ea4",
+    "verify --theorem l3_6_order --n 37":
+        "e5f6e37b7e3642d5f42fa93f25e1fdb3394e37d68bed723252e6af77b075f36f",
+    "verify --theorem l3_6_order --n 38":
+        "71a87fe0fe1a6decdb254589e4202c762b90208dd7a68911b843c92ad9625b37",
+    "verify --theorem l3_6_order --n 39":
+        "ddd7377ca9bc20b8aa298ce1f0968e2c76b51c43857c4611d88972995785412e",
+    "verify --theorem l3_6_order --n 40":
+        "b0f2b5f2a2e8f2ef06a0a4358554d7db3cb255dd9c2840f019e5a8ab6e30c467",
 }
 
 _TIES = ("signatures tie the optimum; witness materialization is only supported "
