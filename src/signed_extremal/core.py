@@ -187,7 +187,8 @@ def _bfs_tree(adj: np.ndarray) -> list[tuple[int, int]]:
     Breadth-first from the smallest vertex of each component, neighbours
     visited in increasing index order. The forest spans a connected graph iff
     it has n - 1 edges. canonical_switch and the search's signature
-    enumerator both pin this forest positive, so they must share it.
+    enumerator both pin this forest positive, so they must share it; the
+    enumerator's class tables use the stacked form, _bfs_trees.
     """
     rows = adj.tolist()
     seen = [False] * len(rows)
@@ -205,6 +206,36 @@ def _bfs_tree(adj: np.ndarray) -> list[tuple[int, int]]:
                     tree.append((v, u))
                     queue.append(u)
     return tree
+
+
+def _bfs_trees(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_bfs_tree of every graph of a (G, n, n) bool stack at once.
+
+    Returns the (G, n - 1, 2) forest edges (parent, child) in discovery order
+    and which graphs are connected; a graph that is not gets meaningless
+    edges. Step i takes the vertex at queue position i of every graph and
+    queues its undiscovered neighbours in increasing index order, as the
+    queue of _bfs_tree does, so the trees are the same, order included. For
+    one graph _bfs_tree is far cheaper.
+    """
+    g, n = adj.shape[:2]
+    rows = np.arange(g)
+    # vertex 0 first; positions not reached yet hold 0, whose neighbours are
+    # all queued at step 0, so a queue that runs dry queues nothing more
+    order = np.zeros((g, n), dtype=np.intp)
+    edges = np.zeros((g, n - 1, 2), dtype=np.intp)
+    seen = np.zeros((g, n), dtype=bool)
+    seen[:, 0] = True
+    for i in range(n - 1):
+        v = order[:, i]
+        new = adj[rows, v] & ~seen
+        r, u = np.nonzero(new)
+        # queue positions, after the vertices found so far
+        k = (seen.sum(axis=1, keepdims=True) + np.cumsum(new, axis=1) - 1)[r, u]
+        order[r, k] = u
+        edges[r, k - 1] = np.column_stack((v[r], u))
+        seen |= new
+    return edges, seen.all(axis=1)
 
 
 def _tree_spins(adj: np.ndarray, tree) -> np.ndarray:
@@ -387,12 +418,14 @@ def _refine(adj: np.ndarray) -> np.ndarray:
     the rows (colour, -counts) with counts = adj @ onehot(colours).
     """
     n = adj.shape[1]
-    a = adj.astype(np.uint8)
+    # counts reach n - 1: uint8 below 256 vertices, a wider type from there
+    count_dtype = np.min_scalar_type(n)
+    a = adj.astype(count_dtype)
     colours = _dense_ranks(a.sum(axis=2, dtype=np.intp)[:, :, None])
     active = np.flatnonzero(colours.max(axis=1) < n - 1)
     while len(active):
         col = colours[active]
-        counts = a[active] @ (col[:, :, None] == np.arange(col.max() + 1)).astype(np.uint8)
+        counts = a[active] @ (col[:, :, None] == np.arange(col.max() + 1)).astype(count_dtype)
         new = _dense_ranks(np.concatenate((col[:, :, None], -counts.astype(np.intp)), axis=2))
         colours[active] = new
         # a partition that did not split is stable; a discrete one cannot split
@@ -435,7 +468,14 @@ def _least_rows(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
     words[:, :values.shape[1]] = values
     words = words.view(">u8")
     rows = np.arange(len(owner))
-    for w in range(words.shape[1]):
+    cols = range(words.shape[1])
+    if len(cols) > 1:
+        # a word on which every row equals its owner's first row decides
+        # nothing; with one word, finding that costs more than it saves
+        first = np.concatenate(([True], owner[1:] != owner[:-1]))
+        lead = np.flatnonzero(first)[np.cumsum(first) - 1]
+        cols = np.flatnonzero((words != words[lead]).any(axis=0))
+    for w in cols:
         own = owner[rows]
         first = np.concatenate(([True], own[1:] != own[:-1]))
         col = words[rows, w]
@@ -514,7 +554,9 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     order. A graph whose classes keep more than _ORDER_CHUNK orders is first
     split into branches by individualization (_individualize). Branches
     with the same cell sizes share one template of candidate orders over
-    their vertices sorted by cell, gathered about _ORDER_CHUNK rows at a time.
+    their vertices sorted by cell, gathered about _ORDER_CHUNK rows at a time;
+    past 8 vertices a template is gathered in slices of fewer rows, merged
+    like the branches of one graph, so that memory does not grow with n^2.
     """
     g, n = adj.shape[:2]
     colours = _refine(adj)
@@ -528,30 +570,38 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     for i, sig in enumerate(map(bytes, sizes)):
         groups.setdefault(sig, []).append(i)
     iu, ju = _triu_cells(n)
+    # rows per gather: _ORDER_CHUNK up to the 28 cells of n = 8, fewer
+    # above, so that no gather holds more than _ORDER_CHUNK x 28 cells
+    budget = max(1, _ORDER_CHUNK * 28 // max(len(iu), 28))
     kept = []
     for sig, members in groups.items():
         members = np.array(members)
         # _individualize leaves every template at or under _ORDER_CHUNK rows
         template = _candidate_orders(tuple(k for k in sig if k))
-        per = _ORDER_CHUNK // len(template)
-        # widened first: p * n + q passes 255 from n = 17 on
-        cells = template[:, iu].astype(np.intp) * n + template[:, ju]
-        for b in range(0, len(members), per):
-            batch = members[b:b + per]
-            bits = flat[(batch * (n * n))[:, None, None] + cells]
-            packed = np.packbits(bits.reshape(len(batch) * len(template), len(iu)), axis=1)
-            owner = np.repeat(batch, len(template))
-            rows = _least_rows(owner, packed)
-            kept.append((owner[rows], packed[rows],
-                         by_cell[owner[rows, None], template[rows % len(template)]]))
-    owner, packed, orders = (np.concatenate(parts) for parts in zip(*kept))
-    if len(kept) > 1 or len(graph) > g:
+        for t in range(0, len(template), budget):
+            part = template[t:t + budget]
+            per = budget // len(part)
+            # widened first: p * n + q passes 255 from n = 17 on
+            cells = part[:, iu].astype(np.intp) * n + part[:, ju]
+            for b in range(0, len(members), per):
+                batch = members[b:b + per]
+                bits = flat[(batch * (n * n))[:, None, None] + cells]
+                packed = np.packbits(bits.reshape(len(batch) * len(part), len(iu)), axis=1)
+                owner = np.repeat(batch, len(part))
+                rows = _least_rows(owner, packed)
+                kept.append((owner[rows], packed[rows],
+                             by_cell[owner[rows, None], part[rows % len(part)]]))
+    merge = len(kept) > 1 or len(graph) > g
+    owner, packed, orders = map(np.concatenate, zip(*kept))
+    # the parts and the orders, the largest array, are held once at a time
+    del kept
+    if merge:
         # each branch's rows are in candidate order; gather them branch by
         # branch, which puts each graph's rows in lexicographic order
         by_branch = np.argsort(owner, kind="stable")
-        owner, packed, orders = graph[owner[by_branch]], packed[by_branch], orders[by_branch]
-        rows = _least_rows(owner, packed)
-        owner, packed, orders = owner[rows], packed[rows], orders[rows]
+        owner = graph[owner[by_branch]]
+        keep = _least_rows(owner, packed[by_branch])
+        owner, packed, orders = owner[keep], packed[by_branch[keep]], orders[by_branch[keep]]
     counts = np.bincount(owner, minlength=g)
     codes = [int.from_bytes(row.tobytes(), "big") for row in packed[np.cumsum(counts) - counts]]
     return Labelling(codes, orders, counts, colours)

@@ -14,6 +14,10 @@ kept if its new vertex may be canonically deleted: among the non-cut vertices
 that maximize (-degree, sorted neighbour degrees), it must share an orbit with
 the one that gets the smallest label in core.canonical_forms, which labels a
 block at once. Each class then arises once, stored as its canonical bitmap.
+The cut tests read the parent, not the child: G is a parent P plus one new
+vertex, so for any other vertex v, G - v is connected iff the new vertex's
+other neighbours meet every component of P - v, and those components are
+found once per parent and vertex (_cut_components).
 Colour refinement cannot split a regular graph, so canonical_forms
 individualizes any graph with more than one chunk of colour-respecting
 orders one position at a time (McKay and Piperno, 2014): a cubic child on 8
@@ -27,7 +31,8 @@ elimination, never by scanning all 2^k patterns (switching classes are fixed
 by their cycle signs: Zaslavsky, "Signed graphs", 1982).
 
 The class table (adjacency, edge count, non-tree cells and triangle masks of
-every class) is built once per n, on the first search at that n, and the
+every class) is built once per n, on the first search at that n, a block of
+classes at a time, spanning trees included (core._bfs_trees), and the
 triangle systems of all classes are solved together once per (n, forbidden
 triangle); later searches only read them. Feasible counts follow from the
 rank of each system. MAX_RHO eigensolves the classes densest first, one edge
@@ -71,7 +76,7 @@ from .bounds import (
 from .core import (
     _SWITCHING_ISO_MAX_ORDER,
     SignedGraph,
-    _bfs_tree,
+    _bfs_trees,
     _least_sign_row,
     _triu_cells,
     canonical_form,
@@ -198,11 +203,29 @@ def _orbit_masks(auts: np.ndarray, m: int) -> list[int]:
     return masks[images.min(axis=1) == masks].tolist()
 
 
-def _deletion_sets(adj: np.ndarray) -> np.ndarray:
+def _cut_components(adj: np.ndarray) -> np.ndarray:
+    """comps[p, v, u]: the component of P - v that holds u, as a bitmask in
+    the smallest unsigned dtype, for each graph P of a (G, m, m) bool stack;
+    all m bits where u = v."""
+    m = adj.shape[1]
+    off = ~np.eye(m, dtype=bool)
+    # reach[p, v]: adjacency of P - v, loops added, closed under squaring;
+    # paths in P - v have at most m - 2 edges
+    reach = (adj[:, None] & off[None, :, :, None] & off[None, :, None, :]) | np.eye(m, dtype=bool)
+    for _ in range(max(m - 3, 0).bit_length()):
+        step = reach.astype(np.uint8)
+        reach = (step @ step).astype(bool)
+    comps = (reach @ (np.int64(1) << np.arange(m))).astype(np.min_scalar_type((1 << m) - 1))
+    comps[:, np.arange(m), np.arange(m)] = (1 << m) - 1
+    return comps
+
+
+def _deletion_sets(adj: np.ndarray, comps: np.ndarray) -> np.ndarray:
     """M(G) of each graph of a bool stack, as a (G, n) mask that is all False
     where the last vertex is not in M(G): the non-cut vertices maximizing
-    (-degree, sorted neighbour degrees). The last vertex is never a cut
-    vertex, since deleting it leaves the parent."""
+    (-degree, sorted neighbour degrees). Each G is its parent P = G - (n - 1)
+    plus the last vertex, and comps[g] is _cut_components of that P; the last
+    vertex is never a cut vertex, since deleting it leaves P, connected."""
     n = adj.shape[1]
     degs = adj.sum(axis=2)
     # the key as one integer of base n + 1 digits, exact for n <= 15: n -
@@ -212,14 +235,10 @@ def _deletion_sets(adj: np.ndarray) -> np.ndarray:
     key = (n - degs) * weights[0] + digits @ weights[1:]
     rivals = key >= key[:, -1:]
     child, v = np.nonzero(rivals[:, :-1])
-    # the vertices of G - v reachable from its least vertex, as bitmasks
-    nbrs = (adj.astype(np.int64) @ (np.int64(1) << np.arange(n)))[child]
-    rest = ((1 << n) - 1) ^ (np.int64(1) << v)
-    seen = rest & -rest
-    for _ in range(n - 2):
-        on = ((seen[:, None] >> np.arange(n)) & 1).astype(bool)
-        seen |= np.bitwise_or.reduce(np.where(on, nbrs, 0), axis=1) & rest
-    rivals[child, v] = seen == rest
+    # G - v is connected iff the last vertex's other neighbours meet every
+    # component of P - v; its whole mask meets the all-bits entry at v
+    last = (adj[:, -1, :-1] @ (np.int64(1) << np.arange(n - 1))).astype(comps.dtype)
+    rivals[child, v] = (comps[child, v] & last[child, None]).all(axis=1)
     in_set = rivals & (key == key[:, -1:])
     in_set[(rivals & (key > key[:, -1:])).any(axis=1)] = False
     return in_set
@@ -232,20 +251,24 @@ def _canonical_children(n: int) -> list[int]:
     parents = _codes_to_adj(_connected_class_bitmaps(m), m)
     # the parents are stored in canonical form, so the orders that attain
     # their own bitmaps are exactly their automorphisms
-    owner, masks = [], []
+    owner, masks, comps = [], [], []
     for lo in range(0, len(parents), _TABLE_BLOCK):
-        lab = canonical_forms(parents[lo:lo + _TABLE_BLOCK])
+        block = parents[lo:lo + _TABLE_BLOCK]
+        lab = canonical_forms(block)
         for p, auts in enumerate(np.split(lab.orders, np.cumsum(lab.counts)[:-1]), lo):
             orbit = _orbit_masks(auts, m)
             owner += [p] * len(orbit)
             masks += orbit
+        comps.append(_cut_components(block))
+    comps = np.concatenate(comps)
     bits = ((np.array(masks, dtype=np.int64)[:, None] >> np.arange(m)) & 1).astype(bool)
     # the children whose new vertex is in M(G), with M(G)
     kids = []
     for lo in range(0, len(owner), _TABLE_BLOCK):
-        adj = np.pad(parents[owner[lo:lo + _TABLE_BLOCK]], ((0, 0), (0, 1), (0, 1)))
+        part = owner[lo:lo + _TABLE_BLOCK]
+        adj = np.pad(parents[part], ((0, 0), (0, 1), (0, 1)))
         adj[:, m, :m] = adj[:, :m, m] = bits[lo:lo + _TABLE_BLOCK]
-        in_set = _deletion_sets(adj)
+        in_set = _deletion_sets(adj, comps[part])
         kids.append((adj[in_set[:, m]], in_set[in_set[:, m]]))
     kids, sets = map(np.concatenate, zip(*kids))
     children = []
@@ -324,8 +347,9 @@ class _ClassTable(NamedTuple):
 def _class_table(n: int) -> _ClassTable:
     """The class table of n, built from the cached class codes on first use.
 
-    The spanning trees come from _bfs_tree, one class at a time, so the
-    pinned tree is the one canonical_switch uses.
+    The spanning trees come from _bfs_trees, a block of classes at a time;
+    it builds the trees of _bfs_tree, order included, so the pinned tree is
+    the one canonical_switch uses.
     """
     codes = _connected_class_bitmaps(n)
     # K_n has the most non-tree edges
@@ -356,16 +380,15 @@ def _table_block(adj: np.ndarray, width: int):
     bits = adj[:, iu, ju]
     cell = np.zeros((n, n), dtype=np.intp)
     cell[iu, ju] = cell[ju, iu] = np.arange(ncells)
-    cell_rows = cell.tolist()
-    tree_cells = [[cell_rows[v][u] for v, u in _bfs_tree(a)] for a in adj]
-    if any(len(t) != n - 1 for t in tree_cells):
+    edges, connected = _bfs_trees(adj)
+    if not connected.all():
         raise ValueError("graph must be connected")
     # the rhs of a triangle equation is bit `width` of its mask
     if width > 63:
         raise ValueError(f"{width} non-tree edges; at most 63 are supported")
     mask_dtype = np.uint32 if width < 32 else np.uint64
     tree = np.zeros_like(bits)
-    tree[np.arange(len(adj))[:, None], np.array(tree_cells, dtype=np.intp)] = True
+    tree[np.arange(len(adj))[:, None], cell[edges[:, :, 0], edges[:, :, 1]]] = True
     off = bits & ~tree
     # non-tree bit b is the b-th non-tree cell in row-major order
     pos = np.cumsum(off, axis=1) - 1

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 
 from signed_extremal.core import (
     SignedGraph,
+    _bfs_tree,
+    _bfs_trees,
     _candidate_orders,
     _individualize,
     _refine,
@@ -37,7 +40,11 @@ from signed_extremal.families import (
     build_gst_maxneg,
     build_kn_switched_maxneg,
 )
-from signed_extremal.search import enumerate_underlying
+from signed_extremal.search import (
+    _codes_to_adj,
+    _connected_class_bitmaps,
+    enumerate_underlying,
+)
 
 from _oracles import (
     all_labeled_signed_graphs,
@@ -241,6 +248,33 @@ class TestConnectivity:
             g = new_signed_graph(n, [(i, j, 1) for b, (i, j) in enumerate(cells)
                                      if bits >> b & 1])
             assert is_connected(g) == (g.adj.astype(bool).tobytes() in connected)
+
+
+def assert_stacked_trees_match(adj):
+    edges, connected = _bfs_trees(adj)
+    for a, tree, ok in zip(adj, edges, connected):
+        one = _bfs_tree(a)
+        assert ok == (len(one) == len(a) - 1)
+        if ok:
+            assert tree.tolist() == [list(e) for e in one]
+
+
+class TestStackedSpanningTrees:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+    def test_matches_the_one_graph_tree_on_every_class(self, n):
+        assert_stacked_trees_match(_codes_to_adj(_connected_class_bitmaps(n), n))
+
+    @pytest.mark.parametrize("n", [9, 10, 11, 12])
+    def test_matches_the_one_graph_tree_on_seeded_connected_graphs(self, n):
+        adj = np.array([g.adj != 0 for g in seeded_signed_graphs(1200 + n, n, 200)
+                        if is_connected(g)])
+        assert len(adj) > 100
+        assert_stacked_trees_match(adj)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_flags_every_disconnected_labeled_graph(self, n):
+        # trees are compared where the graph is connected
+        assert_stacked_trees_match(labeled_graph_stack(n))
 
 
 class TestBalance:
@@ -581,6 +615,19 @@ class TestCanonicalForms:
             assert colour_classes(colours) == tuple_sorting_color_classes(a)
             assert refined_color_classes(a) == tuple_sorting_color_classes(a)
 
+    def test_colour_counts_do_not_wrap_past_255_neighbours(self):
+        # x has 256 leaves and y, z share 256 neighbours of degree 2: all three
+        # have degree 256, and counts of 256 in one colour must not read as 0
+        n = 3 + 256 + 256
+        a = np.zeros((n, n), dtype=bool)
+        leaves, middles = np.arange(3, 259), np.arange(259, n)
+        a[0, leaves] = a[leaves, 0] = True
+        a[1, middles] = a[middles, 1] = True
+        a[2, middles] = a[middles, 2] = True
+        classes = colour_classes(_refine(a[None])[0])
+        assert classes == tuple_sorting_color_classes(a)
+        assert [0] in classes
+
     @pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34),
                                            (6, 156)])
     def test_counts_isomorphism_classes(self, n, classes):
@@ -632,15 +679,19 @@ class TestCanonicalForms:
             assert int.from_bytes(bits, "big") == code
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n,leaves,chunk", [(200, 1, 2), (302, 2, None)],
-                             ids=["path-200", "forked-path-302"])
+    @pytest.mark.parametrize("n,leaves,chunk", [
+        pytest.param(200, 1, 2, id="path-200"),
+        pytest.param(200, 1, None, id="path-200-default-chunk", marks=pytest.mark.slow),
+        pytest.param(302, 2, None, id="forked-path-302"),
+    ])
     def test_graphs_past_the_float_factorials_label_without_warnings(
             self, n, leaves, chunk, monkeypatch):
         # 171! is past the float range. The 200-vertex path has 100 mirrored
-        # pairs; 2 orders per chunk individualize it one pair at a time (at
-        # the default chunk its last template of 8,192 orders gathers 19,900
-        # cells each, gigabytes). The 302-vertex path with two leaves on one
-        # end keeps one pair and takes the default gather.
+        # pairs; 2 orders per chunk individualize it one pair at a time. At
+        # the default chunk its last template has 8,192 orders of 19,900
+        # cells each, gathered in slices (about 4 s; one gather of all would
+        # take 2.9 GB). The 302-vertex path with two leaves on one end keeps
+        # one pair, a template of 2 orders.
         if chunk:
             monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
         # a path on n + 1 - leaves vertices; a second leaf joins its last
@@ -650,7 +701,13 @@ class TestCanonicalForms:
         a[u, u + 1] = a[u + 1, u] = True
         if leaves == 2:
             a[n - 3, n - 1] = a[n - 1, n - 3] = True
-        code, orders = canonical_form(a)
+        tracemalloc.start()
+        try:
+            code, orders = canonical_form(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 20
         assert len(orders) == 2
         iu, ju = _triu_cells(n)
         for order in orders:

@@ -9,6 +9,7 @@ import pytest
 from signed_extremal.bounds import rho_bound
 from signed_extremal.core import (
     SignedGraph,
+    canonical_forms,
     canonical_signed_code,
     canonical_switch,
     is_balanced,
@@ -30,14 +31,18 @@ from signed_extremal.search import (
     _canonical_children,
     _class_span,
     _class_table,
+    _codes_to_adj,
     _complete_signature_classes,
     _connected_class_bitmaps,
+    _cut_components,
     _deletion_sets,
     _feasible_counts,
     _graph_table,
     _neg_edge_maximizers,
+    _orbit_masks,
     _signature_stack,
     _span_patterns,
+    _table_block,
     _table_span,
     enumerate_signatures,
     enumerate_underlying,
@@ -76,6 +81,49 @@ PINNED_CLASS_CODES = {
 
 def codes_digest(codes) -> str:
     return hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
+
+
+def attach(parents, masks):
+    """Each parent (bool, m x m) with one new last vertex joined to the
+    vertices of its bitmask."""
+    m = parents.shape[1]
+    adj = np.pad(parents, ((0, 0), (0, 1), (0, 1)))
+    adj[:, m, :m] = adj[:, :m, m] = (np.asarray(masks)[:, None] >> np.arange(m)) & 1
+    return adj
+
+
+def rivals(adj):
+    """The vertices before the last whose (-degree, sorted neighbour degrees)
+    is at least the last vertex's: those whose cut test M(G) needs."""
+    deg = adj.sum(axis=1)
+    key = [(-deg[v], sorted(deg[adj[v]])) for v in range(len(adj))]
+    return [v for v in range(len(adj) - 1) if key[v] >= key[-1]]
+
+
+def connected_without(adj, v):
+    rest = np.delete(np.delete(adj, v, axis=0), v, axis=1)
+    return is_connected(SignedGraph(rest.astype(np.int8)))
+
+
+def augmentation_children(n):
+    """Children on n vertices as _canonical_children tests them: every class
+    on n - 1 <= 6 vertices with one mask per orbit of its automorphisms, and
+    from n = 7 on seeded connected parents with seeded masks."""
+    m = n - 1
+    stacks = []
+    if m <= 6:
+        parents = _codes_to_adj(_connected_class_bitmaps(m), m)
+        lab = canonical_forms(parents)
+        auts = np.split(lab.orders, np.cumsum(lab.counts)[:-1])
+        pairs = [(p, mask) for p in range(len(parents)) for mask in _orbit_masks(auts[p], m)]
+        owner, masks = map(list, zip(*pairs))
+        stacks.append(attach(parents[owner], masks))
+    if n >= 7:
+        parents = np.array([g.adj != 0 for g in seeded_signed_graphs(700 + n, m, 400)
+                            if is_connected(g)])
+        masks = np.random.default_rng(n).integers(1, 1 << m, size=len(parents))
+        stacks.append(attach(parents, masks))
+    return np.concatenate(stacks)
 
 
 @pytest.fixture
@@ -129,9 +177,25 @@ class TestEnumerateUnderlying:
         adj = np.array([a for a in graphs if is_connected(SignedGraph(a.astype(np.int8)))
                         and is_connected(SignedGraph(a[:-1, :-1].astype(np.int8)))])
         assert len(adj) > 10
-        for a, in_set in zip(adj, _deletion_sets(adj)):
+        for a, in_set in zip(adj, _deletion_sets(adj, _cut_components(adj[:, :-1, :-1]))):
             expect = per_child_deletion_set(a)
             assert (np.flatnonzero(in_set).tolist() if in_set[-1] else None) == expect
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_deletion_sets_of_augmentation_children_match_the_definition(self, n):
+        adj = augmentation_children(n)
+        # cut tests come from the parent's components, so the children must
+        # include new leaves and rivals that cut the parent but not G
+        leaves = cuts_parent_only = 0
+        for a, in_set in zip(adj, _deletion_sets(adj, _cut_components(adj[:, :-1, :-1]))):
+            expect = per_child_deletion_set(a)
+            assert (np.flatnonzero(in_set).tolist() if in_set[-1] else None) == expect
+            leaves += int(a[-1].sum()) == 1
+            if n >= 4:
+                cuts_parent_only += sum(not connected_without(a[:-1, :-1], v)
+                                        and connected_without(a, v) for v in rivals(a))
+        assert leaves > 0
+        assert cuts_parent_only > 0 or n < 4
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
@@ -180,6 +244,16 @@ class TestEnumerateSignatures:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError, match="connected"):
             list(enumerate_signatures(new_signed_graph(3, [(0, 1, 1)])))
+
+    def test_stack_with_a_disconnected_graph_rejected(self):
+        # one disconnected graph among connected ones fails the whole table
+        adj = _codes_to_adj(_connected_class_bitmaps(5), 5)
+        # K_5 less the edges at vertex 4
+        cut = ~np.eye(5, dtype=bool)
+        cut[4, :] = cut[:, 4] = False
+        adj = np.concatenate((adj[:3], [cut], adj[3:]))
+        with pytest.raises(ValueError, match="graph must be connected"):
+            _table_block(adj, 6)
 
     def test_long_cycle_keeps_its_non_tree_cell(self):
         # the non-tree edge (15, 16) of C_30 is upper-triangle cell 330, which
@@ -372,8 +446,9 @@ class TestSearch:
 
     def test_second_search_builds_no_trees(self, monkeypatch, fresh_tables):
         calls = []
-        tree = SEARCH._bfs_tree
-        monkeypatch.setattr(SEARCH, "_bfs_tree", lambda adj: calls.append(1) or tree(adj))
+        trees = SEARCH._bfs_trees
+        monkeypatch.setattr(SEARCH, "_bfs_trees",
+                            lambda adj: calls.extend([1] * len(adj)) or trees(adj))
         config = SearchConfig(n=6, objective="MAX_RHO")
         first = search(config)
         assert len(calls) == 112  # one spanning tree per class
