@@ -374,7 +374,6 @@ class Labelling(NamedTuple):
     codes: list[int]        # canonical bitmap of each graph
     orders: np.ndarray      # (rows, n) optimal orders, graph by graph
     counts: np.ndarray      # (G,) optimal orders of each graph
-    colours: np.ndarray     # (G, n) refined colour of each vertex
 
 
 def refined_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
@@ -382,7 +381,7 @@ def refined_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
     view of canonical_forms. Colours start as degree ranks and each round
     re-ranks (colour, sorted neighbour colours), so isomorphic graphs get
     corresponding classes in the same order."""
-    colours = canonical_forms(adj_bool[None]).colours[0]
+    colours = _refine(adj_bool[None])[0]
     return [np.flatnonzero(colours == c).tolist() for c in range(colours.max() + 1)]
 
 
@@ -468,19 +467,19 @@ def _least_rows(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
     words[:, :values.shape[1]] = values
     words = words.view(">u8")
     rows = np.arange(len(owner))
-    cols = range(words.shape[1])
-    if len(cols) > 1:
-        # a word on which every row equals its owner's first row decides
-        # nothing; with one word, finding that costs more than it saves
-        first = np.concatenate(([True], owner[1:] != owner[:-1]))
-        lead = np.flatnonzero(first)[np.cumsum(first) - 1]
-        cols = np.flatnonzero((words != words[lead]).any(axis=0))
-    for w in cols:
+    for w in range(words.shape[1]):
         own = owner[rows]
         first = np.concatenate(([True], own[1:] != own[:-1]))
         col = words[rows, w]
         rows = rows[col == np.minimum.reduceat(col, np.flatnonzero(first))[np.cumsum(first) - 1]]
     return rows
+
+
+def _row_budget(n: int) -> int:
+    """The most candidate orders of one template on n vertices: _ORDER_CHUNK
+    up to the 28 cells of n = 8, fewer above, so that no gather holds more
+    than _ORDER_CHUNK x 28 cells."""
+    return max(1, _ORDER_CHUNK * 28 // max(n * (n - 1) // 2, 28))
 
 
 def _template_sizes(cells: np.ndarray) -> np.ndarray:
@@ -494,9 +493,9 @@ def _template_sizes(cells: np.ndarray) -> np.ndarray:
 
 
 def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The branches of a (G, n, n) bool stack whose templates fit one chunk.
+    """The branches of a (G, n, n) bool stack whose templates fit the budget.
 
-    A graph whose colour classes keep more than _ORDER_CHUNK orders is
+    A graph whose colour classes keep more than _row_budget(n) orders is
     individualized one position at a time (McKay and Piperno, "Practical
     graph isomorphism, II", J. Symbolic Comput. 60, 2014): each vertex of the
     cell at the next open position i is tried there, and every later cell
@@ -510,10 +509,11 @@ def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np
     individualized prefixes.
     """
     owner = np.arange(len(adj))
-    big = _template_sizes(colours) > _ORDER_CHUNK
+    n = adj.shape[1]
+    budget = _row_budget(n)
+    big = _template_sizes(colours) > budget
     if not big.any():
         return owner, colours
-    n = adj.shape[1]
     cells = (colours[:, None, :] < colours[:, :, None]).sum(axis=2)
     done = []
     # every template shrinks to one order once all positions are individualized
@@ -537,7 +537,7 @@ def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np
         row = np.take_along_axis(nbr, np.argsort(cells, axis=1, kind="stable"), axis=1)
         keep = _least_rows(owner, row[:, i + 1:].view(np.uint8))
         owner, cells = owner[keep], cells[keep]
-        big = _template_sizes(cells) > _ORDER_CHUNK
+        big = _template_sizes(cells) > budget
     owner, cells = (np.concatenate(parts) for parts in zip(*done))
     # a graph's branches all leave at one depth, already in prefix order
     by_graph = np.argsort(owner, kind="stable")
@@ -551,12 +551,11 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     A graph's bitmap is the least upper-triangle bit string over all orders
     that respect its refined colour classes, packed into a Python int (MSB
     first). Each graph's optimal orders come out in ascending lexicographic
-    order. A graph whose classes keep more than _ORDER_CHUNK orders is first
-    split into branches by individualization (_individualize). Branches
-    with the same cell sizes share one template of candidate orders over
-    their vertices sorted by cell, gathered about _ORDER_CHUNK rows at a time;
-    past 8 vertices a template is gathered in slices of fewer rows, merged
-    like the branches of one graph, so that memory does not grow with n^2.
+    order. A graph whose classes keep more than _row_budget(n) orders is
+    first split into branches by individualization (_individualize).
+    Branches with the same cell sizes share one template of candidate orders
+    over their vertices sorted by cell, gathered for as many branches at a
+    time as fit the budget.
     """
     g, n = adj.shape[:2]
     colours = _refine(adj)
@@ -570,27 +569,23 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     for i, sig in enumerate(map(bytes, sizes)):
         groups.setdefault(sig, []).append(i)
     iu, ju = _triu_cells(n)
-    # rows per gather: _ORDER_CHUNK up to the 28 cells of n = 8, fewer
-    # above, so that no gather holds more than _ORDER_CHUNK x 28 cells
-    budget = max(1, _ORDER_CHUNK * 28 // max(len(iu), 28))
+    budget = _row_budget(n)
     kept = []
     for sig, members in groups.items():
         members = np.array(members)
-        # _individualize leaves every template at or under _ORDER_CHUNK rows
+        # _individualize leaves every template at or under the budget
         template = _candidate_orders(tuple(k for k in sig if k))
-        for t in range(0, len(template), budget):
-            part = template[t:t + budget]
-            per = budget // len(part)
-            # widened first: p * n + q passes 255 from n = 17 on
-            cells = part[:, iu].astype(np.intp) * n + part[:, ju]
-            for b in range(0, len(members), per):
-                batch = members[b:b + per]
-                bits = flat[(batch * (n * n))[:, None, None] + cells]
-                packed = np.packbits(bits.reshape(len(batch) * len(part), len(iu)), axis=1)
-                owner = np.repeat(batch, len(part))
-                rows = _least_rows(owner, packed)
-                kept.append((owner[rows], packed[rows],
-                             by_cell[owner[rows, None], part[rows % len(part)]]))
+        per = budget // len(template)
+        # widened first: p * n + q passes 255 from n = 17 on
+        cells = template[:, iu].astype(np.intp) * n + template[:, ju]
+        for b in range(0, len(members), per):
+            batch = members[b:b + per]
+            bits = flat[(batch * (n * n))[:, None, None] + cells]
+            packed = np.packbits(bits.reshape(len(batch) * len(template), len(iu)), axis=1)
+            owner = np.repeat(batch, len(template))
+            rows = _least_rows(owner, packed)
+            kept.append((owner[rows], packed[rows],
+                         by_cell[owner[rows, None], template[rows % len(template)]]))
     merge = len(kept) > 1 or len(graph) > g
     owner, packed, orders = map(np.concatenate, zip(*kept))
     # the parts and the orders, the largest array, are held once at a time
@@ -604,7 +599,7 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
         owner, packed, orders = owner[keep], packed[by_branch[keep]], orders[by_branch[keep]]
     counts = np.bincount(owner, minlength=g)
     codes = [int.from_bytes(row.tobytes(), "big") for row in packed[np.cumsum(counts) - counts]]
-    return Labelling(codes, orders, counts, colours)
+    return Labelling(codes, orders, counts)
 
 
 def _least_sign_row(adj: np.ndarray, orders: np.ndarray, switched: bool) -> bytes:

@@ -74,7 +74,6 @@ from .bounds import (
     rho_bound,
 )
 from .core import (
-    _SWITCHING_ISO_MAX_ORDER,
     SignedGraph,
     _bfs_trees,
     _least_sign_row,
@@ -609,23 +608,19 @@ def _scan_classes(table: _ClassTable, span: _Span, objective: str,
 @lru_cache(maxsize=None)
 def _gst_split_keys(n: int) -> tuple[tuple[tuple[int, bytes], str], ...]:
     """The switching key and name of each split gst(s, n - 2 - s), by s."""
-    if n > _SWITCHING_ISO_MAX_ORDER:
-        raise ValueError(
-            f"switching isomorphism capped at {_SWITCHING_ISO_MAX_ORDER} vertices")
     return tuple((canonical_signed_code(build_gst(s, n - 2 - s)), f"gst({s},{n - 2 - s})")
                  for s in range(1, (n - 2) // 2 + 1))
 
 
-def _match_family(w: SignedGraph, n: int) -> str | None:
+def _match_family(w: SignedGraph, key: tuple[int, bytes], n: int) -> str | None:
+    """The family that witness w, of switching key `key`, belongs to, if any."""
     if w.edge_count == n * (n - 1) // 2:
         if switching_equivalent(w, build_complete(n, 1)):
             return "complete-pos"
         if switching_equivalent(w, build_complete(n, -1)):
             return "complete-neg"
-    if n >= 4 and w.edge_count == edge_bound(n):
-        splits = _gst_split_keys(n)  # checks n against the cap before w's key is built
-        key = canonical_signed_code(w)
-        for split_key, name in splits:
+    if w.edge_count == edge_bound(n):
+        for split_key, name in _gst_split_keys(n):
             if key == split_key:
                 return name
     return None
@@ -654,7 +649,8 @@ def _recheck_witness(w: SignedGraph, config: SearchConfig, value):
 
 def _scan(config: SearchConfig, progress):
     """The optimum of a MAX_EDGES or MAX_RHO search, its witnesses (one per
-    switching-isomorphism class, in key order) and the report's counters."""
+    switching-isomorphism class, in key order), their keys
+    (canonical_signed_code) and the report's counters."""
     if progress:
         # one call per enumerated level, as each level's classes are ready
         for k in range(1, config.n + 1):
@@ -676,11 +672,12 @@ def _scan(config: SearchConfig, progress):
         canon, orders = canonical_form(table.adj[row])
         for a in part:
             seen.setdefault((canon, _least_sign_row(a, orders, switched=True)), a)
-    witnesses = [SignedGraph(seen[k]) for k in sorted(seen)]
+    keys = sorted(seen)
+    witnesses = [SignedGraph(seen[k]) for k in keys]
     optimum = int(best) if config.objective == "MAX_EDGES" else best
     for w in witnesses:
         _recheck_witness(w, config, optimum)
-    return optimum, witnesses, counters
+    return optimum, witnesses, keys, counters
 
 
 def _mask_spins(masks: np.ndarray, n: int, dtype) -> np.ndarray:
@@ -747,14 +744,14 @@ def search(config: SearchConfig, *, progress=None) -> SearchReport:
     if config.objective == "MAX_NEG_EDGES_AT_MAX_EDGES":
         # two-phase: find the edge maximizers, then maximize negative edges
         # over all switchings of every maximizer class
-        _, edge_witnesses, counts = _scan(replace(config, objective="MAX_EDGES"), progress)
+        _, edge_witnesses, _, counts = _scan(replace(config, objective="MAX_EDGES"), progress)
         optimum, witnesses = _neg_edge_maximizers(edge_witnesses)
         matched = ["gst-maxneg" if signed_isomorphic(w, build_gst_maxneg(config.n)) else None
                    for w in witnesses]
         counts["signatures_scanned"] += len(edge_witnesses) << config.n
     else:
-        optimum, witnesses, counts = _scan(config, progress)
-        matched = [_match_family(w, config.n) for w in witnesses]
+        optimum, witnesses, keys, counts = _scan(config, progress)
+        matched = [_match_family(w, key, config.n) for w, key in zip(witnesses, keys)]
     return SearchReport(config, optimum, witnesses, matched, counts,
                         wall_time=time.perf_counter() - t0)
 

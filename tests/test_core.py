@@ -8,12 +8,15 @@ import numpy as np
 import pytest
 
 from signed_extremal.core import (
+    _ORDER_CHUNK,
     SignedGraph,
     _bfs_tree,
     _bfs_trees,
     _candidate_orders,
     _individualize,
     _refine,
+    _row_budget,
+    _template_sizes,
     _triu_cells,
     canonical_form,
     canonical_forms,
@@ -573,6 +576,17 @@ def seeded_unsigned_stack(seed, n, count):
     return np.array([g.adj != 0 for g in seeded_signed_graphs(seed, n, count)])
 
 
+def forked_path(n, leaves):
+    """A path on n + 1 - leaves vertices; a second leaf joins its last inner
+    vertex."""
+    a = np.zeros((n, n), dtype=bool)
+    u = np.arange(n - leaves)
+    a[u, u + 1] = a[u + 1, u] = True
+    if leaves == 2:
+        a[n - 3, n - 1] = a[n - 1, n - 3] = True
+    return a
+
+
 def graph_orders(lab, g):
     start = int(lab.counts[:g].sum())
     return lab.orders[start:start + lab.counts[g]]
@@ -603,15 +617,14 @@ def assert_matches_brute_force_labelling(adj, lab):
 class TestCanonicalForms:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_colour_classes_match_tuple_sorting_on_every_graph(self, n):
-        adj, lab = labelling_of_every_graph(n)
-        for a, colours in zip(adj, lab.colours):
+        adj = labeled_graph_stack(n)
+        for a, colours in zip(adj, _refine(adj)):
             assert colour_classes(colours) == tuple_sorting_color_classes(a)
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_colour_classes_match_tuple_sorting_on_random_graphs(self, n):
         adj = seeded_unsigned_stack(300 + n, n, 200)
-        lab = canonical_forms(adj)
-        for a, colours in zip(adj, lab.colours):
+        for a, colours in zip(adj, _refine(adj)):
             assert colour_classes(colours) == tuple_sorting_color_classes(a)
             assert refined_color_classes(a) == tuple_sorting_color_classes(a)
 
@@ -681,26 +694,21 @@ class TestCanonicalForms:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n,leaves,chunk", [
         pytest.param(200, 1, 2, id="path-200"),
-        pytest.param(200, 1, None, id="path-200-default-chunk", marks=pytest.mark.slow),
+        pytest.param(200, 1, None, id="path-200-default-chunk"),
         pytest.param(302, 2, None, id="forked-path-302"),
     ])
     def test_graphs_past_the_float_factorials_label_without_warnings(
             self, n, leaves, chunk, monkeypatch):
         # 171! is past the float range. The 200-vertex path has 100 mirrored
-        # pairs; 2 orders per chunk individualize it one pair at a time. At
-        # the default chunk its last template has 8,192 orders of 19,900
-        # cells each, gathered in slices (about 4 s; one gather of all would
-        # take 2.9 GB). The 302-vertex path with two leaves on one end keeps
-        # one pair, a template of 2 orders.
+        # pairs, which individualization resolves one at a time until a
+        # template fits the row budget: 2 orders at 2 per chunk, 8 at the
+        # default chunk, whose budget on 19,900 cells is 11 rows (a template
+        # of 8,192 such rows would take 1.3 GB to gather). The 302-vertex
+        # path with two leaves on one end keeps one pair, a template of 2
+        # orders.
         if chunk:
             monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
-        # a path on n + 1 - leaves vertices; a second leaf joins its last
-        # inner vertex
-        a = np.zeros((n, n), dtype=bool)
-        u = np.arange(n - leaves)
-        a[u, u + 1] = a[u + 1, u] = True
-        if leaves == 2:
-            a[n - 3, n - 1] = a[n - 1, n - 3] = True
+        a = forked_path(n, leaves)
         tracemalloc.start()
         try:
             code, orders = canonical_form(a)
@@ -713,6 +721,26 @@ class TestCanonicalForms:
         for order in orders:
             bits = np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes()
             assert int.from_bytes(bits, "big") == code
+
+    @pytest.mark.parametrize("stack", [
+        pytest.param(lambda: forked_path(200, 1)[None], id="path-200"),
+        pytest.param(lambda: forked_path(302, 2)[None], id="forked-path-302"),
+        pytest.param(lambda: seeded_unsigned_stack(420, 20, 40), id="seeded-20"),
+    ])
+    def test_individualized_templates_fit_the_row_budget(self, stack):
+        adj = stack()
+        graph, cells = _individualize(adj, _refine(adj))
+        assert set(graph.tolist()) == set(range(len(adj)))
+        assert (_template_sizes(cells) <= _row_budget(adj.shape[1])).all()
+
+    @pytest.mark.parametrize("chunk", [None, 2, 33])
+    def test_row_budget_is_one_chunk_up_to_8_vertices(self, chunk, monkeypatch):
+        # so every labelling on at most 8 vertices is the same at any budget
+        if chunk:
+            monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
+        for n in range(1, 9):
+            assert _row_budget(n) == (chunk or _ORDER_CHUNK)
+        assert _row_budget(9) < (chunk or _ORDER_CHUNK)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("chunk", [None, 2])
@@ -763,14 +791,14 @@ class TestCanonicalForms:
                             [~np.eye(7, dtype=bool), np.zeros((7, 7), dtype=bool)])),
             np.concatenate((connected_regular_graphs(8), [np.zeros((8, 8), dtype=bool)])),
         ]
-        expected = [canonical_forms(adj) for adj in stacks]
+        expected = [(canonical_forms(adj), _refine(adj)) for adj in stacks]
         monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 33)
-        for adj, expect in zip(stacks, expected):
+        for adj, (expect, colours) in zip(stacks, expected):
             lab = canonical_forms(adj)
             assert lab.codes == expect.codes
             assert np.array_equal(lab.counts, expect.counts)
             assert np.array_equal(lab.orders, expect.orders)
-            assert np.array_equal(lab.colours, expect.colours)
+            assert np.array_equal(_refine(adj), colours)
 
     def test_one_graph_views(self):
         adj = seeded_unsigned_stack(11, 6, 12)
@@ -779,4 +807,4 @@ class TestCanonicalForms:
             code, orders = canonical_form(a)
             assert code == lab.codes[g]
             assert np.array_equal(orders, graph_orders(lab, g))
-            assert refined_color_classes(a) == colour_classes(lab.colours[g])
+            assert refined_color_classes(a) == colour_classes(_refine(adj)[g])
