@@ -86,7 +86,6 @@ from .core import (
     is_connected,
     signed_isomorphic,
     switching_equivalent,
-    switching_isomorphic,
 )
 from .families import (
     build_complete,
@@ -119,7 +118,7 @@ _EIG_BATCH = 8192
 # classes per block while the class table and its spans are built, which
 # bounds their transient arrays
 _TABLE_BLOCK = 1024
-_SWITCH_CHUNK = 4096
+_SWITCH_MAX_ORDER = 20  # 2^20 switchings, 12 bytes each while counted
 
 
 @dataclass(frozen=True)
@@ -688,19 +687,28 @@ def _mask_spins(masks: np.ndarray, n: int, dtype) -> np.ndarray:
 def _switching_neg_counts(adj: np.ndarray) -> np.ndarray:
     """Negative edge count after each of the 2^n switchings of adj, indexed by mask.
 
-    With spins s in {+1, -1}^n and m edges, neg(s) = (m - s^T A s / 2) / 2, a
-    max-cut objective, evaluated a chunk of masks at a time. float64 is exact
-    here (sums of at most n^2 unit terms) and runs in BLAS, unlike int matmul.
+    With spins s in {+1, -1}^n and m edges, 4 neg(s) = 2m - s^T A s, a max-cut
+    objective. Split the vertices into L = 0..h-1 and H = h..n-1, h = n // 2:
+    s^T A s = s_L^T A_LL s_L + s_H^T A_HH s_H + 2 s_H^T A_HL s_L (Horowitz and
+    Sahni, J. ACM 21, 1974), so the spin tables of the halves, hi and lo, give
+    every mask from one (hi @ A_HL) @ lo^T: row r, column c is mask r << h | c.
+    Every value is an integer of magnitude at most 2n^2, so float64, which runs
+    in BLAS unlike int matmul, is exact; 2m - s^T A s is a multiple of 4, so
+    the scaling by 0.25 is exact too. Rejects graphs above _SWITCH_MAX_ORDER
+    vertices before allocating.
     """
     n = adj.shape[0]
+    if n > _SWITCH_MAX_ORDER:
+        raise ValueError(f"switching maximum capped at {_SWITCH_MAX_ORDER} vertices")
+    h = n // 2
     a = adj.astype(np.float64)
-    twice_m = np.count_nonzero(adj)
-    masks = np.arange(1 << n)
-    out = np.empty(1 << n, dtype=np.int32)
-    for start in range(0, 1 << n, _SWITCH_CHUNK):
-        spins = _mask_spins(masks[start:start + _SWITCH_CHUNK], n, np.float64)
-        out[start:start + _SWITCH_CHUNK] = (twice_m - ((spins @ a) * spins).sum(1)) // 4
-    return out
+    lo = _mask_spins(np.arange(1 << h), h, np.float64)
+    hi = _mask_spins(np.arange(1 << (n - h)), n - h, np.float64)
+    quad = (hi @ (-2 * a[h:, :h])) @ lo.T
+    quad += (np.count_nonzero(adj) - ((hi @ a[h:, h:]) * hi).sum(1))[:, None]
+    quad -= ((lo @ a[:h, :h]) * lo).sum(1)
+    quad *= 0.25
+    return quad.astype(np.int32).ravel()
 
 
 def switching_neg_edge_maximum(g: SignedGraph):
@@ -708,7 +716,8 @@ def switching_neg_edge_maximum(g: SignedGraph):
 
     Returns (best, maximizers) where maximizers are the distinct switched
     graphs attaining the maximum, sorted by sign matrix bytes. Only the masks
-    that attain the maximum are turned into graphs.
+    that attain the maximum are turned into graphs. Rejects graphs above
+    _SWITCH_MAX_ORDER vertices, since every switching is counted.
     """
     counts = _switching_neg_counts(g.adj)
     best = int(counts.max())
@@ -810,17 +819,21 @@ def _verify_t1_2_neg(n: int, progress) -> BoundReport:
         structure_ok = hits > 0 and (n <= 5 or hits == len(maximizers))
         notes = (f"switchings of every enumerated edge-maximizer class; "
                  f"{len(maximizers)} maximizers, {hits} in canonical layout")
+        details = {"counts": found.counts, "matched_family": found.matched_family}
     else:
         # beyond enumeration range: the 2^n switchings of every split of the
         # extremal construction. A second split at the peak would add the
         # switchings of another underlying graph to the maximizers
-        observed, maximizers = _neg_edge_maximizers(
-            [build_gst(s, n - 2 - s) for s in range(1, (n - 2) // 2 + 1)])
+        splits = [build_gst(s, n - 2 - s) for s in range(1, (n - 2) // 2 + 1)]
+        observed, maximizers = _neg_edge_maximizers(splits)
         structure_ok = maximizers == [build_gst_maxneg(n)]
         notes = "switchings of the construction family (n beyond enumeration)"
+        details = {"splits": len(splits), "switchings": len(splits) << n,
+                   "maximizers": len(maximizers)}
     rep = make_bound_report("t1_2_neg", n, neg_edge_bound(n), observed, maximizers[0])
     rep.passed = observed == rep.bound_value and structure_ok
     rep.notes = notes
+    rep.details = details
     return rep
 
 
@@ -858,15 +871,16 @@ def _verify_l2_2(n: int) -> BoundReport:
     best, winners = _neg_edge_maximizers(reps)
     structure_ok = all(_is_halved_switching_of_positive(m) for m in winners)
     if n <= 6:
-        # cheap cross-validation of the structural predicate; complete graphs
-        # force a full permutation scan, so keep this to small orders
-        structure_ok = structure_ok and all(
-            switching_isomorphic(m, build_kn_switched_maxneg(n)) for m in winners
-        )
+        # cheap cross-validation of the structural predicate by switching
+        # isomorphism (equal codes), which scans every order of K_n
+        target = canonical_signed_code(build_kn_switched_maxneg(n))
+        structure_ok = structure_ok and all(canonical_signed_code(m) == target
+                                            for m in winners)
     rep = make_bound_report("l2_2", n, (n // 2) * ((n + 1) // 2), best, winners[0])
     rep.passed = best == rep.bound_value and structure_ok
     rep.notes = (f"{len(reps)} negative-triangle-free switching classes, "
                  f"{len(winners)} maximizers")
+    rep.details = {"classes": len(reps), "maximizers": len(winners)}
     return rep
 
 
@@ -882,6 +896,7 @@ def _verify_l3_6_order(n: int) -> BoundReport:
     rep.passed = (all(a - b > 1e-6 for a, b in zip(lams, lams[1:]))
                   and abs(lams[0] - rep.bound_value) <= FORMULA_TOL)
     rep.notes = "descending top eigenvalues: " + ", ".join(f"{v:.12g}" for v in lams)
+    rep.details = {"top_eigenvalues": [float(v) for v in lams]}
     return rep
 
 

@@ -3,8 +3,10 @@
 Everything here deliberately avoids the library's own algorithms: sign
 recomputation by definition, cycle enumeration by DFS, isomorphism by scanning
 every permutation, balance by trying every spin assignment. The exceptions are
-the last seven functions: the per-order and per-mask loops that the batched
-canonical_signed_code and switching_neg_edge_maximum replaced, the row loop
+the last eight functions: the per-order and per-mask loops that the batched
+canonical_signed_code and switching_neg_edge_maximum replaced, the
+one-matmul count over all masks that the half-table split of
+_switching_neg_counts replaced, the row loop
 that the stacked GF(2) elimination replaced, the per-graph colour refinement
 and canonical deletion test that the level-wide numpy passes replaced, the
 np.isin entry check that SignedGraph replaced for bool and integer input, and
@@ -278,6 +280,15 @@ def per_mask_neg_edge_maximum(g: SignedGraph):
             if key not in maximizers:
                 maximizers[key] = SignedGraph(adj)
     return best, [maximizers[k] for k in sorted(maximizers)]
+
+
+def all_mask_neg_counts(adj: np.ndarray) -> np.ndarray:
+    """Negative edge count after every switching of adj, indexed by mask, as
+    (2m - rowsum((S A) * S)) / 4 in int64 with one spin row per mask."""
+    n = len(adj)
+    spins = 1 - 2 * ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1)
+    a = adj.astype(np.int64)
+    return (np.count_nonzero(adj) - ((spins @ a) * spins).sum(1)) // 4
 
 
 def row_loop_gf2_solutions(masks: list[int], width: int, want_odd: bool) -> np.ndarray:

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -53,7 +54,9 @@ from signed_extremal.search import (
 
 from _oracles import (
     all_labeled_signed_graphs,
+    all_mask_neg_counts,
     all_signatures,
+    brute_switch,
     connected_graphs_up_to_isomorphism,
     connected_labeled_graphs,
     forbidden_and_balance_flags,
@@ -587,8 +590,6 @@ class TestSwitchingNegMaximum:
         g = build_gst(2, 3)
         best, maxs = switching_neg_edge_maximum(g)
         # independent scan: every switching, by the cut rule
-        from _oracles import brute_switch
-
         switched = [brute_switch(g, [v for v in range(g.n) if (bits >> v) & 1])
                     for bits in range(1 << g.n)]
         assert best == max(h.neg_edge_count for h in switched)
@@ -612,13 +613,41 @@ class TestSwitchingNegMaximum:
             assert best == ref_best
             assert maxs == ref_maxs
 
-    def test_chunks_of_masks_merge_to_the_reference(self, monkeypatch):
-        # 5 masks per chunk: the 128 masks of n = 7 span 26 chunks, the last partial
-        # the package exports a function named search, so reach the module itself
-        module = sys.modules[switching_neg_edge_maximum.__module__]
-        monkeypatch.setattr(module, "_SWITCH_CHUNK", 5)
-        for g in (build_gst(2, 3), build_kn_switched_maxneg(7)):
-            assert switching_neg_edge_maximum(g) == per_mask_neg_edge_maximum(g)
+    def test_half_tables_match_the_one_matmul_reference(self):
+        # odd n splits unevenly, and at n = 1 the low half is empty
+        for n in range(1, 17):
+            for g in seeded_signed_graphs(200 + n, n, 3):
+                counts = SEARCH._switching_neg_counts(g.adj)
+                assert counts.dtype == np.int32 and counts.shape == (1 << n,)
+                np.testing.assert_array_equal(counts, all_mask_neg_counts(g.adj))
+                if n <= 6:
+                    assert counts.tolist() == [
+                        brute_switch(g, [v for v in range(n) if (mask >> v) & 1]).neg_edge_count
+                        for mask in range(1 << n)]
+
+    def test_order_cap_is_checked_before_allocating(self, monkeypatch):
+        def no_spins(*args):
+            raise AssertionError("spin tables built")
+
+        monkeypatch.setattr(SEARCH, "_mask_spins", no_spins)
+        with pytest.raises(ValueError, match="capped at 20 vertices"):
+            switching_neg_edge_maximum(build_gst(1, 18))
+        # 20 vertices pass the cap and reach the spin tables
+        with pytest.raises(AssertionError, match="spin tables built"):
+            switching_neg_edge_maximum(build_gst(1, 17))
+
+    def test_peak_memory_per_switching(self):
+        # the n = 16 count holds one float64 table and its int32 copy, about
+        # 12 bytes per switching, plus half tables of 2^8 rows
+        adj = build_gst(1, 13).adj
+        SEARCH._switching_neg_counts(adj)
+        tracemalloc.start()
+        try:
+            SEARCH._switching_neg_counts(adj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 16
 
 
 def merged_neg_edge_maximizers(graphs):
@@ -777,6 +806,14 @@ class TestVerifyTheorem:
         rep = verify_theorem("T1_2_NEG", 12)
         assert rep.passed and rep.observed == 35
 
+    def test_t1_2_neg_details(self):
+        rep = verify_theorem("T1_2_NEG", 6)
+        assert rep.details["matched_family"] == ["gst-maxneg"]
+        assert rep.details["counts"]["underlying_scanned"] == 112
+        # gst(1,9), gst(2,8), ..., gst(5,5), each switched every way
+        rep = verify_theorem("T1_2_NEG", 12)
+        assert rep.details == {"splits": 5, "switchings": 5 << 12, "maximizers": 1}
+
     def test_t1_3(self):
         rep = verify_theorem("t1_3", 5)
         assert rep.passed
@@ -786,6 +823,23 @@ class TestVerifyTheorem:
         rep = verify_theorem("L2_2", 5)
         assert rep.passed and rep.observed == 6
 
+    def test_l2_2_details(self):
+        rep = verify_theorem("L2_2", 5)
+        assert rep.details == {"classes": 1, "maximizers": 10}
+        assert rep.notes == "1 negative-triangle-free switching classes, 10 maximizers"
+
+    def test_l2_2_codes_the_target_once(self, monkeypatch):
+        codes = []
+        code = SEARCH.canonical_signed_code
+
+        def counting(g):
+            codes.append(g)
+            return code(g)
+
+        monkeypatch.setattr(SEARCH, "canonical_signed_code", counting)
+        rep = verify_theorem("L2_2", 6)
+        assert rep.passed and len(codes) == rep.details["maximizers"] + 1
+
     def test_l2_2_largest_order(self):
         # K_12 has 55 non-tree edges, past the 32 bits of the class tables
         rep = verify_theorem("L2_2", 12)
@@ -794,6 +848,13 @@ class TestVerifyTheorem:
     def test_l3_6_order(self):
         rep = verify_theorem("L3_6_ORDER", 10)
         assert rep.passed
+
+    def test_l3_6_order_details(self):
+        rep = verify_theorem("L3_6_ORDER", 10)
+        lams = rep.details["top_eigenvalues"]
+        assert len(lams) == 4 and lams[0] == rep.observed
+        assert rep.notes == "descending top eigenvalues: " + ", ".join(
+            f"{v:.12g}" for v in lams)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown theorem"):
