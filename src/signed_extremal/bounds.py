@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._render import json_scalar
+from ._render import json_text
 from .core import SignedGraph, is_connected, switch
 from .graphio import format_graph
 from .spectral import SpectralError, eigenvalues
@@ -53,18 +53,11 @@ class BoundReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        witness_text = format_graph(self.witness) if self.witness is not None else None
-        parts = [
-            f'"bound_name":{json_scalar(self.bound_name)}',
-            f'"n":{json_scalar(self.n)}',
-            f'"bound_value":{json_scalar(self.bound_value)}',
-            f'"observed":{json_scalar(self.observed)}',
-            f'"satisfied":{json_scalar(self.satisfied)}',
-            f'"witness":{json_scalar(witness_text)}',
-            f'"passed":{json_scalar(self.passed)}',
-            f'"notes":{json_scalar(self.notes)}',
-        ]
-        return "{" + ",".join(parts) + "}"
+        witness = format_graph(self.witness) if self.witness is not None else None
+        return json_text({"bound_name": self.bound_name, "n": self.n,
+                          "bound_value": self.bound_value, "observed": self.observed,
+                          "satisfied": self.satisfied, "witness": witness,
+                          "passed": self.passed, "notes": self.notes})
 
 
 def make_bound_report(name: str, n: int, bound, observed, witness=None,

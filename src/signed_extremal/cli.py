@@ -12,7 +12,7 @@ import argparse
 import sys
 import time
 
-from ._render import fmt_float, json_scalar
+from ._render import fmt_float, json_scalar, json_text
 from .bounds import (
     clique_spectral_bound,
     edge_bound,
@@ -146,12 +146,9 @@ def _cmd_canonical(args, out) -> int:
 def _cmd_check(args, out) -> int:
     results = run_all_suites(args.seed, args.instances)
     if args.format == "json":
-        rows = ",".join(
-            "{" + f'"suite":{json_scalar(r.name)},"instances":{r.instances},'
-                  f'"violations":{r.violations},"passed":{json_scalar(r.passed)}' + "}"
-            for r in results
-        )
-        _emit(f'{{"seed":{args.seed},"suites":[{rows}]}}', out)
+        suites = [{"suite": r.name, "instances": r.instances,
+                   "violations": r.violations, "passed": r.passed} for r in results]
+        _emit(json_text({"seed": args.seed, "suites": suites}), out)
     elif args.format == "csv":
         _emit("suite,instances,violations,passed", out)
         for r in results:
@@ -172,11 +169,8 @@ def _bound_rows(args):
         raise ValueError("bounds needs --n or --in")
     if args.infile is None:
         n = args.n
-        return n, None, [
-            ("edge_bound", edge_bound(n)),
-            ("neg_edge_bound", neg_edge_bound(n)),
-            ("rho_bound", rho_bound(n)),
-        ]
+        return n, None, {"edge_bound": edge_bound(n), "neg_edge_bound": neg_edge_bound(n),
+                         "rho_bound": rho_bound(n)}
     g = read_graph(args.infile)
     n = g.n
     reports = [
@@ -192,18 +186,17 @@ def _cmd_bounds(args, out) -> int:
     n, reports, plain = _bound_rows(args)
     if reports is None:
         if args.format == "json":
-            body = ",".join(f'"{k}":{json_scalar(v)}' for k, v in plain)
-            _emit(f'{{"n":{n},{body}}}', out)
+            _emit(json_text({"n": n, **plain}), out)
         elif args.format == "csv":
             _emit("bound_name,n,bound_value", out)
-            for k, v in plain:
+            for k, v in plain.items():
                 _emit(f"{k},{n},{json_scalar(v)}", out)
         else:
-            for k, v in plain:
+            for k, v in plain.items():
                 _emit(f"{k}({n}) = {json_scalar(v)}", out)
         return 0
     if args.format == "json":
-        _emit("[" + ",".join(r.to_json() for r in reports) + "]", out)
+        _emit(json_text(reports), out)
     elif args.format == "csv":
         _emit("bound_name,n,bound_value,observed,satisfied", out)
         for r in reports:

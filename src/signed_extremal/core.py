@@ -110,18 +110,18 @@ class Cycle:
 def new_signed_graph(n: int, edges) -> SignedGraph:
     """Build a signed graph from an edge list of (u, v, sign) triples.
 
-    Rejects loops, out-of-range or duplicate edges, and signs outside {-1, +1}.
+    Rejects loops, endpoints that are not vertices, duplicate edges, and signs
+    outside {-1, +1}; bools are neither vertex counts, vertices nor signs.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
     adj = np.zeros((n, n), dtype=np.int8)
     seen = set()
     for u, v, s in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}): vertex out of range 0..{n - 1}")
+        u, v = _check_vertex_set(n, (u, v))
         if u == v:
             raise ValueError(f"edge ({u},{v}): loops are not allowed")
-        if s not in (-1, 1):
+        if isinstance(s, (bool, np.bool_)) or s not in (-1, 1):
             raise ValueError(f"edge ({u},{v}): sign must be -1 or +1, got {s!r}")
         key = (min(u, v), max(u, v))
         if key in seen:
@@ -133,22 +133,23 @@ def new_signed_graph(n: int, edges) -> SignedGraph:
 
 def permute(g: SignedGraph, order) -> SignedGraph:
     """Relabel so that new vertex i is old vertex order[i]."""
-    idx = _check_vertex_set(g, order)
+    idx = _check_vertex_set(g.n, order)
     if sorted(idx) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
     return SignedGraph(g.adj[np.ix_(idx, idx)])
 
 
-def _check_vertex_set(g: SignedGraph, vertices) -> list[int]:
+def _check_vertex_set(n: int, vertices) -> list[int]:
     """The entries of vertices as ints, in order; ValueError for an entry that
-    is not an int or numpy integer (bool included) or not a vertex of g."""
+    is not an int or numpy integer (bool included) or not a vertex of a graph
+    on n vertices."""
     out = []
     for v in vertices:
         # bool is a subclass of int; numpy bools are not numpy integers
         if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
             raise ValueError(f"vertex {v!r} is not an integer")
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} is outside the graph 0..{g.n - 1}")
+        if not 0 <= v < n:
+            raise ValueError(f"vertex {v} is outside the graph 0..{n - 1}")
         out.append(int(v))
     return out
 
@@ -156,7 +157,7 @@ def _check_vertex_set(g: SignedGraph, vertices) -> list[int]:
 def switch(g: SignedGraph, vertex_set) -> SignedGraph:
     """Negate every edge with exactly one endpoint in vertex_set."""
     s = np.ones(g.n, dtype=np.int8)
-    s[_check_vertex_set(g, vertex_set)] = -1
+    s[_check_vertex_set(g.n, vertex_set)] = -1
     return SignedGraph(np.outer(s, s) * g.adj)
 
 

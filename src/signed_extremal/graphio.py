@@ -36,6 +36,7 @@ def parse_graph(text: str) -> SignedGraph:
     if m < 0:
         _fail(1, f"edge count must be nonnegative, got {m}")
     edges = []
+    seen = set()
     lineno = 1
     for raw in lines[1:]:
         lineno += 1
@@ -54,8 +55,10 @@ def parse_graph(text: str) -> SignedGraph:
             _fail(lineno, f"vertex out of range 0..{n - 1}")
         if u == v:
             _fail(lineno, "loops are not allowed")
-        if any(min(u, v) == min(a, b) and max(u, v) == max(a, b) for a, b, _ in edges):
+        key = (min(u, v), max(u, v))
+        if key in seen:
             _fail(lineno, f"duplicate edge ({u},{v})")
+        seen.add(key)
         edges.append((u, v, s))
     if len(edges) != m:
         _fail(lineno, f"header announced {m} edges, found {len(edges)}")

@@ -63,7 +63,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._render import json_scalar
+from ._render import json_text
 from .bounds import (
     SPECTRAL_SLACK,
     BoundReport,
@@ -75,8 +75,10 @@ from .bounds import (
 )
 from .core import (
     SignedGraph,
+    _bfs_tree,
     _bfs_trees,
     _least_sign_row,
+    _tree_spins,
     _triu_cells,
     canonical_form,
     canonical_forms,
@@ -141,13 +143,9 @@ class SearchConfig:
             raise ValueError(f"unknown forbidden-triangle selector {self.forbidden!r}")
 
     def to_json(self) -> str:
-        parts = [
-            f'"n":{self.n}',
-            f'"objective":{json_scalar(self.objective)}',
-            f'"forbidden":{json_scalar(self.forbidden)}',
-            f'"require_unbalanced":{json_scalar(self.require_unbalanced)}',
-        ]
-        return "{" + ",".join(parts) + "}"
+        return json_text({"n": self.n, "objective": self.objective,
+                          "forbidden": self.forbidden,
+                          "require_unbalanced": self.require_unbalanced})
 
 
 @dataclass
@@ -162,18 +160,11 @@ class SearchReport:
     def to_json(self) -> str:
         """Stable-order JSON; wall_time is excluded so identical flags give
         byte-identical reports."""
-        wit = ",".join(json_scalar(format_graph(w)) for w in self.witnesses)
-        fam = ",".join(json_scalar(m) for m in self.matched_family)
-        cnt = ",".join(f'"{k}":{self.counts[k]}' for k in
-                       ("underlying_scanned", "signatures_scanned", "feasible"))
-        parts = [
-            f'"config":{self.config.to_json()}',
-            f'"optimum":{json_scalar(self.optimum)}',
-            f'"witnesses":[{wit}]',
-            f'"matched_family":[{fam}]',
-            f'"counts":{{{cnt}}}',
-        ]
-        return "{" + ",".join(parts) + "}"
+        counts = {k: self.counts[k] for k in
+                  ("underlying_scanned", "signatures_scanned", "feasible")}
+        return json_text({"config": self.config, "optimum": self.optimum,
+                          "witnesses": [format_graph(w) for w in self.witnesses],
+                          "matched_family": self.matched_family, "counts": counts})
 
 
 # ---------------------------------------------------------------------------
@@ -849,27 +840,17 @@ def _verify_t1_3(n: int, progress) -> BoundReport:
     return rep
 
 
-def _is_halved_switching_of_positive(g: SignedGraph) -> bool:
-    # balanced complete signed graph whose two spin classes are as even as
-    # possible: exactly the switchings of all-positive at floor(n/2) vertices
-    n = g.n
-    if g.edge_count != n * (n - 1) // 2:
-        return False
-    spin = np.ones(n, dtype=np.int8)
-    spin[1:] = g.adj[0, 1:]
-    expected = np.outer(spin, spin).astype(np.int8)
-    np.fill_diagonal(expected, 0)
-    if not np.array_equal(expected, g.adj):
-        return False
-    return int(np.sum(spin == -1)) in (n // 2, (n + 1) // 2)
-
-
 def _verify_l2_2(n: int) -> BoundReport:
     if not (3 <= n <= 12):
         raise ValueError("L2_2 verification supports 3 <= n <= 12")
     reps = _complete_signature_classes(n, "C3_MINUS")
     best, winners = _neg_edge_maximizers(reps)
-    structure_ok = all(_is_halved_switching_of_positive(m) for m in winners)
+    # every winner is a signed K_n; balanced iff the spins that make its BFS
+    # tree positive leave no negative edge. A balanced K_n switched at S has
+    # |S|(n - |S|) negative edges, so best == bound below makes |S| the halving
+    adj = np.stack([m.adj for m in winners])
+    spins = _tree_spins(adj, _bfs_tree(adj[0]))
+    structure_ok = not (spins[:, :, None] * adj * spins[:, None, :] < 0).any()
     if n <= 6:
         # cheap cross-validation of the structural predicate by switching
         # isomorphism (equal codes), which scans every order of K_n

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._render import fmt_float
+from ._render import json_text
 from .core import SignedGraph, _check_vertex_set
 
 __all__ = [
@@ -129,7 +129,7 @@ def quotient_matrix(g: SignedGraph, partition) -> QuotientMatrix:
     Equitability is verified in exact integer arithmetic on block row sums;
     violations raise NotEquitableError identifying the block pair and rows.
     """
-    blocks = [tuple(sorted(_check_vertex_set(g, b))) for b in partition]
+    blocks = [tuple(sorted(_check_vertex_set(g.n, b))) for b in partition]
     flat = [v for b in blocks for v in b]
     if sorted(flat) != list(range(g.n)):
         raise ValueError("partition blocks must be disjoint and cover all vertices")
@@ -347,7 +347,7 @@ def largest_root(poly_id: CharPolyId) -> float:
 def interlacing_check(g: SignedGraph, kept) -> bool:
     """Cauchy interlacing, within IDENTITY_TOL, of the principal submatrix on
     the kept vertices."""
-    idx = sorted(set(_check_vertex_set(g, kept)))
+    idx = sorted(set(_check_vertex_set(g.n, kept)))
     if not idx:
         raise ValueError("kept vertex set must be nonempty")
     lam = eigenvalues(g).eigenvalues
@@ -362,8 +362,7 @@ def interlacing_check(g: SignedGraph, kept) -> bool:
 
 def spectrum_to_json(sp: Spectrum) -> str:
     """Fixed 15-significant-digit JSON rendering of a spectrum."""
-    vals = ",".join(fmt_float(v) for v in sp.eigenvalues)
-    return f'{{"eigenvalues":[{vals}],"rho":{fmt_float(sp.rho)},"tol":{fmt_float(sp.tol)}}}'
+    return json_text({"eigenvalues": sp.eigenvalues, "rho": sp.rho, "tol": sp.tol})
 
 
 def check_spectrum_identities(g: SignedGraph, sp: Spectrum) -> None:

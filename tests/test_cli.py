@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -9,9 +10,9 @@ import pytest
 jsonschema = pytest.importorskip("jsonschema")
 
 from signed_extremal.cli import run
-from signed_extremal.core import canonical_switch
-from signed_extremal.families import build_gst
-from signed_extremal.graphio import format_graph, parse_graph
+from signed_extremal.core import canonical_switch, new_signed_graph
+from signed_extremal.families import build_complete, build_gst, build_h
+from signed_extremal.graphio import format_graph, parse_graph, write_graph
 from signed_extremal.search import SearchConfig, search, verify_theorem
 from signed_extremal.spectral import eigenvalues, spectrum_to_json
 
@@ -209,6 +210,50 @@ class TestVerify:
         code, text = run_cli("verify", "--theorem", "t1_2_edges", "--n", "5")
         assert code == 0
         assert text.startswith("PASS t1_2_edges n=5")
+
+
+# sha256 of the stdout of `<argv> --format json`, less its final newline,
+# recorded while each command still framed its JSON by hand. An --in argument
+# names a graph of PINNED_GRAPHS, written to a file first.
+PINNED_JSON = {
+    "spectrum --in gst(1,4)":
+        "ec22c45447dd620d1c778cc6fd4e640264cdb6fa1b82c59fcd9245796474813b",
+    "spectrum --in complete(5,-1)":
+        "0bb7232c2448d47f9756e8b63ec43c8a426db4c90df3682496d520b9ad6b9349",
+    "spectrum --in one-vertex":
+        "599a238de58913dca46c3949ffc5eb6e1e0bcf562ed9856f9ebb3b6e080adab8",
+    "bounds --n 4":
+        "dd215b44ee30c98496aa5cc18f868c55834a0949e61f527d6b5d9783ce73f43b",
+    "bounds --n 7":
+        "7dc8bf3cca225c8030c562a7d01c9687af0352cfaa1c2315964e79e9a439d925",
+    "bounds --n 40":
+        "2b60e2712e61daa4fd6ce18a0b054097214815933196c4ea04f4bfdf80acea75",
+    "bounds --in gst(1,4)":
+        "6211b94121ad5c3df15483f6e16fefca00a075d9e6070b4ef888fe2cb9095b39",
+    "bounds --in h3(2,3)":
+        "18a21ef44098b9961a0b388a89ae7cd8292ed774caa0c8789ccf648703bef196",
+    "check --seed 3 --instances 15":
+        "5386534f3828d2f312b7521ffb94b2744ec82191bcdbe965f01429fd02bb7e74",
+}
+PINNED_GRAPHS = {
+    "gst(1,4)": lambda: build_gst(1, 4),
+    "complete(5,-1)": lambda: build_complete(5, -1),
+    "one-vertex": lambda: new_signed_graph(1, []),
+    "h3(2,3)": lambda: build_h("H3", 2, 3),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_JSON))
+def test_json_pinned(argv, tmp_path):
+    args = argv.split()
+    if "--in" in args:
+        i = args.index("--in") + 1
+        path = tmp_path / "g.sg"
+        write_graph(PINNED_GRAPHS[args[i]](), path)
+        args[i] = str(path)
+    code, text = run_cli(*args, "--format", "json")
+    assert code == 0 and text.endswith("\n")
+    assert hashlib.sha256(text[:-1].encode()).hexdigest() == PINNED_JSON[argv]
 
 
 class TestUsage:

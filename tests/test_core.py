@@ -105,10 +105,18 @@ class TestConstruction:
         "n,edges,msg",
         [
             (3, [(0, 0, 1)], "loop"),
-            (3, [(0, 3, 1)], "range"),
+            (3, [(0, 3, 1)], "outside the graph"),
             (3, [(0, 1, 1), (1, 0, -1)], "duplicate"),
             (3, [(0, 1, 2)], "sign"),
             (0, [], "positive"),
+            (3, [(-1, 1, 1)], "outside the graph"),
+            # a bool endpoint would index as a numpy mask, a float one raise
+            # IndexError, and True would pass as the sign +1 or the count 1
+            (3, [(0, True, -1)], "not an integer"),
+            (3, [(0, 1.0, 1)], "not an integer"),
+            (3, [(0, 1, True)], "sign"),
+            (3, [(0, 1, np.True_)], "sign"),
+            (True, [], "positive"),
         ],
     )
     def test_rejects(self, n, edges, msg):

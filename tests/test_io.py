@@ -1,7 +1,7 @@
 import pytest
 
 from signed_extremal.core import new_signed_graph
-from signed_extremal.families import build_gst, build_gst_maxneg
+from signed_extremal.families import build_gst, build_gst_maxneg, build_kn_switched_maxneg
 from signed_extremal.graphio import (
     GraphFormatError,
     format_graph,
@@ -19,6 +19,12 @@ class TestRoundTrip:
     def test_families(self):
         for g in (build_gst(1, 4), build_gst(3, 3), build_gst_maxneg(8)):
             assert parse_graph(format_graph(g)) == g
+
+    def test_large_complete_graph(self):
+        # 11,175 edge lines, each checked for a duplicate by one set lookup
+        g = build_kn_switched_maxneg(150)
+        assert g.edge_count == 11175
+        assert parse_graph(format_graph(g)) == g
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "g.sg"

@@ -840,6 +840,29 @@ class TestVerifyTheorem:
         rep = verify_theorem("L2_2", 6)
         assert rep.passed and len(codes) == rep.details["maximizers"] + 1
 
+    def test_l2_2_fails_on_an_unbalanced_maximizer(self, monkeypatch):
+        # past n = 6 no canonical code cross-checks the winners, so the balance
+        # test alone must reject an unbalanced K_8 at the peak: one cross edge
+        # of the halving made positive and one inner edge negative keeps 16
+        # negative edges, and two edges are no cut of K_8
+        a = build_kn_switched_maxneg(8).adj.copy()
+        (u, v), (x, y) = np.argwhere(a < 0)[0], np.argwhere(a > 0)[0]
+        a[u, v] = a[v, u] = 1
+        a[x, y] = a[y, x] = -1
+        odd = SignedGraph(a)
+        assert odd.neg_edge_count == 16 and not is_balanced(odd)
+        maximizers = SEARCH._neg_edge_maximizers
+
+        def with_odd(graphs):
+            best, winners = maximizers(graphs)
+            return best, [*winners, odd]
+
+        assert verify_theorem("L2_2", 8).passed
+        monkeypatch.setattr(SEARCH, "_neg_edge_maximizers", with_odd)
+        rep = verify_theorem("L2_2", 8)
+        assert rep.observed == rep.bound_value == 16 and rep.satisfied
+        assert not rep.passed
+
     def test_l2_2_largest_order(self):
         # K_12 has 55 non-tree edges, past the 32 bits of the class tables
         rep = verify_theorem("L2_2", 12)
