@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .core import canonical_switch
 from .families import FAMILY_NAMES, build_family
-from .graphio import GraphFormatError, format_graph, read_graph
+from .graphio import GraphFormatError, format_graph, read_graph, write_graph
 from .properties import run_all_suites
 from .search import (
     FORBIDDEN,
@@ -103,15 +103,17 @@ def _emit(text: str, out):
     print(text, file=out)
 
 
-def _cmd_construct(args, out) -> int:
-    g = build_family(args.family, s=args.s, t=args.t, n=args.n)
-    text = format_graph(g)
+def _write_graph_out(g, args, out) -> int:
+    """Write g to --out if given, else to out."""
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        write_graph(g, args.out)
     else:
-        out.write(text)
+        out.write(format_graph(g))
     return 0
+
+
+def _cmd_construct(args, out) -> int:
+    return _write_graph_out(build_family(args.family, s=args.s, t=args.t, n=args.n), args, out)
 
 
 def _cmd_spectrum(args, out) -> int:
@@ -133,14 +135,7 @@ def _cmd_spectrum(args, out) -> int:
 
 
 def _cmd_canonical(args, out) -> int:
-    g = read_graph(args.infile)
-    text = format_graph(canonical_switch(g))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        out.write(text)
-    return 0
+    return _write_graph_out(canonical_switch(read_graph(args.infile)), args, out)
 
 
 def _cmd_check(args, out) -> int:

@@ -111,7 +111,7 @@ def new_signed_graph(n: int, edges) -> SignedGraph:
     """Build a signed graph from an edge list of (u, v, sign) triples.
 
     Rejects loops, endpoints that are not vertices, duplicate edges, and signs
-    outside {-1, +1}; bools are neither vertex counts, vertices nor signs.
+    outside {-1, +1}; counts, vertices and signs are ints, never bools.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
@@ -121,7 +121,7 @@ def new_signed_graph(n: int, edges) -> SignedGraph:
         u, v = _check_vertex_set(n, (u, v))
         if u == v:
             raise ValueError(f"edge ({u},{v}): loops are not allowed")
-        if isinstance(s, (bool, np.bool_)) or s not in (-1, 1):
+        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (-1, 1):
             raise ValueError(f"edge ({u},{v}): sign must be -1 or +1, got {s!r}")
         key = (min(u, v), max(u, v))
         if key in seen:

@@ -46,6 +46,8 @@ Every signed graph this module builds comes from a table row (_table_block)
 and a non-tree pattern (_signature_stack): the search witnesses, the switching
 classes of K_n that T1_1 and L2_2 check, and the output of
 enumerate_signatures, whose one-row table is built for the graph it is given.
+Switching maximizers stay int8 stacks (_neg_edge_maximizers); a SignedGraph is
+built from one only to hand it out or to pass it to a core check.
 The survivors of a scan stay (row, pattern) arrays until the witnesses are
 chosen, one per switching-isomorphism class. They are deduplicated by the key
 that core computes (canonical_signed_code): the class's canonical bitmap and
@@ -702,34 +704,34 @@ def _switching_neg_counts(adj: np.ndarray) -> np.ndarray:
     return quad.astype(np.int32).ravel()
 
 
+def _neg_edge_maximizers(adj: np.ndarray) -> tuple[int, np.ndarray]:
+    """The largest negative edge count over the switchings of a (G, n, n) int8
+    stack, and an int8 stack of the distinct switched matrices attaining it,
+    sorted by bytes. Each graph is counted once; only the graphs at the running
+    peak keep which masks attain it, and those become matrices at the end."""
+    best, peak = -1, []
+    for a in adj:
+        counts = _switching_neg_counts(a)
+        top = int(counts.max())
+        if top > best:
+            best, peak = top, []
+        if top == best:
+            peak.append((a, counts == top))
+        del counts  # so that no two count arrays are alive at once
+    switched = {}
+    for a, at_peak in peak:
+        spins = _mask_spins(np.flatnonzero(at_peak), len(a), np.int8)
+        switched.update((m.tobytes(), m) for m in spins[:, :, None] * spins[:, None, :] * a)
+    return best, np.stack([switched[k] for k in sorted(switched)])
+
+
 def switching_neg_edge_maximum(g: SignedGraph):
-    """Maximum negative edge count over all 2^n switchings of g.
-
-    Returns (best, maximizers) where maximizers are the distinct switched
-    graphs attaining the maximum, sorted by sign matrix bytes. Only the masks
-    that attain the maximum are turned into graphs. Rejects graphs above
-    _SWITCH_MAX_ORDER vertices, since every switching is counted.
-    """
-    counts = _switching_neg_counts(g.adj)
-    best = int(counts.max())
-    spins = _mask_spins(np.flatnonzero(counts == best), g.n, np.int8)
-    maximizers = {a.tobytes(): a for a in spins[:, :, None] * spins[:, None, :] * g.adj}
-    return best, [SignedGraph(maximizers[k]) for k in sorted(maximizers)]
-
-
-def _neg_edge_maximizers(graphs) -> tuple[int, list[SignedGraph]]:
-    """The largest negative edge count over the switchings of graphs, and the
-    distinct switched graphs attaining it, sorted by sign matrix bytes.
-
-    Every graph's peak comes from _switching_neg_counts; only the graphs at
-    the overall peak go through switching_neg_edge_maximum, which builds the
-    switched graphs.
-    """
-    peaks = [int(_switching_neg_counts(g.adj).max()) for g in graphs]
-    best = max(peaks)
-    maximizers = {m.adj.tobytes(): m for g, peak in zip(graphs, peaks) if peak == best
-                  for m in switching_neg_edge_maximum(g)[1]}
-    return best, [maximizers[k] for k in sorted(maximizers)]
+    """Maximum negative edge count over all 2^n switchings of g, and the
+    distinct switched graphs attaining it, sorted by sign matrix bytes: the
+    rows of _neg_edge_maximizers(g.adj[None]) as SignedGraphs. Rejects graphs
+    above _SWITCH_MAX_ORDER vertices."""
+    best, maximizers = _neg_edge_maximizers(g.adj[None])
+    return best, [SignedGraph(a) for a in maximizers]
 
 
 def search(config: SearchConfig, *, progress=None) -> SearchReport:
@@ -745,7 +747,8 @@ def search(config: SearchConfig, *, progress=None) -> SearchReport:
         # two-phase: find the edge maximizers, then maximize negative edges
         # over all switchings of every maximizer class
         _, edge_witnesses, _, counts = _scan(replace(config, objective="MAX_EDGES"), progress)
-        optimum, witnesses = _neg_edge_maximizers(edge_witnesses)
+        optimum, maximizers = _neg_edge_maximizers(np.stack([w.adj for w in edge_witnesses]))
+        witnesses = [SignedGraph(a) for a in maximizers]
         matched = ["gst-maxneg" if signed_isomorphic(w, build_gst_maxneg(config.n)) else None
                    for w in witnesses]
         counts["signatures_scanned"] += len(edge_witnesses) << config.n
@@ -760,12 +763,13 @@ def search(config: SearchConfig, *, progress=None) -> SearchReport:
 # Theorem verification
 # ---------------------------------------------------------------------------
 
-def _complete_signature_classes(n: int, forbidden: str) -> list[SignedGraph]:
-    """All switching classes of signatures of K_n avoiding the forbidden triangle."""
+def _complete_signature_classes(n: int, forbidden: str) -> np.ndarray:
+    """An int8 stack of one sign matrix per switching class of signatures of
+    K_n avoiding the forbidden triangle."""
     table = _graph_table(~np.eye(n, dtype=bool))
     row = np.zeros(1, dtype=np.intp)
     system, patterns = _span_patterns(_table_span(table, row, forbidden), row, False)
-    return [SignedGraph(a) for a in _signature_stack(table, system, patterns, np.int8)]
+    return _signature_stack(table, system, patterns, np.int8)
 
 
 def _verify_t1_1(n: int) -> BoundReport:
@@ -777,7 +781,8 @@ def _verify_t1_1(n: int) -> BoundReport:
         ("C3_PLUS", build_complete(n, -1)),
     ):
         classes = _complete_signature_classes(n, forbidden)
-        outcomes[forbidden] = len(classes) == 1 and switching_equivalent(classes[0], target)
+        outcomes[forbidden] = (len(classes) == 1
+                               and switching_equivalent(SignedGraph(classes[0]), target))
     rep = make_bound_report("t1_1", n, n * (n - 1) // 2, n * (n - 1) // 2,
                             build_complete(n, 1))
     rep.passed = all(outcomes.values())
@@ -803,25 +808,26 @@ def _verify_t1_2_neg(n: int, progress) -> BoundReport:
     if n <= _MAX_N:
         found = search(SearchConfig(n=n, objective="MAX_NEG_EDGES_AT_MAX_EDGES"),
                        progress=progress)
-        observed, maximizers = found.optimum, found.witnesses
+        observed, witness = found.optimum, found.witnesses[0]
         hits = found.matched_family.count("gst-maxneg")
         # the maximum must be attained by the canonical layout; from n = 6 on
         # it is also the unique maximizer (n = 5 admits one extra tie class)
-        structure_ok = hits > 0 and (n <= 5 or hits == len(maximizers))
+        structure_ok = hits > 0 and (n <= 5 or hits == len(found.witnesses))
         notes = (f"switchings of every enumerated edge-maximizer class; "
-                 f"{len(maximizers)} maximizers, {hits} in canonical layout")
+                 f"{len(found.witnesses)} maximizers, {hits} in canonical layout")
         details = {"counts": found.counts, "matched_family": found.matched_family}
     else:
         # beyond enumeration range: the 2^n switchings of every split of the
         # extremal construction. A second split at the peak would add the
         # switchings of another underlying graph to the maximizers
-        splits = [build_gst(s, n - 2 - s) for s in range(1, (n - 2) // 2 + 1)]
+        splits = np.stack([build_gst(s, n - 2 - s).adj for s in range(1, (n - 2) // 2 + 1)])
         observed, maximizers = _neg_edge_maximizers(splits)
-        structure_ok = maximizers == [build_gst_maxneg(n)]
+        structure_ok = np.array_equal(maximizers, build_gst_maxneg(n).adj[None])
+        witness = SignedGraph(maximizers[0])
         notes = "switchings of the construction family (n beyond enumeration)"
         details = {"splits": len(splits), "switchings": len(splits) << n,
                    "maximizers": len(maximizers)}
-    rep = make_bound_report("t1_2_neg", n, neg_edge_bound(n), observed, maximizers[0])
+    rep = make_bound_report("t1_2_neg", n, neg_edge_bound(n), observed, witness)
     rep.passed = observed == rep.bound_value and structure_ok
     rep.notes = notes
     rep.details = details
@@ -848,16 +854,15 @@ def _verify_l2_2(n: int) -> BoundReport:
     # every winner is a signed K_n; balanced iff the spins that make its BFS
     # tree positive leave no negative edge. A balanced K_n switched at S has
     # |S|(n - |S|) negative edges, so best == bound below makes |S| the halving
-    adj = np.stack([m.adj for m in winners])
-    spins = _tree_spins(adj, _bfs_tree(adj[0]))
-    structure_ok = not (spins[:, :, None] * adj * spins[:, None, :] < 0).any()
+    spins = _tree_spins(winners, _bfs_tree(winners[0]))
+    structure_ok = not (spins[:, :, None] * winners * spins[:, None, :] < 0).any()
     if n <= 6:
         # cheap cross-validation of the structural predicate by switching
         # isomorphism (equal codes), which scans every order of K_n
         target = canonical_signed_code(build_kn_switched_maxneg(n))
-        structure_ok = structure_ok and all(canonical_signed_code(m) == target
-                                            for m in winners)
-    rep = make_bound_report("l2_2", n, (n // 2) * ((n + 1) // 2), best, winners[0])
+        structure_ok = structure_ok and all(canonical_signed_code(SignedGraph(a)) == target
+                                            for a in winners)
+    rep = make_bound_report("l2_2", n, (n // 2) * ((n + 1) // 2), best, SignedGraph(winners[0]))
     rep.passed = best == rep.bound_value and structure_ok
     rep.notes = (f"{len(reps)} negative-triangle-free switching classes, "
                  f"{len(winners)} maximizers")

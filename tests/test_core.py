@@ -117,6 +117,9 @@ class TestConstruction:
             (3, [(0, 1, True)], "sign"),
             (3, [(0, 1, np.True_)], "sign"),
             (True, [], "positive"),
+            # a float sign would pass its value test, as 1.0 == 1
+            (3, [(0, 1, 1.0)], "sign"),
+            (3, [(0, 1, np.float64(-1.0))], "sign"),
         ],
     )
     def test_rejects(self, n, edges, msg):

@@ -667,30 +667,35 @@ class TestNegEdgeMaximizers:
         return [build_gst(1, 3), build_complete(6, 1), build_gst(2, 2),
                 build_kn_switched_maxneg(6), k33, *seeded_signed_graphs(61, 6, 8)]
 
+    @staticmethod
+    def stacked_maximizers(graphs):
+        # the kernel takes and returns int8 stacks; the oracle returns graphs
+        best, stack = _neg_edge_maximizers(np.stack([g.adj for g in graphs]))
+        assert stack.dtype == np.int8 and stack.shape[1:] == graphs[0].adj.shape
+        return best, [SignedGraph(a) for a in stack]
+
     def test_gst_splits_match_the_per_mask_merge(self):
         splits = [build_gst(s, 6 - s) for s in (1, 2, 3)]
-        assert _neg_edge_maximizers(splits) == merged_neg_edge_maximizers(splits)
+        assert self.stacked_maximizers(splits) == merged_neg_edge_maximizers(splits)
 
     def test_mixed_peaks_match_the_per_mask_merge(self):
         graphs = self.mixed_peaks()
         peaks = [per_mask_neg_edge_maximum(g)[0] for g in graphs]
         assert len(set(peaks)) > 2 and peaks.count(max(peaks)) > 1
-        assert _neg_edge_maximizers(graphs) == merged_neg_edge_maximizers(graphs)
+        assert self.stacked_maximizers(graphs) == merged_neg_edge_maximizers(graphs)
 
-    def test_only_peak_graphs_build_their_maximizers(self, monkeypatch):
-        called = []
-        maximum = SEARCH.switching_neg_edge_maximum
+    def test_each_graph_is_counted_once(self, monkeypatch):
+        counted = []
+        counts = SEARCH._switching_neg_counts
 
-        def counting(g):
-            called.append(g)
-            return maximum(g)
+        def counting(adj):
+            counted.append(adj.tobytes())
+            return counts(adj)
 
-        monkeypatch.setattr(SEARCH, "switching_neg_edge_maximum", counting)
+        monkeypatch.setattr(SEARCH, "_switching_neg_counts", counting)
         graphs = self.mixed_peaks()
-        peaks = [per_mask_neg_edge_maximum(g)[0] for g in graphs]
-        _neg_edge_maximizers(graphs)
-        assert [id(g) for g in called] == [
-            id(g) for g, peak in zip(graphs, peaks) if peak == max(peaks)]
+        self.stacked_maximizers(graphs)
+        assert counted == [g.adj.tobytes() for g in graphs]
 
     def test_t1_2_neg_fails_when_the_maximizer_is_not_the_layout(self, monkeypatch):
         # a switched copy is switching equivalent to the layout, but not the
@@ -782,11 +787,11 @@ class TestGF2Solutions:
 
     def test_complete_signature_classes(self):
         classes = _complete_signature_classes(5, "C3_MINUS")
-        assert len(classes) == 1
-        assert switching_equivalent(classes[0], build_complete(5, 1))
+        assert classes.dtype == np.int8 and classes.shape == (1, 5, 5)
+        assert switching_equivalent(SignedGraph(classes[0]), build_complete(5, 1))
         classes = _complete_signature_classes(5, "C3_PLUS")
-        assert len(classes) == 1
-        assert switching_equivalent(classes[0], build_complete(5, -1))
+        assert classes.dtype == np.int8 and classes.shape == (1, 5, 5)
+        assert switching_equivalent(SignedGraph(classes[0]), build_complete(5, -1))
 
 
 class TestVerifyTheorem:
@@ -853,9 +858,9 @@ class TestVerifyTheorem:
         assert odd.neg_edge_count == 16 and not is_balanced(odd)
         maximizers = SEARCH._neg_edge_maximizers
 
-        def with_odd(graphs):
-            best, winners = maximizers(graphs)
-            return best, [*winners, odd]
+        def with_odd(adj):
+            best, winners = maximizers(adj)
+            return best, np.concatenate([winners, odd.adj[None]])
 
         assert verify_theorem("L2_2", 8).passed
         monkeypatch.setattr(SEARCH, "_neg_edge_maximizers", with_odd)
