@@ -373,7 +373,8 @@ class Labelling(NamedTuple):
     """Canonical labelling of a stack of G unsigned graphs (canonical_forms)."""
 
     codes: list[int]        # canonical bitmap of each graph
-    orders: np.ndarray      # (rows, n) optimal orders, graph by graph
+    orders: np.ndarray      # (rows, n) optimal orders, graph by graph, in the
+                            # smallest unsigned dtype that holds n - 1
     counts: np.ndarray      # (G,) optimal orders of each graph
 
 
@@ -564,6 +565,8 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     by_cell = np.argsort(classes, axis=1, kind="stable")
     # each branch's graph with its vertices sorted by cell, flattened
     flat = adj[graph[:, None, None], by_cell[:, :, None], by_cell[:, None, :]].reshape(-1)
+    # the orders are gathered from by_cell, so they keep its smallest dtype
+    by_cell = by_cell.astype(np.min_scalar_type(n - 1))
     # the cell sizes of each branch, in position order
     sizes = (classes[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.uint8)
     groups: dict[bytes, list[int]] = {}
@@ -615,7 +618,8 @@ def _least_sign_row(adj: np.ndarray, orders: np.ndarray, switched: bool) -> byte
     iu, ju = _triu_cells(len(adj))
     rows = []
     for start in range(0, len(orders), _ORDER_CHUNK):
-        chunk = orders[start:start + _ORDER_CHUNK]
+        # numpy gathers by intp indices faster than by the orders' small dtype
+        chunk = orders[start:start + _ORDER_CHUNK].astype(np.intp)
         moved = adj[chunk[:, :, None], chunk[:, None, :]]
         spin = _tree_spins(moved, tree)
         # signs -1/0/+1 compare as the bytes 2/0/1

@@ -3,6 +3,12 @@
 Each suite draws its own instances from a deterministic generator, so a fixed
 seed reproduces verdicts and logs exactly. A violation count of zero is the
 pass condition; violating instances are recorded in the log.
+
+Instances are drawn in blocks and judged a block at a time, so the spectra a
+suite computes itself come from one stacked eigensolve per vertex count per
+block. The library functions under test (interlacing_check,
+clique_spectral_bound, balanced_spanning_subgraph, is_balanced, switch,
+negate) are still called one graph at a time.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ import numpy as np
 from .bounds import balanced_spanning_subgraph, clique_spectral_bound
 from .core import SignedGraph, is_balanced, negate, switch
 from .graphio import format_graph
-from .spectral import FORMULA_TOL, eigenvalues, interlacing_check
+from .spectral import FORMULA_TOL, _stacked_spectra, interlacing_check
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all_suites",
            "random_connected_signed_graph"]
@@ -67,104 +73,142 @@ def _random_vertex_subset(rng, n):
     return [int(v) for v in np.nonzero(mask)[0]]
 
 
-def _check_switching_invariance(rng) -> str | None:
+def _paired_spectra(cases) -> list[np.ndarray]:
+    """Descending spectra, one (2, n) array per case, of the two same-order
+    graphs that open each case, in case order: one stacked solve per vertex
+    count."""
+    out: list[np.ndarray] = [None] * len(cases)
+    by_order: dict[int, list[int]] = {}
+    for i, case in enumerate(cases):
+        by_order.setdefault(case[0].n, []).append(i)
+    for idx in by_order.values():
+        stack = np.array([(cases[i][0].adj, cases[i][1].adj) for i in idx])
+        for i, w in zip(idx, _stacked_spectra(stack)):
+            out[i] = w
+    return out
+
+
+# Each suite is a draw, which makes every rng call of one instance along with
+# the cheap graph operations, and a judge, which takes a block of drawn cases
+# and returns one failure message or None per case, in order.
+
+def _draw_switching_invariance(rng):
     g = random_connected_signed_graph(rng)
     u = _random_vertex_subset(rng, g.n)
-    a = eigenvalues(g).eigenvalues
-    b = eigenvalues(switch(g, u)).eigenvalues
-    if max(abs(x - y) for x, y in zip(a, b)) > FORMULA_TOL:
-        return f"spectrum changed under switching at {u}:\n{format_graph(g)}"
-    return None
+    return g, switch(g, u), u
 
 
-def _check_negation_symmetry(rng) -> str | None:
+def _judge_switching_invariance(cases) -> list[str | None]:
+    return [f"spectrum changed under switching at {u}:\n{format_graph(g)}"
+            if np.abs(w[0] - w[1]).max() > FORMULA_TOL else None
+            for (g, _, u), w in zip(cases, _paired_spectra(cases))]
+
+
+def _draw_negation_symmetry(rng):
     g = random_connected_signed_graph(rng)
-    a = eigenvalues(g).eigenvalues
-    b = eigenvalues(negate(g)).eigenvalues
-    flipped = tuple(-x for x in reversed(a))
-    if max(abs(x - y) for x, y in zip(flipped, b)) > FORMULA_TOL:
-        return f"negation did not reverse the spectrum:\n{format_graph(g)}"
-    return None
+    return g, negate(g)
 
 
-def _check_interlacing(rng) -> str | None:
+def _judge_negation_symmetry(cases) -> list[str | None]:
+    return [f"negation did not reverse the spectrum:\n{format_graph(g)}"
+            if np.abs(-w[0][::-1] - w[1]).max() > FORMULA_TOL else None
+            for (g, _), w in zip(cases, _paired_spectra(cases))]
+
+
+def _draw_interlacing(rng):
     g = random_connected_signed_graph(rng)
     size = int(rng.integers(1, g.n + 1))
-    kept = [int(v) for v in rng.choice(g.n, size=size, replace=False)]
-    if not interlacing_check(g, kept):
-        return f"interlacing failed for kept={sorted(kept)}:\n{format_graph(g)}"
-    return None
+    return g, [int(v) for v in rng.choice(g.n, size=size, replace=False)]
 
 
-def _check_balanced_spanning(rng) -> str | None:
-    g = random_connected_signed_graph(rng)
-    h = balanced_spanning_subgraph(g)
-    if h.n != g.n or not is_balanced(h) or h.neg_edge_count != 0:
-        return f"result not a balanced spanning subgraph:\n{format_graph(g)}"
-    lam_g = eigenvalues(g).eigenvalues[0]
-    lam_h = eigenvalues(h).eigenvalues[0]
-    if lam_g > lam_h + FORMULA_TOL:
-        return f"lambda_1 dropped: {lam_g} > {lam_h}:\n{format_graph(g)}"
-    return None
+def _judge_interlacing(cases) -> list[str | None]:
+    return [None if interlacing_check(g, kept) else
+            f"interlacing failed for kept={sorted(kept)}:\n{format_graph(g)}"
+            for g, kept in cases]
 
 
-def _check_clique_bound(rng) -> str | None:
-    g = random_connected_signed_graph(rng)
-    rep = clique_spectral_bound(g)
-    if not rep.satisfied:
-        return (f"clique bound violated: lambda_1={rep.observed} > "
-                f"bound={rep.bound_value}:\n{format_graph(g)}")
-    return None
+def _judge_balanced_spanning(cases) -> list[str | None]:
+    subgraphs = [balanced_spanning_subgraph(g) for g in cases]
+    failures = [None if h.n == g.n and is_balanced(h) and h.neg_edge_count == 0 else
+                f"result not a balanced spanning subgraph:\n{format_graph(g)}"
+                for g, h in zip(cases, subgraphs)]
+    spanning = [i for i, failure in enumerate(failures) if failure is None]
+    spectra = _paired_spectra([(cases[i], subgraphs[i]) for i in spanning])
+    for i, w in zip(spanning, spectra):
+        lam_g, lam_h = w[:, 0].tolist()
+        if lam_g > lam_h + FORMULA_TOL:
+            failures[i] = f"lambda_1 dropped: {lam_g} > {lam_h}:\n{format_graph(cases[i])}"
+    return failures
 
 
-def _check_edge_addition(rng) -> str | None:
+def _judge_clique_bound(cases) -> list[str | None]:
+    failures = []
+    for g in cases:
+        rep = clique_spectral_bound(g)
+        failures.append(None if rep.satisfied else
+                        f"clique bound violated: lambda_1={rep.observed} > "
+                        f"bound={rep.bound_value}:\n{format_graph(g)}")
+    return failures
+
+
+def _draw_edge_addition(rng):
     # connected unsigned graph with a spare non-edge
     for _ in range(50):
-        g = random_connected_signed_graph(rng)
-        g = g.underlying()
+        g = random_connected_signed_graph(rng).underlying()
         rows = g.adj.tolist()
         non_edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
                      if rows[i][j] == 0]
         if non_edges:
             break
-    else:  # pragma: no cover - generator always leaves gaps eventually
-        return None
+    else:
+        raise RuntimeError("edge-addition drew 50 complete graphs in a row")
     u, v = non_edges[int(rng.integers(0, len(non_edges)))]
     adj = np.array(g.adj)
     adj[u, v] = adj[v, u] = 1
-    bigger = SignedGraph(adj)
-    lam = eigenvalues(g).eigenvalues[0]
-    lam_plus = eigenvalues(bigger).eigenvalues[0]
-    if not lam < lam_plus:
-        return f"adding edge ({u},{v}) did not raise lambda_1:\n{format_graph(g)}"
-    return None
+    return g, SignedGraph(adj), (u, v)
 
 
+def _judge_edge_addition(cases) -> list[str | None]:
+    return [None if w[0, 0] < w[1, 0] else
+            f"adding edge ({u},{v}) did not raise lambda_1:\n{format_graph(g)}"
+            for (g, _, (u, v)), w in zip(cases, _paired_spectra(cases))]
+
+
+# (draw, judge) of each suite
 _CHECKS = {
-    "switching-invariance": _check_switching_invariance,
-    "negation-symmetry": _check_negation_symmetry,
-    "interlacing": _check_interlacing,
-    "balanced-spanning": _check_balanced_spanning,
-    "clique-bound": _check_clique_bound,
-    "edge-addition": _check_edge_addition,
+    "switching-invariance": (_draw_switching_invariance, _judge_switching_invariance),
+    "negation-symmetry": (_draw_negation_symmetry, _judge_negation_symmetry),
+    "interlacing": (_draw_interlacing, _judge_interlacing),
+    "balanced-spanning": (random_connected_signed_graph, _judge_balanced_spanning),
+    "clique-bound": (random_connected_signed_graph, _judge_clique_bound),
+    "edge-addition": (_draw_edge_addition, _judge_edge_addition),
 }
+# instances drawn before they are judged together; larger blocks hold more
+# graphs at once for little further gain
+_SUITE_BLOCK = 256
+
+
+def _check_count(name: str, value) -> None:
+    # bool is a subclass of int
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a non-negative int, got {value!r}")
 
 
 def run_suite(name: str, seed: int, instances: int = 200) -> SuiteResult:
     if name not in _CHECKS:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
-    # bool is a subclass of int
-    if not isinstance(instances, int) or isinstance(instances, bool) or instances < 0:
-        raise ValueError(f"instances must be a non-negative int, got {instances!r}")
+    _check_count("instances", instances)
+    _check_count("seed", seed)
     # per-suite stream derived from (seed, suite) so suites are independent
     rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
-    check = _CHECKS[name]
+    draw, judge = _CHECKS[name]
     result = SuiteResult(name=name, instances=instances, violations=0)
-    for i in range(instances):
-        failure = check(rng)
-        if failure is not None:
-            result.violations += 1
-            result.log.append(f"instance {i}: {failure}")
+    for start in range(0, instances, _SUITE_BLOCK):
+        cases = [draw(rng) for _ in range(min(_SUITE_BLOCK, instances - start))]
+        for i, failure in enumerate(judge(cases), start):
+            if failure is not None:
+                result.violations += 1
+                result.log.append(f"instance {i}: {failure}")
     result.log.append(
         f"{name}: {instances} instances, {result.violations} violations"
     )

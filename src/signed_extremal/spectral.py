@@ -78,6 +78,16 @@ def _symmetric_eigh(a: np.ndarray):
         raise SpectralError(f"symmetric eigensolver failed: {exc}") from exc
 
 
+def _stacked_spectra(a: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of each matrix of a (..., n, n) stack of sign
+    matrices, from one eigvalsh call (no eigenvectors)."""
+    try:
+        w = np.linalg.eigvalsh(a.astype(np.float64))
+    except np.linalg.LinAlgError as exc:
+        raise SpectralError(f"symmetric eigensolver failed: {exc}") from exc
+    return w[..., ::-1]
+
+
 def eigenvalues(g: SignedGraph) -> Spectrum:
     """Full spectrum of the sign-adjacency matrix, deterministic for fixed input.
 

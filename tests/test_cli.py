@@ -113,6 +113,11 @@ class TestCheck:
         code, text = run_cli("check", "--instances", "-5", "--format", "json")
         assert (code, text) == (2, "")
 
+    def test_negative_seed_exit_2_naming_seed(self, capsys):
+        code, text = run_cli("check", "--seed", "-1", "--format", "json")
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err == "error: seed must be a non-negative int, got -1\n"
+
     def test_zero_instances_validate(self):
         code, text = run_cli("check", "--instances", "0", "--format", "json")
         assert code == 0

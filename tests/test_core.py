@@ -728,10 +728,18 @@ class TestCanonicalForms:
             tracemalloc.stop()
         assert peak < 256 << 20
         assert len(orders) == 2
+        # the smallest dtype that holds every position: a byte up to 256 vertices
+        assert orders.dtype == (np.uint8 if n <= 256 else np.uint16)
         iu, ju = _triu_cells(n)
         for order in orders:
             bits = np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes()
             assert int.from_bytes(bits, "big") == code
+
+    def test_orders_of_k8_are_every_permutation_in_one_byte(self):
+        # K_8 keeps one colour class, so its 8! orders all attain its code
+        _, orders = canonical_form(~np.eye(8, dtype=bool))
+        assert orders.dtype == np.uint8
+        assert orders.tolist() == [list(p) for p in itertools.permutations(range(8))]
 
     @pytest.mark.parametrize("stack", [
         pytest.param(lambda: forked_path(200, 1)[None], id="path-200"),

@@ -2,13 +2,17 @@ import hashlib
 
 import pytest
 
-from signed_extremal.core import is_connected
+from signed_extremal import properties
+from signed_extremal.core import SignedGraph, is_connected
+from signed_extremal.families import build_complete
+from signed_extremal.graphio import format_graph
 from signed_extremal.properties import (
     SUITE_NAMES,
     random_connected_signed_graph,
     run_all_suites,
     run_suite,
 )
+from signed_extremal.spectral import FORMULA_TOL, eigenvalues
 
 import numpy as np
 
@@ -75,6 +79,68 @@ class TestSuites:
         with pytest.raises(ValueError, match="instances must be a non-negative int"):
             run_suite("interlacing", seed=0, instances=instances)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative int"):
+            run_suite("interlacing", seed=seed, instances=1)
+
+    def test_edge_addition_fails_loudly_without_a_non_edge(self, monkeypatch):
+        monkeypatch.setattr(properties, "random_connected_signed_graph",
+                            lambda rng: build_complete(4, 1))
+        with pytest.raises(RuntimeError, match="50 complete graphs"):
+            run_suite("edge-addition", seed=0, instances=1)
+
     def test_zero_instances_allowed(self):
         r = run_suite("interlacing", seed=0, instances=0)
         assert r.instances == 0 and r.violations == 0 and r.passed
+
+
+def reference_log(name, seed, instances):
+    """The log of the switching-invariance or negation-symmetry suite, one
+    instance at a time through the public eigenvalues."""
+    rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
+    log = []
+    for i in range(instances):
+        g = random_connected_signed_graph(rng)
+        a = eigenvalues(g).eigenvalues
+        if name == "switching-invariance":
+            u = [int(v) for v in np.nonzero(rng.random(g.n) < 0.5)[0]]
+            b = eigenvalues(properties.switch(g, u)).eigenvalues
+            if max(abs(x - y) for x, y in zip(a, b)) > FORMULA_TOL:
+                log.append(f"instance {i}: spectrum changed under switching at {u}:\n"
+                           f"{format_graph(g)}")
+        else:
+            b = eigenvalues(properties.negate(g)).eigenvalues
+            if max(abs(-x - y) for x, y in zip(reversed(a), b)) > FORMULA_TOL:
+                log.append(f"instance {i}: negation did not reverse the spectrum:\n"
+                           f"{format_graph(g)}")
+    return log + [f"{name}: {instances} instances, {len(log)} violations"]
+
+
+class TestBlockedJudging:
+    @pytest.mark.parametrize("name", ["switching-invariance", "negation-symmetry"])
+    def test_faulty_operations_log_like_one_instance_at_a_time(self, name, monkeypatch):
+        switch, negate = properties.switch, properties.negate
+
+        def odd_order_switch_flips_an_edge(g, u):
+            adj = switch(g, u).adj.copy()
+            if g.n % 2:
+                i, j = np.argwhere(adj)[0]
+                adj[i, j] = adj[j, i] = -adj[i, j]
+            return SignedGraph(adj)
+
+        def odd_size_negation_is_identity(g):
+            return g if g.edge_count % 2 else negate(g)
+
+        monkeypatch.setattr(properties, "switch", odd_order_switch_flips_an_edge)
+        monkeypatch.setattr(properties, "negate", odd_size_negation_is_identity)
+        # three blocks, the last one partial
+        instances = 2 * properties._SUITE_BLOCK + 100
+        result = run_suite(name, seed=11, instances=instances)
+        expected = reference_log(name, 11, instances)
+        assert result.log == expected
+        assert result.violations == len(expected) - 1
+        # violations in every block, and instances that pass
+        failed = [int(line.split(":")[0].split()[1]) for line in expected[:-1]]
+        assert {i // properties._SUITE_BLOCK for i in failed} == {0, 1, 2}
+        assert 0 < len(failed) < instances

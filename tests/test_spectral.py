@@ -16,6 +16,8 @@ from signed_extremal.search import enumerate_underlying
 from signed_extremal.spectral import (
     CharPolyId,
     NotEquitableError,
+    SpectralError,
+    _stacked_spectra,
     char_poly_eval,
     check_spectrum_identities,
     eigenvalues,
@@ -28,7 +30,7 @@ from signed_extremal.spectral import (
     spectrum_to_json,
 )
 
-from _oracles import all_signatures, connected_labeled_graphs
+from _oracles import all_signatures, connected_labeled_graphs, seeded_signed_graphs
 
 
 def unbalanced_c4():
@@ -117,6 +119,24 @@ class TestEigenvalues:
             assert sp.rho == sp.eigenvalues[0]
             # strictly above n - 5/2
             assert sp.eigenvalues[0] > n - 2.5
+
+
+class TestStackedSpectra:
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_matches_eigenvalues_graph_by_graph(self, n):
+        graphs = list(seeded_signed_graphs(900 + n, n, 30))
+        stacked = _stacked_spectra(np.array([g.adj for g in graphs]))
+        assert stacked.shape == (len(graphs), n)
+        for g, w in zip(graphs, stacked):
+            assert np.abs(w - eigenvalues(g).eigenvalues).max() <= 1e-12
+
+    def test_solver_failure_is_a_spectral_error(self, monkeypatch):
+        def fail(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        with pytest.raises(SpectralError, match="did not converge"):
+            _stacked_spectra(build_gst(1, 4).adj[None])
 
 
 class TestQuotient:
