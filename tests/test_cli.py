@@ -261,6 +261,98 @@ def test_json_pinned(argv, tmp_path):
     assert hashlib.sha256(text[:-1].encode()).hexdigest() == PINNED_JSON[argv]
 
 
+# sha256 of the whole stdout of each argv, recorded while each command chose
+# between table and CSV in a branch of its own; every argv exits 0. An --in
+# argument names a graph of PINNED_GRAPHS, written to a file first.
+PINNED_TEXT = {
+    "bounds --in gst(1,4) --format table":
+        "157fbab3a80ce7b4d90ec7941f71a4374b863106a4146b3f861cdce635f89e56",
+    "bounds --in gst(1,4) --format csv":
+        "ad1751364f79726d047d2da1bba3270a462377f8e8aa3b61720fb2b446e03aad",
+    "bounds --in h3(2,3) --format table":
+        "a5ac3ec8a6d402133c15edd68d539177ca1d4fe44ec989f892673195983ce5f2",
+    "bounds --in h3(2,3) --format csv":
+        "38cb9b43a525ce6a346b2382e2b3ecdca3d110a5d1ce09c7466e7df29cc656a2",
+    "bounds --n 4 --format table":
+        "873d3c8a819f5569dab6e9491aba1b076a0474e6c79c6ff8b7090d927389f4f7",
+    "bounds --n 4 --format csv":
+        "a9f32614e339c9bfa085ae1ad5a51efef04794be06a7c3cd1f05793e931196c8",
+    "bounds --n 40 --format table":
+        "d0aac3ec3a7746085d75507cdcbdfe534221ef5c15ef0eb6ff4a5624718189fe",
+    "bounds --n 40 --format csv":
+        "70381894987a51591010332d97f11f4e0028f5c58a995e575546b00aa5e5d42d",
+    "bounds --n 7 --format table":
+        "3a6254d2121bf01d0483fbf40f8e72951178085395dca5fa94200e7171a32a94",
+    "bounds --n 7 --format csv":
+        "999e70f260520b5c8aa751d7894f93791ebe36134ca68338127841ac9ab9d521",
+    "check --seed 3 --instances 15 --format table":
+        "ce412c7d1422763867d1bddec8c30c705e533769d4b3d92a9baa836efec6bf31",
+    "check --seed 3 --instances 15 --format csv":
+        "027b2acc33ce08350ba1b58b7f6f63b03eeb2c0da867af1f118c1e1d4d1595ac",
+    "spectrum --in complete(5,-1) --format table":
+        "6f5ad014ac954fbfd2d4da30d6542072c5da6115dde693f29849cf4b27bb61c5",
+    "spectrum --in complete(5,-1) --format csv":
+        "0467f7bda633e54654f82cb177cb29aac38c81ee8a7b92efdd42ce95850afdb3",
+    "spectrum --in gst(1,4) --format table":
+        "8b9534370f1c2cf97a72d974575aa7d61c5a96eeb9e7a3769f07ae47d1ff055a",
+    "spectrum --in gst(1,4) --format csv":
+        "76ee81f92f6c87b882ae5c6df9863b7579cd0e2c0bfaac6955b7dc4709351142",
+    "spectrum --in one-vertex --format table":
+        "c70e29358d399de6733030a9da56d5098b894b92d06e1103f92076070673ff3b",
+    "spectrum --in one-vertex --format csv":
+        "6e9f45fa502b0e82e965173fa48a0ed05aaf0ffbeaae23fb523d4921e8db23f5",
+    "search --n 5 --objective max-edges --forbid c3-minus --format table":
+        "5526a7fdf08833d2cd53989c5e090d101a228ee0f339c5d67199d3a5b4608022",
+    "search --n 5 --objective max-edges --forbid c3-minus --format csv":
+        "bbf781702eaee4922652ed5f1976d516b941ab8c46a1d4dbac25d61af2a0f126",
+    "search --n 5 --objective max-rho --forbid c3-minus --format table":
+        "1c9952bace1137f6298defd8e15d54f8f7fccf84dfe3db6bae7f98bead21ae3f",
+    "search --n 5 --objective max-rho --forbid c3-minus --format csv":
+        "f6b9ece9fe9cf0b944fe7178d058171d5ee7002212fdee8e23020c78437fd95d",
+    "search --n 5 --objective max-neg-edges-at-max-edges --forbid c3-minus --format table":
+        "b175d745dda0201bb791c855ad2086ff9e34bcf1fa35e7db1a97f62553df2b9b",
+    "search --n 5 --objective max-neg-edges-at-max-edges --forbid c3-minus --format csv":
+        "dd6a2a4a232767e63901a77979706eb675c05ce653d6734861e6b1f44ea0fae6",
+    "verify --theorem t1_1 --n 6 --format table":
+        "ca7771545540b182df9c88e3f830efdf1b67bafc326470ed098228e93503ad9b",
+    "verify --theorem t1_1 --n 6 --format csv":
+        "1222af4648594abab134641e2bc31760afc2ec50021d52d4d78567d1530090e9",
+    "verify --theorem t1_2_edges --n 6 --format table":
+        "a8e4a503f04277507d43b1865b00245a4a272a72b6951dc2fce0f9315b0a2bc7",
+    "verify --theorem t1_2_edges --n 6 --format csv":
+        "d6cc19d63151a673483a8d5149a7eb53408fe1482924b579d0e40455499bf40d",
+    "verify --theorem t1_2_neg --n 6 --format table":
+        "daca8ba6a78a5d6f36259f2697fafed24caf6ce6b47340c685257e3fd3d64d20",
+    "verify --theorem t1_2_neg --n 6 --format csv":
+        "a8b1cc6b40602e22e632fd8071be1d1e227e3631ff60f87079b08d1f961a8963",
+    "verify --theorem t1_3 --n 6 --format table":
+        "b0c308f2f723f3fa73f34aa3edd5832f19ab53ae160c80eee896b72a4844d75f",
+    "verify --theorem t1_3 --n 6 --format csv":
+        "0b0f93ec7eba9347190bd442658b874ce0d4a44e41a2313faea595a4e3044c95",
+    "verify --theorem l2_2 --n 6 --format table":
+        "adf9455f7c99563df5064a9a6c798b15a3a566164db5a6485a56f46b98a7af8a",
+    "verify --theorem l2_2 --n 6 --format csv":
+        "47d4720da6dbfe230698baad536f871d8a028402e1c0cebcdc71bf1d15a2bebd",
+    "verify --theorem l3_6_order --n 6 --format table":
+        "4863ac661a1f4c39ac081db5c51cef2f3560c0c4bd1b139719f28f52776c3536",
+    "verify --theorem l3_6_order --n 6 --format csv":
+        "0cf4de454632149f42df42194f1ea7a92886e1ef5e4046090edfa3476857539b",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_TEXT))
+def test_table_and_csv_pinned(argv, tmp_path):
+    args = argv.split()
+    if "--in" in args:
+        i = args.index("--in") + 1
+        path = tmp_path / "g.sg"
+        write_graph(PINNED_GRAPHS[args[i]](), path)
+        args[i] = str(path)
+    code, text = run_cli(*args)
+    assert code == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_TEXT[argv]
+
+
 class TestUsage:
     def test_no_command(self):
         code, _ = run_cli()
