@@ -22,7 +22,7 @@ from .bounds import (
 )
 from .core import canonical_switch
 from .families import FAMILY_NAMES, build_family
-from .graphio import GraphFormatError, format_graph, read_graph, write_graph
+from .graphio import format_graph, read_graph, write_graph
 from .properties import run_all_suites
 from .search import (
     FORBIDDEN,
@@ -49,6 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("construct", help="build a named family and emit graph text")
+    p.set_defaults(func=_cmd_construct)
     p.add_argument("--family", required=True,
                    help="one of: " + ", ".join(FAMILY_NAMES))
     p.add_argument("--s", type=int, default=None)
@@ -57,38 +58,44 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("spectrum", help="eigenvalues of a graph file")
+    p.set_defaults(func=_cmd_spectrum)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = sub.add_parser("canonical", help="canonical switching representative")
+    p.set_defaults(func=_cmd_canonical)
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("check", help="seeded randomized property suites")
+    p.set_defaults(func=_cmd_check)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--instances", type=int, default=200)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = sub.add_parser("bounds", help="closed-form bounds, optionally against a graph")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--in", dest="infile", default=None)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
+    p.set_defaults(func=_cmd_bounds)
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--n", type=int)
+    given.add_argument("--in", dest="infile")
 
     p = sub.add_parser("search", help="exhaustive extremal search")
+    p.set_defaults(func=_cmd_search)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--objective", default="max-edges",
                    help="max-edges | max-rho | max-neg-edges-at-max-edges")
     p.add_argument("--forbid", default="c3-minus", help="c3-minus | c3-plus | none")
     p.add_argument("--allow-balanced", action="store_true",
                    help="include balanced signed graphs")
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
     p = sub.add_parser("verify", help="verify a named theorem or lemma at order n")
+    p.set_defaults(func=_cmd_verify)
     p.add_argument("--theorem", required=True,
                    help="one of: " + ", ".join(t.lower() for t in THEOREMS))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--format", choices=("table", "json", "csv"), default="table")
 
+    # added last, so each command's usage and help keep their order
+    for name in ("spectrum", "check", "bounds", "search", "verify"):
+        sub.choices[name].add_argument("--format", choices=("table", "json", "csv"),
+                                       default="table")
     return parser
 
 
@@ -99,8 +106,22 @@ def _enum_value(raw: str, allowed, what: str) -> str:
     return key
 
 
-def _emit(text: str, out):
-    print(text, file=out)
+def _write_report(args, out, json_report: str, header: str, rows, lines, log=()) -> None:
+    """Print a report in args.format: the JSON text, the CSV header and rows, or
+    the table lines (and then the log lines on stderr). The one renderer of CSV
+    fields: None is empty, a str is itself, anything else goes to json_scalar."""
+    if args.format == "json":
+        print(json_report, file=out)
+    elif args.format == "csv":
+        print(header, file=out)
+        for row in rows:
+            print(",".join("" if v is None else v if isinstance(v, str) else json_scalar(v)
+                           for v in row), file=out)
+    else:
+        for line in lines:
+            print(line, file=out)
+        for line in log:
+            print(line, file=sys.stderr)
 
 
 def _write_graph_out(g, args, out) -> int:
@@ -119,18 +140,11 @@ def _cmd_construct(args, out) -> int:
 def _cmd_spectrum(args, out) -> int:
     g = read_graph(args.infile)
     sp = eigenvalues(g)
-    if args.format == "json":
-        _emit(spectrum_to_json(sp), out)
-    elif args.format == "csv":
-        _emit("index,eigenvalue", out)
-        for i, v in enumerate(sp.eigenvalues, start=1):
-            _emit(f"{i},{fmt_float(v)}", out)
-    else:
-        _emit(f"n {g.n}  e {g.edge_count}  e_neg {g.neg_edge_count}", out)
-        for i, v in enumerate(sp.eigenvalues, start=1):
-            _emit(f"lambda_{i} {fmt_float(v)}", out)
-        _emit(f"rho {fmt_float(sp.rho)}", out)
-        _emit(f"tol {fmt_float(sp.tol)}", out)
+    _write_report(args, out, spectrum_to_json(sp), "index,eigenvalue",
+                  enumerate(sp.eigenvalues, start=1),
+                  [f"n {g.n}  e {g.edge_count}  e_neg {g.neg_edge_count}",
+                   *(f"lambda_{i} {fmt_float(v)}" for i, v in enumerate(sp.eigenvalues, start=1)),
+                   f"rho {fmt_float(sp.rho)}", f"tol {fmt_float(sp.tol)}"])
     return 0
 
 
@@ -140,68 +154,40 @@ def _cmd_canonical(args, out) -> int:
 
 def _cmd_check(args, out) -> int:
     results = run_all_suites(args.seed, args.instances)
-    if args.format == "json":
-        suites = [{"suite": r.name, "instances": r.instances,
-                   "violations": r.violations, "passed": r.passed} for r in results]
-        _emit(json_text({"seed": args.seed, "suites": suites}), out)
-    elif args.format == "csv":
-        _emit("suite,instances,violations,passed", out)
-        for r in results:
-            _emit(f"{r.name},{r.instances},{r.violations},{str(r.passed).lower()}", out)
-    else:
-        for r in results:
-            verdict = "PASS" if r.passed else "FAIL"
-            _emit(f"{verdict} {r.name}: {r.instances} instances, "
-                  f"{r.violations} violations", out)
-        for r in results:
-            for line in r.log[:-1]:
-                print(line, file=sys.stderr)
+    suites = [{"suite": r.name, "instances": r.instances,
+               "violations": r.violations, "passed": r.passed} for r in results]
+    _write_report(args, out, json_text({"seed": args.seed, "suites": suites}),
+                  "suite,instances,violations,passed",
+                  [(r.name, r.instances, r.violations, r.passed) for r in results],
+                  [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.instances} instances, "
+                   f"{r.violations} violations" for r in results],
+                  [line for r in results for line in r.log[:-1]])
     return 0 if all(r.passed for r in results) else 1
 
 
-def _bound_rows(args):
-    if args.infile is None and args.n is None:
-        raise ValueError("bounds needs --n or --in")
+def _cmd_bounds(args, out) -> int:
     if args.infile is None:
         n = args.n
-        return n, None, {"edge_bound": edge_bound(n), "neg_edge_bound": neg_edge_bound(n),
-                         "rho_bound": rho_bound(n)}
+        plain = {"edge_bound": edge_bound(n), "neg_edge_bound": neg_edge_bound(n),
+                 "rho_bound": rho_bound(n)}
+        _write_report(args, out, json_text({"n": n, **plain}), "bound_name,n,bound_value",
+                      [(k, n, v) for k, v in plain.items()],
+                      [f"{k}({n}) = {json_scalar(v)}" for k, v in plain.items()])
+        return 0
     g = read_graph(args.infile)
-    n = g.n
     reports = [
-        make_bound_report("edge_bound", n, edge_bound(n), g.edge_count),
-        make_bound_report("rho_bound", n, rho_bound(n), eigenvalues(g).rho,
+        make_bound_report("edge_bound", g.n, edge_bound(g.n), g.edge_count),
+        make_bound_report("rho_bound", g.n, rho_bound(g.n), eigenvalues(g).rho,
                           spectral=True),
         clique_spectral_bound(g),
     ]
-    return n, reports, None
-
-
-def _cmd_bounds(args, out) -> int:
-    n, reports, plain = _bound_rows(args)
-    if reports is None:
-        if args.format == "json":
-            _emit(json_text({"n": n, **plain}), out)
-        elif args.format == "csv":
-            _emit("bound_name,n,bound_value", out)
-            for k, v in plain.items():
-                _emit(f"{k},{n},{json_scalar(v)}", out)
-        else:
-            for k, v in plain.items():
-                _emit(f"{k}({n}) = {json_scalar(v)}", out)
-        return 0
-    if args.format == "json":
-        _emit(json_text(reports), out)
-    elif args.format == "csv":
-        _emit("bound_name,n,bound_value,observed,satisfied", out)
-        for r in reports:
-            _emit(f"{r.bound_name},{r.n},{json_scalar(r.bound_value)},"
-                  f"{json_scalar(r.observed)},{str(r.satisfied).lower()}", out)
-    else:
-        for r in reports:
-            verdict = "ok" if r.satisfied else "VIOLATED"
-            _emit(f"{r.bound_name}: observed {json_scalar(r.observed)} vs "
-                  f"bound {json_scalar(r.bound_value)} [{verdict}]", out)
+    _write_report(args, out, json_text(reports),
+                  "bound_name,n,bound_value,observed,satisfied",
+                  [(r.bound_name, r.n, r.bound_value, r.observed, r.satisfied)
+                   for r in reports],
+                  [f"{r.bound_name}: observed {json_scalar(r.observed)} vs "
+                   f"bound {json_scalar(r.bound_value)} [{'ok' if r.satisfied else 'VIOLATED'}]"
+                   for r in reports])
     return 0 if all(r.satisfied for r in reports) else 1
 
 
@@ -224,41 +210,29 @@ def _cmd_search(args, out) -> int:
     )
     rep = search(config, progress=_make_progress())
     print(f"wall_time: {rep.wall_time:.3f}s", file=sys.stderr)
-    if args.format == "json":
-        _emit(rep.to_json(), out)
-    elif args.format == "csv":
-        _emit("witness,optimum,edges,neg_edges,matched_family", out)
-        for i, (w, fam) in enumerate(zip(rep.witnesses, rep.matched_family), start=1):
-            _emit(f"{i},{json_scalar(rep.optimum)},{w.edge_count},"
-                  f"{w.neg_edge_count},{fam if fam else ''}", out)
-    else:
-        _emit(f"optimum {json_scalar(rep.optimum)}", out)
-        _emit(f"witness classes {len(rep.witnesses)}", out)
-        for w, fam in zip(rep.witnesses, rep.matched_family):
-            label = fam if fam else "unmatched"
-            _emit(f"- {label}: e={w.edge_count} e_neg={w.neg_edge_count}", out)
-        c = rep.counts
-        _emit(f"scanned {c['underlying_scanned']} underlying classes, "
-              f"{c['signatures_scanned']} signatures, {c['feasible']} feasible", out)
+    found = list(zip(rep.witnesses, rep.matched_family))
+    c = rep.counts
+    _write_report(args, out, rep.to_json(), "witness,optimum,edges,neg_edges,matched_family",
+                  [(i, rep.optimum, w.edge_count, w.neg_edge_count, fam)
+                   for i, (w, fam) in enumerate(found, start=1)],
+                  [f"optimum {json_scalar(rep.optimum)}",
+                   f"witness classes {len(rep.witnesses)}",
+                   *(f"- {fam or 'unmatched'}: e={w.edge_count} e_neg={w.neg_edge_count}"
+                     for w, fam in found),
+                   f"scanned {c['underlying_scanned']} underlying classes, "
+                   f"{c['signatures_scanned']} signatures, {c['feasible']} feasible"])
     return 0
 
 
 def _cmd_verify(args, out) -> int:
     rep = verify_theorem(args.theorem, args.n, progress=_make_progress())
-    if args.format == "json":
-        _emit(rep.to_json(), out)
-    elif args.format == "csv":
-        _emit("bound_name,n,bound_value,observed,satisfied,passed", out)
-        _emit(f"{rep.bound_name},{rep.n},{json_scalar(rep.bound_value)},"
-              f"{json_scalar(rep.observed)},{str(rep.satisfied).lower()},"
-              f"{str(bool(rep.passed)).lower()}", out)
-    else:
-        verdict = "PASS" if rep.passed else "FAIL"
-        _emit(f"{verdict} {rep.bound_name} n={rep.n}: observed "
-              f"{json_scalar(rep.observed)} vs bound {json_scalar(rep.bound_value)}",
-              out)
-        if rep.notes:
-            _emit(rep.notes, out)
+    _write_report(args, out, rep.to_json(),
+                  "bound_name,n,bound_value,observed,satisfied,passed",
+                  [(rep.bound_name, rep.n, rep.bound_value, rep.observed, rep.satisfied,
+                    rep.passed)],
+                  [f"{'PASS' if rep.passed else 'FAIL'} {rep.bound_name} n={rep.n}: observed "
+                   f"{json_scalar(rep.observed)} vs bound {json_scalar(rep.bound_value)}",
+                   *([rep.notes] if rep.notes else [])])
     return 0 if rep.passed else 1
 
 
@@ -271,18 +245,9 @@ def run(argv, out=None) -> int:
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (0, None) else 2
-    dispatch = {
-        "construct": _cmd_construct,
-        "spectrum": _cmd_spectrum,
-        "canonical": _cmd_canonical,
-        "check": _cmd_check,
-        "bounds": _cmd_bounds,
-        "search": _cmd_search,
-        "verify": _cmd_verify,
-    }
     try:
-        return dispatch[args.command](args, out)
-    except (GraphFormatError, FileNotFoundError, ValueError) as exc:
+        return args.func(args, out)
+    except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SpectralError, BracketError, RuntimeError) as exc:

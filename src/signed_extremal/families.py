@@ -8,6 +8,8 @@ vertices attached to v.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .core import SignedGraph, switch
@@ -128,46 +130,33 @@ def build_kn_switched_maxneg(n: int) -> SignedGraph:
     return switch(build_complete(n, 1), range(n // 2))
 
 
-FAMILY_NAMES = (
-    "gst",
-    "gst-maxneg",
-    "h1",
-    "h2",
-    "h3",
-    "unbal-c4",
-    "complete-pos",
-    "complete-neg",
-    "kn-switched-maxneg",
-)
+# command-line name -> (the parameters it takes, in call order; its builder)
+_FAMILIES = {
+    "gst": (("s", "t"), build_gst),
+    "gst-maxneg": (("n",), build_gst_maxneg),
+    "h1": (("s", "t"), partial(build_h, "H1")),
+    "h2": (("s", "t"), partial(build_h, "H2")),
+    "h3": (("s", "t"), partial(build_h, "H3")),
+    "unbal-c4": ((), partial(build_gst, 1, 1)),
+    "complete-pos": (("n",), partial(build_complete, sign=1)),
+    "complete-neg": (("n",), partial(build_complete, sign=-1)),
+    "kn-switched-maxneg": (("n",), build_kn_switched_maxneg),
+}
+FAMILY_NAMES = tuple(_FAMILIES)
 
 
 def build_family(name: str, s: int | None = None, t: int | None = None,
                  n: int | None = None) -> SignedGraph:
-    """Dispatch a family by its command-line name."""
+    """Dispatch a family by its command-line name; every parameter the family
+    takes is required, and any other one is rejected."""
     key = name.lower().replace("_", "-")
-    if key == "gst":
-        _need(s is not None and t is not None, "gst needs --s and --t")
-        return build_gst(s, t)
-    if key == "gst-maxneg":
-        _need(n is not None, "gst-maxneg needs --n")
-        return build_gst_maxneg(n)
-    if key in ("h1", "h2", "h3"):
-        _need(s is not None and t is not None, f"{key} needs --s and --t")
-        return build_h(key.upper(), s, t)
-    if key == "unbal-c4":
-        return build_gst(1, 1)
-    if key == "complete-pos":
-        _need(n is not None, "complete-pos needs --n")
-        return build_complete(n, 1)
-    if key == "complete-neg":
-        _need(n is not None, "complete-neg needs --n")
-        return build_complete(n, -1)
-    if key == "kn-switched-maxneg":
-        _need(n is not None, "kn-switched-maxneg needs --n")
-        return build_kn_switched_maxneg(n)
-    raise ValueError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
-
-
-def _need(ok: bool, msg: str):
-    if not ok:
-        raise ValueError(msg)
+    if key not in _FAMILIES:
+        raise ValueError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
+    takes, build = _FAMILIES[key]
+    given = {"s": s, "t": t, "n": n}
+    if any(given[p] is None for p in takes):
+        raise ValueError(f"{key} needs " + " and ".join(f"--{p}" for p in takes))
+    extra = [p for p, v in given.items() if v is not None and p not in takes]
+    if extra:
+        raise ValueError(f"{key} does not take " + " or ".join(f"--{p}" for p in extra))
+    return build(*(given[p] for p in takes))

@@ -115,10 +115,6 @@ class QuotientMatrix:
     q: tuple[tuple[int, ...], ...]
     partition: tuple[tuple[int, ...], ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.q)
-
     def as_array(self) -> np.ndarray:
         return np.array(self.q, dtype=np.float64)
 

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -9,7 +10,7 @@ import pytest
 
 jsonschema = pytest.importorskip("jsonschema")
 
-from signed_extremal.cli import run
+from signed_extremal.cli import _write_report, run
 from signed_extremal.core import canonical_switch, new_signed_graph
 from signed_extremal.families import build_complete, build_gst, build_h
 from signed_extremal.graphio import format_graph, parse_graph, write_graph
@@ -50,6 +51,19 @@ class TestConstruct:
         code, _ = run_cli("construct", "--family", "petersen")
         assert code == 2
 
+    def test_parameter_the_family_does_not_take_exit_2(self, capsys):
+        for argv, flag in ((["gst", "--s", "1", "--t", "4", "--n", "9"], "--n"),
+                           (["unbal-c4", "--n", "3"], "--n"),
+                           (["complete-pos", "--n", "3", "--s", "1"], "--s")):
+            code, text = run_cli("construct", "--family", *argv)
+            assert (code, text) == (2, "")
+            assert capsys.readouterr().err == f"error: {argv[0]} does not take {flag}\n"
+
+    def test_unwritable_out_exit_2(self, tmp_path, capsys):
+        code, text = run_cli("construct", "--family", "unbal-c4", "--out", str(tmp_path))
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
+
 
 class TestSpectrum:
     def test_round_trip_matches_in_memory_exactly(self, tmp_path):
@@ -83,6 +97,11 @@ class TestSpectrum:
         path.write_text("3 1\n0 9 +1\n")
         code, _ = run_cli("spectrum", "--in", str(path))
         assert code == 2
+
+    def test_unreadable_in_exit_2(self, tmp_path, capsys):
+        code, text = run_cli("spectrum", "--in", str(tmp_path))
+        assert (code, text) == (2, "")
+        assert capsys.readouterr().err.startswith("error: [Errno 21] Is a directory")
 
 
 class TestCanonical:
@@ -161,6 +180,12 @@ class TestBounds:
     def test_needs_argument(self):
         code, _ = run_cli("bounds")
         assert code == 2
+
+    def test_n_and_in_together_exit_2(self, tmp_path):
+        path = tmp_path / "g.sg"
+        write_graph(build_gst(1, 4), path)
+        code, text = run_cli("bounds", "--n", "7", "--in", str(path))
+        assert (code, text) == (2, "")
 
 
 class TestSearch:
@@ -371,6 +396,12 @@ class TestUsage:
     def test_help_exit_0(self):
         code, _ = run_cli("--help")
         assert code == 0
+
+    def test_csv_fields(self):
+        out = io.StringIO()
+        _write_report(argparse.Namespace(format="csv"), out, "{}", "a,b,c,d,e,f",
+                      [(None, True, False, 1.5, 7, "gst(1,2)")], ["table"])
+        assert out.getvalue() == "a,b,c,d,e,f\n,true,false,1.5,7,gst(1,2)\n"
 
     def test_internal_numeric_failure_exit_3(self, monkeypatch):
         from signed_extremal import cli

@@ -14,6 +14,7 @@ from signed_extremal.core import (
     switching_isomorphic,
 )
 from signed_extremal.families import (
+    FAMILY_NAMES,
     build_complete,
     build_family,
     build_gst,
@@ -182,3 +183,30 @@ class TestDispatcher:
             build_family("gst", n=7)
         with pytest.raises(ValueError, match="unknown family"):
             build_family("petersen")
+
+    def test_rejects_parameters_the_family_does_not_take(self):
+        with pytest.raises(ValueError, match="^gst does not take --n$"):
+            build_family("gst", s=1, t=4, n=9)
+        with pytest.raises(ValueError, match="^unbal-c4 does not take --s or --n$"):
+            build_family("unbal-c4", s=1, n=4)
+        with pytest.raises(ValueError, match="^complete-neg does not take --t$"):
+            build_family("complete-neg", t=2, n=4)
+        with pytest.raises(ValueError, match="^h2 needs --s and --t$"):
+            build_family("h2", s=2, n=4)
+
+    def test_every_name_builds_its_family(self):
+        st, n = {"s": 2, "t": 3}, {"n": 6}
+        expected = {
+            "gst": (st, build_gst(2, 3)),
+            "gst-maxneg": (n, build_gst_maxneg(6)),
+            "h1": (st, build_h("H1", 2, 3)),
+            "h2": (st, build_h("H2", 2, 3)),
+            "h3": (st, build_h("H3", 2, 3)),
+            "unbal-c4": ({}, build_gst(1, 1)),
+            "complete-pos": (n, build_complete(6, 1)),
+            "complete-neg": (n, build_complete(6, -1)),
+            "kn-switched-maxneg": (n, build_kn_switched_maxneg(6)),
+        }
+        assert FAMILY_NAMES == tuple(expected)
+        for name, (params, g) in expected.items():
+            assert build_family(name, **params) == g
