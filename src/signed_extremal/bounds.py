@@ -169,8 +169,7 @@ def balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:
     for choice in itertools.product((False, True), repeat=len(ambiguous)):
         u = negatives + [i for i, pick in zip(ambiguous, choice) if pick]
         switched = switch(g, u)
-        adj = np.where(switched.adj == -1, 0, switched.adj)
-        h = SignedGraph(adj)
+        h = SignedGraph._trusted(np.maximum(switched.adj, 0))
         val = eigenvalues(h).eigenvalues[0]
         if val > best_val:
             best_h, best_val = h, val

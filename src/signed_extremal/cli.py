@@ -41,8 +41,19 @@ from .spectral import (
 
 __all__ = ["run", "main"]
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that prints its help and usage to `out`, where run
+    prints the reports; usage errors stay on stderr."""
+
+    out = None
+
+    def _print_message(self, message, file=None):
+        super()._print_message(message, self.out if file is sys.stdout else file)
+
+
+def _build_parser(out) -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="signed-extremal",
         description="Signed-graph spectral/extremal toolkit",
     )
@@ -96,6 +107,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in ("spectrum", "check", "bounds", "search", "verify"):
         sub.choices[name].add_argument("--format", choices=("table", "json", "csv"),
                                        default="table")
+    for p in (parser, *sub.choices.values()):
+        p.out = out
     return parser
 
 
@@ -239,7 +252,7 @@ def _cmd_verify(args, out) -> int:
 def run(argv, out=None) -> int:
     """Parse argv and execute; returns the process exit code."""
     out = out if out is not None else sys.stdout
-    parser = _build_parser()
+    parser = _build_parser(out)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -62,6 +62,18 @@ class SignedGraph:
         a.setflags(write=False)
         self.adj = a
 
+    @classmethod
+    def _trusted(cls, adj: np.ndarray) -> "SignedGraph":
+        """Wrap an int8 sign matrix derived from valid graphs, unchecked.
+
+        The caller hands adj over: it is made read-only, and nothing else may
+        write to it or to an array it views.
+        """
+        adj.setflags(write=False)
+        g = object.__new__(cls)
+        g.adj = adj
+        return g
+
     @property
     def n(self) -> int:
         return self.adj.shape[0]
@@ -84,7 +96,7 @@ class SignedGraph:
 
     def underlying(self) -> "SignedGraph":
         """The same graph with every edge made positive."""
-        return SignedGraph(np.abs(self.adj))
+        return SignedGraph._trusted(np.abs(self.adj))
 
     def __eq__(self, other):
         return isinstance(other, SignedGraph) and np.array_equal(self.adj, other.adj)
@@ -136,7 +148,7 @@ def permute(g: SignedGraph, order) -> SignedGraph:
     idx = _check_vertex_set(g.n, order)
     if sorted(idx) != list(range(g.n)):
         raise ValueError("order must be a permutation of the vertices")
-    return SignedGraph(g.adj[np.ix_(idx, idx)])
+    return SignedGraph._trusted(g.adj[np.ix_(idx, idx)])
 
 
 def _check_vertex_set(n: int, vertices) -> list[int]:
@@ -158,12 +170,12 @@ def switch(g: SignedGraph, vertex_set) -> SignedGraph:
     """Negate every edge with exactly one endpoint in vertex_set."""
     s = np.ones(g.n, dtype=np.int8)
     s[_check_vertex_set(g.n, vertex_set)] = -1
-    return SignedGraph(np.outer(s, s) * g.adj)
+    return SignedGraph._trusted(np.outer(s, s) * g.adj)
 
 
 def negate(g: SignedGraph) -> SignedGraph:
     """Flip the sign of every edge."""
-    return SignedGraph(-g.adj)
+    return SignedGraph._trusted(-g.adj)
 
 
 def is_connected(g: SignedGraph) -> bool:
@@ -261,7 +273,7 @@ def canonical_switch(g: SignedGraph) -> SignedGraph:
     underlying graph are switching equivalent iff their canonical forms are equal.
     """
     spin = _bfs_tree_spins(g)
-    return SignedGraph(np.outer(spin, spin) * g.adj)
+    return SignedGraph._trusted(np.outer(spin, spin) * g.adj)
 
 
 def switching_equivalent(g1: SignedGraph, g2: SignedGraph) -> bool:

@@ -13,6 +13,7 @@ negate) are still called one graph at a time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,25 +48,111 @@ class SuiteResult:
         return self.violations == 0
 
 
+# bit generators whose next 32-bit draw is the low half of a fresh 64-bit
+# word, the high half kept for the next one (has_uint32, uinteger)
+_REPLAYABLE = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
+
+
 def random_connected_signed_graph(rng: np.random.Generator, n_min: int = 3,
                                   n_max: int = 10) -> SignedGraph:
-    """Random spanning tree plus density-controlled extra signed edges."""
-    n = int(rng.integers(n_min, n_max + 1))
-    adj = [[0] * n for _ in range(n)]
-    order = rng.permutation(n).tolist()
-    # a sign is 2 * integers(0, 2) - 1: the value rng.choice((-1, 1)) takes
-    # from the stream, so seeded suites keep their graphs
+    """Random spanning tree plus density-controlled extra signed edges.
+
+    Draws, in this order: n = rng.integers(n_min, n_max + 1), the vertex
+    order rng.permutation(n), for idx = 1..n-1 the parent
+    order[rng.integers(0, idx)] of order[idx] and its sign
+    2 * rng.integers(0, 2) - 1, the density rng.uniform(0.15, 0.75), then
+    for each vertex pair i < j not in the tree one rng.random() < density
+    and, on a hit, a sign. Rather than call rng per draw, it replays those
+    calls from a block of raw 64-bit words in integer arithmetic and leaves
+    rng exactly where the calls would: numpy draws a bounded integer by
+    Lemire's method on a 32-bit half (Lemire, ACM TOMACS 29, 2019), shuffles
+    with masked rejection on 32-bit halves, and takes a double from the top
+    53 bits of a whole word.
+    """
+    for value in (n_min, n_max):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"n_min and n_max must be ints, got {value!r}")
+    n_min, n_max = int(n_min), int(n_max)
+    if not 1 <= n_min <= n_max:
+        raise ValueError(f"need 1 <= n_min <= n_max, got {n_min} and {n_max}")
+    bg = rng.bit_generator
+    state = bg.state
+    if state["bit_generator"] not in _REPLAYABLE:
+        raise ValueError(f"random_connected_signed_graph replays {', '.join(_REPLAYABLE)} "
+                         f"draws, not {state['bit_generator']}")
+    # words for a graph on n_max vertices, up to 4096; long rejection loops
+    # and larger graphs draw again
+    block = min(3 * n_max * n_max // 4 + 2 * n_max + 8, 1 << 12)
+    while True:
+        words = bg.random_raw(block).tolist()
+        try:
+            n, adj, spare, half, unused = _replay_graph(
+                words, state["has_uint32"], state["uinteger"], n_min, n_max)
+            break
+        except StopIteration:
+            # the block ran out: replay from the entry state with more words
+            bg.state = state
+            block *= 2
+    # back to the entry state with the new spare half, then as many words on
+    # as the replay used; random_raw keeps the spare half, which advance()
+    # would clear
+    state["has_uint32"], state["uinteger"] = spare, half
+    bg.state = state
+    bg.random_raw(block - unused)
+    return SignedGraph._trusted(np.frombuffer(adj, dtype=np.int8).reshape(n, n))
+
+
+def _replay_graph(words, spare, half, n_min, n_max):
+    """The draws of random_connected_signed_graph from the raw words, given
+    the generator's spare 32-bit half (has_uint32, uinteger). Returns n, the
+    int8 matrix as bytes (-1 is 255), the new spare half and how many words
+    are left; StopIteration if the words run out."""
+    it = iter(words)
+    word = it.__next__
+
+    def next32():
+        nonlocal spare, half
+        if spare:
+            spare = 0
+            return half
+        w = word()
+        spare, half = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    def below(r):
+        # integers(0, r) for r >= 1; integers(0, 1) draws nothing
+        if r == 1:
+            return 0
+        m = next32() * r
+        if m & 0xFFFFFFFF < r:
+            least = (1 << 32) % r
+            while m & 0xFFFFFFFF < least:
+                m = next32() * r
+        return m >> 32
+
+    n = n_min + below(n_max - n_min + 1)
+    # permutation(n): swap i with a draw from 0..i, by masked rejection
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        mask = (1 << i.bit_length()) - 1
+        j = next32() & mask
+        while j > i:
+            j = next32() & mask
+        order[i], order[j] = order[j], order[i]
+    # a sign is 2 * integers(0, 2) - 1, the top bit of a 32-bit half
+    adj = bytearray(n * n)
     for idx in range(1, n):
-        parent = order[int(rng.integers(0, idx))]
-        child = order[idx]
-        adj[parent][child] = adj[child][parent] = 2 * int(rng.integers(0, 2)) - 1
-    density = float(rng.uniform(0.15, 0.75))
+        parent, child = order[below(idx)], order[idx]
+        adj[parent * n + child] = adj[child * n + parent] = 1 if next32() >> 31 else 255
+    # uniform(low, high) is low + (high - low) * random(), and random() is
+    # (word >> 11) * 2**-53, so random() < density iff word < limit
+    density = 0.15 + (0.75 - 0.15) * ((word() >> 11) * 2.0 ** -53)
+    limit = math.ceil(density * 2.0 ** 53) << 11
     for i in range(n):
-        row = adj[i]
-        for j in range(i + 1, n):
-            if row[j] == 0 and rng.random() < density:
-                row[j] = adj[j][i] = 2 * int(rng.integers(0, 2)) - 1
-    return SignedGraph(np.array(adj, dtype=np.int8))
+        for k in range(i * n + i + 1, i * n + n):
+            if not adj[k] and word() < limit:
+                adj[k] = adj[(k - i * n) * n + i] = 1 if next32() >> 31 else 255
+    return n, adj, spare, half, it.__length_hint__()
 
 
 def _random_vertex_subset(rng, n):
@@ -165,7 +252,7 @@ def _draw_edge_addition(rng):
     u, v = non_edges[int(rng.integers(0, len(non_edges)))]
     adj = np.array(g.adj)
     adj[u, v] = adj[v, u] = 1
-    return g, SignedGraph(adj), (u, v)
+    return g, SignedGraph._trusted(adj), (u, v)
 
 
 def _judge_edge_addition(cases) -> list[str | None]:

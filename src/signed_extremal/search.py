@@ -301,7 +301,7 @@ def enumerate_underlying(n: int):
     if not (_MIN_N <= n <= _MAX_N):
         raise ValueError(f"enumeration supports {_MIN_N} <= n <= {_MAX_N}, got {n}")
     for adj in _codes_to_adj(_connected_class_bitmaps(n), n):
-        yield SignedGraph(adj.astype(np.int8))
+        yield SignedGraph._trusted(adj.astype(np.int8))
 
 
 def enumerate_signatures(g: SignedGraph):
@@ -313,7 +313,7 @@ def enumerate_signatures(g: SignedGraph):
     table = _graph_table(np.abs(g.adj).astype(bool))
     row = np.zeros(1, dtype=np.intp)
     for pattern in range(1 << int(table.widths[0])):
-        yield SignedGraph(_signature_stack(
+        yield SignedGraph._trusted(_signature_stack(
             table, row, np.array([pattern], dtype=np.uint64), np.int8)[0])
 
 
@@ -665,7 +665,7 @@ def _scan(config: SearchConfig, progress):
         for a in part:
             seen.setdefault((canon, _least_sign_row(a, orders, switched=True)), a)
     keys = sorted(seen)
-    witnesses = [SignedGraph(seen[k]) for k in keys]
+    witnesses = [SignedGraph._trusted(seen[k]) for k in keys]
     optimum = int(best) if config.objective == "MAX_EDGES" else best
     for w in witnesses:
         _recheck_witness(w, config, optimum)
@@ -731,7 +731,7 @@ def switching_neg_edge_maximum(g: SignedGraph):
     rows of _neg_edge_maximizers(g.adj[None]) as SignedGraphs. Rejects graphs
     above _SWITCH_MAX_ORDER vertices."""
     best, maximizers = _neg_edge_maximizers(g.adj[None])
-    return best, [SignedGraph(a) for a in maximizers]
+    return best, [SignedGraph._trusted(a) for a in maximizers]
 
 
 def search(config: SearchConfig, *, progress=None) -> SearchReport:
@@ -748,7 +748,7 @@ def search(config: SearchConfig, *, progress=None) -> SearchReport:
         # over all switchings of every maximizer class
         _, edge_witnesses, _, counts = _scan(replace(config, objective="MAX_EDGES"), progress)
         optimum, maximizers = _neg_edge_maximizers(np.stack([w.adj for w in edge_witnesses]))
-        witnesses = [SignedGraph(a) for a in maximizers]
+        witnesses = [SignedGraph._trusted(a) for a in maximizers]
         matched = ["gst-maxneg" if signed_isomorphic(w, build_gst_maxneg(config.n)) else None
                    for w in witnesses]
         counts["signatures_scanned"] += len(edge_witnesses) << config.n
@@ -782,7 +782,7 @@ def _verify_t1_1(n: int) -> BoundReport:
     ):
         classes = _complete_signature_classes(n, forbidden)
         outcomes[forbidden] = (len(classes) == 1
-                               and switching_equivalent(SignedGraph(classes[0]), target))
+                               and switching_equivalent(SignedGraph._trusted(classes[0]), target))
     rep = make_bound_report("t1_1", n, n * (n - 1) // 2, n * (n - 1) // 2,
                             build_complete(n, 1))
     rep.passed = all(outcomes.values())
@@ -792,6 +792,8 @@ def _verify_t1_1(n: int) -> BoundReport:
 
 
 def _verify_t1_2_edges(n: int, progress) -> BoundReport:
+    if not (_MIN_N <= n <= _MAX_N):
+        raise ValueError(f"T1_2_EDGES verification supports {_MIN_N} <= n <= {_MAX_N}")
     found = search(SearchConfig(n=n, objective="MAX_EDGES"), progress=progress)
     rep = make_bound_report("t1_2_edges", n, edge_bound(n), found.optimum, found.witnesses[0])
     rep.passed = found.optimum == rep.bound_value and all(
@@ -823,7 +825,7 @@ def _verify_t1_2_neg(n: int, progress) -> BoundReport:
         splits = np.stack([build_gst(s, n - 2 - s).adj for s in range(1, (n - 2) // 2 + 1)])
         observed, maximizers = _neg_edge_maximizers(splits)
         structure_ok = np.array_equal(maximizers, build_gst_maxneg(n).adj[None])
-        witness = SignedGraph(maximizers[0])
+        witness = SignedGraph._trusted(maximizers[0])
         notes = "switchings of the construction family (n beyond enumeration)"
         details = {"splits": len(splits), "switchings": len(splits) << n,
                    "maximizers": len(maximizers)}
@@ -835,6 +837,8 @@ def _verify_t1_2_neg(n: int, progress) -> BoundReport:
 
 
 def _verify_t1_3(n: int, progress) -> BoundReport:
+    if not (_MIN_N <= n <= _MAX_N):
+        raise ValueError(f"T1_3 verification supports {_MIN_N} <= n <= {_MAX_N}")
     found = search(SearchConfig(n=n, objective="MAX_RHO"), progress=progress)
     rep = make_bound_report("t1_3", n, rho_bound(n), found.optimum, found.witnesses[0],
                             spectral=True)
@@ -860,9 +864,10 @@ def _verify_l2_2(n: int) -> BoundReport:
         # cheap cross-validation of the structural predicate by switching
         # isomorphism (equal codes), which scans every order of K_n
         target = canonical_signed_code(build_kn_switched_maxneg(n))
-        structure_ok = structure_ok and all(canonical_signed_code(SignedGraph(a)) == target
-                                            for a in winners)
-    rep = make_bound_report("l2_2", n, (n // 2) * ((n + 1) // 2), best, SignedGraph(winners[0]))
+        structure_ok = structure_ok and all(
+            canonical_signed_code(SignedGraph._trusted(a)) == target for a in winners)
+    rep = make_bound_report("l2_2", n, (n // 2) * ((n + 1) // 2), best,
+                            SignedGraph._trusted(winners[0]))
     rep.passed = best == rep.bound_value and structure_ok
     rep.notes = (f"{len(reps)} negative-triangle-free switching classes, "
                  f"{len(winners)} maximizers")

@@ -3,16 +3,17 @@
 Everything here deliberately avoids the library's own algorithms: sign
 recomputation by definition, cycle enumeration by DFS, isomorphism by scanning
 every permutation, balance by trying every spin assignment. The exceptions are
-the last eight functions: the per-order and per-mask loops that the batched
+the last nine functions: the per-order and per-mask loops that the batched
 canonical_signed_code and switching_neg_edge_maximum replaced, the
 one-matmul count over all masks that the half-table split of
 _switching_neg_counts replaced, the row loop
 that the stacked GF(2) elimination replaced, the per-graph colour refinement
 and canonical deletion test that the level-wide numpy passes replaced, the
-np.isin entry check that SignedGraph replaced for bool and integer input, and
+np.isin entry check that SignedGraph replaced for bool and integer input,
 the MAX_RHO scan that eigensolves every feasible signature, which the scan
-stopped by the edge-count bound replaced, kept as references that must agree
-with them exactly.
+stopped by the edge-count bound replaced, and the generator that calls the
+numpy Generator once per draw, which the raw-word replay replaced, kept as
+references that must agree with them exactly.
 """
 
 from __future__ import annotations
@@ -428,3 +429,24 @@ def unpruned_rho_scan(table, span, require_unbalanced: bool):
     system, patterns, vals = map(np.concatenate, zip(*kept))
     sel = vals >= best - SPECTRAL_SLACK
     return best, system[sel], patterns[sel]
+
+
+def per_draw_random_connected_signed_graph(rng: np.random.Generator, n_min: int = 3,
+                                           n_max: int = 10) -> SignedGraph:
+    """Random spanning tree plus density-controlled extra signed edges."""
+    n = int(rng.integers(n_min, n_max + 1))
+    adj = [[0] * n for _ in range(n)]
+    order = rng.permutation(n).tolist()
+    # a sign is 2 * integers(0, 2) - 1: the value rng.choice((-1, 1)) takes
+    # from the stream, so seeded suites keep their graphs
+    for idx in range(1, n):
+        parent = order[int(rng.integers(0, idx))]
+        child = order[idx]
+        adj[parent][child] = adj[child][parent] = 2 * int(rng.integers(0, 2)) - 1
+    density = float(rng.uniform(0.15, 0.75))
+    for i in range(n):
+        row = adj[i]
+        for j in range(i + 1, n):
+            if row[j] == 0 and rng.random() < density:
+                row[j] = adj[j][i] = 2 * int(rng.integers(0, 2)) - 1
+    return SignedGraph(np.array(adj, dtype=np.int8))

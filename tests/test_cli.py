@@ -236,6 +236,14 @@ class TestVerify:
         code, _ = run_cli("verify", "--theorem", "t7_7", "--n", "5")
         assert code == 2
 
+    @pytest.mark.parametrize("theorem", ["t1_2_edges", "t1_3"])
+    @pytest.mark.parametrize("n", ["3", "9"])
+    def test_search_verifier_names_the_theorem_out_of_range(self, theorem, n, capsys):
+        code, text = run_cli("verify", "--theorem", theorem, "--n", n)
+        assert code == 2 and text == ""
+        assert capsys.readouterr().err == (
+            f"error: {theorem.upper()} verification supports 4 <= n <= 8\n")
+
     def test_table_verdict(self):
         code, text = run_cli("verify", "--theorem", "t1_2_edges", "--n", "5")
         assert code == 0
@@ -393,9 +401,14 @@ class TestUsage:
         code, _ = run_cli("verify", "--theorem", "t1_3", "--n", "5", "--workers", "2")
         assert code == 2
 
-    def test_help_exit_0(self):
-        code, _ = run_cli("--help")
-        assert code == 0
+    def test_help_exit_0(self, capsys):
+        code, text = run_cli("--help")
+        assert code == 0 and text.startswith("usage: signed-extremal [-h]")
+        code, text = run_cli("search", "--help")
+        assert code == 0 and text.startswith("usage: signed-extremal search [-h] --n N")
+        assert "--allow-balanced" in text
+        # the help goes where the reports go, not to the process's stdout
+        assert capsys.readouterr().out == ""
 
     def test_csv_fields(self):
         out = io.StringIO()

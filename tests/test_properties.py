@@ -3,7 +3,15 @@ import hashlib
 import pytest
 
 from signed_extremal import properties
-from signed_extremal.core import SignedGraph, is_connected
+from signed_extremal.bounds import balanced_spanning_subgraph
+from signed_extremal.core import (
+    SignedGraph,
+    canonical_switch,
+    is_connected,
+    negate,
+    permute,
+    switch,
+)
 from signed_extremal.families import build_complete
 from signed_extremal.graphio import format_graph
 from signed_extremal.properties import (
@@ -15,6 +23,42 @@ from signed_extremal.properties import (
 from signed_extremal.spectral import FORMULA_TOL, eigenvalues
 
 import numpy as np
+
+from _oracles import per_draw_random_connected_signed_graph
+
+BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
+
+
+def assert_same_state(a, b):
+    """Equal bit generator states; Philox and SFC64 hold numpy arrays."""
+    assert a.keys() == b.keys()
+    for key in a:
+        if isinstance(a[key], dict):
+            assert_same_state(a[key], b[key])
+        else:
+            assert np.array_equal(a[key], b[key]), key
+
+
+def assert_replays_numpy(bit_generator, seed, n_range, graphs, warm=False, between=False):
+    """random_connected_signed_graph against the per-draw oracle on twin
+    streams: the same graph and the same generator state after each graph.
+    warm enters with a spare 32-bit half; between makes other draws between
+    graphs."""
+    fast = np.random.Generator(bit_generator(seed))
+    slow = np.random.Generator(bit_generator(seed))
+    if warm:
+        fast.integers(0, 2)
+        slow.integers(0, 2)
+        assert fast.bit_generator.state["has_uint32"] == 1
+    for k in range(graphs):
+        g = random_connected_signed_graph(fast, *n_range)
+        assert g == per_draw_random_connected_signed_graph(slow, *n_range)
+        assert_same_state(fast.bit_generator.state, slow.bit_generator.state)
+        if between:
+            for rng in (fast, slow):
+                rng.integers(0, 3 + k)
+                rng.random(k % 3)
+                rng.integers(0, 2, size=k % 2)
 
 
 class TestGenerator:
@@ -46,6 +90,98 @@ class TestGenerator:
             h.update(random_connected_signed_graph(rng).adj.tobytes())
         assert h.hexdigest() == digest
         assert rng.bit_generator.state == state
+
+
+class TestReplay:
+    """The generator replays numpy's draws from raw words: same graphs, same
+    stream position, for every supported bit generator."""
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    # (1, 25) and (5, 40) shuffle with masks up to 31 and 63; (1, 1) draws no n
+    @pytest.mark.parametrize("n_range", [(3, 10), (1, 1), (1, 25), (5, 40)])
+    def test_matches_numpy(self, bit_generator, n_range):
+        for seed in range(4):
+            assert_replays_numpy(bit_generator, seed, n_range, 30,
+                                 warm=seed % 2 == 1, between=seed >= 2)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_lemire_rejection(self, bit_generator):
+        # a spare half of 0 gives leftover 0, below 2**32 % 25 = 21, so the
+        # draw of n from 25 values rejects it and takes the next half
+        for seed in range(3):
+            fast = np.random.Generator(bit_generator(seed))
+            slow = np.random.Generator(bit_generator(seed))
+            for rng in (fast, slow):
+                state = rng.bit_generator.state
+                state["has_uint32"], state["uinteger"] = 1, 0
+                rng.bit_generator.state = state
+            assert (random_connected_signed_graph(fast, 1, 25)
+                    == per_draw_random_connected_signed_graph(slow, 1, 25))
+            assert_same_state(fast.bit_generator.state, slow.bit_generator.state)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_graphs_past_the_first_block(self, bit_generator):
+        # over 90 vertices the density loop alone needs more than the 4096
+        # raw words drawn first
+        assert_replays_numpy(bit_generator, 3, (90, 100), 2, warm=True, between=True)
+
+    def test_rejects_bit_generator_it_cannot_replay(self):
+        rng = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ValueError, match="not MT19937"):
+            random_connected_signed_graph(rng)
+
+    @pytest.mark.parametrize("n_min,n_max,match", [
+        (0, 5, "need 1 <= n_min <= n_max"),
+        (-2, 3, "need 1 <= n_min <= n_max"),
+        (6, 5, "need 1 <= n_min <= n_max"),
+        (True, 5, "must be ints"),
+        (3, False, "must be ints"),
+        (3.0, 10, "must be ints"),
+        (3, "10", "must be ints"),
+    ])
+    def test_rejects_bad_range_before_drawing(self, n_min, n_max, match):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            random_connected_signed_graph(rng, n_min, n_max)
+        assert rng.bit_generator.state == state
+
+    def test_numpy_integer_range(self):
+        a, b = np.random.default_rng(4), np.random.default_rng(4)
+        assert (random_connected_signed_graph(a, np.int64(2), np.int32(6))
+                == random_connected_signed_graph(b, 2, 6))
+
+
+class TestTrustedGraphs:
+    """Graphs built without the public checks are still valid graphs the
+    checks accept, int8, read-only, and share no memory with their input."""
+
+    OPERATIONS = {
+        "generated": lambda g, rng: g,
+        "switch": lambda g, rng: switch(g, [int(v) for v in np.nonzero(rng.random(g.n) < 0.5)[0]]),
+        "negate": lambda g, rng: negate(g),
+        "underlying": lambda g, rng: g.underlying(),
+        "permute": lambda g, rng: permute(g, rng.permutation(g.n).tolist()),
+        "canonical_switch": lambda g, rng: canonical_switch(g),
+        "balanced_spanning_subgraph": lambda g, rng: balanced_spanning_subgraph(g),
+    }
+
+    @pytest.mark.parametrize("name", list(OPERATIONS))
+    def test_derived_graphs(self, name):
+        rng = np.random.default_rng([13, len(name)])
+        op = self.OPERATIONS[name]
+        for _ in range(500):
+            g = random_connected_signed_graph(rng)
+            h = op(g, rng)
+            assert h.adj.dtype == np.int8 and not h.adj.flags.writeable
+            assert SignedGraph(h.adj) == h
+            if h is g:
+                continue
+            # negating the input in place must leave the result as it was
+            before = h.adj.tobytes()
+            g.adj.setflags(write=True)
+            g.adj *= -1
+            assert h.adj.tobytes() == before
 
 
 class TestSuites:

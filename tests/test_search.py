@@ -585,6 +585,31 @@ class TestRhoScan:
         return solved
 
 
+class TestTrustedGraphs:
+    """The search wraps the matrices it builds itself without the public
+    checks; they are still int8, read-only and accepted by those checks."""
+
+    @staticmethod
+    def assert_valid(graphs):
+        assert graphs
+        for g in graphs:
+            assert g.adj.dtype == np.int8 and not g.adj.flags.writeable
+            assert SignedGraph(g.adj) == g
+
+    def test_enumerations(self):
+        self.assert_valid(list(enumerate_underlying(5)))
+        self.assert_valid(list(enumerate_signatures(build_gst(1, 3))))
+
+    def test_maxima_and_witnesses(self):
+        self.assert_valid(switching_neg_edge_maximum(build_gst(1, 4))[1])
+        for objective in ("MAX_EDGES", "MAX_RHO", "MAX_NEG_EDGES_AT_MAX_EDGES"):
+            self.assert_valid(search(SearchConfig(n=5, objective=objective)).witnesses)
+
+    @pytest.mark.parametrize("name,n", [("T1_2_NEG", 10), ("L2_2", 5)])
+    def test_verifier_witnesses(self, name, n):
+        self.assert_valid([verify_theorem(name, n).witness])
+
+
 class TestSwitchingNegMaximum:
     def test_matches_direct_scan(self):
         g = build_gst(2, 3)
