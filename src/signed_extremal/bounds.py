@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._render import json_text
-from .core import SignedGraph, is_connected, switch
+from .core import SignedGraph, is_connected
 from .graphio import format_graph
-from .spectral import SpectralError, eigenvalues
+from .spectral import SpectralError, _by_shape, _eigh_values, _symmetric_eigh
 
 __all__ = [
     "SPECTRAL_SLACK",
@@ -113,7 +113,7 @@ def balanced_clique_number(g: SignedGraph) -> int:
     """
     if g.n > _CLIQUE_MAX_ORDER:
         raise ValueError(f"balanced clique search capped at {_CLIQUE_MAX_ORDER} vertices")
-    adj = g.adj
+    rows = g.adj.tolist()
     best = 1  # a single vertex is a balanced complete subgraph
 
     def extend(clique, spins, candidates):
@@ -124,12 +124,12 @@ def balanced_clique_number(g: SignedGraph) -> int:
             if len(clique) + len(candidates) - idx <= best:
                 return
             if clique:
-                sw = int(adj[w, clique[0]]) * spins[0]
-                if any(int(adj[w, c]) != sw * sc for c, sc in zip(clique, spins)):
+                sw = rows[w][clique[0]] * spins[0]
+                if any(rows[w][c] != sw * sc for c, sc in zip(clique, spins)):
                     continue
             else:
                 sw = 1
-            nxt = [x for x in candidates[idx + 1:] if adj[w, x] != 0]
+            nxt = [x for x in candidates[idx + 1:] if rows[w][x]]
             extend(clique + [w], spins + [sw], nxt)
 
     extend([], [], list(range(g.n)))
@@ -138,15 +138,24 @@ def balanced_clique_number(g: SignedGraph) -> int:
 
 def clique_spectral_bound(g: SignedGraph) -> BoundReport:
     """Compare l1(g) against sqrt(2e (wb-1)/wb) for the balanced clique number wb."""
-    e = g.edge_count
-    if e < 1:
+    return _clique_spectral_bounds([g])[0]
+
+
+def _clique_spectral_bounds(graphs) -> list[BoundReport]:
+    """clique_spectral_bound of each graph, in order, with one eigh per
+    vertex count; every graph's edges and clique number come first."""
+    edges = [g.edge_count for g in graphs]
+    if 0 in edges:
         raise ValueError("clique spectral bound needs at least one edge")
-    wb = balanced_clique_number(g)
-    bound = math.sqrt(2.0 * e * (wb - 1) / wb)
-    lam1 = eigenvalues(g).eigenvalues[0]
-    rep = make_bound_report("clique_spectral", g.n, bound, lam1, spectral=True)
-    rep.details = {"balanced_clique_number": wb, "edges": e}
-    return rep
+    cliques = [balanced_clique_number(g) for g in graphs]
+    reports = []
+    for g, e, wb, w in zip(graphs, edges, cliques,
+                           _by_shape([g.adj for g in graphs], _eigh_values)):
+        bound = math.sqrt(2.0 * e * (wb - 1) / wb)
+        rep = make_bound_report("clique_spectral", g.n, bound, float(w[-1]), spectral=True)
+        rep.details = {"balanced_clique_number": wb, "edges": e}
+        reports.append(rep)
+    return reports
 
 
 def balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:
@@ -157,25 +166,52 @@ def balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:
     have an ambiguous side; both memberships are tried and the choice
     maximizing l1 of the result is kept.
     """
-    if not is_connected(g):
-        raise ValueError("balanced spanning subgraph extraction needs a connected graph")
-    sp = eigenvalues(g)
-    x = np.array(sp.principal_vector)
-    ambiguous = [i for i in range(g.n) if abs(x[i]) < 1e-10]
-    if len(ambiguous) > 16:
-        raise SpectralError("too many ambiguous eigenvector entries")
-    negatives = [i for i in range(g.n) if x[i] <= -1e-10]
-    best_h, best_val = None, -math.inf
-    for choice in itertools.product((False, True), repeat=len(ambiguous)):
-        u = negatives + [i for i, pick in zip(ambiguous, choice) if pick]
-        switched = switch(g, u)
-        h = SignedGraph._trusted(np.maximum(switched.adj, 0))
-        val = eigenvalues(h).eigenvalues[0]
-        if val > best_val:
-            best_h, best_val = h, val
-    if best_val < sp.eigenvalues[0] - SPECTRAL_SLACK:
-        raise SpectralError(
-            "balanced spanning subgraph lost spectral radius: "
-            f"{best_val} < {sp.eigenvalues[0]}"
-        )
-    return best_h
+    return _balanced_spanning_subgraphs([g])[0]
+
+
+def _balanced_spanning_subgraphs(graphs) -> list[SignedGraph]:
+    """balanced_spanning_subgraph of each graph, in order.
+
+    The principal vectors come from one eigh per vertex count, each vector
+    signed as eigenvalues signs it. The 2^a switchings of each graph's a
+    ambiguous entries, in itertools.product order, go into one stack of
+    candidates, solved with one eigh per vertex count; a graph keeps its
+    first maximum. Disconnected graphs and too many ambiguous entries raise,
+    in graph order, before any candidate is solved.
+    """
+    spectra = _by_shape([g.adj for g in graphs], _symmetric_eigh)
+    stacks = []
+    for g, (_, vecs) in zip(graphs, spectra):
+        # one _bfs_tree per graph costs less than _bfs_trees per vertex count
+        if not is_connected(g):
+            raise ValueError("balanced spanning subgraph extraction needs a connected graph")
+        x = vecs[:, -1].tolist()
+        # the first entry of largest magnitude is made positive
+        sign = -1.0 if max(x, key=abs) < 0 else 1.0
+        ambiguous = [i for i, v in enumerate(x) if abs(v) < 1e-10]
+        if len(ambiguous) > 16:
+            raise SpectralError("too many ambiguous eigenvector entries")
+        # one spin row per switching: -1 on the negative entries and on the
+        # picked ambiguous ones, the last ambiguous entry varying fastest
+        spin = [-1 if sign * v <= -1e-10 else 1 for v in x]
+        rows = []
+        for choice in itertools.product((1, -1), repeat=len(ambiguous)):
+            for i, c in zip(ambiguous, choice):
+                spin[i] = c
+            rows.append(list(spin))
+        spins = np.array(rows, dtype=np.int8)
+        stacks.append(np.maximum(spins[:, :, None] * spins[:, None, :] * g.adj, 0))
+    # only lambda_1 of each candidate is kept
+    values = _by_shape([h for stack in stacks for h in stack], lambda a: _eigh_values(a)[:, -1])
+    out, k = [], 0
+    for stack, (w, _) in zip(stacks, spectra):
+        lam = [float(v) for v in values[k:k + len(stack)]]
+        k += len(stack)
+        best = lam.index(max(lam))
+        if lam[best] < w[-1] - SPECTRAL_SLACK:
+            raise SpectralError(
+                "balanced spanning subgraph lost spectral radius: "
+                f"{lam[best]} < {float(w[-1])}"
+            )
+        out.append(SignedGraph._trusted(stack[best].copy()))
+    return out

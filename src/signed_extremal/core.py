@@ -188,8 +188,11 @@ def is_balanced(g: SignedGraph) -> bool:
 
     The spins that make the canonical spanning forest positive are the only
     candidates up to a sign per component, so g is balanced iff switching by
-    them leaves no negative edge.
+    them leaves no negative edge. Without a negative edge every cycle is
+    positive, so g is balanced without a tree.
     """
+    if g.adj.min() >= 0:
+        return True
     s = _bfs_tree_spins(g)
     return np.array_equal(np.outer(s, s) * g.adj, np.abs(g.adj))
 

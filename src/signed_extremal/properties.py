@@ -6,9 +6,10 @@ pass condition; violating instances are recorded in the log.
 
 Instances are drawn in blocks and judged a block at a time, so the spectra a
 suite computes itself come from one stacked eigensolve per vertex count per
-block. The library functions under test (interlacing_check,
-clique_spectral_bound, balanced_spanning_subgraph, is_balanced, switch,
-negate) are still called one graph at a time.
+block. interlacing_check, clique_spectral_bound and
+balanced_spanning_subgraph are judged through their stacked kernels, one
+call per block, which give each graph the result of the one-graph function;
+is_balanced, switch and negate are called one graph at a time.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import balanced_spanning_subgraph, clique_spectral_bound
+from .bounds import _balanced_spanning_subgraphs, _clique_spectral_bounds
 from .core import SignedGraph, is_balanced, negate, switch
 from .graphio import format_graph
-from .spectral import FORMULA_TOL, _stacked_spectra, interlacing_check
+from .spectral import FORMULA_TOL, _by_shape, _interlacing_checks, _stacked_spectra
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all_suites",
            "random_connected_signed_graph"]
@@ -164,15 +165,8 @@ def _paired_spectra(cases) -> list[np.ndarray]:
     """Descending spectra, one (2, n) array per case, of the two same-order
     graphs that open each case, in case order: one stacked solve per vertex
     count."""
-    out: list[np.ndarray] = [None] * len(cases)
-    by_order: dict[int, list[int]] = {}
-    for i, case in enumerate(cases):
-        by_order.setdefault(case[0].n, []).append(i)
-    for idx in by_order.values():
-        stack = np.array([(cases[i][0].adj, cases[i][1].adj) for i in idx])
-        for i, w in zip(idx, _stacked_spectra(stack)):
-            out[i] = w
-    return out
+    return _by_shape([np.array((case[0].adj, case[1].adj)) for case in cases],
+                     _stacked_spectra)
 
 
 # Each suite is a draw, which makes every rng call of one instance along with
@@ -209,13 +203,13 @@ def _draw_interlacing(rng):
 
 
 def _judge_interlacing(cases) -> list[str | None]:
-    return [None if interlacing_check(g, kept) else
+    return [None if ok else
             f"interlacing failed for kept={sorted(kept)}:\n{format_graph(g)}"
-            for g, kept in cases]
+            for (g, kept), ok in zip(cases, _interlacing_checks(cases))]
 
 
 def _judge_balanced_spanning(cases) -> list[str | None]:
-    subgraphs = [balanced_spanning_subgraph(g) for g in cases]
+    subgraphs = _balanced_spanning_subgraphs(cases)
     failures = [None if h.n == g.n and is_balanced(h) and h.neg_edge_count == 0 else
                 f"result not a balanced spanning subgraph:\n{format_graph(g)}"
                 for g, h in zip(cases, subgraphs)]
@@ -229,13 +223,10 @@ def _judge_balanced_spanning(cases) -> list[str | None]:
 
 
 def _judge_clique_bound(cases) -> list[str | None]:
-    failures = []
-    for g in cases:
-        rep = clique_spectral_bound(g)
-        failures.append(None if rep.satisfied else
-                        f"clique bound violated: lambda_1={rep.observed} > "
-                        f"bound={rep.bound_value}:\n{format_graph(g)}")
-    return failures
+    return [None if rep.satisfied else
+            f"clique bound violated: lambda_1={rep.observed} > "
+            f"bound={rep.bound_value}:\n{format_graph(g)}"
+            for g, rep in zip(cases, _clique_spectral_bounds(cases))]
 
 
 def _draw_edge_addition(rng):

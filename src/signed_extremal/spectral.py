@@ -72,10 +72,18 @@ class Spectrum:
 
 
 def _symmetric_eigh(a: np.ndarray):
+    """Ascending eigenvalues and eigenvectors of a (..., n, n) stack, as
+    float64; each matrix gets the same bits as when solved alone."""
     try:
-        return np.linalg.eigh(a)
+        return np.linalg.eigh(a.astype(np.float64, copy=False))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise SpectralError(f"symmetric eigensolver failed: {exc}") from exc
+
+
+def _eigh_values(a: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues of a (..., n, n) stack from eigh: the bits
+    eigenvalues() gives, where eigvalsh can differ in the last ones."""
+    return _symmetric_eigh(a)[0]
 
 
 def _stacked_spectra(a: np.ndarray) -> np.ndarray:
@@ -88,13 +96,36 @@ def _stacked_spectra(a: np.ndarray) -> np.ndarray:
     return w[..., ::-1]
 
 
+# matrix entries per stacked solve (32 MB as float64)
+_STACK_ENTRIES = 1 << 22
+
+
+def _by_shape(mats, solve) -> list:
+    """solve on the arrays of the list mats stacked by shape: one call per
+    shape (more once a stack passes _STACK_ENTRIES entries). solve returns an
+    array, or a tuple of arrays, with one row per stacked array; the rows are
+    scattered back, one per array of mats, in input order."""
+    out = [None] * len(mats)
+    groups: dict[tuple, list[int]] = {}
+    for i, a in enumerate(mats):
+        groups.setdefault(a.shape, []).append(i)
+    for shape, idx in groups.items():
+        step = max(1, _STACK_ENTRIES // math.prod(shape))
+        for k in range(0, len(idx), step):
+            part = idx[k:k + step]
+            res = solve(np.array([mats[i] for i in part]))
+            for i, row in zip(part, zip(*res) if isinstance(res, tuple) else res):
+                out[i] = row
+    return out
+
+
 def eigenvalues(g: SignedGraph) -> Spectrum:
     """Full spectrum of the sign-adjacency matrix, deterministic for fixed input.
 
     The principal eigenvector is sign-normalized so its largest-magnitude entry
     is positive, ties broken by lowest index.
     """
-    w, vecs = _symmetric_eigh(g.adj.astype(np.float64))
+    w, vecs = _symmetric_eigh(g.adj)
     vals = w[::-1].tolist()
     x = vecs[:, -1]
     if x[int(np.argmax(np.abs(x)))] < 0:
@@ -352,18 +383,33 @@ def largest_root(poly_id: CharPolyId) -> float:
 
 def interlacing_check(g: SignedGraph, kept) -> bool:
     """Cauchy interlacing, within IDENTITY_TOL, of the principal submatrix on
-    the kept vertices."""
-    idx = sorted(set(_check_vertex_set(g.n, kept)))
-    if not idx:
-        raise ValueError("kept vertex set must be nonempty")
-    lam = eigenvalues(g).eigenvalues
-    b = g.adj[np.ix_(idx, idx)].astype(np.float64)
-    mu = _symmetric_eigh(b)[0][::-1]
-    n, m = g.n, len(idx)
-    for i in range(m):
-        if not (lam[i] >= mu[i] - IDENTITY_TOL and mu[i] >= lam[n - m + i] - IDENTITY_TOL):
-            return False
-    return True
+    the kept vertices, which must be distinct."""
+    return _interlacing_checks([(g, kept)])[0]
+
+
+def _interlacing_checks(cases) -> list[bool]:
+    """interlacing_check of each (g, kept) case, in order: one eigh per
+    vertex count for the graphs and one per kept-set size for the principal
+    submatrices. Every case is checked before any is solved."""
+    subs = []
+    for g, kept in cases:
+        idx = _check_vertex_set(g.n, kept)
+        if not idx:
+            raise ValueError("kept vertex set must be nonempty")
+        if len(set(idx)) < len(idx):
+            raise ValueError(f"kept vertices must be distinct, got {idx}")
+        idx.sort()
+        subs.append(g.adj[idx][:, idx])
+    lams = _by_shape([g.adj for g, _ in cases], _eigh_values)
+    mus = _by_shape(subs, _eigh_values)
+    out = []
+    for lam, mu in zip(lams, mus):
+        # ascending: mu_i lies between lam_i and lam_{n-m+i}
+        lam, mu = lam.tolist(), mu.tolist()
+        shift = len(lam) - len(mu)
+        out.append(all(mu[i] >= lam[i] - IDENTITY_TOL and lam[shift + i] >= mu[i] - IDENTITY_TOL
+                       for i in range(len(mu))))
+    return out
 
 
 def spectrum_to_json(sp: Spectrum) -> str:

@@ -3,7 +3,7 @@
 Everything here deliberately avoids the library's own algorithms: sign
 recomputation by definition, cycle enumeration by DFS, isomorphism by scanning
 every permutation, balance by trying every spin assignment. The exceptions are
-the last nine functions: the per-order and per-mask loops that the batched
+the last twelve functions: the per-order and per-mask loops that the batched
 canonical_signed_code and switching_neg_edge_maximum replaced, the
 one-matmul count over all masks that the half-table split of
 _switching_neg_counts replaced, the row loop
@@ -12,25 +12,42 @@ and canonical deletion test that the level-wide numpy passes replaced, the
 np.isin entry check that SignedGraph replaced for bool and integer input,
 the MAX_RHO scan that eigensolves every feasible signature, which the scan
 stopped by the edge-count bound replaced, and the generator that calls the
-numpy Generator once per draw, which the raw-word replay replaced, kept as
-references that must agree with them exactly.
+numpy Generator once per draw, which the raw-word replay replaced, and the
+one-graph interlacing check, clique spectral bound and balanced spanning
+subgraph, which the stacked kernels replaced, kept as references that must
+agree with them exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
-from signed_extremal.bounds import SPECTRAL_SLACK
+from signed_extremal.bounds import (
+    SPECTRAL_SLACK,
+    BoundReport,
+    balanced_clique_number,
+    make_bound_report,
+)
 from signed_extremal.core import (
     SignedGraph,
+    _check_vertex_set,
     _triu_cells,
     canonical_form,
     canonical_switch,
+    is_connected,
     permute,
+    switch,
 )
 from signed_extremal.search import _feasible_counts, _rho_values, _span_patterns
+from signed_extremal.spectral import (
+    IDENTITY_TOL,
+    SpectralError,
+    _symmetric_eigh,
+    eigenvalues,
+)
 
 
 def brute_switch(g: SignedGraph, vertex_set) -> SignedGraph:
@@ -450,3 +467,64 @@ def per_draw_random_connected_signed_graph(rng: np.random.Generator, n_min: int 
             if row[j] == 0 and rng.random() < density:
                 row[j] = adj[j][i] = 2 * int(rng.integers(0, 2)) - 1
     return SignedGraph(np.array(adj, dtype=np.int8))
+
+
+def per_graph_interlacing_check(g: SignedGraph, kept) -> bool:
+    """Cauchy interlacing, within IDENTITY_TOL, of the principal submatrix on
+    the kept vertices."""
+    idx = sorted(set(_check_vertex_set(g.n, kept)))
+    if not idx:
+        raise ValueError("kept vertex set must be nonempty")
+    lam = eigenvalues(g).eigenvalues
+    b = g.adj[np.ix_(idx, idx)].astype(np.float64)
+    mu = _symmetric_eigh(b)[0][::-1]
+    n, m = g.n, len(idx)
+    for i in range(m):
+        if not (lam[i] >= mu[i] - IDENTITY_TOL and mu[i] >= lam[n - m + i] - IDENTITY_TOL):
+            return False
+    return True
+
+
+def per_graph_clique_spectral_bound(g: SignedGraph) -> BoundReport:
+    """Compare l1(g) against sqrt(2e (wb-1)/wb) for the balanced clique number wb."""
+    e = g.edge_count
+    if e < 1:
+        raise ValueError("clique spectral bound needs at least one edge")
+    wb = balanced_clique_number(g)
+    bound = math.sqrt(2.0 * e * (wb - 1) / wb)
+    lam1 = eigenvalues(g).eigenvalues[0]
+    rep = make_bound_report("clique_spectral", g.n, bound, lam1, spectral=True)
+    rep.details = {"balanced_clique_number": wb, "edges": e}
+    return rep
+
+
+def per_graph_balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:
+    """A balanced spanning subgraph H with l1(g) <= l1(H).
+
+    Switches g so the principal eigenvector is entrywise nonnegative, then
+    removes all negative edges. Eigenvector entries below 1e-10 in magnitude
+    have an ambiguous side; both memberships are tried and the choice
+    maximizing l1 of the result is kept.
+    """
+    if not is_connected(g):
+        raise ValueError("balanced spanning subgraph extraction needs a connected graph")
+    sp = eigenvalues(g)
+    x = np.array(sp.principal_vector)
+    ambiguous = [i for i in range(g.n) if abs(x[i]) < 1e-10]
+    if len(ambiguous) > 16:
+        raise SpectralError("too many ambiguous eigenvector entries")
+    negatives = [i for i in range(g.n) if x[i] <= -1e-10]
+    best_h, best_val = None, -math.inf
+    for choice in itertools.product((False, True), repeat=len(ambiguous)):
+        u = negatives + [i for i, pick in zip(ambiguous, choice) if pick]
+        switched = switch(g, u)
+        h = SignedGraph._trusted(np.maximum(switched.adj, 0))
+        val = eigenvalues(h).eigenvalues[0]
+        if val > best_val:
+            best_h, best_val = h, val
+    if best_val < sp.eigenvalues[0] - SPECTRAL_SLACK:
+        raise SpectralError(
+            "balanced spanning subgraph lost spectral radius: "
+            f"{best_val} < {sp.eigenvalues[0]}"
+        )
+    return best_h

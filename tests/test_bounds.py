@@ -6,6 +6,8 @@ import pytest
 
 from signed_extremal.bounds import (
     BoundReport,
+    _balanced_spanning_subgraphs,
+    _clique_spectral_bounds,
     balanced_clique_number,
     balanced_spanning_subgraph,
     clique_spectral_bound,
@@ -18,15 +20,54 @@ from signed_extremal.core import (
     is_balanced,
     negate,
     new_signed_graph,
+    switch,
     switching_equivalent,
 )
 from signed_extremal.families import build_complete, build_gst, build_gst_maxneg
 from signed_extremal.properties import random_connected_signed_graph
-from signed_extremal.spectral import eigenvalues
+from signed_extremal.spectral import _interlacing_checks, eigenvalues
+
+from _oracles import (
+    per_graph_balanced_spanning_subgraph,
+    per_graph_clique_spectral_bound,
+    per_graph_interlacing_check,
+)
 
 
 def unbalanced_c4():
     return new_signed_graph(4, [(0, 1, -1), (1, 2, 1), (2, 3, 1), (3, 0, 1)])
+
+
+def ambiguous_graph():
+    """Two principal-vector entries below 1e-10; of the four switchings of
+    them, the second gives the subgraph of largest lambda_1, by a few ulps
+    over the third."""
+    return new_signed_graph(5, [(0, 1, 1), (0, 2, -1), (0, 4, -1), (1, 2, 1), (1, 3, 1),
+                                (1, 4, 1), (2, 4, -1), (3, 4, 1)])
+
+
+def disconnected_graph():
+    return new_signed_graph(5, [(0, 1, -1), (2, 3, 1), (3, 4, -1)])
+
+
+def kernel_graphs(seed):
+    """1,200 seeded suite graphs with n = 1..12, the hand cases mixed in
+    among them."""
+    rng = np.random.default_rng(seed)
+    graphs = [random_connected_signed_graph(rng, 1, 12) for _ in range(1200)]
+    assert {g.n for g in graphs} == set(range(1, 13))
+    graphs[300:300] = [unbalanced_c4(), ambiguous_graph()]
+    graphs[900:900] = [ambiguous_graph(), unbalanced_c4()]
+    return graphs
+
+
+def same_error(call, oracle):
+    """call raises the exception oracle raises, with the same message."""
+    with pytest.raises(Exception) as want:
+        oracle()
+    with pytest.raises(type(want.value)) as got:
+        call()
+    assert str(got.value) == str(want.value)
 
 
 class TestClosedFormBounds:
@@ -161,6 +202,74 @@ class TestBalancedSpanningSubgraph:
                 eigenvalues(g).eigenvalues[0]
                 <= eigenvalues(h).eigenvalues[0] + 1e-9
             )
+
+
+class TestStackedKernels:
+    """Each stacked kernel gives every graph of a mixed stack the result of
+    the one-graph oracle it replaced, bit for bit."""
+
+    def test_ambiguous_graph_keeps_a_later_switching(self):
+        g = ambiguous_graph()
+        x = np.array(eigenvalues(g).principal_vector)
+        ambiguous = np.flatnonzero(np.abs(x) < 1e-10)
+        assert len(ambiguous) >= 2
+        first = np.maximum(switch(g, np.flatnonzero(x <= -1e-10).tolist()).adj, 0)
+        assert not np.array_equal(balanced_spanning_subgraph(g).adj, first)
+
+    def test_balanced_spanning_matches_oracle(self):
+        graphs = kernel_graphs(31)
+        got = _balanced_spanning_subgraphs(graphs)
+        assert len(got) == len(graphs)
+        for g, h in zip(graphs, got):
+            want = per_graph_balanced_spanning_subgraph(g)
+            assert h.adj.dtype == np.int8 and not h.adj.flags.writeable
+            assert h.adj.tobytes() == want.adj.tobytes()
+        assert [balanced_spanning_subgraph(g) for g in graphs[290:310]] == got[290:310]
+
+    def test_balanced_spanning_raises_like_oracle(self):
+        graphs = kernel_graphs(32)[:40]
+        graphs[20:20] = [disconnected_graph()]
+        same_error(lambda: _balanced_spanning_subgraphs(graphs),
+                   lambda: per_graph_balanced_spanning_subgraph(disconnected_graph()))
+        same_error(lambda: balanced_spanning_subgraph(disconnected_graph()),
+                   lambda: per_graph_balanced_spanning_subgraph(disconnected_graph()))
+
+    def test_clique_bound_matches_oracle(self):
+        graphs = [g for g in kernel_graphs(33) if g.edge_count]
+        graphs[500:500] = [disconnected_graph()]
+        got = _clique_spectral_bounds(graphs)
+        assert len(got) == len(graphs)
+        for g, rep in zip(graphs, got):
+            want = per_graph_clique_spectral_bound(g)
+            assert type(rep.observed) is float
+            assert rep.observed.hex() == want.observed.hex()
+            assert rep.bound_value.hex() == want.bound_value.hex()
+            assert rep.to_json() == want.to_json()
+            assert rep.details == want.details
+        assert clique_spectral_bound(graphs[7]).to_json() == got[7].to_json()
+
+    def test_clique_bound_raises_like_oracle(self):
+        edgeless = new_signed_graph(3, [])
+        graphs = [unbalanced_c4(), edgeless, ambiguous_graph()]
+        same_error(lambda: _clique_spectral_bounds(graphs),
+                   lambda: per_graph_clique_spectral_bound(edgeless))
+        same_error(lambda: _clique_spectral_bounds([unbalanced_c4(), build_complete(15, 1)]),
+                   lambda: per_graph_clique_spectral_bound(build_complete(15, 1)))
+
+    def test_interlacing_matches_oracle(self):
+        rng = np.random.default_rng(34)
+        graphs = kernel_graphs(34)
+        graphs[600:600] = [disconnected_graph()]
+        cases = [(g, rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False))
+                 for g in graphs]
+        got = _interlacing_checks(cases)
+        assert got == [per_graph_interlacing_check(g, kept) for g, kept in cases]
+        assert all(type(ok) is bool for ok in got)
+
+    def test_interlacing_rejects_a_bad_case_in_a_stack(self):
+        cases = [(unbalanced_c4(), [0, 1]), (ambiguous_graph(), [4, 2, 4])]
+        with pytest.raises(ValueError, match="distinct"):
+            _interlacing_checks(cases)
 
 
 class TestBoundReport:

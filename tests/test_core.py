@@ -312,6 +312,16 @@ class TestBalance:
                     if n <= 4:
                         assert b == brute_is_balanced(g)
 
+    def test_nonnegative_graphs_need_no_tree(self, monkeypatch):
+        # every cycle is positive without a negative edge, so no spanning
+        # tree is built, whether the graph is connected or not
+        graphs = [new_signed_graph(1, []), new_signed_graph(6, []), build_complete(5, 1)]
+        graphs += [g.underlying() for g in seeded_signed_graphs(9, 8, 12)]
+        assert not all(is_connected(g) for g in graphs)
+        expected = [brute_is_balanced(g) for g in graphs]
+        monkeypatch.setattr("signed_extremal.core._bfs_tree_spins", None)
+        assert [is_balanced(g) for g in graphs] == expected == [True] * len(graphs)
+
     def test_matches_oracle_on_every_small_graph(self):
         # every labeled signed graph on up to 4 vertices, disconnected ones too
         for n in range(1, 5):

@@ -3,10 +3,11 @@ import hashlib
 import pytest
 
 from signed_extremal import properties
-from signed_extremal.bounds import balanced_spanning_subgraph
+from signed_extremal.bounds import balanced_spanning_subgraph, make_bound_report
 from signed_extremal.core import (
     SignedGraph,
     canonical_switch,
+    is_balanced,
     is_connected,
     negate,
     permute,
@@ -24,7 +25,12 @@ from signed_extremal.spectral import FORMULA_TOL, eigenvalues
 
 import numpy as np
 
-from _oracles import per_draw_random_connected_signed_graph
+from _oracles import (
+    per_draw_random_connected_signed_graph,
+    per_graph_balanced_spanning_subgraph,
+    per_graph_clique_spectral_bound,
+    per_graph_interlacing_check,
+)
 
 BIT_GENERATORS = [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.SFC64]
 
@@ -253,6 +259,77 @@ def reference_log(name, seed, instances):
     return log + [f"{name}: {instances} instances, {len(log)} violations"]
 
 
+def faulty_interlacing(case, ok):
+    g, kept = case
+    return ok and not (g.n % 2 and len(kept) < g.n)
+
+
+def faulty_clique_bound(g, rep):
+    if g.edge_count % 2:
+        return make_bound_report("clique_spectral", g.n, rep.observed - 0.5, rep.observed,
+                                 spectral=True)
+    return rep
+
+
+def faulty_balanced_spanning(g, h):
+    # odd orders get g back, orders 6 and 10 the edgeless graph
+    if g.n % 2:
+        return g
+    if g.n % 4 == 2:
+        return SignedGraph(np.zeros_like(g.adj))
+    return h
+
+
+# suite: (kernel attribute of properties, fault applied to each of its results)
+KERNEL_FAULTS = {
+    "interlacing": ("_interlacing_checks", faulty_interlacing),
+    "balanced-spanning": ("_balanced_spanning_subgraphs", faulty_balanced_spanning),
+    "clique-bound": ("_clique_spectral_bounds", faulty_clique_bound),
+}
+
+
+def lambda_1(g):
+    return np.linalg.eigvalsh(g.adj.astype(np.float64))[-1].item()
+
+
+def kernel_reference_log(name, seed, instances):
+    """The log of the interlacing, balanced-spanning or clique-bound suite
+    under the fault of KERNEL_FAULTS, one instance at a time through the
+    one-graph oracles."""
+    fault = KERNEL_FAULTS[name][1]
+    rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
+    log = []
+    for i in range(instances):
+        g = random_connected_signed_graph(rng)
+        failure = None
+        if name == "interlacing":
+            size = int(rng.integers(1, g.n + 1))
+            kept = [int(v) for v in rng.choice(g.n, size=size, replace=False)]
+            if not fault((g, kept), per_graph_interlacing_check(g, kept)):
+                failure = f"interlacing failed for kept={sorted(kept)}"
+        elif name == "clique-bound":
+            rep = fault(g, per_graph_clique_spectral_bound(g))
+            if not rep.satisfied:
+                failure = (f"clique bound violated: lambda_1={rep.observed} > "
+                           f"bound={rep.bound_value}")
+        else:
+            h = fault(g, per_graph_balanced_spanning_subgraph(g))
+            if not (h.n == g.n and is_balanced(h) and h.neg_edge_count == 0):
+                failure = "result not a balanced spanning subgraph"
+            elif lambda_1(g) > lambda_1(h) + FORMULA_TOL:
+                failure = f"lambda_1 dropped: {lambda_1(g)} > {lambda_1(h)}"
+        if failure is not None:
+            log.append(f"instance {i}: {failure}:\n{format_graph(g)}")
+    return log + [f"{name}: {instances} instances, {len(log)} violations"]
+
+
+def assert_blocks_fail_and_pass(expected, instances):
+    """Violations in every block of the three, and instances that pass."""
+    failed = [int(line.split(":")[0].split()[1]) for line in expected[:-1]]
+    assert {i // properties._SUITE_BLOCK for i in failed} == {0, 1, 2}
+    assert 0 < len(failed) < instances
+
+
 class TestBlockedJudging:
     @pytest.mark.parametrize("name", ["switching-invariance", "negation-symmetry"])
     def test_faulty_operations_log_like_one_instance_at_a_time(self, name, monkeypatch):
@@ -276,7 +353,24 @@ class TestBlockedJudging:
         expected = reference_log(name, 11, instances)
         assert result.log == expected
         assert result.violations == len(expected) - 1
-        # violations in every block, and instances that pass
-        failed = [int(line.split(":")[0].split()[1]) for line in expected[:-1]]
-        assert {i // properties._SUITE_BLOCK for i in failed} == {0, 1, 2}
-        assert 0 < len(failed) < instances
+        assert_blocks_fail_and_pass(expected, instances)
+
+    @pytest.mark.parametrize("name", list(KERNEL_FAULTS))
+    def test_faulty_kernels_log_like_one_instance_at_a_time(self, name, monkeypatch):
+        attr, fault = KERNEL_FAULTS[name]
+        kernel = getattr(properties, attr)
+
+        def faulty_kernel(cases):
+            return [fault(case, result) for case, result in zip(cases, kernel(cases))]
+
+        monkeypatch.setattr(properties, attr, faulty_kernel)
+        # three blocks, the last one partial
+        instances = 2 * properties._SUITE_BLOCK + 100
+        result = run_suite(name, seed=11, instances=instances)
+        expected = kernel_reference_log(name, 11, instances)
+        assert result.log == expected
+        assert result.violations == len(expected) - 1
+        assert_blocks_fail_and_pass(expected, instances)
+        if name == "balanced-spanning":
+            assert any("lambda_1 dropped" in line for line in expected)
+            assert any("not a balanced spanning" in line for line in expected)

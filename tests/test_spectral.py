@@ -355,7 +355,8 @@ class TestInterlacing:
     @pytest.mark.parametrize("kept, msg", [([0.9, 1.2], "not an integer"),
                                            ([1.7], "not an integer"),
                                            ([True, 2], "not an integer"),
-                                           ([0, 5], "outside the graph")])
+                                           ([0, 5], "outside the graph"),
+                                           ([0, 2, 0], "must be distinct")])
     def test_kept_vertices_must_be_vertex_ints(self, kept, msg):
         with pytest.raises(ValueError, match=msg):
             interlacing_check(build_gst(1, 2), kept)
