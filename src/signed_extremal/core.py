@@ -411,17 +411,31 @@ def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
 def _dense_ranks(keys: np.ndarray) -> np.ndarray:
     """The rank of each row keys[g, v] among the distinct rows of graph g, in
     lexicographic order: a (G, n, width) integer stack gives (G, n) ranks."""
-    g, n, width = keys.shape
-    flat = keys.reshape(g * n, width)
-    # the graph is the primary key, so graph g fills sorted rows g*n .. g*n+n-1
-    order = np.lexsort((*flat.T[::-1], np.arange(g * n) // n))
-    rows = flat[order]
-    new = np.concatenate(([True], (rows[1:] != rows[:-1]).any(axis=1)))
-    new[::n] = True
-    run = np.cumsum(new)
-    ranks = np.empty(g * n, dtype=np.intp)
-    ranks[order] = run - np.repeat(run[::n], n)
-    return ranks.reshape(g, n)
+    g, n, _ = keys.shape
+    # each graph's rows sorted on their own, the first column the primary key
+    order = np.lexsort(keys.transpose(2, 0, 1)[::-1], axis=-1)
+    graph = np.arange(g)[:, None]
+    rows = keys[graph, order]
+    new = np.zeros((g, n), dtype=np.intp)
+    new[:, 1:] = (rows[:, 1:] != rows[:, :-1]).any(axis=2)
+    ranks = np.empty((g, n), dtype=np.intp)
+    ranks[graph, order] = np.cumsum(new, axis=1)
+    return ranks
+
+
+@lru_cache(maxsize=None)
+def _count_weights(n: int) -> tuple[int, np.ndarray]:
+    """(k, weights): weights[c] (n, words) puts colour c at digit c % k of
+    word c // k, the first digit most significant, in base n; k is the most
+    base-n digits whose words stay below 2^53 (at most n, so n = 1 ends)."""
+    k = 1
+    while k < n and n ** (k + 1) <= 1 << 53:
+        k += 1
+    c = np.arange(n)
+    weights = np.zeros((n, -(-n // k)))
+    weights[c, c // k] = np.int64(n) ** (k - 1 - c % k)
+    weights.setflags(write=False)
+    return k, weights
 
 
 def _refine(adj: np.ndarray) -> np.ndarray:
@@ -430,23 +444,31 @@ def _refine(adj: np.ndarray) -> np.ndarray:
     Colours start as degree ranks; each round ranks (colour, sorted neighbour
     colours) within each graph until no class splits. Within a colour class
     all degrees are equal, so comparing sorted neighbour-colour tuples is
-    comparing the neighbour-colour counts in descending order: a round ranks
-    the rows (colour, -counts) with counts = adj @ onehot(colours).
+    comparing the neighbour-colour counts in descending order, and the count
+    of the last colour, the degree less the others, decides nothing. A round
+    packs the other counts, each at most n - 1, into base-n digits of a few
+    words, adj @ weights[colours] in float64 (_count_weights), and ranks the
+    rows (colour, -words). A word and every partial sum of it is an integer
+    below n^k <= 2^53, so the float arithmetic is exact, and base-n words
+    compare as their digit tuples do.
     """
     n = adj.shape[1]
-    # counts reach n - 1: uint8 below 256 vertices, a wider type from there
-    count_dtype = np.min_scalar_type(n)
-    a = adj.astype(count_dtype)
-    colours = _dense_ranks(a.sum(axis=2, dtype=np.intp)[:, :, None])
+    k, weights = _count_weights(n)
+    colours = _dense_ranks(adj.sum(axis=2, dtype=np.intp)[:, :, None])
     active = np.flatnonzero(colours.max(axis=1) < n - 1)
+    a = adj[active].astype(np.float64)
     while len(active):
         col = colours[active]
-        counts = a[active] @ (col[:, :, None] == np.arange(col.max() + 1)).astype(count_dtype)
-        new = _dense_ranks(np.concatenate((col[:, :, None], -counts.astype(np.intp)), axis=2))
+        top = col.max()
+        table = np.zeros((top + 1, -(-top // k)))
+        table[:top] = weights[:top, :table.shape[1]]
+        words = (a @ table[col]).astype(np.int64)
+        new = _dense_ranks(np.concatenate((col[:, :, None], -words), axis=2))
         colours[active] = new
         # a partition that did not split is stable; a discrete one cannot split
         top = new.max(axis=1)
-        active = active[(top > col.max(axis=1)) & (top < n - 1)]
+        going = (top > col.max(axis=1)) & (top < n - 1)
+        active, a = active[going], a[going]
     return colours
 
 
@@ -561,6 +583,24 @@ def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np
     return owner[by_graph], cells[by_graph]
 
 
+# every composition of 8 vertices fits; an entry holds at most the row
+# budget's _ORDER_CHUNK x 28 cells, at 1 to 4 bytes each
+@lru_cache(maxsize=256)
+def _template_cells(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The candidate orders of sizes (_candidate_orders) and, for each, the
+    cells p * n + q that its upper triangle reads (positions p < q, n =
+    sum(sizes)), in the smallest unsigned dtype that holds n^2 - 1; cached
+    and read-only."""
+    template = _candidate_orders(sizes)
+    n = template.shape[1]
+    iu, ju = _triu_cells(n)
+    # widened first: p * n + q passes 255 from n = 17 on
+    cells = (template[:, iu].astype(np.intp) * n + template[:, ju]).astype(
+        np.min_scalar_type(n * n - 1))
+    cells.setflags(write=False)
+    return template, cells
+
+
 def canonical_forms(adj: np.ndarray) -> Labelling:
     """Canonical bitmaps of a (G, n, n) bool stack of G >= 1 unsigned graphs
     and the orders achieving them.
@@ -569,10 +609,13 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     that respect its refined colour classes, packed into a Python int (MSB
     first). Each graph's optimal orders come out in ascending lexicographic
     order. A graph whose classes keep more than _row_budget(n) orders is
-    first split into branches by individualization (_individualize).
-    Branches with the same cell sizes share one template of candidate orders
-    over their vertices sorted by cell, gathered for as many branches at a
-    time as fit the budget.
+    first split into branches by individualization (_individualize). Each
+    branch's candidate orders are a cached template over its vertices sorted
+    by cell (_template_cells). The branches come graph by graph, and each
+    run of consecutive branches whose templates together fit the row budget
+    is gathered in one go, so no gather holds more than _ORDER_CHUNK x 28
+    cells. Each run keeps each graph's least rows; a graph split across two
+    runs keeps the least of both.
     """
     g, n = adj.shape[:2]
     colours = _refine(adj)
@@ -583,39 +626,33 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     # the orders are gathered from by_cell, so they keep its smallest dtype
     by_cell = by_cell.astype(np.min_scalar_type(n - 1))
     # the cell sizes of each branch, in position order
-    sizes = (classes[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.uint8)
-    groups: dict[bytes, list[int]] = {}
-    for i, sig in enumerate(map(bytes, sizes)):
-        groups.setdefault(sig, []).append(i)
-    iu, ju = _triu_cells(n)
+    sizes = list(map(bytes, (classes[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.uint8)))
+    by_sig = {sig: _template_cells(tuple(k for k in sig if k)) for sig in dict.fromkeys(sizes)}
+    parts = [by_sig[sig] for sig in sizes]
+    lengths = np.array([len(template) for template, _ in parts])
+    ends = np.cumsum(lengths)
     budget = _row_budget(n)
     kept = []
-    for sig, members in groups.items():
-        members = np.array(members)
-        # _individualize leaves every template at or under the budget
-        template = _candidate_orders(tuple(k for k in sig if k))
-        per = budget // len(template)
-        # widened first: p * n + q passes 255 from n = 17 on
-        cells = template[:, iu].astype(np.intp) * n + template[:, ju]
-        for b in range(0, len(members), per):
-            batch = members[b:b + per]
-            bits = flat[(batch * (n * n))[:, None, None] + cells]
-            packed = np.packbits(bits.reshape(len(batch) * len(template), len(iu)), axis=1)
-            owner = np.repeat(batch, len(template))
-            rows = _least_rows(owner, packed)
-            kept.append((owner[rows], packed[rows],
-                         by_cell[owner[rows, None], template[rows % len(template)]]))
-    merge = len(kept) > 1 or len(graph) > g
-    owner, packed, orders = map(np.concatenate, zip(*kept))
-    # the parts and the orders, the largest array, are held once at a time
-    del kept
-    if merge:
-        # each branch's rows are in candidate order; gather them branch by
-        # branch, which puts each graph's rows in lexicographic order
-        by_branch = np.argsort(owner, kind="stable")
-        owner = graph[owner[by_branch]]
-        keep = _least_rows(owner, packed[by_branch])
-        owner, packed, orders = owner[keep], packed[by_branch[keep]], orders[by_branch[keep]]
+    lo = 0
+    while lo < len(parts):
+        # the most branches from lo whose orders fit the budget, at least
+        # one: _individualize leaves every template at or under it
+        hi = int(np.searchsorted(ends, ends[lo] - lengths[lo] + budget, "right"))
+        template, cells = map(np.concatenate, zip(*parts[lo:hi]))
+        branch = np.repeat(np.arange(lo, hi), lengths[lo:hi])
+        packed = np.packbits(flat[(branch * (n * n))[:, None] + cells], axis=1)
+        owner = graph[branch]
+        rows = _least_rows(owner, packed)
+        kept.append((owner[rows], packed[rows], by_cell[branch[rows, None], template[rows]]))
+        lo = hi
+    if len(kept) > 1:
+        owner, packed, orders = map(np.concatenate, zip(*kept))
+        # the parts go before the merge copies the orders, the largest array
+        del kept
+        keep = _least_rows(owner, packed)
+        owner, packed, orders = owner[keep], packed[keep], orders[keep]
+    else:
+        (owner, packed, orders), = kept
     counts = np.bincount(owner, minlength=g)
     codes = [int.from_bytes(row.tobytes(), "big") for row in packed[np.cumsum(counts) - counts]]
     return Labelling(codes, orders, counts)

@@ -219,11 +219,12 @@ def _deletion_sets(adj: np.ndarray, comps: np.ndarray) -> np.ndarray:
     vertex is never a cut vertex, since deleting it leaves P, connected."""
     n = adj.shape[1]
     degs = adj.sum(axis=2)
-    # the key as one integer of base n + 1 digits, exact for n <= 15: n -
-    # degree, then the neighbour degrees ascending, padded with n
-    weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = np.sort(np.where(adj, degs[:, None, :], n), axis=2)[:, :, :-1]
-    key = (n - degs) * weights[0] + digits @ weights[1:]
+    # among vertices of one degree, ascending neighbour degrees compare as
+    # the counts of neighbours of degree 0, 1, ... in reverse, and a count
+    # is at most n - 1: the key is n - degree, then minus those counts as
+    # base-n digits, one integer below n^(n + 1), exact for n <= 15
+    n_pow = np.int64(n) ** np.arange(n, -1, -1)
+    key = (n - degs) * n_pow[0] - (adj @ n_pow[1:][degs][:, :, None])[:, :, 0]
     rivals = key >= key[:, -1:]
     child, v = np.nonzero(rivals[:, :-1])
     # G - v is connected iff the last vertex's other neighbours meet every
@@ -411,23 +412,30 @@ def _gf2_solve(rows: np.ndarray, widths: np.ndarray, rhs_bit: int) -> _Span:
     at rhs_bit, over the variable bits below widths[s] <= rhs_bit; zero rows
     say nothing. The solution set is unique, so the pivot order is free.
     """
-    rows = rows.copy()
+    # widest first: column c only has bits in the systems wider than c, a prefix
+    by_width = np.argsort(-widths, kind="stable")
+    rows = rows[by_width]
+    wider = np.searchsorted(-widths[by_width], -np.arange(rhs_bit), "left")
     systems = np.arange(len(rows))
     one = rows.dtype.type(1)
     pivot = np.full((len(rows), rhs_bit), -1, dtype=np.intp)
     used = np.zeros(rows.shape, dtype=bool)
     for c in range(rhs_bit if rows.shape[1] else 0):
-        bit = ((rows >> c) & one).astype(bool)
-        cand = bit & ~used
+        k = wider[c]
+        part, was_used, s = rows[:k], used[:k], systems[:k]
+        bit = ((part >> c) & one).astype(bool)
+        cand = bit & ~was_used
         has = cand.any(axis=1)
         r = cand.argmax(axis=1)
         # clear bit c from every other row with the pivot row; 0 where no pivot
-        prow = np.where(has, rows[systems, r], 0)
-        bit[systems, r] = False
-        rows ^= np.where(bit, prow[:, None], 0)
-        used[systems[has], r[has]] = True
-        pivot[has, c] = r[has]
-    rows = rows.astype(np.uint64)
+        prow = np.where(has, part[s, r], 0)
+        bit[s, r] = False
+        part ^= np.where(bit, prow[:, None], 0)
+        was_used[s[has], r[has]] = True
+        pivot[s[has], c] = r[has]
+    unsort = np.empty_like(by_width)
+    unsort[by_width] = systems
+    rows, pivot = rows[unsort].astype(np.uint64), pivot[unsort]
     rhs_bit64 = np.uint64(rhs_bit)
     # a row reduced to 0 = 1
     consistent = ~(rows == np.uint64(1) << rhs_bit64).any(axis=1)

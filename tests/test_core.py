@@ -13,6 +13,8 @@ from signed_extremal.core import (
     _bfs_tree,
     _bfs_trees,
     _candidate_orders,
+    _count_weights,
+    _dense_ranks,
     _individualize,
     _refine,
     _row_budget,
@@ -608,6 +610,21 @@ def forked_path(n, leaves):
     return a
 
 
+def seeded_trees(seed, n, count):
+    """Random recursive trees on n vertices (vertex v joins a uniform earlier
+    vertex), each relabeled by a seeded random order."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(count):
+        v = np.arange(1, n)
+        u = np.array([rng.integers(0, x) for x in v], dtype=np.intp)
+        p = rng.permutation(n)
+        a = np.zeros((n, n), dtype=bool)
+        a[p[v], p[u]] = a[p[u], p[v]] = True
+        out.append(a)
+    return np.array(out)
+
+
 def graph_orders(lab, g):
     start = int(lab.counts[:g].sum())
     return lab.orders[start:start + lab.counts[g]]
@@ -661,6 +678,44 @@ class TestCanonicalForms:
         classes = colour_classes(_refine(a[None])[0])
         assert classes == tuple_sorting_color_classes(a)
         assert [0] in classes
+
+    def test_count_weights_pack_exact_base_n_words(self):
+        # at n = 1 and 2, n^k never passes 2^53, so k stops at n
+        for n in range(1, 320):
+            k, weights = _count_weights(n)
+            assert weights.shape == (n, -(-n // k))
+            # one digit per colour, in the word of its colour // k, the
+            # first colours of a word the most significant
+            assert np.flatnonzero(weights).tolist() == [
+                c * weights.shape[1] + c // k for c in range(n)]
+            assert weights.max(axis=1).tolist() == [n ** (k - 1 - c % k) for c in range(n)]
+            # counts of at most n - 1 keep each word below 2^53, exact in
+            # float64, and one more digit would not
+            assert ((n - 1) * weights.sum(axis=0) < 1 << 53).all()
+            assert k == n or n ** (k + 1) > 1 << 53
+
+    @pytest.mark.parametrize("n", [*range(14, 41), 302])
+    def test_colour_classes_match_tuple_sorting_past_one_count_word(self, n, monkeypatch):
+        # up to 15 vertices the counts of a round fit one word; from 16 on,
+        # the rounds of some of these graphs pack more than k colours (the
+        # 302-vertex path with two leaves, 300 of them, into 50 words)
+        adj = np.concatenate(([forked_path(n, 1), forked_path(n, 2)],
+                              seeded_trees(600 + n, n, 8)))
+        widths = []
+
+        def spy(keys):
+            widths.append(keys.shape[2])
+            return _dense_ranks(keys)
+
+        monkeypatch.setattr("signed_extremal.core._dense_ranks", spy)
+        for a, colours in zip(adj, _refine(adj)):
+            assert colour_classes(colours) == tuple_sorting_color_classes(a)
+        # a round's key is the colour, then one column per word
+        words = max(widths) - 1
+        if n <= 15:
+            assert words == 1
+        else:
+            assert words >= 2
 
     @pytest.mark.parametrize("n,classes", [(1, 1), (2, 2), (3, 4), (4, 11), (5, 34),
                                            (6, 156)])
@@ -828,6 +883,32 @@ class TestCanonicalForms:
             assert np.array_equal(lab.counts, expect.counts)
             assert np.array_equal(lab.orders, expect.orders)
             assert np.array_equal(_refine(adj), colours)
+
+    def test_runs_of_branches_end_between_signatures_and_inside_graphs(self, monkeypatch):
+        # at 40 orders per chunk the regular graphs (K_7 among them) and the
+        # empty graph split into branches, and a run of branches that fits the budget
+        # ends between branches of different cell sizes and also between
+        # branches of one graph, whose least rows then come from two runs
+        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 40)
+        adj = np.concatenate((seeded_unsigned_stack(31, 7, 40), connected_regular_graphs(7),
+                              [np.zeros((7, 7), dtype=bool)]))
+        graph, cells = _individualize(adj, _refine(adj))
+        assert len(graph) > len(adj)
+        sizes = [np.bincount(c, minlength=7).tolist() for c in cells]
+        # the runs canonical_forms gathers: the most consecutive branches
+        # whose orders fit the budget
+        ends, rows = [], 0
+        for b, length in enumerate(_template_sizes(cells)):
+            if rows + length > _row_budget(7):
+                ends.append(b)
+                rows = 0
+            rows += length
+        assert any(sizes[b - 1] != sizes[b] for b in ends)
+        assert any(graph[b - 1] == graph[b] for b in ends)
+        lab = canonical_forms(adj)
+        assert lab.orders.dtype == np.uint8
+        assert len(lab.orders) == lab.counts.sum()
+        assert_matches_brute_force_labelling(adj, lab)
 
     def test_one_graph_views(self):
         adj = seeded_unsigned_stack(11, 6, 12)
