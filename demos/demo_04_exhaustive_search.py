@@ -1,6 +1,6 @@
 """Re-deriving the extremal results by exhaustive search at small orders.
 
-Run with: python demos/demo_04_exhaustive_search.py   (about half a minute)
+Run with: python demos/demo_04_exhaustive_search.py   (under a second)
 """
 
 import signed_extremal as se

@@ -18,6 +18,18 @@ The cut tests read the parent, not the child: G is a parent P plus one new
 vertex, so for any other vertex v, G - v is connected iff the new vertex's
 other neighbours meet every component of P - v, and those components are
 found once per parent and vertex (_cut_components).
+A degree bound drops most masks before the test. Take G = P + w with mask
+S, |S| >= 2, and a vertex u that is non-cut in P:
+  G - u is P - u plus w, which keeps a neighbour in S - {u}: u is non-cut in G;
+  deg_G(u) = deg_P(u) + [u in S], and deg_G(w) = |S|;
+  so if deg_G(u) < |S|, u's key beats w's, and w is not in M(G).
+With delta the least degree of a non-cut vertex of P, then, a mask is kept
+iff |S| <= delta, or |S| = delta + 1 and S holds every non-cut vertex of
+degree delta (delta >= 1, so leaves are always kept).
+The rule is invariant under Aut(P), so it drops whole orbits, and the masks
+are found one block of parents at a time, as the least image of each mask
+under the block's automorphisms (_orbit_masks). At n = 8 it sends 16,950
+children to the test instead of 67,141; 11,933 pass, as before.
 Colour refinement cannot split a regular graph, so canonical_forms
 individualizes any graph with more than one chunk of colour-respecting
 orders one position at a time (McKay and Piperno, 2014): a cubic child on 8
@@ -185,15 +197,6 @@ def _codes_to_adj(codes, n: int) -> np.ndarray:
     return adj | adj.transpose(0, 2, 1)
 
 
-def _orbit_masks(auts: np.ndarray, m: int) -> list[int]:
-    """The smallest nonempty vertex subset of each orbit of the automorphism
-    group auts (one permutation per row) on subsets of range(m), as bitmasks."""
-    masks = np.arange(1, 1 << m, dtype=np.int64)
-    bits = (masks[:, None] >> np.arange(m)) & 1
-    images = bits @ (np.int64(1) << auts.astype(np.int64)).T
-    return masks[images.min(axis=1) == masks].tolist()
-
-
 def _cut_components(adj: np.ndarray) -> np.ndarray:
     """comps[p, v, u]: the component of P - v that holds u, as a bitmask in
     the smallest unsigned dtype, for each graph P of a (G, m, m) bool stack;
@@ -236,24 +239,78 @@ def _deletion_sets(adj: np.ndarray, comps: np.ndarray) -> np.ndarray:
     return in_set
 
 
-def _canonical_children(n: int) -> list[int]:
-    """Codes of the children of every (n-1)-vertex class that pass McKay's
-    canonical deletion test, in generation order."""
-    m = n - 1
-    parents = _codes_to_adj(_connected_class_bitmaps(m), m)
+def _degree_bound(adj: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """floor[p] and low[p] for each parent P of a (G, m, m) bool stack with
+    comps = _cut_components(adj): the least degree of a non-cut vertex of P,
+    and the bitmask of the non-cut vertices of that degree (m and 0 when P,
+    a single vertex, has none). P + w passes the deletion test only if its
+    mask S has |S| <= floor[p], or |S| = floor[p] + 1 and S holds low[p]."""
+    m = adj.shape[1]
+    # v is non-cut iff one component of P - v is all of P but v
+    rest = ((1 << m) - 1) ^ (1 << np.arange(m))
+    non_cut = (comps == rest[:, None].astype(comps.dtype)).any(axis=2)
+    degs = adj.sum(axis=2)
+    floor = np.where(non_cut, degs, m).min(axis=1)
+    low = (non_cut & (degs == floor[:, None])) @ (np.int64(1) << np.arange(m))
+    return floor, low
+
+
+def _orbit_masks(adj: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (parent, mask) pairs of a (G, m, m) bool stack of canonical
+    parents that the degree bound keeps (_degree_bound), one per orbit of
+    Aut(P) on vertex subsets: the orbit's least mask, ascending per parent.
+    The block's labelling and mask images live only for the call."""
+    m = adj.shape[1]
+    floor, low = _degree_bound(adj, comps)
     # the parents are stored in canonical form, so the orders that attain
     # their own bitmaps are exactly their automorphisms
+    lab = canonical_forms(adj)
+    # the bound is Aut(P)-invariant, so orbits are kept or dropped whole, and
+    # no mask of more than floor.max() + 1 vertices is kept
+    masks = np.arange(1 << m)
+    masks = masks[np.bitwise_count(masks) <= floor.max() + 1]
+    sizes = np.bitwise_count(masks)
+    column = np.zeros(1 << m, dtype=np.intp)
+    column[masks] = np.arange(len(masks))
+    first = masks & -masks
+    # image[r, S] is S under the automorphism of row r: the image of S less
+    # its lowest bit, joined with that bit's image, built size by size from
+    # column 0, the empty set
+    dtype = np.min_scalar_type((1 << m) - 1)
+    bit_image = np.left_shift(dtype.type(1), lab.orders)
+    image = np.zeros((len(lab.orders), len(masks)), dtype=dtype)
+    for k in range(1, sizes.max() + 1):
+        col = np.flatnonzero(sizes == k)
+        image[:, col] = (image[:, column[masks[col] ^ first[col]]]
+                         | bit_image[:, np.bitwise_count(first[col] - 1)])
+    least = np.minimum.reduceat(image, np.cumsum(lab.counts) - lab.counts, axis=0)
+    keep = ((least == masks) & (sizes > 0)
+            & ((sizes <= floor[:, None])
+               | ((sizes == floor[:, None] + 1) & (masks & low[:, None] == low[:, None]))))
+    owner, col = np.nonzero(keep)
+    return owner, masks[col]
+
+
+def _canonical_children(n: int) -> list[int]:
+    """Codes of the children of every (n-1)-vertex class that pass McKay's
+    canonical deletion test, in generation order. Masks that the degree
+    bound rules out (_degree_bound) never reach the test, which would reject
+    them: a vertex u that is non-cut in P stays non-cut in G = P + w when
+    |S| >= 2, since w keeps a neighbour in S - {u}; deg_G(u) is deg_P(u) +
+    [u in S]; and any such u of degree below |S| = deg_G(w) outranks w for
+    M(G). The kept (parent, mask) pairs are a subsequence of the unpruned
+    ones, in the same order."""
+    m = n - 1
+    parents = _codes_to_adj(_connected_class_bitmaps(m), m)
     owner, masks, comps = [], [], []
     for lo in range(0, len(parents), _TABLE_BLOCK):
         block = parents[lo:lo + _TABLE_BLOCK]
-        lab = canonical_forms(block)
-        for p, auts in enumerate(np.split(lab.orders, np.cumsum(lab.counts)[:-1]), lo):
-            orbit = _orbit_masks(auts, m)
-            owner += [p] * len(orbit)
-            masks += orbit
         comps.append(_cut_components(block))
-    comps = np.concatenate(comps)
-    bits = ((np.array(masks, dtype=np.int64)[:, None] >> np.arange(m)) & 1).astype(bool)
+        p, s = _orbit_masks(block, comps[-1])
+        owner.append(p + lo)
+        masks.append(s)
+    comps, owner, masks = map(np.concatenate, (comps, owner, masks))
+    bits = ((masks[:, None] >> np.arange(m)) & 1).astype(bool)
     # the children whose new vertex is in M(G), with M(G)
     kids = []
     for lo in range(0, len(owner), _TABLE_BLOCK):

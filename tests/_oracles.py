@@ -3,12 +3,14 @@
 Everything here deliberately avoids the library's own algorithms: sign
 recomputation by definition, cycle enumeration by DFS, isomorphism by scanning
 every permutation, balance by trying every spin assignment. The exceptions are
-the last twelve functions: the per-order and per-mask loops that the batched
+the last fourteen functions: the per-order and per-mask loops that the batched
 canonical_signed_code and switching_neg_edge_maximum replaced, the
 one-matmul count over all masks that the half-table split of
 _switching_neg_counts replaced, the row loop
 that the stacked GF(2) elimination replaced, the per-graph colour refinement
 and canonical deletion test that the level-wide numpy passes replaced, the
+per-parent orbit masks and the augmentation loop that tests every orbit
+mask, which the block kernel and the degree bound on masks replaced, the
 np.isin entry check that SignedGraph replaced for bool and integer input,
 the MAX_RHO scan that eigensolves every feasible signature, which the scan
 stopped by the edge-count bound replaced, and the generator that calls the
@@ -36,12 +38,22 @@ from signed_extremal.core import (
     _check_vertex_set,
     _triu_cells,
     canonical_form,
+    canonical_forms,
     canonical_switch,
     is_connected,
     permute,
     switch,
 )
-from signed_extremal.search import _feasible_counts, _rho_values, _span_patterns
+from signed_extremal.search import (
+    _TABLE_BLOCK,
+    _codes_to_adj,
+    _connected_class_bitmaps,
+    _cut_components,
+    _deletion_sets,
+    _feasible_counts,
+    _rho_values,
+    _span_patterns,
+)
 from signed_extremal.spectral import (
     IDENTITY_TOL,
     SpectralError,
@@ -397,6 +409,58 @@ def per_child_deletion_set(adj_bool: np.ndarray) -> list[int] | None:
     best = max(key(v) for v in candidates)
     chosen = [v for v in candidates if key(v) == best]
     return chosen if n - 1 in chosen else None
+
+
+def per_parent_orbit_masks(auts: np.ndarray, m: int) -> list[int]:
+    """The smallest nonempty vertex subset of each orbit of the automorphism
+    group auts (one permutation per row) on subsets of range(m), as bitmasks."""
+    masks = np.arange(1, 1 << m, dtype=np.int64)
+    bits = (masks[:, None] >> np.arange(m)) & 1
+    images = bits @ (np.int64(1) << auts.astype(np.int64)).T
+    return masks[images.min(axis=1) == masks].tolist()
+
+
+def unpruned_canonical_children(n: int) -> list[int]:
+    """Codes of the children of every (n-1)-vertex class that pass McKay's
+    canonical deletion test, in generation order, with every orbit mask of
+    every parent sent to the test."""
+    m = n - 1
+    parents = _codes_to_adj(_connected_class_bitmaps(m), m)
+    # the parents are stored in canonical form, so the orders that attain
+    # their own bitmaps are exactly their automorphisms
+    owner, masks, comps = [], [], []
+    for lo in range(0, len(parents), _TABLE_BLOCK):
+        block = parents[lo:lo + _TABLE_BLOCK]
+        lab = canonical_forms(block)
+        for p, auts in enumerate(np.split(lab.orders, np.cumsum(lab.counts)[:-1]), lo):
+            orbit = per_parent_orbit_masks(auts, m)
+            owner += [p] * len(orbit)
+            masks += orbit
+        comps.append(_cut_components(block))
+    comps = np.concatenate(comps)
+    bits = ((np.array(masks, dtype=np.int64)[:, None] >> np.arange(m)) & 1).astype(bool)
+    # the children whose new vertex is in M(G), with M(G)
+    kids = []
+    for lo in range(0, len(owner), _TABLE_BLOCK):
+        part = owner[lo:lo + _TABLE_BLOCK]
+        adj = np.pad(parents[part], ((0, 0), (0, 1), (0, 1)))
+        adj[:, m, :m] = adj[:, :m, m] = bits[lo:lo + _TABLE_BLOCK]
+        in_set = _deletion_sets(adj, comps[part])
+        kids.append((adj[in_set[:, m]], in_set[in_set[:, m]]))
+    kids, sets = map(np.concatenate, zip(*kids))
+    children = []
+    for lo in range(0, len(kids), _TABLE_BLOCK):
+        lab = canonical_forms(kids[lo:lo + _TABLE_BLOCK])
+        # a vertex's canonical label is its position in an optimal order;
+        # accept iff the new vertex shares an orbit with the vertex of M(G)
+        # that gets the smallest label
+        row_owner = np.repeat(np.arange(len(lab.counts)), lab.counts)
+        starts = np.cumsum(lab.counts) - lab.counts
+        new_label = (lab.orders == m).argmax(axis=1)
+        set_label = sets[lo + row_owner[:, None], lab.orders].argmax(axis=1)
+        accept = np.minimum.reduceat(new_label, starts) == np.minimum.reduceat(set_label, starts)
+        children += itertools.compress(lab.codes, accept)
+    return children
 
 
 def isin_signed_graph_adj(adj) -> np.ndarray:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -36,6 +37,7 @@ from signed_extremal.search import (
     _complete_signature_classes,
     _connected_class_bitmaps,
     _cut_components,
+    _degree_bound,
     _deletion_sets,
     _feasible_counts,
     _graph_table,
@@ -63,8 +65,10 @@ from _oracles import (
     graphs_isomorphic,
     per_child_deletion_set,
     per_mask_neg_edge_maximum,
+    per_parent_orbit_masks,
     row_loop_gf2_solutions,
     seeded_signed_graphs,
+    unpruned_canonical_children,
     unpruned_rho_scan,
 )
 
@@ -109,16 +113,18 @@ def connected_without(adj, v):
 
 
 def augmentation_children(n):
-    """Children on n vertices as _canonical_children tests them: every class
-    on n - 1 <= 6 vertices with one mask per orbit of its automorphisms, and
-    from n = 7 on seeded connected parents with seeded masks."""
+    """Children on n vertices as the unpruned augmentation tests them: every
+    class on n - 1 <= 6 vertices with one mask per orbit of its automorphisms,
+    those the degree bound drops included, and from n = 7 on seeded connected
+    parents with seeded masks."""
     m = n - 1
     stacks = []
     if m <= 6:
         parents = _codes_to_adj(_connected_class_bitmaps(m), m)
         lab = canonical_forms(parents)
         auts = np.split(lab.orders, np.cumsum(lab.counts)[:-1])
-        pairs = [(p, mask) for p in range(len(parents)) for mask in _orbit_masks(auts[p], m)]
+        pairs = [(p, mask) for p in range(len(parents))
+                 for mask in per_parent_orbit_masks(auts[p], m)]
         owner, masks = map(list, zip(*pairs))
         stacks.append(attach(parents[owner], masks))
     if n >= 7:
@@ -127,6 +133,37 @@ def augmentation_children(n):
         masks = np.random.default_rng(n).integers(1, 1 << m, size=len(parents))
         stacks.append(attach(parents, masks))
     return np.concatenate(stacks)
+
+
+def degree_bound_by_definition(parent):
+    """delta and D of the degree bound, by definition: the least degree of a
+    non-cut vertex of the parent and the bitmask of the non-cut vertices of
+    that degree; a single vertex, which has none, gives m and 0."""
+    deg = parent.sum(axis=1)
+    non_cut = [v for v in range(len(parent)) if len(parent) > 1 and connected_without(parent, v)]
+    floor = min(deg[non_cut], default=len(parent))
+    return floor, sum(1 << v for v in non_cut if deg[v] == floor)
+
+
+def kept_by_degree_bound(mask, floor, low):
+    size = bin(mask).count("1")
+    return size <= floor or (size == floor + 1 and mask & low == low)
+
+
+def deletion_rows(monkeypatch, n):
+    """The children sent to _deletion_sets per level while the classes on n
+    vertices are enumerated from a cleared cache."""
+    rows = collections.Counter()
+    deletion_sets = SEARCH._deletion_sets
+
+    def spy(adj, comps):
+        rows[adj.shape[1]] += len(adj)
+        return deletion_sets(adj, comps)
+
+    monkeypatch.setattr(SEARCH, "_deletion_sets", spy)
+    SEARCH._connected_class_bitmaps.cache_clear()
+    assert len(SEARCH._connected_class_bitmaps(n)) == PINNED_CLASS_CODES[n][0]
+    return dict(rows)
 
 
 @pytest.fixture
@@ -170,6 +207,66 @@ class TestEnumerateUnderlying:
         for n, children in expect.items():
             assert _canonical_children(n) == children
             assert sorted(children) == list(_connected_class_bitmaps(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_pruned_augmentation_matches_the_unpruned_loop(self, n):
+        assert _canonical_children(n) == unpruned_canonical_children(n)
+
+    def test_orbit_masks_match_the_per_parent_oracle(self):
+        # every class on m <= 7 vertices: the block kernel keeps the least
+        # mask of each orbit that the degree bound keeps, in the oracle's
+        # order, in blocks of _TABLE_BLOCK and of 7 parents
+        for m in range(1, 8):
+            parents = _codes_to_adj(_connected_class_bitmaps(m), m)
+            lab = canonical_forms(parents)
+            auts = np.split(lab.orders, np.cumsum(lab.counts)[:-1])
+            bound = [degree_bound_by_definition(parent) for parent in parents]
+            expect = [(p, mask) for p in range(len(parents))
+                      for mask in per_parent_orbit_masks(auts[p], m)
+                      if kept_by_degree_bound(mask, *bound[p])]
+            for block in (SEARCH._TABLE_BLOCK, 7):
+                got = []
+                for lo in range(0, len(parents), block):
+                    part = parents[lo:lo + block]
+                    owner, masks = _orbit_masks(part, _cut_components(part))
+                    got += zip((owner + lo).tolist(), masks.tolist())
+                assert got == expect
+
+    def test_degree_bound_matches_the_definition(self):
+        # every class on m <= 7 vertices, seeded graphs on 9 to 11, and
+        # K_4 - c - K_4, whose cut vertex c has degree 2, below delta = 3
+        stacks = [_codes_to_adj(_connected_class_bitmaps(m), m) for m in range(1, 8)]
+        stacks += [np.array([g.adj != 0 for g in seeded_signed_graphs(900 + m, m, 60)
+                             if is_connected(g)]) for m in (9, 10, 11)]
+        barbell = np.zeros((9, 9), dtype=bool)
+        for u, v in [*itertools.combinations(range(4), 2), (3, 4), (4, 5),
+                     *itertools.combinations(range(5, 9), 2)]:
+            barbell[u, v] = barbell[v, u] = True
+        stacks.append(barbell[None])
+        for adj in stacks:
+            floor, low = _degree_bound(adj, _cut_components(adj))
+            expect = [degree_bound_by_definition(parent) for parent in adj]
+            assert list(zip(floor.tolist(), low.tolist())) == expect
+        assert expect == [(3, 0b111000111)]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+    def test_degree_bound_drops_only_rejected_children(self, n):
+        # every orbit mask of every class up to m = 6 and seeded children
+        # above: a child the bound drops fails the deletion test
+        adj = augmentation_children(n)
+        parents, m = adj[:, :-1, :-1], n - 1
+        floor, low = _degree_bound(parents, _cut_components(parents))
+        masks = adj[:, -1, :-1] @ (np.int64(1) << np.arange(m))
+        sizes = np.bitwise_count(masks)
+        dropped = ~((sizes <= floor) | ((sizes == floor + 1) & (masks & low == low)))
+        in_set = _deletion_sets(adj, _cut_components(parents))
+        assert not in_set[dropped, -1].any()
+        assert dropped.any() or n < 4
+
+    def test_deletion_test_rows_are_pinned(self, monkeypatch):
+        # children sent to the deletion test per level; without the degree
+        # bound they were 1, 2, 8, 44, 333 and 3,771
+        assert deletion_rows(monkeypatch, 7) == {2: 1, 3: 2, 4: 6, 5: 23, 6: 137, 7: 1192}
 
     @pytest.mark.parametrize("n", [4, 5, 7, 8])
     def test_deletion_sets_match_the_definition(self, n):

@@ -10,9 +10,10 @@ from signed_extremal.bounds import edge_bound, rho_bound
 from signed_extremal.cli import run
 from signed_extremal.core import canonical_signed_code
 from signed_extremal.families import build_complete, build_kn_switched_maxneg
-from signed_extremal.search import SearchConfig, search
+from signed_extremal.search import SearchConfig, _canonical_children, search
 
-from _oracles import per_order_signed_code
+from _oracles import per_order_signed_code, unpruned_canonical_children
+from test_search import deletion_rows
 
 pytestmark = pytest.mark.slow
 
@@ -338,6 +339,15 @@ def test_spectral_maximum_n8():
     rep = search(SearchConfig(n=8, objective="MAX_RHO"))
     assert rep.optimum == pytest.approx(rho_bound(8), abs=1e-9)
     assert rep.matched_family == ["gst(1,5)"]
+
+
+def test_pruned_augmentation_matches_the_unpruned_loop_n8():
+    assert _canonical_children(8) == unpruned_canonical_children(8)
+
+
+def test_deletion_test_rows_are_pinned_n8(monkeypatch):
+    # 67,141 without the degree bound
+    assert deletion_rows(monkeypatch, 8)[8] == 16950
 
 
 def test_signed_code_matches_per_order_reference_on_k8():
