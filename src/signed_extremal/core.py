@@ -368,7 +368,7 @@ def shortest_unbalanced_cycle(g: SignedGraph) -> Cycle | None:
 # Canonical labeling machinery (shared with the search engine)
 # ---------------------------------------------------------------------------
 
-# orders per batch in canonical_forms and _least_sign_row; K_9 has 362,880 optimal orders
+# orders per batch in _least_sign_row; K_9 has 362,880 optimal orders
 _ORDER_CHUNK = 8192
 # switching_isomorphic scans class-respecting relabelings, n! for K_n
 _SWITCHING_ISO_MAX_ORDER = 9
@@ -474,26 +474,33 @@ def _refine(adj: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _permutation_table(k: int) -> np.ndarray:
-    """Every permutation of range(k), one per row, in itertools.permutations order."""
-    table = np.array(list(itertools.permutations(range(k))), dtype=np.uint8)
+    """Every permutation of range(k), one per row, in itertools.permutations
+    order, as uint8; cached and read-only."""
+    table = np.empty((math.factorial(k), k), dtype=np.uint8)
+    if k:
+        # the rows with f first go on with range(k) less f, in permutation order
+        blocks = table.reshape(k, -1, k)
+        blocks[:, :, 0] = np.arange(k)[:, None]
+        blocks[:, :, 1:] = _permutation_table(k - 1)
+        table[:, 1:] += table[:, 1:] >= table[:, :1]
     table.setflags(write=False)
     return table
 
 
-@lru_cache(maxsize=None)
+# every composition of 9 vertices fits
+@lru_cache(maxsize=256)
 def _candidate_orders(sizes: tuple[int, ...]) -> np.ndarray:
     """Every order of range(sum(sizes)) that keeps each run of consecutive
     positions, of the given sizes, in place; rows follow itertools.product
     over the per-run permutations, the first run varying slowest. Cached by
     sizes and read-only, in the smallest unsigned dtype that holds a position,
     so arithmetic on positions must widen them first."""
-    orders = np.arange(sum(sizes))[None]
+    orders = np.arange(sum(sizes), dtype=np.min_scalar_type(sum(sizes) - 1))[None]
     for start, k in zip(itertools.accumulate(sizes, initial=0), sizes):
         if k > 1:
             orders = np.repeat(orders, math.factorial(k), axis=0)
-            orders[:, start:start + k] = np.tile(start + _permutation_table(k),
-                                                 (len(orders) // math.factorial(k), 1))
-    orders = orders.astype(np.min_scalar_type(sum(sizes)))
+            run = orders.reshape(-1, math.factorial(k), len(orders[0]))[:, :, start:start + k]
+            np.add(_permutation_table(k), start, out=run, dtype=orders.dtype)
     orders.setflags(write=False)
     return orders
 
@@ -514,91 +521,17 @@ def _least_rows(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _row_budget(n: int) -> int:
-    """The most candidate orders of one template on n vertices: _ORDER_CHUNK
-    up to the 28 cells of n = 8, fewer above, so that no gather holds more
-    than _ORDER_CHUNK x 28 cells."""
-    return max(1, _ORDER_CHUNK * 28 // max(n * (n - 1) // 2, 28))
-
-
-def _template_sizes(cells: np.ndarray) -> np.ndarray:
-    """The number of orders that keep the cells of each row of cells (B, n),
-    prod |cell|!, as floats (rounded only far above _ORDER_CHUNK; inf past
-    the float range, from 171 vertices on, which still exceeds it)."""
-    n = cells.shape[1]
-    with np.errstate(over="ignore"):
-        factorials = np.concatenate(([1.0], np.cumprod(np.arange(1.0, n + 1))))
-        return factorials[(cells[:, :, None] == np.arange(n)).sum(axis=1)].prod(axis=1)
-
-
-def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The branches of a (G, n, n) bool stack whose templates fit the budget.
-
-    A graph whose colour classes keep more than _row_budget(n) orders is
-    individualized one position at a time (McKay and Piperno, "Practical
-    graph isomorphism, II", J. Symbolic Comput. 60, 2014): each vertex of the
-    cell at the next open position i is tried there, and every later cell
-    splits into its non-neighbours, then its neighbours. That split is the
-    least row i of the code, so only the branches of each graph whose row i
-    is least are kept; they all have the same cell sizes and leave together.
-
-    Returns the graph of each branch and its cells, numbered in position
-    order (each cell by its first position once any graph branches), graph
-    by graph, each graph's branches in lexicographic order of their
-    individualized prefixes.
-    """
-    owner = np.arange(len(adj))
-    n = adj.shape[1]
-    budget = _row_budget(n)
-    big = _template_sizes(colours) > budget
-    if not big.any():
-        return owner, colours
-    cells = (colours[:, None, :] < colours[:, :, None]).sum(axis=2)
-    done = []
-    # every template shrinks to one order once all positions are individualized
-    for i in itertools.count():
-        done.append((owner[~big], cells[~big]))
-        owner, cells = owner[big], cells[big]
-        if not len(owner):
-            break
-        # one branch per vertex of the cell at position i, in vertex order
-        branch, v = np.nonzero(cells == i)
-        owner, cells = owner[branch], cells[branch]
-        nbr = adj[owner, v]
-        # the rest of v's cell starts at i + 1
-        cells[cells == i] = i + 1
-        cells[np.arange(len(v)), v] = i
-        later = cells > i
-        # each later cell's non-neighbours keep its first position
-        zeros = ((cells[:, :, None] == np.arange(n)) & ~nbr[:, :, None]).sum(axis=1)
-        cells = np.where(later & nbr, cells + np.take_along_axis(zeros, cells, axis=1), cells)
-        # row i of the code: a position holds a neighbour iff its cell does
-        row = np.take_along_axis(nbr, np.argsort(cells, axis=1, kind="stable"), axis=1)
-        keep = _least_rows(owner, row[:, i + 1:].view(np.uint8))
-        owner, cells = owner[keep], cells[keep]
-        big = _template_sizes(cells) > budget
-    owner, cells = (np.concatenate(parts) for parts in zip(*done))
-    # a graph's branches all leave at one depth, already in prefix order
-    by_graph = np.argsort(owner, kind="stable")
-    return owner[by_graph], cells[by_graph]
-
-
-# every composition of 8 vertices fits; an entry holds at most the row
-# budget's _ORDER_CHUNK x 28 cells, at 1 to 4 bytes each
-@lru_cache(maxsize=256)
-def _template_cells(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The candidate orders of sizes (_candidate_orders) and, for each, the
-    cells p * n + q that its upper triangle reads (positions p < q, n =
-    sum(sizes)), in the smallest unsigned dtype that holds n^2 - 1; cached
-    and read-only."""
-    template = _candidate_orders(sizes)
-    n = template.shape[1]
-    iu, ju = _triu_cells(n)
-    # widened first: p * n + q passes 255 from n = 17 on
-    cells = (template[:, iu].astype(np.intp) * n + template[:, ju]).astype(
-        np.min_scalar_type(n * n - 1))
-    cells.setflags(write=False)
-    return template, cells
+def _all_twin_classes(adj: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    """Which graphs of a (G, n, n) bool stack have only twin sets as colour
+    classes: swapping any vertex with the first vertex of its class maps the
+    graph onto itself. These swaps generate every order that keeps the
+    classes, so all such orders attain the graph's code."""
+    graph, v = np.arange(len(adj))[:, None], np.arange(adj.shape[1])
+    first = (colours[:, :, None] == colours[:, None, :]).argmax(axis=2)
+    # the swap of u and w fixes the graph iff their rows agree off u and w
+    differ = adj[graph, first] != adj
+    differ[graph, v, v] = differ[graph, v, first] = False
+    return ~differ.any(axis=(1, 2))
 
 
 def canonical_forms(adj: np.ndarray) -> Labelling:
@@ -607,55 +540,62 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
 
     A graph's bitmap is the least upper-triangle bit string over all orders
     that respect its refined colour classes, packed into a Python int (MSB
-    first). Each graph's optimal orders come out in ascending lexicographic
-    order. A graph whose classes keep more than _row_budget(n) orders is
-    first split into branches by individualization (_individualize). Each
-    branch's candidate orders are a cached template over its vertices sorted
-    by cell (_template_cells). The branches come graph by graph, and each
-    run of consecutive branches whose templates together fit the row budget
-    is gathered in one go, so no gather holds more than _ORDER_CHUNK x 28
-    cells. Each run keeps each graph's least rows; a graph split across two
-    runs keeps the least of both.
+    first); its optimal orders come out in ascending lexicographic order.
+    If every colour class is a twin set (_all_twin_classes), all those orders
+    are optimal: a cached template (_candidate_orders). Every other graph is
+    individualized at each position i in turn (McKay and Piperno, "Practical
+    graph isomorphism, II", J. Symbolic Comput. 60, 2014): each vertex v of
+    the cell at i is tried there, and every later cell splits into v's
+    non-neighbours, then its neighbours, so that row i of the code is least
+    for that prefix. Only a graph's branches with the least row i go on;
+    after the last position they are its optimal orders, in prefix order.
     """
     g, n = adj.shape[:2]
     colours = _refine(adj)
-    graph, classes = _individualize(adj, colours)
-    by_cell = np.argsort(classes, axis=1, kind="stable")
-    # each branch's graph with its vertices sorted by cell, flattened
-    flat = adj[graph[:, None, None], by_cell[:, :, None], by_cell[:, None, :]].reshape(-1)
-    # the orders are gathered from by_cell, so they keep its smallest dtype
-    by_cell = by_cell.astype(np.min_scalar_type(n - 1))
-    # the cell sizes of each branch, in position order
-    sizes = list(map(bytes, (classes[:, :, None] == np.arange(n)).sum(axis=1, dtype=np.uint8)))
-    by_sig = {sig: _template_cells(tuple(k for k in sig if k)) for sig in dict.fromkeys(sizes)}
-    parts = [by_sig[sig] for sig in sizes]
-    lengths = np.array([len(template) for template, _ in parts])
-    ends = np.cumsum(lengths)
-    budget = _row_budget(n)
-    kept = []
-    lo = 0
-    while lo < len(parts):
-        # the most branches from lo whose orders fit the budget, at least
-        # one: _individualize leaves every template at or under it
-        hi = int(np.searchsorted(ends, ends[lo] - lengths[lo] + budget, "right"))
-        template, cells = map(np.concatenate, zip(*parts[lo:hi]))
-        branch = np.repeat(np.arange(lo, hi), lengths[lo:hi])
-        packed = np.packbits(flat[(branch * (n * n))[:, None] + cells], axis=1)
-        owner = graph[branch]
-        rows = _least_rows(owner, packed)
-        kept.append((owner[rows], packed[rows], by_cell[branch[rows, None], template[rows]]))
-        lo = hi
-    if len(kept) > 1:
-        owner, packed, orders = map(np.concatenate, zip(*kept))
-        # the parts go before the merge copies the orders, the largest array
-        del kept
-        keep = _least_rows(owner, packed)
-        owner, packed, orders = owner[keep], packed[keep], orders[keep]
-    else:
-        (owner, packed, orders), = kept
-    counts = np.bincount(owner, minlength=g)
-    codes = [int.from_bytes(row.tobytes(), "big") for row in packed[np.cumsum(counts) - counts]]
-    return Labelling(codes, orders, counts)
+    dtype, wide = np.min_scalar_type(n - 1), np.min_scalar_type(2 * n * n - 1)
+    # each graph's vertices by colour, within a colour by vertex
+    by_colour = np.argsort(colours, axis=1, kind="stable").astype(dtype)
+    twins = _all_twin_classes(adj, colours)
+    # the class sizes of each twin graph in colour order, one bytes key per graph
+    sizes = (colours[twins, :, None] == np.arange(n)).sum(axis=1, dtype=np.min_scalar_type(n))
+    keys, which = np.unique(sizes.view(f"V{sizes.strides[0]}").ravel(), return_inverse=True)
+    templates = [_candidate_orders(tuple(k for k in np.frombuffer(key, sizes.dtype).tolist() if k))
+                 for key in keys]
+    templates = [templates[w] for w in which.tolist()]
+    owner = np.repeat(np.flatnonzero(twins), [len(t) for t in templates])
+    orders = by_colour[owner[:, None], np.concatenate([np.zeros((0, n), dtype), *templates])]
+    # each branch's vertex at each position; its cells are the runs of equal key
+    branch = np.flatnonzero(~twins)
+    perm = by_colour[branch]
+    key = np.sort(colours[branch], axis=1)
+    for i in range(n - 1 if len(branch) else 0):
+        # the first position of each position's cell
+        start = np.where(key != key[:, np.arange(-1, n - 1)], np.arange(n, dtype=dtype), 0)
+        start = np.maximum.accumulate(start, axis=1)
+        take, p = np.nonzero(start == i)
+        branch, perm, start = branch[take], perm[take], start[take]
+        v = perm[np.arange(len(p)), p]
+        # v goes to position i and the rest of its cell to i + 1 on; each
+        # cell from i + 1 on puts v's non-neighbours first, in vertex order
+        key = (start.astype(wide) + (start == i)) * 2 + adj[branch[:, None], v[:, None], perm]
+        key[np.arange(len(p)), p] = 2 * i
+        key = key * n + perm
+        key.sort(axis=1)
+        perm = (key % n).astype(dtype)
+        key //= n
+        # row i of the code: position q > i holds a neighbour of v iff odd
+        keep = _least_rows(branch, (key[:, i + 1:] & 1).astype(np.uint8))
+        branch, perm, key = branch[keep], perm[keep], key[keep]
+    if len(branch) and len(owner):
+        by_graph = np.argsort(np.concatenate((owner, branch)), kind="stable")
+        orders = np.concatenate((orders, perm))[by_graph]
+    elif len(branch):
+        orders = perm
+    counts = np.bincount(np.concatenate((owner, branch)), minlength=g)
+    first = orders[np.cumsum(counts) - counts]
+    iu, ju = _triu_cells(n)
+    packed = np.packbits(adj[np.arange(g)[:, None], first[:, iu], first[:, ju]], axis=1)
+    return Labelling([int.from_bytes(row.tobytes(), "big") for row in packed], orders, counts)
 
 
 def _least_sign_row(adj: np.ndarray, orders: np.ndarray, switched: bool) -> bytes:

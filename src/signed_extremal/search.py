@@ -31,9 +31,12 @@ are found one block of parents at a time, as the least image of each mask
 under the block's automorphisms (_orbit_masks). At n = 8 it sends 16,950
 children to the test instead of 67,141; 11,933 pass, as before.
 Colour refinement cannot split a regular graph, so canonical_forms
-individualizes any graph with more than one chunk of colour-respecting
-orders one position at a time (McKay and Piperno, 2014): a cubic child on 8
-vertices gathers 8 x 4! x 3! = 1,152 candidate orders, not 8! = 40,320.
+individualizes every graph with a colour class that is not a twin set one
+position at a time, keeping the branches whose next row of the code is
+least (McKay and Piperno, 2014): a cubic child on 8 vertices tries at most
+280 branches (the cube, whose 48 automorphisms are its optimal orders), not
+8! = 40,320 orders. A graph whose classes are all twin sets, K_n among them,
+takes every class-respecting order from a template.
 
 The signatures of a class are the 2^k sign patterns on its k edges off the
 canonical spanning tree. With the tree pinned +1, the sign of a triangle is
@@ -383,7 +386,6 @@ class _ClassTable(NamedTuple):
     """Connected graphs on n vertices, one row each; for the class table of n,
     every connected class in code order."""
 
-    codes: tuple[int, ...]   # class codes, () for a table of a given graph
     adj: np.ndarray          # (rows, n, n) bool adjacency
     edges: np.ndarray        # (rows,) edge count
     widths: np.ndarray       # (rows,) k, the number of non-tree edges
@@ -405,12 +407,12 @@ def _class_table(n: int) -> _ClassTable:
     width = n * (n - 1) // 2 - n + 1
     blocks = [_table_block(_codes_to_adj(codes[lo:lo + _TABLE_BLOCK], n), width)
               for lo in range(0, len(codes), _TABLE_BLOCK)]
-    return _ClassTable(codes, *map(_read_only, zip(*blocks)))
+    return _ClassTable(*map(_read_only, zip(*blocks)))
 
 
 def _graph_table(adj: np.ndarray) -> _ClassTable:
-    """The one-row table, without codes, of the connected graph adj (bool)."""
-    return _ClassTable((), *_table_block(adj[None], int(adj.sum()) // 2 - len(adj) + 1))
+    """The one-row table of the connected graph adj (bool)."""
+    return _ClassTable(*_table_block(adj[None], int(adj.sum()) // 2 - len(adj) + 1))
 
 
 def _read_only(parts) -> np.ndarray:
@@ -421,7 +423,7 @@ def _read_only(parts) -> np.ndarray:
 
 
 def _table_block(adj: np.ndarray, width: int):
-    """The _ClassTable fields after `codes` for an adjacency stack, with
+    """The _ClassTable fields for an adjacency stack, with
     `width` non-tree columns (at least the largest k of the stack)."""
     n = adj.shape[1]
     iu, ju = _triu_cells(n)
@@ -520,7 +522,7 @@ def _class_span(n: int, forbidden: str) -> _Span:
     table = _class_table(n)
     return _Span._make(map(_read_only, zip(*(
         _table_span(table, slice(lo, lo + _TABLE_BLOCK), forbidden)
-        for lo in range(0, len(table.codes), _TABLE_BLOCK)))))
+        for lo in range(0, len(table.adj), _TABLE_BLOCK)))))
 
 
 def _table_span(table: _ClassTable, rows, forbidden: str) -> _Span:
@@ -838,8 +840,6 @@ def _complete_signature_classes(n: int, forbidden: str) -> np.ndarray:
 
 
 def _verify_t1_1(n: int) -> BoundReport:
-    if not (3 <= n <= _MAX_N):
-        raise ValueError(f"T1_1 verification supports 3 <= n <= {_MAX_N}")
     outcomes = {}
     for forbidden, target in (
         ("C3_MINUS", build_complete(n, 1)),
@@ -857,8 +857,6 @@ def _verify_t1_1(n: int) -> BoundReport:
 
 
 def _verify_t1_2_edges(n: int, progress) -> BoundReport:
-    if not (_MIN_N <= n <= _MAX_N):
-        raise ValueError(f"T1_2_EDGES verification supports {_MIN_N} <= n <= {_MAX_N}")
     found = search(SearchConfig(n=n, objective="MAX_EDGES"), progress=progress)
     rep = make_bound_report("t1_2_edges", n, edge_bound(n), found.optimum, found.witnesses[0])
     rep.passed = found.optimum == rep.bound_value and all(
@@ -870,8 +868,6 @@ def _verify_t1_2_edges(n: int, progress) -> BoundReport:
 
 
 def _verify_t1_2_neg(n: int, progress) -> BoundReport:
-    if not (4 <= n <= 16):
-        raise ValueError("T1_2_NEG verification supports 4 <= n <= 16")
     if n <= _MAX_N:
         found = search(SearchConfig(n=n, objective="MAX_NEG_EDGES_AT_MAX_EDGES"),
                        progress=progress)
@@ -902,8 +898,6 @@ def _verify_t1_2_neg(n: int, progress) -> BoundReport:
 
 
 def _verify_t1_3(n: int, progress) -> BoundReport:
-    if not (_MIN_N <= n <= _MAX_N):
-        raise ValueError(f"T1_3 verification supports {_MIN_N} <= n <= {_MAX_N}")
     found = search(SearchConfig(n=n, objective="MAX_RHO"), progress=progress)
     rep = make_bound_report("t1_3", n, rho_bound(n), found.optimum, found.witnesses[0],
                             spectral=True)
@@ -916,8 +910,6 @@ def _verify_t1_3(n: int, progress) -> BoundReport:
 
 
 def _verify_l2_2(n: int) -> BoundReport:
-    if not (3 <= n <= 12):
-        raise ValueError("L2_2 verification supports 3 <= n <= 12")
     reps = _complete_signature_classes(n, "C3_MINUS")
     best, winners = _neg_edge_maximizers(reps)
     # every winner is a signed K_n; balanced iff the spins that make its BFS
@@ -941,8 +933,6 @@ def _verify_l2_2(n: int) -> BoundReport:
 
 
 def _verify_l3_6_order(n: int) -> BoundReport:
-    if not (5 <= n <= 40):
-        raise ValueError("L3_6_ORDER verification supports 5 <= n <= 40")
     lams = [
         eigenvalues(build_gst(s, n - 2 - s)).eigenvalues[0]
         for s in range(1, (n - 2) // 2 + 1)
@@ -964,6 +954,10 @@ def verify_theorem(name: str, n: int, *, progress=None) -> BoundReport:
     if key not in THEOREMS:
         raise ValueError(f"unknown theorem {name!r}; known: {', '.join(THEOREMS)}")
     _check_n(n)
+    lo, hi = {"T1_1": (3, _MAX_N), "T1_2_EDGES": (_MIN_N, _MAX_N), "T1_2_NEG": (4, 16),
+              "T1_3": (_MIN_N, _MAX_N), "L2_2": (3, 12), "L3_6_ORDER": (5, 40)}[key]
+    if not lo <= n <= hi:
+        raise ValueError(f"{key} verification supports {lo} <= n <= {hi}")
     enumerating = {"T1_2_EDGES": _verify_t1_2_edges, "T1_2_NEG": _verify_t1_2_neg,
                    "T1_3": _verify_t1_3}
     if key in enumerating:

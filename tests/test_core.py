@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import math
 import tracemalloc
@@ -8,17 +9,15 @@ import numpy as np
 import pytest
 
 from signed_extremal.core import (
-    _ORDER_CHUNK,
     SignedGraph,
+    _all_twin_classes,
     _bfs_tree,
     _bfs_trees,
     _candidate_orders,
     _count_weights,
     _dense_ranks,
-    _individualize,
+    _permutation_table,
     _refine,
-    _row_budget,
-    _template_sizes,
     _triu_cells,
     canonical_form,
     canonical_forms,
@@ -752,9 +751,39 @@ class TestCanonicalForms:
         template = _candidate_orders((2, 1, 3))
         assert template is _candidate_orders((2, 1, 3))
         assert not template.flags.writeable
+        assert template.dtype == np.uint8
         assert template.tolist() == [
             [*a, 2, *(3 + x for x in b)] for a, b in itertools.product(
                 itertools.permutations(range(2)), itertools.permutations(range(3)))]
+        # each table is built from the one below it
+        for k in range(9):
+            table = _permutation_table(k)
+            assert table is _permutation_table(k)
+            assert not table.flags.writeable
+            assert table.dtype == np.uint8 and table.shape == (math.factorial(k), k)
+            assert table.tolist() == [list(p) for p in itertools.permutations(range(k))]
+        # positions from 256 on need two bytes, and so do the runs there
+        template = _candidate_orders((1,) * 256 + (3,))
+        assert template.dtype == np.uint16
+        assert (template[:, :256] == np.arange(256)).all()
+        assert template[:, 256:].tolist() == [
+            [256 + x for x in p] for p in itertools.permutations(range(3))]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_all_twin_classes_iff_every_class_respecting_order_is_an_automorphism(self, n):
+        # the orders that keep the colour classes are prod |class|! in number
+        # and include every automorphism; they are all automorphisms iff each
+        # class is a twin set. |Aut| is counted once per isomorphism class
+        adj, lab = labelling_of_every_graph(n)
+        colours = _refine(adj)
+        twins = _all_twin_classes(adj, colours)
+        autos = {code: len(brute_automorphisms(adj[g]))
+                 for code, g in zip(*np.unique(lab.codes, return_index=True))}
+        for code, c, twin in zip(lab.codes, colours, twins):
+            respecting = math.prod(math.factorial(k) for k in np.bincount(c))
+            assert twin == (autos[code] == respecting)
+        # the path on 4 vertices is the smallest graph that is not
+        assert twins.all() == (n <= 3)
 
     def test_orders_attain_the_codes_of_large_graphs(self):
         # from 17 vertices on, the cell p * n + q of positions p < q passes 255
@@ -776,12 +805,10 @@ class TestCanonicalForms:
     def test_graphs_past_the_float_factorials_label_without_warnings(
             self, n, leaves, chunk, monkeypatch):
         # 171! is past the float range. The 200-vertex path has 100 mirrored
-        # pairs, which individualization resolves one at a time until a
-        # template fits the row budget: 2 orders at 2 per chunk, 8 at the
-        # default chunk, whose budget on 19,900 cells is 11 rows (a template
-        # of 8,192 such rows would take 1.3 GB to gather). The 302-vertex
-        # path with two leaves on one end keeps one pair, a template of 2
-        # orders.
+        # pairs and the 302-vertex path with two leaves on one end has one;
+        # a mirrored pair is no twin set, so both paths are individualized
+        # at every position and keep the 2 orders of their mirror symmetry
+        # at any chunk, which batches only sign rows.
         if chunk:
             monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
         a = forked_path(n, leaves)
@@ -806,30 +833,33 @@ class TestCanonicalForms:
         assert orders.dtype == np.uint8
         assert orders.tolist() == [list(p) for p in itertools.permutations(range(8))]
 
-    @pytest.mark.parametrize("stack", [
-        pytest.param(lambda: forked_path(200, 1)[None], id="path-200"),
-        pytest.param(lambda: forked_path(302, 2)[None], id="forked-path-302"),
-        pytest.param(lambda: seeded_unsigned_stack(420, 20, 40), id="seeded-20"),
-    ])
-    def test_individualized_templates_fit_the_row_budget(self, stack):
-        adj = stack()
-        graph, cells = _individualize(adj, _refine(adj))
-        assert set(graph.tolist()) == set(range(len(adj)))
-        assert (_template_sizes(cells) <= _row_budget(adj.shape[1])).all()
-
-    @pytest.mark.parametrize("chunk", [None, 2, 33])
-    def test_row_budget_is_one_chunk_up_to_8_vertices(self, chunk, monkeypatch):
-        # so every labelling on at most 8 vertices is the same at any budget
-        if chunk:
-            monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
-        for n in range(1, 9):
-            assert _row_budget(n) == (chunk or _ORDER_CHUNK)
-        assert _row_budget(9) < (chunk or _ORDER_CHUNK)
+    @pytest.mark.slow
+    def test_every_order_of_a_graph_with_nine_isolated_vertices_in_bounded_memory(self):
+        # graph 12 of this seeded stack has 9 isolated vertices, a twin set,
+        # and other classes that are not: it is individualized at every
+        # position, and its 9! x 4 optimal orders are all returned
+        a = np.triu(np.random.default_rng(5).random((30, 30, 30))[12] < 0.06, 1)
+        a |= a.T
+        tracemalloc.start()
+        try:
+            code, orders = canonical_form(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 << 20
+        assert orders.shape == (1_451_520, 30) and orders.dtype == np.uint8
+        assert hashlib.sha256(orders.tobytes()).hexdigest() == (
+            "2aa0cfccec67ccb44ca2b5d10f61a532b8fc3da71d215d675d4631212cae3a02")
+        iu, ju = _triu_cells(30)
+        for chunk in np.array_split(orders, 64):
+            bits = np.packbits(a[chunk[:, iu], chunk[:, ju]], axis=1)
+            assert (bits == bits[0]).all()
+            assert int.from_bytes(bits[0].tobytes(), "big") == code
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     @pytest.mark.parametrize("chunk", [None, 2])
     def test_matches_brute_force_labelling_on_every_graph(self, n, chunk, monkeypatch):
-        # 2 orders per chunk individualizes every graph with a larger template
+        # the chunk batches sign rows only: the labelling ignores it
         if chunk:
             monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
         adj = labeled_graph_stack(n)
@@ -838,23 +868,22 @@ class TestCanonicalForms:
     @pytest.mark.parametrize("n,count", [(7, 4), (8, 17)])
     def test_matches_brute_force_labelling_on_regular_graphs(self, n, count):
         # colour refinement cannot split a regular graph, so all n! orders
-        # are candidates; on 8 vertices that is more than one chunk
+        # respect its one class; on 8 vertices that is more than one chunk
         adj = connected_regular_graphs(n)
         assert len(adj) == count
         assert_matches_brute_force_labelling(adj, canonical_forms(adj))
         # one graph at a time, each graph's branches fill a single batch
         for a in adj:
             assert_matches_brute_force_labelling(a[None], canonical_forms(a[None]))
-
-    def test_regular_graphs_branch_once_per_vertex(self):
-        # a regular graph keeps one colour class, so 8! orders, more than one
-        # chunk; each vertex at position 0 leaves (7 - d)! d! orders per branch
-        adj = connected_regular_graphs(8)
-        graph, cells = _individualize(adj, _refine(adj))
-        assert np.array_equal(graph, np.repeat(np.arange(len(adj)), 8))
-        assert np.array_equal(cells.argmin(axis=1), np.tile(np.arange(8), len(adj)))
-        for row, d in zip(np.sort(cells, axis=1), adj[graph, 0].sum(axis=1)):
-            assert row.tolist() == [0] + [1] * (7 - d) + [8 - d] * d
+        # seeded graphs, the regular graphs and the empty graph take both
+        # routes, twin templates and individualization, in one stack
+        mixed = np.concatenate((seeded_unsigned_stack(31, n, 40), adj,
+                                [np.zeros((n, n), dtype=bool)]))
+        twins = _all_twin_classes(mixed, _refine(mixed))
+        assert twins.any() and not twins.all()
+        lab = canonical_forms(mixed)
+        assert lab.orders.dtype == np.uint8
+        assert_matches_brute_force_labelling(mixed, lab)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_optimal_orders_ascend_lexicographically(self, n):
@@ -868,8 +897,8 @@ class TestCanonicalForms:
     def test_order_chunks_do_not_change_the_labelling(self, monkeypatch):
         # K_7 and the empty graph put all 5,040 orders in one class; on 8
         # vertices so do the empty graph and the regular graphs, K_8 among
-        # them, which are individualized even at the default chunk. 33 orders
-        # per chunk split and individualize every larger template
+        # them. 33 orders per chunk batch only the sign rows, so the
+        # labelling stays the same
         stacks = [
             np.concatenate((seeded_unsigned_stack(7, 7, 30),
                             [~np.eye(7, dtype=bool), np.zeros((7, 7), dtype=bool)])),
@@ -883,32 +912,6 @@ class TestCanonicalForms:
             assert np.array_equal(lab.counts, expect.counts)
             assert np.array_equal(lab.orders, expect.orders)
             assert np.array_equal(_refine(adj), colours)
-
-    def test_runs_of_branches_end_between_signatures_and_inside_graphs(self, monkeypatch):
-        # at 40 orders per chunk the regular graphs (K_7 among them) and the
-        # empty graph split into branches, and a run of branches that fits the budget
-        # ends between branches of different cell sizes and also between
-        # branches of one graph, whose least rows then come from two runs
-        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 40)
-        adj = np.concatenate((seeded_unsigned_stack(31, 7, 40), connected_regular_graphs(7),
-                              [np.zeros((7, 7), dtype=bool)]))
-        graph, cells = _individualize(adj, _refine(adj))
-        assert len(graph) > len(adj)
-        sizes = [np.bincount(c, minlength=7).tolist() for c in cells]
-        # the runs canonical_forms gathers: the most consecutive branches
-        # whose orders fit the budget
-        ends, rows = [], 0
-        for b, length in enumerate(_template_sizes(cells)):
-            if rows + length > _row_budget(7):
-                ends.append(b)
-                rows = 0
-            rows += length
-        assert any(sizes[b - 1] != sizes[b] for b in ends)
-        assert any(graph[b - 1] == graph[b] for b in ends)
-        lab = canonical_forms(adj)
-        assert lab.orders.dtype == np.uint8
-        assert len(lab.orders) == lab.counts.sum()
-        assert_matches_brute_force_labelling(adj, lab)
 
     def test_one_graph_views(self):
         adj = seeded_unsigned_stack(11, 6, 12)

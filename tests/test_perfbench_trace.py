@@ -3,7 +3,9 @@
 This runs its tracer over a short verification and a short property suite in
 a fresh interpreter, so a change that deletes or renames a traced function, or
 routes the one-graph path (SignedGraph, eigenvalues, run_suite) around it,
-fails here, not first in a benchmark run. It only reads perfbench/.
+fails here, not first in a benchmark run. The tracer counts a signed code's
+orders in a hook on core.canonical_form, so both that function and its
+calls from canonical_signed_code must stay. It only reads perfbench/.
 """
 
 import subprocess
@@ -24,7 +26,8 @@ se.verify_theorem("T1_3", 5)
 se.switching_isomorphic(se.build_gst(1, 3), se.build_gst(2, 2))
 se.run_suite("edge-addition", 0, 20)
 metrics = tracer.layer_metrics(0.0)
-for name in ("core.canonical_signed_code.calls", "core.SignedGraph.inits",
+for name in ("core.canonical_form.calls", "core.canonical_signed_code.calls",
+             "core.canonical_signed_code.orders", "core.SignedGraph.inits",
              "spectral.eigenvalues.calls", "properties.instances"):
     if not metrics[name]:
         sys.exit(f"{name} is zero")

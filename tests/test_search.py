@@ -399,10 +399,11 @@ class TestClassTable:
         # is off the tree canonical_switch pins), one distinct edge per bit in
         # row-major order, whose negative triangles are those with mask bit b
         table = _class_table(n)
-        assert table.codes == _connected_class_bitmaps(n)
+        codes = _connected_class_bitmaps(n)
+        assert len(table.adj) == len(codes)
         iu, ju = np.triu_indices(n, 1)
         ti, tj, tk = np.array(list(itertools.combinations(range(n), 3))).T
-        for c, code in enumerate(table.codes):
+        for c, code in enumerate(codes):
             adj = table.adj[c]
             assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
             assert int.from_bytes(np.packbits(adj[iu, ju]).tobytes(), "big") == code
@@ -429,8 +430,7 @@ class TestClassTable:
         SEARCH._class_span.cache_clear()
         monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", 5)
         blocked = _class_table(6)
-        assert blocked.codes == whole.codes
-        for name, a, b in zip(whole._fields[1:], whole[1:], blocked[1:]):
+        for name, a, b in zip(whole._fields, whole, blocked):
             assert np.array_equal(a, b), name
         for f, span in spans.items():
             for name, a, b in zip(span._fields, span, _class_span(6, f)):
@@ -635,7 +635,7 @@ class TestRhoScan:
         star = np.zeros((5, 5), dtype=bool)
         star[0, 1:] = star[1:, 0] = True
         cycle = np.roll(np.eye(5, dtype=bool), 1, axis=1)
-        table = SEARCH._ClassTable((), *SEARCH._table_block(np.stack([star, cycle | cycle.T]), 1))
+        table = SEARCH._ClassTable(*SEARCH._table_block(np.stack([star, cycle | cycle.T]), 1))
         span = _table_span(table, slice(None), "NONE")
         best, system, patterns, _ = SEARCH._scan_classes(table, span, "MAX_RHO", False)
         assert best == pytest.approx(2, abs=1e-9)
@@ -861,7 +861,7 @@ class TestGF2Solutions:
         # every class, each forbidden triangle, with and without pattern 0;
         # the one-row table of each class must give the same solutions
         table = _class_table(n)
-        everything = np.arange(len(table.codes))
+        everything = np.arange(len(table.adj))
         row = np.zeros(1, dtype=np.intp)
         for forbidden in FORBIDDEN:
             span = _class_span(n, forbidden)
@@ -1021,3 +1021,12 @@ class TestVerifyTheorem:
             verify_theorem("L3_6_ORDER", 41)
         with pytest.raises(ValueError):
             verify_theorem("T1_2_NEG", 17)
+
+    @pytest.mark.parametrize("side", ["below", "above"])
+    @pytest.mark.parametrize("name,lo,hi", [
+        ("T1_1", 3, 8), ("T1_2_EDGES", 4, 8), ("T1_2_NEG", 4, 16), ("T1_3", 4, 8),
+        ("L2_2", 3, 12), ("L3_6_ORDER", 5, 40)])
+    def test_each_verifier_refuses_the_orders_next_to_its_range(self, name, lo, hi, side):
+        with pytest.raises(ValueError) as refused:
+            verify_theorem(name, lo - 1 if side == "below" else hi + 1)
+        assert str(refused.value) == f"{name} verification supports {lo} <= n <= {hi}"
