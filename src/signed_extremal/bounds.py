@@ -33,12 +33,12 @@ SPECTRAL_SLACK = 1e-9
 _CLIQUE_MAX_ORDER = 14
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundReport:
     """Outcome of comparing an observed quantity against a bound.
 
     `satisfied` always means observed <= bound_value (+ slack for spectral
-    bounds). Theorem verifications additionally set `passed`, which also
+    bounds). Theorem verifications also give `passed`, which further
     requires the equality case and witness identification to hold.
     """
 
@@ -61,16 +61,12 @@ class BoundReport:
 
 
 def make_bound_report(name: str, n: int, bound, observed, witness=None,
-                      spectral: bool = False) -> BoundReport:
+                      spectral: bool = False, *, passed: bool | None = None,
+                      notes: str = "", details: dict | None = None) -> BoundReport:
     tol = SPECTRAL_SLACK if spectral else 0
-    return BoundReport(
-        bound_name=name,
-        n=n,
-        bound_value=bound,
-        observed=observed,
-        satisfied=bool(observed <= bound + tol),
-        witness=witness,
-    )
+    return BoundReport(bound_name=name, n=n, bound_value=bound, observed=observed,
+                       satisfied=bool(observed <= bound + tol), witness=witness,
+                       passed=passed, notes=notes, details={} if details is None else details)
 
 
 def _check_n(n) -> None:
@@ -148,14 +144,11 @@ def _clique_spectral_bounds(graphs) -> list[BoundReport]:
     if 0 in edges:
         raise ValueError("clique spectral bound needs at least one edge")
     cliques = [balanced_clique_number(g) for g in graphs]
-    reports = []
-    for g, e, wb, w in zip(graphs, edges, cliques,
-                           _by_shape([g.adj for g in graphs], _eigh_values)):
-        bound = math.sqrt(2.0 * e * (wb - 1) / wb)
-        rep = make_bound_report("clique_spectral", g.n, bound, float(w[-1]), spectral=True)
-        rep.details = {"balanced_clique_number": wb, "edges": e}
-        reports.append(rep)
-    return reports
+    return [make_bound_report("clique_spectral", g.n, math.sqrt(2.0 * e * (wb - 1) / wb),
+                              float(w[-1]), spectral=True,
+                              details={"balanced_clique_number": wb, "edges": e})
+            for g, e, wb, w in zip(graphs, edges, cliques,
+                                   _by_shape([g.adj for g in graphs], _eigh_values))]
 
 
 def balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:

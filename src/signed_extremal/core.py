@@ -92,6 +92,7 @@ class SignedGraph:
         return [(int(u), int(v), int(self.adj[u, v])) for u, v in zip(iu, ju)]
 
     def neighbors(self, v: int) -> list[int]:
+        (v,) = _check_vertex_set(self.n, (v,))
         return [int(u) for u in np.nonzero(self.adj[v])[0]]
 
     def underlying(self) -> "SignedGraph":
@@ -306,7 +307,7 @@ def find_signed_triangles(g: SignedGraph, sign: int) -> list[Cycle]:
 
 def cycle_sign(g: SignedGraph, vertices) -> int:
     """Edge-sign product along the closed walk vertices[0] -> ... -> vertices[0]."""
-    vs = list(vertices)
+    vs = _check_vertex_set(g.n, vertices)
     if len(vs) < 3 or len(set(vs)) != len(vs):
         raise ValueError("cycle needs at least 3 distinct vertices")
     prod = 1
@@ -472,35 +473,31 @@ def _refine(adj: np.ndarray) -> np.ndarray:
     return colours
 
 
-@lru_cache(maxsize=None)
-def _permutation_table(k: int) -> np.ndarray:
-    """Every permutation of range(k), one per row, in itertools.permutations
-    order, as uint8; cached and read-only."""
-    table = np.empty((math.factorial(k), k), dtype=np.uint8)
-    if k:
-        # the rows with f first go on with range(k) less f, in permutation order
-        blocks = table.reshape(k, -1, k)
-        blocks[:, :, 0] = np.arange(k)[:, None]
-        blocks[:, :, 1:] = _permutation_table(k - 1)
-        table[:, 1:] += table[:, 1:] >= table[:, :1]
-    table.setflags(write=False)
-    return table
-
-
-# every composition of 9 vertices fits
+# the 255 compositions of 1..8 vertices fit, with the (0,) they start from
 @lru_cache(maxsize=256)
 def _candidate_orders(sizes: tuple[int, ...]) -> np.ndarray:
     """Every order of range(sum(sizes)) that keeps each run of consecutive
     positions, of the given sizes, in place; rows follow itertools.product
-    over the per-run permutations, the first run varying slowest. Cached by
-    sizes and read-only, in the smallest unsigned dtype that holds a position,
-    so arithmetic on positions must widen them first."""
-    orders = np.arange(sum(sizes), dtype=np.min_scalar_type(sum(sizes) - 1))[None]
-    for start, k in zip(itertools.accumulate(sizes, initial=0), sizes):
-        if k > 1:
-            orders = np.repeat(orders, math.factorial(k), axis=0)
-            run = orders.reshape(-1, math.factorial(k), len(orders[0]))[:, :, start:start + k]
-            np.add(_permutation_table(k), start, out=run, dtype=orders.dtype)
+    over the per-run permutations, the first run varying slowest, so a single
+    run (k,) gives itertools.permutations(range(k)). Cached by sizes and
+    read-only, in the smallest unsigned dtype that holds a position, so
+    arithmetic on positions must widen them first."""
+    dtype = np.min_scalar_type(max(sum(sizes) - 1, 0))
+    if len(sizes) == 1 and sizes[0]:
+        # the rows with f first go on with range(k) less f, in permutation order
+        k = sizes[0]
+        orders = np.empty((math.factorial(k), k), dtype=dtype)
+        blocks = orders.reshape(k, -1, k)
+        blocks[:, :, 0] = np.arange(k)[:, None]
+        blocks[:, :, 1:] = _candidate_orders((k - 1,))
+        orders[:, 1:] += orders[:, 1:] >= orders[:, :1]
+    else:
+        orders = np.arange(sum(sizes), dtype=dtype)[None]
+        for start, k in zip(itertools.accumulate(sizes, initial=0), sizes):
+            if k > 1:
+                orders = np.repeat(orders, math.factorial(k), axis=0)
+                run = orders.reshape(-1, math.factorial(k), len(orders[0]))[:, :, start:start + k]
+                np.add(_candidate_orders((k,)), start, out=run, dtype=orders.dtype)
     orders.setflags(write=False)
     return orders
 

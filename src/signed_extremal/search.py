@@ -130,7 +130,6 @@ __all__ = [
 
 OBJECTIVES = ("MAX_EDGES", "MAX_RHO", "MAX_NEG_EDGES_AT_MAX_EDGES")
 FORBIDDEN = ("C3_MINUS", "C3_PLUS", "NONE")
-THEOREMS = ("T1_1", "T1_2_EDGES", "T1_2_NEG", "T1_3", "L2_2", "L3_6_ORDER")
 
 _MIN_N, _MAX_N = 4, 8
 _EIG_BATCH = 8192
@@ -244,10 +243,9 @@ def _deletion_sets(adj: np.ndarray, comps: np.ndarray) -> np.ndarray:
 
 def _degree_bound(adj: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """floor[p] and low[p] for each parent P of a (G, m, m) bool stack with
-    comps = _cut_components(adj): the least degree of a non-cut vertex of P,
-    and the bitmask of the non-cut vertices of that degree (m and 0 when P,
-    a single vertex, has none). P + w passes the deletion test only if its
-    mask S has |S| <= floor[p], or |S| = floor[p] + 1 and S holds low[p]."""
+    comps = _cut_components(adj): delta and the non-cut vertices of degree
+    delta, as a bitmask, of the degree bound in the module docstring (m and 0
+    when P, a single vertex, has no non-cut vertex)."""
     m = adj.shape[1]
     # v is non-cut iff one component of P - v is all of P but v
     rest = ((1 << m) - 1) ^ (1 << np.arange(m))
@@ -297,12 +295,9 @@ def _orbit_masks(adj: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.nda
 def _canonical_children(n: int) -> list[int]:
     """Codes of the children of every (n-1)-vertex class that pass McKay's
     canonical deletion test, in generation order. Masks that the degree
-    bound rules out (_degree_bound) never reach the test, which would reject
-    them: a vertex u that is non-cut in P stays non-cut in G = P + w when
-    |S| >= 2, since w keeps a neighbour in S - {u}; deg_G(u) is deg_P(u) +
-    [u in S]; and any such u of degree below |S| = deg_G(w) outranks w for
-    M(G). The kept (parent, mask) pairs are a subsequence of the unpruned
-    ones, in the same order."""
+    bound of the module docstring rules out (_degree_bound) never reach the
+    test, which would reject them, so the kept (parent, mask) pairs are a
+    subsequence of the unpruned ones, in the same order."""
     m = n - 1
     parents = _codes_to_adj(_connected_class_bitmaps(m), m)
     owner, masks, comps = [], [], []
@@ -839,7 +834,7 @@ def _complete_signature_classes(n: int, forbidden: str) -> np.ndarray:
     return _signature_stack(table, system, patterns, np.int8)
 
 
-def _verify_t1_1(n: int) -> BoundReport:
+def _verify_t1_1(n: int, progress) -> BoundReport:
     outcomes = {}
     for forbidden, target in (
         ("C3_MINUS", build_complete(n, 1)),
@@ -848,23 +843,21 @@ def _verify_t1_1(n: int) -> BoundReport:
         classes = _complete_signature_classes(n, forbidden)
         outcomes[forbidden] = (len(classes) == 1
                                and switching_equivalent(SignedGraph._trusted(classes[0]), target))
-    rep = make_bound_report("t1_1", n, n * (n - 1) // 2, n * (n - 1) // 2,
-                            build_complete(n, 1))
-    rep.passed = all(outcomes.values())
-    rep.notes = "unique homogeneous switching class per forbidden triangle sign"
-    rep.details = outcomes
-    return rep
+    edges = n * (n - 1) // 2
+    return make_bound_report(
+        "t1_1", n, edges, edges, build_complete(n, 1), passed=all(outcomes.values()),
+        notes="unique homogeneous switching class per forbidden triangle sign", details=outcomes)
 
 
 def _verify_t1_2_edges(n: int, progress) -> BoundReport:
     found = search(SearchConfig(n=n, objective="MAX_EDGES"), progress=progress)
-    rep = make_bound_report("t1_2_edges", n, edge_bound(n), found.optimum, found.witnesses[0])
-    rep.passed = found.optimum == rep.bound_value and all(
-        m is not None and m.startswith("gst(") for m in found.matched_family)
-    rep.notes = (f"{len(found.witnesses)} maximizer classes: "
-                 + ", ".join(str(m) for m in found.matched_family))
-    rep.details = {"counts": found.counts, "matched_family": found.matched_family}
-    return rep
+    return make_bound_report(
+        "t1_2_edges", n, edge_bound(n), found.optimum, found.witnesses[0],
+        passed=found.optimum == edge_bound(n) and all(
+            m is not None and m.startswith("gst(") for m in found.matched_family),
+        notes=(f"{len(found.witnesses)} maximizer classes: "
+               + ", ".join(map(str, found.matched_family))),
+        details={"counts": found.counts, "matched_family": found.matched_family})
 
 
 def _verify_t1_2_neg(n: int, progress) -> BoundReport:
@@ -890,26 +883,23 @@ def _verify_t1_2_neg(n: int, progress) -> BoundReport:
         notes = "switchings of the construction family (n beyond enumeration)"
         details = {"splits": len(splits), "switchings": len(splits) << n,
                    "maximizers": len(maximizers)}
-    rep = make_bound_report("t1_2_neg", n, neg_edge_bound(n), observed, witness)
-    rep.passed = observed == rep.bound_value and structure_ok
-    rep.notes = notes
-    rep.details = details
-    return rep
+    return make_bound_report("t1_2_neg", n, neg_edge_bound(n), observed, witness,
+                             passed=observed == neg_edge_bound(n) and structure_ok,
+                             notes=notes, details=details)
 
 
 def _verify_t1_3(n: int, progress) -> BoundReport:
     found = search(SearchConfig(n=n, objective="MAX_RHO"), progress=progress)
-    rep = make_bound_report("t1_3", n, rho_bound(n), found.optimum, found.witnesses[0],
-                            spectral=True)
     # one family entry per witness, so a single match means a single witness
-    rep.passed = (abs(found.optimum - rep.bound_value) <= FORMULA_TOL
-                  and found.matched_family == [f"gst(1,{n - 3})"])
-    rep.notes = f"maximizers: {', '.join(str(m) for m in found.matched_family)}"
-    rep.details = {"counts": found.counts}
-    return rep
+    return make_bound_report(
+        "t1_3", n, rho_bound(n), found.optimum, found.witnesses[0], spectral=True,
+        passed=(abs(found.optimum - rho_bound(n)) <= FORMULA_TOL
+                and found.matched_family == [f"gst(1,{n - 3})"]),
+        notes=f"maximizers: {', '.join(map(str, found.matched_family))}",
+        details={"counts": found.counts})
 
 
-def _verify_l2_2(n: int) -> BoundReport:
+def _verify_l2_2(n: int, progress) -> BoundReport:
     reps = _complete_signature_classes(n, "C3_MINUS")
     best, winners = _neg_edge_maximizers(reps)
     # every winner is a signed K_n; balanced iff the spins that make its BFS
@@ -923,27 +913,37 @@ def _verify_l2_2(n: int) -> BoundReport:
         target = canonical_signed_code(build_kn_switched_maxneg(n))
         structure_ok = structure_ok and all(
             canonical_signed_code(SignedGraph._trusted(a)) == target for a in winners)
-    rep = make_bound_report("l2_2", n, (n // 2) * ((n + 1) // 2), best,
-                            SignedGraph._trusted(winners[0]))
-    rep.passed = best == rep.bound_value and structure_ok
-    rep.notes = (f"{len(reps)} negative-triangle-free switching classes, "
-                 f"{len(winners)} maximizers")
-    rep.details = {"classes": len(reps), "maximizers": len(winners)}
-    return rep
+    bound = (n // 2) * ((n + 1) // 2)
+    return make_bound_report(
+        "l2_2", n, bound, best, SignedGraph._trusted(winners[0]),
+        passed=best == bound and structure_ok,
+        notes=f"{len(reps)} negative-triangle-free switching classes, {len(winners)} maximizers",
+        details={"classes": len(reps), "maximizers": len(winners)})
 
 
-def _verify_l3_6_order(n: int) -> BoundReport:
+def _verify_l3_6_order(n: int, progress) -> BoundReport:
     lams = [
         eigenvalues(build_gst(s, n - 2 - s)).eigenvalues[0]
         for s in range(1, (n - 2) // 2 + 1)
     ]
-    rep = make_bound_report("l3_6_order", n, rho_bound(n), lams[0], build_gst(1, n - 3),
-                            spectral=True)
-    rep.passed = (all(a - b > 1e-6 for a, b in zip(lams, lams[1:]))
-                  and abs(lams[0] - rep.bound_value) <= FORMULA_TOL)
-    rep.notes = "descending top eigenvalues: " + ", ".join(f"{v:.12g}" for v in lams)
-    rep.details = {"top_eigenvalues": [float(v) for v in lams]}
-    return rep
+    return make_bound_report(
+        "l3_6_order", n, rho_bound(n), lams[0], build_gst(1, n - 3), spectral=True,
+        passed=(all(a - b > 1e-6 for a, b in zip(lams, lams[1:]))
+                and abs(lams[0] - rho_bound(n)) <= FORMULA_TOL),
+        notes="descending top eigenvalues: " + ", ".join(f"{v:.12g}" for v in lams),
+        details={"top_eigenvalues": [float(v) for v in lams]})
+
+
+# theorem: (least n, greatest n, verifier(n, progress)), in the order of THEOREMS
+_VERIFIERS = {
+    "T1_1": (3, _MAX_N, _verify_t1_1),
+    "T1_2_EDGES": (_MIN_N, _MAX_N, _verify_t1_2_edges),
+    "T1_2_NEG": (4, 16, _verify_t1_2_neg),
+    "T1_3": (_MIN_N, _MAX_N, _verify_t1_3),
+    "L2_2": (3, 12, _verify_l2_2),
+    "L3_6_ORDER": (5, 40, _verify_l3_6_order),
+}
+THEOREMS = tuple(_VERIFIERS)
 
 
 def verify_theorem(name: str, n: int, *, progress=None) -> BoundReport:
@@ -954,12 +954,7 @@ def verify_theorem(name: str, n: int, *, progress=None) -> BoundReport:
     if key not in THEOREMS:
         raise ValueError(f"unknown theorem {name!r}; known: {', '.join(THEOREMS)}")
     _check_n(n)
-    lo, hi = {"T1_1": (3, _MAX_N), "T1_2_EDGES": (_MIN_N, _MAX_N), "T1_2_NEG": (4, 16),
-              "T1_3": (_MIN_N, _MAX_N), "L2_2": (3, 12), "L3_6_ORDER": (5, 40)}[key]
+    lo, hi, verifier = _VERIFIERS[key]
     if not lo <= n <= hi:
         raise ValueError(f"{key} verification supports {lo} <= n <= {hi}")
-    enumerating = {"T1_2_EDGES": _verify_t1_2_edges, "T1_2_NEG": _verify_t1_2_neg,
-                   "T1_3": _verify_t1_3}
-    if key in enumerating:
-        return enumerating[key](n, progress)
-    return {"T1_1": _verify_t1_1, "L2_2": _verify_l2_2, "L3_6_ORDER": _verify_l3_6_order}[key](n)
+    return verifier(n, progress)

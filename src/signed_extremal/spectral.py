@@ -214,20 +214,37 @@ def quotient_spectrum_check(g: SignedGraph, partition) -> bool:
 # named constructions. Coefficients are exact integers, descending powers.
 # ---------------------------------------------------------------------------
 
-_FAMILIES = ("F_GST", "F1_S1", "F1_GEN", "F2_GEN", "F2_S2", "F3")
+# family: (the least value of each parameter it takes, the order of its
+# graph, its coefficients), both functions of those parameters
+_FAMILIES = {
+    "F_GST": ({"s": 1, "t": 1}, lambda s, t: s + t + 2,
+              lambda s, t: (1, 2 - s - t, -2 * s - 2 * t, 2 * s * t - 2, 3 * s * t + s + t - 1)),
+    "F1_S1": ({"n": 5}, lambda n: n,
+              lambda n: (1, 5 - n, 9 - 3 * n, n - 7, 3 * n - 11, 5 - n)),
+    "F1_GEN": ({"s": 2, "t": 2}, lambda s, t: s + t + 2,
+               lambda s, t: (1, 4 - s - t, 6 - 4 * s - 4 * t, 2 * s * t - 4 * s - 4 * t,
+                             3 * s * t + s + t - 7, 4 * s + 4 * t - 2 * s * t - 4, 3 - s - t)),
+    "F2_GEN": ({"s": 3, "t": 1}, lambda s, t: s + t + 2,
+               lambda s, t: (1, 4 - s - t, 6 - 4 * s - 4 * t, 2 - 4 * s - 4 * t + 2 * s * t,
+                             -5 + s - 3 * t + 3 * s * t, -4 + 2 * s + 4 * t - 2 * s * t, 0)),
+    "F2_S2": ({"n": 5}, lambda n: n, lambda n: (1, 5 - n, 9 - 3 * n, 3 * n - 15, 0, 0)),
+    "F3": ({"s": 1, "t": 1}, lambda s, t: s + t + 3,
+           lambda s, t: (1, 2 - s - t, -3 * s - 3 * t, 2 * s * t - s - t - 2,
+                         s * t + 2 * s + 2 * t - 1, s + t - 2 * s * t)),
+}
 
 
 @dataclass(frozen=True)
 class CharPolyId:
-    """Selector for one of the closed-form polynomial families.
+    """Selector for one of the closed-form polynomial families (_FAMILIES).
 
-    F_GST(s,t): quotient of the clique-plus-two-apexes signed family, s,t >= 1.
+    F_GST(s,t): quotient of the clique-plus-two-apexes signed family.
     F1_S1(n):   quotient of that family's underlying graph minus one cross
-                clique edge at split (1, n-3), n >= 5.
+                clique edge at split (1, n-3).
     F1_GEN(s,t): same with both split sides >= 2.
     F2_GEN(s,t): underlying graph minus an edge inside the s-side, s >= 3.
     F2_S2(n):    the s = 2 case of the above.
-    F3(s,t):     one extra vertex joined to the whole clique, s,t >= 1.
+    F3(s,t):     one extra vertex joined to the whole clique.
     """
 
     family: str
@@ -243,70 +260,23 @@ class CharPolyId:
                 raise ValueError(f"{name} must be an int, got {value!r}")
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown polynomial family {self.family!r}")
-        if self.family in ("F_GST", "F1_GEN", "F2_GEN", "F3"):
-            if self.s is None or self.t is None:
-                raise ValueError(f"{self.family} needs parameters s and t")
-            s, t = self.s, self.t
-            if self.family == "F_GST" and not (s >= 1 and t >= 1):
-                raise ValueError("F_GST needs s,t >= 1")
-            if self.family == "F1_GEN" and not (s >= 2 and t >= 2):
-                raise ValueError("F1_GEN needs s,t >= 2")
-            if self.family == "F2_GEN" and not (s >= 3 and t >= 1):
-                raise ValueError("F2_GEN needs s >= 3 and t >= 1")
-            if self.family == "F3" and not (s >= 1 and t >= 1):
-                raise ValueError("F3 needs s,t >= 1")
-        else:
-            if self.n is None:
-                raise ValueError(f"{self.family} needs parameter n")
-            if self.n < 5:
-                raise ValueError(f"{self.family} needs n >= 5")
+        least = _FAMILIES[self.family][0]
+        if {k for k in ("s", "t", "n") if getattr(self, k) is not None} != set(least):
+            raise ValueError(f"{self.family} takes exactly the parameters {', '.join(least)}")
+        for name, lo in least.items():
+            if getattr(self, name) < lo:
+                raise ValueError(f"{self.family} needs {name} >= {lo}")
+
+    def _params(self) -> dict[str, int]:
+        return {name: getattr(self, name) for name in _FAMILIES[self.family][0]}
 
     def coefficients(self) -> tuple[int, ...]:
-        s, t, n = self.s, self.t, self.n
-        if self.family == "F_GST":
-            return (1, 2 - s - t, -2 * s - 2 * t, 2 * s * t - 2, 3 * s * t + s + t - 1)
-        if self.family == "F1_S1":
-            return (1, 5 - n, 9 - 3 * n, n - 7, 3 * n - 11, 5 - n)
-        if self.family == "F1_GEN":
-            return (
-                1,
-                4 - s - t,
-                6 - 4 * s - 4 * t,
-                2 * s * t - 4 * s - 4 * t,
-                3 * s * t + s + t - 7,
-                4 * s + 4 * t - 2 * s * t - 4,
-                3 - s - t,
-            )
-        if self.family == "F2_GEN":
-            return (
-                1,
-                4 - s - t,
-                6 - 4 * s - 4 * t,
-                2 - 4 * s - 4 * t + 2 * s * t,
-                -5 + s - 3 * t + 3 * s * t,
-                -4 + 2 * s + 4 * t - 2 * s * t,
-                0,
-            )
-        if self.family == "F2_S2":
-            return (1, 5 - n, 9 - 3 * n, 3 * n - 15, 0, 0)
-        # F3
-        return (
-            1,
-            2 - s - t,
-            -3 * s - 3 * t,
-            2 * s * t - s - t - 2,
-            s * t + 2 * s + 2 * t - 1,
-            s + t - 2 * s * t,
-        )
+        return _FAMILIES[self.family][2](**self._params())
 
     @property
     def matrix_order(self) -> int:
         """Order of the graph the polynomial's quotient matrix comes from."""
-        if self.family in ("F1_S1", "F2_S2"):
-            return self.n
-        if self.family == "F3":
-            return self.s + self.t + 3
-        return self.s + self.t + 2
+        return _FAMILIES[self.family][1](**self._params())
 
 
 def char_poly_eval(poly_id: CharPolyId, x: float) -> float:

@@ -557,9 +557,8 @@ def per_graph_clique_spectral_bound(g: SignedGraph) -> BoundReport:
     wb = balanced_clique_number(g)
     bound = math.sqrt(2.0 * e * (wb - 1) / wb)
     lam1 = eigenvalues(g).eigenvalues[0]
-    rep = make_bound_report("clique_spectral", g.n, bound, lam1, spectral=True)
-    rep.details = {"balanced_clique_number": wb, "edges": e}
-    return rep
+    return make_bound_report("clique_spectral", g.n, bound, lam1, spectral=True,
+                             details={"balanced_clique_number": wb, "edges": e})
 
 
 def per_graph_balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:

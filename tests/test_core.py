@@ -16,7 +16,6 @@ from signed_extremal.core import (
     _candidate_orders,
     _count_weights,
     _dense_ranks,
-    _permutation_table,
     _refine,
     _triu_cells,
     canonical_form,
@@ -178,6 +177,15 @@ class TestConstruction:
         g = SignedGraph(raw)
         raw[0, 1] = raw[1, 0] = 0
         assert g.adj.tolist() == [[0, 1], [1, 0]]
+
+    @pytest.mark.parametrize("v, msg", [(-1, "outside the graph"), (5, "outside the graph"),
+                                        (True, "not an integer"), (2.0, "not an integer")])
+    def test_neighbors_rejects_a_non_vertex(self, v, msg):
+        # -1 once read as vertex 4 and True as a row mask, giving 14 zeros
+        g = build_gst(1, 2)
+        with pytest.raises(ValueError, match=msg):
+            g.neighbors(v)
+        assert g.neighbors(np.int64(4)) == g.neighbors(4) == [1, 2, 3]
 
 
 class TestSwitching:
@@ -492,6 +500,16 @@ class TestTriangles:
             for c in pos + neg:
                 assert cycle_sign(g, c.vertices) == c.sign
 
+    @pytest.mark.parametrize("vertices, msg", [
+        ([-1, 1, 3], "outside the graph"),  # once read as vertex 4, giving +1
+        ([0, 1, 9], "outside the graph"),
+        ([True, 3, 4], "not an integer"),
+        ([0, 2.0, 3], "not an integer"),
+    ])
+    def test_cycle_sign_rejects_entries_that_are_not_vertices(self, vertices, msg):
+        with pytest.raises(ValueError, match=msg):
+            cycle_sign(build_gst(1, 2), vertices)
+
 
 class TestShortestUnbalancedCycle:
     def test_balanced_returns_none(self):
@@ -755,10 +773,10 @@ class TestCanonicalForms:
         assert template.tolist() == [
             [*a, 2, *(3 + x for x in b)] for a, b in itertools.product(
                 itertools.permutations(range(2)), itertools.permutations(range(3)))]
-        # each table is built from the one below it
+        # a single run is every permutation, each table built from the one below it
         for k in range(9):
-            table = _permutation_table(k)
-            assert table is _permutation_table(k)
+            table = _candidate_orders((k,))
+            assert table is _candidate_orders((k,))
             assert not table.flags.writeable
             assert table.dtype == np.uint8 and table.shape == (math.factorial(k), k)
             assert table.tolist() == [list(p) for p in itertools.permutations(range(k))]

@@ -5,7 +5,8 @@ a fresh interpreter, so a change that deletes or renames a traced function, or
 routes the one-graph path (SignedGraph, eigenvalues, run_suite) around it,
 fails here, not first in a benchmark run. The tracer counts a signed code's
 orders in a hook on core.canonical_form, so both that function and its
-calls from canonical_signed_code must stay. It only reads perfbench/.
+calls from canonical_signed_code must stay, and it times verify_theorem, the
+one dispatch of every theorem verifier. It only reads perfbench/.
 """
 
 import subprocess
@@ -28,7 +29,8 @@ se.run_suite("edge-addition", 0, 20)
 metrics = tracer.layer_metrics(0.0)
 for name in ("core.canonical_form.calls", "core.canonical_signed_code.calls",
              "core.canonical_signed_code.orders", "core.SignedGraph.inits",
-             "spectral.eigenvalues.calls", "properties.instances"):
+             "search.verify_theorem.self_s", "spectral.eigenvalues.calls",
+             "properties.instances"):
     if not metrics[name]:
         sys.exit(f"{name} is zero")
 """

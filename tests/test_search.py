@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -1005,6 +1006,13 @@ class TestVerifyTheorem:
         assert len(lams) == 4 and lams[0] == rep.observed
         assert rep.notes == "descending top eigenvalues: " + ", ".join(
             f"{v:.12g}" for v in lams)
+
+    @pytest.mark.parametrize("name", THEOREMS)
+    def test_each_verifier_builds_its_report_whole_at_its_least_order(self, name):
+        rep = verify_theorem(name, SEARCH._VERIFIERS[name][0])
+        assert rep.details and rep.notes and rep.passed is not None
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rep.passed = not rep.passed
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown theorem"):

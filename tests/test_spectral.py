@@ -292,6 +292,10 @@ class TestCharPoly:
             dict(family="F3", s=0, t=1),
             dict(family="F_GST"),
             dict(family="NOPE", s=1, t=1),
+            # a parameter the family does not take; n was once ignored
+            dict(family="F_GST", s=1, t=2, n=99),
+            dict(family="F1_S1", n=7, s=1),
+            dict(family="F3", s=1, t=1, n=5),
         ],
     )
     def test_invalid_parameters(self, kwargs):
