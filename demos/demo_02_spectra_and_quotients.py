@@ -45,7 +45,8 @@ print("quotient eigenvalues:", [round(v, 9) for v in qm.eigenvalues()])
 print("they embed in the full spectrum:", se.quotient_spectrum_check(g, partition))
 
 # The quotient's characteristic polynomial is known in closed form; its
-# largest root, found by bisection, matches the dense eigensolver.
+# largest root, isolated in exact integer arithmetic and rounded to the
+# nearest float, matches the dense eigensolver.
 pid = CharPolyId("F_GST", s=1, t=4)
 root = largest_root(pid)
 print("\nlargest polynomial root:", root)

@@ -32,12 +32,7 @@ from .search import (
     search,
     verify_theorem,
 )
-from .spectral import (
-    BracketError,
-    SpectralError,
-    eigenvalues,
-    spectrum_to_json,
-)
+from .spectral import eigenvalues, spectrum_to_json
 
 __all__ = ["run", "main"]
 
@@ -263,7 +258,7 @@ def run(argv, out=None) -> int:
     except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (SpectralError, BracketError, RuntimeError) as exc:
+    except RuntimeError as exc:  # SpectralError and BracketError among them
         print(f"internal numeric failure: {exc}", file=sys.stderr)
         return 3
 

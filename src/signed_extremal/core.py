@@ -126,7 +126,7 @@ def new_signed_graph(n: int, edges) -> SignedGraph:
     Rejects loops, endpoints that are not vertices, duplicate edges, and signs
     outside {-1, +1}; counts, vertices and signs are ints, never bools.
     """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"vertex count must be a positive integer, got {n!r}")
     adj = np.zeros((n, n), dtype=np.int8)
     seen = set()
@@ -134,7 +134,7 @@ def new_signed_graph(n: int, edges) -> SignedGraph:
         u, v = _check_vertex_set(n, (u, v))
         if u == v:
             raise ValueError(f"edge ({u},{v}): loops are not allowed")
-        if isinstance(s, bool) or not isinstance(s, (int, np.integer)) or s not in (-1, 1):
+        if not _is_int(s) or s not in (-1, 1):
             raise ValueError(f"edge ({u},{v}): sign must be -1 or +1, got {s!r}")
         key = (min(u, v), max(u, v))
         if key in seen:
@@ -152,14 +152,19 @@ def permute(g: SignedGraph, order) -> SignedGraph:
     return SignedGraph._trusted(g.adj[np.ix_(idx, idx)])
 
 
+def _is_int(v) -> bool:
+    """An int or numpy integer, never a bool (bool is a subclass of int;
+    numpy bools are not numpy integers)."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
 def _check_vertex_set(n: int, vertices) -> list[int]:
     """The entries of vertices as ints, in order; ValueError for an entry that
     is not an int or numpy integer (bool included) or not a vertex of a graph
     on n vertices."""
     out = []
     for v in vertices:
-        # bool is a subclass of int; numpy bools are not numpy integers
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+        if not _is_int(v):
             raise ValueError(f"vertex {v!r} is not an integer")
         if not 0 <= v < n:
             raise ValueError(f"vertex {v} is outside the graph 0..{n - 1}")

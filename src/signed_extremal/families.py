@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import SignedGraph, switch
+from .core import SignedGraph, _is_int, switch
 
 __all__ = [
     "build_gst",
@@ -27,11 +27,18 @@ __all__ = [
 ]
 
 
+def _need(who: str, least: int, **values) -> None:
+    """ValueError unless every value is an integer >= least: an int or numpy
+    integer, never a bool, as new_signed_graph requires of n."""
+    for name, v in values.items():
+        if not _is_int(v) or v < least:
+            raise ValueError(f"{who} needs integer {name} >= {least}, got {v!r}")
+
+
 def build_gst(s: int, t: int) -> SignedGraph:
     """Positive clique on s+t vertices, apex u joined to s of them, apex v to the
     other t, plus the single negative edge uv. Order n = s+t+2."""
-    if s < 1 or t < 1:
-        raise ValueError("build_gst needs s,t >= 1")
+    _need("build_gst", 1, s=s, t=t)
     n = s + t + 2
     adj = np.zeros((n, n), dtype=np.int8)
     adj[2:, 2:] = 1
@@ -46,8 +53,7 @@ def build_gst(s: int, t: int) -> SignedGraph:
 
 def gst_partition(s: int, t: int) -> list[list[int]]:
     """The 4-block equitable partition {u}, {v}, u-side, v-side."""
-    if s < 1 or t < 1:
-        raise ValueError("build_gst needs s,t >= 1")
+    _need("build_gst", 1, s=s, t=t)
     n = s + t + 2
     return [[0], [1], list(range(2, s + 2)), list(range(s + 2, n))]
 
@@ -55,8 +61,7 @@ def gst_partition(s: int, t: int) -> list[list[int]]:
 def build_gst_maxneg(n: int) -> SignedGraph:
     """The balanced-split family switched at v and the whole u-side, which
     maximizes the negative edge count within the family's switching class."""
-    if n < 4:
-        raise ValueError("build_gst_maxneg needs n >= 4")
+    _need("build_gst_maxneg", 4, n=n)
     s = (n - 2) // 2
     t = (n - 1) // 2
     u_set = [1] + list(range(2, s + 2))
@@ -67,10 +72,8 @@ def _check_h(family: str, s: int, t: int) -> None:
     """ValueError unless build_h builds `family` with these s and t."""
     if family not in ("H1", "H2", "H3"):
         raise ValueError(f"unknown family {family!r}, expected H1, H2 or H3")
-    if family == "H2" and (s < 2 or t < 1):
-        raise ValueError("H2 needs s >= 2 and t >= 1")
-    if s < 1 or t < 1:
-        raise ValueError(f"{family} needs s,t >= 1")
+    _need(family, 2 if family == "H2" else 1, s=s)
+    _need(family, 1, t=t)
 
 
 def build_h(family: str, s: int, t: int) -> SignedGraph:
@@ -113,9 +116,8 @@ def h_partition(family: str, s: int, t: int) -> list[list[int]]:
 
 def build_complete(n: int, sign: int) -> SignedGraph:
     """The homogeneous complete signed graph (K_n, +) or (K_n, -)."""
-    if n < 1:
-        raise ValueError("build_complete needs n >= 1")
-    if sign not in (-1, 1):
+    _need("build_complete", 1, n=n)
+    if not _is_int(sign) or sign not in (-1, 1):
         raise ValueError("sign must be -1 or +1")
     adj = np.full((n, n), sign, dtype=np.int8)
     np.fill_diagonal(adj, 0)
@@ -125,8 +127,7 @@ def build_complete(n: int, sign: int) -> SignedGraph:
 def build_kn_switched_maxneg(n: int) -> SignedGraph:
     """(K_n, +) switched at the first floor(n/2) vertices: the balanced complete
     signed graph with the most negative edges."""
-    if n < 2:
-        raise ValueError("build_kn_switched_maxneg needs n >= 2")
+    _need("build_kn_switched_maxneg", 2, n=n)
     return switch(build_complete(n, 1), range(n // 2))
 
 

@@ -31,38 +31,33 @@ def parse_graph(text: str) -> SignedGraph:
         n, m = int(head[0]), int(head[1])
     except ValueError:
         _fail(1, f"header must be two integers, got {lines[0]!r}")
-    if n < 1:
-        _fail(1, f"vertex count must be positive, got {n}")
     if m < 0:
         _fail(1, f"edge count must be nonnegative, got {m}")
-    edges = []
-    seen = set()
-    lineno = 1
-    for raw in lines[1:]:
-        lineno += 1
-        if not raw.strip():
-            continue
-        parts = raw.split()
-        if len(parts) != 3:
-            _fail(lineno, f"edge line must be 'u v s', got {raw!r}")
-        try:
-            u, v, s = int(parts[0]), int(parts[1]), int(parts[2])
-        except ValueError:
-            _fail(lineno, f"edge line must be three integers, got {raw!r}")
-        if s not in (-1, 1):
-            _fail(lineno, f"sign must be +1 or -1, got {parts[2]}")
-        if not (0 <= u < n and 0 <= v < n):
-            _fail(lineno, f"vertex out of range 0..{n - 1}")
-        if u == v:
-            _fail(lineno, "loops are not allowed")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            _fail(lineno, f"duplicate edge ({u},{v})")
-        seen.add(key)
-        edges.append((u, v, s))
-    if len(edges) != m:
-        _fail(lineno, f"header announced {m} edges, found {len(edges)}")
-    return new_signed_graph(n, edges)
+    lineno = 1  # the last line read
+
+    def edges():
+        nonlocal lineno
+        for lineno, raw in enumerate(lines[1:], 2):
+            parts = raw.split()
+            if not parts:
+                continue
+            if len(parts) != 3:
+                _fail(lineno, f"edge line must be 'u v s', got {raw!r}")
+            try:
+                edge = tuple(map(int, parts))
+            except ValueError:
+                _fail(lineno, f"edge line must be three integers, got {raw!r}")
+            yield edge
+
+    try:
+        g = new_signed_graph(n, edges())
+    except GraphFormatError:
+        raise
+    except ValueError as exc:  # the vertex count and the edge rules
+        _fail(lineno, str(exc))
+    if g.edge_count != m:
+        _fail(lineno, f"header announced {m} edges, found {g.edge_count}")
+    return g
 
 
 def format_graph(g: SignedGraph) -> str:

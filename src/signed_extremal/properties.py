@@ -27,15 +27,6 @@ from .spectral import FORMULA_TOL, _by_shape, _interlacing_checks, _stacked_spec
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all_suites",
            "random_connected_signed_graph"]
 
-SUITE_NAMES = (
-    "switching-invariance",
-    "negation-symmetry",
-    "interlacing",
-    "balanced-spanning",
-    "clique-bound",
-    "edge-addition",
-)
-
 
 @dataclass
 class SuiteResult:
@@ -252,7 +243,8 @@ def _judge_edge_addition(cases) -> list[str | None]:
             for (g, _, (u, v)), w in zip(cases, _paired_spectra(cases))]
 
 
-# (draw, judge) of each suite
+# (draw, judge) of each suite; the order fixes each suite's index in
+# SUITE_NAMES, which seeds its stream
 _CHECKS = {
     "switching-invariance": (_draw_switching_invariance, _judge_switching_invariance),
     "negation-symmetry": (_draw_negation_symmetry, _judge_negation_symmetry),
@@ -261,6 +253,7 @@ _CHECKS = {
     "clique-bound": (random_connected_signed_graph, _judge_clique_bound),
     "edge-addition": (_draw_edge_addition, _judge_edge_addition),
 }
+SUITE_NAMES = tuple(_CHECKS)
 # instances drawn before they are judged together; larger blocks hold more
 # graphs at once for little further gain
 _SUITE_BLOCK = 256

@@ -58,7 +58,7 @@ class NotEquitableError(ValueError):
 
 
 class BracketError(RuntimeError):
-    """No sign change found when bracketing a polynomial root."""
+    """A closed-form polynomial has no root in (0, n], n its graph's order."""
 
 
 @dataclass(frozen=True)
@@ -280,14 +280,24 @@ class CharPolyId:
 
 
 def char_poly_eval(poly_id: CharPolyId, x: float) -> float:
-    """Exact-integer-coefficient polynomial evaluated at x by Horner's rule."""
-    return _poly_eval(poly_id.coefficients(), x)
+    """The polynomial at the float x, evaluated exactly at x's rational value
+    and rounded once; ValueError for an x that is not finite, OverflowError
+    for a value past the float range."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"x must be finite, got {x!r}")
+    a, b = x.as_integer_ratio()
+    coeffs = poly_id.coefficients()
+    return _scaled_value(coeffs, a, b) / b ** (len(coeffs) - 1)
 
 
-def _poly_eval(coeffs, x: float) -> float:
-    acc = 0.0
+def _scaled_value(coeffs, a: int, b: int) -> int:
+    """b^d p(a/b) for the integer polynomial p of degree d with coefficients
+    coeffs (descending), by Horner's rule on integers: exact."""
+    acc, bk = 0, 1
     for c in coeffs:
-        acc = acc * x + c
+        acc = acc * a + c * bk
+        bk *= b
     return acc
 
 
@@ -296,59 +306,38 @@ def _poly_derivative(coeffs):
     return tuple((deg - i) * c for i, c in enumerate(coeffs[:-1]))
 
 
-def _bisect_root(coeffs, lo, hi):
-    flo = _poly_eval(coeffs, lo)
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if (_poly_eval(coeffs, mid) < 0) == (flo < 0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _roots_in_interval(coeffs, lo, hi):
-    """Real roots in (lo, hi], ascending: bisection on the monotone segments
-    cut out by the derivative's roots. Even-multiplicity roots show up as
-    critical points where the polynomial vanishes."""
-    if len(coeffs) <= 1:
-        return []
-    if len(coeffs) == 2:
-        r = -coeffs[1] / coeffs[0]
-        return [r] if lo < r <= hi else []
-    deg = len(coeffs) - 1
-    breaks = _roots_in_interval(_poly_derivative(coeffs), lo, hi)
-    points = [lo] + [b for b in breaks if lo < b < hi] + [hi]
-    roots: list[float] = []
-
-    def accept(r):
-        if not roots or r - roots[-1] > 1e-9:
-            roots.append(r)
-
-    for a, b in zip(points, points[1:]):
-        fa, fb = _poly_eval(coeffs, a), _poly_eval(coeffs, b)
-        zb = 1e-9 * max(1.0, abs(b)) ** deg
-        za = 1e-9 * max(1.0, abs(a)) ** deg
-        if abs(fb) <= zb:
-            accept(b)
-        elif abs(fa) > za and (fa < 0) != (fb < 0):
-            accept(_bisect_root(coeffs, a, b))
-    return roots
+def _roots_above(fourier, a: int, b: int) -> int:
+    """Roots above a/b (b > 0), with multiplicity, of a real-rooted polynomial
+    whose derivatives p, p', ..., p^(d) are fourier: the sign changes of their
+    values there, zeros dropped (Budan-Fourier, exact when every root is real)."""
+    signs = [v > 0 for v in (_scaled_value(c, a, b) for c in fourier) if v]
+    return sum(u != v for u, v in zip(signs, signs[1:]))
 
 
 def largest_root(poly_id: CharPolyId) -> float:
-    """Largest real root in (0, n], by sign-bracketed bisection to a 1e-12 bracket.
+    """The float nearest the largest root in (0, n], n the graph's order.
 
-    n is the order of the underlying graph, which bounds every eigenvalue.
-    The bisection runs on the monotone segments between critical points, so
-    even-multiplicity roots (critical points where the value vanishes) are
-    found as well.
+    Every family is the characteristic polynomial of an equitable quotient
+    matrix Q, and D^(1/2) Q D^(-1/2) (D the block sizes) is symmetric, so
+    every root is real and Budan-Fourier counts the roots above any rational
+    exactly. The root is bisected over dyadic rationals lo/2^k < r <= hi/2^k
+    until both ends round to the same float; BracketError if the polynomial
+    has no root in (0, n].
     """
-    hi = float(poly_id.matrix_order)
-    roots = _roots_in_interval(poly_id.coefficients(), 0.0, hi)
-    if not roots:
-        raise BracketError(f"{poly_id}: no real root found in (0, {hi}]")
-    return roots[-1]
+    fourier = [poly_id.coefficients()]
+    while len(fourier[-1]) > 1:
+        fourier.append(_poly_derivative(fourier[-1]))
+    lo, hi, scale = 0, poly_id.matrix_order, 1
+    if not _roots_above(fourier, lo, scale):
+        raise BracketError(f"{poly_id}: no real root in (0, {hi}]")
+    while lo / scale != hi / scale:
+        lo, hi, scale = 2 * lo, 2 * hi, 2 * scale
+        mid = (lo + hi) // 2
+        if _roots_above(fourier, mid, scale):
+            lo = mid
+        else:
+            hi = mid
+    return lo / scale
 
 
 def interlacing_check(g: SignedGraph, kept) -> bool:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -210,3 +211,25 @@ class TestDispatcher:
         assert FAMILY_NAMES == tuple(expected)
         for name, (params, g) in expected.items():
             assert build_family(name, **params) == g
+
+
+# each builder and partition helper, with arguments it accepts
+BUILDER_CALLS = {
+    "build_gst": (build_gst, (2, 3)),
+    "gst_partition": (gst_partition, (2, 3)),
+    "build_gst_maxneg": (build_gst_maxneg, (6,)),
+    "build_complete": (build_complete, (3, 1)),
+    "build_kn_switched_maxneg": (build_kn_switched_maxneg, (4,)),
+    **{f"{f.__name__}-{fam}": (partial(f, fam), (3, 3))
+       for f in (build_h, h_partition) for fam in ("H1", "H2", "H3")},
+}
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, 2.0], ids=repr)
+@pytest.mark.parametrize("build, args", BUILDER_CALLS.values(), ids=list(BUILDER_CALLS))
+def test_non_integer_parameters_rejected(build, args, bad):
+    # bool is a subclass of int, and 2.0 == 2: neither may pass as a count or sign
+    build(*args)
+    for i in range(len(args)):
+        with pytest.raises(ValueError, match="integer|sign must be"):
+            build(*args[:i], bad, *args[i + 1:])

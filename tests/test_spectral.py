@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -282,6 +283,36 @@ class TestCharPoly:
                 rhs = -(n - s - 3) * x * (2 * x - 1) * ((s - 1) * x + 2 * s - 4)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
+    @pytest.mark.parametrize("pid", [CharPolyId("F_GST", s=3, t=4), CharPolyId("F1_S1", n=9),
+                                     CharPolyId("F1_GEN", s=2, t=5), CharPolyId("F2_GEN", s=4, t=3),
+                                     CharPolyId("F2_S2", n=8), CharPolyId("F3", s=2, t=6)], ids=str)
+    def test_eval_is_exact_then_rounded_once(self, pid):
+        coeffs = pid.coefficients()
+
+        def exact(x):
+            return sum(c * Fraction(x) ** (len(coeffs) - 1 - i) for i, c in enumerate(coeffs))
+
+        for x in range(-30, 31):
+            assert char_poly_eval(pid, x) == exact(x)
+            assert char_poly_eval(pid, float(x)) == exact(x)
+        rng = np.random.default_rng(28)
+        # near the roots, where float Horner loses most of its digits
+        roots = [r.real for r in np.roots(coeffs) if abs(r.imag) < 1e-9]
+        xs = np.concatenate([rng.uniform(-pid.matrix_order, pid.matrix_order, 200),
+                             np.repeat(roots, 20) + rng.normal(0, 1e-9, 20 * len(roots))])
+        for x in xs:
+            assert char_poly_eval(pid, x) == float(exact(x)), x
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_eval_rejects_non_finite_x(self, x):
+        with pytest.raises(ValueError, match="finite"):
+            char_poly_eval(CharPolyId("F_GST", s=1, t=2), x)
+
+    def test_eval_past_float_range_overflows(self):
+        # the exact value rounds to no float: loud, not inf
+        with pytest.raises(OverflowError):
+            char_poly_eval(CharPolyId("F_GST", s=1, t=2), 1e300)
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -321,26 +352,46 @@ class TestLargestRoot:
             assert r == pytest.approx(rho_bound(n), abs=1e-9)
 
     def test_n4_gives_sqrt2(self):
-        assert largest_root(CharPolyId("F_GST", s=1, t=1)) == pytest.approx(
-            math.sqrt(2), abs=1e-9
-        )
+        # a double root (F_GST(1, 1) is (x^2 - 2)^2), found to the last bit
+        assert largest_root(CharPolyId("F_GST", s=1, t=1)) == math.sqrt(2)
+
+    def test_q_n_changes_sign_between_neighbouring_floats(self):
+        # rho* is the largest root of q_n = x^2 - (n-4)x - (2n-6), a factor of
+        # F_GST(1, n-3); the float returned is the one nearest it, so q_n
+        # changes sign between the floats on either side of it
+        for n in range(5, 400):
+            r = largest_root(CharPolyId("F_GST", s=1, t=n - 3))
+            below, above = (Fraction(math.nextafter(r, d)) for d in (-math.inf, math.inf))
+            assert below * below - (n - 4) * below - (2 * n - 6) < 0, n
+            assert above * above - (n - 4) * above - (2 * n - 6) > 0, n
 
     def test_quintic_matches_eigensolver(self):
         lam = eigenvalues(build_h("H1", 1, 4)).eigenvalues[0]
         assert largest_root(CharPolyId("F1_S1", n=7)) == pytest.approx(lam, abs=1e-9)
 
     def test_all_families_match_quotient_top_eigenvalue(self):
-        cases = [
-            (CharPolyId("F_GST", s=3, t=4), build_gst(3, 4)),
-            (CharPolyId("F1_GEN", s=2, t=5), build_h("H1", 2, 5)),
-            (CharPolyId("F2_GEN", s=5, t=2), build_h("H2", 5, 2)),
-            (CharPolyId("F2_S2", n=8), build_h("H2", 2, 4)),
-            (CharPolyId("F3", s=3, t=3), build_h("H3", 3, 3)),
-        ]
-        for pid, g in cases:
-            assert largest_root(pid) == pytest.approx(
-                eigenvalues(g).eigenvalues[0], abs=1e-9
-            )
+        # each family's polynomial is the characteristic polynomial of its
+        # quotient matrix, whose symmetrized eigenvalues are all real: the
+        # premise under largest_root's exact root count
+        cases = []
+        for s in range(1, 13):
+            for t in range(1, 13):
+                cases.append((CharPolyId("F_GST", s=s, t=t), build_gst(s, t), gst_partition(s, t)))
+                for fam, family, least in (("H1", "F1_GEN", 2), ("H2", "F2_GEN", 3), ("H3", "F3", 1)):
+                    if s >= least and t >= (2 if fam == "H1" else 1):
+                        cases.append((CharPolyId(family, s=s, t=t), build_h(fam, s, t),
+                                      h_partition(fam, s, t)))
+        for n in range(5, 41):
+            cases.append((CharPolyId("F1_S1", n=n), build_h("H1", 1, n - 3),
+                          h_partition("H1", 1, n - 3)))
+            cases.append((CharPolyId("F2_S2", n=n), build_h("H2", 2, n - 4),
+                          h_partition("H2", 2, n - 4)))
+        assert len({pid.family for pid, _, _ in cases}) == 6
+        for pid, g, partition in cases:
+            qm = quotient_matrix(g, partition)
+            assert g.n == pid.matrix_order, pid
+            assert tuple(np.rint(np.poly(qm.as_array())).astype(int)) == pid.coefficients(), pid
+            assert largest_root(pid) == pytest.approx(qm.eigenvalues()[0], abs=1e-12), pid
 
 
 class TestInterlacing:
