@@ -45,16 +45,21 @@ triangle are the solutions of an affine system over GF(2). They are found by
 elimination, never by scanning all 2^k patterns (switching classes are fixed
 by their cycle signs: Zaslavsky, "Signed graphs", 1982).
 
-The class table (adjacency, edge count, non-tree cells and triangle masks of
-every class) is built once per n, on the first search at that n, a block of
-classes at a time, spanning trees included (core._bfs_trees), and the
-triangle systems of all classes are solved together once per (n, forbidden
-triangle); later searches only read them. Feasible counts follow from the
-rank of each system. MAX_RHO eigensolves the classes densest first, one edge
-count at a time, in eigvalsh calls of up to _EIG_BATCH matrices, and stops at
-the first edge count m whose bound (sqrt(1 + 8m) - 1) / 2 on the spectral
+No table of every class is kept. Once per (n, forbidden triangle), on the
+first search that needs it, the table rows of the classes (adjacency, edge
+count, non-tree cells and triangle masks, spanning trees from
+core._bfs_trees) are built a block of classes at a time and their triangle
+systems eliminated; only a summary of four bytes per class is kept (edge
+count, the dimension of the solution space, whether the system is consistent
+and whether pattern 0 solves it), and the block is dropped before the next
+one is built. Feasible counts follow from the summary alone. A scan takes the
+classes with feasible signatures densest first, one edge count at a time, and
+rebuilds and fully solves the rows of only the counts it reaches: MAX_EDGES
+the densest, MAX_RHO, in eigvalsh calls of up to _EIG_BATCH matrices, every
+count up to the first whose bound (sqrt(1 + 8m) - 1) / 2 on the spectral
 radius of every signature (Perron-Frobenius and Stanley, 1987) is out of
-reach of the best value found: the T1_3 scan at n = 8 solves 51 of its
+reach of the best value found, decided in integers: the T1_3 scan at
+n = 8 rebuilds 43 of its 7,143 feasible classes and solves 51 of their
 24,841 feasible signatures.
 
 Every signed graph this module builds comes from a table row (_table_block)
@@ -133,8 +138,8 @@ FORBIDDEN = ("C3_MINUS", "C3_PLUS", "NONE")
 
 _MIN_N, _MAX_N = 4, 8
 _EIG_BATCH = 8192
-# classes per block while the class table and its spans are built, which
-# bounds their transient arrays
+# classes (or parents, or children) per block while a level is enumerated or
+# a class summary is built, which bounds their transient arrays
 _TABLE_BLOCK = 1024
 _SWITCH_MAX_ORDER = 20  # 2^20 switchings, 12 bytes each while counted
 
@@ -374,12 +379,12 @@ def enumerate_signatures(g: SignedGraph):
 
 
 # ---------------------------------------------------------------------------
-# The class table and the triangle systems, built once per n
+# Class rows, their triangle systems and the summary of every class of n
 # ---------------------------------------------------------------------------
 
 class _ClassTable(NamedTuple):
-    """Connected graphs on n vertices, one row each; for the class table of n,
-    every connected class in code order."""
+    """Connected graphs on n vertices, one row each: a block of classes while
+    a summary is built, the classes a scan reaches, or a single graph."""
 
     adj: np.ndarray          # (rows, n, n) bool adjacency
     edges: np.ndarray        # (rows,) edge count
@@ -389,32 +394,19 @@ class _ClassTable(NamedTuple):
     tri_present: np.ndarray  # (rows, C(n,3)) the triangle is in the graph
 
 
-@lru_cache(maxsize=None)
-def _class_table(n: int) -> _ClassTable:
-    """The class table of n, built from the cached class codes on first use.
+def _class_rows(codes, n: int) -> _ClassTable:
+    """The table rows of class codes on n vertices, at the width of K_n, which
+    has the most non-tree edges, so the rows of any classes of n share dtypes.
 
-    The spanning trees come from _bfs_trees, a block of classes at a time;
-    it builds the trees of _bfs_tree, order included, so the pinned tree is
-    the one canonical_switch uses.
+    The spanning trees come from _bfs_trees; it builds the trees of _bfs_tree,
+    order included, so the pinned tree is the one canonical_switch uses.
     """
-    codes = _connected_class_bitmaps(n)
-    # K_n has the most non-tree edges
-    width = n * (n - 1) // 2 - n + 1
-    blocks = [_table_block(_codes_to_adj(codes[lo:lo + _TABLE_BLOCK], n), width)
-              for lo in range(0, len(codes), _TABLE_BLOCK)]
-    return _ClassTable(*map(_read_only, zip(*blocks)))
+    return _ClassTable(*_table_block(_codes_to_adj(codes, n), (n - 1) * (n - 2) // 2))
 
 
 def _graph_table(adj: np.ndarray) -> _ClassTable:
     """The one-row table of the connected graph adj (bool)."""
     return _ClassTable(*_table_block(adj[None], int(adj.sum()) // 2 - len(adj) + 1))
-
-
-def _read_only(parts) -> np.ndarray:
-    """The concatenation of parts, read-only: cached results are shared."""
-    out = np.concatenate(parts)
-    out.setflags(write=False)
-    return out
 
 
 def _table_block(adj: np.ndarray, width: int):
@@ -459,12 +451,15 @@ class _Span(NamedTuple):
     consistent: np.ndarray  # (systems,) bool
 
 
-def _gf2_solve(rows: np.ndarray, widths: np.ndarray, rhs_bit: int) -> _Span:
+def _gf2_eliminate(rows: np.ndarray, widths: np.ndarray, rhs_bit: int):
     """Gauss-Jordan elimination of every system of the stack at once.
 
     rows[s] holds the equations of system s: parity(x & row) = the bit of row
     at rhs_bit, over the variable bits below widths[s] <= rhs_bit; zero rows
     say nothing. The solution set is unique, so the pivot order is free.
+    Returns the reduced rows, pivot[s, c] (the row whose pivot is column c of
+    system s, -1 if none), and per system the dimension of the solution space
+    and whether the system is consistent.
     """
     # widest first: column c only has bits in the systems wider than c, a prefix
     by_width = np.argsort(-widths, kind="stable")
@@ -476,6 +471,8 @@ def _gf2_solve(rows: np.ndarray, widths: np.ndarray, rhs_bit: int) -> _Span:
     used = np.zeros(rows.shape, dtype=bool)
     for c in range(rhs_bit if rows.shape[1] else 0):
         k = wider[c]
+        if not k:  # no system is wider than c, nor than any later column
+            break
         part, was_used, s = rows[:k], used[:k], systems[:k]
         bit = ((part >> c) & one).astype(bool)
         cand = bit & ~was_used
@@ -489,10 +486,19 @@ def _gf2_solve(rows: np.ndarray, widths: np.ndarray, rhs_bit: int) -> _Span:
         pivot[s[has], c] = r[has]
     unsort = np.empty_like(by_width)
     unsort[by_width] = systems
-    rows, pivot = rows[unsort].astype(np.uint64), pivot[unsort]
+    rows, pivot = rows[unsort], pivot[unsort]
+    # a system has pivots only below its width; a row reduced to 0 = 1 is
+    # inconsistent
+    return (rows, pivot, widths - (pivot >= 0).sum(axis=1),
+            ~(rows == rows.dtype.type(1 << rhs_bit)).any(axis=1))
+
+
+def _gf2_solve(rows: np.ndarray, widths: np.ndarray, rhs_bit: int) -> _Span:
+    """The solution sets of a stack of systems (as for _gf2_eliminate): the
+    particular solution and a basis, from the reduced rows."""
+    rows, pivot, free, consistent = _gf2_eliminate(rows, widths, rhs_bit)
+    rows = rows.astype(np.uint64)
     rhs_bit64 = np.uint64(rhs_bit)
-    # a row reduced to 0 = 1
-    consistent = ~(rows == np.uint64(1) << rhs_bit64).any(axis=1)
     # the reduced pivot row of each pivot column, 0 for free columns
     by_col = np.zeros(pivot.shape, dtype=np.uint64)
     s, c = np.nonzero(pivot >= 0)
@@ -501,49 +507,80 @@ def _gf2_solve(rows: np.ndarray, widths: np.ndarray, rhs_bit: int) -> _Span:
     particular = np.bitwise_or.reduce(((by_col >> rhs_bit64) & 1) << cols, axis=1)
     # the basis vector of free bit f sets f and every pivot bit whose row has f
     full = np.broadcast_to(np.uint64(1) << cols, by_col.shape)
-    for c in range(rhs_bit):
+    # no system has a pivot at or past its width
+    for c in range(int(widths.max(initial=0))):
         full = full | ((by_col[:, c:c + 1] >> cols) & 1) << np.uint64(c)
     is_free = (np.arange(rhs_bit) < widths[:, None]) & (pivot < 0)
-    free = is_free.sum(axis=1)
     basis = np.zeros((len(rows), rhs_bit), dtype=np.uint64)
     s, f = np.nonzero(is_free)
     basis[s, (np.cumsum(is_free, axis=1) - 1)[s, f]] = full[s, f]
     return _Span(particular, basis, free, consistent)
 
 
-@lru_cache(maxsize=None)
-def _class_span(n: int, forbidden: str) -> _Span:
-    """The triangle-avoiding signatures of every class of n, as GF(2) spans."""
-    table = _class_table(n)
-    return _Span._make(map(_read_only, zip(*(
-        _table_span(table, slice(lo, lo + _TABLE_BLOCK), forbidden)
-        for lo in range(0, len(table.adj), _TABLE_BLOCK)))))
-
-
-def _table_span(table: _ClassTable, rows, forbidden: str) -> _Span:
-    """The triangle-avoiding signatures of the table rows `rows`, as GF(2) spans.
+def _triangle_system(table: _ClassTable, forbidden: str):
+    """The triangle-avoiding signatures of every row of a table as affine
+    GF(2) systems: the (rows, widths, rhs_bit) arguments of _gf2_eliminate.
 
     With the tree pinned +1 a triangle's sign is the parity of its non-tree
     bits: forbidding C3_MINUS asks for even parity, C3_PLUS for odd.
     """
     rhs_bit = table.nontree.shape[1]
-    masks = table.tri_masks[rows]
+    masks = table.tri_masks
     if forbidden == "NONE":
         masks = masks[:, :0]
     else:
         rhs = masks.dtype.type(int(forbidden == "C3_PLUS") << rhs_bit)
-        masks = np.where(table.tri_present[rows], masks | rhs, 0)
-    return _gf2_solve(masks, table.widths[rows], rhs_bit)
+        masks = np.where(table.tri_present, masks | rhs, 0)
+    return masks, table.widths, rhs_bit
 
 
-def _feasible_counts(span: _Span, idx: np.ndarray, require_unbalanced: bool) -> np.ndarray:
-    """Number of feasible signatures of each system idx, by arithmetic."""
-    ok = span.consistent[idx]
-    counts = np.where(ok, np.int64(1) << span.free[idx], 0)
+def _table_span(table: _ClassTable, forbidden: str) -> _Span:
+    """The triangle-avoiding signatures of every row of a table, as GF(2) spans."""
+    return _gf2_solve(*_triangle_system(table, forbidden))
+
+
+class _Summary(NamedTuple):
+    """What the counters and the scan read of every class of n under one
+    forbidden triangle, in code order: four bytes per class."""
+
+    edges: np.ndarray       # (classes,) uint8 edge count
+    free: np.ndarray        # (classes,) uint8 dimension of the solution space
+    consistent: np.ndarray  # (classes,) bool
+    zero: np.ndarray        # (classes,) bool, pattern 0 (the balanced class) solves it
+
+
+def _summary_block(codes, n: int, forbidden: str) -> tuple[np.ndarray, ...]:
+    """The _Summary fields of class codes on n vertices; the rows and reduced
+    systems they come from are dropped on return."""
+    table = _class_rows(codes, n)
+    masks, widths, rhs_bit = _triangle_system(table, forbidden)
+    rows, _, free, consistent = _gf2_eliminate(masks, widths, rhs_bit)
+    # 0 solves a system iff no equation has its rhs bit set, before or after
+    # elimination
+    return (table.edges.astype(np.uint8), free.astype(np.uint8), consistent,
+            ~(rows >> rhs_bit).any(axis=1))
+
+
+@lru_cache(maxsize=None)
+def _class_summary(n: int, forbidden: str) -> _Summary:
+    """The summary of every class of n, from the cached class codes, built
+    _TABLE_BLOCK classes at a time (_summary_block)."""
+    codes = _connected_class_bitmaps(n)
+    summary = _Summary(*map(np.concatenate, zip(*(
+        _summary_block(codes[lo:lo + _TABLE_BLOCK], n, forbidden)
+        for lo in range(0, len(codes), _TABLE_BLOCK)))))
+    # cached results are shared
+    for field in summary:
+        field.setflags(write=False)
+    return summary
+
+
+def _feasible_counts(summary: _Summary, idx, require_unbalanced: bool) -> np.ndarray:
+    """Number of feasible signatures of each class idx, by arithmetic."""
+    counts = np.where(summary.consistent[idx], np.int64(1) << summary.free[idx], 0)
     if require_unbalanced:
-        # with the tree pinned +1, pattern 0 is the balanced class; it is a
-        # solution iff the particular solution is 0
-        counts -= ok & (span.particular[idx] == 0)
+        # with the tree pinned +1, pattern 0 is the balanced class
+        counts -= summary.zero[idx]
     return counts
 
 
@@ -598,65 +635,89 @@ def _rho_values(table: _ClassTable, system: np.ndarray, patterns: np.ndarray) ->
 # The scan
 # ---------------------------------------------------------------------------
 
-def _scan_classes(table: _ClassTable, span: _Span, objective: str,
-                  require_unbalanced: bool):
-    """Scan every row of a table (for the class table of n, every class),
-    whose triangle systems `span` solves: the best value, the signatures
-    (table row, pattern) within reach of it, rows ascending and patterns
-    ascending within a row, and the report's counters.
+def _least_edges_in_reach(best: float) -> int:
+    """The least edge count m whose Stanley bound (sqrt(1 + 8m) - 1) / 2 on
+    the spectral radius is not below b = best - 2 x SPECTRAL_SLACK, decided in
+    integers: with b = p / q exactly (q > 0), every m reaches b if
+    2p + q <= 0, and otherwise m does iff (1 + 8m) q^2 >= (2p + q)^2."""
+    best_p, best_q = best.as_integer_ratio()
+    slack_p, slack_q = SPECTRAL_SLACK.as_integer_ratio()
+    p, q = best_p * slack_q - 2 * slack_p * best_q, best_q * slack_q
+    if 2 * p + q <= 0:
+        return 0
+    return max(-((q * q - (2 * p + q) ** 2) // (8 * q * q)), 0)
 
-    MAX_RHO takes the rows with feasible signatures densest first, a stable
-    sort keeping rows ascending within an edge count, and solves them one
-    edge count m at a time: one _span_patterns call expands the signatures of
-    the count, eigvalsh takes them _EIG_BATCH at a time. Under NONE the
-    first count is K_n alone, whose 2^21 signatures at n = 8 are the largest
-    expansion. Every signature S of a graph with m edges
+
+def _scan_classes(config: SearchConfig, codes, summary: _Summary):
+    """Scan the class codes on config.n vertices whose triangle systems under
+    config.forbidden `summary` holds (for a search, every class of n): the
+    best value, the table the scan rebuilt and the index in `codes` of each of
+    its rows, the signatures (table row, pattern) within reach of the best,
+    classes ascending and patterns ascending within a class, and the report's
+    counters, which come from the summary alone.
+
+    The classes with feasible signatures are taken densest first, a stable
+    sort keeping them in code order within an edge count, one edge count m at
+    a time, and one _span_patterns call expands the signatures of a count.
+    Rows are rebuilt (_class_rows) and fully solved only for the counts the
+    scan reaches: the densest count alone, which is all MAX_EDGES takes, then
+    for MAX_RHO in one more call every count within reach of its best.
+    MAX_RHO eigensolves each count's signatures _EIG_BATCH at a time. Under
+    NONE the first count is K_n alone, whose 2^21 signatures at n = 8 are the
+    largest expansion. Every signature S of a graph with m edges
     has rho(A_S) <= rho(|A_S|) <= (sqrt(1 + 8m) - 1) / 2: |lambda||x| <=
     |A_S||x| entrywise for every eigenpair (Perron-Frobenius), which bounds
     both lambda_1 and -lambda_n, and the second step is Stanley's bound
     (Linear Algebra Appl. 87, 1987). The bound grows with m, so the scan stops
-    before the first count whose bound is below best - 2 x SPECTRAL_SLACK;
-    the extra slack covers eigvalsh rounding. Nothing it skips is within
-    SPECTRAL_SLACK of the best value, so the result is that of a full scan.
-    The counters come from the ranks of the systems, not from eigensolves.
+    before the first count whose bound is below best - 2 x SPECTRAL_SLACK
+    (_least_edges_in_reach); the extra slack covers eigvalsh rounding. Nothing
+    it skips is within SPECTRAL_SLACK of the best value, so the result is that
+    of a full scan.
     """
-    idx = np.arange(len(table.adj))
-    counts = _feasible_counts(span, idx, require_unbalanced)
-    counters = {"underlying_scanned": len(idx),
-                "signatures_scanned": int((np.int64(1) << table.widths).sum()),
+    n, unbal = config.n, config.require_unbalanced
+    counts = _feasible_counts(summary, slice(None), unbal)
+    counters = {"underlying_scanned": len(codes),
+                "signatures_scanned": int((np.int64(1) << (summary.edges - (n - 1))).sum()),
                 "feasible": int(counts.sum())}
-    idx = idx[counts > 0]
+    idx = np.flatnonzero(counts)
     if not len(idx):
         raise ValueError("no feasible signed graph under this configuration")
-    if objective == "MAX_EDGES":
-        m = table.edges[idx]
-        best = int(m.max())
-        return (best, *_span_patterns(span, idx[m == best], require_unbalanced), counters)
-
-    # MAX_RHO: one edge count at a time, in eigvalsh calls of up to
-    # _EIG_BATCH signatures; each keeps what is within reach of the best so far
-    idx = idx[np.argsort(-table.edges[idx], kind="stable")]
-    edges = table.edges[idx]
-    best = -math.inf
-    kept = []
+    # densest first: ~ reverses the order of the uint8 edge counts, and the
+    # stable sort keeps classes in code order within a count
+    idx = idx[np.argsort(~summary.edges[idx], kind="stable")]
+    edges = summary.edges[idx].astype(np.intp)
+    best, tables, kept, built, least = -math.inf, [], [], 0, 0
     # the first class of each edge count, then the end
     cuts = np.flatnonzero(np.diff(edges, prepend=-1, append=-1)).tolist()
     for lo, hi in zip(cuts, cuts[1:]):
-        if (math.sqrt(1 + 8 * int(edges[lo])) - 1) / 2 < best - 2 * SPECTRAL_SLACK:
+        if edges[lo] < least:
             break
-        system, patterns = _span_patterns(span, idx[lo:hi], require_unbalanced)
+        if lo == built:
+            # the densest count alone, then in one go every count within
+            # reach of its best, which only grows: the scan reaches no other
+            first = lo
+            built = int(np.searchsorted(-edges, -least, "right")) if tables else hi
+            tables.append(_class_rows([codes[c] for c in idx[first:built]], n))
+            span = _table_span(tables[-1], config.forbidden)
+        system, patterns = _span_patterns(span, np.arange(lo - first, hi - first), unbal)
+        if config.objective == "MAX_EDGES":
+            return int(edges[lo]), tables[0], idx[lo:hi], system, patterns, counters
+        # each eigvalsh call keeps what is within reach of the best so far
         for a in range(0, len(system), _EIG_BATCH):
             part = slice(a, a + _EIG_BATCH)
-            vals = _rho_values(table, system[part], patterns[part])
+            vals = _rho_values(tables[-1], system[part], patterns[part])
             best = max(best, float(vals.max()))
             sel = vals >= best - SPECTRAL_SLACK
-            kept.append((system[part][sel], patterns[part][sel], vals[sel]))
+            kept.append((system[part][sel] + first, patterns[part][sel], vals[sel]))
+        least = _least_edges_in_reach(best)
     system, patterns, vals = map(np.concatenate, zip(*kept))
     sel = vals >= best - SPECTRAL_SLACK
     system, patterns = system[sel], patterns[sel]
+    table = _ClassTable(*map(np.concatenate, zip(*tables)))
+    classes = idx[:len(table.adj)]
     # _scan keeps the first survivor of each key
-    order = np.lexsort((patterns, system))
-    return best, system[order], patterns[order], counters
+    order = np.lexsort((patterns, classes[system]))
+    return best, table, classes, system[order], patterns[order], counters
 
 
 @lru_cache(maxsize=None)
@@ -709,10 +770,8 @@ def _scan(config: SearchConfig, progress):
         # one call per enumerated level, as each level's classes are ready
         for k in range(1, config.n + 1):
             progress({"vertices": k, "classes": len(_connected_class_bitmaps(k))})
-    table = _class_table(config.n)
-    best, system, patterns, counters = _scan_classes(
-        table, _class_span(config.n, config.forbidden), config.objective,
-        config.require_unbalanced)
+    best, table, _, system, patterns, counters = _scan_classes(
+        config, _connected_class_bitmaps(config.n), _class_summary(config.n, config.forbidden))
     if len(system) > 5000:
         raise ValueError(
             f"{len(system)} signatures tie the optimum; witness "
@@ -721,8 +780,8 @@ def _scan(config: SearchConfig, progress):
     stack = _signature_stack(table, system, patterns, np.int8)
     seen = {}
     # a row's signatures are one run; its optimal orders are its automorphisms
-    rows, starts = np.unique(system, return_index=True)
-    for row, part in zip(rows, np.split(stack, starts[1:])):
+    starts = np.flatnonzero(np.diff(system, prepend=-1))
+    for row, part in zip(system[starts], np.split(stack, starts[1:])):
         canon, orders = canonical_form(table.adj[row])
         for a in part:
             seen.setdefault((canon, _least_sign_row(a, orders, switched=True)), a)
@@ -830,7 +889,7 @@ def _complete_signature_classes(n: int, forbidden: str) -> np.ndarray:
     K_n avoiding the forbidden triangle."""
     table = _graph_table(~np.eye(n, dtype=bool))
     row = np.zeros(1, dtype=np.intp)
-    system, patterns = _span_patterns(_table_span(table, row, forbidden), row, False)
+    system, patterns = _span_patterns(_table_span(table, forbidden), row, False)
     return _signature_stack(table, system, patterns, np.int8)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._render import json_text
-from .core import SignedGraph, _check_vertex_set
+from .core import SignedGraph, _check_vertex_set, _is_int
 
 __all__ = [
     "SpectralError",
@@ -255,9 +255,12 @@ class CharPolyId:
     def __post_init__(self):
         for name in ("s", "t", "n"):
             value = getattr(self, name)
-            # bool is a subclass of int; a float would make the coefficients floats
-            if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+            # a float would make the coefficients floats, and a fixed-width
+            # numpy integer could wrap in the exact Horner rule: store an int
+            if value is not None:
+                if not _is_int(value):
+                    raise ValueError(f"{name} must be an int, got {value!r}")
+                object.__setattr__(self, name, int(value))
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown polynomial family {self.family!r}")
         least = _FAMILIES[self.family][0]

@@ -50,7 +50,6 @@ from signed_extremal.search import (
     _connected_class_bitmaps,
     _cut_components,
     _deletion_sets,
-    _feasible_counts,
     _rho_values,
     _span_patterns,
 )
@@ -489,7 +488,9 @@ def unpruned_rho_scan(table, span, require_unbalanced: bool):
     patterns ascending within a row."""
     batch = 8192
     idx = np.arange(len(table.adj))
-    counts = _feasible_counts(span, idx, require_unbalanced)
+    counts = np.where(span.consistent, np.int64(1) << span.free, 0)
+    # with the tree pinned +1, pattern 0 is the balanced class
+    counts -= require_unbalanced & span.consistent & (span.particular == 0)
     idx, counts = idx[counts > 0], counts[counts > 0]
     best = -np.inf
     kept = []

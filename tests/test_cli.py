@@ -429,18 +429,18 @@ class TestUsage:
 
     def test_progress_per_enumeration_level(self, capsys):
         # connected graphs on 1..6 vertices (OEIS A001349): from a cold cache
-        # each level is reported once enumerated and before the class table is
-        # built; from a warm cache the same levels come again
+        # each level is reported once enumerated and before the class summary
+        # is built; from a warm cache the same levels come again
         module = sys.modules[search.__module__]
-        bitmaps, table = module._connected_class_bitmaps, module._class_table
-        for cache in (bitmaps, table, module._class_span):
+        bitmaps, summary = module._connected_class_bitmaps, module._class_summary
+        for cache in (bitmaps, summary):
             cache.cache_clear()
         config = SearchConfig(n=6, objective="MAX_RHO")
 
         def levels_seen():
             seen = []
             search(config, progress=lambda level: seen.append(
-                (level, bitmaps.cache_info().currsize, table.cache_info().currsize)))
+                (level, bitmaps.cache_info().currsize, summary.cache_info().currsize)))
             return seen
 
         counts = list(enumerate([1, 1, 2, 6, 21, 112], start=1))
@@ -459,17 +459,23 @@ class TestUsage:
 
     def test_verify_progress_per_enumeration_level(self, capsys):
         # connected graphs on 1..6 vertices (OEIS A001349), once per level and
-        # verifier, cold or warm; stdout is the report alone
+        # verifier, cold or warm, each before the class summary is built;
+        # stdout is the report alone
         module = sys.modules[search.__module__]
-        for cache in (module._connected_class_bitmaps, module._class_table,
-                      module._class_span):
+        summary = module._class_summary
+        for cache in (module._connected_class_bitmaps, summary):
             cache.cache_clear()
         levels = [{"vertices": k, "classes": c}
                   for k, c in enumerate([1, 1, 2, 6, 21, 112], start=1)]
+        built = 0
         for theorem in ("T1_2_EDGES", "T1_3", "T1_2_NEG"):
             seen = []
-            rep = verify_theorem(theorem, 6, progress=seen.append)
-            assert seen == levels
+            rep = verify_theorem(theorem, 6, progress=lambda level: seen.append(
+                (level, summary.cache_info().currsize)))
+            # every verifier searches under C3_MINUS: the first builds the
+            # one summary, after its progress
+            assert seen == [(level, built) for level in levels]
+            built = 1
             assert rep.to_json() == verify_theorem(theorem, 6).to_json()
             capsys.readouterr()
             code, text = run_cli("verify", "--theorem", theorem.lower(), "--n", "6",

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from signed_extremal.bounds import rho_bound
+from signed_extremal.bounds import SPECTRAL_SLACK, rho_bound
 from signed_extremal.core import (
     SignedGraph,
     canonical_forms,
@@ -32,8 +32,7 @@ from signed_extremal.search import (
     THEOREMS,
     SearchConfig,
     _canonical_children,
-    _class_span,
-    _class_table,
+    _class_summary,
     _codes_to_adj,
     _complete_signature_classes,
     _connected_class_bitmaps,
@@ -44,6 +43,7 @@ from signed_extremal.search import (
     _graph_table,
     _neg_edge_maximizers,
     _orbit_masks,
+    _least_edges_in_reach,
     _signature_stack,
     _span_patterns,
     _table_block,
@@ -168,13 +168,18 @@ def deletion_rows(monkeypatch, n):
 
 
 @pytest.fixture
-def fresh_tables():
-    """Drop the cached class tables and spans before and after the test."""
-    SEARCH._class_table.cache_clear()
-    SEARCH._class_span.cache_clear()
+def fresh_summaries():
+    """Drop the cached class summaries before and after the test."""
+    SEARCH._class_summary.cache_clear()
     yield
-    SEARCH._class_table.cache_clear()
-    SEARCH._class_span.cache_clear()
+    SEARCH._class_summary.cache_clear()
+
+
+def whole_class_table(n):
+    """Every class of n in one table, in code order, at the width the scan
+    rebuilds its rows at: the whole-n table the search itself never holds."""
+    codes = _connected_class_bitmaps(n)
+    return SEARCH._ClassTable(*_table_block(_codes_to_adj(codes, n), (n - 1) * (n - 2) // 2))
 
 
 class TestEnumerateUnderlying:
@@ -399,7 +404,7 @@ class TestClassTable:
         # b alone must give a graph that is its own canonical switch (the edge
         # is off the tree canonical_switch pins), one distinct edge per bit in
         # row-major order, whose negative triangles are those with mask bit b
-        table = _class_table(n)
+        table = whole_class_table(n)
         codes = _connected_class_bitmaps(n)
         assert len(table.adj) == len(codes)
         iu, ju = np.triu_indices(n, 1)
@@ -424,18 +429,77 @@ class TestClassTable:
             assert np.array_equal(negative, (table.tri_masks[c] >> bits[:, None]) & 1 == 1)
             assert not table.tri_masks[c][~table.tri_present[c]].any()
 
-    def test_blocks_concatenate_to_the_whole_table(self, monkeypatch, fresh_tables):
-        whole = _class_table(6)
-        spans = {f: _class_span(6, f) for f in FORBIDDEN}
-        SEARCH._class_table.cache_clear()
-        SEARCH._class_span.cache_clear()
+    def test_rows_rebuilt_in_blocks_equal_the_whole_table(self):
+        # the scan's rebuilt rows of any classes, in any order, are the rows
+        # of the whole table
+        whole = whole_class_table(6)
+        codes = _connected_class_bitmaps(6)
+        picked = np.array([111, 0, 57, 5, 56])
+        part = SEARCH._class_rows([codes[c] for c in picked], 6)
+        for name, a, b in zip(whole._fields, whole, part):
+            assert a.dtype == b.dtype and np.array_equal(a[picked], b), name
+
+
+class TestClassSummary:
+    @staticmethod
+    def assert_matches_the_full_solve(n, forbidden):
+        summary = _class_summary(n, forbidden)
+        table = whole_class_table(n)
+        span = _table_span(table, forbidden)
+        assert np.array_equal(summary.edges, table.edges)
+        assert np.array_equal(summary.free, span.free)
+        assert np.array_equal(summary.consistent, span.consistent)
+        # pattern 0 solves a system iff it is consistent with particular 0
+        assert np.array_equal(summary.zero, span.consistent & (span.particular == 0))
+        everything = np.arange(len(table.adj))
+        for unbal in (True, False):
+            counts = _feasible_counts(summary, everything, unbal)
+            expect = np.where(span.consistent, np.int64(1) << span.free, 0)
+            expect -= unbal & span.consistent & (span.particular == 0)
+            assert np.array_equal(counts, expect), (forbidden, unbal)
+            if n <= 7:
+                # and the count of the solutions the full span expands to
+                system, _ = _span_patterns(span, everything, unbal)
+                assert np.array_equal(counts, np.bincount(system, minlength=len(counts)))
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("forbidden", FORBIDDEN)
+    def test_matches_the_full_solve(self, n, forbidden):
+        self.assert_matches_the_full_solve(n, forbidden)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("forbidden", FORBIDDEN)
+    def test_matches_the_full_solve_n8(self, forbidden):
+        self.assert_matches_the_full_solve(8, forbidden)
+
+    def test_blocks_do_not_change_the_summary(self, monkeypatch, fresh_summaries):
+        whole = {f: _class_summary(6, f) for f in FORBIDDEN}
+        SEARCH._class_summary.cache_clear()
         monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", 5)
-        blocked = _class_table(6)
-        for name, a, b in zip(whole._fields, whole, blocked):
-            assert np.array_equal(a, b), name
-        for f, span in spans.items():
-            for name, a, b in zip(span._fields, span, _class_span(6, f)):
-                assert np.array_equal(a, b), (f, name)
+        for f, summary in whole.items():
+            for name, a, b in zip(summary._fields, summary, _class_summary(6, f)):
+                assert a.dtype == b.dtype and np.array_equal(a, b), (f, name)
+
+    def test_summary_is_read_only(self):
+        summary = _class_summary(5, "C3_MINUS")
+        with pytest.raises(ValueError, match="read-only"):
+            summary.free[0] = 0
+
+    def test_memory_stays_below_one_whole_table(self, monkeypatch, fresh_summaries):
+        # at most 8 bytes per class are cached, and no whole-n array is built
+        # on the way: the traced peak stays below the whole table's tri_masks
+        n = 7
+        codes = _connected_class_bitmaps(n)
+        whole = whole_class_table(n).tri_masks.nbytes
+        monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", 64)
+        tracemalloc.start()
+        try:
+            summary = _class_summary(n, "C3_MINUS")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(field.nbytes for field in summary) <= 8 * len(codes)
+        assert peak < whole
 
 
 class TestSearch:
@@ -545,18 +609,42 @@ class TestSearch:
         monkeypatch.setattr(SEARCH, "_EIG_BATCH", 7)
         assert [search(c).to_json() for c in configs] == expect
 
-    def test_second_search_builds_no_trees(self, monkeypatch, fresh_tables):
+    def test_repeat_search_builds_trees_only_for_the_rows_it_reaches(
+            self, monkeypatch, fresh_summaries):
+        # the summary of (n, forbidden) builds one spanning tree per class
+        # once; every search then rebuilds only the rows its scan reaches:
+        # the densest edge count with feasible classes, and for MAX_RHO, in
+        # one more call, every count within reach of that count's best
         calls = []
         trees = SEARCH._bfs_trees
-        monkeypatch.setattr(SEARCH, "_bfs_trees",
-                            lambda adj: calls.extend([1] * len(adj)) or trees(adj))
+        monkeypatch.setattr(SEARCH, "_bfs_trees", lambda adj: calls.append(len(adj)) or trees(adj))
+
+        def reached(config, best):
+            summary = _class_summary(config.n, config.forbidden)
+            feasible = _feasible_counts(summary, slice(None), config.require_unbalanced) > 0
+            sizes = collections.Counter(summary.edges[feasible].tolist())
+            densest = max(sizes)
+            if config.objective == "MAX_EDGES":
+                return [sizes[densest]]
+            least = _least_edges_in_reach(best)
+            return [sizes[densest], sum(k for m, k in sizes.items() if least <= m < densest)]
+
         config = SearchConfig(n=6, objective="MAX_RHO")
         first = search(config)
-        assert len(calls) == 112  # one spanning tree per class
+        # the densest count of n = 6 holds the optimum, so its best is the one
+        # that decides the second call
+        assert calls == [112, *reached(config, first.optimum)]
+        assert 0 < sum(calls[1:]) < 112
         calls.clear()
         assert search(config).to_json() == first.to_json()
-        search(SearchConfig(n=6, objective="MAX_EDGES", forbidden="C3_PLUS"))
-        assert calls == []
+        assert calls == reached(config, first.optimum)
+        calls.clear()
+        config = SearchConfig(n=6, objective="MAX_EDGES", forbidden="C3_PLUS")
+        search(config)
+        assert calls == [112, *reached(config, None)]
+        calls.clear()
+        search(config)
+        assert calls == reached(config, None)
 
     def test_finalize_runs_one_canonical_form_per_class(self, monkeypatch):
         # all 1,023 tied signatures of K_6 share one class code
@@ -618,33 +706,77 @@ class TestRhoScan:
         # tiny batches also cut eigvalsh stacks inside and across classes
         if batch:
             monkeypatch.setattr(SEARCH, "_EIG_BATCH", batch)
-        table = _class_table(n)
+        table = whole_class_table(n)
+        codes = _connected_class_bitmaps(n)
         for forbidden in FORBIDDEN:
-            span = _class_span(n, forbidden)
+            span = _table_span(table, forbidden)
             for unbal in (True, False):
-                best, system, patterns, _ = SEARCH._scan_classes(table, span, "MAX_RHO", unbal)
+                config = SearchConfig(n, "MAX_RHO", forbidden, unbal)
+                best, rows, classes, system, patterns, _ = SEARCH._scan_classes(
+                    config, codes, _class_summary(n, forbidden))
                 expect_best, expect_system, expect_patterns = unpruned_rho_scan(
                     table, span, unbal)
                 assert best == expect_best, (forbidden, unbal)
-                np.testing.assert_array_equal(system, expect_system)
+                np.testing.assert_array_equal(classes[system], expect_system)
                 np.testing.assert_array_equal(patterns, expect_patterns)
+                # the rebuilt rows are the whole table's rows of their classes
+                for a, b in zip(rows, table):
+                    np.testing.assert_array_equal(a, b[classes])
 
     def test_ties_across_edge_counts_come_back_in_row_order(self):
         # the star K_{1,4} (4 edges) and both signatures of C_5 (5 edges)
         # have spectral radius 2, and the scan solves the denser row first;
-        # no class table at n <= 8 has a tie across edge counts
+        # no class list at n <= 8 has a tie across edge counts
         star = np.zeros((5, 5), dtype=bool)
         star[0, 1:] = star[1:, 0] = True
         cycle = np.roll(np.eye(5, dtype=bool), 1, axis=1)
-        table = SEARCH._ClassTable(*SEARCH._table_block(np.stack([star, cycle | cycle.T]), 1))
-        span = _table_span(table, slice(None), "NONE")
-        best, system, patterns, _ = SEARCH._scan_classes(table, span, "MAX_RHO", False)
+        adj = np.stack([star, cycle | cycle.T])
+        codes = [int.from_bytes(np.packbits(a[np.triu_indices(5, 1)]).tobytes(), "big")
+                 for a in adj]
+        # edge counts, free bits (every pattern solves NONE), consistent, zero
+        summary = SEARCH._Summary(np.array([4, 5], dtype=np.uint8),
+                                  np.array([0, 1], dtype=np.uint8),
+                                  np.ones(2, dtype=bool), np.ones(2, dtype=bool))
+        config = SearchConfig(5, "MAX_RHO", "NONE", False)
+        best, rows, classes, system, patterns, _ = SEARCH._scan_classes(config, codes, summary)
         assert best == pytest.approx(2, abs=1e-9)
-        assert system.tolist() == [0, 1, 1] and patterns.tolist() == [0, 0, 1]
+        # the denser C_5 is rebuilt and solved first, as row 0
+        assert classes.tolist() == [1, 0] and np.array_equal(rows.adj, adj[::-1])
+        assert classes[system].tolist() == [0, 1, 1] and patterns.tolist() == [0, 0, 1]
+        table = SEARCH._ClassTable(*SEARCH._table_block(adj, 1))
+        span = _table_span(table, "NONE")
         expect_best, expect_system, expect_patterns = unpruned_rho_scan(table, span, False)
         assert best == expect_best
-        assert system.tolist() == expect_system.tolist()
+        assert classes[system].tolist() == expect_system.tolist()
         assert patterns.tolist() == expect_patterns.tolist()
+
+    def test_exact_cutoff_decides_as_the_float_rule(self, monkeypatch):
+        # every best that the MAX_RHO scans at n <= 8 reach, against every
+        # edge count of n; at n = 8 NONE would eigensolve all 2^21
+        # signatures of K_8, and its best is rho(K_8) = 7
+        exact = SEARCH._least_edges_in_reach
+        for n in range(4, 9):
+            bests = {float(n - 1)}
+            monkeypatch.setattr(SEARCH, "_least_edges_in_reach",
+                                lambda best: bests.add(best) or exact(best))
+            for forbidden in FORBIDDEN[:2] if n == 8 else FORBIDDEN:
+                for unbal in (True, False):
+                    bests.add(search(SearchConfig(n, "MAX_RHO", forbidden, unbal)).optimum)
+            for best in bests:
+                for m in range(n - 1, n * (n - 1) // 2 + 1):
+                    float_rule = (math.sqrt(1 + 8 * m) - 1) / 2 < best - 2 * SPECTRAL_SLACK
+                    assert (m < exact(best)) == float_rule, (n, m, best)
+
+    @pytest.mark.parametrize("t", [3, 6, 7, 1000, 2 ** 20])
+    def test_triangular_edge_count_at_the_bound_is_not_cut(self, t, monkeypatch):
+        # m = t(t + 1) / 2 puts Stanley's bound at exactly t: with no slack a
+        # best of t keeps m within reach, and the next float above t cuts m
+        # but not m + 1
+        monkeypatch.setattr(SEARCH, "SPECTRAL_SLACK", 0.0)
+        m = t * (t + 1) // 2
+        assert _least_edges_in_reach(float(t)) == m
+        assert _least_edges_in_reach(float(np.nextafter(float(t), math.inf))) == m + 1
+        assert _least_edges_in_reach(-1.0) == _least_edges_in_reach(-0.5) == 0
 
     @pytest.mark.parametrize("forbidden,unbal,expect", [
         ("C3_MINUS", True, 40),
@@ -845,7 +977,7 @@ class TestGF2Solutions:
             has, balanced = forbidden_and_balance_flags(np.array([g.adj for g in sigs]))
             table = _graph_table(adj)
             for forbidden in FORBIDDEN:
-                span = _table_span(table, row, forbidden)
+                span = _table_span(table, forbidden)
                 for unbal in (True, False):
                     system, pats = _span_patterns(span, row, unbal)
                     assert pats.dtype == np.uint64
@@ -861,12 +993,13 @@ class TestGF2Solutions:
     def test_stacked_elimination_matches_row_loop(self, n):
         # every class, each forbidden triangle, with and without pattern 0;
         # the one-row table of each class must give the same solutions
-        table = _class_table(n)
+        table = whole_class_table(n)
         everything = np.arange(len(table.adj))
         row = np.zeros(1, dtype=np.intp)
         for forbidden in FORBIDDEN:
-            span = _class_span(n, forbidden)
-            alone = [_table_span(_graph_table(adj), row, forbidden) for adj in table.adj]
+            span = _table_span(table, forbidden)
+            summary = _class_summary(n, forbidden)
+            alone = [_table_span(_graph_table(adj), forbidden) for adj in table.adj]
             for unbal in (True, False):
                 expect = []
                 for c in everything:
@@ -877,7 +1010,7 @@ class TestGF2Solutions:
                     system, pats = _span_patterns(span, np.array([c]), unbal)
                     assert pats.tolist() == ref.tolist() and (system == c).all()
                     assert _span_patterns(alone[c], row, unbal)[1].tolist() == ref.tolist()
-                    assert _feasible_counts(span, np.array([c]), unbal)[0] == len(ref)
+                    assert _feasible_counts(summary, np.array([c]), unbal)[0] == len(ref)
                     expect += [(c, p) for p in ref.tolist()]
                 system, pats = _span_patterns(span, everything, unbal)
                 assert list(zip(system.tolist(), pats.tolist())) == expect
@@ -891,7 +1024,7 @@ class TestGF2Solutions:
         assert table.tri_masks.dtype == (np.uint32 if width < 32 else np.uint64)
         row = np.zeros(1, dtype=np.intp)
         for forbidden in FORBIDDEN:
-            span = _table_span(table, row, forbidden)
+            span = _table_span(table, forbidden)
             args = (table.tri_masks[0].tolist() if forbidden != "NONE" else [], width,
                     forbidden == "C3_PLUS")
             if forbidden == "NONE" and width > 21:

@@ -344,6 +344,19 @@ class TestCharPoly:
         with pytest.raises(ValueError, match="must be an int"):
             CharPolyId(**kwargs)
 
+    def test_numpy_integer_parameters_are_stored_as_ints(self):
+        # as build_gst and new_signed_graph accept them; the exact Horner rule
+        # then never sees a fixed-width integer
+        plain = CharPolyId("F_GST", s=1, t=2)
+        pid = CharPolyId("F_GST", s=np.int64(1), t=2)
+        assert type(pid.s) is int and pid == plain
+        assert pid.coefficients() == plain.coefficients()
+        assert all(type(c) is int for c in pid.coefficients())
+        assert largest_root(pid) == largest_root(plain)
+        assert CharPolyId("F1_S1", n=np.uint8(7)).matrix_order == 7
+        with pytest.raises(ValueError, match="must be an int"):
+            CharPolyId("F3", s=np.bool_(True), t=1)
+
 
 class TestLargestRoot:
     def test_matches_closed_form(self):
