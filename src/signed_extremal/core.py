@@ -374,9 +374,11 @@ def shortest_unbalanced_cycle(g: SignedGraph) -> Cycle | None:
 # Canonical labeling machinery (shared with the search engine)
 # ---------------------------------------------------------------------------
 
-# orders per batch in _least_sign_row; K_9 has 362,880 optimal orders
+# orders per batch in _least_sign_row, filtered to one per arrangement of
+# signed twins before evaluation; K_9 has 362,880 optimal orders
 _ORDER_CHUNK = 8192
-# switching_isomorphic scans class-respecting relabelings, n! for K_n
+# switching_isomorphic labels the underlying graph, n! orders for K_n, and
+# evaluates one order per arrangement of signed twins (126 for a halved K_9)
 _SWITCHING_ISO_MAX_ORDER = 9
 
 
@@ -600,20 +602,58 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     return Labelling([int.from_bytes(row.tobytes(), "big") for row in packed], orders, counts)
 
 
+def _signed_twin_classes(adj: np.ndarray) -> list[list[int]]:
+    """The classes of signed twins of the sign matrix adj, each ascending, in
+    order of their least vertex. Vertices a != b are signed twins when
+    adj[a, x] == adj[b, x] for every x outside {a, b}. This is an equivalence:
+    a ~ b and b ~ c force adj[a, b] = adj[a, c] = adj[b, c], so a class has
+    one sign s on its own edges, and its members are exactly the vertices
+    whose rows of adj + s I are equal. A vertex with twins is alone in its
+    group for the other two values of s."""
+    n = len(adj)
+    classes = [[v] for v in range(n)]
+    for s in (-1, 0, 1):
+        cells = (adj + s * np.eye(n, dtype=adj.dtype)).tobytes()
+        groups = {}
+        for v in range(n):
+            groups.setdefault(cells[v * n:(v + 1) * n], []).append(v)
+        for group in groups.values():
+            if len(group) > 1:
+                for v in group:
+                    classes[v] = group
+    return [c for v, c in enumerate(classes) if c[0] == v]
+
+
 def _least_sign_row(adj: np.ndarray, orders: np.ndarray, switched: bool) -> bytes:
     """The least upper-triangle sign row of the sign matrix adj relabeled by
     each of its underlying graph's optimal orders (from canonical_form).
 
     When switched, each relabeled matrix is first switched so that its
     canonical spanning forest is positive. All these orders give the same
-    underlying graph, hence one forest.
+    underlying graph, hence one forest. Swapping two signed twins
+    (_signed_twin_classes) maps adj onto itself and keeps the refined
+    colours, so the optimal orders are closed under composing with it, and
+    an order and its composite give the same matrix, switched or not. Only
+    the orders that keep every class of signed twins in ascending vertex
+    order are evaluated: one per arrangement of the classes, 35 of the 5,040
+    orders of a halved K_7.
     """
+    n = len(adj)
+    # consecutive members (a, b) of each class; a must come before b
+    pairs = np.array([(a, b) for c in _signed_twin_classes(adj) for a, b in zip(c, c[1:])],
+                     dtype=np.intp).reshape(-1, 2).T
     tree = _bfs_tree(adj[np.ix_(orders[0], orders[0])]) if switched else []
-    iu, ju = _triu_cells(len(adj))
+    iu, ju = _triu_cells(n)
     rows = []
     for start in range(0, len(orders), _ORDER_CHUNK):
         # numpy gathers by intp indices faster than by the orders' small dtype
         chunk = orders[start:start + _ORDER_CHUNK].astype(np.intp)
+        # the position of each vertex in each order
+        pos = np.empty_like(chunk, dtype=orders.dtype)
+        pos[np.arange(len(chunk))[:, None], chunk] = np.arange(n, dtype=orders.dtype)
+        chunk = chunk[(pos[:, pairs[0]] < pos[:, pairs[1]]).all(axis=1)]
+        if not len(chunk):
+            continue
         moved = adj[chunk[:, :, None], chunk[:, None, :]]
         spin = _tree_spins(moved, tree)
         # signs -1/0/+1 compare as the bytes 2/0/1
@@ -643,8 +683,9 @@ def signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
 def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff some vertex bijection maps g1 onto a switching of g2.
 
-    Exhaustive over class-respecting relabelings, so intended for small orders;
-    rejects graphs above _SWITCHING_ISO_MAX_ORDER vertices to bound the cost.
+    Exhaustive over class-respecting relabelings, up to swaps of signed
+    twins, so intended for small orders; rejects graphs above
+    _SWITCHING_ISO_MAX_ORDER vertices to bound the cost.
     """
     if g1.n != g2.n:
         return False

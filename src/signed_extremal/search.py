@@ -71,7 +71,9 @@ built from one only to hand it out or to pass it to a core check.
 The survivors of a scan stay (row, pattern) arrays until the witnesses are
 chosen, one per switching-isomorphism class. They are deduplicated by the key
 that core computes (canonical_signed_code): the class's canonical bitmap and
-the least canonical-switch sign row over its automorphisms (_least_sign_row).
+the least canonical-switch sign row over its automorphisms (_least_sign_row),
+of which only one per arrangement of the signature's signed twins, vertices
+whose signed rows agree off their own pair, is evaluated.
 """
 
 from __future__ import annotations
@@ -100,6 +102,7 @@ from .core import (
     _bfs_tree,
     _bfs_trees,
     _least_sign_row,
+    _signed_code,
     _tree_spins,
     _triu_cells,
     canonical_form,
@@ -108,7 +111,6 @@ from .core import (
     find_signed_triangles,
     is_balanced,
     is_connected,
-    signed_isomorphic,
     switching_equivalent,
 )
 from .families import (
@@ -870,7 +872,9 @@ def search(config: SearchConfig, *, progress=None) -> SearchReport:
         _, edge_witnesses, _, counts = _scan(replace(config, objective="MAX_EDGES"), progress)
         optimum, maximizers = _neg_edge_maximizers(np.stack([w.adj for w in edge_witnesses]))
         witnesses = [SignedGraph._trusted(a) for a in maximizers]
-        matched = ["gst-maxneg" if signed_isomorphic(w, build_gst_maxneg(config.n)) else None
+        # signed_isomorphic against the one target, keyed once
+        target = _signed_code(build_gst_maxneg(config.n), switched=False)
+        matched = ["gst-maxneg" if _signed_code(w, switched=False) == target else None
                    for w in witnesses]
         counts["signatures_scanned"] += len(edge_witnesses) << config.n
     else:
@@ -968,10 +972,12 @@ def _verify_l2_2(n: int, progress) -> BoundReport:
     structure_ok = not (spins[:, :, None] * winners * spins[:, None, :] < 0).any()
     if n <= 6:
         # cheap cross-validation of the structural predicate by switching
-        # isomorphism (equal codes), which scans every order of K_n
-        target = canonical_signed_code(build_kn_switched_maxneg(n))
+        # isomorphism: every winner and the target are signed K_n, so K_n is
+        # labelled once and only their least sign rows are compared
+        _, orders = canonical_form(~np.eye(n, dtype=bool))
+        target = _least_sign_row(build_kn_switched_maxneg(n).adj, orders, switched=True)
         structure_ok = structure_ok and all(
-            canonical_signed_code(SignedGraph._trusted(a)) == target for a in winners)
+            _least_sign_row(a, orders, switched=True) == target for a in winners)
     bound = (n // 2) * ((n + 1) // 2)
     return make_bound_report(
         "l2_2", n, bound, best, SignedGraph._trusted(winners[0]),

@@ -291,6 +291,35 @@ def per_order_signed_code(g: SignedGraph) -> tuple[int, bytes]:
     return code, best
 
 
+def brute_signed_twin_classes(adj: np.ndarray) -> list[list[int]]:
+    """The vertex sets {v} plus every u with adj[u, x] == adj[v, x] for all x
+    outside {u, v}, each sorted, without repeats, by least vertex. They
+    partition the vertices only if the relation is an equivalence."""
+    n = len(adj)
+    classes = {tuple(u for u in range(n)
+                     if all(adj[u, x] == adj[v, x] for x in range(n) if x not in (u, v)))
+               for v in range(n)}
+    return sorted(map(list, classes))
+
+
+def planted_twin_graphs(seed: int, n: int, count: int):
+    """Seeded signed graphs (seeded_signed_graphs) with signed twins planted,
+    three per graph: for each sign s, up to n - 1 times a random vertex b
+    copies the signed row of another vertex a and the edge ab gets the sign s
+    (0 for no edge), so chains of copies plant classes of three or more."""
+    rng = np.random.default_rng(seed)
+    for g in seeded_signed_graphs(seed, n, count):
+        for s in (-1, 0, 1):
+            adj = np.array(g.adj)
+            for _ in range(rng.integers(1, n)):
+                a, b = rng.choice(n, 2, replace=False)
+                row = adj[a].copy()
+                adj[b], adj[:, b] = row, row
+                adj[a, b] = adj[b, a] = s
+                adj[b, b] = 0
+            yield SignedGraph(adj)
+
+
 def per_mask_neg_edge_maximum(g: SignedGraph):
     """switching_neg_edge_maximum, one switched matrix per mask of the 2^n."""
     best = -1

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from signed_extremal import core
 from signed_extremal.core import (
     SignedGraph,
     _all_twin_classes,
@@ -17,6 +18,7 @@ from signed_extremal.core import (
     _count_weights,
     _dense_ranks,
     _refine,
+    _signed_twin_classes,
     _triu_cells,
     canonical_form,
     canonical_forms,
@@ -57,6 +59,7 @@ from _oracles import (
     brute_is_balanced,
     brute_labelling,
     brute_signed_isomorphic,
+    brute_signed_twin_classes,
     brute_switch,
     brute_switching_isomorphic,
     connected_labeled_graphs,
@@ -64,6 +67,7 @@ from _oracles import (
     isin_signed_graph_adj,
     labeled_graph_stack,
     per_order_signed_code,
+    planted_twin_graphs,
     seeded_signed_graphs,
     tuple_sorting_color_classes,
 )
@@ -588,17 +592,121 @@ class TestCanonicalCode:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_matches_per_order_reference_on_complete_graphs(self, n):
-        # every relabeling is optimal on K_n: n! orders per code
-        for g in (build_complete(n, 1), build_complete(n, -1), build_kn_switched_maxneg(n)):
+        # every relabeling is optimal on K_n: n! orders per code; the halved
+        # K_n also relabelled and switched
+        rng = np.random.default_rng(n)
+        halved = build_kn_switched_maxneg(n)
+        moved = switch(permute(halved, rng.permutation(n)), np.flatnonzero(rng.random(n) < 0.5))
+        for g in (build_complete(n, 1), build_complete(n, -1), halved, moved):
             assert canonical_signed_code(g) == per_order_signed_code(g)
+        assert switching_isomorphic(halved, moved)
 
     def test_chunks_of_orders_merge_to_the_reference(self, monkeypatch):
-        # K_5 with two disjoint negative edges first attains its least sign row
-        # at order 99 of 120: with 33 orders per chunk, in the last, partial one
-        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 33)
-        g = new_signed_graph(5, [(u, v, -1 if (u, v) in ((0, 1), (2, 3)) else 1)
+        # K_5 whose negative edges form the path 3-0-4-2-1 has no signed twins,
+        # so all 120 orders are evaluated, 33 per chunk; it first attains its
+        # least sign row at order 99, the first of the last, partial chunk
+        g = new_signed_graph(5, [(u, v, -1 if (u, v) in ((0, 3), (0, 4), (1, 2), (2, 4)) else 1)
                                  for u, v in itertools.combinations(range(5), 2)])
-        assert canonical_signed_code(g) == per_order_signed_code(g)
+        assert _signed_twin_classes(g.adj) == [[v] for v in range(5)]
+        expected = per_order_signed_code(g)
+        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 33)
+        batches = evaluated_batches(monkeypatch)
+        assert canonical_signed_code(g) == expected
+        assert batches == [33, 33, 33, 21]
+
+
+def evaluated_batches(monkeypatch):
+    """The sizes of the batches of orders that _least_sign_row evaluates from
+    now on, read from the spins it asks for."""
+    sizes = []
+    spins = core._tree_spins
+
+    def recording(adj, tree):
+        sizes.append(len(adj))
+        return spins(adj, tree)
+
+    monkeypatch.setattr(core, "_tree_spins", recording)
+    return sizes
+
+
+class TestSignedTwins:
+    """_least_sign_row evaluates one order per arrangement of the signed-twin
+    classes; the codes must equal the per-order and brute-force oracles."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_classes_match_the_definition_on_every_small_graph(self, n):
+        for g in all_labeled_signed_graphs(n):
+            assert _signed_twin_classes(g.adj) == brute_signed_twin_classes(g.adj)
+
+    @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
+    def test_classes_match_the_definition_on_seeded_graphs(self, n):
+        graphs = [*seeded_signed_graphs(200 + n, n, 12), *planted_twin_graphs(n, n, 12)]
+        sizes = set()
+        for g in graphs:
+            classes = _signed_twin_classes(g.adj)
+            assert classes == brute_signed_twin_classes(g.adj)
+            sizes.update(map(len, classes))
+        assert max(sizes) >= 3
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_keys_match_the_oracles_on_planted_twins(self, n):
+        # a relabelled copy, a relabelled and switched copy, and a copy with
+        # one cell changed; the brute switching oracle stops at 6 vertices
+        rng = np.random.default_rng(n)
+        planted = 0
+        for g in planted_twin_graphs(300 + n, n, 8):
+            planted += len(_signed_twin_classes(g.adj)) < n
+            expected = per_order_signed_code(g)
+            assert canonical_signed_code(g) == expected
+            moved = permute(g, rng.permutation(n))
+            switched = switch(moved, np.flatnonzero(rng.random(n) < 0.5))
+            changed = np.array(g.adj)
+            u, v = rng.choice(n, 2, replace=False)
+            changed[u, v] = changed[v, u] = -changed[u, v] if changed[u, v] else 1
+            changed = SignedGraph(changed)
+            for h in (moved, switched, changed):
+                assert signed_isomorphic(g, h) == brute_signed_isomorphic(g, h)
+            assert signed_isomorphic(g, moved) and switching_isomorphic(g, switched)
+            assert switching_isomorphic(g, changed) == (
+                brute_switching_isomorphic(g, changed) if n <= 6
+                else per_order_signed_code(changed) == expected)
+        assert planted == 24
+
+    @pytest.mark.parametrize("s,t", [(s, t) for s in range(1, 4) for t in range(s, 7 - s)])
+    def test_keys_of_gst_match_the_oracles(self, s, t):
+        # gst(s, t) on up to 8 vertices, also relabelled and switched
+        g = build_gst(s, t)
+        rng = np.random.default_rng(g.n)
+        moved = permute(g, rng.permutation(g.n))
+        switched = switch(moved, np.flatnonzero(rng.random(g.n) < 0.5))
+        for h in (g, moved, switched):
+            assert canonical_signed_code(h) == per_order_signed_code(h)
+            assert signed_isomorphic(g, h) == brute_signed_isomorphic(g, h)
+        assert signed_isomorphic(g, moved) and switching_isomorphic(g, switched)
+
+    @pytest.mark.parametrize("g,classes,evaluated", [
+        (build_kn_switched_maxneg(7), [[0, 1, 2], [3, 4, 5, 6]], 35),
+        (build_gst(1, 6), [[0], [1], [2], [3, 4, 5, 6, 7, 8]], 2),
+    ], ids=["kn_switched_maxneg(7)", "gst(1,6)"])
+    def test_one_order_per_arrangement_of_the_twins(self, g, classes, evaluated, monkeypatch):
+        # 5,040 and 1,440 optimal orders: 7! / (3! 4!) and 2 * 6! / 6!
+        assert _signed_twin_classes(g.adj) == classes
+        expected = per_order_signed_code(g)
+        batches = evaluated_batches(monkeypatch)
+        assert canonical_signed_code(g) == expected
+        assert signed_isomorphic(g, g)
+        assert batches == [evaluated] * 3
+
+    def test_chunks_without_survivors_are_skipped(self, monkeypatch):
+        # at 1,000 orders per chunk the halved K_7 keeps 15 orders of the
+        # first chunk (vertex 0 first), 20 of the third (vertex 3 first) and
+        # none of the other four
+        g = build_kn_switched_maxneg(7)
+        expected = canonical_signed_code(g)
+        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 1000)
+        batches = evaluated_batches(monkeypatch)
+        assert canonical_signed_code(g) == expected
+        assert batches == [15, 20]
 
 
 @functools.lru_cache(maxsize=None)

@@ -1090,16 +1090,22 @@ class TestVerifyTheorem:
         assert rep.notes == "1 negative-triangle-free switching classes, 10 maximizers"
 
     def test_l2_2_codes_the_target_once(self, monkeypatch):
-        codes = []
+        # n = 6 labels K_6 once and computes one sign row per maximizer and
+        # one for the target, with no whole switching key
+        labels, rows, codes = [], [], []
+        label, row = SEARCH.canonical_form, SEARCH._least_sign_row
         code = SEARCH.canonical_signed_code
 
-        def counting(g):
-            codes.append(g)
-            return code(g)
+        def counting(calls, fn):
+            return lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs)
 
-        monkeypatch.setattr(SEARCH, "canonical_signed_code", counting)
+        monkeypatch.setattr(SEARCH, "canonical_form", counting(labels, label))
+        monkeypatch.setattr(SEARCH, "_least_sign_row", counting(rows, row))
+        monkeypatch.setattr(SEARCH, "canonical_signed_code", counting(codes, code))
         rep = verify_theorem("L2_2", 6)
-        assert rep.passed and len(codes) == rep.details["maximizers"] + 1
+        assert rep.passed and not codes
+        assert len(labels) == 1 and np.array_equal(labels[0][0], ~np.eye(6, dtype=bool))
+        assert len(rows) == rep.details["maximizers"] + 1
 
     def test_l2_2_fails_on_an_unbalanced_maximizer(self, monkeypatch):
         # past n = 6 no canonical code cross-checks the winners, so the balance

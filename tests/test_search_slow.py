@@ -4,11 +4,18 @@ pytest -m slow."""
 import hashlib
 import io
 
+import numpy as np
 import pytest
 
 from signed_extremal.bounds import edge_bound, rho_bound
 from signed_extremal.cli import run
-from signed_extremal.core import canonical_signed_code
+from signed_extremal.core import (
+    canonical_signed_code,
+    permute,
+    signed_isomorphic,
+    switch,
+    switching_isomorphic,
+)
 from signed_extremal.families import build_complete, build_kn_switched_maxneg
 from signed_extremal.search import SearchConfig, _canonical_children, search
 
@@ -354,6 +361,27 @@ def test_signed_code_matches_per_order_reference_on_k8():
     # 40,320 optimal orders each; the tier-1 test stops at K_7
     for g in (build_complete(8, 1), build_complete(8, -1), build_kn_switched_maxneg(8)):
         assert canonical_signed_code(g) == per_order_signed_code(g)
+
+
+def test_signed_code_matches_per_order_reference_on_moved_halved_k8():
+    # the halved K_8 relabelled, and relabelled then switched: 70 of the
+    # 40,320 orders of each are evaluated
+    g = build_kn_switched_maxneg(8)
+    rng = np.random.default_rng(8)
+    moved = permute(g, rng.permutation(8))
+    switched = switch(moved, [0, 3, 5])
+    for h in (moved, switched):
+        assert canonical_signed_code(h) == per_order_signed_code(h)
+    assert signed_isomorphic(g, moved) and not signed_isomorphic(g, switched)
+
+
+def test_switching_isomorphic_on_a_moved_halved_k9():
+    # 362,880 optimal orders, 126 arrangements of the two signed-twin classes
+    g = build_kn_switched_maxneg(9)
+    rng = np.random.default_rng(9)
+    h = switch(permute(g, rng.permutation(9)), [1, 2, 6])
+    assert switching_isomorphic(g, h) and switching_isomorphic(h, g)
+    assert not switching_isomorphic(g, build_complete(9, -1))
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_REPORTS))
