@@ -4,6 +4,12 @@ Each suite draws its own instances from a deterministic generator, so a fixed
 seed reproduces verdicts and logs exactly. A violation count of zero is the
 pass condition; violating instances are recorded in the log.
 
+A suite stands for numpy Generator calls on a generator seeded by (seed,
+suite) but makes none: every draw of every instance, the graph and the
+suite's own switched subset, kept set or added edge, is replayed from one
+stream of that generator's raw 64-bit words (_Words), which gives the same
+values the calls would.
+
 Instances are drawn in blocks and judged a block at a time, so the spectra a
 suite computes itself come from one stacked eigensolve per vertex count per
 block. interlacing_check, clique_spectral_bound and
@@ -43,6 +49,99 @@ class SuiteResult:
 # bit generators whose next 32-bit draw is the low half of a fresh 64-bit
 # word, the high half kept for the next one (has_uint32, uinteger)
 _REPLAYABLE = ("PCG64", "PCG64DXSM", "Philox", "SFC64")
+# raw words a stream takes from its bit generator at a time
+_CHUNK = 256
+
+
+class _Words:
+    """numpy Generator draws replayed from the raw 64-bit words of a bit
+    generator, in integer arithmetic, with the same stream.
+
+    It reads the generator's state once, when it opens, and then takes words
+    _CHUNK at a time with random_raw, ahead of those it uses; close() puts
+    the generator where the replayed calls would have left it. numpy draws a
+    bounded integer by Lemire's method on a 32-bit half (Lemire, ACM TOMACS
+    29, 2019), shuffles with masked rejection on 32-bit halves, samples
+    without replacement by Floyd's algorithm (Bentley and Floyd, CACM 30(9),
+    1987), and takes a double from the top 53 bits of a whole word.
+    """
+
+    def __init__(self, bg):
+        state = bg.state
+        if state["bit_generator"] not in _REPLAYABLE:
+            raise ValueError(f"random_connected_signed_graph replays {', '.join(_REPLAYABLE)} "
+                             f"draws, not {state['bit_generator']}")
+        self._bg, self._state = bg, state
+        self._spare, self._half = state["has_uint32"], state["uinteger"]
+        self._taken, self._chunk = 0, iter(())
+        # the next whole 64-bit word
+        self.word = self._words().__next__
+
+    def _words(self):
+        while True:
+            self._chunk = iter(self._bg.random_raw(_CHUNK).tolist())
+            self._taken += _CHUNK
+            yield from self._chunk
+
+    def next32(self):
+        """The next 32-bit draw: the spare high half if there is one, else
+        the low half of a new word, keeping its high half."""
+        if self._spare:
+            self._spare = 0
+            return self._half
+        w = self.word()
+        self._spare, self._half = 1, w >> 32
+        return w & 0xFFFFFFFF
+
+    def below(self, r):
+        """integers(0, r) for 1 <= r < 2**32; integers(0, 1) draws nothing."""
+        if r == 1:
+            return 0
+        m = self.next32() * r
+        if m & 0xFFFFFFFF < r:
+            least = (1 << 32) % r
+            while m & 0xFFFFFFFF < least:
+                m = self.next32() * r
+        return m >> 32
+
+    def masked(self, i):
+        """A draw from 0..i by masked rejection, one step of permutation."""
+        mask = (1 << i.bit_length()) - 1
+        j = self.next32() & mask
+        while j > i:
+            j = self.next32() & mask
+        return j
+
+    def subset(self, n):
+        """The vertices v < n with rng.random(n)[v] < 0.5, that is with a
+        word below 2**63."""
+        word = self.word
+        return [v for v in range(n) if word() < 1 << 63]
+
+    def sample(self, n, size):
+        """rng.choice(n, size, replace=False) for size <= n: Floyd's algorithm
+        with draws from 0..j, then a shuffle with draws from 0..i."""
+        out, seen = [], set()
+        for j in range(n - size, n):
+            v = self.below(j + 1)
+            if v in seen:
+                v = j
+            seen.add(v)
+            out.append(v)
+        for i in range(size - 1, 0, -1):
+            k = self.below(i + 1)
+            out[i], out[k] = out[k], out[i]
+        return out
+
+    def close(self):
+        """Put the bit generator where the replayed calls would have left it:
+        back to the entry state with the new spare half, then as many words
+        on as were used; random_raw keeps the spare half, which advance()
+        would clear."""
+        state = self._state
+        state["has_uint32"], state["uinteger"] = self._spare, self._half
+        self._bg.state = state
+        self._bg.random_raw(self._taken - self._chunk.__length_hint__())
 
 
 def random_connected_signed_graph(rng: np.random.Generator, n_min: int = 3,
@@ -55,11 +154,8 @@ def random_connected_signed_graph(rng: np.random.Generator, n_min: int = 3,
     2 * rng.integers(0, 2) - 1, the density rng.uniform(0.15, 0.75), then
     for each vertex pair i < j not in the tree one rng.random() < density
     and, on a hit, a sign. Rather than call rng per draw, it replays those
-    calls from a block of raw 64-bit words in integer arithmetic and leaves
-    rng exactly where the calls would: numpy draws a bounded integer by
-    Lemire's method on a 32-bit half (Lemire, ACM TOMACS 29, 2019), shuffles
-    with masked rejection on 32-bit halves, and takes a double from the top
-    53 bits of a whole word.
+    calls from a stream of rng's raw 64-bit words (_Words) and leaves rng
+    exactly where the calls would.
     """
     for value in (n_min, n_max):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -67,71 +163,23 @@ def random_connected_signed_graph(rng: np.random.Generator, n_min: int = 3,
     n_min, n_max = int(n_min), int(n_max)
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min} and {n_max}")
-    bg = rng.bit_generator
-    state = bg.state
-    if state["bit_generator"] not in _REPLAYABLE:
-        raise ValueError(f"random_connected_signed_graph replays {', '.join(_REPLAYABLE)} "
-                         f"draws, not {state['bit_generator']}")
-    # words for a graph on n_max vertices, up to 4096; long rejection loops
-    # and larger graphs draw again
-    block = min(3 * n_max * n_max // 4 + 2 * n_max + 8, 1 << 12)
-    while True:
-        words = bg.random_raw(block).tolist()
-        try:
-            n, adj, spare, half, unused = _replay_graph(
-                words, state["has_uint32"], state["uinteger"], n_min, n_max)
-            break
-        except StopIteration:
-            # the block ran out: replay from the entry state with more words
-            bg.state = state
-            block *= 2
-    # back to the entry state with the new spare half, then as many words on
-    # as the replay used; random_raw keeps the spare half, which advance()
-    # would clear
-    state["has_uint32"], state["uinteger"] = spare, half
-    bg.state = state
-    bg.random_raw(block - unused)
-    return SignedGraph._trusted(np.frombuffer(adj, dtype=np.int8).reshape(n, n))
+    words = _Words(rng.bit_generator)
+    g = _draw_graph(words, n_min, n_max)
+    words.close()
+    return g
 
 
-def _replay_graph(words, spare, half, n_min, n_max):
-    """The draws of random_connected_signed_graph from the raw words, given
-    the generator's spare 32-bit half (has_uint32, uinteger). Returns n, the
-    int8 matrix as bytes (-1 is 255), the new spare half and how many words
-    are left; StopIteration if the words run out."""
-    it = iter(words)
-    word = it.__next__
-
-    def next32():
-        nonlocal spare, half
-        if spare:
-            spare = 0
-            return half
-        w = word()
-        spare, half = 1, w >> 32
-        return w & 0xFFFFFFFF
-
-    def below(r):
-        # integers(0, r) for r >= 1; integers(0, 1) draws nothing
-        if r == 1:
-            return 0
-        m = next32() * r
-        if m & 0xFFFFFFFF < r:
-            least = (1 << 32) % r
-            while m & 0xFFFFFFFF < least:
-                m = next32() * r
-        return m >> 32
-
+def _draw_graph(words, n_min=3, n_max=10):
+    """The draws of random_connected_signed_graph, from the stream words."""
+    word, next32, below = words.word, words.next32, words.below
     n = n_min + below(n_max - n_min + 1)
-    # permutation(n): swap i with a draw from 0..i, by masked rejection
+    # permutation(n): swap i with a draw from 0..i
     order = list(range(n))
     for i in range(n - 1, 0, -1):
-        mask = (1 << i.bit_length()) - 1
-        j = next32() & mask
-        while j > i:
-            j = next32() & mask
+        j = words.masked(i)
         order[i], order[j] = order[j], order[i]
-    # a sign is 2 * integers(0, 2) - 1, the top bit of a 32-bit half
+    # a sign is 2 * integers(0, 2) - 1, the top bit of a 32-bit half; the
+    # matrix is built as bytes, -1 as 255
     adj = bytearray(n * n)
     for idx in range(1, n):
         parent, child = order[below(idx)], order[idx]
@@ -144,12 +192,7 @@ def _replay_graph(words, spare, half, n_min, n_max):
         for k in range(i * n + i + 1, i * n + n):
             if not adj[k] and word() < limit:
                 adj[k] = adj[(k - i * n) * n + i] = 1 if next32() >> 31 else 255
-    return n, adj, spare, half, it.__length_hint__()
-
-
-def _random_vertex_subset(rng, n):
-    mask = rng.random(n) < 0.5
-    return [int(v) for v in np.nonzero(mask)[0]]
+    return SignedGraph._trusted(np.frombuffer(adj, dtype=np.int8).reshape(n, n))
 
 
 def _paired_spectra(cases) -> list[np.ndarray]:
@@ -160,13 +203,14 @@ def _paired_spectra(cases) -> list[np.ndarray]:
                      _stacked_spectra)
 
 
-# Each suite is a draw, which makes every rng call of one instance along with
-# the cheap graph operations, and a judge, which takes a block of drawn cases
-# and returns one failure message or None per case, in order.
+# Each suite is a draw, which makes every draw of one instance from the
+# suite's stream along with the cheap graph operations, and a judge, which
+# takes a block of drawn cases and returns one failure message or None per
+# case, in order.
 
-def _draw_switching_invariance(rng):
-    g = random_connected_signed_graph(rng)
-    u = _random_vertex_subset(rng, g.n)
+def _draw_switching_invariance(words):
+    g = _draw_graph(words)
+    u = words.subset(g.n)
     return g, switch(g, u), u
 
 
@@ -176,8 +220,8 @@ def _judge_switching_invariance(cases) -> list[str | None]:
             for (g, _, u), w in zip(cases, _paired_spectra(cases))]
 
 
-def _draw_negation_symmetry(rng):
-    g = random_connected_signed_graph(rng)
+def _draw_negation_symmetry(words):
+    g = _draw_graph(words)
     return g, negate(g)
 
 
@@ -187,10 +231,10 @@ def _judge_negation_symmetry(cases) -> list[str | None]:
             for (g, _), w in zip(cases, _paired_spectra(cases))]
 
 
-def _draw_interlacing(rng):
-    g = random_connected_signed_graph(rng)
-    size = int(rng.integers(1, g.n + 1))
-    return g, [int(v) for v in rng.choice(g.n, size=size, replace=False)]
+def _draw_interlacing(words):
+    g = _draw_graph(words)
+    # size = integers(1, n + 1)
+    return g, words.sample(g.n, 1 + words.below(g.n))
 
 
 def _judge_interlacing(cases) -> list[str | None]:
@@ -220,10 +264,10 @@ def _judge_clique_bound(cases) -> list[str | None]:
             for g, rep in zip(cases, _clique_spectral_bounds(cases))]
 
 
-def _draw_edge_addition(rng):
+def _draw_edge_addition(words):
     # connected unsigned graph with a spare non-edge
     for _ in range(50):
-        g = random_connected_signed_graph(rng).underlying()
+        g = _draw_graph(words).underlying()
         rows = g.adj.tolist()
         non_edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
                      if rows[i][j] == 0]
@@ -231,7 +275,7 @@ def _draw_edge_addition(rng):
             break
     else:
         raise RuntimeError("edge-addition drew 50 complete graphs in a row")
-    u, v = non_edges[int(rng.integers(0, len(non_edges)))]
+    u, v = non_edges[words.below(len(non_edges))]
     adj = np.array(g.adj)
     adj[u, v] = adj[v, u] = 1
     return g, SignedGraph._trusted(adj), (u, v)
@@ -249,8 +293,8 @@ _CHECKS = {
     "switching-invariance": (_draw_switching_invariance, _judge_switching_invariance),
     "negation-symmetry": (_draw_negation_symmetry, _judge_negation_symmetry),
     "interlacing": (_draw_interlacing, _judge_interlacing),
-    "balanced-spanning": (random_connected_signed_graph, _judge_balanced_spanning),
-    "clique-bound": (random_connected_signed_graph, _judge_clique_bound),
+    "balanced-spanning": (_draw_graph, _judge_balanced_spanning),
+    "clique-bound": (_draw_graph, _judge_clique_bound),
     "edge-addition": (_draw_edge_addition, _judge_edge_addition),
 }
 SUITE_NAMES = tuple(_CHECKS)
@@ -265,21 +309,30 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be a non-negative int, got {value!r}")
 
 
+def _case_blocks(name, seed, instances):
+    """The cases run_suite judges, in blocks of _SUITE_BLOCK, all drawn from
+    one stream on a generator derived from (seed, suite), so suites are
+    independent."""
+    words = _Words(np.random.default_rng([seed, SUITE_NAMES.index(name)]).bit_generator)
+    draw = _CHECKS[name][0]
+    for start in range(0, instances, _SUITE_BLOCK):
+        yield [draw(words) for _ in range(min(_SUITE_BLOCK, instances - start))]
+
+
 def run_suite(name: str, seed: int, instances: int = 200) -> SuiteResult:
     if name not in _CHECKS:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     _check_count("instances", instances)
     _check_count("seed", seed)
-    # per-suite stream derived from (seed, suite) so suites are independent
-    rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
-    draw, judge = _CHECKS[name]
+    judge = _CHECKS[name][1]
     result = SuiteResult(name=name, instances=instances, violations=0)
-    for start in range(0, instances, _SUITE_BLOCK):
-        cases = [draw(rng) for _ in range(min(_SUITE_BLOCK, instances - start))]
+    start = 0
+    for cases in _case_blocks(name, seed, instances):
         for i, failure in enumerate(judge(cases), start):
             if failure is not None:
                 result.violations += 1
                 result.log.append(f"instance {i}: {failure}")
+        start += len(cases)
     result.log.append(
         f"{name}: {instances} instances, {result.violations} violations"
     )

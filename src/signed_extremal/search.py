@@ -872,10 +872,19 @@ def search(config: SearchConfig, *, progress=None) -> SearchReport:
         _, edge_witnesses, _, counts = _scan(replace(config, objective="MAX_EDGES"), progress)
         optimum, maximizers = _neg_edge_maximizers(np.stack([w.adj for w in edge_witnesses]))
         witnesses = [SignedGraph._trusted(a) for a in maximizers]
-        # signed_isomorphic against the one target, keyed once
-        target = _signed_code(build_gst_maxneg(config.n), switched=False)
-        matched = ["gst-maxneg" if _signed_code(w, switched=False) == target else None
-                   for w in witnesses]
+        # signed_isomorphic against the one target, keyed once; witnesses
+        # share few underlying graphs, so each is labelled once, and only
+        # those labelled like the target compare sign rows
+        target_code, target_row = _signed_code(build_gst_maxneg(config.n), switched=False)
+        labels, matched = {}, []
+        for w in witnesses:
+            under = w.adj != 0
+            key = under.tobytes()
+            if key not in labels:
+                labels[key] = canonical_form(under)
+            code, orders = labels[key]
+            matched.append("gst-maxneg" if code == target_code and _least_sign_row(
+                w.adj, orders, switched=False) == target_row else None)
         counts["signatures_scanned"] += len(edge_witnesses) << config.n
     else:
         optimum, witnesses, keys, counts = _scan(config, progress)

@@ -377,12 +377,3 @@ def _interlacing_checks(cases) -> list[bool]:
 def spectrum_to_json(sp: Spectrum) -> str:
     """Fixed 15-significant-digit JSON rendering of a spectrum."""
     return json_text({"eigenvalues": sp.eigenvalues, "rho": sp.rho, "tol": sp.tol})
-
-
-def check_spectrum_identities(g: SignedGraph, sp: Spectrum) -> None:
-    """Assert the trace and Frobenius identities of a computed spectrum."""
-    e = g.edge_count
-    if abs(math.fsum(sp.eigenvalues)) > sp.tol:
-        raise SpectralError("trace identity violated")
-    if abs(math.fsum(v * v for v in sp.eigenvalues) - 2 * e) > g.n * sp.tol:
-        raise SpectralError("Frobenius identity violated")

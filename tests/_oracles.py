@@ -2,22 +2,26 @@
 
 Everything here deliberately avoids the library's own algorithms: sign
 recomputation by definition, cycle enumeration by DFS, isomorphism by scanning
-every permutation, balance by trying every spin assignment. The exceptions are
-the last fourteen functions: the per-order and per-mask loops that the batched
-canonical_signed_code and switching_neg_edge_maximum replaced, the
-one-matmul count over all masks that the half-table split of
-_switching_neg_counts replaced, the row loop
-that the stacked GF(2) elimination replaced, the per-graph colour refinement
-and canonical deletion test that the level-wide numpy passes replaced, the
-per-parent orbit masks and the augmentation loop that tests every orbit
-mask, which the block kernel and the degree bound on masks replaced, the
-np.isin entry check that SignedGraph replaced for bool and integer input,
-the MAX_RHO scan that eigensolves every feasible signature, which the scan
-stopped by the edge-count bound replaced, and the generator that calls the
-numpy Generator once per draw, which the raw-word replay replaced, and the
-one-graph interlacing check, clique spectral bound and balanced spanning
-subgraph, which the stacked kernels replaced, kept as references that must
-agree with them exactly.
+every permutation, balance by trying every spin assignment, the trace and
+Frobenius identities of a spectrum. The exceptions are kept as references
+that must agree exactly with the faster code that replaced them:
+
+- the per-order and per-mask loops that the batched canonical_signed_code
+  and switching_neg_edge_maximum replaced, and the one-matmul count over all
+  masks that the half-table split of _switching_neg_counts replaced;
+- the row loop that the stacked GF(2) elimination replaced;
+- the per-graph colour refinement and canonical deletion test that the
+  level-wide numpy passes replaced;
+- the per-parent orbit masks and the augmentation loop that tests every
+  orbit mask, which the block kernel and the degree bound on masks replaced;
+- the np.isin entry check that SignedGraph replaced for bool and integer
+  input;
+- the MAX_RHO scan that eigensolves every feasible signature, which the scan
+  stopped by the edge-count bound replaced;
+- the generator and the six suite draws that call the numpy Generator once
+  per draw, which the replay from one raw-word stream replaced;
+- the one-graph interlacing check, clique spectral bound and balanced
+  spanning subgraph, which the stacked kernels replaced.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from signed_extremal.core import (
     canonical_forms,
     canonical_switch,
     is_connected,
+    negate,
     permute,
     switch,
 )
@@ -55,6 +60,7 @@ from signed_extremal.search import (
 )
 from signed_extremal.spectral import (
     IDENTITY_TOL,
+    Spectrum,
     SpectralError,
     _symmetric_eigh,
     eigenvalues,
@@ -83,6 +89,15 @@ def brute_is_balanced(g: SignedGraph) -> bool:
         ):
             return True
     return False
+
+
+def check_spectrum_identities(g: SignedGraph, sp: Spectrum) -> None:
+    """Assert the trace and Frobenius identities of a computed spectrum."""
+    e = g.edge_count
+    if abs(math.fsum(sp.eigenvalues)) > sp.tol:
+        raise SpectralError("trace identity violated")
+    if abs(math.fsum(v * v for v in sp.eigenvalues) - 2 * e) > g.n * sp.tol:
+        raise SpectralError("Frobenius identity violated")
 
 
 def all_simple_cycles(g: SignedGraph):
@@ -561,6 +576,51 @@ def per_draw_random_connected_signed_graph(rng: np.random.Generator, n_min: int 
             if row[j] == 0 and rng.random() < density:
                 row[j] = adj[j][i] = 2 * int(rng.integers(0, 2)) - 1
     return SignedGraph(np.array(adj, dtype=np.int8))
+
+
+def per_draw_switching_invariance(rng):
+    g = per_draw_random_connected_signed_graph(rng)
+    u = [int(v) for v in np.nonzero(rng.random(g.n) < 0.5)[0]]
+    return g, switch(g, u), u
+
+
+def per_draw_negation_symmetry(rng):
+    g = per_draw_random_connected_signed_graph(rng)
+    return g, negate(g)
+
+
+def per_draw_interlacing(rng):
+    g = per_draw_random_connected_signed_graph(rng)
+    size = int(rng.integers(1, g.n + 1))
+    return g, [int(v) for v in rng.choice(g.n, size=size, replace=False)]
+
+
+def per_draw_edge_addition(rng):
+    # connected unsigned graph with a spare non-edge
+    for _ in range(50):
+        g = per_draw_random_connected_signed_graph(rng).underlying()
+        rows = g.adj.tolist()
+        non_edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
+                     if rows[i][j] == 0]
+        if non_edges:
+            break
+    else:
+        raise RuntimeError("edge-addition drew 50 complete graphs in a row")
+    u, v = non_edges[int(rng.integers(0, len(non_edges)))]
+    adj = np.array(g.adj)
+    adj[u, v] = adj[v, u] = 1
+    return g, SignedGraph._trusted(adj), (u, v)
+
+
+# the draw of one instance of each property suite, one rng call per draw
+PER_DRAW_SUITE_DRAWS = {
+    "switching-invariance": per_draw_switching_invariance,
+    "negation-symmetry": per_draw_negation_symmetry,
+    "interlacing": per_draw_interlacing,
+    "balanced-spanning": per_draw_random_connected_signed_graph,
+    "clique-bound": per_draw_random_connected_signed_graph,
+    "edge-addition": per_draw_edge_addition,
+}
 
 
 def per_graph_interlacing_check(g: SignedGraph, kept) -> bool:

@@ -26,6 +26,7 @@ from signed_extremal.spectral import FORMULA_TOL, eigenvalues
 import numpy as np
 
 from _oracles import (
+    PER_DRAW_SUITE_DRAWS,
     per_draw_random_connected_signed_graph,
     per_graph_balanced_spanning_subgraph,
     per_graph_clique_spectral_bound,
@@ -99,8 +100,8 @@ class TestGenerator:
 
 
 class TestReplay:
-    """The generator replays numpy's draws from raw words: same graphs, same
-    stream position, for every supported bit generator."""
+    """The generator replays numpy's draws from a stream of raw words: same
+    graphs, same stream position, for every supported bit generator."""
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     # (1, 25) and (5, 40) shuffle with masks up to 31 and 63; (1, 1) draws no n
@@ -126,10 +127,25 @@ class TestReplay:
             assert_same_state(fast.bit_generator.state, slow.bit_generator.state)
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
-    def test_graphs_past_the_first_block(self, bit_generator):
-        # over 90 vertices the density loop alone needs more than the 4096
-        # raw words drawn first
+    def test_graphs_past_the_first_chunk(self, bit_generator):
+        # over 90 vertices the density loop alone needs many chunks of raw
+        # words
         assert_replays_numpy(bit_generator, 3, (90, 100), 2, warm=True, between=True)
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
+    def test_one_stream_for_many_graphs(self, bit_generator):
+        # as in a suite, graph after graph from one stream, across refills;
+        # closing it leaves the generator where the per-draw calls do
+        for seed, warm in ((0, False), (1, True)):
+            fast, slow = bit_generator(seed), np.random.Generator(bit_generator(seed))
+            if warm:
+                np.random.Generator(fast).integers(0, 2)
+                slow.integers(0, 2)
+            words = properties._Words(fast)
+            for _ in range(300):
+                assert properties._draw_graph(words) == per_draw_random_connected_signed_graph(slow)
+            words.close()
+            assert_same_state(fast.state, slow.bit_generator.state)
 
     def test_rejects_bit_generator_it_cannot_replay(self):
         rng = np.random.Generator(np.random.MT19937(0))
@@ -156,6 +172,57 @@ class TestReplay:
         a, b = np.random.default_rng(4), np.random.default_rng(4)
         assert (random_connected_signed_graph(a, np.int64(2), np.int32(6))
                 == random_connected_signed_graph(b, 2, 6))
+
+
+class TestNumpyDraws:
+    """The stream's replays of the suites' own Generator calls, against the
+    installed numpy: values and the generator state after them. A numpy that
+    changes one of these algorithms fails here before it changes a suite's
+    instances."""
+
+    def test_replays_match_numpy(self):
+        for seed in range(240):
+            bit_generator = BIT_GENERATORS[seed % len(BIT_GENERATORS)]
+            fast, slow = bit_generator(seed), np.random.Generator(bit_generator(seed))
+            if seed % 3 == 1:
+                # enter with a spare 32-bit half
+                np.random.Generator(fast).integers(0, 2)
+                slow.integers(0, 2)
+            words = properties._Words(fast)
+            for r in range(1, 41):
+                assert words.below(r) == slow.integers(0, r)
+            for n in range(13):
+                assert words.subset(n) == np.nonzero(slow.random(n) < 0.5)[0].tolist()
+            for n in range(1, 13):
+                for size in range(n + 1):
+                    assert (words.sample(n, size)
+                            == slow.choice(n, size=size, replace=False).tolist()), (n, size)
+            words.close()
+            assert_same_state(fast.state, slow.bit_generator.state)
+
+
+def case_key(case):
+    """A drawn case as plain values, each graph as its order and matrix bytes."""
+    parts = case if isinstance(case, tuple) else (case,)
+    return tuple((p.n, p.adj.tobytes()) if isinstance(p, SignedGraph) else p for p in parts)
+
+
+class TestSuiteDraws:
+    """Every suite judges the cases its per-draw reference draws, in order,
+    in blocks of _SUITE_BLOCK: the graphs, switched subsets, kept sets and
+    added edges."""
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_cases_match_the_per_draw_reference(self, name):
+        block = properties._SUITE_BLOCK
+        for seed in range(4):
+            rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
+            expected = [case_key(PER_DRAW_SUITE_DRAWS[name](rng)) for _ in range(1000)]
+            for instances in (0, 1, block - 1, block, block + 1, 1000):
+                blocks = list(properties._case_blocks(name, seed, instances))
+                assert [len(b) for b in blocks] == [
+                    min(block, instances - start) for start in range(0, instances, block)]
+                assert [case_key(c) for b in blocks for c in b] == expected[:instances]
 
 
 class TestTrustedGraphs:
@@ -227,8 +294,7 @@ class TestSuites:
             run_suite("interlacing", seed=seed, instances=1)
 
     def test_edge_addition_fails_loudly_without_a_non_edge(self, monkeypatch):
-        monkeypatch.setattr(properties, "random_connected_signed_graph",
-                            lambda rng: build_complete(4, 1))
+        monkeypatch.setattr(properties, "_draw_graph", lambda words: build_complete(4, 1))
         with pytest.raises(RuntimeError, match="50 complete graphs"):
             run_suite("edge-addition", seed=0, instances=1)
 

@@ -18,6 +18,7 @@ from signed_extremal.core import (
     is_balanced,
     is_connected,
     new_signed_graph,
+    signed_isomorphic,
     switch,
     switching_equivalent,
 )
@@ -671,6 +672,37 @@ class TestSearch:
         rep = search(SearchConfig(n=6, objective="MAX_NEG_EDGES_AT_MAX_EDGES"))
         assert rep.optimum == 8
         assert all(m == "gst-maxneg" for m in rep.matched_family)
+
+    @pytest.mark.parametrize("n,require_unbalanced", [(6, True), (7, True), (7, False)])
+    def test_neg_edges_objective_labels_each_underlying_graph_once(
+            self, monkeypatch, n, require_unbalanced):
+        # at n = 7 without the unbalanced constraint 35 maximizers share one
+        # underlying graph: one label for it and one for the target
+        calls = []
+        core = sys.modules[canonical_signed_code.__module__]
+        original, scan = core.canonical_form, SEARCH._scan
+
+        def counting(adj):
+            calls.append(1)
+            return original(adj)
+
+        def scan_then_count(*args):
+            out = scan(*args)
+            calls.clear()
+            return out
+
+        monkeypatch.setattr(core, "canonical_form", counting)
+        monkeypatch.setattr(SEARCH, "canonical_form", counting)
+        monkeypatch.setattr(SEARCH, "_scan", scan_then_count)
+        rep = search(SearchConfig(n=n, objective="MAX_NEG_EDGES_AT_MAX_EDGES",
+                                  require_unbalanced=require_unbalanced))
+        distinct = {w.underlying().adj.tobytes() for w in rep.witnesses}
+        assert len(calls) == len(distinct) + 1
+        if not require_unbalanced:
+            assert (len(rep.witnesses), len(distinct)) == (35, 1)
+        target = build_gst_maxneg(n)
+        assert rep.matched_family == ["gst-maxneg" if signed_isomorphic(w, target) else None
+                                      for w in rep.witnesses]
 
     def test_counts_are_exact(self):
         rep = search(SearchConfig(n=4, objective="MAX_EDGES"))

@@ -20,7 +20,6 @@ from signed_extremal.spectral import (
     SpectralError,
     _stacked_spectra,
     char_poly_eval,
-    check_spectrum_identities,
     eigenvalues,
     interlacing_check,
     largest_root,
@@ -31,7 +30,12 @@ from signed_extremal.spectral import (
     spectrum_to_json,
 )
 
-from _oracles import all_signatures, connected_labeled_graphs, seeded_signed_graphs
+from _oracles import (
+    all_signatures,
+    check_spectrum_identities,
+    connected_labeled_graphs,
+    seeded_signed_graphs,
+)
 
 
 def unbalanced_c4():
