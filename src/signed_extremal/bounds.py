@@ -101,35 +101,50 @@ def rho_bound(n: int) -> float:
 
 def balanced_clique_number(g: SignedGraph) -> int:
     """Largest vertex count of a balanced complete induced signed subgraph.
+    Rejects graphs above _CLIQUE_MAX_ORDER vertices to bound the cost."""
+    return _balanced_clique_numbers([g])[0]
 
-    Branch and bound over cliques of the underlying graph, testing balance by
-    spin propagation: a clique stays balanced iff every added vertex w admits a
-    spin with sign(w,c) = spin(w)spin(c) against all current members. Rejects
-    graphs above _CLIQUE_MAX_ORDER vertices to bound the cost.
-    """
-    if g.n > _CLIQUE_MAX_ORDER:
-        raise ValueError(f"balanced clique search capped at {_CLIQUE_MAX_ORDER} vertices")
-    rows = g.adj.tolist()
-    best = 1  # a single vertex is a balanced complete subgraph
 
-    def extend(clique, spins, candidates):
-        nonlocal best
-        if len(clique) > best:
-            best = len(clique)
-        for idx, w in enumerate(candidates):
-            if len(clique) + len(candidates) - idx <= best:
-                return
-            if clique:
-                sw = rows[w][clique[0]] * spins[0]
-                if any(rows[w][c] != sw * sc for c, sc in zip(clique, spins)):
-                    continue
-            else:
-                sw = 1
-            nxt = [x for x in candidates[idx + 1:] if rows[w][x]]
-            extend(clique + [w], spins + [sw], nxt)
-
-    extend([], [], list(range(g.n)))
+def _grow_balanced_clique(pos, neg, size, same, other, best):
+    """The larger of best, size and every balanced clique grown from the
+    current one of `size` vertices by the vertices that may join with the
+    root's spin (bitset same) or with the other spin (bitset other)."""
+    if size > best:
+        best = size
+    while size + (same | other).bit_count() > best:
+        low = (same | other) & -(same | other)
+        w = low.bit_length() - 1
+        # with the root's spin, w keeps the vertices of same it sees positively
+        # and those of other it sees negatively; with the other spin, the reverse
+        p, q = (pos[w], neg[w]) if same & low else (neg[w], pos[w])
+        same, other = same & ~low, other & ~low
+        best = _grow_balanced_clique(pos, neg, size + 1, same & p, other & q, best)
     return best
+
+
+def _stack_clique_numbers(a: np.ndarray) -> list[int]:
+    # each row's +1 and -1 entries as the bits of a little-endian word of one
+    # or two bytes; a matmul would run numpy code that raises the suites' peak RSS
+    words = [np.packbits(a == s, axis=2, bitorder="little") for s in (1, -1)]
+    out = []
+    for pos, neg in zip(*(w.view(f"<u{w.shape[2]}")[:, :, 0].tolist() for w in words)):
+        best = 1  # a single vertex is a balanced complete subgraph
+        for r in range(len(pos)):
+            same, other = pos[r] & (-2 << r), neg[r] & (-2 << r)
+            if (same | other).bit_count() >= best:
+                best = _grow_balanced_clique(pos, neg, 1, same, other, best)
+        out.append(best)
+    return out
+
+
+def _balanced_clique_numbers(graphs) -> list[int]:
+    """balanced_clique_number of each graph, in order, from neighbour bitsets
+    per vertex count. A clique is balanced iff its vertices take spins with
+    sign(u,v) = spin(u)spin(v); it grows from its lowest vertex, spin +1, by the
+    lowest candidate, taken then left out, while a larger one can still come."""
+    if any(g.n > _CLIQUE_MAX_ORDER for g in graphs):
+        raise ValueError(f"balanced clique search capped at {_CLIQUE_MAX_ORDER} vertices")
+    return _by_shape([g.adj for g in graphs], _stack_clique_numbers)
 
 
 def clique_spectral_bound(g: SignedGraph) -> BoundReport:
@@ -138,12 +153,12 @@ def clique_spectral_bound(g: SignedGraph) -> BoundReport:
 
 
 def _clique_spectral_bounds(graphs) -> list[BoundReport]:
-    """clique_spectral_bound of each graph, in order, with one eigh per
-    vertex count; every graph's edges and clique number come first."""
+    """clique_spectral_bound of each graph, in order, with one eigh and one
+    clique search per vertex count; no edge anywhere raises before the cap."""
     edges = [g.edge_count for g in graphs]
     if 0 in edges:
         raise ValueError("clique spectral bound needs at least one edge")
-    cliques = [balanced_clique_number(g) for g in graphs]
+    cliques = _balanced_clique_numbers(graphs)
     return [make_bound_report("clique_spectral", g.n, math.sqrt(2.0 * e * (wb - 1) / wb),
                               float(w[-1]), spectral=True,
                               details={"balanced_clique_number": wb, "edges": e})
@@ -162,49 +177,54 @@ def balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:
     return _balanced_spanning_subgraphs([g])[0]
 
 
-def _balanced_spanning_subgraphs(graphs) -> list[SignedGraph]:
-    """balanced_spanning_subgraph of each graph, in order.
+def _principal_switchings(a: np.ndarray):
+    """lambda_1 of each matrix of an (m, n, n) stack, the ambiguous entries of
+    its principal vector, the spins of the vector signed as eigenvalues signs
+    it (-1 at entries <= -1e-10) and the candidate they give."""
+    w, vecs = _symmetric_eigh(a)
+    spins, ambiguous = [], []
+    # in Python: numpy on the strided vectors raised the suites' peak RSS
+    for x in vecs[..., -1].tolist():
+        # the first entry of largest magnitude is made positive
+        sign = -1.0 if max(x, key=abs) < 0 else 1.0
+        spins.append([-1 if sign * v <= -1e-10 else 1 for v in x])
+        ambiguous.append([i for i, v in enumerate(x) if abs(v) < 1e-10])
+    s = np.array(spins, dtype=np.int8)
+    return w[:, -1], ambiguous, s, np.maximum(s[:, :, None] * s[:, None, :] * a, 0)
 
-    The principal vectors come from one eigh per vertex count, each vector
-    signed as eigenvalues signs it. The 2^a switchings of each graph's a
-    ambiguous entries, in itertools.product order, go into one stack of
-    candidates, solved with one eigh per vertex count; a graph keeps its
-    first maximum. Disconnected graphs and too many ambiguous entries raise,
-    in graph order, before any candidate is solved.
-    """
-    spectra = _by_shape([g.adj for g in graphs], _symmetric_eigh)
+
+def _balanced_spanning_subgraphs(graphs) -> list[SignedGraph]:
+    """balanced_spanning_subgraph of each graph, in order, its spins and one
+    candidate from a stack per vertex count; a graph with a ambiguous entries
+    takes their 2^a switchings, in itertools.product order, and keeps the first
+    maximum. Disconnected graphs and over 16 ambiguous entries raise, in graph
+    order, before any candidate is solved."""
+    spectra = _by_shape([g.adj for g in graphs], _principal_switchings)
     stacks = []
-    for g, (_, vecs) in zip(graphs, spectra):
+    for g, (_, ambiguous, spin, h) in zip(graphs, spectra):
         # one _bfs_tree per graph costs less than _bfs_trees per vertex count
         if not is_connected(g):
             raise ValueError("balanced spanning subgraph extraction needs a connected graph")
-        x = vecs[:, -1].tolist()
-        # the first entry of largest magnitude is made positive
-        sign = -1.0 if max(x, key=abs) < 0 else 1.0
-        ambiguous = [i for i, v in enumerate(x) if abs(v) < 1e-10]
-        if len(ambiguous) > 16:
-            raise SpectralError("too many ambiguous eigenvector entries")
-        # one spin row per switching: -1 on the negative entries and on the
-        # picked ambiguous ones, the last ambiguous entry varying fastest
-        spin = [-1 if sign * v <= -1e-10 else 1 for v in x]
-        rows = []
-        for choice in itertools.product((1, -1), repeat=len(ambiguous)):
-            for i, c in zip(ambiguous, choice):
-                spin[i] = c
-            rows.append(list(spin))
-        spins = np.array(rows, dtype=np.int8)
-        stacks.append(np.maximum(spins[:, :, None] * spins[:, None, :] * g.adj, 0))
+        if ambiguous:
+            if len(ambiguous) > 16:
+                raise SpectralError("too many ambiguous eigenvector entries")
+            # one spin row per switching: -1 on the picked ambiguous entries,
+            # the last ambiguous entry varying fastest
+            spins = np.repeat(spin[None], 1 << len(ambiguous), axis=0)
+            spins[:, ambiguous] = list(itertools.product((1, -1), repeat=len(ambiguous)))
+            h = np.maximum(spins[:, :, None] * spins[:, None, :] * g.adj, 0)
+        stacks.append(h.reshape(-1, g.n, g.n))
     # only lambda_1 of each candidate is kept
     values = _by_shape([h for stack in stacks for h in stack], lambda a: _eigh_values(a)[:, -1])
     out, k = [], 0
-    for stack, (w, _) in zip(stacks, spectra):
+    for stack, (lam1, *_) in zip(stacks, spectra):
         lam = [float(v) for v in values[k:k + len(stack)]]
         k += len(stack)
         best = lam.index(max(lam))
-        if lam[best] < w[-1] - SPECTRAL_SLACK:
+        if lam[best] < lam1 - SPECTRAL_SLACK:
             raise SpectralError(
                 "balanced spanning subgraph lost spectral radius: "
-                f"{lam[best]} < {float(w[-1])}"
+                f"{lam[best]} < {float(lam1)}"
             )
         out.append(SignedGraph._trusted(stack[best].copy()))
     return out

@@ -21,7 +21,8 @@ that must agree exactly with the faster code that replaced them:
 - the generator and the six suite draws that call the numpy Generator once
   per draw, which the replay from one raw-word stream replaced;
 - the one-graph interlacing check, clique spectral bound and balanced
-  spanning subgraph, which the stacked kernels replaced.
+  spanning subgraph, which the stacked kernels replaced, and the recursion
+  over Python lists that the bitset balanced clique search replaced.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ import math
 import numpy as np
 
 from signed_extremal.bounds import (
+    _CLIQUE_MAX_ORDER,
     SPECTRAL_SLACK,
     BoundReport,
-    balanced_clique_number,
     make_bound_report,
 )
 from signed_extremal.core import (
@@ -639,12 +640,45 @@ def per_graph_interlacing_check(g: SignedGraph, kept) -> bool:
     return True
 
 
+def per_graph_balanced_clique_number(g: SignedGraph) -> int:
+    """Largest vertex count of a balanced complete induced signed subgraph.
+
+    Branch and bound over cliques of the underlying graph, testing balance by
+    spin propagation: a clique stays balanced iff every added vertex w admits a
+    spin with sign(w,c) = spin(w)spin(c) against all current members. Rejects
+    graphs above _CLIQUE_MAX_ORDER vertices to bound the cost.
+    """
+    if g.n > _CLIQUE_MAX_ORDER:
+        raise ValueError(f"balanced clique search capped at {_CLIQUE_MAX_ORDER} vertices")
+    rows = g.adj.tolist()
+    best = 1  # a single vertex is a balanced complete subgraph
+
+    def extend(clique, spins, candidates):
+        nonlocal best
+        if len(clique) > best:
+            best = len(clique)
+        for idx, w in enumerate(candidates):
+            if len(clique) + len(candidates) - idx <= best:
+                return
+            if clique:
+                sw = rows[w][clique[0]] * spins[0]
+                if any(rows[w][c] != sw * sc for c, sc in zip(clique, spins)):
+                    continue
+            else:
+                sw = 1
+            nxt = [x for x in candidates[idx + 1:] if rows[w][x]]
+            extend(clique + [w], spins + [sw], nxt)
+
+    extend([], [], list(range(g.n)))
+    return best
+
+
 def per_graph_clique_spectral_bound(g: SignedGraph) -> BoundReport:
     """Compare l1(g) against sqrt(2e (wb-1)/wb) for the balanced clique number wb."""
     e = g.edge_count
     if e < 1:
         raise ValueError("clique spectral bound needs at least one edge")
-    wb = balanced_clique_number(g)
+    wb = per_graph_balanced_clique_number(g)
     bound = math.sqrt(2.0 * e * (wb - 1) / wb)
     lam1 = eigenvalues(g).eigenvalues[0]
     return make_bound_report("clique_spectral", g.n, bound, lam1, spectral=True,

@@ -6,6 +6,7 @@ import pytest
 
 from signed_extremal.bounds import (
     BoundReport,
+    _balanced_clique_numbers,
     _balanced_spanning_subgraphs,
     _clique_spectral_bounds,
     balanced_clique_number,
@@ -23,11 +24,18 @@ from signed_extremal.core import (
     switch,
     switching_equivalent,
 )
-from signed_extremal.families import build_complete, build_gst, build_gst_maxneg
+from signed_extremal.families import (
+    build_complete,
+    build_gst,
+    build_gst_maxneg,
+    build_kn_switched_maxneg,
+)
 from signed_extremal.properties import random_connected_signed_graph
 from signed_extremal.spectral import _interlacing_checks, eigenvalues
 
 from _oracles import (
+    all_labeled_signed_graphs,
+    per_graph_balanced_clique_number,
     per_graph_balanced_spanning_subgraph,
     per_graph_clique_spectral_bound,
     per_graph_interlacing_check,
@@ -46,18 +54,37 @@ def ambiguous_graph():
                                 (1, 4, 1), (2, 4, -1), (3, 4, 1)])
 
 
+def ambiguous_graph_7():
+    """Four principal-vector entries below 1e-10; a switching other than the
+    first of the sixteen gives the largest lambda_1."""
+    return new_signed_graph(7, [(0, 2, -1), (0, 5, -1), (0, 6, -1), (1, 2, -1), (1, 3, -1),
+                                (1, 5, 1), (1, 6, -1), (2, 4, 1), (2, 6, -1), (3, 4, -1),
+                                (3, 5, 1), (3, 6, -1), (4, 5, 1), (4, 6, -1), (5, 6, 1)])
+
+
+def many_ambiguous_graph():
+    """A positive K_8 and a path on 17 vertices, each path vertex joined to
+    two clique vertices by opposite signs: lambda_1 = 7, its vector zero on
+    the 17 path vertices."""
+    edges = [(i, j, 1) for i in range(8) for j in range(i + 1, 8)]
+    for k in range(17):
+        edges += [(k % 8, 8 + k, 1), ((k + 1) % 8, 8 + k, -1)]
+        edges += [(7 + k, 8 + k, 1)] if k else []
+    return new_signed_graph(25, edges)
+
+
 def disconnected_graph():
     return new_signed_graph(5, [(0, 1, -1), (2, 3, 1), (3, 4, -1)])
 
 
 def kernel_graphs(seed):
-    """1,200 seeded suite graphs with n = 1..12, the hand cases mixed in
-    among them."""
+    """1,200 seeded suite graphs with n = 1..12, the hand cases, ambiguous
+    graphs of orders 5 and 7 among them, mixed in."""
     rng = np.random.default_rng(seed)
     graphs = [random_connected_signed_graph(rng, 1, 12) for _ in range(1200)]
     assert {g.n for g in graphs} == set(range(1, 13))
-    graphs[300:300] = [unbalanced_c4(), ambiguous_graph()]
-    graphs[900:900] = [ambiguous_graph(), unbalanced_c4()]
+    graphs[300:300] = [unbalanced_c4(), ambiguous_graph(), ambiguous_graph_7()]
+    graphs[900:900] = [ambiguous_graph_7(), ambiguous_graph(), unbalanced_c4()]
     return graphs
 
 
@@ -146,6 +173,47 @@ class TestBalancedCliqueNumber:
     def test_cap(self):
         with pytest.raises(ValueError, match="capped"):
             balanced_clique_number(build_complete(15, 1))
+        with pytest.raises(ValueError, match="capped"):
+            _balanced_clique_numbers([unbalanced_c4(), build_complete(15, 1)])
+
+
+def assert_clique_numbers_agree(graphs):
+    """The stacked bitset search, the one-graph function and the recursion
+    it replaced give every graph the same int."""
+    got = _balanced_clique_numbers(graphs)
+    assert len(got) == len(graphs) and all(type(wb) is int for wb in got)
+    assert got == [per_graph_balanced_clique_number(g) for g in graphs]
+    assert got == [balanced_clique_number(g) for g in graphs]
+    return got
+
+
+class TestBalancedCliqueSearch:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_signed_graph(self, n):
+        # disconnected and edgeless graphs included
+        graphs = list(all_labeled_signed_graphs(n))
+        assert len(graphs) == 3 ** (n * (n - 1) // 2)
+        assert max(assert_clique_numbers_agree(graphs)) == n
+
+    @pytest.mark.slow
+    def test_every_signed_graph_on_five_vertices(self):
+        graphs = list(all_labeled_signed_graphs(5))
+        assert len(graphs) == 59049
+        assert_clique_numbers_agree(graphs)
+
+    def test_kernel_graphs(self):
+        assert_clique_numbers_agree(kernel_graphs(35))
+
+    def test_largest_complete_graphs(self):
+        graphs = [build_complete(14, 1), build_complete(14, -1), build_kn_switched_maxneg(14)]
+        assert assert_clique_numbers_agree(graphs) == [14, 2, 14]
+
+    def test_every_extremal_family_member(self):
+        graphs = [build_gst(s, t) for s in range(1, 12) for t in range(1, 13 - s)]
+        assert {g.n for g in graphs} == set(range(4, 15))
+        # the positive clique on s + t vertices; neither apex sees all of it
+        assert assert_clique_numbers_agree(graphs) == [
+            s + t for s in range(1, 12) for t in range(1, 13 - s)]
 
 
 class TestCliqueSpectralBound:
@@ -208,8 +276,8 @@ class TestStackedKernels:
     """Each stacked kernel gives every graph of a mixed stack the result of
     the one-graph oracle it replaced, bit for bit."""
 
-    def test_ambiguous_graph_keeps_a_later_switching(self):
-        g = ambiguous_graph()
+    @pytest.mark.parametrize("g", [ambiguous_graph(), ambiguous_graph_7()])
+    def test_ambiguous_graph_keeps_a_later_switching(self, g):
         x = np.array(eigenvalues(g).principal_vector)
         ambiguous = np.flatnonzero(np.abs(x) < 1e-10)
         assert len(ambiguous) >= 2
@@ -233,6 +301,27 @@ class TestStackedKernels:
                    lambda: per_graph_balanced_spanning_subgraph(disconnected_graph()))
         same_error(lambda: balanced_spanning_subgraph(disconnected_graph()),
                    lambda: per_graph_balanced_spanning_subgraph(disconnected_graph()))
+        same_error(lambda: balanced_spanning_subgraph(many_ambiguous_graph()),
+                   lambda: per_graph_balanced_spanning_subgraph(many_ambiguous_graph()))
+
+    @pytest.mark.parametrize("first_bad,later_bad", [
+        (many_ambiguous_graph(), new_signed_graph(4, [(0, 1, 1), (2, 3, -1)])),
+        (disconnected_graph(), many_ambiguous_graph()),
+    ])
+    def test_first_bad_graph_raises_in_a_mixed_order_stack(self, first_bad, later_bad):
+        # the first bad graph is not in the first vertex-count group (n = 4),
+        # and the later one raises another error
+        plain = kernel_graphs(36)[:60]
+        graphs = [unbalanced_c4()] + plain[:30] + [first_bad] + plain[30:] + [later_bad]
+        assert first_bad.n != 4
+        same_error(lambda: _balanced_spanning_subgraphs(graphs),
+                   lambda: per_graph_balanced_spanning_subgraph(first_bad))
+        errors = []
+        for g in (first_bad, later_bad):
+            with pytest.raises(Exception) as err:
+                per_graph_balanced_spanning_subgraph(g)
+            errors.append(type(err.value))
+        assert errors[0] is not errors[1]
 
     def test_clique_bound_matches_oracle(self):
         graphs = [g for g in kernel_graphs(33) if g.edge_count]

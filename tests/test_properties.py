@@ -3,7 +3,12 @@ import hashlib
 import pytest
 
 from signed_extremal import properties
-from signed_extremal.bounds import balanced_spanning_subgraph, make_bound_report
+from signed_extremal.bounds import (
+    _balanced_spanning_subgraphs,
+    _clique_spectral_bounds,
+    balanced_spanning_subgraph,
+    make_bound_report,
+)
 from signed_extremal.core import (
     SignedGraph,
     canonical_switch,
@@ -301,6 +306,63 @@ class TestSuites:
     def test_zero_instances_allowed(self):
         r = run_suite("interlacing", seed=0, instances=0)
         assert r.instances == 0 and r.violations == 0 and r.passed
+
+
+# (instances, violations, sha256 of "\n".join(log)) of every suite at seeds
+# 1-3 and 2,000 instances, the scale of the property-check benchmark. With no
+# violation the log is its summary line alone, so the seeds share a digest.
+WORKLOAD_PINS = {
+    ("switching-invariance", 1): (2000, 0, "6a5a7b900ec065f8510051cba43c1d81445d37cf6f1cd667bc2d7587125fa39d"),
+    ("negation-symmetry", 1): (2000, 0, "75a28276c229ad621ea6cbc1eb0d817f0fb9018233a1c36cf3c0997a5439f118"),
+    ("interlacing", 1): (2000, 0, "863b07937a9d78f4f658863572288b7aa062f52c668d151e449dec019fb694d4"),
+    ("balanced-spanning", 1): (2000, 0, "c4add2c3005617f162655bf240f69725eea3b77cb87121bd1805be76be012eb3"),
+    ("clique-bound", 1): (2000, 0, "de657cb90435683ac14856944c6cae510e245e1998ba52117c58a3660df8d59f"),
+    ("edge-addition", 1): (2000, 0, "28871b77d537d2b6574da04f99994805fcada12be51f03e714e0fc775cb33665"),
+    ("switching-invariance", 2): (2000, 0, "6a5a7b900ec065f8510051cba43c1d81445d37cf6f1cd667bc2d7587125fa39d"),
+    ("negation-symmetry", 2): (2000, 0, "75a28276c229ad621ea6cbc1eb0d817f0fb9018233a1c36cf3c0997a5439f118"),
+    ("interlacing", 2): (2000, 0, "863b07937a9d78f4f658863572288b7aa062f52c668d151e449dec019fb694d4"),
+    ("balanced-spanning", 2): (2000, 0, "c4add2c3005617f162655bf240f69725eea3b77cb87121bd1805be76be012eb3"),
+    ("clique-bound", 2): (2000, 0, "de657cb90435683ac14856944c6cae510e245e1998ba52117c58a3660df8d59f"),
+    ("edge-addition", 2): (2000, 0, "28871b77d537d2b6574da04f99994805fcada12be51f03e714e0fc775cb33665"),
+    ("switching-invariance", 3): (2000, 0, "6a5a7b900ec065f8510051cba43c1d81445d37cf6f1cd667bc2d7587125fa39d"),
+    ("negation-symmetry", 3): (2000, 0, "75a28276c229ad621ea6cbc1eb0d817f0fb9018233a1c36cf3c0997a5439f118"),
+    ("interlacing", 3): (2000, 0, "863b07937a9d78f4f658863572288b7aa062f52c668d151e449dec019fb694d4"),
+    ("balanced-spanning", 3): (2000, 0, "c4add2c3005617f162655bf240f69725eea3b77cb87121bd1805be76be012eb3"),
+    ("clique-bound", 3): (2000, 0, "de657cb90435683ac14856944c6cae510e245e1998ba52117c58a3660df8d59f"),
+    ("edge-addition", 3): (2000, 0, "28871b77d537d2b6574da04f99994805fcada12be51f03e714e0fc775cb33665"),
+}
+# sha256, per seed, over the 2,000 instances of the balanced-spanning suite
+# (each subgraph's bytes) and of the clique-bound suite (each report's JSON,
+# float hex and details)
+KERNEL_PINS = {
+    1: ("d1b1c4eacafda860f8225343136b2f78bfd1e04a4e22ad75dd8ec95353efbf28",
+        "22c79552b1ba89b5bccc08aa8267a9234a8076bc20f6c1084089f5f99155ea0b"),
+    2: ("c0fc704814b69b9a67078f0253f9ba6640c50457eb008582a03bff0100d44619",
+        "303d5809802cd715d422e4b8aa30d4351e3d424fe75e4153a6b41253b49e3e80"),
+    3: ("96b344d84744f314393e4faa12633f9c006513dcd719a894867d15d0fce5119f",
+        "c607017e888559705a6d9ae2ee9f7ff0b61136eff3fc65c296cb3212284921b1"),
+}
+
+
+@pytest.mark.slow
+class TestWorkloadScalePins:
+    @pytest.mark.parametrize("name,seed", list(WORKLOAD_PINS))
+    def test_suite_verdicts_and_logs(self, name, seed):
+        r = run_suite(name, seed, 2000)
+        digest = hashlib.sha256("\n".join(r.log).encode()).hexdigest()
+        assert (r.instances, r.violations, digest) == WORKLOAD_PINS[name, seed]
+
+    @pytest.mark.parametrize("seed", list(KERNEL_PINS))
+    def test_kernel_outputs(self, seed):
+        spanning, bound = hashlib.sha256(), hashlib.sha256()
+        for cases in properties._case_blocks("balanced-spanning", seed, 2000):
+            for h in _balanced_spanning_subgraphs(cases):
+                spanning.update(h.adj.tobytes())
+        for cases in properties._case_blocks("clique-bound", seed, 2000):
+            for rep in _clique_spectral_bounds(cases):
+                bound.update((rep.to_json() + rep.observed.hex() + rep.bound_value.hex()
+                              + repr(rep.details) + "\n").encode())
+        assert (spanning.hexdigest(), bound.hexdigest()) == KERNEL_PINS[seed]
 
 
 def reference_log(name, seed, instances):
