@@ -88,6 +88,49 @@ PINNED_CLASS_CODES = {
 }
 
 
+# the first 16 hex digits of the sha256 of each _Summary field (its dtype
+# string, then its bytes), in field order, recorded when the summary was
+# built from spanning trees and a row elimination in tree coordinates
+PINNED_SUMMARIES = {
+    (3, "C3_MINUS"): ("8701ca8603ed4d72", "31990d6102f61908",
+                      "05f5c45d64b52f7f", "05f5c45d64b52f7f"),
+    (3, "C3_PLUS"): ("8701ca8603ed4d72", "31990d6102f61908",
+                     "05f5c45d64b52f7f", "3d5ffa25667d434d"),
+    (3, "NONE"): ("8701ca8603ed4d72", "043b5d47afc0637f",
+                  "05f5c45d64b52f7f", "05f5c45d64b52f7f"),
+    (4, "C3_MINUS"): ("2003b087d2b64a49", "b1bfb691b62922a8",
+                      "56912cde8a14da45", "56912cde8a14da45"),
+    (4, "C3_PLUS"): ("2003b087d2b64a49", "b1bfb691b62922a8",
+                     "56912cde8a14da45", "cb8b6be1d5c4f1b0"),
+    (4, "NONE"): ("2003b087d2b64a49", "495dba6deef728bc",
+                  "56912cde8a14da45", "56912cde8a14da45"),
+    (5, "C3_MINUS"): ("980d77ae48fd5c1e", "fb2e8d31dd42a576",
+                      "7a683522d21b7fec", "7a683522d21b7fec"),
+    (5, "C3_PLUS"): ("980d77ae48fd5c1e", "fb2e8d31dd42a576",
+                     "7a683522d21b7fec", "b94c35a62adda471"),
+    (5, "NONE"): ("980d77ae48fd5c1e", "cdde399a33ec208d",
+                  "7a683522d21b7fec", "7a683522d21b7fec"),
+    (6, "C3_MINUS"): ("5bae8a6363706bd5", "b176b8bee3029953",
+                      "e6d0509f7f3453c5", "e6d0509f7f3453c5"),
+    (6, "C3_PLUS"): ("5bae8a6363706bd5", "b176b8bee3029953",
+                     "e6d0509f7f3453c5", "19e82930746be54e"),
+    (6, "NONE"): ("5bae8a6363706bd5", "3b5066d3ccd05207",
+                  "e6d0509f7f3453c5", "e6d0509f7f3453c5"),
+    (7, "C3_MINUS"): ("54f64cad83d8b45e", "a8cd5265e4f4b457",
+                      "91cc8287108d189e", "91cc8287108d189e"),
+    (7, "C3_PLUS"): ("54f64cad83d8b45e", "a8cd5265e4f4b457",
+                     "91cc8287108d189e", "f5d94b131fa5b0ed"),
+    (7, "NONE"): ("54f64cad83d8b45e", "2f8a4637a8c159b6",
+                  "91cc8287108d189e", "91cc8287108d189e"),
+    (8, "C3_MINUS"): ("97e987cf587bd4c3", "229bd700c3136250",
+                      "89565633b27067d6", "89565633b27067d6"),
+    (8, "C3_PLUS"): ("97e987cf587bd4c3", "229bd700c3136250",
+                     "89565633b27067d6", "b4b3e4994b518f64"),
+    (8, "NONE"): ("97e987cf587bd4c3", "f0fa59f19752002d",
+                  "89565633b27067d6", "89565633b27067d6"),
+}
+
+
 def codes_digest(codes) -> str:
     return hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
 
@@ -472,6 +515,14 @@ class TestClassSummary:
     @pytest.mark.parametrize("forbidden", FORBIDDEN)
     def test_matches_the_full_solve_n8(self, forbidden):
         self.assert_matches_the_full_solve(8, forbidden)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, pytest.param(8, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("forbidden", FORBIDDEN)
+    def test_summary_is_pinned(self, n, forbidden):
+        # independent of _table_span, which shares the summary's elimination
+        digests = tuple(hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest()[:16]
+                        for a in _class_summary(n, forbidden))
+        assert digests == PINNED_SUMMARIES[n, forbidden]
 
     def test_blocks_do_not_change_the_summary(self, monkeypatch, fresh_summaries):
         whole = {f: _class_summary(6, f) for f in FORBIDDEN}
