@@ -42,25 +42,25 @@ The signatures of a class are the 2^k sign patterns on its k edges off the
 canonical spanning tree. With the tree pinned +1, the sign of a triangle is
 the parity of its non-tree bits, so the patterns that avoid the forbidden
 triangle are the solutions of an affine system over GF(2). They are found by
-elimination, never by scanning all 2^k patterns (switching classes are fixed
-by their cycle signs: Zaslavsky, "Signed graphs", 1982).
+one column elimination over uint64 words of equation bits (_gf2_columns),
+never by scanning all 2^k patterns.
 
 No table of every class is kept. Once per (n, forbidden triangle), on the
-first search that needs it, the table rows of the classes (adjacency, edge
-count, non-tree cells and triangle masks, spanning trees from
-core._bfs_trees) are built a block of classes at a time and their triangle
-systems eliminated; only a summary of four bytes per class is kept (edge
-count, the dimension of the solution space, whether the system is consistent
-and whether pattern 0 solves it), and the block is dropped before the next
-one is built. Feasible counts follow from the summary alone. A scan takes the
-classes with feasible signatures densest first, one edge count at a time, and
-rebuilds and fully solves the rows of only the counts it reaches: MAX_EDGES
-the densest, MAX_RHO, in eigvalsh calls of up to _EIG_BATCH matrices, every
-count up to the first whose bound (sqrt(1 + 8m) - 1) / 2 on the spectral
-radius of every signature (Perron-Frobenius and Stanley, 1987) is out of
-reach of the best value found, decided in integers: the T1_3 scan at
-n = 8 rebuilds 43 of its 7,143 feasible classes and solves 51 of their
-24,841 feasible signatures.
+first search that needs it, a summary of four bytes per class (edge count,
+the dimension of the solution space, whether the system is consistent and
+whether pattern 0 solves it) is built from the class codes alone, a block at
+a time. Switching classes are fixed by their cycle signs (Zaslavsky, "Signed
+graphs", 1982), so no spanning tree is needed: the system is solved over the
+m edge signs, and the cut space, of dimension n - 1, divides the count.
+Feasible counts follow from the summary alone. A scan takes the classes with
+feasible signatures densest first, one edge count at a time, and rebuilds
+(with spanning trees from core._bfs_trees) and fully solves the rows of only
+the counts it reaches: MAX_EDGES the densest, MAX_RHO, in eigvalsh calls of
+up to _EIG_BATCH matrices, every count up to the first whose bound
+(sqrt(1 + 8m) - 1) / 2 on the spectral radius of every signature
+(Perron-Frobenius and Stanley, 1987) is out of reach of the best value found,
+decided in integers: the T1_3 scan at n = 8 rebuilds 43 of its 7,143
+feasible classes and solves 51 of their 24,841 feasible signatures.
 
 Every signed graph this module builds comes from a table row (_table_block)
 and a non-tree pattern (_signature_stack): the search witnesses, the switching
@@ -194,15 +194,21 @@ class SearchReport:
 # Underlying-graph enumeration (one representative per isomorphism class)
 # ---------------------------------------------------------------------------
 
-def _codes_to_adj(codes, n: int) -> np.ndarray:
-    """The (len(codes), n, n) bool adjacency stack of class codes on n vertices."""
-    iu, ju = _triu_cells(n)
-    ncells = len(iu)
+def _code_cells(codes, n: int) -> np.ndarray:
+    """The (len(codes), C(n, 2)) bool upper-triangle cells of class codes on
+    n vertices, row by row (core._triu_cells)."""
+    ncells = n * (n - 1) // 2
     nbytes = (ncells + 7) // 8
     # a code packs its upper-triangle cells MSB first, padded to whole bytes
     raw = np.frombuffer(b"".join(c.to_bytes(nbytes, "big") for c in codes), dtype=np.uint8)
+    return np.unpackbits(raw.reshape(len(codes), nbytes), axis=1, count=ncells).view(bool)
+
+
+def _codes_to_adj(codes, n: int) -> np.ndarray:
+    """The (len(codes), n, n) bool adjacency stack of class codes on n vertices."""
+    iu, ju = _triu_cells(n)
     adj = np.zeros((len(codes), n, n), dtype=bool)
-    adj[:, iu, ju] = np.unpackbits(raw.reshape(len(codes), nbytes), axis=1, count=ncells)
+    adj[:, iu, ju] = _code_cells(codes, n)
     return adj | adj.transpose(0, 2, 1)
 
 
@@ -385,20 +391,18 @@ def enumerate_signatures(g: SignedGraph):
 # ---------------------------------------------------------------------------
 
 class _ClassTable(NamedTuple):
-    """Connected graphs on n vertices, one row each: a block of classes while
-    a summary is built, the classes a scan reaches, or a single graph."""
+    """Connected graphs on n vertices, one row each: the classes a scan
+    reaches, or a single graph."""
 
     adj: np.ndarray          # (rows, n, n) bool adjacency
     edges: np.ndarray        # (rows,) edge count
     widths: np.ndarray       # (rows,) k, the number of non-tree edges
     nontree: np.ndarray      # (rows, max k) upper-triangle cell of non-tree bit b
-    tri_masks: np.ndarray    # (rows, C(n,3)) non-tree bitmask per triangle, 0 if absent
-    tri_present: np.ndarray  # (rows, C(n,3)) the triangle is in the graph
 
 
 def _class_rows(codes, n: int) -> _ClassTable:
     """The table rows of class codes on n vertices, at the width of K_n, which
-    has the most non-tree edges, so the rows of any classes of n share dtypes.
+    has the most non-tree edges, so the rows of any classes of n share shapes.
 
     The spanning trees come from _bfs_trees; it builds the trees of _bfs_tree,
     order included, so the pinned tree is the one canonical_switch uses.
@@ -423,10 +427,10 @@ def _table_block(adj: np.ndarray, width: int):
     edges, connected = _bfs_trees(adj)
     if not connected.all():
         raise ValueError("graph must be connected")
-    # the rhs of a triangle equation is bit `width` of its mask
-    if width > 63:
-        raise ValueError(f"{width} non-tree edges; at most 63 are supported")
-    mask_dtype = np.uint32 if width < 32 else np.uint64
+    # a pattern, like the unit bits that ride along its elimination, is one
+    # uint64 word
+    if width > 64:
+        raise ValueError(f"{width} non-tree edges; at most 64 are supported")
     tree = np.zeros_like(bits)
     tree[np.arange(len(adj))[:, None], cell[edges[:, :, 0], edges[:, :, 1]]] = True
     off = bits & ~tree
@@ -435,110 +439,103 @@ def _table_block(adj: np.ndarray, width: int):
     rows, cols = np.nonzero(off)
     nontree = np.zeros((len(adj), width), dtype=np.min_scalar_type(ncells))
     nontree[rows, pos[rows, cols]] = cols
-    cell_mask = off.astype(mask_dtype) << np.maximum(pos, 0).astype(mask_dtype)
+    return adj, bits.sum(axis=1), off.sum(axis=1), nontree
+
+
+def _bit_words(bits: np.ndarray) -> np.ndarray:
+    """A (rows, k) bool array as (words, rows) uint64: bit t in word t // 64."""
+    padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=bool)
+    padded[:, :bits.shape[1]] = bits
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64).T
+
+
+@lru_cache(maxsize=None)
+def _triangle_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The upper-triangle cells of each triangle of K_n, (3, C(n, 3)) with
+    the triangles in lexicographic order, and the triangles through each
+    cell, as (words, C(n, 2)) _bit_words; both read-only."""
+    iu, ju = _triu_cells(n)
+    cell = np.zeros((n, n), dtype=np.intp)
+    cell[iu, ju] = np.arange(len(iu))
     i, j, k = np.array(list(itertools.combinations(range(n), 3)),
                        dtype=np.intp).reshape(-1, 3).T
-    e1, e2, e3 = cell[i, j], cell[i, k], cell[j, k]
-    present = bits[:, e1] & bits[:, e2] & bits[:, e3]
-    masks = np.where(present, cell_mask[:, e1] | cell_mask[:, e2] | cell_mask[:, e3], 0)
-    return adj, bits.sum(axis=1), off.sum(axis=1), nontree, masks, present
+    tri = np.stack((cell[i, j], cell[i, k], cell[j, k]))
+    through = _bit_words((tri == np.arange(len(iu))[:, None, None]).any(axis=1))
+    for table in (tri, through):
+        table.setflags(write=False)
+    return tri, through
+
+
+def _triangle_system(bits: np.ndarray, n: int, forbidden: str):
+    """The triangle-avoiding signatures of graphs on n vertices, given by
+    their (graphs, C(n, 2)) bool cells, as GF(2) systems over the edge signs
+    in the form of _gf2_columns: each cell's column, the present triangles
+    through it, (words, C(n, 2), graphs) uint64, and the rhs (words, graphs).
+    A triangle's sign is the parity of its negative edges: forbidding
+    C3_MINUS asks for even parity, C3_PLUS for odd; NONE has no equations."""
+    tri, through = _triangle_cells(n)
+    words = len(through) if forbidden != "NONE" else 0
+    present = _bit_words(bits[:, tri[0]] & bits[:, tri[1]] & bits[:, tri[2]])[:words]
+    rhs = present if forbidden == "C3_PLUS" else np.zeros_like(present)
+    return present[:, None, :] & through[:words, :, None], rhs
+
+
+def _gf2_columns(cols: np.ndarray, rhs: np.ndarray, words: int) -> None:
+    """Eliminate a stack of affine GF(2) systems by columns, in place.
+
+    Bit e of the first `words` words of cols[:, j, s] (rhs[:, s]) says that
+    equation e of system s holds variable j (is odd); later words ride along
+    and choose no pivot. Column j in turn clears its lowest equation bit from
+    every later column and from rhs. No pivot bit is left in another column
+    or in rhs, so the rank is the number of columns left nonzero, a system
+    is consistent iff its rhs is left 0, and a column left 0 rides along
+    with a combination of variables that solves 0.
+    """
+    for j in range(cols.shape[1]):
+        col, later = cols[:, j], cols[:, j + 1:]
+        pivot = col[:words] & -col[:words]
+        if words > 1:  # keep the lowest nonzero word's lowest bit only
+            pivot[1:] *= ~np.logical_or.accumulate(pivot[:-1] != 0)
+        later ^= col[:, None] * (later[:words] & pivot[:, None]).any(axis=0)
+        rhs ^= col * (rhs[:words] & pivot).any(axis=0)
 
 
 class _Span(NamedTuple):
     """Solution sets of a stack of affine GF(2) systems, one row per system."""
 
-    particular: np.ndarray  # (systems,) uint64, the solution with every free bit 0
-    basis: np.ndarray       # (systems, width) uint64, by ascending free bit, 0-padded
+    particular: np.ndarray  # (systems,) uint64, a solution if consistent, 0 iff 0 is
+    basis: np.ndarray       # (systems, width) uint64, top bits ascending, 0-padded
     free: np.ndarray        # (systems,) the dimension of the solution space
     consistent: np.ndarray  # (systems,) bool
 
 
-def _gf2_eliminate(rows: np.ndarray, widths: np.ndarray, rhs_bit: int):
-    """Gauss-Jordan elimination of every system of the stack at once.
-
-    rows[s] holds the equations of system s: parity(x & row) = the bit of row
-    at rhs_bit, over the variable bits below widths[s] <= rhs_bit; zero rows
-    say nothing. The solution set is unique, so the pivot order is free.
-    Returns the reduced rows, pivot[s, c] (the row whose pivot is column c of
-    system s, -1 if none), and per system the dimension of the solution space
-    and whether the system is consistent.
-    """
-    # widest first: column c only has bits in the systems wider than c, a prefix
-    by_width = np.argsort(-widths, kind="stable")
-    rows = rows[by_width]
-    wider = np.searchsorted(-widths[by_width], -np.arange(rhs_bit), "left")
-    systems = np.arange(len(rows))
-    one = rows.dtype.type(1)
-    pivot = np.full((len(rows), rhs_bit), -1, dtype=np.intp)
-    used = np.zeros(rows.shape, dtype=bool)
-    for c in range(rhs_bit if rows.shape[1] else 0):
-        k = wider[c]
-        if not k:  # no system is wider than c, nor than any later column
-            break
-        part, was_used, s = rows[:k], used[:k], systems[:k]
-        bit = ((part >> c) & one).astype(bool)
-        cand = bit & ~was_used
-        has = cand.any(axis=1)
-        r = cand.argmax(axis=1)
-        # clear bit c from every other row with the pivot row; 0 where no pivot
-        prow = np.where(has, part[s, r], 0)
-        bit[s, r] = False
-        part ^= np.where(bit, prow[:, None], 0)
-        was_used[s[has], r[has]] = True
-        pivot[s[has], c] = r[has]
-    unsort = np.empty_like(by_width)
-    unsort[by_width] = systems
-    rows, pivot = rows[unsort], pivot[unsort]
-    # a system has pivots only below its width; a row reduced to 0 = 1 is
-    # inconsistent
-    return (rows, pivot, widths - (pivot >= 0).sum(axis=1),
-            ~(rows == rows.dtype.type(1 << rhs_bit)).any(axis=1))
-
-
-def _gf2_solve(rows: np.ndarray, widths: np.ndarray, rhs_bit: int) -> _Span:
-    """The solution sets of a stack of systems (as for _gf2_eliminate): the
-    particular solution and a basis, from the reduced rows."""
-    rows, pivot, free, consistent = _gf2_eliminate(rows, widths, rhs_bit)
-    rows = rows.astype(np.uint64)
-    rhs_bit64 = np.uint64(rhs_bit)
-    # the reduced pivot row of each pivot column, 0 for free columns
-    by_col = np.zeros(pivot.shape, dtype=np.uint64)
-    s, c = np.nonzero(pivot >= 0)
-    by_col[s, c] = rows[s, pivot[s, c]]
-    cols = np.arange(rhs_bit, dtype=np.uint64)
-    particular = np.bitwise_or.reduce(((by_col >> rhs_bit64) & 1) << cols, axis=1)
-    # the basis vector of free bit f sets f and every pivot bit whose row has f
-    full = np.broadcast_to(np.uint64(1) << cols, by_col.shape)
-    # no system has a pivot at or past its width
-    for c in range(int(widths.max(initial=0))):
-        full = full | ((by_col[:, c:c + 1] >> cols) & 1) << np.uint64(c)
-    is_free = (np.arange(rhs_bit) < widths[:, None]) & (pivot < 0)
-    basis = np.zeros((len(rows), rhs_bit), dtype=np.uint64)
+def _gf2_solve(cols: np.ndarray, rhs: np.ndarray, widths: np.ndarray) -> _Span:
+    """The solution sets of systems in column form (_gf2_columns), system s
+    over its first widths[s] variables, later columns 0. One ride-along word
+    holds each variable's unit bit, so the same XORs leave a solution in rhs
+    and a basis vector in each column left 0, with that column as top bit."""
+    words, width, systems = cols.shape
+    unit = np.uint64(1) << np.arange(width, dtype=np.uint64)
+    cols = np.concatenate((cols, np.broadcast_to(unit[:, None], (1, width, systems))))
+    rhs = np.concatenate((rhs, np.zeros((1, systems), dtype=np.uint64)))
+    _gf2_columns(cols, rhs, words)
+    is_free = (np.arange(width) < widths[:, None]) & ~cols[:words].any(axis=0).T
+    basis = np.zeros((systems, width), dtype=np.uint64)
     s, f = np.nonzero(is_free)
-    basis[s, (np.cumsum(is_free, axis=1) - 1)[s, f]] = full[s, f]
-    return _Span(particular, basis, free, consistent)
-
-
-def _triangle_system(table: _ClassTable, forbidden: str):
-    """The triangle-avoiding signatures of every row of a table as affine
-    GF(2) systems: the (rows, widths, rhs_bit) arguments of _gf2_eliminate.
-
-    With the tree pinned +1 a triangle's sign is the parity of its non-tree
-    bits: forbidding C3_MINUS asks for even parity, C3_PLUS for odd.
-    """
-    rhs_bit = table.nontree.shape[1]
-    masks = table.tri_masks
-    if forbidden == "NONE":
-        masks = masks[:, :0]
-    else:
-        rhs = masks.dtype.type(int(forbidden == "C3_PLUS") << rhs_bit)
-        masks = np.where(table.tri_present, masks | rhs, 0)
-    return masks, table.widths, rhs_bit
+    basis[s, (np.cumsum(is_free, axis=1) - 1)[s, f]] = cols[words, f, s]
+    return _Span(rhs[words], basis, is_free.sum(axis=1), ~rhs[:words].any(axis=0))
 
 
 def _table_span(table: _ClassTable, forbidden: str) -> _Span:
-    """The triangle-avoiding signatures of every row of a table, as GF(2) spans."""
-    return _gf2_solve(*_triangle_system(table, forbidden))
+    """The triangle-avoiding signatures of every row of a table, as GF(2)
+    spans in tree coordinates: with the tree pinned +1, variable b is the
+    sign bit of the row's non-tree cell b."""
+    n = table.adj.shape[1]
+    iu, ju = _triu_cells(n)
+    cells, rhs = _triangle_system(table.adj[:, iu, ju], n, forbidden)
+    cols = cells[:, table.nontree.T, np.arange(len(table.adj))]
+    cols *= np.arange(table.nontree.shape[1])[:, None] < table.widths
+    return _gf2_solve(cols, rhs, table.widths)
 
 
 class _Summary(NamedTuple):
@@ -552,15 +549,16 @@ class _Summary(NamedTuple):
 
 
 def _summary_block(codes, n: int, forbidden: str) -> tuple[np.ndarray, ...]:
-    """The _Summary fields of class codes on n vertices; the rows and reduced
-    systems they come from are dropped on return."""
-    table = _class_rows(codes, n)
-    masks, widths, rhs_bit = _triangle_system(table, forbidden)
-    rows, _, free, consistent = _gf2_eliminate(masks, widths, rhs_bit)
-    # 0 solves a system iff no equation has its rhs bit set, before or after
-    # elimination
-    return (table.edges.astype(np.uint8), free.astype(np.uint8), consistent,
-            ~(rows >> rhs_bit).any(axis=1))
+    """The _Summary fields of class codes on n vertices, from their cells:
+    2^(m - n + 1 - rank) switching classes solve a consistent system, and
+    pattern 0 solves it iff its rhs is 0."""
+    bits = _code_cells(codes, n)
+    cols, rhs = _triangle_system(bits, n, forbidden)
+    zero = ~rhs.any(axis=0)
+    _gf2_columns(cols, rhs, len(rhs))
+    edges = bits.sum(axis=1)
+    free = edges - (n - 1) - cols.any(axis=0).sum(axis=0)
+    return edges.astype(np.uint8), free.astype(np.uint8), ~rhs.any(axis=0), zero
 
 
 @lru_cache(maxsize=None)

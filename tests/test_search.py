@@ -226,6 +226,20 @@ def whole_class_table(n):
     return SEARCH._ClassTable(*_table_block(_codes_to_adj(codes, n), (n - 1) * (n - 2) // 2))
 
 
+def tree_triangle_masks(table, c):
+    """The non-tree bitmask of each triangle of row c, triangles in
+    lexicographic order: its triangle system in tree coordinates, in row
+    form, by definition."""
+    adj = table.adj[c]
+    n = len(adj)
+    iu, ju = np.triu_indices(n, 1)
+    bit = {(int(iu[cell]), int(ju[cell])): b
+           for b, cell in enumerate(table.nontree[c][:table.widths[c]].tolist())}
+    return [sum(1 << bit[e] for e in ((i, j), (i, k), (j, k)) if e in bit)
+            for i, j, k in itertools.combinations(range(n), 3)
+            if adj[i, j] and adj[i, k] and adj[j, k]]
+
+
 class TestEnumerateUnderlying:
     @pytest.mark.parametrize("n,expect", [(4, 6), (5, 21), (6, 112)])
     def test_class_counts(self, n, expect):
@@ -414,8 +428,9 @@ class TestEnumerateSignatures:
         assert [g.neg_edge_count for g in sigs] == [0, 1]
         assert [e for e in sigs[1].edges() if e[2] == -1] == [(15, 16, -1)]
 
-    def test_more_than_63_non_tree_edges_rejected(self):
-        # the rhs bit of a triangle equation must fit a uint64 mask
+    def test_more_than_64_non_tree_edges_rejected(self):
+        # a pattern, and the unit bits that ride along its elimination, must
+        # fit one uint64 word
         with pytest.raises(ValueError, match="66 non-tree edges"):
             next(enumerate_signatures(build_complete(13, 1)))
 
@@ -447,7 +462,8 @@ class TestClassTable:
         # each row against its code and the definitions: negating non-tree bit
         # b alone must give a graph that is its own canonical switch (the edge
         # is off the tree canonical_switch pins), one distinct edge per bit in
-        # row-major order, whose negative triangles are those with mask bit b
+        # row-major order, whose negative triangles are those whose
+        # tree_triangle_masks have bit b
         table = whole_class_table(n)
         codes = _connected_class_bitmaps(n)
         assert len(table.adj) == len(codes)
@@ -460,7 +476,6 @@ class TestClassTable:
             edges = int(adj[iu, ju].sum())
             k = int(table.widths[c])
             assert table.edges[c] == edges and k == edges - n + 1
-            assert np.array_equal(table.tri_present[c], adj[ti, tj] & adj[ti, tk] & adj[tj, tk])
             bits = np.arange(k, dtype=np.uint64)
             sigs = _signature_stack(table, np.full(k, c), np.uint64(1) << bits, np.int8)
             negated = []
@@ -469,9 +484,10 @@ class TestClassTable:
                 assert np.array_equal(np.abs(a), adj) and canonical_switch(g) == g
                 negated += [(u, v) for u, v, sign in g.edges() if sign == -1]
             assert negated == sorted(set(negated)) and len(negated) == k
+            present = adj[ti, tj] & adj[ti, tk] & adj[tj, tk]
             negative = sigs[:, ti, tj] * sigs[:, ti, tk] * sigs[:, tj, tk] == -1
-            assert np.array_equal(negative, (table.tri_masks[c] >> bits[:, None]) & 1 == 1)
-            assert not table.tri_masks[c][~table.tri_present[c]].any()
+            masks = np.array(tree_triangle_masks(table, c), dtype=np.uint64)
+            assert np.array_equal(negative[:, present], (masks >> bits[:, None]) & 1 == 1)
 
     def test_rows_rebuilt_in_blocks_equal_the_whole_table(self):
         # the scan's rebuilt rows of any classes, in any order, are the rows
@@ -532,6 +548,72 @@ class TestClassSummary:
             for name, a, b in zip(summary._fields, summary, _class_summary(6, f)):
                 assert a.dtype == b.dtype and np.array_equal(a, b), (f, name)
 
+    def test_summary_builds_no_table_rows(self, monkeypatch, fresh_summaries):
+        # the summary reads the class codes alone: no adjacency stack, no
+        # spanning tree and no table row
+        _connected_class_bitmaps(7)
+        calls = collections.Counter()
+        for name in ("_codes_to_adj", "_bfs_trees", "_table_block"):
+            def spy(*args, name=name, inner=getattr(SEARCH, name)):
+                calls[name] += 1
+                return inner(*args)
+            monkeypatch.setattr(SEARCH, name, spy)
+        for forbidden in FORBIDDEN:
+            _class_summary(7, forbidden)
+        assert not calls
+        # the spies count
+        SEARCH._class_rows(_connected_class_bitmaps(4), 4)
+        assert calls == {"_codes_to_adj": 1, "_bfs_trees": 1, "_table_block": 1}
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_counts_match_brute_force_switching_classes(self, n):
+        # every class of n, and a relabelled copy of it, whose code is not
+        # canonical: the switching classes that avoid the forbidden triangle,
+        # found by canonically switching every signature, against the counts
+        # of the summary of its code, which no spanning tree enters
+        rng = np.random.default_rng(n)
+        iu, ju = np.triu_indices(n, 1)
+        for adj in _codes_to_adj(_connected_class_bitmaps(n), n):
+            perm = rng.permutation(n)
+            for a in (adj, adj[np.ix_(perm, perm)]):
+                code = int.from_bytes(np.packbits(a[iu, ju]).tobytes(), "big")
+                sigs = list(all_signatures(a))
+                canon = [canonical_switch(g) for g in sigs]
+                has, balanced = forbidden_and_balance_flags(np.array([g.adj for g in sigs]))
+                for forbidden in FORBIDDEN:
+                    summary = SEARCH._Summary(*SEARCH._summary_block([code], n, forbidden))
+                    assert summary.edges[0] == a[iu, ju].sum()
+                    for unbal in (True, False):
+                        ok = ~has[forbidden] & ~(unbal & balanced)
+                        brute = len({c for c, keep in zip(canon, ok) if keep})
+                        counts = _feasible_counts(summary, np.array([0]), unbal)
+                        assert counts.tolist() == [brute], (code, forbidden, unbal)
+
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_triangle_system_by_definition(self, n):
+        # column c holds the present triangles through cell c, rhs the present
+        # triangles under C3_PLUS; NONE has no equations
+        codes = _connected_class_bitmaps(n)
+        cells = SEARCH._code_cells(codes, n)
+        iu, ju = np.triu_indices(n, 1)
+        triangles = list(itertools.combinations(range(n), 3))
+        for forbidden in FORBIDDEN:
+            cols, rhs = SEARCH._triangle_system(cells, n, forbidden)
+            assert cols.dtype == rhs.dtype == np.uint64
+            assert cols.shape == (len(rhs), len(iu), len(codes))
+            for g, adj in enumerate(_codes_to_adj(codes, n)):
+                present = [forbidden != "NONE" and bool(adj[i, j] and adj[i, k] and adj[j, k])
+                           for i, j, k in triangles]
+                words = [sum(1 << (t - 64 * w) for t, p in enumerate(present)
+                              if p and t // 64 == w) for w in range(len(rhs))]
+                assert rhs[:, g].tolist() == (words if forbidden == "C3_PLUS"
+                                              else [0] * len(rhs))
+                for c, edge in enumerate(zip(iu.tolist(), ju.tolist())):
+                    through = [p and set(edge) <= set(t) for p, t in zip(present, triangles)]
+                    assert cols[:, c, g].tolist() == [
+                        sum(1 << (t - 64 * w) for t, p in enumerate(through)
+                            if p and t // 64 == w) for w in range(len(rhs))]
+
     def test_summary_is_read_only(self):
         summary = _class_summary(5, "C3_MINUS")
         with pytest.raises(ValueError, match="read-only"):
@@ -539,10 +621,10 @@ class TestClassSummary:
 
     def test_memory_stays_below_one_whole_table(self, monkeypatch, fresh_summaries):
         # at most 8 bytes per class are cached, and no whole-n array is built
-        # on the way: the traced peak stays below the whole table's tri_masks
+        # on the way: the traced peak stays below the whole-n triangle system
         n = 7
         codes = _connected_class_bitmaps(n)
-        whole = whole_class_table(n).tri_masks.nbytes
+        whole = SEARCH._triangle_system(SEARCH._code_cells(codes, n), n, "C3_MINUS")[0].nbytes
         monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", 64)
         tracemalloc.start()
         try:
@@ -663,10 +745,11 @@ class TestSearch:
 
     def test_repeat_search_builds_trees_only_for_the_rows_it_reaches(
             self, monkeypatch, fresh_summaries):
-        # the summary of (n, forbidden) builds one spanning tree per class
-        # once; every search then rebuilds only the rows its scan reaches:
-        # the densest edge count with feasible classes, and for MAX_RHO, in
-        # one more call, every count within reach of that count's best
+        # the summary of (n, forbidden) builds no spanning tree, so every
+        # search, the first included, builds trees only for the rows its scan
+        # reaches: the densest edge count with feasible classes, and for
+        # MAX_RHO, in one more call, every count within reach of that count's
+        # best
         calls = []
         trees = SEARCH._bfs_trees
         monkeypatch.setattr(SEARCH, "_bfs_trees", lambda adj: calls.append(len(adj)) or trees(adj))
@@ -685,15 +768,15 @@ class TestSearch:
         first = search(config)
         # the densest count of n = 6 holds the optimum, so its best is the one
         # that decides the second call
-        assert calls == [112, *reached(config, first.optimum)]
-        assert 0 < sum(calls[1:]) < 112
+        assert calls == reached(config, first.optimum)
+        assert 0 < calls[1] < sum(calls) < 112
         calls.clear()
         assert search(config).to_json() == first.to_json()
         assert calls == reached(config, first.optimum)
         calls.clear()
         config = SearchConfig(n=6, objective="MAX_EDGES", forbidden="C3_PLUS")
         search(config)
-        assert calls == [112, *reached(config, None)]
+        assert calls == reached(config, None)
         calls.clear()
         search(config)
         assert calls == reached(config, None)
@@ -1072,6 +1155,64 @@ class TestGF2Solutions:
                     assert set(ours) == brute, (forbidden, unbal)
                     assert len(ours) == len(brute)
 
+    def test_column_elimination_matches_row_loop_on_random_stacks(self):
+        # stacked systems of widths 0 to 12, with variables in no equation,
+        # inconsistent right-hand sides, and up to 200 equations, the first
+        # 64 or 128 of them zero at times, so that pivots land in later words
+        rng = np.random.default_rng(11)
+        deepest = 0
+        for equations in (0, 5, 70, 140, 200):
+            widths = rng.integers(0, 13, size=24)
+            widths[:2] = 0
+            words = max(-(-equations // 64), 1)
+            cols = np.zeros((words, widths.max(), len(widths)), dtype=np.uint64)
+            rhs = np.zeros((words, len(widths)), dtype=np.uint64)
+            systems = []
+            for s, width in enumerate(widths.tolist()):
+                unused = int(rng.integers(0, 1 << width))
+                base = [int(rng.integers(0, 1 << width)) & ~unused
+                        for _ in range(int(rng.integers(0, width + 2)))]
+                solution = int(rng.integers(0, 1 << width))
+                skip = 64 * int(rng.integers(0, 3))
+                rows = []
+                for e in range(equations):
+                    if e < skip or not base:
+                        rows.append(0)
+                        continue
+                    row = 0
+                    for b in base:
+                        row ^= b * int(rng.integers(0, 2))
+                    # the rhs bit, at bit `width`: consistent with `solution`
+                    # for half the systems, random for the rest
+                    odd = (bin(row & solution).count("1") & 1 if s % 2
+                           else int(rng.integers(0, 2)))
+                    rows.append(row | odd << width)
+                for e, row in enumerate(rows):
+                    one = np.uint64(1) << np.uint64(e % 64)
+                    for j in range(width + 1):
+                        if row >> j & 1:
+                            if j < width:
+                                cols[e // 64, j, s] |= one
+                            else:
+                                rhs[e // 64, s] |= one
+                systems.append(rows)
+            span = SEARCH._gf2_solve(cols.copy(), rhs.copy(), widths)
+            for s, (rows, width) in enumerate(zip(systems, widths.tolist())):
+                ref = row_loop_gf2_solutions(rows, width, False)
+                assert span.consistent[s] == (len(ref) > 0)
+                if len(ref):
+                    assert len(ref) == 1 << span.free[s]
+                    assert not span.basis[s, span.free[s]:].any()
+                system, pats = _span_patterns(span, np.array([s]), False)
+                assert pats.tolist() == ref.tolist() and (system == s).all()
+            # the kernel alone: the pivot of each column left nonzero is its
+            # lowest bit, in word `first`
+            SEARCH._gf2_columns(cols, rhs, words)
+            left = cols.any(axis=0)
+            first = (cols != 0).argmax(axis=0)
+            deepest = max(deepest, int(first[left].max(initial=0)))
+        assert deepest == 2
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_stacked_elimination_matches_row_loop(self, n):
         # every class, each forbidden triangle, with and without pattern 0;
@@ -1086,7 +1227,7 @@ class TestGF2Solutions:
             for unbal in (True, False):
                 expect = []
                 for c in everything:
-                    masks = table.tri_masks[c][table.tri_present[c]].tolist()
+                    masks = tree_triangle_masks(table, c)
                     ref = row_loop_gf2_solutions(masks if forbidden != "NONE" else [],
                                                  int(table.widths[c]), forbidden == "C3_PLUS")
                     ref = ref[ref != 0] if unbal else ref
@@ -1103,12 +1244,10 @@ class TestGF2Solutions:
         table = _graph_table(~np.eye(n, dtype=bool))
         width = n * (n - 1) // 2 - n + 1
         assert table.widths[0] == width
-        # the rhs of a triangle equation is bit `width`
-        assert table.tri_masks.dtype == (np.uint32 if width < 32 else np.uint64)
         row = np.zeros(1, dtype=np.intp)
         for forbidden in FORBIDDEN:
             span = _table_span(table, forbidden)
-            args = (table.tri_masks[0].tolist() if forbidden != "NONE" else [], width,
+            args = (tree_triangle_masks(table, 0) if forbidden != "NONE" else [], width,
                     forbidden == "C3_PLUS")
             if forbidden == "NONE" and width > 21:
                 with pytest.raises(ValueError, match="too large"):
