@@ -496,8 +496,9 @@ def _gf2_columns(cols: np.ndarray, rhs: np.ndarray, words: int) -> None:
         pivot = col[:words] & -col[:words]
         if words > 1:  # keep the lowest nonzero word's lowest bit only
             pivot[1:] *= ~np.logical_or.accumulate(pivot[:-1] != 0)
-        later ^= col[:, None] * (later[:words] & pivot[:, None]).any(axis=0)
-        rhs ^= col * (rhs[:words] & pivot).any(axis=0)
+        hit = (later[:words] & pivot[:, None]).any(axis=0)
+        np.bitwise_xor(later, col[:, None], out=later, where=hit)
+        np.bitwise_xor(rhs, col, out=rhs, where=(rhs[:words] & pivot).any(axis=0))
 
 
 class _Span(NamedTuple):
