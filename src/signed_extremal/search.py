@@ -442,28 +442,21 @@ def _table_block(adj: np.ndarray, width: int):
     return adj, bits.sum(axis=1), off.sum(axis=1), nontree
 
 
-def _bit_words(bits: np.ndarray) -> np.ndarray:
-    """A (rows, k) bool array as (words, rows) uint64: bit t in word t // 64."""
-    padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64), dtype=bool)
-    padded[:, :bits.shape[1]] = bits
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8").astype(np.uint64).T
-
-
 @lru_cache(maxsize=None)
-def _triangle_cells(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The upper-triangle cells of each triangle of K_n, (3, C(n, 3)) with
-    the triangles in lexicographic order, and the triangles through each
-    cell, as (words, C(n, 2)) _bit_words; both read-only."""
+def _triangle_cells(n: int) -> np.ndarray:
+    """The triangles of K_n through each upper-triangle cell, as (words,
+    C(n, 2)) uint64: bit t % 64 of word t // 64 for the t-th triangle in
+    lexicographic order (read-only)."""
     iu, ju = _triu_cells(n)
     cell = np.zeros((n, n), dtype=np.intp)
     cell[iu, ju] = np.arange(len(iu))
     i, j, k = np.array(list(itertools.combinations(range(n), 3)),
                        dtype=np.intp).reshape(-1, 3).T
-    tri = np.stack((cell[i, j], cell[i, k], cell[j, k]))
-    through = _bit_words((tri == np.arange(len(iu))[:, None, None]).any(axis=1))
-    for table in (tri, through):
-        table.setflags(write=False)
-    return tri, through
+    incidence = np.zeros((len(iu), -(-len(i) // 64) * 64), dtype=bool)
+    incidence[cell[[i, i, j], [j, k, k]], np.arange(len(i))] = True
+    through = np.packbits(incidence, axis=1, bitorder="little").view("<u8").astype(np.uint64).T
+    through.setflags(write=False)
+    return through
 
 
 def _triangle_system(bits: np.ndarray, n: int, forbidden: str):
@@ -473,11 +466,12 @@ def _triangle_system(bits: np.ndarray, n: int, forbidden: str):
     through it, (words, C(n, 2), graphs) uint64, and the rhs (words, graphs).
     A triangle's sign is the parity of its negative edges: forbidding
     C3_MINUS asks for even parity, C3_PLUS for odd; NONE has no equations."""
-    tri, through = _triangle_cells(n)
-    words = len(through) if forbidden != "NONE" else 0
-    present = _bit_words(bits[:, tri[0]] & bits[:, tri[1]] & bits[:, tri[2]])[:words]
+    through = _triangle_cells(n)[:0 if forbidden == "NONE" else None]
+    # a triangle is present unless one of its cells is not an edge
+    present = (np.bitwise_or.reduce(through, axis=1)[:, None]
+               & ~np.bitwise_or.reduce(np.where(bits, 0, through[:, None, :]), axis=2))
     rhs = present if forbidden == "C3_PLUS" else np.zeros_like(present)
-    return present[:, None, :] & through[:words, :, None], rhs
+    return present[:, None, :] & through[:, :, None], rhs
 
 
 def _gf2_columns(cols: np.ndarray, rhs: np.ndarray, words: int) -> None:
@@ -496,9 +490,8 @@ def _gf2_columns(cols: np.ndarray, rhs: np.ndarray, words: int) -> None:
         pivot = col[:words] & -col[:words]
         if words > 1:  # keep the lowest nonzero word's lowest bit only
             pivot[1:] *= ~np.logical_or.accumulate(pivot[:-1] != 0)
-        hit = (later[:words] & pivot[:, None]).any(axis=0)
-        np.bitwise_xor(later, col[:, None], out=later, where=hit)
-        np.bitwise_xor(rhs, col, out=rhs, where=(rhs[:words] & pivot).any(axis=0))
+        later ^= col[:, None] * (later[:words] & pivot[:, None]).any(axis=0)
+        rhs ^= col * (rhs[:words] & pivot).any(axis=0)
 
 
 class _Span(NamedTuple):
