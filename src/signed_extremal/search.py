@@ -454,7 +454,7 @@ def _triangle_cells(n: int) -> np.ndarray:
                        dtype=np.intp).reshape(-1, 3).T
     incidence = np.zeros((len(iu), -(-len(i) // 64) * 64), dtype=bool)
     incidence[cell[[i, i, j], [j, k, k]], np.arange(len(i))] = True
-    through = np.packbits(incidence, axis=1, bitorder="little").view("<u8").astype(np.uint64).T
+    through = np.packbits(incidence, axis=1, bitorder="little").view("<u8").T.astype(np.uint64)
     through.setflags(write=False)
     return through
 
@@ -471,7 +471,7 @@ def _triangle_system(bits: np.ndarray, n: int, forbidden: str):
     present = (np.bitwise_or.reduce(through, axis=1)[:, None]
                & ~np.bitwise_or.reduce(np.where(bits, 0, through[:, None, :]), axis=2))
     rhs = present if forbidden == "C3_PLUS" else np.zeros_like(present)
-    return present[:, None, :] & through[:, :, None], rhs
+    return np.bitwise_and(present[:, None, :], through[:, :, None], order="C"), rhs
 
 
 def _gf2_columns(cols: np.ndarray, rhs: np.ndarray, words: int) -> None:
