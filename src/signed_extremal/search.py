@@ -443,7 +443,7 @@ def _table_block(adj: np.ndarray, width: int):
 
 
 @lru_cache(maxsize=None)
-def _triangle_cells(n: int) -> np.ndarray:
+def _cell_triangles(n: int) -> np.ndarray:
     """The triangles of K_n through each upper-triangle cell, as (words,
     C(n, 2)) uint64: bit t % 64 of word t // 64 for the t-th triangle in
     lexicographic order (read-only)."""
@@ -466,11 +466,12 @@ def _triangle_system(bits: np.ndarray, n: int, forbidden: str):
     through it, (words, C(n, 2), graphs) uint64, and the rhs (words, graphs).
     A triangle's sign is the parity of its negative edges: forbidding
     C3_MINUS asks for even parity, C3_PLUS for odd; NONE has no equations."""
-    through = _triangle_cells(n)[:0 if forbidden == "NONE" else None]
+    through = _cell_triangles(n)[:0 if forbidden == "NONE" else None]
     # a triangle is present unless one of its cells is not an edge
     present = (np.bitwise_or.reduce(through, axis=1)[:, None]
                & ~np.bitwise_or.reduce(np.where(bits, 0, through[:, None, :]), axis=2))
     rhs = present if forbidden == "C3_PLUS" else np.zeros_like(present)
+    # C order keeps each column, and the later columns, contiguous
     return np.bitwise_and(present[:, None, :], through[:, :, None], order="C"), rhs
 
 
