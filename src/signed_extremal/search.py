@@ -498,7 +498,7 @@ def _gf2_columns(cols: np.ndarray, rhs: np.ndarray, words: int) -> None:
 class _Span(NamedTuple):
     """Solution sets of a stack of affine GF(2) systems, one row per system."""
 
-    particular: np.ndarray  # (systems,) uint64, a solution if consistent, 0 iff 0 is
+    particular: np.ndarray  # (systems,) uint64, a solution if consistent; 0 iff 0 is one
     basis: np.ndarray       # (systems, width) uint64, top bits ascending, 0-padded
     free: np.ndarray        # (systems,) the dimension of the solution space
     consistent: np.ndarray  # (systems,) bool

@@ -1205,7 +1205,7 @@ class TestGF2Solutions:
                     assert not span.basis[s, span.free[s]:].any()
                 system, pats = _span_patterns(span, np.array([s]), False)
                 assert pats.tolist() == ref.tolist() and (system == s).all()
-            # the kernel alone: the pivot of each column left nonzero is its
+            # the kernel alone: a column left nonzero keeps its pivot, its
             # lowest bit, in word `first`
             SEARCH._gf2_columns(cols, rhs, words)
             left = cols.any(axis=0)
