@@ -202,7 +202,6 @@ def _balanced_spanning_subgraphs(graphs) -> list[SignedGraph]:
     spectra = _by_shape([g.adj for g in graphs], _principal_switchings)
     stacks = []
     for g, (_, ambiguous, spin, h) in zip(graphs, spectra):
-        # one _bfs_tree per graph costs less than _bfs_trees per vertex count
         if not is_connected(g):
             raise ValueError("balanced spanning subgraph extraction needs a connected graph")
         if ambiguous:

@@ -210,7 +210,7 @@ def _bfs_tree(adj: np.ndarray) -> list[tuple[int, int]]:
     visited in increasing index order. The forest spans a connected graph iff
     it has n - 1 edges. canonical_switch and the search's signature
     enumerator both pin this forest positive, so they must share it; the
-    enumerator's class tables use the stacked form, _bfs_trees.
+    enumerator's tables call it once per row.
     """
     rows = adj.tolist()
     seen = [False] * len(rows)
@@ -228,36 +228,6 @@ def _bfs_tree(adj: np.ndarray) -> list[tuple[int, int]]:
                     tree.append((v, u))
                     queue.append(u)
     return tree
-
-
-def _bfs_trees(adj: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_bfs_tree of every graph of a (G, n, n) bool stack at once.
-
-    Returns the (G, n - 1, 2) forest edges (parent, child) in discovery order
-    and which graphs are connected; a graph that is not gets meaningless
-    edges. Step i takes the vertex at queue position i of every graph and
-    queues its undiscovered neighbours in increasing index order, as the
-    queue of _bfs_tree does, so the trees are the same, order included. For
-    one graph _bfs_tree is far cheaper.
-    """
-    g, n = adj.shape[:2]
-    rows = np.arange(g)
-    # vertex 0 first; positions not reached yet hold 0, whose neighbours are
-    # all queued at step 0, so a queue that runs dry queues nothing more
-    order = np.zeros((g, n), dtype=np.intp)
-    edges = np.zeros((g, n - 1, 2), dtype=np.intp)
-    seen = np.zeros((g, n), dtype=bool)
-    seen[:, 0] = True
-    for i in range(n - 1):
-        v = order[:, i]
-        new = adj[rows, v] & ~seen
-        r, u = np.nonzero(new)
-        # queue positions, after the vertices found so far
-        k = (seen.sum(axis=1, keepdims=True) + np.cumsum(new, axis=1) - 1)[r, u]
-        order[r, k] = u
-        edges[r, k - 1] = np.column_stack((v[r], u))
-        seen |= new
-    return edges, seen.all(axis=1)
 
 
 def _tree_spins(adj: np.ndarray, tree) -> np.ndarray:

@@ -54,8 +54,8 @@ graphs", 1982), so no spanning tree is needed: the system is solved over the
 m edge signs, and the cut space, of dimension n - 1, divides the count.
 Feasible counts follow from the summary alone. A scan takes the classes with
 feasible signatures densest first, one edge count at a time, and rebuilds
-(with spanning trees from core._bfs_trees) and fully solves the rows of only
-the counts it reaches: MAX_EDGES the densest, MAX_RHO, in eigvalsh calls of
+(with one core._bfs_tree per row) and fully solves the rows of only the
+counts it reaches: MAX_EDGES the densest, MAX_RHO, in eigvalsh calls of
 up to _EIG_BATCH matrices, every count up to the first whose bound
 (sqrt(1 + 8m) - 1) / 2 on the spectral radius of every signature
 (Perron-Frobenius and Stanley, 1987) is out of reach of the best value found,
@@ -100,7 +100,6 @@ from .bounds import (
 from .core import (
     SignedGraph,
     _bfs_tree,
-    _bfs_trees,
     _least_sign_row,
     _signed_code,
     _tree_spins,
@@ -395,7 +394,6 @@ class _ClassTable(NamedTuple):
     reaches, or a single graph."""
 
     adj: np.ndarray          # (rows, n, n) bool adjacency
-    edges: np.ndarray        # (rows,) edge count
     widths: np.ndarray       # (rows,) k, the number of non-tree edges
     nontree: np.ndarray      # (rows, max k) upper-triangle cell of non-tree bit b
 
@@ -404,8 +402,7 @@ def _class_rows(codes, n: int) -> _ClassTable:
     """The table rows of class codes on n vertices, at the width of K_n, which
     has the most non-tree edges, so the rows of any classes of n share shapes.
 
-    The spanning trees come from _bfs_trees; it builds the trees of _bfs_tree,
-    order included, so the pinned tree is the one canonical_switch uses.
+    Each row's spanning tree is _bfs_tree's, the one canonical_switch pins.
     """
     return _ClassTable(*_table_block(_codes_to_adj(codes, n), (n - 1) * (n - 2) // 2))
 
@@ -418,28 +415,29 @@ def _graph_table(adj: np.ndarray) -> _ClassTable:
 def _table_block(adj: np.ndarray, width: int):
     """The _ClassTable fields for an adjacency stack, with
     `width` non-tree columns (at least the largest k of the stack)."""
+    # a pattern, like the unit bits that ride along its elimination, is one
+    # uint64 word
+    if width > 64:
+        raise ValueError(f"{width} non-tree edges; at most 64 are supported")
     n = adj.shape[1]
     iu, ju = _triu_cells(n)
     ncells = len(iu)
     bits = adj[:, iu, ju]
     cell = np.zeros((n, n), dtype=np.intp)
     cell[iu, ju] = cell[ju, iu] = np.arange(ncells)
-    edges, connected = _bfs_trees(adj)
-    if not connected.all():
+    trees = [_bfs_tree(a) for a in adj]
+    if any(len(t) < n - 1 for t in trees):
         raise ValueError("graph must be connected")
-    # a pattern, like the unit bits that ride along its elimination, is one
-    # uint64 word
-    if width > 64:
-        raise ValueError(f"{width} non-tree edges; at most 64 are supported")
+    v, u = np.array(trees, dtype=np.intp).reshape(len(adj), n - 1, 2).transpose(2, 0, 1)
     tree = np.zeros_like(bits)
-    tree[np.arange(len(adj))[:, None], cell[edges[:, :, 0], edges[:, :, 1]]] = True
+    tree[np.arange(len(adj))[:, None], cell[v, u]] = True
     off = bits & ~tree
     # non-tree bit b is the b-th non-tree cell in row-major order
     pos = np.cumsum(off, axis=1) - 1
     rows, cols = np.nonzero(off)
     nontree = np.zeros((len(adj), width), dtype=np.min_scalar_type(ncells))
     nontree[rows, pos[rows, cols]] = cols
-    return adj, bits.sum(axis=1), off.sum(axis=1), nontree
+    return adj, off.sum(axis=1), nontree
 
 
 @lru_cache(maxsize=None)

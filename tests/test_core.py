@@ -13,7 +13,6 @@ from signed_extremal.core import (
     SignedGraph,
     _all_twin_classes,
     _bfs_tree,
-    _bfs_trees,
     _candidate_orders,
     _count_weights,
     _dense_ranks,
@@ -46,8 +45,10 @@ from signed_extremal.families import (
     build_kn_switched_maxneg,
 )
 from signed_extremal.search import (
+    _ClassTable,
     _codes_to_adj,
     _connected_class_bitmaps,
+    _table_block,
     enumerate_underlying,
 )
 
@@ -277,31 +278,40 @@ class TestConnectivity:
             assert is_connected(g) == (g.adj.astype(bool).tobytes() in connected)
 
 
-def assert_stacked_trees_match(adj):
-    edges, connected = _bfs_trees(adj)
-    for a, tree, ok in zip(adj, edges, connected):
-        one = _bfs_tree(a)
-        assert ok == (len(one) == len(a) - 1)
-        if ok:
-            assert tree.tolist() == [list(e) for e in one]
+def assert_table_trees_match(adj):
+    # each row's non-tree cells are its edges off _bfs_tree, in row-major order
+    n = adj.shape[1]
+    table = _ClassTable(*_table_block(adj, (n - 1) * (n - 2) // 2))
+    iu, ju = np.triu_indices(n, 1)
+    for a, k, cells in zip(adj, table.widths, table.nontree):
+        tree = {frozenset(e) for e in _bfs_tree(a)}
+        off = [c for c, (i, j) in enumerate(zip(iu, ju)) if a[i, j] and {i, j} not in tree]
+        assert k == a.sum() // 2 - n + 1 == len(off)
+        assert cells[:k].tolist() == off
 
 
-class TestStackedSpanningTrees:
+class TestTableSpanningTrees:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
-    def test_matches_the_one_graph_tree_on_every_class(self, n):
-        assert_stacked_trees_match(_codes_to_adj(_connected_class_bitmaps(n), n))
+    def test_non_tree_cells_on_every_class(self, n):
+        assert_table_trees_match(_codes_to_adj(_connected_class_bitmaps(n), n))
 
     @pytest.mark.parametrize("n", [9, 10, 11, 12])
-    def test_matches_the_one_graph_tree_on_seeded_connected_graphs(self, n):
+    def test_non_tree_cells_on_seeded_connected_graphs(self, n):
         adj = np.array([g.adj != 0 for g in seeded_signed_graphs(1200 + n, n, 200)
                         if is_connected(g)])
         assert len(adj) > 100
-        assert_stacked_trees_match(adj)
+        assert_table_trees_match(adj)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_flags_every_disconnected_labeled_graph(self, n):
+    def test_rejects_every_disconnected_labeled_graph(self, n):
         # trees are compared where the graph is connected
-        assert_stacked_trees_match(labeled_graph_stack(n))
+        connected = {a.tobytes() for a in connected_labeled_graphs(n)}
+        for a in labeled_graph_stack(n):
+            if a.tobytes() in connected:
+                assert_table_trees_match(a[None])
+            else:
+                with pytest.raises(ValueError, match="graph must be connected"):
+                    _table_block(a[None], (n - 1) * (n - 2) // 2)
 
 
 class TestBalance:

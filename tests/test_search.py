@@ -428,11 +428,25 @@ class TestEnumerateSignatures:
         assert [g.neg_edge_count for g in sigs] == [0, 1]
         assert [e for e in sigs[1].edges() if e[2] == -1] == [(15, 16, -1)]
 
-    def test_more_than_64_non_tree_edges_rejected(self):
+    def test_more_than_64_non_tree_edges_rejected(self, monkeypatch):
         # a pattern, and the unit bits that ride along its elimination, must
-        # fit one uint64 word
+        # fit one uint64 word; the width is refused before any tree is built
+        trees = []
+        monkeypatch.setattr(SEARCH, "_bfs_tree", trees.append)
         with pytest.raises(ValueError, match="66 non-tree edges"):
             next(enumerate_signatures(build_complete(13, 1)))
+        assert not trees
+
+    @pytest.mark.parametrize("g", [
+        new_signed_graph(1, []),
+        new_signed_graph(2, [(0, 1, -1)]),
+        new_signed_graph(5, [(0, 1, 1), (1, 2, -1), (2, 3, -1), (3, 4, 1)]),
+    ], ids=["K1", "K2", "P5"])
+    def test_tree_of_width_zero_yields_its_underlying_graph(self, g):
+        # an empty tree (n = 1) or a tree with no edge off it has one class
+        sigs = list(enumerate_signatures(g))
+        assert len(sigs) == 1
+        assert np.array_equal(sigs[0].adj, np.abs(g.adj))
 
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_signatures_are_their_own_canonical_switch(self, n):
@@ -475,7 +489,7 @@ class TestClassTable:
             assert int.from_bytes(np.packbits(adj[iu, ju]).tobytes(), "big") == code
             edges = int(adj[iu, ju].sum())
             k = int(table.widths[c])
-            assert table.edges[c] == edges and k == edges - n + 1
+            assert k == edges - n + 1
             bits = np.arange(k, dtype=np.uint64)
             sigs = _signature_stack(table, np.full(k, c), np.uint64(1) << bits, np.int8)
             negated = []
@@ -506,7 +520,7 @@ class TestClassSummary:
         summary = _class_summary(n, forbidden)
         table = whole_class_table(n)
         span = _table_span(table, forbidden)
-        assert np.array_equal(summary.edges, table.edges)
+        assert np.array_equal(summary.edges, table.adj.sum(axis=(1, 2)) // 2)
         assert np.array_equal(summary.free, span.free)
         assert np.array_equal(summary.consistent, span.consistent)
         # pattern 0 solves a system iff it is consistent with particular 0
@@ -553,7 +567,7 @@ class TestClassSummary:
         # spanning tree and no table row
         _connected_class_bitmaps(7)
         calls = collections.Counter()
-        for name in ("_codes_to_adj", "_bfs_trees", "_table_block"):
+        for name in ("_codes_to_adj", "_bfs_tree", "_table_block"):
             def spy(*args, name=name, inner=getattr(SEARCH, name)):
                 calls[name] += 1
                 return inner(*args)
@@ -561,9 +575,9 @@ class TestClassSummary:
         for forbidden in FORBIDDEN:
             _class_summary(7, forbidden)
         assert not calls
-        # the spies count
+        # the spies count, one tree per row
         SEARCH._class_rows(_connected_class_bitmaps(4), 4)
-        assert calls == {"_codes_to_adj": 1, "_bfs_trees": 1, "_table_block": 1}
+        assert calls == {"_codes_to_adj": 1, "_bfs_tree": 6, "_table_block": 1}
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_counts_match_brute_force_switching_classes(self, n):
@@ -750,9 +764,16 @@ class TestSearch:
         # reaches: the densest edge count with feasible classes, and for
         # MAX_RHO, in one more call, every count within reach of that count's
         # best
+        # the _bfs_tree calls of each _table_block call, one per row
         calls = []
-        trees = SEARCH._bfs_trees
-        monkeypatch.setattr(SEARCH, "_bfs_trees", lambda adj: calls.append(len(adj)) or trees(adj))
+        block, tree = SEARCH._table_block, SEARCH._bfs_tree
+        monkeypatch.setattr(SEARCH, "_table_block",
+                            lambda adj, width: calls.append(0) or block(adj, width))
+
+        def spy(adj):
+            calls[-1] += 1
+            return tree(adj)
+        monkeypatch.setattr(SEARCH, "_bfs_tree", spy)
 
         def reached(config, best):
             summary = _class_summary(config.n, config.forbidden)
