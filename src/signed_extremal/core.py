@@ -450,7 +450,7 @@ def _refine(adj: np.ndarray) -> np.ndarray:
     return colours
 
 
-# the 255 compositions of 1..8 vertices fit, with the (0,) they start from
+# only canonical_forms fills it, with the 255 compositions of 1..8 and (0,)
 @lru_cache(maxsize=256)
 def _candidate_orders(sizes: tuple[int, ...]) -> np.ndarray:
     """Every order of range(sum(sizes)) that keeps each run of consecutive
@@ -508,39 +508,24 @@ def _all_twin_classes(adj: np.ndarray, colours: np.ndarray) -> np.ndarray:
     return ~differ.any(axis=(1, 2))
 
 
-def canonical_forms(adj: np.ndarray) -> Labelling:
-    """Canonical bitmaps of a (G, n, n) bool stack of G >= 1 unsigned graphs
-    and the orders achieving them.
-
-    A graph's bitmap is the least upper-triangle bit string over all orders
-    that respect its refined colour classes, packed into a Python int (MSB
-    first); its optimal orders come out in ascending lexicographic order.
-    If every colour class is a twin set (_all_twin_classes), all those orders
-    are optimal: a cached template (_candidate_orders). Every other graph is
-    individualized at each position i in turn (McKay and Piperno, "Practical
-    graph isomorphism, II", J. Symbolic Comput. 60, 2014): each vertex v of
-    the cell at i is tried there, and every later cell splits into v's
-    non-neighbours, then its neighbours, so that row i of the code is least
-    for that prefix. Only a graph's branches with the least row i go on;
-    after the last position they are its optimal orders, in prefix order.
-    """
+def _label(adj: np.ndarray):
+    """(codes, colours, twins, orders, counts): canonical_forms of a (G, n, n)
+    bool stack less the orders of its twin graphs, whose colour classes (of
+    _refine) are all twin sets (_all_twin_classes) and so are their orbits.
+    Every other graph g has counts[g] rows of orders, found by individualizing
+    each position i in turn (McKay and Piperno, J. Symbolic Comput. 60, 2014):
+    each vertex v of the cell at i is tried there, every later cell splits
+    into v's non-neighbours, then its neighbours, and only the branches with
+    the least row i of the code go on, to end as g's orders in prefix order."""
     g, n = adj.shape[:2]
     colours = _refine(adj)
     dtype, wide = np.min_scalar_type(n - 1), np.min_scalar_type(2 * n * n - 1)
     # each graph's vertices by colour, within a colour by vertex
-    by_colour = np.argsort(colours, axis=1, kind="stable").astype(dtype)
+    first = np.argsort(colours, axis=1, kind="stable").astype(dtype)
     twins = _all_twin_classes(adj, colours)
-    # the class sizes of each twin graph in colour order, one bytes key per graph
-    sizes = (colours[twins, :, None] == np.arange(n)).sum(axis=1, dtype=np.min_scalar_type(n))
-    keys, which = np.unique(sizes.view(f"V{sizes.strides[0]}").ravel(), return_inverse=True)
-    templates = [_candidate_orders(tuple(k for k in np.frombuffer(key, sizes.dtype).tolist() if k))
-                 for key in keys]
-    templates = [templates[w] for w in which.tolist()]
-    owner = np.repeat(np.flatnonzero(twins), [len(t) for t in templates])
-    orders = by_colour[owner[:, None], np.concatenate([np.zeros((0, n), dtype), *templates])]
     # each branch's vertex at each position; its cells are the runs of equal key
     branch = np.flatnonzero(~twins)
-    perm = by_colour[branch]
+    perm = first[branch]
     key = np.sort(colours[branch], axis=1)
     for i in range(n - 1 if len(branch) else 0):
         # the first position of each position's cell
@@ -560,16 +545,38 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
         # row i of the code: position q > i holds a neighbour of v iff odd
         keep = _least_rows(branch, (key[:, i + 1:] & 1).astype(np.uint8))
         branch, perm, key = branch[keep], perm[keep], key[keep]
-    if len(branch) and len(owner):
-        by_graph = np.argsort(np.concatenate((owner, branch)), kind="stable")
-        orders = np.concatenate((orders, perm))[by_graph]
-    elif len(branch):
-        orders = perm
-    counts = np.bincount(np.concatenate((owner, branch)), minlength=g)
-    first = orders[np.cumsum(counts) - counts]
+    counts = np.bincount(branch, minlength=g)
+    first[~twins] = perm[(np.cumsum(counts) - counts)[~twins]]
     iu, ju = _triu_cells(n)
     packed = np.packbits(adj[np.arange(g)[:, None], first[:, iu], first[:, ju]], axis=1)
-    return Labelling([int.from_bytes(row.tobytes(), "big") for row in packed], orders, counts)
+    return [int.from_bytes(row.tobytes(), "big") for row in packed], colours, twins, perm, counts
+
+
+def canonical_forms(adj: np.ndarray) -> Labelling:
+    """Canonical bitmaps of a (G, n, n) bool stack of G >= 1 unsigned graphs
+    and the orders achieving them: those of _label, and all class-respecting
+    orders of each twin graph, from a cached template (_candidate_orders).
+
+    A graph's bitmap is the least upper-triangle bit string over all orders
+    that respect its refined colour classes, packed into a Python int (MSB
+    first); its optimal orders come out in ascending lexicographic order."""
+    codes, colours, twins, perm, counts = _label(adj)
+    n = adj.shape[1]
+    by_colour = np.argsort(colours, axis=1, kind="stable").astype(perm.dtype)
+    # the class sizes of each twin graph in colour order, one bytes key per graph
+    sizes = (colours[twins, :, None] == np.arange(n)).sum(axis=1, dtype=np.min_scalar_type(n))
+    keys, which = np.unique(sizes.view(f"V{sizes.strides[0]}").ravel(), return_inverse=True)
+    templates = [_candidate_orders(tuple(k for k in np.frombuffer(key, sizes.dtype).tolist() if k))
+                 for key in keys]
+    templates = [templates[w] for w in which.tolist()]
+    owner = np.repeat(np.flatnonzero(twins), [len(t) for t in templates])
+    orders = by_colour[owner[:, None], np.concatenate([perm[:0], *templates])]
+    branch = np.repeat(np.arange(len(counts)), counts)
+    counts[twins] = [len(t) for t in templates]
+    if len(branch):
+        by_graph = np.argsort(np.concatenate((owner, branch)), kind="stable")
+        orders = np.concatenate((orders, perm))[by_graph]
+    return Labelling(codes, orders, counts)
 
 
 def _signed_twin_classes(adj: np.ndarray) -> list[list[int]]:

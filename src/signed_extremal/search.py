@@ -12,8 +12,8 @@ per pass in numpy blocks of _TABLE_BLOCK graphs. The automorphisms of the
 classes on n - 1 vertices give one attachment mask per orbit. A child G is
 kept if its new vertex may be canonically deleted: among the non-cut vertices
 that maximize (-degree, sorted neighbour degrees), it must share an orbit with
-the one that gets the smallest label in core.canonical_forms, which labels a
-block at once. Each class then arises once, stored as its canonical bitmap.
+the one that gets the smallest canonical label (core._label, which labels a
+block at once). Each class then arises once, stored as its canonical bitmap.
 The cut tests read the parent, not the child: G is a parent P plus one new
 vertex, so for any other vertex v, G - v is connected iff the new vertex's
 other neighbours meet every component of P - v, and those components are
@@ -30,13 +30,15 @@ The rule is invariant under Aut(P), so it drops whole orbits, and the masks
 are found one block of parents at a time, as the least image of each mask
 under the block's automorphisms (_orbit_masks). At n = 8 it sends 16,950
 children to the test instead of 67,141; 11,933 pass, as before.
-Colour refinement cannot split a regular graph, so canonical_forms
-individualizes every graph with a colour class that is not a twin set one
-position at a time, keeping the branches whose next row of the code is
-least (McKay and Piperno, 2014): a cubic child on 8 vertices tries at most
-280 branches (the cube, whose 48 automorphisms are its optimal orders), not
-8! = 40,320 orders. A graph whose classes are all twin sets, K_n among them,
-takes every class-respecting order from a template.
+Colour refinement cannot split a regular graph, so core._label
+individualizes each graph with a class that is not a twin set, one position
+at a time, keeping the branches whose next row of the code is least (McKay
+and Piperno, 2014): a cubic child on 8 vertices tries at most 280 branches,
+not 8! = 40,320 orders. A graph whose classes are all twin sets, K_n among
+them, lists none: its orbits are its classes, as refinement is invariant and
+twin swaps are automorphisms. Such a child passes iff its new vertex has the
+least colour in M(G); such a parent, in canonical form, keeps the masks that
+fill each class, a run of positions, from its first position.
 
 The signatures of a class are the 2^k sign patterns on its k edges off the
 canonical spanning tree. With the tree pinned +1, the sign of a triangle is
@@ -100,12 +102,12 @@ from .bounds import (
 from .core import (
     SignedGraph,
     _bfs_tree,
+    _label,
     _least_sign_row,
     _signed_code,
     _tree_spins,
     _triu_cells,
     canonical_form,
-    canonical_forms,
     canonical_signed_code,
     find_signed_triangles,
     is_balanced,
@@ -272,32 +274,36 @@ def _orbit_masks(adj: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.nda
     """The (parent, mask) pairs of a (G, m, m) bool stack of canonical
     parents that the degree bound keeps (_degree_bound), one per orbit of
     Aut(P) on vertex subsets: the orbit's least mask, ascending per parent.
-    The block's labelling and mask images live only for the call."""
+    A twin parent's orbits are its colour classes; the other parents' mask
+    images under their automorphisms live only for the call."""
     m = adj.shape[1]
     floor, low = _degree_bound(adj, comps)
-    # the parents are stored in canonical form, so the orders that attain
-    # their own bitmaps are exactly their automorphisms
-    lab = canonical_forms(adj)
+    _, colours, twins, orders, counts = _label(adj)
     # the bound is Aut(P)-invariant, so orbits are kept or dropped whole, and
     # no mask of more than floor.max() + 1 vertices is kept
     masks = np.arange(1 << m)
     masks = masks[np.bitwise_count(masks) <= floor.max() + 1]
     sizes = np.bitwise_count(masks)
+    # a twin parent's orbits are its classes, runs of positions in canonical
+    # form: an orbit's least mask fills each class from its first position
+    class_starts = (np.diff(colours, axis=1, prepend=-1) != 0) @ (1 << np.arange(m))
+    least = masks & ~((masks << 1) | class_starts[:, None]) == 0
     column = np.zeros(1 << m, dtype=np.intp)
     column[masks] = np.arange(len(masks))
     first = masks & -masks
-    # image[r, S] is S under the automorphism of row r: the image of S less
-    # its lowest bit, joined with that bit's image, built size by size from
-    # column 0, the empty set
+    # any other parent's optimal orders are its automorphisms, as it is in
+    # canonical form. image[r, S] is S under the automorphism of row r: the
+    # image of S less its lowest bit, joined with that bit's image, built
+    # size by size from column 0, the empty set
     dtype = np.min_scalar_type((1 << m) - 1)
-    bit_image = np.left_shift(dtype.type(1), lab.orders)
-    image = np.zeros((len(lab.orders), len(masks)), dtype=dtype)
+    bit_image = np.left_shift(dtype.type(1), orders)
+    image = np.zeros((len(orders), len(masks)), dtype=dtype)
     for k in range(1, sizes.max() + 1):
         col = np.flatnonzero(sizes == k)
         image[:, col] = (image[:, column[masks[col] ^ first[col]]]
                          | bit_image[:, np.bitwise_count(first[col] - 1)])
-    least = np.minimum.reduceat(image, np.cumsum(lab.counts) - lab.counts, axis=0)
-    keep = ((least == masks) & (sizes > 0)
+    least[~twins] = np.minimum.reduceat(image, (np.cumsum(counts) - counts)[~twins], 0) == masks
+    keep = (least & (sizes > 0)
             & ((sizes <= floor[:, None])
                | ((sizes == floor[:, None] + 1) & (masks & low[:, None] == low[:, None]))))
     owner, col = np.nonzero(keep)
@@ -332,16 +338,17 @@ def _canonical_children(n: int) -> list[int]:
     kids, sets = map(np.concatenate, zip(*kids))
     children = []
     for lo in range(0, len(kids), _TABLE_BLOCK):
-        lab = canonical_forms(kids[lo:lo + _TABLE_BLOCK])
-        # a vertex's canonical label is its position in an optimal order;
-        # accept iff the new vertex shares an orbit with the vertex of M(G)
-        # that gets the smallest label
-        row_owner = np.repeat(np.arange(len(lab.counts)), lab.counts)
-        starts = np.cumsum(lab.counts) - lab.counts
-        new_label = (lab.orders == m).argmax(axis=1)
-        set_label = sets[lo + row_owner[:, None], lab.orders].argmax(axis=1)
-        accept = np.minimum.reduceat(new_label, starts) == np.minimum.reduceat(set_label, starts)
-        children += itertools.compress(lab.codes, accept)
+        codes, colours, twins, orders, counts = _label(kids[lo:lo + _TABLE_BLOCK])
+        # a twin child's orbits are its colour classes, whose labels ascend
+        # with the colour: accept iff its new vertex has the least in M(G)
+        accept = colours[:, m] == np.where(sets[lo:lo + _TABLE_BLOCK], colours, n).min(axis=1)
+        # any other child's labels are positions in its optimal orders:
+        # accept iff the new vertex and M(G) get the same least label
+        row_owner = np.repeat(np.arange(len(counts)), counts)
+        hits = np.stack((orders == m, sets[lo + row_owner[:, None], orders]))
+        least = np.minimum.reduceat(hits.argmax(axis=2), (np.cumsum(counts) - counts)[~twins], 1)
+        accept[~twins] = least[0] == least[1]
+        children += itertools.compress(codes, accept)
     return children
 
 

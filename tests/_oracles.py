@@ -144,7 +144,7 @@ def graphs_isomorphic(a1: np.ndarray, a2: np.ndarray) -> bool:
 
 def _relabelings(g: SignedGraph) -> np.ndarray:
     """The sign matrices of g under all n! relabelings, one per permutation."""
-    perms = np.array(list(itertools.permutations(range(g.n))), dtype=np.intp).reshape(-1, g.n)
+    perms = permutation_rows(g.n)
     return g.adj[perms[:, :, None], perms[:, None, :]]
 
 
@@ -197,12 +197,29 @@ def labeled_graph_stack(n: int) -> np.ndarray:
     return adj
 
 
+def permutation_rows(n: int) -> np.ndarray:
+    """The n! permutations of range(n), one per row, in itertools order."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
+
+
+def brute_automorphism_table(adj: np.ndarray) -> np.ndarray:
+    """(G, n!) bool: whether permutation_rows(n)[r] is a p with
+    adj[g][p][:, p] == adj[g], for each graph g of a (G, n, n) bool stack, by
+    scanning all n! of them. A symmetric matrix with a zero diagonal is
+    decided by its upper triangle, so only those cells are compared."""
+    n = adj.shape[1]
+    perms = permutation_rows(n)
+    iu, ju = np.triu_indices(n, 1)
+    # 256 graphs at a time keep the moved cells of n = 6 under 3 MB
+    return np.concatenate([
+        (a[:, perms[:, iu], perms[:, ju]] == a[:, None, iu, ju]).all(axis=2)
+        for a in np.split(adj, range(256, len(adj), 256))])
+
+
 def brute_automorphisms(adj: np.ndarray) -> set[tuple[int, ...]]:
     """Every permutation p with adj[p][:, p] == adj, by scanning all n! of them."""
-    n = adj.shape[0]
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.intp).reshape(-1, n)
-    moved = adj[perms[:, :, None], perms[:, None, :]]
-    return {tuple(p) for p in perms[(moved == adj).all(axis=(1, 2))].tolist()}
+    perms = permutation_rows(adj.shape[0])
+    return {tuple(p) for p in perms[brute_automorphism_table(adj[None])[0]].tolist()}
 
 
 def connected_graphs_up_to_isomorphism(n: int):

@@ -56,6 +56,7 @@ from _oracles import (
     all_labeled_signed_graphs,
     all_signatures,
     all_simple_cycles,
+    brute_automorphism_table,
     brute_automorphisms,
     brute_is_balanced,
     brute_labelling,
@@ -68,6 +69,7 @@ from _oracles import (
     isin_signed_graph_adj,
     labeled_graph_stack,
     per_order_signed_code,
+    permutation_rows,
     planted_twin_graphs,
     seeded_signed_graphs,
     tuple_sorting_color_classes,
@@ -920,6 +922,22 @@ class TestCanonicalForms:
             assert twin == (autos[code] == respecting)
         # the path on 4 vertices is the smallest graph that is not
         assert twins.all() == (n <= 3)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_twin_graph_automorphisms_map_each_colour_class_onto_itself(self, n):
+        # colour refinement is isomorphism-invariant, so every automorphism
+        # maps each refined colour class onto itself, and when every class is
+        # a twin set, every such permutation is an automorphism: the orbits
+        # of a twin graph are its colour classes, which the enumeration reads
+        # in place of orders. Checked on every labelled graph
+        adj = labeled_graph_stack(n)
+        colours = _refine(adj)
+        twins = _all_twin_classes(adj, colours)
+        # the permutations p with colours[p] == colours depend on the colours only
+        keys, which = np.unique(colours[twins], axis=0, return_inverse=True)
+        perms = permutation_rows(n)
+        respecting = (keys[:, perms] == keys[:, None]).all(axis=2)[which.ravel()]
+        assert np.array_equal(brute_automorphism_table(adj[twins]), respecting)
 
     def test_orders_attain_the_codes_of_large_graphs(self):
         # from 17 vertices on, the cell p * n + q of positions p < q passes 255

@@ -296,6 +296,29 @@ class TestEnumerateUnderlying:
                     got += zip((owner + lo).tolist(), masks.tolist())
                 assert got == expect
 
+    def test_enumeration_expands_no_template(self, monkeypatch):
+        # a twin graph's orbits are its colour classes, so the children's
+        # deletion test and the parents' orbit masks never ask for its
+        # class-respecting orders; the oracles above still take them all
+        core = sys.modules[canonical_forms.__module__]
+        candidate_orders, calls = core._candidate_orders, []
+
+        def spy(sizes):
+            calls.append(sizes)
+            return candidate_orders(sizes)
+
+        monkeypatch.setattr(core, "_candidate_orders", spy)
+        SEARCH._connected_class_bitmaps.cache_clear()
+        try:
+            counts = [len(_connected_class_bitmaps(n)) for n in range(3, 8)]
+        finally:
+            SEARCH._connected_class_bitmaps.cache_clear()
+        assert counts == [2, 6, 21, 112, 853]
+        assert calls == []
+        # the spy sees the template of K_3, all of whose 3! orders are optimal
+        canonical_forms(~np.eye(3, dtype=bool)[None])
+        assert calls[0] == (3,)
+
     def test_degree_bound_matches_the_definition(self):
         # every class on m <= 7 vertices, seeded graphs on 9 to 11, and
         # K_4 - c - K_4, whose cut vertex c has degree 2, below delta = 3
