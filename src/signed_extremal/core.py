@@ -345,7 +345,8 @@ def shortest_unbalanced_cycle(g: SignedGraph) -> Cycle | None:
 # ---------------------------------------------------------------------------
 
 # orders per batch in _least_sign_row, filtered to one per arrangement of
-# signed twins before evaluation; K_9 has 362,880 optimal orders
+# signed twins before evaluation, and per gather of a twin template in
+# canonical_forms; K_9 has 362,880 optimal orders
 _ORDER_CHUNK = 8192
 # switching_isomorphic labels the underlying graph, n! orders for K_n, and
 # evaluates one order per arrangement of signed twins (126 for a halved K_9)
@@ -508,26 +509,22 @@ def _all_twin_classes(adj: np.ndarray, colours: np.ndarray) -> np.ndarray:
     return ~differ.any(axis=(1, 2))
 
 
-def _label(adj: np.ndarray):
-    """(codes, colours, twins, orders, counts): canonical_forms of a (G, n, n)
-    bool stack less the orders of its twin graphs, whose colour classes (of
-    _refine) are all twin sets (_all_twin_classes) and so are their orbits.
-    Every other graph g has counts[g] rows of orders, found by individualizing
-    each position i in turn (McKay and Piperno, J. Symbolic Comput. 60, 2014):
-    each vertex v of the cell at i is tried there, every later cell splits
-    into v's non-neighbours, then its neighbours, and only the branches with
-    the least row i of the code go on, to end as g's orders in prefix order."""
+def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(branch, perm): the optimal orders of each graph of a (G, n, n) bool
+    stack with refined colours (G, n) (_refine), found by individualizing each
+    position i in turn (McKay and Piperno, J. Symbolic Comput. 60, 2014): each
+    vertex v of the cell at i is tried there, every later cell splits into v's
+    non-neighbours, then its neighbours, and only the branches with the least
+    row i of the code go on. Row r of perm is an order of graph branch[r];
+    branch ascends, and each graph's orders come in prefix order."""
     g, n = adj.shape[:2]
-    colours = _refine(adj)
     dtype, wide = np.min_scalar_type(n - 1), np.min_scalar_type(2 * n * n - 1)
-    # each graph's vertices by colour, within a colour by vertex
-    first = np.argsort(colours, axis=1, kind="stable").astype(dtype)
-    twins = _all_twin_classes(adj, colours)
-    # each branch's vertex at each position; its cells are the runs of equal key
-    branch = np.flatnonzero(~twins)
-    perm = first[branch]
-    key = np.sort(colours[branch], axis=1)
-    for i in range(n - 1 if len(branch) else 0):
+    branch = np.arange(g)
+    # each graph's vertices by colour, within a colour by vertex; each
+    # branch's cells are the runs of equal key
+    perm = np.argsort(colours, axis=1, kind="stable").astype(dtype)
+    key = np.sort(colours, axis=1)
+    for i in range(n - 1 if g else 0):
         # the first position of each position's cell
         start = np.where(key != key[:, np.arange(-1, n - 1)], np.arange(n, dtype=dtype), 0)
         start = np.maximum.accumulate(start, axis=1)
@@ -545,11 +542,124 @@ def _label(adj: np.ndarray):
         # row i of the code: position q > i holds a neighbour of v iff odd
         keep = _least_rows(branch, (key[:, i + 1:] & 1).astype(np.uint8))
         branch, perm, key = branch[keep], perm[keep], key[keep]
+    return branch, perm
+
+
+def _packed_codes(adj: np.ndarray, orders: np.ndarray) -> list[int]:
+    """The code of each graph of a (G, n, n) bool stack relabelled by its
+    order (G, n): its upper-triangle cells, row by row, as the bits of a
+    Python int, MSB first, padded with zero bits to whole bytes."""
+    g, n = adj.shape[:2]
+    iu, ju = _triu_cells(n)
+    packed = np.packbits(adj[np.arange(g)[:, None], orders[:, iu], orders[:, ju]], axis=1)
+    # leading zero bytes fill the first big-endian word and leave the value as it is
+    words = np.zeros((g, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+    words[:, words.shape[1] - packed.shape[1]:] = packed
+    columns = iter(words.view(">u8").T.tolist())
+    codes = next(columns, [0] * g)
+    for column in columns:
+        codes = [code << 64 | word for code, word in zip(codes, column)]
+    return codes
+
+
+def _label_stack(adj: np.ndarray, block: int):
+    """(colours, twins, first, branch, perm) of a (G, n, n) bool stack:
+    refined colours (_refine) in the smallest unsigned dtype that holds
+    n - 1, whether all colour classes are twin sets (_all_twin_classes), each
+    graph's first optimal order, whose code (_packed_codes) is its canonical
+    bitmap, and the optimal orders perm of the other graphs, row r an order
+    of graph branch[r] (_individualize). Refinement and the twin test take
+    `block` graphs at a time, and individualization `block` non-twin graphs
+    at a time, whichever block they came from."""
+    g, n = adj.shape[:2]
+    colours = np.empty((g, n), dtype=np.min_scalar_type(n - 1))
+    twins = np.empty(g, dtype=bool)
+    for lo in range(0, g, block):
+        colours[lo:lo + block] = c = _refine(adj[lo:lo + block])
+        twins[lo:lo + block] = _all_twin_classes(adj[lo:lo + block], c)
+    # a twin graph's vertices by colour, within a colour by vertex
+    first = np.argsort(colours, axis=1, kind="stable").astype(colours.dtype)
+    graphs = np.flatnonzero(~twins)
+    branch, perm = [graphs[:0]], [first[:0]]
+    for lo in range(0, len(graphs), block):
+        part = graphs[lo:lo + block]
+        b, p = _individualize(adj[part], colours[part])
+        branch.append(part[b])
+        perm.append(p)
+    branch, perm = np.concatenate(branch), np.concatenate(perm)
     counts = np.bincount(branch, minlength=g)
     first[~twins] = perm[(np.cumsum(counts) - counts)[~twins]]
-    iu, ju = _triu_cells(n)
-    packed = np.packbits(adj[np.arange(g)[:, None], first[:, iu], first[:, ju]], axis=1)
-    return [int.from_bytes(row.tobytes(), "big") for row in packed], colours, twins, perm, counts
+    return colours, twins, first, branch, perm
+
+
+def _label(adj: np.ndarray):
+    """(codes, colours, twins, orders, counts): canonical_forms of a (G, n, n)
+    bool stack less the orders of its twin graphs, whose colour classes are
+    all twin sets and so are their orbits (_label_stack, in one block). Every
+    other graph g has counts[g] rows of orders."""
+    colours, twins, first, branch, perm = _label_stack(adj, len(adj))
+    return _packed_codes(adj, first), colours, twins, perm, np.bincount(branch, minlength=len(adj))
+
+
+class _Labels(NamedTuple):
+    """The labelling of G graphs in canonical form, which the class
+    enumeration carries from the level that accepts a class to the level
+    where it is a parent (_canonical_labels)."""
+
+    colours: np.ndarray     # (G, n) refined colours, ascending along the positions
+    twins: np.ndarray       # (G,) whether all colour classes are twin sets
+    orders: np.ndarray      # (rows, n) the automorphisms of the other graphs, graph by graph
+    counts: np.ndarray      # (G,) rows of each graph, 0 for a twin graph
+
+    def take(self, index) -> "_Labels":
+        """The labels of the graphs index (a slice or an index array), in that order."""
+        counts = self.counts[index]
+        starts = (np.cumsum(self.counts) - self.counts)[index]
+        rows = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        return _Labels(self.colours[index], self.twins[index], self.orders[rows], counts)
+
+
+def _canonical_labels(index, colours, twins, first, branch, perm) -> _Labels:
+    """The labels of the graphs index, ascending, of a stack that _label_stack
+    labelled, in canonical positions: their colours sorted, and each non-twin
+    graph's optimal orders composed with the inverse of its first order, which
+    are the automorphisms of its canonical form."""
+    rows = np.isin(branch, index)
+    inverse = np.argsort(first[branch[rows]], axis=1).astype(first.dtype)
+    return _Labels(np.sort(colours[index], axis=1), twins[index],
+                   np.take_along_axis(inverse, perm[rows], 1),
+                   np.bincount(branch, minlength=len(first))[index])
+
+
+def _least_of_orbits(labels: _Labels, masks: np.ndarray) -> np.ndarray:
+    """least[g, j]: whether the vertex subset masks[j] is the least of its
+    orbit under the automorphisms of graph g, for graphs in canonical form
+    with their labels. masks holds ascending bitmasks, 0 first, and with each
+    mask the mask less its lowest bit. A twin graph's orbits are its classes,
+    runs of positions in canonical form; the other graphs' mask images under
+    their automorphisms live only for the call."""
+    colours, twins, orders, counts = labels
+    m = colours.shape[1]
+    sizes = np.bitwise_count(masks)
+    # an orbit of a twin graph's masks has its least mask filling each class
+    # from its first position
+    class_starts = (np.diff(colours, axis=1, prepend=-1) != 0) @ (1 << np.arange(m))
+    least = masks & ~((masks << 1) | class_starts[:, None]) == 0
+    column = np.zeros(1 << m, dtype=np.intp)
+    column[masks] = np.arange(len(masks))
+    first = masks & -masks
+    # image[r, S] is S under the automorphism of row r: the image of S less
+    # its lowest bit, joined with that bit's image, built size by size from
+    # column 0, the empty set
+    dtype = np.min_scalar_type((1 << m) - 1)
+    bit_image = np.left_shift(dtype.type(1), orders)
+    image = np.zeros((len(orders), len(masks)), dtype=dtype)
+    for k in range(1, sizes.max() + 1):
+        col = np.flatnonzero(sizes == k)
+        image[:, col] = (image[:, column[masks[col] ^ first[col]]]
+                         | bit_image[:, np.bitwise_count(first[col] - 1)])
+    least[~twins] = np.minimum.reduceat(image, (np.cumsum(counts) - counts)[~twins], 0) == masks
+    return least
 
 
 def canonical_forms(adj: np.ndarray) -> Labelling:
@@ -569,13 +679,16 @@ def canonical_forms(adj: np.ndarray) -> Labelling:
     templates = [_candidate_orders(tuple(k for k in np.frombuffer(key, sizes.dtype).tolist() if k))
                  for key in keys]
     templates = [templates[w] for w in which.tolist()]
-    owner = np.repeat(np.flatnonzero(twins), [len(t) for t in templates])
-    orders = by_colour[owner[:, None], np.concatenate([perm[:0], *templates])]
-    branch = np.repeat(np.arange(len(counts)), counts)
     counts[twins] = [len(t) for t in templates]
-    if len(branch):
-        by_graph = np.argsort(np.concatenate((owner, branch)), kind="stable")
-        orders = np.concatenate((orders, perm))[by_graph]
+    ends = np.cumsum(counts)
+    orders = np.empty((ends[-1], n), dtype=perm.dtype)
+    orders[~np.repeat(twins, counts)] = perm
+    # each twin graph's template rows gathered straight into its rows, a
+    # chunk of them at a time
+    for g, t in zip(np.flatnonzero(twins).tolist(), templates):
+        rows = orders[ends[g] - len(t):ends[g]]
+        for lo in range(0, len(t), _ORDER_CHUNK):
+            rows[lo:lo + _ORDER_CHUNK] = by_colour[g, t[lo:lo + _ORDER_CHUNK]]
     return Labelling(codes, orders, counts)
 
 

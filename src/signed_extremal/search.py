@@ -10,10 +10,10 @@ The classes are grown one vertex at a time by canonical augmentation (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998), a whole level
 per pass in numpy blocks of _TABLE_BLOCK graphs. The automorphisms of the
 classes on n - 1 vertices give one attachment mask per orbit. A child G is
-kept if its new vertex may be canonically deleted: among the non-cut vertices
-that maximize (-degree, sorted neighbour degrees), it must share an orbit with
-the one that gets the smallest canonical label (core._label, which labels a
-block at once). Each class then arises once, stored as its canonical bitmap.
+kept if its new vertex may be canonically deleted: among the non-cut
+vertices that maximize (-degree, sorted neighbour degrees), it must share an
+orbit with the one that gets the smallest canonical label. Each class then
+arises once, stored as its canonical bitmap.
 The cut tests read the parent, not the child: G is a parent P plus one new
 vertex, so for any other vertex v, G - v is connected iff the new vertex's
 other neighbours meet every component of P - v, and those components are
@@ -30,15 +30,25 @@ The rule is invariant under Aut(P), so it drops whole orbits, and the masks
 are found one block of parents at a time, as the least image of each mask
 under the block's automorphisms (_orbit_masks). At n = 8 it sends 16,950
 children to the test instead of 67,141; 11,933 pass, as before.
-Colour refinement cannot split a regular graph, so core._label
-individualizes each graph with a class that is not a twin set, one position
-at a time, keeping the branches whose next row of the code is least (McKay
-and Piperno, 2014): a cubic child on 8 vertices tries at most 280 branches,
-not 8! = 40,320 orders. A graph whose classes are all twin sets, K_n among
-them, lists none: its orbits are its classes, as refinement is invariant and
-twin swaps are automorphisms. Such a child passes iff its new vertex has the
-least colour in M(G); such a parent, in canonical form, keeps the masks that
-fill each class, a run of positions, from its first position.
+Each class is labelled once, as a child (core._label_stack): colour refinement
+and the twin test run a block of children at a time, and the children whose
+classes are not all twin sets are individualized together, _TABLE_BLOCK of
+them at a time, whichever block they came from: at n = 8, 2,804 of the 11,933
+children, in three batches. Colour refinement cannot split a regular graph, so
+core._individualize tries each position in turn, keeping the branches whose
+next row of the code is least (McKay and Piperno, 2014): a cubic child on 8
+vertices tries at most 280 branches, not 8! = 40,320 orders. A graph whose
+classes are all twin sets, K_n among them, is not individualized: its orbits
+are its classes, as refinement is invariant and twin swaps are automorphisms.
+Such a child passes iff its new vertex has the least colour in M(G). Only the
+children that pass get a code, packed from 64-bit words (core._packed_codes).
+Below _MAX_N each accepted child keeps its labelling for the next level in
+canonical positions (core._canonical_labels): its colours sorted, its twin
+flag, and its optimal orders composed with the inverse of the first, which are
+the automorphisms of its canonical form (1,690 rows for the 853 classes on 7
+vertices). So no parent is labelled again: a twin parent keeps the masks that
+fill each class, a run of positions, from its first position, and any other
+parent maps masks through its automorphisms (core._least_of_orbits).
 
 The signatures of a class are the 2^k sign patterns on its k edges off the
 canonical spanning tree. With the tree pinned +1, the sign of a triangle is
@@ -102,8 +112,11 @@ from .bounds import (
 from .core import (
     SignedGraph,
     _bfs_tree,
-    _label,
+    _canonical_labels,
+    _label_stack,
+    _least_of_orbits,
     _least_sign_row,
+    _packed_codes,
     _signed_code,
     _tree_spins,
     _triu_cells,
@@ -270,39 +283,19 @@ def _degree_bound(adj: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.nd
     return floor, low
 
 
-def _orbit_masks(adj: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _orbit_masks(adj: np.ndarray, comps: np.ndarray, labels) -> tuple[np.ndarray, np.ndarray]:
     """The (parent, mask) pairs of a (G, m, m) bool stack of canonical
-    parents that the degree bound keeps (_degree_bound), one per orbit of
-    Aut(P) on vertex subsets: the orbit's least mask, ascending per parent.
-    A twin parent's orbits are its colour classes; the other parents' mask
-    images under their automorphisms live only for the call."""
+    parents with their labels (core._Labels) that the degree bound keeps
+    (_degree_bound), one per orbit of Aut(P) on vertex subsets: the orbit's
+    least mask (core._least_of_orbits), ascending per parent."""
     m = adj.shape[1]
     floor, low = _degree_bound(adj, comps)
-    _, colours, twins, orders, counts = _label(adj)
     # the bound is Aut(P)-invariant, so orbits are kept or dropped whole, and
     # no mask of more than floor.max() + 1 vertices is kept
     masks = np.arange(1 << m)
     masks = masks[np.bitwise_count(masks) <= floor.max() + 1]
     sizes = np.bitwise_count(masks)
-    # a twin parent's orbits are its classes, runs of positions in canonical
-    # form: an orbit's least mask fills each class from its first position
-    class_starts = (np.diff(colours, axis=1, prepend=-1) != 0) @ (1 << np.arange(m))
-    least = masks & ~((masks << 1) | class_starts[:, None]) == 0
-    column = np.zeros(1 << m, dtype=np.intp)
-    column[masks] = np.arange(len(masks))
-    first = masks & -masks
-    # any other parent's optimal orders are its automorphisms, as it is in
-    # canonical form. image[r, S] is S under the automorphism of row r: the
-    # image of S less its lowest bit, joined with that bit's image, built
-    # size by size from column 0, the empty set
-    dtype = np.min_scalar_type((1 << m) - 1)
-    bit_image = np.left_shift(dtype.type(1), orders)
-    image = np.zeros((len(orders), len(masks)), dtype=dtype)
-    for k in range(1, sizes.max() + 1):
-        col = np.flatnonzero(sizes == k)
-        image[:, col] = (image[:, column[masks[col] ^ first[col]]]
-                         | bit_image[:, np.bitwise_count(first[col] - 1)])
-    least[~twins] = np.minimum.reduceat(image, (np.cumsum(counts) - counts)[~twins], 0) == masks
+    least = _least_of_orbits(labels, masks)
     keep = (least & (sizes > 0)
             & ((sizes <= floor[:, None])
                | ((sizes == floor[:, None] + 1) & (masks & low[:, None] == low[:, None]))))
@@ -310,19 +303,22 @@ def _orbit_masks(adj: np.ndarray, comps: np.ndarray) -> tuple[np.ndarray, np.nda
     return owner, masks[col]
 
 
-def _canonical_children(n: int) -> list[int]:
-    """Codes of the children of every (n-1)-vertex class that pass McKay's
-    canonical deletion test, in generation order. Masks that the degree
-    bound of the module docstring rules out (_degree_bound) never reach the
-    test, which would reject them, so the kept (parent, mask) pairs are a
-    subsequence of the unpruned ones, in the same order."""
+def _canonical_children(n: int):
+    """(codes, labels): the children of every (n-1)-vertex class that pass
+    McKay's canonical deletion test, in generation order, and their labels
+    unless n is _MAX_N. Masks that the degree bound of the module docstring
+    rules out (_degree_bound) never reach the test, which would reject them,
+    so the kept (parent, mask) pairs are a subsequence of the unpruned ones,
+    in the same order. Each child is labelled once, _TABLE_BLOCK children at
+    a time (core._label_stack)."""
     m = n - 1
-    parents = _codes_to_adj(_connected_class_bitmaps(m), m)
+    codes, labels = _class_level(m)
+    parents = _codes_to_adj(codes, m)
     owner, masks, comps = [], [], []
     for lo in range(0, len(parents), _TABLE_BLOCK):
         block = parents[lo:lo + _TABLE_BLOCK]
         comps.append(_cut_components(block))
-        p, s = _orbit_masks(block, comps[-1])
+        p, s = _orbit_masks(block, comps[-1], labels.take(slice(lo, lo + _TABLE_BLOCK)))
         owner.append(p + lo)
         masks.append(s)
     comps, owner, masks = map(np.concatenate, (comps, owner, masks))
@@ -336,24 +332,30 @@ def _canonical_children(n: int) -> list[int]:
         in_set = _deletion_sets(adj, comps[part])
         kids.append((adj[in_set[:, m]], in_set[in_set[:, m]]))
     kids, sets = map(np.concatenate, zip(*kids))
-    children = []
-    for lo in range(0, len(kids), _TABLE_BLOCK):
-        codes, colours, twins, orders, counts = _label(kids[lo:lo + _TABLE_BLOCK])
-        # a twin child's orbits are its colour classes, whose labels ascend
-        # with the colour: accept iff its new vertex has the least in M(G)
-        accept = colours[:, m] == np.where(sets[lo:lo + _TABLE_BLOCK], colours, n).min(axis=1)
-        # any other child's labels are positions in its optimal orders:
-        # accept iff the new vertex and M(G) get the same least label
-        row_owner = np.repeat(np.arange(len(counts)), counts)
-        hits = np.stack((orders == m, sets[lo + row_owner[:, None], orders]))
-        least = np.minimum.reduceat(hits.argmax(axis=2), (np.cumsum(counts) - counts)[~twins], 1)
-        accept[~twins] = least[0] == least[1]
-        children += itertools.compress(codes, accept)
-    return children
+    labelled = _label_stack(kids, _TABLE_BLOCK)
+    colours, twins, first, branch, perm = labelled
+    # a twin child's orbits are its colour classes, whose labels ascend
+    # with the colour: accept iff its new vertex has the least in M(G)
+    accept = colours[:, m] == np.where(sets, colours, n).min(axis=1)
+    # any other child's labels are positions in its optimal orders:
+    # accept iff the new vertex and M(G) get the same least label
+    starts = np.flatnonzero(np.diff(branch, prepend=-1))
+    new, least = (np.minimum.reduceat(hits.argmax(axis=1), starts)
+                  for hits in (perm == m, sets[branch[:, None], perm]))
+    accept[~twins] = new == least
+    kept = np.flatnonzero(accept)
+    codes = []
+    for lo in range(0, len(kept), _TABLE_BLOCK):
+        part = kept[lo:lo + _TABLE_BLOCK]
+        codes += _packed_codes(kids[part], first[part])
+    return codes, _canonical_labels(kept, *labelled) if n < _MAX_N else None
 
 
 @lru_cache(maxsize=None)
-def _connected_class_bitmaps(n: int) -> tuple[int, ...]:
+def _class_level(n: int):
+    """(codes, labels): the classes on 1 <= n <= _MAX_N vertices in code
+    order, and their labels (core._Labels) below _MAX_N, which the level
+    above reads for its parents."""
     # Canonical augmentation (McKay 1998, see the module docstring). A
     # connected G on n >= 2 vertices has a non-cut vertex, so M(G) is nonempty
     # and the canonical deletion vertex d (the vertex of M(G) with the
@@ -365,8 +367,15 @@ def _connected_class_bitmaps(n: int) -> tuple[int, ...]:
     # other path adds a vertex outside that orbit and fails the test. So no
     # class appears twice and no set of codes is needed.
     if n == 1:
-        return (0,)
-    return tuple(sorted(_canonical_children(n)))
+        return (0,), _canonical_labels([0], *_label_stack(np.zeros((1, 1, 1), dtype=bool), 1))
+    codes, labels = _canonical_children(n)
+    # the codes are distinct, so both sorts give one order
+    return tuple(sorted(codes)), None if labels is None else labels.take(np.argsort(codes))
+
+
+def _connected_class_bitmaps(n: int) -> tuple[int, ...]:
+    """The canonical bitmaps of the connected classes on n vertices, ascending."""
+    return _class_level(n)[0]
 
 
 def enumerate_underlying(n: int):

@@ -432,7 +432,7 @@ class TestUsage:
         # each level is reported once enumerated and before the class summary
         # is built; from a warm cache the same levels come again
         module = sys.modules[search.__module__]
-        bitmaps, summary = module._connected_class_bitmaps, module._class_summary
+        bitmaps, summary = module._class_level, module._class_summary
         for cache in (bitmaps, summary):
             cache.cache_clear()
         config = SearchConfig(n=6, objective="MAX_RHO")
@@ -463,7 +463,7 @@ class TestUsage:
         # stdout is the report alone
         module = sys.modules[search.__module__]
         summary = module._class_summary
-        for cache in (module._connected_class_bitmaps, summary):
+        for cache in (module._class_level, summary):
             cache.cache_clear()
         levels = [{"vertices": k, "classes": c}
                   for k, c in enumerate([1, 1, 2, 6, 21, 112], start=1)]

@@ -16,6 +16,7 @@ from signed_extremal.core import (
     _candidate_orders,
     _count_weights,
     _dense_ranks,
+    _packed_codes,
     _refine,
     _signed_twin_classes,
     _triu_cells,
@@ -980,6 +981,43 @@ class TestCanonicalForms:
         for order in orders:
             bits = np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes()
             assert int.from_bytes(bits, "big") == code
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 12, 20])
+    def test_packed_codes_match_the_bytes_of_the_cells(self, n):
+        # codes are built from big-endian 64-bit words: none at n = 1, whose
+        # code has no cell, one up to 11 vertices, two from the 66 cells of
+        # n = 12 on and three at n = 20; seeded graphs, K_n and the empty
+        # graph, each under a seeded order
+        rng = np.random.default_rng(n)
+        adj = np.concatenate((seeded_unsigned_stack(60 + n, n, 30),
+                              [~np.eye(n, dtype=bool), np.zeros((n, n), dtype=bool)]))
+        orders = np.array([rng.permutation(n) for _ in adj], dtype=np.min_scalar_type(n - 1))
+        iu, ju = _triu_cells(n)
+        expect = [int.from_bytes(np.packbits(a[np.ix_(o, o)][iu, ju]).tobytes(), "big")
+                  for a, o in zip(adj, orders)]
+        assert _packed_codes(adj, orders) == expect
+        assert _packed_codes(adj[:0], orders[:0]) == []
+        # K_n sets every cell, then pads to whole bytes
+        cells = n * (n - 1) // 2
+        assert expect[-2] == ((1 << cells) - 1) << (-cells % 8)
+
+    def test_twin_templates_gather_into_the_orders_in_bounded_memory(self):
+        # K_10's 10! orders are its one template, 34.6 MiB in bytes, read
+        # once into 34.6 MiB of orders: no owner per row and no copy of the
+        # template on the way
+        _candidate_orders.cache_clear()
+        tracemalloc.start()
+        try:
+            _, orders = canonical_form(~np.eye(10, dtype=bool))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        try:
+            assert peak <= 80 << 20
+            assert orders.shape == (math.factorial(10), 10) and orders.dtype == np.uint8
+            assert np.array_equal(orders, _candidate_orders((10,)))
+        finally:
+            _candidate_orders.cache_clear()
 
     def test_orders_of_k8_are_every_permutation_in_one_byte(self):
         # K_8 keeps one colour class, so its 8! orders all attain its code

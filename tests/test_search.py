@@ -12,6 +12,9 @@ import pytest
 from signed_extremal.bounds import SPECTRAL_SLACK, rho_bound
 from signed_extremal.core import (
     SignedGraph,
+    _all_twin_classes,
+    _label,
+    _refine,
     canonical_forms,
     canonical_signed_code,
     canonical_switch,
@@ -206,7 +209,7 @@ def deletion_rows(monkeypatch, n):
         return deletion_sets(adj, comps)
 
     monkeypatch.setattr(SEARCH, "_deletion_sets", spy)
-    SEARCH._connected_class_bitmaps.cache_clear()
+    SEARCH._class_level.cache_clear()
     assert len(SEARCH._connected_class_bitmaps(n)) == PINNED_CLASS_CODES[n][0]
     return dict(rows)
 
@@ -256,7 +259,7 @@ class TestEnumerateUnderlying:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_augmentation_emits_each_class_once(self, n):
-        children = _canonical_children(n)
+        children = _canonical_children(n)[0]
         assert len(children) == len(set(children))
 
     def test_underlying_class_count_n8(self):
@@ -266,22 +269,24 @@ class TestEnumerateUnderlying:
     def test_blocks_do_not_change_any_level(self, monkeypatch):
         # blocks of 7 split the children of every level from n = 4 on and
         # the parents from n = 6 on
-        expect = {n: _canonical_children(n) for n in range(2, 8)}
+        expect = {n: _canonical_children(n)[0] for n in range(2, 8)}
         monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", 7)
         for n, children in expect.items():
-            assert _canonical_children(n) == children
+            assert _canonical_children(n)[0] == children
             assert sorted(children) == list(_connected_class_bitmaps(n))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_pruned_augmentation_matches_the_unpruned_loop(self, n):
-        assert _canonical_children(n) == unpruned_canonical_children(n)
+        assert _canonical_children(n)[0] == unpruned_canonical_children(n)
 
     def test_orbit_masks_match_the_per_parent_oracle(self):
-        # every class on m <= 7 vertices: the block kernel keeps the least
-        # mask of each orbit that the degree bound keeps, in the oracle's
-        # order, in blocks of _TABLE_BLOCK and of 7 parents
+        # every class on m <= 7 vertices, with the labels its level carried:
+        # the block kernel keeps the least mask of each orbit that the degree
+        # bound keeps, in the oracle's order, in blocks of _TABLE_BLOCK and
+        # of 7 parents
         for m in range(1, 8):
-            parents = _codes_to_adj(_connected_class_bitmaps(m), m)
+            codes, labels = SEARCH._class_level(m)
+            parents = _codes_to_adj(codes, m)
             lab = canonical_forms(parents)
             auts = np.split(lab.orders, np.cumsum(lab.counts)[:-1])
             bound = [degree_bound_by_definition(parent) for parent in parents]
@@ -292,9 +297,82 @@ class TestEnumerateUnderlying:
                 got = []
                 for lo in range(0, len(parents), block):
                     part = parents[lo:lo + block]
-                    owner, masks = _orbit_masks(part, _cut_components(part))
+                    owner, masks = _orbit_masks(part, _cut_components(part),
+                                                labels.take(slice(lo, lo + block)))
                     got += zip((owner + lo).tolist(), masks.tolist())
                 assert got == expect
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_carried_labels_match_a_fresh_labelling(self, block, monkeypatch):
+        # every class on n <= 7 vertices, enumerated from a cleared cache in
+        # blocks of _TABLE_BLOCK and of 7: the labels its level carries to
+        # the next are those of core._label on its canonical form, colours,
+        # twin flags and row counts exactly and each non-twin class's
+        # automorphisms as a set
+        if block:
+            monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", block)
+        SEARCH._class_level.cache_clear()
+        try:
+            levels = [SEARCH._class_level(n) for n in range(1, 8)]
+        finally:
+            SEARCH._class_level.cache_clear()
+        for n, (codes, labels) in enumerate(levels, start=1):
+            fresh, colours, twins, orders, counts = _label(_codes_to_adj(codes, n))
+            assert fresh == list(codes)
+            assert labels.colours.dtype == labels.orders.dtype == np.uint8
+            assert np.array_equal(labels.colours, colours)
+            assert np.array_equal(labels.twins, twins)
+            assert np.array_equal(labels.counts, counts)
+            for got, want in zip(np.split(labels.orders, np.cumsum(labels.counts)[:-1]),
+                                 np.split(orders, np.cumsum(counts)[:-1])):
+                assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
+
+    def test_top_level_keeps_no_labels(self):
+        assert SEARCH._class_level(SEARCH._MAX_N)[1] is None
+        assert SEARCH._class_level(SEARCH._MAX_N - 1)[1] is not None
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_individualization_sees_each_non_twin_child_once(self, block, monkeypatch):
+        # at each level n <= 7, the graphs individualized are the children
+        # sent to the labelling (those whose new vertex is in M(G)) whose
+        # colour classes are not all twin sets, each once, in full batches
+        # of _TABLE_BLOCK but the last; no level labels a parent again
+        if block:
+            monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", block)
+        sent, seen = collections.defaultdict(list), collections.defaultdict(list)
+        core = sys.modules[canonical_forms.__module__]
+        deletion_sets, individualize = SEARCH._deletion_sets, core._individualize
+        relabelled = []
+
+        def deletion_spy(adj, comps):
+            in_set = deletion_sets(adj, comps)
+            sent[adj.shape[1]].append(adj[in_set[:, -1]])
+            return in_set
+
+        def individualize_spy(adj, colours):
+            seen[adj.shape[1]].append(adj.copy())
+            return individualize(adj, colours)
+
+        monkeypatch.setattr(SEARCH, "_deletion_sets", deletion_spy)
+        monkeypatch.setattr(core, "_individualize", individualize_spy)
+        monkeypatch.setattr(core, "_label", lambda adj: relabelled.append(adj))
+        SEARCH._class_level.cache_clear()
+        try:
+            assert len(_connected_class_bitmaps(7)) == 853
+        finally:
+            SEARCH._class_level.cache_clear()
+        assert not relabelled
+        assert sorted(sent) == list(range(2, 8))
+        for n, stacks in sent.items():
+            kids = np.concatenate(stacks)
+            twins = _all_twin_classes(kids, _refine(kids))
+            expect = [a.tobytes() for a in kids[~twins]]
+            got = [a.tobytes() for batch in seen[n] for a in batch]
+            assert len(set(expect)) == len(expect)
+            assert collections.Counter(got) == collections.Counter(expect)
+            full, rest = divmod(len(expect), SEARCH._TABLE_BLOCK)
+            sizes = [SEARCH._TABLE_BLOCK] * full + [rest] * (rest > 0)
+            assert [len(batch) for batch in seen[n]] == sizes
 
     def test_enumeration_expands_no_template(self, monkeypatch):
         # a twin graph's orbits are its colour classes, so the children's
@@ -308,11 +386,11 @@ class TestEnumerateUnderlying:
             return candidate_orders(sizes)
 
         monkeypatch.setattr(core, "_candidate_orders", spy)
-        SEARCH._connected_class_bitmaps.cache_clear()
+        SEARCH._class_level.cache_clear()
         try:
             counts = [len(_connected_class_bitmaps(n)) for n in range(3, 8)]
         finally:
-            SEARCH._connected_class_bitmaps.cache_clear()
+            SEARCH._class_level.cache_clear()
         assert counts == [2, 6, 21, 112, 853]
         assert calls == []
         # the spy sees the template of K_3, all of whose 3! orders are optimal
