@@ -406,9 +406,11 @@ def _dense_ranks(keys: np.ndarray) -> np.ndarray:
 def _count_weights(n: int) -> tuple[int, np.ndarray]:
     """(k, weights): weights[c] (n, words) puts colour c at digit c % k of
     word c // k, the first digit most significant, in base n; k is the most
-    base-n digits whose words stay below 2^53 (at most n, so n = 1 ends)."""
+    base-n digits whose words stay below 2^53 (at most n, so n = 1 ends) and
+    leave room below 2^63 for one more digit, the colour _refine puts on top
+    of the first word (which takes a digit off k only from n = 1,449 on)."""
     k = 1
-    while k < n and n ** (k + 1) <= 1 << 53:
+    while k < n and n ** (k + 1) <= 1 << 53 and n ** (k + 2) <= 1 << 63:
         k += 1
     c = np.arange(n)
     weights = np.zeros((n, -(-n // k)))
@@ -427,9 +429,11 @@ def _refine(adj: np.ndarray) -> np.ndarray:
     of the last colour, the degree less the others, decides nothing. A round
     packs the other counts, each at most n - 1, into base-n digits of a few
     words, adj @ weights[colours] in float64 (_count_weights), and ranks the
-    rows (colour, -words). A word and every partial sum of it is an integer
-    below n^k <= 2^53, so the float arithmetic is exact, and base-n words
-    compare as their digit tuples do.
+    rows (colour, -words), with the colour as one more digit on top of the
+    first word: colour * n^k - word is below n^(k + 1) <= 2^63 in magnitude
+    and orders as (colour, -word) does. A word and every partial sum of it
+    is an integer below n^k <= 2^53, so the float arithmetic is exact, and
+    base-n words compare as their digit tuples do.
     """
     n = adj.shape[1]
     k, weights = _count_weights(n)
@@ -439,10 +443,12 @@ def _refine(adj: np.ndarray) -> np.ndarray:
     while len(active):
         col = colours[active]
         top = col.max()
-        table = np.zeros((top + 1, -(-top // k)))
+        # at least one word, which a single colour leaves 0, to carry the colour
+        table = np.zeros((top + 1, max(-(-top // k), 1)))
         table[:top] = weights[:top, :table.shape[1]]
-        words = (a @ table[col]).astype(np.int64)
-        new = _dense_ranks(np.concatenate((col[:, :, None], -words), axis=2))
+        keys = -(a @ table[col]).astype(np.int64)
+        keys[:, :, 0] += col * n ** k
+        new = _dense_ranks(keys)
         colours[active] = new
         # a partition that did not split is stable; a discrete one cannot split
         top = new.max(axis=1)
@@ -573,12 +579,13 @@ def _label_stack(adj: np.ndarray, block: int):
     at a time, whichever block they came from."""
     g, n = adj.shape[:2]
     colours = np.empty((g, n), dtype=np.min_scalar_type(n - 1))
+    first = np.empty_like(colours)
     twins = np.empty(g, dtype=bool)
     for lo in range(0, g, block):
         colours[lo:lo + block] = c = _refine(adj[lo:lo + block])
         twins[lo:lo + block] = _all_twin_classes(adj[lo:lo + block], c)
-    # a twin graph's vertices by colour, within a colour by vertex
-    first = np.argsort(colours, axis=1, kind="stable").astype(colours.dtype)
+        # a twin graph's vertices by colour, within a colour by vertex
+        first[lo:lo + block] = np.argsort(c, axis=1, kind="stable")
     graphs = np.flatnonzero(~twins)
     branch, perm = [graphs[:0]], [first[:0]]
     for lo in range(0, len(graphs), block):

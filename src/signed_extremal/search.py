@@ -238,7 +238,8 @@ def _cut_components(adj: np.ndarray) -> np.ndarray:
     for _ in range(max(m - 3, 0).bit_length()):
         step = reach.astype(np.uint8)
         reach = (step @ step).astype(bool)
-    comps = (reach @ (np.int64(1) << np.arange(m))).astype(np.min_scalar_type((1 << m) - 1))
+    # in the result's own dtype, which holds any sum of distinct bits
+    comps = reach @ (1 << np.arange(m)).astype(np.min_scalar_type((1 << m) - 1))
     comps[:, np.arange(m), np.arange(m)] = (1 << m) - 1
     return comps
 

@@ -818,8 +818,9 @@ class TestCanonicalForms:
         assert [0] in classes
 
     def test_count_weights_pack_exact_base_n_words(self):
-        # at n = 1 and 2, n^k never passes 2^53, so k stops at n
-        for n in range(1, 320):
+        # at n = 1 and 2, n^k never passes 2^53, so k stops at n; from
+        # n = 1,449 on, the colour on top of the first word caps k
+        for n in [*range(1, 320), 1448, 1449]:
             k, weights = _count_weights(n)
             assert weights.shape == (n, -(-n // k))
             # one digit per colour, in the word of its colour // k, the
@@ -830,7 +831,11 @@ class TestCanonicalForms:
             # counts of at most n - 1 keep each word below 2^53, exact in
             # float64, and one more digit would not
             assert ((n - 1) * weights.sum(axis=0) < 1 << 53).all()
-            assert k == n or n ** (k + 1) > 1 << 53
+            assert n ** (k + 1) <= 1 << 63
+            assert k == n or n ** (k + 1) > 1 << 53 or n ** (k + 2) > 1 << 63
+        assert [_count_weights(n)[0] for n in (1448, 1449)] == [5, 4]
+        # the two large tables are 7.6 MB
+        _count_weights.cache_clear()
 
     @pytest.mark.parametrize("n", [*range(14, 41), 302])
     def test_colour_classes_match_tuple_sorting_past_one_count_word(self, n, monkeypatch):
@@ -848,8 +853,8 @@ class TestCanonicalForms:
         monkeypatch.setattr("signed_extremal.core._dense_ranks", spy)
         for a, colours in zip(adj, _refine(adj)):
             assert colour_classes(colours) == tuple_sorting_color_classes(a)
-        # a round's key is the colour, then one column per word
-        words = max(widths) - 1
+        # a round's key is one column per word, the colour on top of the first
+        words = max(widths)
         if n <= 15:
             assert words == 1
         else:
