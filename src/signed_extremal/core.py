@@ -176,7 +176,10 @@ def switch(g: SignedGraph, vertex_set) -> SignedGraph:
     """Negate every edge with exactly one endpoint in vertex_set."""
     s = np.ones(g.n, dtype=np.int8)
     s[_check_vertex_set(g.n, vertex_set)] = -1
-    return SignedGraph._trusted(np.outer(s, s) * g.adj)
+    # np.outer(s, s) without its asarray and ravel calls; building s from a
+    # list, or broadcasting it against adj, runs numpy code that the property
+    # suites run nowhere else, which raised their peak RSS
+    return SignedGraph._trusted(np.multiply(s[:, None], s[None, :]) * g.adj)
 
 
 def negate(g: SignedGraph) -> SignedGraph:

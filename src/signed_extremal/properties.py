@@ -6,9 +6,11 @@ pass condition; violating instances are recorded in the log.
 
 A suite stands for numpy Generator calls on a generator seeded by (seed,
 suite) but makes none: every draw of every instance, the graph and the
-suite's own switched subset, kept set or added edge, is replayed from one
-stream of that generator's raw 64-bit words (_Words), which gives the same
-values the calls would.
+suite's own switched subset, kept set or added edge, is replayed from that
+generator's raw 64-bit words, which gives the same values the calls would.
+The words wait in a plain list with an integer cursor (_Words). Each graph
+is read from it in one pass of _draw_graph, and the suite's own draws read
+the same list.
 
 Instances are drawn in blocks and judged a block at a time, so the spectra a
 suite computes itself come from one stacked eigensolve per vertex count per
@@ -58,12 +60,20 @@ class _Words:
     generator, in integer arithmetic, with the same stream.
 
     It reads the generator's state once, when it opens, and then takes words
-    _CHUNK at a time with random_raw, ahead of those it uses; close() puts
-    the generator where the replayed calls would have left it. numpy draws a
-    bounded integer by Lemire's method on a 32-bit half (Lemire, ACM TOMACS
-    29, 2019), shuffles with masked rejection on 32-bit halves, samples
-    without replacement by Floyd's algorithm (Bentley and Floyd, CACM 30(9),
-    1987), and takes a double from the top 53 bits of a whole word.
+    _CHUNK at a time with random_raw, ahead of those it uses, into the list
+    buf. pos is the next unused word, and spare and half are the spare high
+    32-bit half that numpy keeps (has_uint32, uinteger). _draw_graph reads
+    them into locals, reads the words of a graph in place and writes them
+    back once; the methods below read one draw at a time. Used words are
+    dropped at the end of each graph, never inside one, which leaves buf
+    under _CHUNK words plus one graph's reservation. close() puts the
+    generator where the replayed calls would have left it.
+
+    numpy draws a bounded integer by Lemire's method on a 32-bit half
+    (Lemire, ACM TOMACS 29, 2019), shuffles with masked rejection on 32-bit
+    halves, samples without replacement by Floyd's algorithm (Bentley and
+    Floyd, CACM 30(9), 1987), and takes a double from the top 53 bits of a
+    whole word.
     """
 
     def __init__(self, bg):
@@ -72,25 +82,31 @@ class _Words:
             raise ValueError(f"random_connected_signed_graph replays {', '.join(_REPLAYABLE)} "
                              f"draws, not {state['bit_generator']}")
         self._bg, self._state = bg, state
-        self._spare, self._half = state["has_uint32"], state["uinteger"]
-        self._taken, self._chunk = 0, iter(())
-        # the next whole 64-bit word
-        self.word = self._words().__next__
+        self.spare, self.half = state["has_uint32"], state["uinteger"]
+        # the words taken from the generator so far, of which buf holds the
+        # last len(buf)
+        self.buf, self.pos, self._taken = [], 0, 0
 
-    def _words(self):
-        while True:
-            self._chunk = iter(self._bg.random_raw(_CHUNK).tolist())
-            self._taken += _CHUNK
-            yield from self._chunk
+    def take(self, k):
+        """Make at least k unused words ready, whole chunks at a time; it
+        only appends, so a graph may call it while it reads buf in place."""
+        short = k - (len(self.buf) - self.pos)
+        if short > 0:
+            count = -(-short // _CHUNK) * _CHUNK
+            self.buf += self._bg.random_raw(count).tolist()
+            self._taken += count
 
     def next32(self):
         """The next 32-bit draw: the spare high half if there is one, else
         the low half of a new word, keeping its high half."""
-        if self._spare:
-            self._spare = 0
-            return self._half
-        w = self.word()
-        self._spare, self._half = 1, w >> 32
+        if self.spare:
+            self.spare = 0
+            return self.half
+        if self.pos == len(self.buf):
+            self.take(1)
+        w = self.buf[self.pos]
+        self.pos += 1
+        self.spare, self.half = 1, w >> 32
         return w & 0xFFFFFFFF
 
     def below(self, r):
@@ -99,24 +115,25 @@ class _Words:
             return 0
         m = self.next32() * r
         if m & 0xFFFFFFFF < r:
-            least = (1 << 32) % r
-            while m & 0xFFFFFFFF < least:
-                m = self.next32() * r
+            m = self.reject(m, r)
         return m >> 32
 
-    def masked(self, i):
-        """A draw from 0..i by masked rejection, one step of permutation."""
-        mask = (1 << i.bit_length()) - 1
-        j = self.next32() & mask
-        while j > i:
-            j = self.next32() & mask
-        return j
+    def reject(self, m, r):
+        """The rest of Lemire's draw from 0..r-1 for m, a 32-bit half times
+        r whose low half fell below r: draw again while the low half is below
+        2**32 % r; the result is the accepted m."""
+        least = (1 << 32) % r
+        while m & 0xFFFFFFFF < least:
+            m = self.next32() * r
+        return m
 
     def subset(self, n):
         """The vertices v < n with rng.random(n)[v] < 0.5, that is with a
         word below 2**63."""
-        word = self.word
-        return [v for v in range(n) if word() < 1 << 63]
+        self.take(n)
+        pos = self.pos
+        self.pos = pos + n
+        return [v for v, w in enumerate(self.buf[pos:pos + n]) if w < 1 << 63]
 
     def sample(self, n, size):
         """rng.choice(n, size, replace=False) for size <= n: Floyd's algorithm
@@ -139,9 +156,9 @@ class _Words:
         on as were used; random_raw keeps the spare half, which advance()
         would clear."""
         state = self._state
-        state["has_uint32"], state["uinteger"] = self._spare, self._half
+        state["has_uint32"], state["uinteger"] = self.spare, self.half
         self._bg.state = state
-        self._bg.random_raw(self._taken - self._chunk.__length_hint__())
+        self._bg.random_raw(self._taken - (len(self.buf) - self.pos))
 
 
 def random_connected_signed_graph(rng: np.random.Generator, n_min: int = 3,
@@ -169,29 +186,99 @@ def random_connected_signed_graph(rng: np.random.Generator, n_min: int = 3,
     return g
 
 
+def _pair_cells(n):
+    """The cell i * n + j and its mirror j * n + i of each vertex pair i < j
+    of an n-vertex matrix, row by row."""
+    return tuple((i * n + j, j * n + i) for i in range(n) for j in range(i + 1, n))
+
+
+# the pair cells of the orders up to the default n_max; a larger order
+# builds its own per graph, so the table stays this size
+_PAIR_CELLS = tuple(_pair_cells(n) for n in range(11))
+
+
 def _draw_graph(words, n_min=3, n_max=10):
-    """The draws of random_connected_signed_graph, from the stream words."""
-    word, next32, below = words.word, words.next32, words.below
-    n = n_min + below(n_max - n_min + 1)
-    # permutation(n): swap i with a draw from 0..i
+    """The draws of random_connected_signed_graph, from the stream words.
+
+    Every draw after n is read in place from words.buf. A graph reads at
+    most (n - 1)(n - 2) / 2 pair words, one density word and 32-bit halves
+    for n - 1 shuffle steps, 2(n - 1) tree draws and one sign per pair, under
+    n * n + 2 words in all, so that many are made ready first. A rejected
+    draw reads past them and makes them ready again.
+    """
+    n = n_min + words.below(n_max - n_min + 1)
+    need = n * n + 2
+    buf = words.buf
+    if len(buf) - words.pos < need:
+        words.take(need)
+    pos, spare, half = words.pos, words.spare, words.half
+    # permutation(n): swap i with a draw from 0..i, a 32-bit half under the
+    # least all-ones mask that covers i, rejected while above i
     order = list(range(n))
     for i in range(n - 1, 0, -1):
-        j = words.masked(i)
+        mask = (1 << i.bit_length()) - 1
+        while True:
+            if spare:
+                j, spare = half & mask, 0
+            else:
+                w = buf[pos]
+                pos += 1
+                j, spare, half = w & mask, 1, w >> 32
+            if j <= i:
+                break
+            if len(buf) - pos < need:
+                words.pos = pos
+                words.take(need)
         order[i], order[j] = order[j], order[i]
-    # a sign is 2 * integers(0, 2) - 1, the top bit of a 32-bit half; the
-    # matrix is built as bytes, -1 as 255
+    # the parent of order[idx] is order[integers(0, idx)], by Lemire's
+    # method, and a sign is 2 * integers(0, 2) - 1, the top bit of a 32-bit
+    # half; the matrix is built as bytes, -1 as 255
     adj = bytearray(n * n)
     for idx in range(1, n):
-        parent, child = order[below(idx)], order[idx]
-        adj[parent * n + child] = adj[child * n + parent] = 1 if next32() >> 31 else 255
+        if idx == 1:
+            # integers(0, 1) draws nothing
+            parent = order[0]
+        else:
+            if spare:
+                m, spare = half * idx, 0
+            else:
+                w = buf[pos]
+                pos += 1
+                m, spare, half = (w & 0xFFFFFFFF) * idx, 1, w >> 32
+            if m & 0xFFFFFFFF < idx:
+                words.pos, words.spare, words.half = pos, spare, half
+                m = words.reject(m, idx)
+                words.take(need)
+                pos, spare, half = words.pos, words.spare, words.half
+            parent = order[m >> 32]
+        child = order[idx]
+        if spare:
+            s, spare = half, 0
+        else:
+            s = buf[pos]
+            pos += 1
+            spare, half = 1, s >> 32
+        adj[parent * n + child] = adj[child * n + parent] = 1 if s & 0x80000000 else 255
     # uniform(low, high) is low + (high - low) * random(), and random() is
     # (word >> 11) * 2**-53, so random() < density iff word < limit
-    density = 0.15 + (0.75 - 0.15) * ((word() >> 11) * 2.0 ** -53)
+    density = 0.15 + (0.75 - 0.15) * ((buf[pos] >> 11) * 2.0 ** -53)
+    pos += 1
     limit = math.ceil(density * 2.0 ** 53) << 11
-    for i in range(n):
-        for k in range(i * n + i + 1, i * n + n):
-            if not adj[k] and word() < limit:
-                adj[k] = adj[(k - i * n) * n + i] = 1 if next32() >> 31 else 255
+    for k, mirror in _PAIR_CELLS[n] if n < len(_PAIR_CELLS) else _pair_cells(n):
+        if not adj[k]:
+            w = buf[pos]
+            pos += 1
+            if w < limit:
+                if spare:
+                    s, spare = half, 0
+                else:
+                    s = buf[pos]
+                    pos += 1
+                    spare, half = 1, s >> 32
+                adj[k] = adj[mirror] = 1 if s & 0x80000000 else 255
+    # a graph boundary: drop the words read so far
+    del buf[:pos]
+    words.pos, words.spare, words.half = 0, spare, half
     return SignedGraph._trusted(np.frombuffer(adj, dtype=np.int8).reshape(n, n))
 
 

@@ -73,6 +73,20 @@ def assert_replays_numpy(bit_generator, seed, n_range, graphs, warm=False, betwe
                 rng.integers(0, 2, size=k % 2)
 
 
+class ScriptedBitGenerator:
+    """A PCG64 without a spare half as _Words sees it: random_raw hands out
+    the given words first, then those of PCG64(seed)."""
+
+    def __init__(self, head, seed):
+        self.head, self.tail = list(head), np.random.PCG64(seed)
+        self.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0}
+
+    def random_raw(self, count):
+        given, self.head = self.head[:count], self.head[count:]
+        return np.array(given + self.tail.random_raw(count - len(given)).tolist(),
+                        dtype=np.uint64)
+
+
 class TestGenerator:
     def test_always_connected_and_in_range(self):
         rng = np.random.default_rng(0)
@@ -152,6 +166,42 @@ class TestReplay:
             words.close()
             assert_same_state(fast.state, slow.bit_generator.state)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_refill_boundaries_match_numpy(self, chunk, monkeypatch):
+        # chunks this small put refills at every offset against a graph's
+        # reads, and a chunk of 1 ends the buffer right at each reservation
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
+        for bit_generator in BIT_GENERATORS:
+            for seed, n_range in ((0, (3, 10)), (1, (1, 25))):
+                assert_replays_numpy(bit_generator, seed, n_range, 20, warm=seed == 1)
+
+    def test_shuffle_rejections_past_the_reservation(self, monkeypatch):
+        # the first shuffle step of a 5-vertex graph rejects both halves of
+        # an all-ones word (7 > 4), so 60 such words, more than the 27 the
+        # graph reserves, leave the graph and the stream after them as they
+        # were without them
+        monkeypatch.setattr(properties, "_CHUNK", 1)
+        for seed in range(5):
+            drawn = []
+            for head in ([], [2 ** 64 - 1] * 60):
+                words = properties._Words(ScriptedBitGenerator(head, seed))
+                drawn.append((properties._draw_graph(words, 5, 5), words.spare, words.half,
+                               words._taken - len(head) - len(words.buf) + words.pos))
+            assert drawn[0] == drawn[1]
+
+    def test_buffer_and_cell_table_stay_bounded(self):
+        cells = sum(map(len, properties._PAIR_CELLS))
+        words = properties._Words(np.random.PCG64(9))
+        for _ in range(5000):
+            properties._draw_graph(words)
+            # one graph of n <= 10 reserves at most 10 * 10 + 2 words
+            assert len(words.buf) <= properties._CHUNK + 10 * 10 + 2
+        for _ in range(3):
+            properties._draw_graph(words, 90, 100)
+            assert len(words.buf) <= properties._CHUNK + 100 * 100 + 2
+        words.close()
+        assert sum(map(len, properties._PAIR_CELLS)) == cells
+
     def test_rejects_bit_generator_it_cannot_replay(self):
         rng = np.random.Generator(np.random.MT19937(0))
         with pytest.raises(ValueError, match="not MT19937"):
@@ -205,6 +255,24 @@ class TestNumpyDraws:
             words.close()
             assert_same_state(fast.state, slow.bit_generator.state)
 
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7])
+    def test_replays_across_refill_boundaries(self, chunk, monkeypatch):
+        monkeypatch.setattr(properties, "_CHUNK", chunk)
+        for seed in range(8):
+            bit_generator = BIT_GENERATORS[seed % len(BIT_GENERATORS)]
+            fast, slow = bit_generator(seed), np.random.Generator(bit_generator(seed))
+            if seed % 2:
+                np.random.Generator(fast).integers(0, 2)
+                slow.integers(0, 2)
+            words = properties._Words(fast)
+            for n in range(1, 13):
+                assert words.subset(n) == np.nonzero(slow.random(n) < 0.5)[0].tolist()
+                assert (words.sample(n, n // 2)
+                        == slow.choice(n, size=n // 2, replace=False).tolist())
+                assert words.below(n) == slow.integers(0, n)
+            words.close()
+            assert_same_state(fast.state, slow.bit_generator.state)
+
 
 def case_key(case):
     """A drawn case as plain values, each graph as its order and matrix bytes."""
@@ -228,6 +296,37 @@ class TestSuiteDraws:
                 assert [len(b) for b in blocks] == [
                     min(block, instances - start) for start in range(0, instances, block)]
                 assert [case_key(c) for b in blocks for c in b] == expected[:instances]
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_cases_match_across_refill_boundaries(self, name, monkeypatch):
+        for seed in (0, 5):
+            rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
+            expected = [case_key(PER_DRAW_SUITE_DRAWS[name](rng)) for _ in range(300)]
+            for chunk in (1, 2, 3, 7):
+                monkeypatch.setattr(properties, "_CHUNK", chunk)
+                blocks = properties._case_blocks(name, seed, 300)
+                assert [case_key(c) for b in blocks for c in b] == expected, chunk
+
+    def test_benchmark_inputs_are_pinned(self):
+        # the 2,000 cases of each suite at seed 1 that the property-check
+        # benchmark judges: graphs, switched subsets, kept sets, added edges
+        for name, digest in BENCHMARK_CASE_PINS.items():
+            h = hashlib.sha256()
+            for block in properties._case_blocks(name, 1, 2000):
+                for case in block:
+                    h.update(repr(case_key(case)).encode())
+            assert h.hexdigest() == digest, name
+
+
+# sha256 over repr(case_key(case)) of each suite's 2,000 cases at seed 1
+BENCHMARK_CASE_PINS = {
+    "switching-invariance": "ea804fc06636b04ca074de6a1a80b112d3c5e4a235f793e6e12aeb2eadd0a90c",
+    "negation-symmetry": "3f787b9a33dbe7f2caabe2a8b8f152e43030cdfd943b801f658ce4f8385e9d41",
+    "interlacing": "a0d644907d310209941fcbeff729b9ce3134558e283e60bb156befac961e070a",
+    "balanced-spanning": "51df8fab143f22e03766a60e067493f6aabeaf57b768830c528968385e1feaca",
+    "clique-bound": "e22579f452d8aba309c94376ba4dda3043dfc94a792e49b2de4775d11c411c3b",
+    "edge-addition": "2db03c25c8335b56e5650e8454dbe2cff1b3cceb1ee5a7f787347a8c55fd0a23",
+}
 
 
 class TestTrustedGraphs:
