@@ -8,7 +8,6 @@ values; SignedGraph instances are immutable and hashable.
 from __future__ import annotations
 
 import itertools
-import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -347,12 +346,11 @@ def shortest_unbalanced_cycle(g: SignedGraph) -> Cycle | None:
 # Canonical labeling machinery (shared with the search engine)
 # ---------------------------------------------------------------------------
 
-# orders per batch in _least_sign_row, filtered to one per arrangement of
-# signed twins before evaluation, and per gather of a twin template in
-# canonical_forms; K_9 has 362,880 optimal orders
+# orders per batch in _least_sign_row: one per coset representative and
+# arrangement of signed twins, 9! for a signed K_9 without signed twins
 _ORDER_CHUNK = 8192
-# switching_isomorphic labels the underlying graph, n! orders for K_n, and
-# evaluates one order per arrangement of signed twins (126 for a halved K_9)
+# switching_isomorphic labels K_n to one order and evaluates one order per
+# arrangement of signed twins: 126 for a halved K_9, n! with no signed twins
 _SWITCHING_ISO_MAX_ORDER = 9
 
 
@@ -366,28 +364,33 @@ def _triu_cells(n: int):
     return iu, ju
 
 
-class Labelling(NamedTuple):
-    """Canonical labelling of a stack of G unsigned graphs (canonical_forms)."""
-
-    codes: list[int]        # canonical bitmap of each graph
-    orders: np.ndarray      # (rows, n) optimal orders, graph by graph, in the
-                            # smallest unsigned dtype that holds n - 1
-    counts: np.ndarray      # (G,) optimal orders of each graph
-
-
 def refined_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
-    """Vertex classes under colour refinement, in colour order: the one-graph
-    view of canonical_forms. Colours start as degree ranks and each round
-    re-ranks (colour, sorted neighbour colours), so isomorphic graphs get
-    corresponding classes in the same order."""
+    """Vertex classes of one graph under colour refinement (_refine), in colour
+    order: the classes canonical_form's orders respect. Colours start as
+    degree ranks and each round re-ranks (colour, sorted neighbour colours),
+    so isomorphic graphs get corresponding classes in the same order."""
     colours = _refine(adj_bool[None])[0]
     return [np.flatnonzero(colours == c).tolist() for c in range(colours.max() + 1)]
 
 
 def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
-    """The canonical bitmap of one graph and its optimal orders (canonical_forms)."""
-    lab = canonical_forms(adj_bool[None])
-    return lab.codes[0], lab.orders
+    """The canonical bitmap of one graph, the least upper-triangle bit string
+    over the orders that respect its refined colour classes as a Python int
+    (MSB first), and one optimal order per coset of the twin swaps: the
+    orders in which each twin class (_signed_twin_classes) ascends. Swapping
+    two twins is an automorphism that keeps the colours, so each coset holds
+    one such order: the first order of a graph whose colour classes are all
+    twin sets (one for K_n), ascending individualized orders otherwise."""
+    _, twins, first, _, perm = _label_stack(adj_bool[None], 1)
+    code = _packed_codes(adj_bool[None], first)[0]
+    if twins[0]:
+        return code, first
+    # the position of each vertex in each order, and consecutive members
+    # (a, b) of each twin class; a must come before b
+    pos = np.argsort(perm, axis=1)
+    a, b = np.array([(a, b) for c in _signed_twin_classes(adj_bool.view(np.int8))
+                     for a, b in zip(c, c[1:])], dtype=np.intp).reshape(-1, 2).T
+    return code, perm[(pos[:, a] < pos[:, b]).all(axis=1)]
 
 
 def _dense_ranks(keys: np.ndarray) -> np.ndarray:
@@ -458,35 +461,6 @@ def _refine(adj: np.ndarray) -> np.ndarray:
         going = (top > col.max(axis=1)) & (top < n - 1)
         active, a = active[going], a[going]
     return colours
-
-
-# only canonical_forms fills it, with the 255 compositions of 1..8 and (0,)
-@lru_cache(maxsize=256)
-def _candidate_orders(sizes: tuple[int, ...]) -> np.ndarray:
-    """Every order of range(sum(sizes)) that keeps each run of consecutive
-    positions, of the given sizes, in place; rows follow itertools.product
-    over the per-run permutations, the first run varying slowest, so a single
-    run (k,) gives itertools.permutations(range(k)). Cached by sizes and
-    read-only, in the smallest unsigned dtype that holds a position, so
-    arithmetic on positions must widen them first."""
-    dtype = np.min_scalar_type(max(sum(sizes) - 1, 0))
-    if len(sizes) == 1 and sizes[0]:
-        # the rows with f first go on with range(k) less f, in permutation order
-        k = sizes[0]
-        orders = np.empty((math.factorial(k), k), dtype=dtype)
-        blocks = orders.reshape(k, -1, k)
-        blocks[:, :, 0] = np.arange(k)[:, None]
-        blocks[:, :, 1:] = _candidate_orders((k - 1,))
-        orders[:, 1:] += orders[:, 1:] >= orders[:, :1]
-    else:
-        orders = np.arange(sum(sizes), dtype=dtype)[None]
-        for start, k in zip(itertools.accumulate(sizes, initial=0), sizes):
-            if k > 1:
-                orders = np.repeat(orders, math.factorial(k), axis=0)
-                run = orders.reshape(-1, math.factorial(k), len(orders[0]))[:, :, start:start + k]
-                np.add(_candidate_orders((k,)), start, out=run, dtype=orders.dtype)
-    orders.setflags(write=False)
-    return orders
 
 
 def _least_rows(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -602,15 +576,6 @@ def _label_stack(adj: np.ndarray, block: int):
     return colours, twins, first, branch, perm
 
 
-def _label(adj: np.ndarray):
-    """(codes, colours, twins, orders, counts): canonical_forms of a (G, n, n)
-    bool stack less the orders of its twin graphs, whose colour classes are
-    all twin sets and so are their orbits (_label_stack, in one block). Every
-    other graph g has counts[g] rows of orders."""
-    colours, twins, first, branch, perm = _label_stack(adj, len(adj))
-    return _packed_codes(adj, first), colours, twins, perm, np.bincount(branch, minlength=len(adj))
-
-
 class _Labels(NamedTuple):
     """The labelling of G graphs in canonical form, which the class
     enumeration carries from the level that accepts a class to the level
@@ -672,36 +637,6 @@ def _least_of_orbits(labels: _Labels, masks: np.ndarray) -> np.ndarray:
     return least
 
 
-def canonical_forms(adj: np.ndarray) -> Labelling:
-    """Canonical bitmaps of a (G, n, n) bool stack of G >= 1 unsigned graphs
-    and the orders achieving them: those of _label, and all class-respecting
-    orders of each twin graph, from a cached template (_candidate_orders).
-
-    A graph's bitmap is the least upper-triangle bit string over all orders
-    that respect its refined colour classes, packed into a Python int (MSB
-    first); its optimal orders come out in ascending lexicographic order."""
-    codes, colours, twins, perm, counts = _label(adj)
-    n = adj.shape[1]
-    by_colour = np.argsort(colours, axis=1, kind="stable").astype(perm.dtype)
-    # the class sizes of each twin graph in colour order, one bytes key per graph
-    sizes = (colours[twins, :, None] == np.arange(n)).sum(axis=1, dtype=np.min_scalar_type(n))
-    keys, which = np.unique(sizes.view(f"V{sizes.strides[0]}").ravel(), return_inverse=True)
-    templates = [_candidate_orders(tuple(k for k in np.frombuffer(key, sizes.dtype).tolist() if k))
-                 for key in keys]
-    templates = [templates[w] for w in which.tolist()]
-    counts[twins] = [len(t) for t in templates]
-    ends = np.cumsum(counts)
-    orders = np.empty((ends[-1], n), dtype=perm.dtype)
-    orders[~np.repeat(twins, counts)] = perm
-    # each twin graph's template rows gathered straight into its rows, a
-    # chunk of them at a time
-    for g, t in zip(np.flatnonzero(twins).tolist(), templates):
-        rows = orders[ends[g] - len(t):ends[g]]
-        for lo in range(0, len(t), _ORDER_CHUNK):
-            rows[lo:lo + _ORDER_CHUNK] = by_colour[g, t[lo:lo + _ORDER_CHUNK]]
-    return Labelling(codes, orders, counts)
-
-
 def _signed_twin_classes(adj: np.ndarray) -> list[list[int]]:
     """The classes of signed twins of the sign matrix adj, each ascending, in
     order of their least vertex. Vertices a != b are signed twins when
@@ -724,36 +659,52 @@ def _signed_twin_classes(adj: np.ndarray) -> list[list[int]]:
     return [c for v, c in enumerate(classes) if c[0] == v]
 
 
+def _twin_arrangements(adj: np.ndarray, dtype) -> np.ndarray:
+    """Vertex maps (M, n), one per arrangement of the signed-twin classes of
+    adj inside the twin classes of its underlying graph, k! / (k_1! ... k_t!)
+    for a twin class of k in signed classes of k_1, ..., k_t: row s sends the
+    j-th member of each twin class to the vertex in slot j, each signed class
+    filling its slots in ascending order."""
+    n = len(adj)
+    signed = _signed_twin_classes(adj)
+    maps = np.arange(n, dtype=dtype)[None]
+    for twins in _signed_twin_classes(np.abs(adj)):
+        parts = [c for c in signed if c[0] in twins]
+        k = len(parts[0])
+        maps[:, twins[:k]] = parts[0]
+        for part in parts[1:]:
+            # for each choice of slots for part, the others taking the first
+            # k slots in order, the column of [first k slots, part] per slot
+            s = k + len(part)
+            take = np.argsort([[j for j in range(s) if j not in pick] + list(pick)
+                               for pick in itertools.combinations(range(s), len(part))], axis=1)
+            old = np.empty((len(maps), s), dtype=dtype)
+            old[:, :k], old[:, k:] = maps[:, twins[:k]], part
+            new = np.repeat(maps[:, None], len(take), axis=1)
+            new[:, :, twins[:s]] = old[:, take]
+            maps, k = new.reshape(-1, n), s
+    return maps
+
+
 def _least_sign_row(adj: np.ndarray, orders: np.ndarray, switched: bool) -> bytes:
     """The least upper-triangle sign row of the sign matrix adj relabeled by
-    each of its underlying graph's optimal orders (from canonical_form).
-
-    When switched, each relabeled matrix is first switched so that its
-    canonical spanning forest is positive. All these orders give the same
-    underlying graph, hence one forest. Swapping two signed twins
-    (_signed_twin_classes) maps adj onto itself and keeps the refined
-    colours, so the optimal orders are closed under composing with it, and
-    an order and its composite give the same matrix, switched or not. Only
-    the orders that keep every class of signed twins in ascending vertex
-    order are evaluated: one per arrangement of the classes, 35 of the 5,040
-    orders of a halved K_7.
-    """
+    each optimal order of its underlying graph, given one per coset of the
+    twin swaps (canonical_form), and switched first, when switched, so that
+    its canonical spanning forest, one for all these orders, is positive.
+    Swapping signed twins fixes adj, so each order is expanded once per
+    arrangement of the signed twins in its twin classes (_twin_arrangements),
+    35 for the one order of a halved K_7, and evaluated _ORDER_CHUNK at a time."""
     n = len(adj)
-    # consecutive members (a, b) of each class; a must come before b
-    pairs = np.array([(a, b) for c in _signed_twin_classes(adj) for a, b in zip(c, c[1:])],
-                     dtype=np.intp).reshape(-1, 2).T
+    maps = _twin_arrangements(adj, orders.dtype)
     tree = _bfs_tree(adj[np.ix_(orders[0], orders[0])]) if switched else []
     iu, ju = _triu_cells(n)
     rows = []
-    for start in range(0, len(orders), _ORDER_CHUNK):
-        # numpy gathers by intp indices faster than by the orders' small dtype
-        chunk = orders[start:start + _ORDER_CHUNK].astype(np.intp)
-        # the position of each vertex in each order
-        pos = np.empty_like(chunk, dtype=orders.dtype)
-        pos[np.arange(len(chunk))[:, None], chunk] = np.arange(n, dtype=orders.dtype)
-        chunk = chunk[(pos[:, pairs[0]] < pos[:, pairs[1]]).all(axis=1)]
-        if not len(chunk):
-            continue
+    total = len(orders) * len(maps)
+    for start in range(0, total, _ORDER_CHUNK):
+        row = np.arange(start, min(start + _ORDER_CHUNK, total))
+        # map m of order r puts vertex maps[m, r[p]] at position p; numpy
+        # gathers by intp indices faster than by the orders' small dtype
+        chunk = maps[(row % len(maps))[:, None], orders[row // len(maps)]].astype(np.intp)
         moved = adj[chunk[:, :, None], chunk[:, None, :]]
         spin = _tree_spins(moved, tree)
         # signs -1/0/+1 compare as the bytes 2/0/1
@@ -783,9 +734,9 @@ def signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
 def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff some vertex bijection maps g1 onto a switching of g2.
 
-    Exhaustive over class-respecting relabelings, up to swaps of signed
-    twins, so intended for small orders; rejects graphs above
-    _SWITCHING_ISO_MAX_ORDER vertices to bound the cost.
+    Exhaustive over the optimal orders up to swaps of signed twins: one for
+    K_n, 126 for a halved K_9, but n! for a signed K_n without signed twins,
+    so it rejects graphs above _SWITCHING_ISO_MAX_ORDER vertices.
     """
     if g1.n != g2.n:
         return False

@@ -7,6 +7,8 @@ LF line endings. Violations raise GraphFormatError with the line number.
 
 from __future__ import annotations
 
+import re
+
 from .core import SignedGraph, new_signed_graph
 
 __all__ = ["GraphFormatError", "parse_graph", "format_graph", "read_graph", "write_graph"]
@@ -20,6 +22,13 @@ def _fail(lineno: int, msg: str):
     raise GraphFormatError(f"line {lineno}: {msg}")
 
 
+def _ints(tokens) -> tuple[int, ...] | None:
+    """The tokens as ints if each is an ASCII [+-]?[0-9]+, the one form a
+    number takes, else None: int() also takes underscores and other digits."""
+    ok = all(re.fullmatch(r"[+-]?[0-9]+", t) for t in tokens)
+    return tuple(map(int, tokens)) if ok else None
+
+
 def parse_graph(text: str) -> SignedGraph:
     lines = text.splitlines()
     if not lines or not lines[0].strip():
@@ -27,10 +36,10 @@ def parse_graph(text: str) -> SignedGraph:
     head = lines[0].split()
     if len(head) != 2:
         _fail(1, f"header must be 'n m', got {lines[0]!r}")
-    try:
-        n, m = int(head[0]), int(head[1])
-    except ValueError:
+    counts = _ints(head)
+    if counts is None:
         _fail(1, f"header must be two integers, got {lines[0]!r}")
+    n, m = counts
     if m < 0:
         _fail(1, f"edge count must be nonnegative, got {m}")
     lineno = 1  # the last line read
@@ -43,9 +52,8 @@ def parse_graph(text: str) -> SignedGraph:
                 continue
             if len(parts) != 3:
                 _fail(lineno, f"edge line must be 'u v s', got {raw!r}")
-            try:
-                edge = tuple(map(int, parts))
-            except ValueError:
+            edge = _ints(parts)
+            if edge is None:
                 _fail(lineno, f"edge line must be three integers, got {raw!r}")
             yield edge
 

@@ -83,9 +83,9 @@ built from one only to hand it out or to pass it to a core check.
 The survivors of a scan stay (row, pattern) arrays until the witnesses are
 chosen, one per switching-isomorphism class. They are deduplicated by the key
 that core computes (canonical_signed_code): the class's canonical bitmap and
-the least canonical-switch sign row over its automorphisms (_least_sign_row),
-of which only one per arrangement of the signature's signed twins, vertices
-whose signed rows agree off their own pair, is evaluated.
+the least canonical-switch sign row over its automorphisms (_least_sign_row):
+one per coset of the twin swaps (canonical_form) and per arrangement of the
+signature's signed twins, vertices whose signed rows agree off their pair.
 """
 
 from __future__ import annotations

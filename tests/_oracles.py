@@ -42,8 +42,6 @@ from signed_extremal.core import (
     SignedGraph,
     _check_vertex_set,
     _triu_cells,
-    canonical_form,
-    canonical_forms,
     canonical_switch,
     is_connected,
     negate,
@@ -311,8 +309,9 @@ def brute_labelling(adj_bool: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
 
 
 def per_order_signed_code(g: SignedGraph) -> tuple[int, bytes]:
-    """canonical_signed_code, one relabeling and canonical switch per optimal order."""
-    code, orders = canonical_form(np.abs(g.adj).astype(bool))
+    """canonical_signed_code, one relabeling and canonical switch per optimal
+    order of brute_labelling, all n! of them for K_n."""
+    code, orders = brute_labelling(np.abs(g.adj).astype(bool))
     iu, ju = _triu_cells(g.n)
     best = None
     for order in orders:
@@ -487,14 +486,13 @@ def unpruned_canonical_children(n: int) -> list[int]:
     every parent sent to the test."""
     m = n - 1
     parents = _codes_to_adj(_connected_class_bitmaps(m), m)
-    # the parents are stored in canonical form, so the orders that attain
-    # their own bitmaps are exactly their automorphisms
+    # every automorphism of each parent, by brute force
+    perms = permutation_rows(m)
     owner, masks, comps = [], [], []
     for lo in range(0, len(parents), _TABLE_BLOCK):
         block = parents[lo:lo + _TABLE_BLOCK]
-        lab = canonical_forms(block)
-        for p, auts in enumerate(np.split(lab.orders, np.cumsum(lab.counts)[:-1]), lo):
-            orbit = per_parent_orbit_masks(auts, m)
+        for p, autos in enumerate(brute_automorphism_table(block), lo):
+            orbit = per_parent_orbit_masks(perms[autos], m)
             owner += [p] * len(orbit)
             masks += orbit
         comps.append(_cut_components(block))
@@ -508,19 +506,15 @@ def unpruned_canonical_children(n: int) -> list[int]:
         adj[:, m, :m] = adj[:, :m, m] = bits[lo:lo + _TABLE_BLOCK]
         in_set = _deletion_sets(adj, comps[part])
         kids.append((adj[in_set[:, m]], in_set[in_set[:, m]]))
-    kids, sets = map(np.concatenate, zip(*kids))
     children = []
-    for lo in range(0, len(kids), _TABLE_BLOCK):
-        lab = canonical_forms(kids[lo:lo + _TABLE_BLOCK])
+    for adj, in_set in zip(*map(np.concatenate, zip(*kids))):
+        code, orders = brute_labelling(adj)
+        orders = np.array(orders)
         # a vertex's canonical label is its position in an optimal order;
         # accept iff the new vertex shares an orbit with the vertex of M(G)
         # that gets the smallest label
-        row_owner = np.repeat(np.arange(len(lab.counts)), lab.counts)
-        starts = np.cumsum(lab.counts) - lab.counts
-        new_label = (lab.orders == m).argmax(axis=1)
-        set_label = sets[lo + row_owner[:, None], lab.orders].argmax(axis=1)
-        accept = np.minimum.reduceat(new_label, starts) == np.minimum.reduceat(set_label, starts)
-        children += itertools.compress(lab.codes, accept)
+        if (orders == m).argmax(axis=1).min() == in_set[orders].argmax(axis=1).min():
+            children.append(code)
     return children
 
 

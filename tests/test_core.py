@@ -13,15 +13,14 @@ from signed_extremal.core import (
     SignedGraph,
     _all_twin_classes,
     _bfs_tree,
-    _candidate_orders,
     _count_weights,
     _dense_ranks,
+    _label_stack,
     _packed_codes,
     _refine,
     _signed_twin_classes,
     _triu_cells,
     canonical_form,
-    canonical_forms,
     canonical_switch,
     canonical_signed_code,
     counts,
@@ -605,8 +604,9 @@ class TestCanonicalCode:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_matches_per_order_reference_on_complete_graphs(self, n):
-        # every relabeling is optimal on K_n: n! orders per code; the halved
-        # K_n also relabelled and switched
+        # every relabeling is optimal on K_n: the reference walks all n!,
+        # the key one order per arrangement of signed twins; the halved K_n
+        # also relabelled and switched
         rng = np.random.default_rng(n)
         halved = build_kn_switched_maxneg(n)
         moved = switch(permute(halved, rng.permutation(n)), np.flatnonzero(rng.random(n) < 0.5))
@@ -615,9 +615,9 @@ class TestCanonicalCode:
         assert switching_isomorphic(halved, moved)
 
     def test_chunks_of_orders_merge_to_the_reference(self, monkeypatch):
-        # K_5 whose negative edges form the path 3-0-4-2-1 has no signed twins,
-        # so all 120 orders are evaluated, 33 per chunk; it first attains its
-        # least sign row at order 99, the first of the last, partial chunk
+        # K_5 whose negative edges form the path 3-0-4-2-1 has no signed
+        # twins, so its one order expands into all 120 arrangements, 33 per
+        # chunk
         g = new_signed_graph(5, [(u, v, -1 if (u, v) in ((0, 3), (0, 4), (1, 2), (2, 4)) else 1)
                                  for u, v in itertools.combinations(range(5), 2)])
         assert _signed_twin_classes(g.adj) == [[v] for v in range(5)]
@@ -626,6 +626,45 @@ class TestCanonicalCode:
         batches = evaluated_batches(monkeypatch)
         assert canonical_signed_code(g) == expected
         assert batches == [33, 33, 33, 21]
+
+    @pytest.mark.parametrize("n", [10, 12])
+    def test_keys_of_halved_complete_graphs_past_nine_vertices(self, n):
+        # K_n labels to one order, and the halved K_n expands it into
+        # C(n, n / 2) arrangements: 252 and 924. The halved K_n is balanced,
+        # so its switching key is that of (K_n, +), and its sign row without
+        # switching differs from those of (K_n, +) and (K_n, -)
+        code, orders = canonical_form(~np.eye(n, dtype=bool))
+        assert orders.tolist() == [list(range(n))]
+        halved = build_kn_switched_maxneg(n)
+        key = canonical_signed_code(halved)
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            moved = permute(halved, rng.permutation(n))
+            assert signed_isomorphic(halved, moved)
+            assert canonical_signed_code(switch(moved, np.flatnonzero(rng.random(n) < 0.5))) == key
+        plus, minus = build_complete(n, 1), build_complete(n, -1)
+        assert key == canonical_signed_code(plus) != canonical_signed_code(minus)
+        assert key[0] == code
+        assert not signed_isomorphic(halved, plus) and not signed_isomorphic(halved, minus)
+
+    @pytest.mark.parametrize("g,bound", [
+        (build_kn_switched_maxneg(9), 1 << 20),
+        (new_signed_graph(9, [(u, v, -1 if v == u + 1 else 1)
+                              for u, v in itertools.combinations(range(9), 2)]), 9 << 20),
+    ], ids=["halved-k9", "k9-negative-path"])
+    def test_keys_of_signed_k9_in_bounded_memory(self, g, bound):
+        # 126 arrangements of the halved K_9; all 9! of K_9 whose negative
+        # edges form a Hamiltonian path, which has no signed twins: its maps
+        # take 3.1 MiB, and the evaluation stays in chunks
+        expected = canonical_signed_code(g)
+        tracemalloc.start()
+        try:
+            key = canonical_signed_code(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key == expected
+        assert peak < bound
 
 
 def evaluated_batches(monkeypatch):
@@ -702,31 +741,47 @@ class TestSignedTwins:
         (build_gst(1, 6), [[0], [1], [2], [3, 4, 5, 6, 7, 8]], 2),
     ], ids=["kn_switched_maxneg(7)", "gst(1,6)"])
     def test_one_order_per_arrangement_of_the_twins(self, g, classes, evaluated, monkeypatch):
-        # 5,040 and 1,440 optimal orders: 7! / (3! 4!) and 2 * 6! / 6!
+        # 5,040 and 1,440 optimal orders, one coset of the twin swaps each:
+        # 7! / (3! 4!) arrangements, and 2! / (1! 1!) of the twin class
+        # {1, 2} of the underlying gst(1, 6), whose vertices 3..8 are twins
+        # with one sign
         assert _signed_twin_classes(g.adj) == classes
+        assert len(canonical_form(g.adj != 0)[1]) == 1
         expected = per_order_signed_code(g)
         batches = evaluated_batches(monkeypatch)
         assert canonical_signed_code(g) == expected
         assert signed_isomorphic(g, g)
         assert batches == [evaluated] * 3
 
-    def test_chunks_without_survivors_are_skipped(self, monkeypatch):
-        # at 1,000 orders per chunk the halved K_7 keeps 15 orders of the
-        # first chunk (vertex 0 first), 20 of the third (vertex 3 first) and
-        # none of the other four
-        g = build_kn_switched_maxneg(7)
-        expected = canonical_signed_code(g)
-        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 1000)
+    def test_chunks_split_the_arrangements(self, monkeypatch):
+        # at 3 orders per chunk: the 35 arrangements of the halved K_7's one
+        # order, then the 4 orders of a 6-cycle with twin pendants 6, 7 on
+        # vertex 0 and 8, 9 on vertex 3, its reflections, each expanded
+        # into 2 arrangements by the negative pendant edge 06
+        halved = build_kn_switched_maxneg(7)
+        pendants = new_signed_graph(10, [(v, (v + 1) % 6, 1) for v in range(6)]
+                                    + [(0, 6, -1), (0, 7, 1), (3, 8, 1), (3, 9, 1)])
+        assert len(canonical_form(pendants.adj != 0)[1]) == 4
+        expected = [canonical_signed_code(g) for g in (halved, pendants)]
+        assert expected[1] == per_order_signed_code(pendants)
+        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 3)
         batches = evaluated_batches(monkeypatch)
-        assert canonical_signed_code(g) == expected
-        assert batches == [15, 20]
+        assert [canonical_signed_code(g) for g in (halved, pendants)] == expected
+        assert batches == [3] * 11 + [2] + [3, 3, 2]
 
 
 @functools.lru_cache(maxsize=None)
 def labelling_of_every_graph(n):
-    """Every labeled graph on n vertices and its canonical_forms labelling."""
+    """Every labeled graph on n vertices, labelled as one stack: its codes and
+    what _label_stack returns."""
     adj = labeled_graph_stack(n)
-    return adj, canonical_forms(adj)
+    labels = _label_stack(adj, len(adj))
+    return adj, _packed_codes(adj, labels[2]), labels
+
+
+def stack_codes(adj):
+    """The canonical bitmap of each graph of a bool stack, labelled as one stack."""
+    return _packed_codes(adj, _label_stack(adj, len(adj))[2])
 
 
 def colour_classes(colours):
@@ -763,11 +818,6 @@ def seeded_trees(seed, n, count):
     return np.array(out)
 
 
-def graph_orders(lab, g):
-    start = int(lab.counts[:g].sum())
-    return lab.orders[start:start + lab.counts[g]]
-
-
 @functools.lru_cache(maxsize=None)
 def connected_regular_graphs(n):
     """The connected regular graphs on n vertices, one per class, each
@@ -782,12 +832,22 @@ def connected_regular_graphs(n):
     return np.array(out)
 
 
-def assert_matches_brute_force_labelling(adj, lab):
-    for g, a in enumerate(adj):
+def ascending_twin_orders(a, orders):
+    """The orders, each a sequence of the vertices of the bool matrix a, that
+    keep each twin class of a (brute_signed_twin_classes) ascending, as lists."""
+    pairs = [(x, y) for c in brute_signed_twin_classes(a) for x, y in zip(c, c[1:])]
+    return [list(p) for p in orders if all(p.index(x) < p.index(y) for x, y in pairs)]
+
+
+def assert_representatives_match_brute_force(adj):
+    """canonical_form of each graph of a bool stack gives the brute-force code
+    and, of its brute-force optimal orders, those in which each twin class
+    ascends: one per coset of the twin swaps."""
+    for a in adj:
         code, orders = brute_labelling(a)
-        assert lab.codes[g] == code
-        assert lab.counts[g] == len(orders)
-        assert graph_orders(lab, g).tolist() == [list(p) for p in orders]
+        got, representatives = canonical_form(a)
+        assert got == code
+        assert representatives.tolist() == ascending_twin_orders(a, orders)
 
 
 class TestCanonicalForms:
@@ -864,7 +924,7 @@ class TestCanonicalForms:
                                            (6, 156)])
     def test_counts_isomorphism_classes(self, n, classes):
         # graphs on n vertices up to isomorphism (OEIS A000088)
-        assert len(set(labelling_of_every_graph(n)[1].codes)) == classes
+        assert len(set(labelling_of_every_graph(n)[1])) == classes
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8])
     def test_codes_invariant_under_relabeling(self, n):
@@ -872,58 +932,39 @@ class TestCanonicalForms:
         rng = np.random.default_rng(n)
         perms = np.array([rng.permutation(n) for _ in adj])
         moved = adj[np.arange(len(adj))[:, None, None], perms[:, :, None], perms[:, None, :]]
-        assert canonical_forms(moved).codes == canonical_forms(adj).codes
+        codes = stack_codes(adj)
+        assert stack_codes(moved) == codes
+        assert [canonical_form(a)[0] for a in moved] == codes
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_optimal_orders_of_canonical_graphs_are_automorphisms(self, n):
-        # a graph relabeled by any optimal order is in canonical form, and
-        # the orders attaining its own bitmap are exactly its automorphisms
-        adj, lab = labelling_of_every_graph(n)
+    def test_representatives_of_canonical_graphs_are_automorphisms(self, n):
+        # a graph relabeled by its first optimal order is in canonical form,
+        # and the orders attaining its own bitmap are exactly its
+        # automorphisms, of which canonical_form keeps those in which each
+        # twin class ascends
+        adj, codes, (_, _, first, _, _) = labelling_of_every_graph(n)
         # one graph per class and its first optimal order
-        reps = np.unique(lab.codes, return_index=True)[1]
-        orders = lab.orders[(np.cumsum(lab.counts) - lab.counts)[reps]]
+        reps = np.unique(codes, return_index=True)[1]
+        orders = first[reps]
         canon = adj[reps[:, None, None], orders[:, :, None], orders[:, None, :]]
-        relabeled = canonical_forms(canon)
         iu, ju = _triu_cells(n)
-        for g, a in enumerate(canon):
-            bits = np.packbits(a[iu, ju]).tobytes()
-            assert relabeled.codes[g] == int.from_bytes(bits, "big")
-            assert set(map(tuple, graph_orders(relabeled, g).tolist())) == (
-                brute_automorphisms(a))
-
-    def test_candidate_orders_are_cached_read_only(self):
-        template = _candidate_orders((2, 1, 3))
-        assert template is _candidate_orders((2, 1, 3))
-        assert not template.flags.writeable
-        assert template.dtype == np.uint8
-        assert template.tolist() == [
-            [*a, 2, *(3 + x for x in b)] for a, b in itertools.product(
-                itertools.permutations(range(2)), itertools.permutations(range(3)))]
-        # a single run is every permutation, each table built from the one below it
-        for k in range(9):
-            table = _candidate_orders((k,))
-            assert table is _candidate_orders((k,))
-            assert not table.flags.writeable
-            assert table.dtype == np.uint8 and table.shape == (math.factorial(k), k)
-            assert table.tolist() == [list(p) for p in itertools.permutations(range(k))]
-        # positions from 256 on need two bytes, and so do the runs there
-        template = _candidate_orders((1,) * 256 + (3,))
-        assert template.dtype == np.uint16
-        assert (template[:, :256] == np.arange(256)).all()
-        assert template[:, 256:].tolist() == [
-            [256 + x for x in p] for p in itertools.permutations(range(3))]
+        for a in canon:
+            code, representatives = canonical_form(a)
+            assert code == int.from_bytes(np.packbits(a[iu, ju]).tobytes(), "big")
+            assert representatives.tolist() == ascending_twin_orders(
+                a, sorted(brute_automorphisms(a)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_all_twin_classes_iff_every_class_respecting_order_is_an_automorphism(self, n):
         # the orders that keep the colour classes are prod |class|! in number
         # and include every automorphism; they are all automorphisms iff each
         # class is a twin set. |Aut| is counted once per isomorphism class
-        adj, lab = labelling_of_every_graph(n)
+        adj, codes, _ = labelling_of_every_graph(n)
         colours = _refine(adj)
         twins = _all_twin_classes(adj, colours)
         autos = {code: len(brute_automorphisms(adj[g]))
-                 for code, g in zip(*np.unique(lab.codes, return_index=True))}
-        for code, c, twin in zip(lab.codes, colours, twins):
+                 for code, g in zip(*np.unique(codes, return_index=True))}
+        for code, c, twin in zip(codes, colours, twins):
             respecting = math.prod(math.factorial(k) for k in np.bincount(c))
             assert twin == (autos[code] == respecting)
         # the path on 4 vertices is the smallest graph that is not
@@ -949,28 +990,25 @@ class TestCanonicalForms:
         # from 17 vertices on, the cell p * n + q of positions p < q passes 255
         n = 20
         adj = seeded_unsigned_stack(420, n, 40)
-        lab = canonical_forms(adj)
         iu, ju = _triu_cells(n)
-        for a, order, code in zip(adj, lab.orders[np.cumsum(lab.counts) - lab.counts],
-                                  lab.codes):
-            bits = np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes()
-            assert int.from_bytes(bits, "big") == code
+        for a, code in zip(adj, stack_codes(adj)):
+            got, orders = canonical_form(a)
+            assert got == code
+            for order in orders:
+                bits = np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes()
+                assert int.from_bytes(bits, "big") == code
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n,leaves,chunk", [
+    @pytest.mark.parametrize("n,leaves,count", [
         pytest.param(200, 1, 2, id="path-200"),
-        pytest.param(200, 1, None, id="path-200-default-chunk"),
-        pytest.param(302, 2, None, id="forked-path-302"),
+        pytest.param(302, 2, 1, id="forked-path-302"),
     ])
-    def test_graphs_past_the_float_factorials_label_without_warnings(
-            self, n, leaves, chunk, monkeypatch):
+    def test_graphs_past_the_float_factorials_label_without_warnings(self, n, leaves, count):
         # 171! is past the float range. The 200-vertex path has 100 mirrored
-        # pairs and the 302-vertex path with two leaves on one end has one;
-        # a mirrored pair is no twin set, so both paths are individualized
-        # at every position and keep the 2 orders of their mirror symmetry
-        # at any chunk, which batches only sign rows.
-        if chunk:
-            monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
+        # pairs, no twin set, so it is individualized at every position and
+        # keeps the 2 orders of its mirror symmetry. The 302-vertex path
+        # with two leaves on one end has one mirrored pair, those leaves,
+        # which are twins, so it keeps one order.
         a = forked_path(n, leaves)
         tracemalloc.start()
         try:
@@ -979,7 +1017,7 @@ class TestCanonicalForms:
         finally:
             tracemalloc.stop()
         assert peak < 256 << 20
-        assert len(orders) == 2
+        assert len(orders) == count
         # the smallest dtype that holds every position: a byte up to 256 vertices
         assert orders.dtype == (np.uint8 if n <= 256 else np.uint16)
         iu, ju = _triu_cells(n)
@@ -1006,35 +1044,13 @@ class TestCanonicalForms:
         cells = n * (n - 1) // 2
         assert expect[-2] == ((1 << cells) - 1) << (-cells % 8)
 
-    def test_twin_templates_gather_into_the_orders_in_bounded_memory(self):
-        # K_10's 10! orders are its one template, 34.6 MiB in bytes, read
-        # once into 34.6 MiB of orders: no owner per row and no copy of the
-        # template on the way
-        _candidate_orders.cache_clear()
-        tracemalloc.start()
-        try:
-            _, orders = canonical_form(~np.eye(10, dtype=bool))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        try:
-            assert peak <= 80 << 20
-            assert orders.shape == (math.factorial(10), 10) and orders.dtype == np.uint8
-            assert np.array_equal(orders, _candidate_orders((10,)))
-        finally:
-            _candidate_orders.cache_clear()
-
-    def test_orders_of_k8_are_every_permutation_in_one_byte(self):
-        # K_8 keeps one colour class, so its 8! orders all attain its code
-        _, orders = canonical_form(~np.eye(8, dtype=bool))
-        assert orders.dtype == np.uint8
-        assert orders.tolist() == [list(p) for p in itertools.permutations(range(8))]
-
     @pytest.mark.slow
-    def test_every_order_of_a_graph_with_nine_isolated_vertices_in_bounded_memory(self):
-        # graph 12 of this seeded stack has 9 isolated vertices, a twin set,
-        # and other classes that are not: it is individualized at every
-        # position, and its 9! x 4 optimal orders are all returned
+    def test_the_one_order_of_a_graph_with_nine_isolated_vertices(self):
+        # graph 12 of this seeded stack has 9 isolated vertices and two twin
+        # pairs, and its colour classes are all twin sets: canonical_form
+        # keeps its first order, and the pinned orders, 9! x 4, are that
+        # order under every permutation of its colour classes, the first
+        # class varying slowest and each class in itertools order
         a = np.triu(np.random.default_rng(5).random((30, 30, 30))[12] < 0.06, 1)
         a |= a.T
         tracemalloc.start()
@@ -1043,78 +1059,73 @@ class TestCanonicalForms:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 256 << 20
-        assert orders.shape == (1_451_520, 30) and orders.dtype == np.uint8
-        assert hashlib.sha256(orders.tobytes()).hexdigest() == (
+        assert peak < 1 << 20
+        assert orders.shape == (1, 30) and orders.dtype == np.uint8
+        runs = [(start, len(c)) for start, c in zip(
+            itertools.accumulate(map(len, refined_color_classes(a)), initial=0),
+            refined_color_classes(a)) if len(c) > 1]
+        assert sorted(k for _, k in runs) == [2, 2, 9]
+        every = np.empty((1_451_520, 30), dtype=np.uint8)
+        every[:] = orders[0]
+        stride = len(every)
+        for start, k in runs:
+            table = permutation_rows(k)
+            stride //= len(table)
+            every.reshape(-1, len(table), stride, 30)[:, :, :, start:start + k] = (
+                orders[0, start + table][None, :, None, :])
+        assert hashlib.sha256(every.tobytes()).hexdigest() == (
             "2aa0cfccec67ccb44ca2b5d10f61a532b8fc3da71d215d675d4631212cae3a02")
         iu, ju = _triu_cells(30)
-        for chunk in np.array_split(orders, 64):
+        for chunk in np.array_split(every, 64):
             bits = np.packbits(a[chunk[:, iu], chunk[:, ju]], axis=1)
             assert (bits == bits[0]).all()
             assert int.from_bytes(bits[0].tobytes(), "big") == code
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("chunk", [None, 2])
-    def test_matches_brute_force_labelling_on_every_graph(self, n, chunk, monkeypatch):
-        # the chunk batches sign rows only: the labelling ignores it
-        if chunk:
-            monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
+    def test_matches_brute_force_labelling_on_every_graph(self, n):
         adj = labeled_graph_stack(n)
-        assert_matches_brute_force_labelling(adj, canonical_forms(adj))
+        assert_representatives_match_brute_force(adj)
+        assert labelling_of_every_graph(n)[1] == [brute_labelling(a)[0] for a in adj]
+
+    @pytest.mark.slow
+    def test_matches_brute_force_labelling_on_every_graph_n6(self):
+        adj = labeled_graph_stack(6)
+        assert_representatives_match_brute_force(adj)
+        assert labelling_of_every_graph(6)[1] == [brute_labelling(a)[0] for a in adj]
 
     @pytest.mark.parametrize("n,count", [(7, 4), (8, 17)])
     def test_matches_brute_force_labelling_on_regular_graphs(self, n, count):
         # colour refinement cannot split a regular graph, so all n! orders
-        # respect its one class; on 8 vertices that is more than one chunk
+        # respect its one class; K_n keeps one of them
         adj = connected_regular_graphs(n)
         assert len(adj) == count
-        assert_matches_brute_force_labelling(adj, canonical_forms(adj))
-        # one graph at a time, each graph's branches fill a single batch
-        for a in adj:
-            assert_matches_brute_force_labelling(a[None], canonical_forms(a[None]))
+        assert_representatives_match_brute_force(adj)
         # seeded graphs, the regular graphs and the empty graph take both
-        # routes, twin templates and individualization, in one stack
+        # routes, twin graphs and individualization, in one stack
         mixed = np.concatenate((seeded_unsigned_stack(31, n, 40), adj,
                                 [np.zeros((n, n), dtype=bool)]))
         twins = _all_twin_classes(mixed, _refine(mixed))
         assert twins.any() and not twins.all()
-        lab = canonical_forms(mixed)
-        assert lab.orders.dtype == np.uint8
-        assert_matches_brute_force_labelling(mixed, lab)
+        assert stack_codes(mixed) == [brute_labelling(a)[0] for a in mixed]
+        assert_representatives_match_brute_force(mixed)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_optimal_orders_ascend_lexicographically(self, n):
-        _, lab = labelling_of_every_graph(n)
-        owner = np.repeat(np.arange(len(lab.counts)), lab.counts)
+        _, _, (_, _, _, branch, perm) = labelling_of_every_graph(n)
         # as base-n numbers, orders compare as they do lexicographically
-        value = lab.orders @ n ** np.arange(n - 1, -1, -1)
-        same = owner[1:] == owner[:-1]
+        value = perm.astype(np.int64) @ n ** np.arange(n - 1, -1, -1)
+        same = branch[1:] == branch[:-1]
         assert (value[1:][same] > value[:-1][same]).all()
 
-    def test_order_chunks_do_not_change_the_labelling(self, monkeypatch):
-        # K_7 and the empty graph put all 5,040 orders in one class; on 8
-        # vertices so do the empty graph and the regular graphs, K_8 among
-        # them. 33 orders per chunk batch only the sign rows, so the
-        # labelling stays the same
-        stacks = [
-            np.concatenate((seeded_unsigned_stack(7, 7, 30),
-                            [~np.eye(7, dtype=bool), np.zeros((7, 7), dtype=bool)])),
-            np.concatenate((connected_regular_graphs(8), [np.zeros((8, 8), dtype=bool)])),
-        ]
-        expected = [(canonical_forms(adj), _refine(adj)) for adj in stacks]
-        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 33)
-        for adj, (expect, colours) in zip(stacks, expected):
-            lab = canonical_forms(adj)
-            assert lab.codes == expect.codes
-            assert np.array_equal(lab.counts, expect.counts)
-            assert np.array_equal(lab.orders, expect.orders)
-            assert np.array_equal(_refine(adj), colours)
-
     def test_one_graph_views(self):
+        # canonical_form labels one graph as the stack does: its code, and
+        # its first order or a subset of its individualized orders
         adj = seeded_unsigned_stack(11, 6, 12)
-        lab = canonical_forms(adj)
+        colours, twins, first, branch, perm = _label_stack(adj, len(adj))
+        codes = _packed_codes(adj, first)
         for g, a in enumerate(adj):
             code, orders = canonical_form(a)
-            assert code == lab.codes[g]
-            assert np.array_equal(orders, graph_orders(lab, g))
-            assert refined_color_classes(a) == colour_classes(_refine(adj)[g])
+            assert code == codes[g]
+            rows = first[g][None] if twins[g] else perm[branch == g]
+            assert set(map(tuple, orders.tolist())) <= set(map(tuple, rows.tolist()))
+            assert refined_color_classes(a) == colour_classes(colours[g])

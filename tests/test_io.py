@@ -60,6 +60,16 @@ class TestParseErrors:
         with pytest.raises(GraphFormatError, match=f"line {line}"):
             parse_graph(text)
 
+    @pytest.mark.parametrize("text,line", [
+        ("1_0 0\n", 1),
+        ("3 1\n0 2 +0_1\n", 2),
+        ("3 1\n0 \uff12 +1\n", 2),
+    ], ids=["underscore-in-header", "underscore-in-sign", "full-width-digit"])
+    def test_only_ascii_integer_tokens(self, text, line):
+        # int() reads these as 10, +1 and 2
+        with pytest.raises(GraphFormatError, match=f"line {line}: .* must be .*integers"):
+            parse_graph(text)
+
     def test_blank_lines_tolerated(self):
         g = parse_graph("2 1\n\n0 1 +1\n\n")
         assert g.edge_count == 1

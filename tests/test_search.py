@@ -13,9 +13,9 @@ from signed_extremal.bounds import SPECTRAL_SLACK, rho_bound
 from signed_extremal.core import (
     SignedGraph,
     _all_twin_classes,
-    _label,
+    _label_stack,
+    _packed_codes,
     _refine,
-    canonical_forms,
     canonical_signed_code,
     canonical_switch,
     is_balanced,
@@ -63,6 +63,7 @@ from _oracles import (
     all_labeled_signed_graphs,
     all_mask_neg_counts,
     all_signatures,
+    brute_automorphism_table,
     brute_switch,
     connected_graphs_up_to_isomorphism,
     connected_labeled_graphs,
@@ -71,6 +72,7 @@ from _oracles import (
     per_child_deletion_set,
     per_mask_neg_edge_maximum,
     per_parent_orbit_masks,
+    permutation_rows,
     row_loop_gf2_solutions,
     seeded_signed_graphs,
     unpruned_canonical_children,
@@ -169,10 +171,9 @@ def augmentation_children(n):
     stacks = []
     if m <= 6:
         parents = _codes_to_adj(_connected_class_bitmaps(m), m)
-        lab = canonical_forms(parents)
-        auts = np.split(lab.orders, np.cumsum(lab.counts)[:-1])
-        pairs = [(p, mask) for p in range(len(parents))
-                 for mask in per_parent_orbit_masks(auts[p], m)]
+        perms = permutation_rows(m)
+        pairs = [(p, mask) for p, autos in enumerate(brute_automorphism_table(parents))
+                 for mask in per_parent_orbit_masks(perms[autos], m)]
         owner, masks = map(list, zip(*pairs))
         stacks.append(attach(parents[owner], masks))
     if n >= 7:
@@ -287,11 +288,10 @@ class TestEnumerateUnderlying:
         for m in range(1, 8):
             codes, labels = SEARCH._class_level(m)
             parents = _codes_to_adj(codes, m)
-            lab = canonical_forms(parents)
-            auts = np.split(lab.orders, np.cumsum(lab.counts)[:-1])
+            perms = permutation_rows(m)
             bound = [degree_bound_by_definition(parent) for parent in parents]
-            expect = [(p, mask) for p in range(len(parents))
-                      for mask in per_parent_orbit_masks(auts[p], m)
+            expect = [(p, mask) for p, autos in enumerate(brute_automorphism_table(parents))
+                      for mask in per_parent_orbit_masks(perms[autos], m)
                       if kept_by_degree_bound(mask, *bound[p])]
             for block in (SEARCH._TABLE_BLOCK, 7):
                 got = []
@@ -306,9 +306,9 @@ class TestEnumerateUnderlying:
     def test_carried_labels_match_a_fresh_labelling(self, block, monkeypatch):
         # every class on n <= 7 vertices, enumerated from a cleared cache in
         # blocks of _TABLE_BLOCK and of 7: the labels its level carries to
-        # the next are those of core._label on its canonical form, colours,
-        # twin flags and row counts exactly and each non-twin class's
-        # automorphisms as a set
+        # the next are those of core._label_stack on its canonical form,
+        # colours, twin flags and row counts exactly and each non-twin
+        # class's automorphisms as a set
         if block:
             monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", block)
         SEARCH._class_level.cache_clear()
@@ -317,8 +317,10 @@ class TestEnumerateUnderlying:
         finally:
             SEARCH._class_level.cache_clear()
         for n, (codes, labels) in enumerate(levels, start=1):
-            fresh, colours, twins, orders, counts = _label(_codes_to_adj(codes, n))
-            assert fresh == list(codes)
+            adj = _codes_to_adj(codes, n)
+            colours, twins, first, branch, orders = _label_stack(adj, len(adj))
+            counts = np.bincount(branch, minlength=len(adj))
+            assert _packed_codes(adj, first) == list(codes)
             assert labels.colours.dtype == labels.orders.dtype == np.uint8
             assert np.array_equal(labels.colours, colours)
             assert np.array_equal(labels.twins, twins)
@@ -336,11 +338,12 @@ class TestEnumerateUnderlying:
         # at each level n <= 7, the graphs individualized are the children
         # sent to the labelling (those whose new vertex is in M(G)) whose
         # colour classes are not all twin sets, each once, in full batches
-        # of _TABLE_BLOCK but the last; no level labels a parent again
+        # of _TABLE_BLOCK but the last; no level labels a parent again, and
+        # none takes the one-graph labelling
         if block:
             monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", block)
         sent, seen = collections.defaultdict(list), collections.defaultdict(list)
-        core = sys.modules[canonical_forms.__module__]
+        core = sys.modules[canonical_signed_code.__module__]
         deletion_sets, individualize = SEARCH._deletion_sets, core._individualize
         relabelled = []
 
@@ -355,7 +358,8 @@ class TestEnumerateUnderlying:
 
         monkeypatch.setattr(SEARCH, "_deletion_sets", deletion_spy)
         monkeypatch.setattr(core, "_individualize", individualize_spy)
-        monkeypatch.setattr(core, "_label", lambda adj: relabelled.append(adj))
+        monkeypatch.setattr(core, "canonical_form", lambda adj: relabelled.append(adj))
+        monkeypatch.setattr(SEARCH, "canonical_form", lambda adj: relabelled.append(adj))
         SEARCH._class_level.cache_clear()
         try:
             assert len(_connected_class_bitmaps(7)) == 853
@@ -373,29 +377,6 @@ class TestEnumerateUnderlying:
             full, rest = divmod(len(expect), SEARCH._TABLE_BLOCK)
             sizes = [SEARCH._TABLE_BLOCK] * full + [rest] * (rest > 0)
             assert [len(batch) for batch in seen[n]] == sizes
-
-    def test_enumeration_expands_no_template(self, monkeypatch):
-        # a twin graph's orbits are its colour classes, so the children's
-        # deletion test and the parents' orbit masks never ask for its
-        # class-respecting orders; the oracles above still take them all
-        core = sys.modules[canonical_forms.__module__]
-        candidate_orders, calls = core._candidate_orders, []
-
-        def spy(sizes):
-            calls.append(sizes)
-            return candidate_orders(sizes)
-
-        monkeypatch.setattr(core, "_candidate_orders", spy)
-        SEARCH._class_level.cache_clear()
-        try:
-            counts = [len(_connected_class_bitmaps(n)) for n in range(3, 8)]
-        finally:
-            SEARCH._class_level.cache_clear()
-        assert counts == [2, 6, 21, 112, 853]
-        assert calls == []
-        # the spy sees the template of K_3, all of whose 3! orders are optimal
-        canonical_forms(~np.eye(3, dtype=bool)[None])
-        assert calls[0] == (3,)
 
     def test_degree_bound_matches_the_definition(self):
         # every class on m <= 7 vertices, seeded graphs on 9 to 11, and

@@ -358,14 +358,15 @@ def test_deletion_test_rows_are_pinned_n8(monkeypatch):
 
 
 def test_signed_code_matches_per_order_reference_on_k8():
-    # 40,320 optimal orders each; the tier-1 test stops at K_7
+    # the reference walks 40,320 optimal orders each, the key one order per
+    # arrangement of signed twins; the tier-1 test stops at K_7
     for g in (build_complete(8, 1), build_complete(8, -1), build_kn_switched_maxneg(8)):
         assert canonical_signed_code(g) == per_order_signed_code(g)
 
 
 def test_signed_code_matches_per_order_reference_on_moved_halved_k8():
-    # the halved K_8 relabelled, and relabelled then switched: 70 of the
-    # 40,320 orders of each are evaluated
+    # the halved K_8 relabelled, and relabelled then switched: K_8 labels
+    # to one order, and 70 arrangements of it are evaluated
     g = build_kn_switched_maxneg(8)
     rng = np.random.default_rng(8)
     moved = permute(g, rng.permutation(8))
@@ -376,7 +377,8 @@ def test_signed_code_matches_per_order_reference_on_moved_halved_k8():
 
 
 def test_switching_isomorphic_on_a_moved_halved_k9():
-    # 362,880 optimal orders, 126 arrangements of the two signed-twin classes
+    # one order of K_9, expanded into the 126 arrangements of the two
+    # signed-twin classes
     g = build_kn_switched_maxneg(9)
     rng = np.random.default_rng(9)
     h = switch(permute(g, rng.permutation(9)), [1, 2, 6])
