@@ -937,7 +937,7 @@ class TestCanonicalForms:
         assert [canonical_form(a)[0] for a in moved] == codes
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_representatives_of_canonical_graphs_are_automorphisms(self, n):
+    def test_optimal_orders_of_canonical_graphs_are_automorphisms(self, n):
         # a graph relabeled by its first optimal order is in canonical form,
         # and the orders attaining its own bitmap are exactly its
         # automorphisms, of which canonical_form keeps those in which each
@@ -999,16 +999,21 @@ class TestCanonicalForms:
                 assert int.from_bytes(bits, "big") == code
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n,leaves,count", [
-        pytest.param(200, 1, 2, id="path-200"),
-        pytest.param(302, 2, 1, id="forked-path-302"),
+    @pytest.mark.parametrize("n,leaves,count,chunk", [
+        pytest.param(200, 1, 2, 2, id="path-200"),
+        pytest.param(200, 1, 2, None, id="path-200-default-chunk"),
+        pytest.param(302, 2, 1, None, id="forked-path-302"),
     ])
-    def test_graphs_past_the_float_factorials_label_without_warnings(self, n, leaves, count):
+    def test_graphs_past_the_float_factorials_label_without_warnings(
+            self, n, leaves, count, chunk, monkeypatch):
         # 171! is past the float range. The 200-vertex path has 100 mirrored
         # pairs, no twin set, so it is individualized at every position and
-        # keeps the 2 orders of its mirror symmetry. The 302-vertex path
-        # with two leaves on one end has one mirrored pair, those leaves,
-        # which are twins, so it keeps one order.
+        # keeps the 2 orders of its mirror symmetry at any chunk, which
+        # batches only sign rows. The 302-vertex path with two leaves on one
+        # end has one mirrored pair, those leaves, which are twins, so it
+        # keeps one order.
+        if chunk:
+            monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
         a = forked_path(n, leaves)
         tracemalloc.start()
         try:
@@ -1082,7 +1087,11 @@ class TestCanonicalForms:
             assert int.from_bytes(bits[0].tobytes(), "big") == code
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_matches_brute_force_labelling_on_every_graph(self, n):
+    @pytest.mark.parametrize("chunk", [None, 2])
+    def test_matches_brute_force_labelling_on_every_graph(self, n, chunk, monkeypatch):
+        # the chunk batches sign rows only: the labelling ignores it
+        if chunk:
+            monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
         adj = labeled_graph_stack(n)
         assert_representatives_match_brute_force(adj)
         assert labelling_of_every_graph(n)[1] == [brute_labelling(a)[0] for a in adj]
@@ -1116,6 +1125,27 @@ class TestCanonicalForms:
         value = perm.astype(np.int64) @ n ** np.arange(n - 1, -1, -1)
         same = branch[1:] == branch[:-1]
         assert (value[1:][same] > value[:-1][same]).all()
+
+    def test_order_chunks_do_not_change_the_labelling(self, monkeypatch):
+        # K_7 and the empty graph keep one colour class of 7 vertices; on 8
+        # vertices so do the empty graph and the regular graphs, K_8 among
+        # them. 33 orders per chunk batch only the sign rows, so the stack
+        # labelling and each graph's code and orders stay the same
+        stacks = [
+            np.concatenate((seeded_unsigned_stack(7, 7, 30),
+                            [~np.eye(7, dtype=bool), np.zeros((7, 7), dtype=bool)])),
+            np.concatenate((connected_regular_graphs(8), [np.zeros((8, 8), dtype=bool)])),
+        ]
+        expected = [(_label_stack(adj, len(adj)), [canonical_form(a) for a in adj])
+                    for adj in stacks]
+        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 33)
+        for adj, (labels, forms) in zip(stacks, expected):
+            for got, expect in zip(_label_stack(adj, len(adj)), labels):
+                assert np.array_equal(got, expect)
+            for a, (code, orders) in zip(adj, forms):
+                got_code, got_orders = canonical_form(a)
+                assert got_code == code
+                assert np.array_equal(got_orders, orders)
 
     def test_one_graph_views(self):
         # canonical_form labels one graph as the stack does: its code, and
