@@ -8,6 +8,7 @@ values; SignedGraph instances are immutable and hashable.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
@@ -659,6 +660,147 @@ def _signed_twin_classes(adj: np.ndarray) -> list[list[int]]:
     return [c for v, c in enumerate(classes) if c[0] == v]
 
 
+# count vectors evaluated for one graph's switching maximum, and switchings
+# expanded at the peak: 2^20 is every switching of a twin-free 20-vertex graph
+_SWITCH_MAX_WORK = 1 << 20
+
+
+def _twin_quotient(adj: np.ndarray) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
+    """The signed-twin classes of the sign matrix adj (_signed_twin_classes),
+    their sizes k and the class sign matrix: the sign between two classes off
+    the diagonal, and each class's inner sign on it (0 for a single vertex)."""
+    classes = _signed_twin_classes(adj)
+    first = [c[0] for c in classes]
+    signs = adj[np.ix_(first, first)].astype(np.int64)
+    signs[np.diag_indices(len(classes))] = [adj[c[0], c[-1]] for c in classes]
+    return classes, np.array([len(c) for c in classes], dtype=np.int64), signs
+
+
+def _count_grid(sizes: np.ndarray) -> np.ndarray:
+    """Every count vector c with 0 <= c <= sizes, one int64 row each, the
+    first entry counting fastest: with every size 1, row x is the bits of x."""
+    radix = sizes + 1
+    index = np.arange(int(np.prod(radix)))
+    return index[:, None] // (np.cumprod(radix) // radix) % radix
+
+
+def _switching_peak(sizes: np.ndarray, signs: np.ndarray) -> tuple[int, np.ndarray]:
+    """The largest negative edge count over the switchings of a graph given by
+    its signed-twin quotient (_twin_quotient), and the count vectors attaining
+    it, one row each.
+
+    Switching c_i vertices of each class X_i flips the sign of the c_i (k_i -
+    c_i) edges inside X_i and of the c_i (k_j - c_j) + c_j (k_i - c_i) edges
+    between X_i and X_j, so neg(c) = neg_0 + c^T S (k - c) with S the class sign
+    matrix. Split the classes into two runs A and B: c^T S c = c_A^T S_AA c_A +
+    c_B^T S_BB c_B + 2 c_A^T S_AB c_B (Horowitz and Sahni, J. ACM 21, 1974), so
+    the count grids of the runs give every vector from one matmul: row r,
+    column x is the vector (a[r], b[x]). The split makes the larger grid
+    least, and A is the smaller one, so the table's rows are long; on a
+    twin-free graph the grid is the 2^n switchings and the runs hold n // 2
+    and n - n // 2 vertices. Every term and partial sum is an integer of
+    magnitude below 5 n^2, so float32, which runs in BLAS unlike int matmul,
+    is exact while 5 n^2 < 2^24, and float64 is beyond. Rejects a grid of more
+    than _SWITCH_MAX_WORK vectors before allocating.
+    """
+    radix = (sizes + 1).tolist()
+    total = math.prod(radix)
+    if total > _SWITCH_MAX_WORK:
+        raise ValueError(f"switching maximum capped at {_SWITCH_MAX_WORK} count vectors, "
+                         f"got {total}")
+    prefix = np.cumprod([1, *radix])
+    h = int(np.argmin(np.maximum(prefix, total // prefix)))
+    runs = [slice(h), slice(h, None)]
+    if prefix[h] ** 2 > total:
+        runs.reverse()
+    dtype = np.float32 if 5 * int(sizes.sum()) ** 2 < 1 << 24 else np.float64
+    a, b = (_count_grid(sizes[run]).astype(dtype) for run in runs)
+    s = signs.astype(dtype)
+    gain = s @ sizes.astype(dtype)
+
+    def own(c, run):
+        return c @ gain[run] - ((c @ s[run, run]) * c).sum(1)
+
+    # one matmul adds each run's own terms as well: [a S'_AB, own_A, 1] times
+    # [b, 1, own_B], S' = -2 S
+    (ra, rb), one = runs, np.ones(1, dtype)
+    table = (np.column_stack([a @ (-2 * s[ra, rb]), own(a, ra), one.repeat(len(a))])
+             @ np.column_stack([b, one.repeat(len(b)), own(b, rb)]).T)
+    # ties are few, so only the rows that reach the top are compared whole
+    row_top = table.max(axis=1)
+    top = row_top.max()
+    rows = np.flatnonzero(row_top == top)
+    row, col = np.nonzero(table[rows] == top)
+    vectors = np.empty((len(row), len(sizes)), dtype=np.int64)
+    vectors[:, ra], vectors[:, rb] = a[rows[row]], b[col]
+    negative = signs == -1
+    neg0 = (sizes @ negative @ sizes - sizes @ negative.diagonal()) // 2
+    return int(neg0 + top), vectors
+
+
+def _subsets(k: int, m: int) -> np.ndarray:
+    """Every m-subset of range(k) as an ascending row of indices, in
+    lexicographic order (the order of itertools.combinations). Each pass
+    appends one entry to every row: each value above the row's last that
+    leaves room for the entries still to come."""
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for p in range(m):
+        low = rows[:, -1] + 1 if p else np.zeros(1, dtype=np.intp)
+        reps = k - m + p + 1 - low
+        ends = np.cumsum(reps)
+        rows = np.column_stack([np.repeat(rows, reps, axis=0),
+                                np.arange(ends[-1]) - np.repeat(ends - reps - low, reps)])
+    return rows
+
+
+def _distinct_matrices(stack: np.ndarray) -> np.ndarray:
+    """The distinct matrices of an int8 stack (G, n, n), sorted by their bytes."""
+    n = stack.shape[1]
+    rows = stack.reshape(len(stack), n * n).view(np.dtype((np.void, n * n)))
+    return np.unique(rows.ravel()).view(np.int8).reshape(-1, n, n)
+
+
+def _switched_matrices(adj: np.ndarray, classes: list[list[int]],
+                       vectors: np.ndarray) -> np.ndarray:
+    """The distinct matrices, sorted by bytes, of every switching of the sign
+    matrix adj that takes c_i vertices of its signed-twin class i, for each
+    count vector c of vectors: prod C(k_i, c_i) switchings per vector. Each
+    class picks its minority side, so a class switched whole or not at all
+    picks nothing. A switching and its complement give one matrix, and
+    vectors holds k - c with each c when they are the peak of _switching_peak
+    (neg(c) = neg(k - c)), so only the switchings that keep vertex 0 become
+    matrices, _SWITCH_MAX_WORK cells at a time."""
+    n = len(adj)
+    blocks = []
+    for c in vectors.tolist():
+        spins = np.ones((1, n), dtype=np.int8)
+        for members, ci in zip(classes, c):
+            k = len(members)
+            flip = 2 * ci > k
+            pick = _subsets(k, k - ci if flip else ci)
+            sub = np.full((len(pick), k), -1 if flip else 1, dtype=np.int8)
+            np.put_along_axis(sub, pick, 1 if flip else -1, axis=1)
+            spins = np.repeat(spins, len(sub), axis=0)
+            spins[:, members] = np.tile(sub, (len(spins) // len(sub), 1))
+        blocks.append(spins[spins[:, 0] == 1])
+    spins = np.concatenate(blocks)
+    step = max(1, _SWITCH_MAX_WORK // (n * n))
+    return _distinct_matrices(np.concatenate([
+        _distinct_matrices(chunk[:, :, None] * chunk[:, None, :] * adj)
+        for chunk in np.split(spins, range(step, len(spins), step))]))
+
+
+@lru_cache(maxsize=None)
+def _slot_takes(slots: int, size: int) -> np.ndarray:
+    """For each choice of `size` of `slots` slots (_subsets order), the column
+    of [the other slots in order, the chosen slots] that fills each slot
+    (read-only): the arrangement table of _twin_arrangements."""
+    take = np.argsort([[j for j in range(slots) if j not in pick] + list(pick)
+                       for pick in _subsets(slots, size).tolist()], axis=1)
+    take.setflags(write=False)
+    return take
+
+
 def _twin_arrangements(adj: np.ndarray, dtype) -> np.ndarray:
     """Vertex maps (M, n), one per arrangement of the signed-twin classes of
     adj inside the twin classes of its underlying graph, k! / (k_1! ... k_t!)
@@ -676,8 +818,7 @@ def _twin_arrangements(adj: np.ndarray, dtype) -> np.ndarray:
             # for each choice of slots for part, the others taking the first
             # k slots in order, the column of [first k slots, part] per slot
             s = k + len(part)
-            take = np.argsort([[j for j in range(s) if j not in pick] + list(pick)
-                               for pick in itertools.combinations(range(s), len(part))], axis=1)
+            take = _slot_takes(s, len(part))
             old = np.empty((len(maps), s), dtype=dtype)
             old[:, :k], old[:, k:] = maps[:, twins[:k]], part
             new = np.repeat(maps[:, None], len(take), axis=1)
@@ -734,13 +875,18 @@ def signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
 def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff some vertex bijection maps g1 onto a switching of g2.
 
-    Exhaustive over the optimal orders up to swaps of signed twins: one for
-    K_n, 126 for a halved K_9, but n! for a signed K_n without signed twins,
-    so it rejects graphs above _SWITCHING_ISO_MAX_ORDER vertices.
+    Compares canonical_signed_code, but the underlying codes first: the sign
+    rows are only computed for isomorphic underlying graphs. Exhaustive over
+    the optimal orders up to swaps of signed twins: one for K_n, 126 for a
+    halved K_9, but n! for a signed K_n without signed twins, so it rejects
+    graphs above _SWITCHING_ISO_MAX_ORDER vertices.
     """
     if g1.n != g2.n:
         return False
     if g1.n > _SWITCHING_ISO_MAX_ORDER:
         raise ValueError(
             f"switching isomorphism capped at {_SWITCHING_ISO_MAX_ORDER} vertices")
-    return canonical_signed_code(g1) == canonical_signed_code(g2)
+    (code1, orders1), (code2, orders2) = (
+        canonical_form(np.abs(g.adj).astype(bool)) for g in (g1, g2))
+    return code1 == code2 and (_least_sign_row(g1.adj, orders1, switched=True)
+                               == _least_sign_row(g2.adj, orders2, switched=True))

@@ -58,6 +58,12 @@ def gst_partition(s: int, t: int) -> list[list[int]]:
     return [[0], [1], list(range(2, s + 2)), list(range(s + 2, n))]
 
 
+# the class sign matrix of gst_partition, inner signs on the diagonal: uv
+# negative, each apex positive to its own side, the clique positive
+_GST_SIGNS = np.array([[0, -1, 1, 0], [-1, 0, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1]])
+_GST_SIGNS.setflags(write=False)
+
+
 def build_gst_maxneg(n: int) -> SignedGraph:
     """The balanced-split family switched at v and the whole u-side, which
     maximizes the negative edge count within the family's switching class."""

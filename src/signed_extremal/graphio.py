@@ -1,8 +1,10 @@
 """Text format for signed graphs.
 
 One graph per file or string: a header line ``n m`` followed by m edge lines
-``u v s`` with 0-indexed vertices and s in {+1,-1}, whitespace separated,
-LF line endings. Violations raise GraphFormatError with the line number.
+``u v s`` with 0-indexed vertices and s in {+1,-1}. Lines end at LF alone and
+tokens are separated by ASCII spaces and tabs alone, in strings and files
+alike, so a CR, U+2028 or a no-break space is part of a token. Violations
+raise GraphFormatError with the line number.
 """
 
 from __future__ import annotations
@@ -29,11 +31,16 @@ def _ints(tokens) -> tuple[int, ...] | None:
     return tuple(map(int, tokens)) if ok else None
 
 
+def _tokens(line: str) -> list[str]:
+    """The tokens of one line: the runs between ASCII spaces and tabs."""
+    return [t for t in line.replace("\t", " ").split(" ") if t]
+
+
 def parse_graph(text: str) -> SignedGraph:
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    lines = text.removesuffix("\n").split("\n")
+    head = _tokens(lines[0])
+    if not head:
         _fail(1, "missing header 'n m'")
-    head = lines[0].split()
     if len(head) != 2:
         _fail(1, f"header must be 'n m', got {lines[0]!r}")
     counts = _ints(head)
@@ -47,7 +54,7 @@ def parse_graph(text: str) -> SignedGraph:
     def edges():
         nonlocal lineno
         for lineno, raw in enumerate(lines[1:], 2):
-            parts = raw.split()
+            parts = _tokens(raw)
             if not parts:
                 continue
             if len(parts) != 3:
@@ -76,7 +83,8 @@ def format_graph(g: SignedGraph) -> str:
 
 
 def read_graph(path) -> SignedGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    # newline="" keeps the line endings as they are, as parse_graph sees a string
+    with open(path, "r", encoding="utf-8", newline="") as fh:
         return parse_graph(fh.read())
 
 

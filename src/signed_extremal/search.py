@@ -110,16 +110,21 @@ from .bounds import (
     rho_bound,
 )
 from .core import (
+    _SWITCH_MAX_WORK,
     SignedGraph,
     _bfs_tree,
     _canonical_labels,
+    _distinct_matrices,
     _label_stack,
     _least_of_orbits,
     _least_sign_row,
     _packed_codes,
     _signed_code,
+    _switched_matrices,
+    _switching_peak,
     _tree_spins,
     _triu_cells,
+    _twin_quotient,
     canonical_form,
     canonical_signed_code,
     find_signed_triangles,
@@ -128,10 +133,12 @@ from .core import (
     switching_equivalent,
 )
 from .families import (
+    _GST_SIGNS,
     build_complete,
     build_gst,
     build_gst_maxneg,
     build_kn_switched_maxneg,
+    gst_partition,
 )
 from .graphio import format_graph
 from .spectral import FORMULA_TOL, SpectralError, eigenvalues
@@ -157,7 +164,7 @@ _EIG_BATCH = 8192
 # classes (or parents, or children) per block while a level is enumerated or
 # a class summary is built, which bounds their transient arrays
 _TABLE_BLOCK = 1024
-_SWITCH_MAX_ORDER = 20  # 2^20 switchings, 12 bytes each while counted
+_T1_2_NEG_MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -803,64 +810,46 @@ def _scan(config: SearchConfig, progress):
     return optimum, witnesses, keys, counters
 
 
-def _mask_spins(masks: np.ndarray, n: int, dtype) -> np.ndarray:
-    """Spins of switching masks, one row each: bit v of a mask switches vertex v."""
-    return (1 - 2 * ((masks[:, None] >> np.arange(n)) & 1)).astype(dtype)
-
-
-def _switching_neg_counts(adj: np.ndarray) -> np.ndarray:
-    """Negative edge count after each of the 2^n switchings of adj, indexed by mask.
-
-    With spins s in {+1, -1}^n and m edges, 4 neg(s) = 2m - s^T A s, a max-cut
-    objective. Split the vertices into L = 0..h-1 and H = h..n-1, h = n // 2:
-    s^T A s = s_L^T A_LL s_L + s_H^T A_HH s_H + 2 s_H^T A_HL s_L (Horowitz and
-    Sahni, J. ACM 21, 1974), so the spin tables of the halves, hi and lo, give
-    every mask from one (hi @ A_HL) @ lo^T: row r, column c is mask r << h | c.
-    Every value is an integer of magnitude at most 2n^2, so float64, which runs
-    in BLAS unlike int matmul, is exact; 2m - s^T A s is a multiple of 4, so
-    the scaling by 0.25 is exact too. Rejects graphs above _SWITCH_MAX_ORDER
-    vertices before allocating.
-    """
-    n = adj.shape[0]
-    if n > _SWITCH_MAX_ORDER:
-        raise ValueError(f"switching maximum capped at {_SWITCH_MAX_ORDER} vertices")
-    h = n // 2
-    a = adj.astype(np.float64)
-    lo = _mask_spins(np.arange(1 << h), h, np.float64)
-    hi = _mask_spins(np.arange(1 << (n - h)), n - h, np.float64)
-    quad = (hi @ (-2 * a[h:, :h])) @ lo.T
-    quad += (np.count_nonzero(adj) - ((hi @ a[h:, h:]) * hi).sum(1))[:, None]
-    quad -= ((lo @ a[:h, :h]) * lo).sum(1)
-    quad *= 0.25
-    return quad.astype(np.int32).ravel()
-
-
-def _neg_edge_maximizers(adj: np.ndarray) -> tuple[int, np.ndarray]:
-    """The largest negative edge count over the switchings of a (G, n, n) int8
-    stack, and an int8 stack of the distinct switched matrices attaining it,
-    sorted by bytes. Each graph is counted once; only the graphs at the running
-    peak keep which masks attain it, and those become matrices at the end."""
+def _quotient_maximizers(quotients, dense) -> tuple[int, np.ndarray]:
+    """The largest negative edge count over the switchings of some graphs, each
+    given by the sizes and class sign matrix of its signed-twin quotient, and
+    an int8 stack of the distinct switched matrices attaining it, sorted by
+    bytes. Each graph is counted once (core._switching_peak); only the graphs
+    at the running peak keep their peak count vectors, which become matrices
+    at the end from dense(i), the sign matrix and classes of graph i. Rejects
+    more than _SWITCH_MAX_WORK switchings at the peak before building any."""
     best, peak = -1, []
-    for a in adj:
-        counts = _switching_neg_counts(a)
-        top = int(counts.max())
+    for i, (sizes, signs) in enumerate(quotients):
+        top, vectors = _switching_peak(sizes, signs)
         if top > best:
             best, peak = top, []
         if top == best:
-            peak.append((a, counts == top))
-        del counts  # so that no two count arrays are alive at once
-    switched = {}
-    for a, at_peak in peak:
-        spins = _mask_spins(np.flatnonzero(at_peak), len(a), np.int8)
-        switched.update((m.tobytes(), m) for m in spins[:, :, None] * spins[:, None, :] * a)
-    return best, np.stack([switched[k] for k in sorted(switched)])
+            peak.append((i, vectors))
+    switchings = sum(math.prod(map(math.comb, quotients[i][0].tolist(), c))
+                     for i, vectors in peak for c in vectors.tolist())
+    if switchings > _SWITCH_MAX_WORK:
+        raise ValueError(f"switching maximum capped at {_SWITCH_MAX_WORK} switchings "
+                         f"at the peak, got {switchings}")
+    return best, _distinct_matrices(np.concatenate(
+        [_switched_matrices(*dense(i), vectors) for i, vectors in peak]))
+
+
+def _neg_edge_maximizers(adj: np.ndarray) -> tuple[int, np.ndarray]:
+    """_quotient_maximizers of a (G, n, n) int8 stack, on each graph's
+    core._twin_quotient."""
+    quotients = [_twin_quotient(a) for a in adj]
+    return _quotient_maximizers([q[1:] for q in quotients], lambda i: (adj[i], quotients[i][0]))
 
 
 def switching_neg_edge_maximum(g: SignedGraph):
     """Maximum negative edge count over all 2^n switchings of g, and the
     distinct switched graphs attaining it, sorted by sign matrix bytes: the
-    rows of _neg_edge_maximizers(g.adj[None]) as SignedGraphs. Rejects graphs
-    above _SWITCH_MAX_ORDER vertices."""
+    rows of _neg_edge_maximizers(g.adj[None]) as SignedGraphs. Switchings are
+    counted by how many vertices they take from each class of signed twins,
+    so the cap is on work, not on n: g is rejected when these count vectors,
+    prod (k_i + 1) over classes of k_i twins, number more than 2^20 (a
+    twin-free graph above 20 vertices), or when more than 2^20 switchings
+    attain the maximum."""
     best, maximizers = _neg_edge_maximizers(g.adj[None])
     return best, [SignedGraph._trusted(a) for a in maximizers]
 
@@ -953,11 +942,13 @@ def _verify_t1_2_neg(n: int, progress) -> BoundReport:
                  f"{len(found.witnesses)} maximizers, {hits} in canonical layout")
         details = {"counts": found.counts, "matched_family": found.matched_family}
     else:
-        # beyond enumeration range: the 2^n switchings of every split of the
-        # extremal construction. A second split at the peak would add the
-        # switchings of another underlying graph to the maximizers
-        splits = np.stack([build_gst(s, n - 2 - s).adj for s in range(1, (n - 2) // 2 + 1)])
-        observed, maximizers = _neg_edge_maximizers(splits)
+        # beyond enumeration range: the switchings of every split of the
+        # extremal construction, counted on its quotient. A second split at
+        # the peak would add the switchings of another underlying graph
+        splits = [(s, n - 2 - s) for s in range(1, (n - 2) // 2 + 1)]
+        observed, maximizers = _quotient_maximizers(
+            [(np.array([1, 1, s, t]), _GST_SIGNS) for s, t in splits],
+            lambda i: (build_gst(*splits[i]).adj, gst_partition(*splits[i])))
         structure_ok = np.array_equal(maximizers, build_gst_maxneg(n).adj[None])
         witness = SignedGraph._trusted(maximizers[0])
         notes = "switchings of the construction family (n beyond enumeration)"
@@ -1020,7 +1011,7 @@ def _verify_l3_6_order(n: int, progress) -> BoundReport:
 _VERIFIERS = {
     "T1_1": (3, _MAX_N, _verify_t1_1),
     "T1_2_EDGES": (_MIN_N, _MAX_N, _verify_t1_2_edges),
-    "T1_2_NEG": (4, 16, _verify_t1_2_neg),
+    "T1_2_NEG": (4, _T1_2_NEG_MAX_N, _verify_t1_2_neg),
     "T1_3": (_MIN_N, _MAX_N, _verify_t1_3),
     "L2_2": (3, 12, _verify_l2_2),
     "L3_6_ORDER": (5, 40, _verify_l3_6_order),

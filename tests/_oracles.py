@@ -8,7 +8,8 @@ that must agree exactly with the faster code that replaced them:
 
 - the per-order and per-mask loops that the batched canonical_signed_code
   and switching_neg_edge_maximum replaced, and the one-matmul count over all
-  masks that the half-table split of _switching_neg_counts replaced;
+  masks that the count vectors of signed-twin classes (core._switching_peak)
+  replaced;
 - the row loop that the stacked GF(2) elimination replaced;
 - the per-graph colour refinement and canonical deletion test that the
   level-wide numpy passes replaced;

@@ -50,6 +50,7 @@ from signed_extremal.search import (
     _connected_class_bitmaps,
     _table_block,
     enumerate_underlying,
+    verify_theorem,
 )
 
 from _oracles import (
@@ -428,6 +429,32 @@ class TestSwitchingIsomorphic:
         with pytest.raises(ValueError, match="capped"):
             switching_isomorphic(g, g)
 
+    def test_sign_rows_only_for_isomorphic_underlying_graphs(self, monkeypatch):
+        def no_rows(*args, **kwargs):
+            raise AssertionError("sign row computed")
+
+        monkeypatch.setattr(core, "_least_sign_row", no_rows)
+        pairs = [(build_gst(1, 3), build_gst(2, 2)), (build_gst(1, 6), build_gst(2, 5))]
+        # seeded pairs whose edge counts differ, so their underlying graphs do
+        pool = list(seeded_signed_graphs(71, 6, 8))
+        pairs += [(g, h) for g, h in itertools.combinations(pool, 2)
+                  if g.edge_count != h.edge_count]
+        assert len(pairs) > 10
+        for g, h in pairs:
+            assert not switching_isomorphic(g, h)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
+    def test_matches_the_full_keys_on_seeded_pairs(self, n):
+        # relabelled and switched copies, and every other graph of the pool
+        rng = np.random.default_rng(n)
+        pool = [*seeded_signed_graphs(500 + n, n, 5), *planted_twin_graphs(600 + n, n, 2)]
+        keys = [canonical_signed_code(g) for g in pool]
+        for g, key in zip(pool, keys):
+            moved = switch(permute(g, rng.permutation(n)), np.flatnonzero(rng.random(n) < 0.5))
+            assert switching_isomorphic(g, moved)
+            for h, other in zip(pool, keys):
+                assert switching_isomorphic(g, h) == (key == other)
+
     def test_exhaustive_against_permutation_scan(self):
         # every permuted-and-switched copy must be recognized; graphs from
         # different switching classes of the same underlying must not be
@@ -752,6 +779,21 @@ class TestSignedTwins:
         assert canonical_signed_code(g) == expected
         assert signed_isomorphic(g, g)
         assert batches == [evaluated] * 3
+
+    def test_arrangement_tables_are_cached_and_read_only(self):
+        # the ten winners of L2_2 at n = 6 and its target are halved K_6:
+        # one table of the C(6, 3) choices of slots for the second class
+        core._slot_takes.cache_clear()
+        assert verify_theorem("L2_2", 6).passed
+        info = core._slot_takes.cache_info()
+        assert (info.misses, info.hits) == (1, 10)
+        for slots in range(1, 7):
+            for size in range(1, slots + 1):
+                take = core._slot_takes(slots, size)
+                assert not take.flags.writeable
+                assert take.tolist() == np.argsort(
+                    [[j for j in range(slots) if j not in pick] + list(pick)
+                     for pick in itertools.combinations(range(slots), size)], axis=1).tolist()
 
     def test_chunks_split_the_arrangements(self, monkeypatch):
         # at 3 orders per chunk: the 35 arrangements of the halved K_7's one

@@ -70,6 +70,31 @@ class TestParseErrors:
         with pytest.raises(GraphFormatError, match=f"line {line}: .* must be .*integers"):
             parse_graph(text)
 
+    @pytest.mark.parametrize("text,line", [
+        ("2 1\r0 1 +1", 1),
+        ("2 1\u20280 1 +1\n", 1),
+        ("2 1\n0\xa01 +1\n", 2),
+        ("2 1\r\n0 1 +1\r\n", 1),
+        ("2 1\n0 1 +1\x0c\n", 2),
+    ], ids=["cr", "line-separator", "no-break-space", "crlf", "form-feed"])
+    def test_lf_lines_and_ascii_blanks_only(self, text, line):
+        # str.splitlines and str.split would read each as a one-edge graph
+        with pytest.raises(GraphFormatError, match=f"line {line}: "):
+            parse_graph(text)
+
+    def test_tabs_and_runs_of_spaces_separate(self):
+        assert parse_graph("2  1\t\n\t0 1\t\t-1 \n").adj[0, 1] == -1
+
+    def test_files_follow_the_string_rule(self, tmp_path):
+        # read_graph does not translate line endings, so a CRLF file fails
+        # where the same bytes as a string do
+        path = tmp_path / "g.sg"
+        path.write_bytes(b"2 1\r\n0 1 +1\r\n")
+        with pytest.raises(GraphFormatError, match="line 1: "):
+            read_graph(path)
+        path.write_bytes(b"2 1\n0 1 +1\n")
+        assert read_graph(path).edge_count == 1
+
     def test_blank_lines_tolerated(self):
         g = parse_graph("2 1\n\n0 1 +1\n\n")
         assert g.edge_count == 1

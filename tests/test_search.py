@@ -9,13 +9,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from signed_extremal.bounds import SPECTRAL_SLACK, rho_bound
+from signed_extremal.bounds import SPECTRAL_SLACK, neg_edge_bound, rho_bound
 from signed_extremal.core import (
     SignedGraph,
     _all_twin_classes,
     _label_stack,
     _packed_codes,
     _refine,
+    _switching_peak,
+    _twin_quotient,
     canonical_signed_code,
     canonical_switch,
     is_balanced,
@@ -73,6 +75,7 @@ from _oracles import (
     per_mask_neg_edge_maximum,
     per_parent_orbit_masks,
     permutation_rows,
+    planted_twin_graphs,
     row_loop_gf2_solutions,
     seeded_signed_graphs,
     unpruned_canonical_children,
@@ -1137,41 +1140,82 @@ class TestSwitchingNegMaximum:
             assert best == ref_best
             assert maxs == ref_maxs
 
-    def test_half_tables_match_the_one_matmul_reference(self):
-        # odd n splits unevenly, and at n = 1 the low half is empty
-        for n in range(1, 17):
-            for g in seeded_signed_graphs(200 + n, n, 3):
-                counts = SEARCH._switching_neg_counts(g.adj)
-                assert counts.dtype == np.int32 and counts.shape == (1 << n,)
-                np.testing.assert_array_equal(counts, all_mask_neg_counts(g.adj))
-                if n <= 6:
-                    assert counts.tolist() == [
-                        brute_switch(g, [v for v in range(n) if (mask >> v) & 1]).neg_edge_count
-                        for mask in range(1 << n)]
+    @pytest.mark.parametrize("n", range(1, 17))
+    def test_peak_vectors_count_the_peak_masks(self, n):
+        # the 2^n mask counts decide the peak; its count vectors are exactly
+        # how many vertices of each signed-twin class the peak masks switch.
+        # Odd n splits the grid unevenly, at n = 1 one run is empty, and the
+        # planted twins give classes of two and more
+        graphs = list(seeded_signed_graphs(200 + n, n, 3))
+        if 3 <= n <= 10:
+            graphs += planted_twin_graphs(400 + n, n, 2)
+        for g in graphs:
+            classes, sizes, signs = _twin_quotient(g.adj)
+            counts = all_mask_neg_counts(g.adj)
+            top, vectors = _switching_peak(sizes, signs)
+            assert top == counts.max()
+            bits = (np.flatnonzero(counts == top)[:, None] >> np.arange(n)) & 1
+            peak = np.stack([bits[:, c].sum(1) for c in classes], axis=1)
+            assert sorted(map(tuple, vectors.tolist())) == sorted(set(map(tuple, peak.tolist())))
+            assert switching_neg_edge_maximum(g) == per_mask_neg_edge_maximum(g)
 
-    def test_order_cap_is_checked_before_allocating(self, monkeypatch):
-        def no_spins(*args):
-            raise AssertionError("spin tables built")
+    def test_quotient_matches_the_definition(self):
+        # inner signs on the diagonal, 0 for a class of one vertex
+        classes, sizes, signs = _twin_quotient(build_gst(2, 3).adj)
+        assert classes == [[0], [1], [2, 3], [4, 5, 6]]
+        assert sizes.tolist() == [1, 1, 2, 3]
+        assert signs.tolist() == [[0, -1, 1, 0], [-1, 0, 0, 1], [1, 0, 1, 1], [0, 1, 1, 1]]
+        assert np.array_equal(signs, SEARCH._GST_SIGNS)
+        for g in planted_twin_graphs(7, 7, 4):
+            classes, sizes, signs = _twin_quotient(g.adj)
+            for (i, a), (j, b) in itertools.product(enumerate(classes), repeat=2):
+                cells = {int(g.adj[u, v]) for u in a for v in b if u != v}
+                assert cells <= {int(signs[i, j])} and (cells or sizes[i] == 1)
 
-        monkeypatch.setattr(SEARCH, "_mask_spins", no_spins)
-        with pytest.raises(ValueError, match="capped at 20 vertices"):
-            switching_neg_edge_maximum(build_gst(1, 18))
-        # 20 vertices pass the cap and reach the spin tables
-        with pytest.raises(AssertionError, match="spin tables built"):
-            switching_neg_edge_maximum(build_gst(1, 17))
+    def test_work_caps_are_checked_before_allocating(self, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("grid built")
 
-    def test_peak_memory_per_switching(self):
-        # the n = 16 count holds one float64 table and its int32 copy, about
-        # 12 bytes per switching, plus half tables of 2^8 rows
-        adj = build_gst(1, 13).adj
-        SEARCH._switching_neg_counts(adj)
+        def no_matrices(*args):
+            raise AssertionError("matrices built")
+
+        def path(n):
+            return new_signed_graph(n, [(v, v + 1, 1) for v in range(n - 1)])
+
+        # a twin-free path: 2^21 count vectors are refused, 2^20 reach the grid
+        monkeypatch.setattr(sys.modules[canonical_signed_code.__module__], "_count_grid", no_grid)
+        with pytest.raises(ValueError, match="capped at 1048576 count vectors, got 2097152"):
+            switching_neg_edge_maximum(path(21))
+        with pytest.raises(AssertionError, match="grid built"):
+            switching_neg_edge_maximum(path(20))
+        monkeypatch.undo()
+        # 22 count vectors of 21 edgeless twins, all at the peak: 2^21 switchings
+        monkeypatch.setattr(SEARCH, "_switched_matrices", no_matrices)
+        with pytest.raises(ValueError, match="capped at 1048576 switchings at the peak"):
+            switching_neg_edge_maximum(new_signed_graph(21, []))
+        with pytest.raises(AssertionError, match="matrices built"):
+            switching_neg_edge_maximum(new_signed_graph(20, []))
+
+    def test_no_cap_on_the_vertex_count(self):
+        # gst(199, 200) on 401 vertices has four classes and 160,800 count
+        # vectors; its one maximizer is the layout of T1_2_NEG
+        best, maxs = switching_neg_edge_maximum(build_gst(199, 200))
+        assert best == neg_edge_bound(401) and maxs == [build_gst_maxneg(401)]
+
+    def test_peak_memory_per_count_vector(self):
+        # a twin-free graph on 16 vertices: one float32 table of 2^16 values
+        # and count grids of 2^8 rows, so at most 8 bytes per count vector
+        g = new_signed_graph(16, [(v, v + 1, 1) for v in range(15)])
+        sizes, signs = _twin_quotient(g.adj)[1:]
+        assert len(sizes) == 16
+        _switching_peak(sizes, signs)
         tracemalloc.start()
         try:
-            SEARCH._switching_neg_counts(adj)
+            _switching_peak(sizes, signs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 << 16
+        assert peak <= 8 << 16
 
 
 def merged_neg_edge_maximizers(graphs):
@@ -1209,17 +1253,50 @@ class TestNegEdgeMaximizers:
         assert self.stacked_maximizers(graphs) == merged_neg_edge_maximizers(graphs)
 
     def test_each_graph_is_counted_once(self, monkeypatch):
-        counted = []
-        counts = SEARCH._switching_neg_counts
+        quotients, counted = [], []
+        twin_quotient, switching_peak = SEARCH._twin_quotient, SEARCH._switching_peak
 
-        def counting(adj):
-            counted.append(adj.tobytes())
-            return counts(adj)
+        def quotient(adj):
+            quotients.append(adj.tobytes())
+            return twin_quotient(adj)
 
-        monkeypatch.setattr(SEARCH, "_switching_neg_counts", counting)
+        def counting(sizes, signs):
+            counted.append(len(sizes))
+            return switching_peak(sizes, signs)
+
+        monkeypatch.setattr(SEARCH, "_twin_quotient", quotient)
+        monkeypatch.setattr(SEARCH, "_switching_peak", counting)
         graphs = self.mixed_peaks()
         self.stacked_maximizers(graphs)
-        assert counted == [g.adj.tobytes() for g in graphs]
+        assert quotients == [g.adj.tobytes() for g in graphs]
+        assert counted == [len(twin_quotient(g.adj)[0]) for g in graphs]
+
+    @pytest.mark.parametrize("n", [17, 21])
+    def test_t1_2_neg_past_sixteen(self, n, monkeypatch):
+        # odd n beyond the old 2^n kernel's range; a bound off by one either
+        # way fails, and the report still states the observed peak
+        rep = verify_theorem("T1_2_NEG", n)
+        assert rep.passed and rep.observed == neg_edge_bound(n)
+        assert np.array_equal(rep.witness.adj, build_gst_maxneg(n).adj)
+        for off in (1, -1):
+            monkeypatch.setattr(SEARCH, "neg_edge_bound", lambda n, off=off: neg_edge_bound(n) + off)
+            rep = verify_theorem("T1_2_NEG", n)
+            assert rep.observed == neg_edge_bound(n) and not rep.passed
+
+    def test_t1_2_neg_at_large_n_never_stacks_the_splits(self):
+        # one split's float32 table at a time, about 4 n^2 bytes at the middle
+        # split, and no n x n matrix but the maximizer's: a stack of the 199
+        # splits would take 199 n^2
+        n = 400
+        verify_theorem("T1_2_NEG", n)
+        tracemalloc.start()
+        try:
+            rep = verify_theorem("T1_2_NEG", n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.passed and rep.details["splits"] == 199
+        assert peak < 8 * n * n
 
     def test_t1_2_neg_fails_when_the_maximizer_is_not_the_layout(self, monkeypatch):
         # a switched copy is switching equivalent to the layout, but not the
@@ -1492,11 +1569,11 @@ class TestVerifyTheorem:
         with pytest.raises(ValueError):
             verify_theorem("L3_6_ORDER", 41)
         with pytest.raises(ValueError):
-            verify_theorem("T1_2_NEG", 17)
+            verify_theorem("T1_2_NEG", 1001)
 
     @pytest.mark.parametrize("side", ["below", "above"])
     @pytest.mark.parametrize("name,lo,hi", [
-        ("T1_1", 3, 8), ("T1_2_EDGES", 4, 8), ("T1_2_NEG", 4, 16), ("T1_3", 4, 8),
+        ("T1_1", 3, 8), ("T1_2_EDGES", 4, 8), ("T1_2_NEG", 4, 1000), ("T1_3", 4, 8),
         ("L2_2", 3, 12), ("L3_6_ORDER", 5, 40)])
     def test_each_verifier_refuses_the_orders_next_to_its_range(self, name, lo, hi, side):
         with pytest.raises(ValueError) as refused:
