@@ -754,10 +754,14 @@ def _subsets(k: int, m: int) -> np.ndarray:
 
 
 def _distinct_matrices(stack: np.ndarray) -> np.ndarray:
-    """The distinct matrices of an int8 stack (G, n, n), sorted by their bytes."""
+    """The distinct matrices of an int8 stack (G, n, n), sorted by their bytes.
+    Sorted as one void scalar each, which compares bytewise; np.unique would
+    import numpy.ma on its first call, about 10 ms and 0.5 MB."""
     n = stack.shape[1]
-    rows = stack.reshape(len(stack), n * n).view(np.dtype((np.void, n * n)))
-    return np.unique(rows.ravel()).view(np.int8).reshape(-1, n, n)
+    rows = np.sort(stack.reshape(len(stack), n * n).view(np.dtype((np.void, n * n))).ravel())
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = rows[1:] != rows[:-1]
+    return rows[keep].view(np.int8).reshape(-1, n, n)
 
 
 def _switched_matrices(adj: np.ndarray, classes: list[list[int]],
