@@ -766,20 +766,23 @@ def _distinct_matrices(stack: np.ndarray) -> np.ndarray:
 
 def _switched_matrices(adj: np.ndarray, classes: list[list[int]],
                        vectors: np.ndarray) -> np.ndarray:
-    """The distinct matrices, sorted by bytes, of every switching of the sign
-    matrix adj that takes c_i vertices of its signed-twin class i, for each
-    count vector c of vectors: prod C(k_i, c_i) switchings per vector. Each
-    class picks its minority side, so a class switched whole or not at all
-    picks nothing. A switching and its complement give one matrix, and
-    vectors holds k - c with each c when they are the peak of _switching_peak
-    (neg(c) = neg(k - c)), so only the switchings that keep vertex 0 become
-    matrices, _SWITCH_MAX_WORK cells at a time."""
+    """The matrices of every switching of the sign matrix adj that takes c_i
+    vertices of its signed-twin class i, for each count vector c of vectors:
+    prod C(k_i, c_i) switchings per vector. A class switched in part picks its
+    minority side (_subsets), so C(k, 1) = k rows cost k, not 2^k. A switching
+    and its complement give one matrix, and vectors holds k - c with each c
+    when they are the peak of _switching_peak (neg(c) = neg(k - c)), so only
+    the switchings that keep vertex 0 become matrices, _SWITCH_MAX_WORK cells
+    at a time, each batch without duplicates (_distinct_matrices)."""
     n = len(adj)
     blocks = []
     for c in vectors.tolist():
         spins = np.ones((1, n), dtype=np.int8)
         for members, ci in zip(classes, c):
             k = len(members)
+            if ci in (0, k):  # switched whole or not at all
+                spins[:, members] = 1 if ci == 0 else -1
+                continue
             flip = 2 * ci > k
             pick = _subsets(k, k - ci if flip else ci)
             sub = np.full((len(pick), k), -1 if flip else 1, dtype=np.int8)
@@ -789,18 +792,17 @@ def _switched_matrices(adj: np.ndarray, classes: list[list[int]],
         blocks.append(spins[spins[:, 0] == 1])
     spins = np.concatenate(blocks)
     step = max(1, _SWITCH_MAX_WORK // (n * n))
-    return _distinct_matrices(np.concatenate([
-        _distinct_matrices(chunk[:, :, None] * chunk[:, None, :] * adj)
-        for chunk in np.split(spins, range(step, len(spins), step))]))
+    return np.concatenate([_distinct_matrices(chunk[:, :, None] * chunk[:, None, :] * adj)
+                           for chunk in np.split(spins, range(step, len(spins), step))])
 
 
 @lru_cache(maxsize=None)
 def _slot_takes(slots: int, size: int) -> np.ndarray:
-    """For each choice of `size` of `slots` slots (_subsets order), the column
-    of [the other slots in order, the chosen slots] that fills each slot
-    (read-only): the arrangement table of _twin_arrangements."""
+    """For each choice of `size` of `slots` slots, the column of [the other
+    slots in order, the chosen slots] that fills each slot (read-only): the
+    arrangement table of _twin_arrangements."""
     take = np.argsort([[j for j in range(slots) if j not in pick] + list(pick)
-                       for pick in _subsets(slots, size).tolist()], axis=1)
+                       for pick in itertools.combinations(range(slots), size)], axis=1)
     take.setflags(write=False)
     return take
 

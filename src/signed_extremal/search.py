@@ -164,7 +164,6 @@ _EIG_BATCH = 8192
 # classes (or parents, or children) per block while a level is enumerated or
 # a class summary is built, which bounds their transient arrays
 _TABLE_BLOCK = 1024
-_T1_2_NEG_MAX_N = 1000
 
 
 @dataclass(frozen=True)
@@ -944,8 +943,11 @@ def _verify_t1_2_neg(n: int, progress) -> BoundReport:
     else:
         # beyond enumeration range: the switchings of every split of the
         # extremal construction, counted on its quotient. A second split at
-        # the peak would add the switchings of another underlying graph
-        splits = [(s, n - 2 - s) for s in range(1, (n - 2) // 2 + 1)]
+        # the peak would add the switchings of another underlying graph. The
+        # most even split, with the largest table, comes first, so the
+        # smaller tables reuse the memory it freed: growing tables would each
+        # fault in fresh pages (n = 1000 takes 0.4 s cold, not 0.8 s)
+        splits = [(s, n - 2 - s) for s in range((n - 2) // 2, 0, -1)]
         observed, maximizers = _quotient_maximizers(
             [(np.array([1, 1, s, t]), _GST_SIGNS) for s, t in splits],
             lambda i: (build_gst(*splits[i]).adj, gst_partition(*splits[i])))
@@ -1011,7 +1013,7 @@ def _verify_l3_6_order(n: int, progress) -> BoundReport:
 _VERIFIERS = {
     "T1_1": (3, _MAX_N, _verify_t1_1),
     "T1_2_EDGES": (_MIN_N, _MAX_N, _verify_t1_2_edges),
-    "T1_2_NEG": (4, _T1_2_NEG_MAX_N, _verify_t1_2_neg),
+    "T1_2_NEG": (4, 1000, _verify_t1_2_neg),
     "T1_3": (_MIN_N, _MAX_N, _verify_t1_3),
     "L2_2": (3, 12, _verify_l2_2),
     "L3_6_ORDER": (5, 40, _verify_l3_6_order),

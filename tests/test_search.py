@@ -1202,6 +1202,17 @@ class TestSwitchingNegMaximum:
         best, maxs = switching_neg_edge_maximum(build_gst(199, 200))
         assert best == neg_edge_bound(401) and maxs == [build_gst_maxneg(401)]
 
+    def test_a_large_class_switched_in_part(self):
+        # a positive K_30 joined negatively to 28 independent vertices: each
+        # of the 30 switchings of one clique vertex gains 29 - 28 edges, so
+        # the peak splits a class of 30 twins into 1 and 29
+        clique, other = range(30), range(30, 58)
+        g = new_signed_graph(58, [(u, v, 1) for u, v in itertools.combinations(clique, 2)]
+                             + [(u, v, -1) for u in clique for v in other])
+        best, maxs = switching_neg_edge_maximum(g)
+        assert best == 30 * 28 + 1
+        assert maxs == sorted((switch(g, [u]) for u in clique), key=lambda h: h.adj.tobytes())
+
     def test_peak_memory_per_count_vector(self):
         # a twin-free graph on 16 vertices: one float32 table of 2^16 values
         # and count grids of 2^8 rows, so at most 8 bytes per count vector
