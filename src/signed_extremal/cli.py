@@ -114,12 +114,14 @@ def _enum_value(raw: str, allowed, what: str) -> str:
     return key
 
 
-def _write_report(args, out, json_report: str, header: str, rows, lines, log=()) -> None:
-    """Print a report in args.format: the JSON text, the CSV header and rows, or
-    the table lines (and then the log lines on stderr). The one renderer of CSV
-    fields: None is empty, a str is itself, anything else goes to json_scalar."""
+def _write_report(args, out, to_json, header: str, rows, lines, log=()) -> None:
+    """Print a report in args.format: the JSON text that to_json() returns, the
+    CSV header and rows, or the table lines (and then the log lines on stderr).
+    The JSON is only built when printed: a verify report at n = 1000 holds a
+    witness of 499,500 edges. The one renderer of CSV fields: None is empty, a
+    str is itself, anything else goes to json_scalar."""
     if args.format == "json":
-        print(json_report, file=out)
+        print(to_json(), file=out)
     elif args.format == "csv":
         print(header, file=out)
         for row in rows:
@@ -148,7 +150,7 @@ def _cmd_construct(args, out) -> int:
 def _cmd_spectrum(args, out) -> int:
     g = read_graph(args.infile)
     sp = eigenvalues(g)
-    _write_report(args, out, spectrum_to_json(sp), "index,eigenvalue",
+    _write_report(args, out, lambda: spectrum_to_json(sp), "index,eigenvalue",
                   enumerate(sp.eigenvalues, start=1),
                   [f"n {g.n}  e {g.edge_count}  e_neg {g.neg_edge_count}",
                    *(f"lambda_{i} {fmt_float(v)}" for i, v in enumerate(sp.eigenvalues, start=1)),
@@ -164,7 +166,7 @@ def _cmd_check(args, out) -> int:
     results = run_all_suites(args.seed, args.instances)
     suites = [{"suite": r.name, "instances": r.instances,
                "violations": r.violations, "passed": r.passed} for r in results]
-    _write_report(args, out, json_text({"seed": args.seed, "suites": suites}),
+    _write_report(args, out, lambda: json_text({"seed": args.seed, "suites": suites}),
                   "suite,instances,violations,passed",
                   [(r.name, r.instances, r.violations, r.passed) for r in results],
                   [f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.instances} instances, "
@@ -178,7 +180,7 @@ def _cmd_bounds(args, out) -> int:
         n = args.n
         plain = {"edge_bound": edge_bound(n), "neg_edge_bound": neg_edge_bound(n),
                  "rho_bound": rho_bound(n)}
-        _write_report(args, out, json_text({"n": n, **plain}), "bound_name,n,bound_value",
+        _write_report(args, out, lambda: json_text({"n": n, **plain}), "bound_name,n,bound_value",
                       [(k, n, v) for k, v in plain.items()],
                       [f"{k}({n}) = {json_scalar(v)}" for k, v in plain.items()])
         return 0
@@ -189,7 +191,7 @@ def _cmd_bounds(args, out) -> int:
                           spectral=True),
         clique_spectral_bound(g),
     ]
-    _write_report(args, out, json_text(reports),
+    _write_report(args, out, lambda: json_text(reports),
                   "bound_name,n,bound_value,observed,satisfied",
                   [(r.bound_name, r.n, r.bound_value, r.observed, r.satisfied)
                    for r in reports],
@@ -220,7 +222,7 @@ def _cmd_search(args, out) -> int:
     print(f"wall_time: {rep.wall_time:.3f}s", file=sys.stderr)
     found = list(zip(rep.witnesses, rep.matched_family))
     c = rep.counts
-    _write_report(args, out, rep.to_json(), "witness,optimum,edges,neg_edges,matched_family",
+    _write_report(args, out, rep.to_json, "witness,optimum,edges,neg_edges,matched_family",
                   [(i, rep.optimum, w.edge_count, w.neg_edge_count, fam)
                    for i, (w, fam) in enumerate(found, start=1)],
                   [f"optimum {json_scalar(rep.optimum)}",
@@ -234,7 +236,7 @@ def _cmd_search(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     rep = verify_theorem(args.theorem, args.n, progress=_make_progress())
-    _write_report(args, out, rep.to_json(),
+    _write_report(args, out, rep.to_json,
                   "bound_name,n,bound_value,observed,satisfied,passed",
                   [(rep.bound_name, rep.n, rep.bound_value, rep.observed, rep.satisfied,
                     rep.passed)],

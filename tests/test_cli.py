@@ -412,9 +412,23 @@ class TestUsage:
 
     def test_csv_fields(self):
         out = io.StringIO()
-        _write_report(argparse.Namespace(format="csv"), out, "{}", "a,b,c,d,e,f",
+        _write_report(argparse.Namespace(format="csv"), out, lambda: "{}", "a,b,c,d,e,f",
                       [(None, True, False, 1.5, 7, "gst(1,2)")], ["table"])
         assert out.getvalue() == "a,b,c,d,e,f\n,true,false,1.5,7,gst(1,2)\n"
+
+    def test_json_text_is_built_only_for_json(self, monkeypatch):
+        # a table or CSV verify report never formats its witness as JSON text
+        from signed_extremal.bounds import BoundReport
+
+        def no_json(self):
+            raise AssertionError("json built")
+
+        monkeypatch.setattr(BoundReport, "to_json", no_json)
+        for fmt in ("table", "csv"):
+            code, text = run_cli("verify", "--theorem", "t1_2_neg", "--n", "40", "--format", fmt)
+            assert code == 0 and "t1_2_neg" in text
+        with pytest.raises(AssertionError, match="json built"):
+            run_cli("verify", "--theorem", "t1_2_neg", "--n", "40", "--format", "json")
 
     def test_internal_numeric_failure_exit_3(self, monkeypatch):
         from signed_extremal import cli
