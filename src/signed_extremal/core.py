@@ -699,9 +699,9 @@ def _switching_peak(sizes: np.ndarray, signs: np.ndarray) -> tuple[int, np.ndarr
     least, and A is the smaller one, so the table's rows are long; on a
     twin-free graph the grid is the 2^n switchings and the runs hold n // 2
     and n - n // 2 vertices. Every term and partial sum is an integer of
-    magnitude below 5 n^2, so float32, which runs in BLAS unlike int matmul,
-    is exact while 5 n^2 < 2^24, and float64 is beyond. Rejects a grid of more
-    than _SWITCH_MAX_WORK vectors before allocating.
+    magnitude below 5 n^2, so float64, which runs in BLAS unlike int matmul,
+    is exact. Rejects a grid of more than _SWITCH_MAX_WORK vectors before
+    allocating.
     """
     radix = (sizes + 1).tolist()
     total = math.prod(radix)
@@ -713,19 +713,18 @@ def _switching_peak(sizes: np.ndarray, signs: np.ndarray) -> tuple[int, np.ndarr
     runs = [slice(h), slice(h, None)]
     if prefix[h] ** 2 > total:
         runs.reverse()
-    dtype = np.float32 if 5 * int(sizes.sum()) ** 2 < 1 << 24 else np.float64
-    a, b = (_count_grid(sizes[run]).astype(dtype) for run in runs)
-    s = signs.astype(dtype)
-    gain = s @ sizes.astype(dtype)
+    a, b = (_count_grid(sizes[run]).astype(np.float64) for run in runs)
+    s = signs.astype(np.float64)
+    gain = s @ sizes
 
     def own(c, run):
         return c @ gain[run] - ((c @ s[run, run]) * c).sum(1)
 
     # one matmul adds each run's own terms as well: [a S'_AB, own_A, 1] times
     # [b, 1, own_B], S' = -2 S
-    (ra, rb), one = runs, np.ones(1, dtype)
-    table = (np.column_stack([a @ (-2 * s[ra, rb]), own(a, ra), one.repeat(len(a))])
-             @ np.column_stack([b, one.repeat(len(b)), own(b, rb)]).T)
+    ra, rb = runs
+    table = (np.column_stack([a @ (-2 * s[ra, rb]), own(a, ra), np.ones(len(a))])
+             @ np.column_stack([b, np.ones(len(b)), own(b, rb)]).T)
     # ties are few, so only the rows that reach the top are compared whole
     row_top = table.max(axis=1)
     top = row_top.max()
@@ -736,21 +735,6 @@ def _switching_peak(sizes: np.ndarray, signs: np.ndarray) -> tuple[int, np.ndarr
     negative = signs == -1
     neg0 = (sizes @ negative @ sizes - sizes @ negative.diagonal()) // 2
     return int(neg0 + top), vectors
-
-
-def _subsets(k: int, m: int) -> np.ndarray:
-    """Every m-subset of range(k) as an ascending row of indices, in
-    lexicographic order (the order of itertools.combinations). Each pass
-    appends one entry to every row: each value above the row's last that
-    leaves room for the entries still to come."""
-    rows = np.zeros((1, 0), dtype=np.intp)
-    for p in range(m):
-        low = rows[:, -1] + 1 if p else np.zeros(1, dtype=np.intp)
-        reps = k - m + p + 1 - low
-        ends = np.cumsum(reps)
-        rows = np.column_stack([np.repeat(rows, reps, axis=0),
-                                np.arange(ends[-1]) - np.repeat(ends - reps - low, reps)])
-    return rows
 
 
 def _distinct_matrices(stack: np.ndarray) -> np.ndarray:
@@ -769,7 +753,7 @@ def _switched_matrices(adj: np.ndarray, classes: list[list[int]],
     """The matrices of every switching of the sign matrix adj that takes c_i
     vertices of its signed-twin class i, for each count vector c of vectors:
     prod C(k_i, c_i) switchings per vector. A class switched in part picks its
-    minority side (_subsets), so C(k, 1) = k rows cost k, not 2^k. A switching
+    minority side, so C(k, 1) = k rows cost k, not 2^k. A switching
     and its complement give one matrix, and vectors holds k - c with each c
     when they are the peak of _switching_peak (neg(c) = neg(k - c)), so only
     the switchings that keep vertex 0 become matrices, _SWITCH_MAX_WORK cells
@@ -784,7 +768,9 @@ def _switched_matrices(adj: np.ndarray, classes: list[list[int]],
                 spins[:, members] = 1 if ci == 0 else -1
                 continue
             flip = 2 * ci > k
-            pick = _subsets(k, k - ci if flip else ci)
+            m = k - ci if flip else ci
+            pick = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(k), m)),
+                               dtype=np.intp).reshape(-1, m)
             sub = np.full((len(pick), k), -1 if flip else 1, dtype=np.int8)
             np.put_along_axis(sub, pick, 1 if flip else -1, axis=1)
             spins = np.repeat(spins, len(sub), axis=0)

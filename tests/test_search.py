@@ -1214,8 +1214,8 @@ class TestSwitchingNegMaximum:
         assert maxs == sorted((switch(g, [u]) for u in clique), key=lambda h: h.adj.tobytes())
 
     def test_peak_memory_per_count_vector(self):
-        # a twin-free graph on 16 vertices: one float32 table of 2^16 values
-        # and count grids of 2^8 rows, so at most 8 bytes per count vector
+        # a twin-free graph on 16 vertices: one float64 table of 2^16 values
+        # and count grids of 2^8 rows, so at most 16 bytes per count vector
         g = new_signed_graph(16, [(v, v + 1, 1) for v in range(15)])
         sizes, signs = _twin_quotient(g.adj)[1:]
         assert len(sizes) == 16
@@ -1226,7 +1226,7 @@ class TestSwitchingNegMaximum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 8 << 16
+        assert peak <= 16 << 16
 
 
 def merged_neg_edge_maximizers(graphs):
@@ -1295,7 +1295,7 @@ class TestNegEdgeMaximizers:
             assert rep.observed == neg_edge_bound(n) and not rep.passed
 
     def test_t1_2_neg_at_large_n_never_stacks_the_splits(self):
-        # one split's float32 table at a time, about 4 n^2 bytes at the middle
+        # one split's float64 table at a time, about 8 n^2 bytes at the middle
         # split, and no n x n matrix but the maximizer's: a stack of the 199
         # splits would take 199 n^2
         n = 400
@@ -1307,7 +1307,7 @@ class TestNegEdgeMaximizers:
         finally:
             tracemalloc.stop()
         assert rep.passed and rep.details["splits"] == 199
-        assert peak < 8 * n * n
+        assert peak < 16 * n * n
 
     def test_t1_2_neg_fails_when_the_maximizer_is_not_the_layout(self, monkeypatch):
         # a switched copy is switching equivalent to the layout, but not the
