@@ -347,7 +347,7 @@ def shortest_unbalanced_cycle(g: SignedGraph) -> Cycle | None:
 # Canonical labeling machinery (shared with the search engine)
 # ---------------------------------------------------------------------------
 
-# orders per batch in _least_sign_row: one per coset representative and
+# orders per batch in _least_sign_rows: one per coset representative and
 # arrangement of signed twins, 9! for a signed K_9 without signed twins
 _ORDER_CHUNK = 8192
 # switching_isomorphic labels K_n to one order and evaluates one order per
@@ -642,22 +642,20 @@ def _signed_twin_classes(adj: np.ndarray) -> list[list[int]]:
     """The classes of signed twins of the sign matrix adj, each ascending, in
     order of their least vertex. Vertices a != b are signed twins when
     adj[a, x] == adj[b, x] for every x outside {a, b}. This is an equivalence:
-    a ~ b and b ~ c force adj[a, b] = adj[a, c] = adj[b, c], so a class has
-    one sign s on its own edges, and its members are exactly the vertices
-    whose rows of adj + s I are equal. A vertex with twins is alone in its
-    group for the other two values of s."""
-    n = len(adj)
-    classes = [[v] for v in range(n)]
-    for s in (-1, 0, 1):
-        cells = (adj + s * np.eye(n, dtype=adj.dtype)).tobytes()
-        groups = {}
-        for v in range(n):
-            groups.setdefault(cells[v * n:(v + 1) * n], []).append(v)
-        for group in groups.values():
-            if len(group) > 1:
-                for v in group:
-                    classes[v] = group
-    return [c for v, c in enumerate(classes) if c[0] == v]
+    a ~ b and b ~ c force adj[a, b] = adj[a, c] = adj[b, c]. With s =
+    adj[a, b], a and b are twins exactly when their rows of adj + s I agree,
+    and these rows differ by |A_a - A_b|^2 - 2 s^2 in squared norm, so one
+    matmul decides every pair: |A_a - A_b|^2 = (A^2)_aa + (A^2)_bb - 2 (A^2)_ab,
+    integers, exact in float64."""
+    a = adj.astype(np.float64)
+    sq = a @ a
+    d = sq.diagonal()
+    # a vertex is its own twin, so each row's first twin is its class's least
+    first = (d[:, None] + d - 2 * sq == 2 * a * a).argmax(axis=1)
+    classes = {}
+    for v, f in enumerate(first.tolist()):
+        classes.setdefault(f, []).append(v)
+    return list(classes.values())
 
 
 # count vectors evaluated for one graph's switching maximum, and switchings
@@ -793,62 +791,81 @@ def _slot_takes(slots: int, size: int) -> np.ndarray:
     return take
 
 
-def _twin_arrangements(adj: np.ndarray, dtype) -> np.ndarray:
+def _twin_arrangements(adj: np.ndarray, twins: list[list[int]], dtype) -> np.ndarray:
     """Vertex maps (M, n), one per arrangement of the signed-twin classes of
-    adj inside the twin classes of its underlying graph, k! / (k_1! ... k_t!)
-    for a twin class of k in signed classes of k_1, ..., k_t: row s sends the
-    j-th member of each twin class to the vertex in slot j, each signed class
-    filling its slots in ascending order."""
+    adj inside the twin classes of its underlying graph (twins, the
+    _signed_twin_classes of |adj|), k! / (k_1! ... k_t!) for a twin class of
+    k in signed classes of k_1, ..., k_t: row s sends the j-th member of each
+    twin class to the vertex in slot j, each signed class filling its slots
+    in ascending order."""
     n = len(adj)
     signed = _signed_twin_classes(adj)
     maps = np.arange(n, dtype=dtype)[None]
-    for twins in _signed_twin_classes(np.abs(adj)):
-        parts = [c for c in signed if c[0] in twins]
+    for twin in twins:
+        parts = [c for c in signed if c[0] in twin]
         k = len(parts[0])
-        maps[:, twins[:k]] = parts[0]
+        maps[:, twin[:k]] = parts[0]
         for part in parts[1:]:
             # for each choice of slots for part, the others taking the first
             # k slots in order, the column of [first k slots, part] per slot
             s = k + len(part)
             take = _slot_takes(s, len(part))
             old = np.empty((len(maps), s), dtype=dtype)
-            old[:, :k], old[:, k:] = maps[:, twins[:k]], part
+            old[:, :k], old[:, k:] = maps[:, twin[:k]], part
             new = np.repeat(maps[:, None], len(take), axis=1)
-            new[:, :, twins[:s]] = old[:, take]
+            new[:, :, twin[:s]] = old[:, take]
             maps, k = new.reshape(-1, n), s
     return maps
 
 
-def _least_sign_row(adj: np.ndarray, orders: np.ndarray, switched: bool) -> bytes:
-    """The least upper-triangle sign row of the sign matrix adj relabeled by
-    each optimal order of its underlying graph, given one per coset of the
-    twin swaps (canonical_form), and switched first, when switched, so that
-    its canonical spanning forest, one for all these orders, is positive.
-    Swapping signed twins fixes adj, so each order is expanded once per
-    arrangement of the signed twins in its twin classes (_twin_arrangements),
-    35 for the one order of a halved K_7, and evaluated _ORDER_CHUNK at a time."""
-    n = len(adj)
-    maps = _twin_arrangements(adj, orders.dtype)
-    tree = _bfs_tree(adj[np.ix_(orders[0], orders[0])]) if switched else []
+def _least_sign_rows(adj: np.ndarray, orders: np.ndarray, switched: bool) -> list[bytes]:
+    """For each sign matrix of the (G, n, n) stack adj, whose matrices share
+    one underlying graph, its least upper-triangle sign row relabeled by each
+    optimal order of that graph, given one per coset of the twin swaps
+    (canonical_form), and switched first, when switched, so that its
+    canonical spanning forest, one for all these orders, is positive.
+    Swapping signed twins fixes a matrix, so each order is expanded once per
+    arrangement of its signed twins in the twin classes (_twin_arrangements),
+    35 for the one order of a halved K_7; the rows of every (matrix, order,
+    arrangement) are evaluated _ORDER_CHUNK at a time."""
+    n = adj.shape[1]
+    twins = _signed_twin_classes(np.abs(adj[0]))
+    maps = [_twin_arrangements(a, twins, orders.dtype) for a in adj]
+    # rows of matrix g: len(orders) x len(maps[g]), the arrangement fastest
+    per = np.array([len(m) for m in maps])
+    first_map = np.cumsum(per) - per
+    counts = per * len(orders)
+    first_row = np.cumsum(counts) - counts
+    owners = np.repeat(np.arange(len(adj)), counts)
+    maps = np.concatenate(maps)
+    tree = _bfs_tree(adj[0][np.ix_(orders[0], orders[0])]) if switched else []
     iu, ju = _triu_cells(n)
-    rows = []
-    total = len(orders) * len(maps)
-    for start in range(0, total, _ORDER_CHUNK):
-        row = np.arange(start, min(start + _ORDER_CHUNK, total))
+    least = {}
+    for start in range(0, len(owners), _ORDER_CHUNK):
+        owner = owners[start:start + _ORDER_CHUNK]
+        local = np.arange(start, start + len(owner)) - first_row[owner]
         # map m of order r puts vertex maps[m, r[p]] at position p; numpy
         # gathers by intp indices faster than by the orders' small dtype
-        chunk = maps[(row % len(maps))[:, None], orders[row // len(maps)]].astype(np.intp)
-        moved = adj[chunk[:, :, None], chunk[:, None, :]]
+        chunk = maps[(first_map[owner] + local % per[owner])[:, None],
+                     orders[local // per[owner]]].astype(np.intp)
+        moved = adj[owner[:, None, None], chunk[:, :, None], chunk[:, None, :]]
         spin = _tree_spins(moved, tree)
-        # signs -1/0/+1 compare as the bytes 2/0/1
-        vals = (spin[:, iu] * spin[:, ju] * moved[:, iu, ju] % 3).astype(np.uint8)
-        rows.append(vals[_least_rows(np.zeros(len(vals), dtype=np.intp), vals)[0]].tobytes())
-    return min(rows)
+        # signs -1/0/+1 compare as the bytes 2/0/1; prefixed by their matrix's
+        # big-endian index, the rows sort as void scalars into one run per
+        # matrix, its least row first
+        keyed = np.empty((len(owner), 4 + len(iu)), dtype=np.uint8)
+        keyed[:, :4] = owner.astype(">u4")[:, None].view(np.uint8)
+        keyed[:, 4:] = spin[:, iu] * spin[:, ju] * moved[:, iu, ju] % 3
+        keyed = np.sort(keyed.view(np.dtype((np.void, 4 + len(iu)))).ravel())
+        starts = np.flatnonzero(np.diff(owner, prepend=-1))
+        for g, row in zip(owner[starts].tolist(), keyed[starts].tolist()):
+            least[g] = min(least.get(g, row[4:]), row[4:])
+    return [least[g] for g in range(len(adj))]
 
 
 def _signed_code(g: SignedGraph, switched: bool) -> tuple[int, bytes]:
     code, orders = canonical_form(np.abs(g.adj).astype(bool))
-    return code, _least_sign_row(g.adj, orders, switched)
+    return code, _least_sign_rows(g.adj[None], orders, switched)[0]
 
 
 def canonical_signed_code(g: SignedGraph) -> tuple[int, bytes]:
@@ -880,5 +897,5 @@ def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
             f"switching isomorphism capped at {_SWITCHING_ISO_MAX_ORDER} vertices")
     (code1, orders1), (code2, orders2) = (
         canonical_form(np.abs(g.adj).astype(bool)) for g in (g1, g2))
-    return code1 == code2 and (_least_sign_row(g1.adj, orders1, switched=True)
-                               == _least_sign_row(g2.adj, orders2, switched=True))
+    return code1 == code2 and (_least_sign_rows(g1.adj[None], orders1, switched=True)
+                               == _least_sign_rows(g2.adj[None], orders2, switched=True))

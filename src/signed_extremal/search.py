@@ -83,7 +83,7 @@ built from one only to hand it out or to pass it to a core check.
 The survivors of a scan stay (row, pattern) arrays until the witnesses are
 chosen, one per switching-isomorphism class. They are deduplicated by the key
 that core computes (canonical_signed_code): the class's canonical bitmap and
-the least canonical-switch sign row over its automorphisms (_least_sign_row):
+the least canonical-switch sign row over its automorphisms (_least_sign_rows):
 one per coset of the twin swaps (canonical_form) and per arrangement of the
 signature's signed twins, vertices whose signed rows agree off their pair.
 """
@@ -117,7 +117,7 @@ from .core import (
     _distinct_matrices,
     _label_stack,
     _least_of_orbits,
-    _least_sign_row,
+    _least_sign_rows,
     _packed_codes,
     _signed_code,
     _switched_matrices,
@@ -799,8 +799,8 @@ def _scan(config: SearchConfig, progress):
     starts = np.flatnonzero(np.diff(system, prepend=-1))
     for row, part in zip(system[starts], np.split(stack, starts[1:])):
         canon, orders = canonical_form(table.adj[row])
-        for a in part:
-            seen.setdefault((canon, _least_sign_row(a, orders, switched=True)), a)
+        for a, sign_row in zip(part, _least_sign_rows(part, orders, switched=True)):
+            seen.setdefault((canon, sign_row), a)
     keys = sorted(seen)
     witnesses = [SignedGraph._trusted(seen[k]) for k in keys]
     optimum = int(best) if config.objective == "MAX_EDGES" else best
@@ -879,8 +879,8 @@ def search(config: SearchConfig, *, progress=None) -> SearchReport:
             if key not in labels:
                 labels[key] = canonical_form(under)
             code, orders = labels[key]
-            matched.append("gst-maxneg" if code == target_code and _least_sign_row(
-                w.adj, orders, switched=False) == target_row else None)
+            matched.append("gst-maxneg" if code == target_code and _least_sign_rows(
+                w.adj[None], orders, switched=False)[0] == target_row else None)
         counts["signatures_scanned"] += len(edge_witnesses) << config.n
     else:
         optimum, witnesses, keys, counts = _scan(config, progress)
@@ -985,9 +985,9 @@ def _verify_l2_2(n: int, progress) -> BoundReport:
         # isomorphism: every winner and the target are signed K_n, so K_n is
         # labelled once and only their least sign rows are compared
         _, orders = canonical_form(~np.eye(n, dtype=bool))
-        target = _least_sign_row(build_kn_switched_maxneg(n).adj, orders, switched=True)
-        structure_ok = structure_ok and all(
-            _least_sign_row(a, orders, switched=True) == target for a in winners)
+        target, *rows = _least_sign_rows(
+            np.concatenate([build_kn_switched_maxneg(n).adj[None], winners]), orders, switched=True)
+        structure_ok = structure_ok and all(row == target for row in rows)
     bound = (n // 2) * ((n + 1) // 2)
     return make_bound_report(
         "l2_2", n, bound, best, SignedGraph._trusted(winners[0]),

@@ -433,7 +433,7 @@ class TestSwitchingIsomorphic:
         def no_rows(*args, **kwargs):
             raise AssertionError("sign row computed")
 
-        monkeypatch.setattr(core, "_least_sign_row", no_rows)
+        monkeypatch.setattr(core, "_least_sign_rows", no_rows)
         pairs = [(build_gst(1, 3), build_gst(2, 2)), (build_gst(1, 6), build_gst(2, 5))]
         # seeded pairs whose edge counts differ, so their underlying graphs do
         pool = list(seeded_signed_graphs(71, 6, 8))
@@ -695,7 +695,7 @@ class TestCanonicalCode:
 
 
 def evaluated_batches(monkeypatch):
-    """The sizes of the batches of orders that _least_sign_row evaluates from
+    """The sizes of the batches of orders that _least_sign_rows evaluates from
     now on, read from the spins it asks for."""
     sizes = []
     spins = core._tree_spins
@@ -709,7 +709,7 @@ def evaluated_batches(monkeypatch):
 
 
 class TestSignedTwins:
-    """_least_sign_row evaluates one order per arrangement of the signed-twin
+    """_least_sign_rows evaluates one order per arrangement of the signed-twin
     classes; the codes must equal the per-order and brute-force oracles."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])

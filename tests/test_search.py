@@ -1503,22 +1503,22 @@ class TestVerifyTheorem:
         assert rep.notes == "1 negative-triangle-free switching classes, 10 maximizers"
 
     def test_l2_2_codes_the_target_once(self, monkeypatch):
-        # n = 6 labels K_6 once and computes one sign row per maximizer and
-        # one for the target, with no whole switching key
+        # n = 6 labels K_6 once and computes the sign rows of the target and
+        # of every maximizer in one call, with no whole switching key
         labels, rows, codes = [], [], []
-        label, row = SEARCH.canonical_form, SEARCH._least_sign_row
+        label, row = SEARCH.canonical_form, SEARCH._least_sign_rows
         code = SEARCH.canonical_signed_code
 
         def counting(calls, fn):
             return lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs)
 
         monkeypatch.setattr(SEARCH, "canonical_form", counting(labels, label))
-        monkeypatch.setattr(SEARCH, "_least_sign_row", counting(rows, row))
+        monkeypatch.setattr(SEARCH, "_least_sign_rows", counting(rows, row))
         monkeypatch.setattr(SEARCH, "canonical_signed_code", counting(codes, code))
         rep = verify_theorem("L2_2", 6)
         assert rep.passed and not codes
         assert len(labels) == 1 and np.array_equal(labels[0][0], ~np.eye(6, dtype=bool))
-        assert len(rows) == rep.details["maximizers"] + 1
+        assert len(rows) == 1 and len(rows[0][0]) == rep.details["maximizers"] + 1
 
     def test_l2_2_fails_on_an_unbalanced_maximizer(self, monkeypatch):
         # past n = 6 no canonical code cross-checks the winners, so the balance
