@@ -884,8 +884,10 @@ def signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
 def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff some vertex bijection maps g1 onto a switching of g2.
 
-    Compares canonical_signed_code, but the underlying codes first: the sign
-    rows are only computed for isomorphic underlying graphs. Exhaustive over
+    Compares canonical_signed_code, but the sorted degrees and then the
+    underlying codes first: the underlying graphs are only labelled when
+    their degrees agree, and the sign rows only computed when they are
+    isomorphic. Exhaustive over
     the optimal orders up to swaps of signed twins: one for K_n, 126 for a
     halved K_9, but n! for a signed K_n without signed twins, so it rejects
     graphs above _SWITCHING_ISO_MAX_ORDER vertices.
@@ -895,7 +897,9 @@ def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     if g1.n > _SWITCHING_ISO_MAX_ORDER:
         raise ValueError(
             f"switching isomorphism capped at {_SWITCHING_ISO_MAX_ORDER} vertices")
-    (code1, orders1), (code2, orders2) = (
-        canonical_form(np.abs(g.adj).astype(bool)) for g in (g1, g2))
+    under = [np.abs(g.adj).astype(bool) for g in (g1, g2)]
+    if not np.array_equal(*(np.sort(u.sum(axis=0)) for u in under)):
+        return False
+    (code1, orders1), (code2, orders2) = map(canonical_form, under)
     return code1 == code2 and (_least_sign_rows(g1.adj[None], orders1, switched=True)
                                == _least_sign_rows(g2.adj[None], orders2, switched=True))

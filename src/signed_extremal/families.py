@@ -44,10 +44,8 @@ def build_gst(s: int, t: int) -> SignedGraph:
     adj[2:, 2:] = 1
     np.fill_diagonal(adj, 0)
     adj[0, 1] = adj[1, 0] = -1
-    for i in range(2, s + 2):
-        adj[0, i] = adj[i, 0] = 1
-    for j in range(s + 2, n):
-        adj[1, j] = adj[j, 1] = 1
+    adj[0, 2:s + 2] = adj[2:s + 2, 0] = 1
+    adj[1, s + 2:] = adj[s + 2:, 1] = 1
     return SignedGraph(adj)
 
 

@@ -799,8 +799,10 @@ def _scan(config: SearchConfig, progress):
     starts = np.flatnonzero(np.diff(system, prepend=-1))
     for row, part in zip(system[starts], np.split(stack, starts[1:])):
         canon, orders = canonical_form(table.adj[row])
-        for a, sign_row in zip(part, _least_sign_rows(part, orders, switched=True)):
-            seen.setdefault((canon, sign_row), a)
+        # one matrix per call: a row may hold thousands of signatures, each
+        # with up to n! twin arrangements
+        for a in part:
+            seen.setdefault((canon, _least_sign_rows(a[None], orders, switched=True)[0]), a)
     keys = sorted(seen)
     witnesses = [SignedGraph._trusted(seen[k]) for k in keys]
     optimum = int(best) if config.objective == "MAX_EDGES" else best

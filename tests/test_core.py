@@ -443,6 +443,21 @@ class TestSwitchingIsomorphic:
         for g, h in pairs:
             assert not switching_isomorphic(g, h)
 
+    def test_no_labelling_when_the_degrees_differ(self, monkeypatch):
+        # gst(1, 6) and gst(2, 5) have 29 edges each, but apex degrees 2, 7
+        # against 3, 6; a 6-cycle and two triangles have the same degrees,
+        # so only their codes tell them apart
+        labelled = []
+        label = core.canonical_form
+        monkeypatch.setattr(core, "canonical_form", lambda a: labelled.append(a) or label(a))
+        assert not switching_isomorphic(build_gst(1, 6), build_gst(2, 5))
+        assert not labelled
+        cycle = new_signed_graph(6, [(v, (v + 1) % 6, 1) for v in range(6)])
+        triangles = new_signed_graph(6, [(u, v, 1) for u, v in itertools.combinations(range(3), 2)]
+                                     + [(u, v, -1) for u, v in itertools.combinations(range(3, 6), 2)])
+        assert not switching_isomorphic(cycle, triangles)
+        assert len(labelled) == 2
+
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_matches_the_full_keys_on_seeded_pairs(self, n):
         # relabelled and switched copies, and every other graph of the pool
