@@ -656,6 +656,21 @@ class TestCanonicalCode:
             assert canonical_signed_code(g) == per_order_signed_code(g)
         assert switching_isomorphic(halved, moved)
 
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_a_stack_keys_like_its_matrices_one_by_one(self, n, monkeypatch):
+        # signings of one planted-twin graph's edges, so the matrices share
+        # an underlying graph but not their signed twins; chunks of 7 rows
+        # end inside matrices as well as between them
+        rng = np.random.default_rng(700 + n)
+        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 7)
+        for g in planted_twin_graphs(800 + n, n, 3):
+            signs = np.triu(rng.choice([-1, 1], size=(6, n, n)), 1)
+            stack = np.concatenate([g.adj[None], np.abs(g.adj) * (signs + signs.transpose(0, 2, 1))])
+            stack = stack.astype(np.int8)
+            _, orders = canonical_form(g.adj != 0)
+            expected = [per_order_signed_code(SignedGraph(a))[1] for a in stack]
+            assert core._least_sign_rows(stack, orders, switched=True) == expected
+
     def test_chunks_of_orders_merge_to_the_reference(self, monkeypatch):
         # K_5 whose negative edges form the path 3-0-4-2-1 has no signed
         # twins, so its one order expands into all 120 arrangements, 33 per
