@@ -948,7 +948,7 @@ def _verify_t1_2_neg(n: int, progress) -> BoundReport:
         # the peak would add the switchings of another underlying graph. The
         # most even split, with the largest table, comes first, so the
         # smaller tables reuse the memory it freed: growing tables would each
-        # fault in fresh pages (n = 1000 takes 0.4 s cold, not 0.8 s)
+        # fault in fresh pages (n = 1000 takes 0.5 s cold, not 0.8 s)
         splits = [(s, n - 2 - s) for s in range((n - 2) // 2, 0, -1)]
         observed, maximizers = _quotient_maximizers(
             [(np.array([1, 1, s, t]), _GST_SIGNS) for s, t in splits],
