@@ -89,7 +89,7 @@ class SignedGraph:
     def edges(self) -> list[tuple[int, int, int]]:
         """All edges as (u, v, sign) with u < v, sorted."""
         iu, ju = np.nonzero(np.triu(self.adj))
-        return [(int(u), int(v), int(self.adj[u, v])) for u, v in zip(iu, ju)]
+        return list(zip(iu.tolist(), ju.tolist(), self.adj[iu, ju].tolist()))
 
     def neighbors(self, v: int) -> list[int]:
         (v,) = _check_vertex_set(self.n, (v,))
@@ -172,14 +172,19 @@ def _check_vertex_set(n: int, vertices) -> list[int]:
     return out
 
 
+def _switched(a: np.ndarray, vertex_sets) -> np.ndarray:
+    """s[:, :, None] * s[:, None, :] * a, a (k, n, n) stack or one matrix,
+    for the spins s, -1 on each of the k checked vertex lists vertex_sets."""
+    n = a.shape[-1]
+    s = np.ones((len(vertex_sets), n), dtype=np.int8)
+    # not built from lists: that numpy code raised the property suites' peak RSS
+    s.reshape(-1)[[i * n + v for i, vs in enumerate(vertex_sets) for v in vs]] = -1
+    return s[:, :, None] * s[:, None, :] * a
+
+
 def switch(g: SignedGraph, vertex_set) -> SignedGraph:
     """Negate every edge with exactly one endpoint in vertex_set."""
-    s = np.ones(g.n, dtype=np.int8)
-    s[_check_vertex_set(g.n, vertex_set)] = -1
-    # np.outer(s, s) without its asarray and ravel calls; building s from a
-    # list, or broadcasting it against adj, runs numpy code that the property
-    # suites run nowhere else, which raised their peak RSS
-    return SignedGraph._trusted(np.multiply(s[:, None], s[None, :]) * g.adj)
+    return SignedGraph._trusted(_switched(g.adj, [_check_vertex_set(g.n, vertex_set)])[0])
 
 
 def negate(g: SignedGraph) -> SignedGraph:

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
+
 from .core import SignedGraph, new_signed_graph
 
 __all__ = ["GraphFormatError", "parse_graph", "format_graph", "read_graph", "write_graph"]
@@ -76,10 +78,15 @@ def parse_graph(text: str) -> SignedGraph:
 
 
 def format_graph(g: SignedGraph) -> str:
-    rows = [f"{g.n} {g.edge_count}"]
-    for u, v, s in g.edges():
-        rows.append(f"{u} {v} {'+1' if s == 1 else '-1'}")
-    return "\n".join(rows) + "\n"
+    upper = np.triu(g.adj)
+    iu, ju = np.nonzero(upper)
+    # " v +1" and " v -1" of vertex v at 2v and 2v + 1; one join per row u
+    tails = [f" {v} {s}" for v in range(g.n) for s in ("+1", "-1")]
+    picks = list(map(tails.__getitem__, (2 * ju + (upper[iu, ju] < 0)).tolist()))
+    ends = np.cumsum(np.bincount(iu, minlength=g.n)).tolist()
+    lines = [f"{u}" + f"\n{u}".join(picks[start:end])
+             for u, (start, end) in enumerate(zip([0] + ends, ends)) if end > start]
+    return "\n".join([f"{g.n} {len(picks)}"] + lines) + "\n"
 
 
 def read_graph(path) -> SignedGraph:

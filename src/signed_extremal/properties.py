@@ -12,12 +12,12 @@ The words wait in a plain list with an integer cursor (_Words). Each graph
 is read from it in one pass of _draw_graph, and the suite's own draws read
 the same list.
 
-Instances are drawn in blocks and judged a block at a time, so the spectra a
-suite computes itself come from one stacked eigensolve per vertex count per
-block. interlacing_check, clique_spectral_bound and
-balanced_spanning_subgraph are judged through their stacked kernels, one
-call per block, which give each graph the result of the one-graph function;
-is_balanced, switch and negate are called one graph at a time.
+Instances are drawn and judged in blocks. A block step stacks a block's
+graphs per vertex count and builds the suite's second graphs a stack at a
+time (switchings by core._switched, negations, or the underlying graphs plus
+an edge), and the judges solve each count's two stacks at once.
+interlacing_check, clique_spectral_bound and balanced_spanning_subgraph are
+judged through stacked kernels that give each graph its one-graph result.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _balanced_spanning_subgraphs, _clique_spectral_bounds
-from .core import SignedGraph, is_balanced, negate, switch
+from .core import SignedGraph, _switched
 from .graphio import format_graph
-from .spectral import FORMULA_TOL, _by_shape, _interlacing_checks, _stacked_spectra
+from .spectral import FORMULA_TOL, _groups, _interlacing_checks, _stacked_spectra
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all_suites",
            "random_connected_signed_graph"]
@@ -282,40 +282,42 @@ def _draw_graph(words, n_min=3, n_max=10):
     return SignedGraph._trusted(np.frombuffer(adj, dtype=np.int8).reshape(n, n))
 
 
-def _paired_spectra(cases) -> list[np.ndarray]:
-    """Descending spectra, one (2, n) array per case, of the two same-order
-    graphs that open each case, in case order: one stacked solve per vertex
-    count."""
-    return _by_shape([np.array((case[0].adj, case[1].adj)) for case in cases],
-                     _stacked_spectra)
+# Each suite is a draw of one instance from the suite's stream, an optional
+# block step, and a judge of a block's cases and stacks, which returns one
+# failure message or None per case, in order.
+
+def _block_step(drawn, pairs):
+    """The cases (first, second, *rest) of a block of drawn instances
+    (g, *rest) and, per vertex count, their indices and the (2, k, n, n) int8
+    stack of their two graphs: pairs maps the stack a of the drawn graphs and
+    their instances to the stacks of the first graphs (a for those drawn) and
+    the second. Derived graphs are read-only views of the stacks."""
+    if pairs is None:
+        return drawn, None
+    cases, stacks = [None] * len(drawn), []
+    for idx in _groups([d[0].n for d in drawn]):
+        part = [drawn[i] for i in idx]
+        a = np.array([d[0].adj for d in part])
+        first, second = pairs(a, part)
+        graphs = [d[0] for d in part] if first is a else map(SignedGraph._trusted, first)
+        for i, d, g, h in zip(idx, part, graphs, second):
+            cases[i] = (g, SignedGraph._trusted(h), *d[1:])
+        stacks.append((idx, np.array((first, second))))
+    return cases, stacks
 
 
-# Each suite is a draw, which makes every draw of one instance from the
-# suite's stream along with the cheap graph operations, and a judge, which
-# takes a block of drawn cases and returns one failure message or None per
-# case, in order.
-
-def _draw_switching_invariance(words):
-    g = _draw_graph(words)
-    u = words.subset(g.n)
-    return g, switch(g, u), u
-
-
-def _judge_switching_invariance(cases) -> list[str | None]:
-    return [f"spectrum changed under switching at {u}:\n{format_graph(g)}"
-            if np.abs(w[0] - w[1]).max() > FORMULA_TOL else None
-            for (g, _, u), w in zip(cases, _paired_spectra(cases))]
-
-
-def _draw_negation_symmetry(words):
-    g = _draw_graph(words)
-    return g, negate(g)
-
-
-def _judge_negation_symmetry(cases) -> list[str | None]:
-    return [f"negation did not reverse the spectrum:\n{format_graph(g)}"
-            if np.abs(-w[0][::-1] - w[1]).max() > FORMULA_TOL else None
-            for (g, _), w in zip(cases, _paired_spectra(cases))]
+def _paired(failed, message):
+    """The judge giving message(*case) to each case whose descending spectra
+    x, y give failed(x, y): one solve per stack, verdicts on plain lists."""
+    def judge(cases, stacks) -> list[str | None]:
+        failures = [None] * len(cases)
+        for idx, pair in stacks:
+            w = _stacked_spectra(pair)
+            for i, x, y in zip(idx, w[0].tolist(), w[1].tolist()):
+                if failed(x, y):
+                    failures[i] = message(*cases[i])
+        return failures
+    return judge
 
 
 def _draw_interlacing(words):
@@ -324,27 +326,36 @@ def _draw_interlacing(words):
     return g, words.sample(g.n, 1 + words.below(g.n))
 
 
-def _judge_interlacing(cases) -> list[str | None]:
+def _judge_interlacing(cases, _) -> list[str | None]:
     return [None if ok else
             f"interlacing failed for kept={sorted(kept)}:\n{format_graph(g)}"
             for (g, kept), ok in zip(cases, _interlacing_checks(cases))]
 
 
-def _judge_balanced_spanning(cases) -> list[str | None]:
+def _judge_balanced_spanning(cases, _) -> list[str | None]:
     subgraphs = _balanced_spanning_subgraphs(cases)
-    failures = [None if h.n == g.n and is_balanced(h) and h.neg_edge_count == 0 else
-                f"result not a balanced spanning subgraph:\n{format_graph(g)}"
-                for g, h in zip(cases, subgraphs)]
-    spanning = [i for i, failure in enumerate(failures) if failure is None]
-    spectra = _paired_spectra([(cases[i], subgraphs[i]) for i in spanning])
-    for i, w in zip(spanning, spectra):
-        lam_g, lam_h = w[:, 0].tolist()
-        if lam_g > lam_h + FORMULA_TOL:
-            failures[i] = f"lambda_1 dropped: {lam_g} > {lam_h}:\n{format_graph(cases[i])}"
+    failures = [None] * len(cases)
+    for idx in _groups([g.n for g in cases]):
+        # a spanning subgraph without negative edges is balanced; graphs are
+        # looked at alone only if the stack holds a negative entry
+        n, subs = cases[idx[0]].n, [subgraphs[i] for i in idx]
+        if (any(h.n != n for h in subs)
+                or np.count_nonzero(np.array([h.adj for h in subs]) == -1)):
+            for i, h in zip(idx, subs):
+                if h.n != n or h.neg_edge_count:
+                    failures[i] = (f"result not a balanced spanning subgraph:\n"
+                                   f"{format_graph(cases[i])}")
+        ok = [i for i in idx if failures[i] is None]
+        if ok:
+            w = _stacked_spectra(np.array(([cases[i].adj for i in ok],
+                                           [subgraphs[i].adj for i in ok])))
+            for i, x, y in zip(ok, w[0].tolist(), w[1].tolist()):
+                if x[0] > y[0] + FORMULA_TOL:
+                    failures[i] = f"lambda_1 dropped: {x[0]} > {y[0]}:\n{format_graph(cases[i])}"
     return failures
 
 
-def _judge_clique_bound(cases) -> list[str | None]:
+def _judge_clique_bound(cases, _) -> list[str | None]:
     return [None if rep.satisfied else
             f"clique bound violated: lambda_1={rep.observed} > "
             f"bound={rep.bound_value}:\n{format_graph(g)}"
@@ -352,37 +363,48 @@ def _judge_clique_bound(cases) -> list[str | None]:
 
 
 def _draw_edge_addition(words):
-    # connected unsigned graph with a spare non-edge
+    # connected unsigned graph with a spare non-edge: a pair cell holding 0
     for _ in range(50):
-        g = _draw_graph(words).underlying()
-        rows = g.adj.tolist()
-        non_edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n)
-                     if rows[i][j] == 0]
-        if non_edges:
+        g = _draw_graph(words)
+        adj = g.adj.tobytes()
+        cells = [k for k, _ in _PAIR_CELLS[g.n] if not adj[k]]
+        if cells:
             break
     else:
         raise RuntimeError("edge-addition drew 50 complete graphs in a row")
-    u, v = non_edges[words.below(len(non_edges))]
-    adj = np.array(g.adj)
-    adj[u, v] = adj[v, u] = 1
-    return g, SignedGraph._trusted(adj), (u, v)
+    return g, divmod(cells[words.below(len(cells))], g.n)
 
 
-def _judge_edge_addition(cases) -> list[str | None]:
-    return [None if w[0, 0] < w[1, 0] else
-            f"adding edge ({u},{v}) did not raise lambda_1:\n{format_graph(g)}"
-            for (g, _, (u, v)), w in zip(cases, _paired_spectra(cases))]
+def _add_edges(a, edges):
+    """The (k, n, n) stack a of 0/1 matrices and a copy with the edge
+    edges[i] = (u, v) made 1 in its matrix i."""
+    n, out = a.shape[-1], a.copy()
+    out.reshape(-1)[[i * n * n + c for i, (u, v) in enumerate(edges)
+                     for c in (u * n + v, v * n + u)]] = 1
+    return a, out
 
 
-# (draw, judge) of each suite; the order fixes each suite's index in
-# SUITE_NAMES, which seeds its stream
+# (draw, pairs of _block_step or None, judge) of each suite; the order
+# fixes each suite's index in SUITE_NAMES, which seeds its stream
 _CHECKS = {
-    "switching-invariance": (_draw_switching_invariance, _judge_switching_invariance),
-    "negation-symmetry": (_draw_negation_symmetry, _judge_negation_symmetry),
-    "interlacing": (_draw_interlacing, _judge_interlacing),
-    "balanced-spanning": (_draw_graph, _judge_balanced_spanning),
-    "clique-bound": (_draw_graph, _judge_clique_bound),
-    "edge-addition": (_draw_edge_addition, _judge_edge_addition),
+    "switching-invariance": (
+        lambda words: (g := _draw_graph(words), words.subset(g.n)),
+        lambda a, drawn: (a, _switched(a, [u for _, u in drawn])),
+        _paired(lambda x, y: max(abs(p - q) for p, q in zip(x, y)) > FORMULA_TOL,
+                lambda g, h, u: f"spectrum changed under switching at {u}:\n{format_graph(g)}")),
+    "negation-symmetry": (
+        lambda words: (_draw_graph(words),), lambda a, drawn: (a, -a),
+        _paired(lambda x, y: max(abs(-p - q) for p, q in zip(reversed(x), y)) > FORMULA_TOL,
+                lambda g, h: f"negation did not reverse the spectrum:\n{format_graph(g)}")),
+    "interlacing": (_draw_interlacing, None, _judge_interlacing),
+    "balanced-spanning": (_draw_graph, None, _judge_balanced_spanning),
+    "clique-bound": (_draw_graph, None, _judge_clique_bound),
+    # the underlying graphs, and each with its drawn edge added
+    "edge-addition": (
+        _draw_edge_addition, lambda a, drawn: _add_edges(np.abs(a), [e for _, e in drawn]),
+        _paired(lambda x, y: not x[0] < y[0],
+                lambda g, h, e: f"adding edge ({e[0]},{e[1]}) did not raise lambda_1:\n"
+                                f"{format_graph(g)}")),
 }
 SUITE_NAMES = tuple(_CHECKS)
 # instances drawn before they are judged together; larger blocks hold more
@@ -397,13 +419,14 @@ def _check_count(name: str, value) -> None:
 
 
 def _case_blocks(name, seed, instances):
-    """The cases run_suite judges, in blocks of _SUITE_BLOCK, all drawn from
-    one stream on a generator derived from (seed, suite), so suites are
-    independent."""
+    """The cases run_suite judges and their stacks (_block_step), in blocks
+    of _SUITE_BLOCK, all drawn from one stream on a generator derived from
+    (seed, suite), so suites are independent."""
     words = _Words(np.random.default_rng([seed, SUITE_NAMES.index(name)]).bit_generator)
-    draw = _CHECKS[name][0]
+    draw, pairs, _ = _CHECKS[name]
     for start in range(0, instances, _SUITE_BLOCK):
-        yield [draw(words) for _ in range(min(_SUITE_BLOCK, instances - start))]
+        yield _block_step([draw(words) for _ in range(min(_SUITE_BLOCK, instances - start))],
+                          pairs)
 
 
 def run_suite(name: str, seed: int, instances: int = 200) -> SuiteResult:
@@ -411,11 +434,11 @@ def run_suite(name: str, seed: int, instances: int = 200) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
     _check_count("instances", instances)
     _check_count("seed", seed)
-    judge = _CHECKS[name][1]
+    judge = _CHECKS[name][2]
     result = SuiteResult(name=name, instances=instances, violations=0)
     start = 0
-    for cases in _case_blocks(name, seed, instances):
-        for i, failure in enumerate(judge(cases), start):
+    for cases, stacks in _case_blocks(name, seed, instances):
+        for i, failure in enumerate(judge(cases, stacks), start):
             if failure is not None:
                 result.violations += 1
                 result.log.append(f"instance {i}: {failure}")

@@ -100,17 +100,22 @@ def _stacked_spectra(a: np.ndarray) -> np.ndarray:
 _STACK_ENTRIES = 1 << 22
 
 
+def _groups(keys):
+    """The indices of each distinct key, by first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups.values()
+
+
 def _by_shape(mats, solve) -> list:
     """solve on the arrays of the list mats stacked by shape: one call per
     shape (more once a stack passes _STACK_ENTRIES entries). solve returns an
     array, or a tuple of arrays, with one row per stacked array; the rows are
     scattered back, one per array of mats, in input order."""
     out = [None] * len(mats)
-    groups: dict[tuple, list[int]] = {}
-    for i, a in enumerate(mats):
-        groups.setdefault(a.shape, []).append(i)
-    for shape, idx in groups.items():
-        step = max(1, _STACK_ENTRIES // math.prod(shape))
+    for idx in _groups([a.shape for a in mats]):
+        step = max(1, _STACK_ENTRIES // math.prod(mats[idx[0]].shape))
         for k in range(0, len(idx), step):
             part = idx[k:k + step]
             res = solve(np.array([mats[i] for i in part]))

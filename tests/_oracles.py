@@ -23,7 +23,9 @@ that must agree exactly with the faster code that replaced them:
   per draw, which the replay from one raw-word stream replaced;
 - the one-graph interlacing check, clique spectral bound and balanced
   spanning subgraph, which the stacked kernels replaced, and the recursion
-  over Python lists that the bitset balanced clique search replaced.
+  over Python lists that the bitset balanced clique search replaced;
+- the graph text written one edge at a time, which format_graph's row joins
+  replaced.
 """
 
 from __future__ import annotations
@@ -727,3 +729,13 @@ def per_graph_balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:
             f"{best_val} < {sp.eigenvalues[0]}"
         )
     return best_h
+
+
+def per_edge_format_graph(g: SignedGraph) -> str:
+    """The graph text, one scan of the pairs u < v and one line per edge."""
+    rows, lines = g.adj.tolist(), []
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if rows[u][v]:
+                lines.append(f"{u} {v} {'+1' if rows[u][v] == 1 else '-1'}")
+    return "\n".join([f"{g.n} {len(lines)}"] + lines) + "\n"

@@ -236,6 +236,32 @@ class TestSwitching:
             switch(c3_minus(), [0, bad])
 
 
+class TestStackedSwitch:
+    """core._switched, the stacked kernel behind switch and the property
+    suites, against switch and np.outer(s, s) * adj, graph by graph."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_switch_and_the_outer_product(self, n):
+        graphs = list(seeded_signed_graphs(n, n, 6))
+        rng = np.random.default_rng([n, 1])
+        # empty, full and repeated vertex sets, then random ones
+        sets = [[], list(range(n)), [0, 0], [n - 1] * 3 + [0]]
+        sets += [[int(v) for v in rng.integers(0, n, size=int(rng.integers(0, 2 * n)))]
+                 for _ in graphs[len(sets):]]
+        a = np.array([g.adj for g in graphs])
+        stacked = core._switched(a, sets)
+        assert stacked.dtype == np.int8 and stacked.shape == (len(graphs), n, n)
+        for g, u, h in zip(graphs, sets, stacked):
+            s = np.ones(n, dtype=np.int8)
+            s[u] = -1
+            assert np.array_equal(h, np.outer(s, s) * g.adj)
+            assert np.array_equal(h, switch(g, u).adj)
+        # one matrix for the whole stack
+        shared = core._switched(graphs[0].adj, sets)
+        for u, h in zip(sets, shared):
+            assert np.array_equal(h, switch(graphs[0], u).adj)
+
+
 class TestPermute:
     @pytest.mark.parametrize("order, msg", [
         ([1.7, 0, 2, 3, 4], "not an integer"),

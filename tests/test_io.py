@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from signed_extremal.core import new_signed_graph
+from signed_extremal.core import SignedGraph, new_signed_graph
 from signed_extremal.families import build_gst, build_gst_maxneg, build_kn_switched_maxneg
 from signed_extremal.graphio import (
     GraphFormatError,
@@ -9,6 +10,8 @@ from signed_extremal.graphio import (
     read_graph,
     write_graph,
 )
+
+from _oracles import per_edge_format_graph, seeded_signed_graphs
 
 
 class TestRoundTrip:
@@ -36,6 +39,22 @@ class TestRoundTrip:
     def test_format_shape(self):
         text = format_graph(new_signed_graph(3, [(0, 1, 1), (1, 2, -1)]))
         assert text == "3 2\n0 1 +1\n1 2 -1\n"
+
+
+class TestFormatGraph:
+    """format_graph and SignedGraph.edges against the per-edge oracle."""
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_matches_the_per_edge_text(self, n):
+        complete = np.ones((n, n), dtype=np.int8) - np.eye(n, dtype=np.int8)
+        graphs = [*seeded_signed_graphs(100 + n, n, 5),
+                  SignedGraph(np.zeros((n, n), dtype=np.int8)), SignedGraph(-complete)]
+        for g in graphs:
+            text = format_graph(g)
+            assert text == per_edge_format_graph(g)
+            assert text.split("\n")[1:-1] == [
+                f"{u} {v} {'+1' if s == 1 else '-1'}" for u, v, s in g.edges()]
+            assert all(type(x) is int for edge in g.edges() for x in edge)
 
 
 class TestParseErrors:

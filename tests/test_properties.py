@@ -32,6 +32,7 @@ import numpy as np
 
 from _oracles import (
     PER_DRAW_SUITE_DRAWS,
+    per_draw_edge_addition,
     per_draw_random_connected_signed_graph,
     per_graph_balanced_spanning_subgraph,
     per_graph_clique_spectral_bound,
@@ -292,7 +293,7 @@ class TestSuiteDraws:
             rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
             expected = [case_key(PER_DRAW_SUITE_DRAWS[name](rng)) for _ in range(1000)]
             for instances in (0, 1, block - 1, block, block + 1, 1000):
-                blocks = list(properties._case_blocks(name, seed, instances))
+                blocks = [b for b, _ in properties._case_blocks(name, seed, instances)]
                 assert [len(b) for b in blocks] == [
                     min(block, instances - start) for start in range(0, instances, block)]
                 assert [case_key(c) for b in blocks for c in b] == expected[:instances]
@@ -304,7 +305,7 @@ class TestSuiteDraws:
             expected = [case_key(PER_DRAW_SUITE_DRAWS[name](rng)) for _ in range(300)]
             for chunk in (1, 2, 3, 7):
                 monkeypatch.setattr(properties, "_CHUNK", chunk)
-                blocks = properties._case_blocks(name, seed, 300)
+                blocks = (b for b, _ in properties._case_blocks(name, seed, 300))
                 assert [case_key(c) for b in blocks for c in b] == expected, chunk
 
     def test_benchmark_inputs_are_pinned(self):
@@ -312,7 +313,7 @@ class TestSuiteDraws:
         # benchmark judges: graphs, switched subsets, kept sets, added edges
         for name, digest in BENCHMARK_CASE_PINS.items():
             h = hashlib.sha256()
-            for block in properties._case_blocks(name, 1, 2000):
+            for block, _ in properties._case_blocks(name, 1, 2000):
                 for case in block:
                     h.update(repr(case_key(case)).encode())
             assert h.hexdigest() == digest, name
@@ -359,6 +360,25 @@ class TestTrustedGraphs:
             g.adj.setflags(write=True)
             g.adj *= -1
             assert h.adj.tobytes() == before
+
+
+    @pytest.mark.parametrize("name", ["switching-invariance", "negation-symmetry",
+                                      "edge-addition"])
+    def test_block_derived_graphs(self, name):
+        # the graphs the block step builds a stack at a time: each case's
+        # second graph, and edge-addition's first, the underlying graph
+        for cases, _ in properties._case_blocks(name, 13, 2 * properties._SUITE_BLOCK + 50):
+            for case in cases:
+                for h in case[:2] if name == "edge-addition" else case[1:2]:
+                    assert h.adj.dtype == np.int8 and not h.adj.flags.writeable
+                    assert SignedGraph(h.adj) == h
+            # negating every first graph in place must leave every second
+            # graph of the block as it was
+            seconds = [case[1].adj.tobytes() for case in cases]
+            for case in cases:
+                case[0].adj.setflags(write=True)
+                case[0].adj *= -1
+            assert [case[1].adj.tobytes() for case in cases] == seconds
 
 
 class TestSuites:
@@ -454,36 +474,107 @@ class TestWorkloadScalePins:
     @pytest.mark.parametrize("seed", list(KERNEL_PINS))
     def test_kernel_outputs(self, seed):
         spanning, bound = hashlib.sha256(), hashlib.sha256()
-        for cases in properties._case_blocks("balanced-spanning", seed, 2000):
+        for cases, _ in properties._case_blocks("balanced-spanning", seed, 2000):
             for h in _balanced_spanning_subgraphs(cases):
                 spanning.update(h.adj.tobytes())
-        for cases in properties._case_blocks("clique-bound", seed, 2000):
+        for cases, _ in properties._case_blocks("clique-bound", seed, 2000):
             for rep in _clique_spectral_bounds(cases):
                 bound.update((rep.to_json() + rep.observed.hex() + rep.bound_value.hex()
                               + repr(rep.details) + "\n").encode())
         assert (spanning.hexdigest(), bound.hexdigest()) == KERNEL_PINS[seed]
 
 
+def odd_order_switch_flips_an_edge(g, u):
+    adj = switch(g, u).adj.copy()
+    if g.n % 2:
+        i, j = np.argwhere(adj)[0]
+        adj[i, j] = adj[j, i] = -adj[i, j]
+    return SignedGraph(adj)
+
+
+def odd_size_negation_is_identity(g):
+    return g if g.edge_count % 2 else negate(g)
+
+
+def odd_order_edge_lands_on_an_edge(g, u, v):
+    """g, unsigned, with the edge (u, v) added, but for odd orders written
+    over g's first edge instead, which leaves g as it was."""
+    if g.n % 2:
+        u, v = np.argwhere(g.adj)[0].tolist()
+    adj = g.adj.copy()
+    adj[u, v] = adj[v, u] = 1
+    return SignedGraph(adj)
+
+
 def reference_log(name, seed, instances):
-    """The log of the switching-invariance or negation-symmetry suite, one
-    instance at a time through the public eigenvalues."""
+    """The log of the switching-invariance, negation-symmetry or
+    edge-addition suite under the one-graph faults above, one instance at a
+    time through the per-draw oracles and the public eigenvalues."""
     rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
     log = []
     for i in range(instances):
+        if name == "edge-addition":
+            g, _, (u, v) = per_draw_edge_addition(rng)
+            h = odd_order_edge_lands_on_an_edge(g, u, v)
+            if not eigenvalues(g).eigenvalues[0] < eigenvalues(h).eigenvalues[0]:
+                log.append(f"instance {i}: adding edge ({u},{v}) did not raise lambda_1:\n"
+                           f"{format_graph(g)}")
+            continue
         g = random_connected_signed_graph(rng)
         a = eigenvalues(g).eigenvalues
         if name == "switching-invariance":
             u = [int(v) for v in np.nonzero(rng.random(g.n) < 0.5)[0]]
-            b = eigenvalues(properties.switch(g, u)).eigenvalues
+            b = eigenvalues(odd_order_switch_flips_an_edge(g, u)).eigenvalues
             if max(abs(x - y) for x, y in zip(a, b)) > FORMULA_TOL:
                 log.append(f"instance {i}: spectrum changed under switching at {u}:\n"
                            f"{format_graph(g)}")
         else:
-            b = eigenvalues(properties.negate(g)).eigenvalues
+            b = eigenvalues(odd_size_negation_is_identity(g)).eigenvalues
             if max(abs(-x - y) for x, y in zip(reversed(a), b)) > FORMULA_TOL:
                 log.append(f"instance {i}: negation did not reverse the spectrum:\n"
                            f"{format_graph(g)}")
     return log + [f"{name}: {instances} instances, {len(log)} violations"]
+
+
+def odd_orders_flip_an_edge(pairs):
+    """The switching block step with odd_order_switch_flips_an_edge's fault."""
+    def faulty(a, drawn):
+        first, second = pairs(a, drawn)
+        if a.shape[-1] % 2:
+            for m in second:
+                i, j = np.argwhere(m)[0]
+                m[i, j] = m[j, i] = -m[i, j]
+        return first, second
+    return faulty
+
+
+def odd_sizes_stay_unnegated(pairs):
+    """The negation block step with odd_size_negation_is_identity's fault."""
+    def faulty(a, drawn):
+        first, second = pairs(a, drawn)
+        for m, h in zip(a, second):
+            if np.count_nonzero(m) // 2 % 2:
+                h[...] = m
+        return first, second
+    return faulty
+
+
+def odd_orders_add_an_edge_over_an_edge(pairs):
+    """The edge-addition block step with odd_order_edge_lands_on_an_edge's
+    fault: the drawn edge is misplaced onto the graph's first edge."""
+    def faulty(a, drawn):
+        if a.shape[-1] % 2:
+            drawn = [(g, tuple(np.argwhere(m)[0].tolist())) for (g, _), m in zip(drawn, a)]
+        return pairs(a, drawn)
+    return faulty
+
+
+# suite: the fault applied to the stacked step that builds its second graphs
+OPERATION_FAULTS = {
+    "switching-invariance": odd_orders_flip_an_edge,
+    "negation-symmetry": odd_sizes_stay_unnegated,
+    "edge-addition": odd_orders_add_an_edge_over_an_edge,
+}
 
 
 def faulty_interlacing(case, ok):
@@ -558,22 +649,10 @@ def assert_blocks_fail_and_pass(expected, instances):
 
 
 class TestBlockedJudging:
-    @pytest.mark.parametrize("name", ["switching-invariance", "negation-symmetry"])
+    @pytest.mark.parametrize("name", list(OPERATION_FAULTS))
     def test_faulty_operations_log_like_one_instance_at_a_time(self, name, monkeypatch):
-        switch, negate = properties.switch, properties.negate
-
-        def odd_order_switch_flips_an_edge(g, u):
-            adj = switch(g, u).adj.copy()
-            if g.n % 2:
-                i, j = np.argwhere(adj)[0]
-                adj[i, j] = adj[j, i] = -adj[i, j]
-            return SignedGraph(adj)
-
-        def odd_size_negation_is_identity(g):
-            return g if g.edge_count % 2 else negate(g)
-
-        monkeypatch.setattr(properties, "switch", odd_order_switch_flips_an_edge)
-        monkeypatch.setattr(properties, "negate", odd_size_negation_is_identity)
+        draw, pairs, judge = properties._CHECKS[name]
+        monkeypatch.setitem(properties._CHECKS, name, (draw, OPERATION_FAULTS[name](pairs), judge))
         # three blocks, the last one partial
         instances = 2 * properties._SUITE_BLOCK + 100
         result = run_suite(name, seed=11, instances=instances)
