@@ -841,14 +841,16 @@ def _least_sign_rows(adj: np.ndarray, orders: np.ndarray, switched: bool) -> lis
     first_map = np.cumsum(per) - per
     counts = per * len(orders)
     first_row = np.cumsum(counts) - counts
-    owners = np.repeat(np.arange(len(adj)), counts)
     maps = np.concatenate(maps)
     tree = _bfs_tree(adj[0][np.ix_(orders[0], orders[0])]) if switched else []
     iu, ju = _triu_cells(n)
     least = {}
-    for start in range(0, len(owners), _ORDER_CHUNK):
-        owner = owners[start:start + _ORDER_CHUNK]
-        local = np.arange(start, start + len(owner)) - first_row[owner]
+    total = int(counts.sum())
+    for start in range(0, total, _ORDER_CHUNK):
+        # each chunk finds its rows' matrices, so no array spans every row
+        rows = np.arange(start, min(start + _ORDER_CHUNK, total))
+        owner = np.searchsorted(first_row, rows, "right") - 1
+        local = rows - first_row[owner]
         # map m of order r puts vertex maps[m, r[p]] at position p; numpy
         # gathers by intp indices faster than by the orders' small dtype
         chunk = maps[(first_map[owner] + local % per[owner])[:, None],
@@ -868,43 +870,57 @@ def _least_sign_rows(adj: np.ndarray, orders: np.ndarray, switched: bool) -> lis
     return [least[g] for g in range(len(adj))]
 
 
-def _signed_code(g: SignedGraph, switched: bool) -> tuple[int, bytes]:
-    code, orders = canonical_form(np.abs(g.adj).astype(bool))
-    return code, _least_sign_rows(g.adj[None], orders, switched)[0]
+def _groups(keys):
+    """The indices of each distinct key, by first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups.values()
+
+
+def _signed_keys(adj: np.ndarray, switched: bool) -> list[tuple[int, bytes]]:
+    """The key (code, sign row) of each sign matrix of the int8 stack adj, in
+    input order: the canonical bitmap of its underlying graph (canonical_form)
+    and its least sign row over that graph's optimal orders, switched first
+    when switched (_least_sign_rows). Each distinct underlying graph is
+    labelled once, and the rows of its matrices found in one call."""
+    under = adj != 0
+    keys = [None] * len(adj)
+    for idx in _groups([u.tobytes() for u in under]):
+        code, orders = canonical_form(under[idx[0]])
+        for i, row in zip(idx, _least_sign_rows(adj[idx], orders, switched)):
+            keys[i] = code, row
+    return keys
 
 
 def canonical_signed_code(g: SignedGraph) -> tuple[int, bytes]:
     """A complete invariant of the (relabeling, switching) class of g: the
     least underlying bitmap over class-respecting relabelings, then the least
     canonical-switch sign row over the relabelings that attain it."""
-    return _signed_code(g, switched=True)
+    return _signed_keys(g.adj[None], switched=True)[0]
 
 
 def signed_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff some relabeling maps g1 onto g2 with identical signs (no switching)."""
     # graphs of different orders have sign rows of different lengths
-    return _signed_code(g1, switched=False) == _signed_code(g2, switched=False)
+    return _signed_keys(g1.adj[None], switched=False) == _signed_keys(g2.adj[None], switched=False)
 
 
 def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff some vertex bijection maps g1 onto a switching of g2.
 
-    Compares canonical_signed_code, but the sorted degrees and then the
-    underlying codes first: the underlying graphs are only labelled when
-    their degrees agree, and the sign rows only computed when they are
-    isomorphic. Exhaustive over
-    the optimal orders up to swaps of signed twins: one for K_n, 126 for a
-    halved K_9, but n! for a signed K_n without signed twins, so it rejects
-    graphs above _SWITCHING_ISO_MAX_ORDER vertices.
+    Compares canonical_signed_code, but the sorted degrees first: the graphs
+    are only keyed when their degrees agree. Exhaustive over the optimal
+    orders up to swaps of signed twins: one for K_n, 126 for a halved K_9,
+    but n! for a signed K_n without signed twins, so it rejects graphs above
+    _SWITCHING_ISO_MAX_ORDER vertices.
     """
     if g1.n != g2.n:
         return False
     if g1.n > _SWITCHING_ISO_MAX_ORDER:
         raise ValueError(
             f"switching isomorphism capped at {_SWITCHING_ISO_MAX_ORDER} vertices")
-    under = [np.abs(g.adj).astype(bool) for g in (g1, g2)]
-    if not np.array_equal(*(np.sort(u.sum(axis=0)) for u in under)):
+    if not np.array_equal(*(np.sort(np.count_nonzero(g.adj, axis=0)) for g in (g1, g2))):
         return False
-    (code1, orders1), (code2, orders2) = map(canonical_form, under)
-    return code1 == code2 and (_least_sign_rows(g1.adj[None], orders1, switched=True)
-                               == _least_sign_rows(g2.adj[None], orders2, switched=True))
+    key1, key2 = _signed_keys(np.stack([g1.adj, g2.adj]), switched=True)
+    return key1 == key2

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import _balanced_spanning_subgraphs, _clique_spectral_bounds
-from .core import SignedGraph, _switched
+from .core import SignedGraph, _groups, _is_int, _switched
 from .graphio import format_graph
-from .spectral import FORMULA_TOL, _groups, _interlacing_checks, _stacked_spectra
+from .spectral import FORMULA_TOL, _interlacing_checks, _stacked_spectra
 
 __all__ = ["SuiteResult", "SUITE_NAMES", "run_suite", "run_all_suites",
            "random_connected_signed_graph"]
@@ -175,7 +175,7 @@ def random_connected_signed_graph(rng: np.random.Generator, n_min: int = 3,
     exactly where the calls would.
     """
     for value in (n_min, n_max):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_int(value):
             raise ValueError(f"n_min and n_max must be ints, got {value!r}")
     n_min, n_max = int(n_min), int(n_max)
     if not 1 <= n_min <= n_max:

@@ -82,10 +82,12 @@ Switching maximizers stay int8 stacks (_neg_edge_maximizers); a SignedGraph is
 built from one only to hand it out or to pass it to a core check.
 The survivors of a scan stay (row, pattern) arrays until the witnesses are
 chosen, one per switching-isomorphism class. They are deduplicated by the key
-that core computes (canonical_signed_code): the class's canonical bitmap and
-the least canonical-switch sign row over its automorphisms (_least_sign_rows):
-one per coset of the twin swaps (canonical_form) and per arrangement of the
-signature's signed twins, vertices whose signed rows agree off their pair.
+of canonical_signed_code, which core._signed_keys gives the whole stack in one
+call: the class's canonical bitmap and the least canonical-switch sign row
+over its automorphisms, one per coset of the twin swaps and per arrangement of
+the signature's signed twins, vertices whose signed rows agree off their pair.
+Each table row is labelled once, and the sign rows of its signatures are found
+together.
 """
 
 from __future__ import annotations
@@ -95,6 +97,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -117,15 +120,13 @@ from .core import (
     _distinct_matrices,
     _label_stack,
     _least_of_orbits,
-    _least_sign_rows,
     _packed_codes,
-    _signed_code,
+    _signed_keys,
     _switched_matrices,
     _switching_peak,
     _tree_spins,
     _triu_cells,
     _twin_quotient,
-    canonical_form,
     canonical_signed_code,
     find_signed_triangles,
     is_balanced,
@@ -737,24 +738,13 @@ def _scan_classes(config: SearchConfig, codes, summary: _Summary):
 
 
 @lru_cache(maxsize=None)
-def _gst_split_keys(n: int) -> tuple[tuple[tuple[int, bytes], str], ...]:
-    """The switching key and name of each split gst(s, n - 2 - s), by s."""
-    return tuple((canonical_signed_code(build_gst(s, n - 2 - s)), f"gst({s},{n - 2 - s})")
+def _family_keys(n: int) -> MappingProxyType:
+    """The name of each named graph on n vertices by its switching key
+    (canonical_signed_code): (K_n, +), (K_n, -) and each split gst(s, n - 2 - s)."""
+    named = {"complete-pos": build_complete(n, 1), "complete-neg": build_complete(n, -1)}
+    named.update((f"gst({s},{n - 2 - s})", build_gst(s, n - 2 - s))
                  for s in range(1, (n - 2) // 2 + 1))
-
-
-def _match_family(w: SignedGraph, key: tuple[int, bytes], n: int) -> str | None:
-    """The family that witness w, of switching key `key`, belongs to, if any."""
-    if w.edge_count == n * (n - 1) // 2:
-        if switching_equivalent(w, build_complete(n, 1)):
-            return "complete-pos"
-        if switching_equivalent(w, build_complete(n, -1)):
-            return "complete-neg"
-    if w.edge_count == edge_bound(n):
-        for split_key, name in _gst_split_keys(n):
-            if key == split_key:
-                return name
-    return None
+    return MappingProxyType({canonical_signed_code(g): name for name, g in named.items()})
 
 
 def _recheck_witness(w: SignedGraph, config: SearchConfig, value):
@@ -795,14 +785,8 @@ def _scan(config: SearchConfig, progress):
         )
     stack = _signature_stack(table, system, patterns, np.int8)
     seen = {}
-    # a row's signatures are one run; its optimal orders are its automorphisms
-    starts = np.flatnonzero(np.diff(system, prepend=-1))
-    for row, part in zip(system[starts], np.split(stack, starts[1:])):
-        canon, orders = canonical_form(table.adj[row])
-        # one matrix per call: a row may hold thousands of signatures, each
-        # with up to n! twin arrangements
-        for a in part:
-            seen.setdefault((canon, _least_sign_rows(a[None], orders, switched=True)[0]), a)
+    for key, a in zip(_signed_keys(stack, switched=True), stack):
+        seen.setdefault(key, a)
     keys = sorted(seen)
     witnesses = [SignedGraph._trusted(seen[k]) for k in keys]
     optimum = int(best) if config.objective == "MAX_EDGES" else best
@@ -870,23 +854,15 @@ def search(config: SearchConfig, *, progress=None) -> SearchReport:
         _, edge_witnesses, _, counts = _scan(replace(config, objective="MAX_EDGES"), progress)
         optimum, maximizers = _neg_edge_maximizers(np.stack([w.adj for w in edge_witnesses]))
         witnesses = [SignedGraph._trusted(a) for a in maximizers]
-        # signed_isomorphic against the one target, keyed once; witnesses
-        # share few underlying graphs, so each is labelled once, and only
-        # those labelled like the target compare sign rows
-        target_code, target_row = _signed_code(build_gst_maxneg(config.n), switched=False)
-        labels, matched = {}, []
-        for w in witnesses:
-            under = w.adj != 0
-            key = under.tobytes()
-            if key not in labels:
-                labels[key] = canonical_form(under)
-            code, orders = labels[key]
-            matched.append("gst-maxneg" if code == target_code and _least_sign_rows(
-                w.adj[None], orders, switched=False)[0] == target_row else None)
+        # signed_isomorphic against the one target: the target and the
+        # maximizers keyed in one call
+        target, *keys = _signed_keys(np.concatenate(
+            [build_gst_maxneg(config.n).adj[None], maximizers]), switched=False)
+        matched = ["gst-maxneg" if key == target else None for key in keys]
         counts["signatures_scanned"] += len(edge_witnesses) << config.n
     else:
         optimum, witnesses, keys, counts = _scan(config, progress)
-        matched = [_match_family(w, key, config.n) for w, key in zip(witnesses, keys)]
+        matched = list(map(_family_keys(config.n).get, keys))
     return SearchReport(config, optimum, witnesses, matched, counts,
                         wall_time=time.perf_counter() - t0)
 
@@ -984,12 +960,11 @@ def _verify_l2_2(n: int, progress) -> BoundReport:
     structure_ok = not (spins[:, :, None] * winners * spins[:, None, :] < 0).any()
     if n <= 6:
         # cheap cross-validation of the structural predicate by switching
-        # isomorphism: every winner and the target are signed K_n, so K_n is
-        # labelled once and only their least sign rows are compared
-        _, orders = canonical_form(~np.eye(n, dtype=bool))
-        target, *rows = _least_sign_rows(
-            np.concatenate([build_kn_switched_maxneg(n).adj[None], winners]), orders, switched=True)
-        structure_ok = structure_ok and all(row == target for row in rows)
+        # isomorphism: every winner and the target are signed K_n, so one
+        # call labels K_n once and finds all their sign rows together
+        target, *keys = _signed_keys(
+            np.concatenate([build_kn_switched_maxneg(n).adj[None], winners]), switched=True)
+        structure_ok = structure_ok and all(key == target for key in keys)
     bound = (n // 2) * ((n + 1) // 2)
     return make_bound_report(
         "l2_2", n, bound, best, SignedGraph._trusted(winners[0]),

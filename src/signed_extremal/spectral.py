@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._render import json_text
-from .core import SignedGraph, _check_vertex_set, _is_int
+from .core import SignedGraph, _check_vertex_set, _groups, _is_int
 
 __all__ = [
     "SpectralError",
@@ -98,14 +98,6 @@ def _stacked_spectra(a: np.ndarray) -> np.ndarray:
 
 # matrix entries per stacked solve (32 MB as float64)
 _STACK_ENTRIES = 1 << 22
-
-
-def _groups(keys):
-    """The indices of each distinct key, by first appearance."""
-    groups = {}
-    for i, key in enumerate(keys):
-        groups.setdefault(key, []).append(i)
-    return groups.values()
 
 
 def _by_shape(mats, solve) -> list:

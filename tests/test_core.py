@@ -1,9 +1,11 @@
+import ast
 import functools
 import hashlib
 import itertools
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -733,12 +735,13 @@ class TestCanonicalCode:
     @pytest.mark.parametrize("g,bound", [
         (build_kn_switched_maxneg(9), 1 << 20),
         (new_signed_graph(9, [(u, v, -1 if v == u + 1 else 1)
-                              for u, v in itertools.combinations(range(9), 2)]), 9 << 20),
+                              for u, v in itertools.combinations(range(9), 2)]), 8 << 20),
     ], ids=["halved-k9", "k9-negative-path"])
     def test_keys_of_signed_k9_in_bounded_memory(self, g, bound):
         # 126 arrangements of the halved K_9; all 9! of K_9 whose negative
         # edges form a Hamiltonian path, which has no signed twins: its maps
-        # take 3.1 MiB, and the evaluation stays in chunks
+        # take 3.1 MiB, and the evaluation, the matrix of each row included,
+        # stays in chunks
         expected = canonical_signed_code(g)
         tracemalloc.start()
         try:
@@ -748,6 +751,47 @@ class TestCanonicalCode:
             tracemalloc.stop()
         assert key == expected
         assert peak < bound
+
+    @pytest.mark.parametrize("switched", [True, False])
+    def test_signed_keys_of_a_mixed_stack(self, switched, monkeypatch):
+        # three planted-twin graphs, each with a relabelled copy, a switched
+        # copy and a re-signing of its edges, interleaved and some repeated:
+        # each distinct underlying graph is labelled once, and each key is
+        # that of its matrix alone
+        rng = np.random.default_rng(23)
+        graphs = []
+        for g in planted_twin_graphs(900, 6, 3):
+            signs = np.triu(rng.choice([-1, 1], size=(6, 6)), 1)
+            graphs += [g, permute(g, rng.permutation(6)), switch(g, [0, 2]),
+                       SignedGraph(np.abs(g.adj) * (signs + signs.T))]
+        stack = [graphs[i] for i in [*rng.permutation(12), *rng.integers(0, 12, 4)]]
+        labelled = []
+        label = core.canonical_form
+        monkeypatch.setattr(core, "canonical_form", lambda a: labelled.append(a.tobytes()) or label(a))
+        keys = core._signed_keys(np.stack([g.adj for g in stack]), switched)
+        assert sorted(labelled) == sorted({(g.adj != 0).tobytes() for g in stack})
+        assert len(labelled) < len(stack)
+        for g, key in zip(stack, keys):
+            expected = per_order_signed_code(g)
+            assert key == expected if switched else key[0] == expected[0]
+        if not switched:
+            same = [(key == other, brute_signed_isomorphic(g, h))
+                    for (g, key), (h, other) in itertools.combinations(zip(stack, keys), 2)]
+            assert all(got == want for got, want in same)
+            assert {want for _, want in same} == {True, False}
+
+
+def test_only_core_labels_graphs_or_finds_sign_rows():
+    # switching keys come from core._signed_keys alone: no other module
+    # names the labelling or the sign-row kernel
+    kernels = {"canonical_form", "_least_sign_rows"}
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            assert name not in kernels and getattr(node, "name", None) not in kernels, (
+                f"{path.name}:{node.lineno} uses {name or node.name}")
 
 
 def evaluated_batches(monkeypatch):

@@ -362,7 +362,6 @@ class TestEnumerateUnderlying:
         monkeypatch.setattr(SEARCH, "_deletion_sets", deletion_spy)
         monkeypatch.setattr(core, "_individualize", individualize_spy)
         monkeypatch.setattr(core, "canonical_form", lambda adj: relabelled.append(adj))
-        monkeypatch.setattr(SEARCH, "canonical_form", lambda adj: relabelled.append(adj))
         SEARCH._class_level.cache_clear()
         try:
             assert len(_connected_class_bitmaps(7)) == 853
@@ -888,8 +887,10 @@ class TestSearch:
         assert calls == reached(config, None)
 
     def test_finalize_runs_one_canonical_form_per_class(self, monkeypatch):
-        # all 1,023 tied signatures of K_6 share one class code
+        # all 1,023 tied signatures of K_6 share one class code; the family
+        # keys are cached before counting
         _connected_class_bitmaps(6)
+        SEARCH._family_keys(6)
         calls = []
         core = sys.modules[canonical_signed_code.__module__]
         original = core.canonical_form
@@ -899,7 +900,6 @@ class TestSearch:
             return original(adj)
 
         monkeypatch.setattr(core, "canonical_form", counting)
-        monkeypatch.setattr(SEARCH, "canonical_form", counting)
         rep = search(SearchConfig(n=6, objective="MAX_EDGES", forbidden="NONE"))
         assert len(rep.witnesses) == 15
         assert len(calls) == 1
@@ -917,7 +917,9 @@ class TestSearch:
     def test_neg_edges_objective_labels_each_underlying_graph_once(
             self, monkeypatch, n, require_unbalanced):
         # at n = 7 without the unbalanced constraint 35 maximizers share one
-        # underlying graph: one label for it and one for the target
+        # underlying graph: the target and the maximizers are keyed in one
+        # call, which labels each distinct underlying graph once, the
+        # target's included, which may be a maximizer's
         calls = []
         core = sys.modules[canonical_signed_code.__module__]
         original, scan = core.canonical_form, SEARCH._scan
@@ -932,15 +934,14 @@ class TestSearch:
             return out
 
         monkeypatch.setattr(core, "canonical_form", counting)
-        monkeypatch.setattr(SEARCH, "canonical_form", counting)
         monkeypatch.setattr(SEARCH, "_scan", scan_then_count)
         rep = search(SearchConfig(n=n, objective="MAX_NEG_EDGES_AT_MAX_EDGES",
                                   require_unbalanced=require_unbalanced))
         distinct = {w.underlying().adj.tobytes() for w in rep.witnesses}
-        assert len(calls) == len(distinct) + 1
+        target = build_gst_maxneg(n)
+        assert len(calls) == len(distinct | {target.underlying().adj.tobytes()})
         if not require_unbalanced:
             assert (len(rep.witnesses), len(distinct)) == (35, 1)
-        target = build_gst_maxneg(n)
         assert rep.matched_family == ["gst-maxneg" if signed_isomorphic(w, target) else None
                                       for w in rep.witnesses]
 
@@ -1506,15 +1507,15 @@ class TestVerifyTheorem:
         # n = 6 labels K_6 once and computes the sign rows of the target and
         # of every maximizer in one call, with no whole switching key
         labels, rows, codes = [], [], []
-        label, row = SEARCH.canonical_form, SEARCH._least_sign_rows
-        code = SEARCH.canonical_signed_code
+        core = sys.modules[canonical_signed_code.__module__]
+        label, row, code = core.canonical_form, core._least_sign_rows, core.canonical_signed_code
 
         def counting(calls, fn):
             return lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs)
 
-        monkeypatch.setattr(SEARCH, "canonical_form", counting(labels, label))
-        monkeypatch.setattr(SEARCH, "_least_sign_rows", counting(rows, row))
-        monkeypatch.setattr(SEARCH, "canonical_signed_code", counting(codes, code))
+        monkeypatch.setattr(core, "canonical_form", counting(labels, label))
+        monkeypatch.setattr(core, "_least_sign_rows", counting(rows, row))
+        monkeypatch.setattr(core, "canonical_signed_code", counting(codes, code))
         rep = verify_theorem("L2_2", 6)
         assert rep.passed and not codes
         assert len(labels) == 1 and np.array_equal(labels[0][0], ~np.eye(6, dtype=bool))
