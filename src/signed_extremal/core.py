@@ -239,18 +239,18 @@ def _bfs_tree(adj: np.ndarray) -> list[tuple[int, int]]:
 
 
 def _tree_spins(adj: np.ndarray, tree) -> np.ndarray:
-    """Spins (G, n) that make every edge of the forest `tree` positive in each
-    matrix of the (G, n, n) stack adj."""
-    spin = np.ones(adj.shape[:2], dtype=np.int8)
+    """Spins (..., n) that make every edge of the forest `tree` positive in
+    each matrix of the (..., n, n) stack adj."""
+    spin = np.ones(adj.shape[:-1], dtype=np.int8)
     # a parent is discovered before its children, so its spin is final
     for v, u in tree:
-        spin[:, u] = spin[:, v] * adj[:, v, u]
+        spin[..., u] = spin[..., v] * adj[..., v, u]
     return spin
 
 
 def _bfs_tree_spins(g: SignedGraph) -> np.ndarray:
     """Spins that make every edge of the canonical spanning forest positive."""
-    return _tree_spins(g.adj[None], _bfs_tree(g.adj))[0]
+    return _tree_spins(g.adj, _bfs_tree(g.adj))
 
 
 def canonical_switch(g: SignedGraph) -> SignedGraph:
@@ -352,12 +352,11 @@ def shortest_unbalanced_cycle(g: SignedGraph) -> Cycle | None:
 # Canonical labeling machinery (shared with the search engine)
 # ---------------------------------------------------------------------------
 
-# orders per batch in _least_sign_rows: one per coset representative and
-# arrangement of signed twins, 9! for a signed K_9 without signed twins
-_ORDER_CHUNK = 8192
-# switching_isomorphic labels K_n to one order and evaluates one order per
-# arrangement of signed twins: 126 for a halved K_9, n! with no signed twins
-_SWITCHING_ISO_MAX_ORDER = 9
+# core's one work cap: the count vectors of one switching maximum and the
+# switchings expanded at its peak (2^20 is every switching of a twin-free
+# 20-vertex graph), and the branches alive in one labelling or sign-row search,
+# which never outnumber optimal orders: at most 9! = 362,880 up to 9 vertices
+_SWITCH_MAX_WORK = 1 << 20
 
 
 @lru_cache(maxsize=None)
@@ -393,10 +392,10 @@ def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
         return code, first
     # the position of each vertex in each order, and consecutive members
     # (a, b) of each twin class; a must come before b
-    pos = np.argsort(perm, axis=1)
-    a, b = np.array([(a, b) for c in _signed_twin_classes(adj_bool.view(np.int8))
+    pos = np.argsort(perm, 1)
+    a, b = np.array([(a, b) for c in _signed_twin_classes(adj_bool)
                      for a, b in zip(c, c[1:])], dtype=np.intp).reshape(-1, 2).T
-    return code, perm[(pos[:, a] < pos[:, b]).all(axis=1)]
+    return code, perm[(pos[:, a] < pos[:, b]).all(1)]
 
 
 def _dense_ranks(keys: np.ndarray) -> np.ndarray:
@@ -470,8 +469,8 @@ def _refine(adj: np.ndarray) -> np.ndarray:
 
 
 def _least_rows(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Indices, ascending, of the uint8 rows that equal the lexicographically
-    least row of their owner; owner is ascending."""
+    """Indices, ascending, of the rows of byte values that equal the
+    lexicographically least row of their owner; owner is ascending."""
     # zero-padded to big-endian uint64 words, rows compare as their bytes do
     words = np.zeros((len(values), -(-values.shape[1] // 8) * 8), dtype=np.uint8)
     words[:, :values.shape[1]] = values
@@ -518,6 +517,7 @@ def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np
         start = np.where(key != key[:, np.arange(-1, n - 1)], np.arange(n, dtype=dtype), 0)
         start = np.maximum.accumulate(start, axis=1)
         take, p = np.nonzero(start == i)
+        _check_work(len(p), "labelling")
         branch, perm, start = branch[take], perm[take], start[take]
         v = perm[np.arange(len(p)), p]
         # v goes to position i and the rest of its cell to i + 1 on; each
@@ -643,29 +643,32 @@ def _least_of_orbits(labels: _Labels, masks: np.ndarray) -> np.ndarray:
     return least
 
 
-def _signed_twin_classes(adj: np.ndarray) -> list[list[int]]:
-    """The classes of signed twins of the sign matrix adj, each ascending, in
-    order of their least vertex. Vertices a != b are signed twins when
-    adj[a, x] == adj[b, x] for every x outside {a, b}. This is an equivalence:
-    a ~ b and b ~ c force adj[a, b] = adj[a, c] = adj[b, c]. With s =
-    adj[a, b], a and b are twins exactly when their rows of adj + s I agree,
-    and these rows differ by |A_a - A_b|^2 - 2 s^2 in squared norm, so one
-    matmul decides every pair: |A_a - A_b|^2 = (A^2)_aa + (A^2)_bb - 2 (A^2)_ab,
-    integers, exact in float64."""
+def _twin_firsts(adj: np.ndarray, up_to_sign: bool = False) -> np.ndarray:
+    """The least twin of each vertex in each sign matrix of a stack (..., n, n):
+    a != b are signed twins when adj[a, x] == adj[b, x] for every x outside
+    {a, b}, or with up_to_sign switching twins, adj[a, x] == e adj[b, x] for
+    one e = +-1, whose swap is a switching automorphism. Both are
+    equivalences. With s = adj[a, b], the rows off the pair differ by
+    |A_a - e A_b|^2 - 2 s^2 in squared norm, and |A_a - e A_b|^2 = (A^2)_aa +
+    (A^2)_bb - 2 e (A^2)_ab is least at e = sign (A^2)_ab: one matmul decides
+    every pair, in integers exact in float64."""
     a = adj.astype(np.float64)
-    sq = a @ a
-    d = sq.diagonal()
+    d, sq = (a * a).sum(-1), a @ a
     # a vertex is its own twin, so each row's first twin is its class's least
-    first = (d[:, None] + d - 2 * sq == 2 * a * a).argmax(axis=1)
-    classes = {}
-    for v, f in enumerate(first.tolist()):
-        classes.setdefault(f, []).append(v)
-    return list(classes.values())
+    return (d[..., None] + d[..., None, :] - 2 * (abs(sq) if up_to_sign else sq)
+            == 2 * a * a).argmax(-1)
 
 
-# count vectors evaluated for one graph's switching maximum, and switchings
-# expanded at the peak: 2^20 is every switching of a twin-free 20-vertex graph
-_SWITCH_MAX_WORK = 1 << 20
+def _signed_twin_classes(adj: np.ndarray) -> list[list[int]]:
+    """The classes of signed twins (_twin_firsts) of the sign matrix adj, each
+    ascending, in order of their least vertex."""
+    return list(_groups(_twin_firsts(adj).tolist()))
+
+
+def _check_work(count: int, what: str, unit: str = "branches"):
+    """Refuse `count` units of work past _SWITCH_MAX_WORK, before allocating."""
+    if count > _SWITCH_MAX_WORK:
+        raise ValueError(f"{what} capped at {_SWITCH_MAX_WORK} {unit}, got {count}")
 
 
 def _twin_quotient(adj: np.ndarray) -> tuple[list[list[int]], np.ndarray, np.ndarray]:
@@ -674,9 +677,9 @@ def _twin_quotient(adj: np.ndarray) -> tuple[list[list[int]], np.ndarray, np.nda
     the diagonal, and each class's inner sign on it (0 for a single vertex)."""
     classes = _signed_twin_classes(adj)
     first = [c[0] for c in classes]
-    signs = adj[np.ix_(first, first)].astype(np.int64)
+    signs = adj[np.ix_(first, first)].astype(int)
     signs[np.diag_indices(len(classes))] = [adj[c[0], c[-1]] for c in classes]
-    return classes, np.array([len(c) for c in classes], dtype=np.int64), signs
+    return classes, np.array(list(map(len, classes))), signs
 
 
 def _count_grid(sizes: np.ndarray) -> np.ndarray:
@@ -708,9 +711,7 @@ def _switching_peak(sizes: np.ndarray, signs: np.ndarray) -> tuple[int, np.ndarr
     """
     radix = (sizes + 1).tolist()
     total = math.prod(radix)
-    if total > _SWITCH_MAX_WORK:
-        raise ValueError(f"switching maximum capped at {_SWITCH_MAX_WORK} count vectors, "
-                         f"got {total}")
+    _check_work(total, "switching maximum", "count vectors")
     prefix = np.cumprod([1, *radix])
     h = int(np.argmin(np.maximum(prefix, total // prefix)))
     runs = [slice(h), slice(h, None)]
@@ -785,89 +786,92 @@ def _switched_matrices(adj: np.ndarray, classes: list[list[int]],
                            for chunk in np.split(spins, range(step, len(spins), step))])
 
 
-@lru_cache(maxsize=None)
-def _slot_takes(slots: int, size: int) -> np.ndarray:
-    """For each choice of `size` of `slots` slots, the column of [the other
-    slots in order, the chosen slots] that fills each slot (read-only): the
-    arrangement table of _twin_arrangements."""
-    take = np.argsort([[j for j in range(slots) if j not in pick] + list(pick)
-                       for pick in itertools.combinations(range(slots), size)], axis=1)
-    take.setflags(write=False)
-    return take
-
-
-def _twin_arrangements(adj: np.ndarray, twins: list[list[int]], dtype) -> np.ndarray:
-    """Vertex maps (M, n), one per arrangement of the signed-twin classes of
-    adj inside the twin classes of its underlying graph (twins, the
-    _signed_twin_classes of |adj|), k! / (k_1! ... k_t!) for a twin class of
-    k in signed classes of k_1, ..., k_t: row s sends the j-th member of each
-    twin class to the vertex in slot j, each signed class filling its slots
-    in ascending order."""
-    n = len(adj)
-    signed = _signed_twin_classes(adj)
-    maps = np.arange(n, dtype=dtype)[None]
-    for twin in twins:
-        parts = [c for c in signed if c[0] in twin]
-        k = len(parts[0])
-        maps[:, twin[:k]] = parts[0]
-        for part in parts[1:]:
-            # for each choice of slots for part, the others taking the first
-            # k slots in order, the column of [first k slots, part] per slot
-            s = k + len(part)
-            take = _slot_takes(s, len(part))
-            old = np.empty((len(maps), s), dtype=dtype)
-            old[:, :k], old[:, k:] = maps[:, twin[:k]], part
-            new = np.repeat(maps[:, None], len(take), axis=1)
-            new[:, :, twin[:s]] = old[:, take]
-            maps, k = new.reshape(-1, n), s
-    return maps
-
-
 def _least_sign_rows(adj: np.ndarray, orders: np.ndarray, switched: bool) -> list[bytes]:
     """For each sign matrix of the (G, n, n) stack adj, whose matrices share
-    one underlying graph, its least upper-triangle sign row relabeled by each
-    optimal order of that graph, given one per coset of the twin swaps
-    (canonical_form), and switched first, when switched, so that its
-    canonical spanning forest, one for all these orders, is positive.
-    Swapping signed twins fixes a matrix, so each order is expanded once per
-    arrangement of its signed twins in the twin classes (_twin_arrangements),
-    35 for the one order of a halved K_7; the rows of every (matrix, order,
-    arrangement) are evaluated _ORDER_CHUNK at a time."""
+    one underlying graph, its least upper-triangle sign row, signs -1/0/+1 as
+    the bytes 2/0/1, relabeled by each optimal order of that graph, given one
+    per coset of the twin swaps (canonical_form), and switched first, when
+    switched, so that its canonical spanning forest, one for all these
+    orders, is positive.
+
+    A search within the twin classes, pruned by prefix (McKay and Piperno, J.
+    Symbolic Comput. 60, 2014). Only the least position of a class can be
+    internal in the forest, as its first member dequeued finds every
+    neighbour of the others, which share one parent. So a start, an order
+    with one vertex per class of switching twins (_twin_firsts) at each
+    internal position, fixes every spin. Each branch keeps its cells as runs
+    (_individualize): position p takes each vertex of the first cell of its
+    class, one per signed twin of the start, every cell splits by its values
+    to it, so row p is known, and each matrix keeps the branches with the
+    least row p, until each cell is one signed-twin class. Matrices with the
+    same starts are searched once. More than _SWITCH_MAX_WORK branches are
+    refused."""
     n = adj.shape[1]
-    twins = _signed_twin_classes(np.abs(adj[0]))
-    maps = [_twin_arrangements(a, twins, orders.dtype) for a in adj]
-    # rows of matrix g: len(orders) x len(maps[g]), the arrangement fastest
-    per = np.array([len(m) for m in maps])
-    first_map = np.cumsum(per) - per
-    counts = per * len(orders)
-    first_row = np.cumsum(counts) - counts
-    maps = np.concatenate(maps)
-    tree = _bfs_tree(adj[0][np.ix_(orders[0], orders[0])]) if switched else []
+    under = adj[0, orders[0, :, None], orders[0]] != 0
+    tree = _bfs_tree(under) if switched else []
+    inner = {p for p, _ in tree}
+    classes = _signed_twin_classes(under)
+    fixed = [c for c in classes if c[0] in inner]
+    _check_work(len(adj) * len(orders) * math.prod(map(len, fixed)), "sign rows")
+    starts = []
+    for order in orders.tolist():
+        for pick in itertools.product(*fixed):
+            start = [*order]
+            # each class's internal position is its least
+            for p, q in zip(sorted(inner), pick):
+                start[p], start[q] = start[q], start[p]
+            starts.append(start)
+    picked = np.array(starts)
+    moved = adj[:, picked[:, :, None], picked[:, None]]
+    spin = _tree_spins(moved, tree)
+    # each matrix's distinct switched starts with the least of a class of
+    # switching twins at each internal position, and each set of them once
+    at = picked[:, sorted(inner)]
+    least = (_twin_firsts(adj, up_to_sign=True)[:, at] == at).all(-1)
+    distinct = [_distinct_matrices(m[k])
+                for m, k in zip(spin[..., None] * moved * spin[..., None, :], least)]
+    group = {}
+    which = [group.setdefault(m.tobytes(), i) for i, m in enumerate(distinct)]
+    searched = [distinct[i] for i in group.values()]
+    stack = np.concatenate(searched)
+    # a branch's owner is the first matrix with its starts
+    owner = np.repeat([*group.values()], list(map(len, searched)))
+    twins = np.concatenate([_twin_firsts(m) for m in searched])
+    # each branch's key per slot: its cell, its signed-twin class, its vertex;
+    # the positions class by class, an internal one a cell of its own
+    layout, cell = np.array([(p, 2 * k + (p not in inner))
+                             for k, c in enumerate(classes) for p in c]).T
+    key, own = (cell * n + twins[:, layout]) * n + layout, np.arange(len(stack))
+    slots, slot = np.arange(n), np.argsort(layout)
+    for p, s in enumerate(slot.tolist()):
+        key.sort()
+        if p:
+            # row p - 1: the values to its vertex, one per cell
+            keep = _least_rows(owner, key[:, slot[p:]] // (n * n) % 4 - 1)
+            owner, own, key = owner[keep], own[keep], key[keep]
+        perm, twin = key % n, key // n
+        cell = twin // n
+        start = np.maximum.accumulate(np.where(cell != cell[:, slots - 1], slots, 0), 1)
+        # a new cell or signed-twin class
+        new = np.diff(twin, prepend=-1) != 0
+        # done when each cell is one signed-twin class, which keeps its
+        # matrix under any arrangement
+        if (new == (start == slots)).all():
+            break
+        take, j = np.nonzero((start == s) & new)
+        _check_work(len(take), "sign rows")
+        v = perm[take, j, None]
+        owner, own, key = owner[take], own[take], key[take]
+        # the vertex at s first, then each cell by its value to it, -1/0/+1
+        # as 3/1/2, its own diagonal 0 (_individualize)
+        cell = start[take] * 4 + stack[own[:, None], v, key % n] % 3 + (slots != j[:, None])
+        key = cell * n * n + key % (n * n)
     iu, ju = _triu_cells(n)
-    least = {}
-    total = int(counts.sum())
-    for start in range(0, total, _ORDER_CHUNK):
-        # each chunk finds its rows' matrices, so no array spans every row
-        rows = np.arange(start, min(start + _ORDER_CHUNK, total))
-        owner = np.searchsorted(first_row, rows, "right") - 1
-        local = rows - first_row[owner]
-        # map m of order r puts vertex maps[m, r[p]] at position p; numpy
-        # gathers by intp indices faster than by the orders' small dtype
-        chunk = maps[(first_map[owner] + local % per[owner])[:, None],
-                     orders[local // per[owner]]].astype(np.intp)
-        moved = adj[owner[:, None, None], chunk[:, :, None], chunk[:, None, :]]
-        spin = _tree_spins(moved, tree)
-        # signs -1/0/+1 compare as the bytes 2/0/1; prefixed by their matrix's
-        # big-endian index, the rows sort as void scalars into one run per
-        # matrix, its least row first
-        keyed = np.empty((len(owner), 4 + len(iu)), dtype=np.uint8)
-        keyed[:, :4] = owner.astype(">u4")[:, None].view(np.uint8)
-        keyed[:, 4:] = spin[:, iu] * spin[:, ju] * moved[:, iu, ju] % 3
-        keyed = np.sort(keyed.view(np.dtype((np.void, 4 + len(iu)))).ravel())
-        starts = np.flatnonzero(np.diff(owner, prepend=-1))
-        for g, row in zip(owner[starts].tolist(), keyed[starts].tolist()):
-            least[g] = min(least.get(g, row[4:]), row[4:])
-    return [least[g] for g in range(len(adj))]
+    rows = stack[own[:, None], perm[:, slot[iu]], perm[:, slot[ju]]] % 3
+    keep = _least_rows(owner, rows)
+    # every kept row of an owner is its least
+    best = dict(zip(owner[keep].tolist(), rows[keep]))
+    return [best[i].tobytes() for i in which]
 
 
 def _groups(keys):
@@ -910,17 +914,12 @@ def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     """True iff some vertex bijection maps g1 onto a switching of g2.
 
     Compares canonical_signed_code, but the sorted degrees first: the graphs
-    are only keyed when their degrees agree. Exhaustive over the optimal
-    orders up to swaps of signed twins: one for K_n, 126 for a halved K_9,
-    but n! for a signed K_n without signed twins, so it rejects graphs above
-    _SWITCHING_ISO_MAX_ORDER vertices.
+    are only keyed when their degrees agree. The key's labelling and sign-row
+    search refuse more than _SWITCH_MAX_WORK branches, which no graph on 9
+    vertices or fewer reaches.
     """
-    if g1.n != g2.n:
-        return False
-    if g1.n > _SWITCHING_ISO_MAX_ORDER:
-        raise ValueError(
-            f"switching isomorphism capped at {_SWITCHING_ISO_MAX_ORDER} vertices")
-    if not np.array_equal(*(np.sort(np.count_nonzero(g.adj, axis=0)) for g in (g1, g2))):
+    # sorted degrees of different lengths differ as well
+    if not np.array_equal(*(np.sort(np.count_nonzero(g.adj, 0)) for g in (g1, g2))):
         return False
     key1, key2 = _signed_keys(np.stack([g1.adj, g2.adj]), switched=True)
     return key1 == key2

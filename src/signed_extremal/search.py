@@ -84,10 +84,10 @@ The survivors of a scan stay (row, pattern) arrays until the witnesses are
 chosen, one per switching-isomorphism class. They are deduplicated by the key
 of canonical_signed_code, which core._signed_keys gives the whole stack in one
 call: the class's canonical bitmap and the least canonical-switch sign row
-over its automorphisms, one per coset of the twin swaps and per arrangement of
-the signature's signed twins, vertices whose signed rows agree off their pair.
-Each table row is labelled once, and the sign rows of its signatures are found
-together.
+over its automorphisms, found by a search that keeps only the least rows and
+tries one of the signature's signed twins, vertices whose signed rows agree
+off their pair, at a time. Each table row is labelled once, and the sign rows
+of its signatures are found together.
 """
 
 from __future__ import annotations

@@ -311,14 +311,17 @@ def brute_labelling(adj_bool: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
     return int(best), sorted(map(tuple, orders[codes == best].tolist()))
 
 
-def per_order_signed_code(g: SignedGraph) -> tuple[int, bytes]:
+def per_order_signed_code(g: SignedGraph, switched: bool = True) -> tuple[int, bytes]:
     """canonical_signed_code, one relabeling and canonical switch per optimal
-    order of brute_labelling, all n! of them for K_n."""
+    order of brute_labelling, all n! of them for K_n; without switched, the
+    key signed_isomorphic compares, the relabelings alone."""
     code, orders = brute_labelling(np.abs(g.adj).astype(bool))
     iu, ju = _triu_cells(g.n)
     best = None
     for order in orders:
-        c = canonical_switch(permute(g, order))
+        c = permute(g, order)
+        if switched:
+            c = canonical_switch(c)
         # entries -1/0/+1 -> bytes 2/0/1 so the comparison is deterministic
         row = np.where(c.adj[iu, ju] == -1, 2, c.adj[iu, ju]).astype(np.uint8).tobytes()
         if best is None or row < best:
@@ -326,13 +329,15 @@ def per_order_signed_code(g: SignedGraph) -> tuple[int, bytes]:
     return code, best
 
 
-def brute_signed_twin_classes(adj: np.ndarray) -> list[list[int]]:
+def brute_signed_twin_classes(adj: np.ndarray, up_to_sign: bool = False) -> list[list[int]]:
     """The vertex sets {v} plus every u with adj[u, x] == adj[v, x] for all x
-    outside {u, v}, each sorted, without repeats, by least vertex. They
-    partition the vertices only if the relation is an equivalence."""
+    outside {u, v}, or with up_to_sign adj[u, x] == e adj[v, x] for one sign
+    e, each sorted, without repeats, by least vertex. They partition the
+    vertices only if the relation is an equivalence."""
     n = len(adj)
-    classes = {tuple(u for u in range(n)
-                     if all(adj[u, x] == adj[v, x] for x in range(n) if x not in (u, v)))
+    classes = {tuple(u for u in range(n) if any(
+        all(adj[u, x] == e * adj[v, x] for x in range(n) if x not in (u, v))
+        for e in ((1, -1) if up_to_sign else (1,))))
                for v in range(n)}
     return sorted(map(list, classes))
 

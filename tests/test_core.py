@@ -452,10 +452,36 @@ class TestSwitchingIsomorphic:
         h = negate(g)
         assert not switching_isomorphic(g, h)
 
-    def test_order_cap(self):
-        g = build_complete(10, 1)
-        with pytest.raises(ValueError, match="capped"):
+    @pytest.mark.parametrize("cap", [19, 89], ids=["starts", "position-1"])
+    def test_branch_cap(self, cap, monkeypatch):
+        # K_10 whose negative edges form a Hamiltonian path has no switching
+        # twins: each of the two matrices keyed has 10 starts, one per vertex
+        # at the root, and the two, searched once, open 9 branches each at
+        # position 1; K_10 is labelled without branches, and no vertex count
+        # is capped
+        g = new_signed_graph(10, [(u, v, -1 if v == u + 1 else 1)
+                                  for u, v in itertools.combinations(range(10), 2)])
+        assert brute_signed_twin_classes(g.adj, up_to_sign=True) == [[v] for v in range(10)]
+        assert switching_isomorphic(g, switch(permute(g, range(9, -1, -1)), [0, 4]))
+        monkeypatch.setattr(core, "_SWITCH_MAX_WORK", cap)
+        with pytest.raises(ValueError, match=f"sign rows capped at {cap} branches, got {cap + 1}"):
             switching_isomorphic(g, g)
+
+    @pytest.mark.parametrize("n", [10, 12, 16])
+    def test_twin_free_kn_relabelled_and_switched(self, n):
+        # no vertex count is capped: a signed K_n without signed twins
+        # against a relabelled copy, that copy switched, and a copy with one
+        # edge flipped, whose negative edges differ by one in number
+        rng = np.random.default_rng(n)
+        signs = np.triu(rng.choice([-1, 1], size=(n, n)), 1)
+        g = SignedGraph(signs + signs.T)
+        assert _signed_twin_classes(g.adj) == [[v] for v in range(n)]
+        moved = permute(g, rng.permutation(n))
+        flipped = np.array(g.adj)
+        flipped[0, 1] = flipped[1, 0] = -flipped[0, 1]
+        assert signed_isomorphic(g, moved)
+        assert switching_isomorphic(g, switch(moved, np.flatnonzero(rng.random(n) < 0.5)))
+        assert not signed_isomorphic(g, SignedGraph(flipped))
 
     def test_sign_rows_only_for_isomorphic_underlying_graphs(self, monkeypatch):
         def no_rows(*args, **kwargs):
@@ -685,12 +711,10 @@ class TestCanonicalCode:
         assert switching_isomorphic(halved, moved)
 
     @pytest.mark.parametrize("n", [5, 6, 7])
-    def test_a_stack_keys_like_its_matrices_one_by_one(self, n, monkeypatch):
+    def test_a_stack_keys_like_its_matrices_one_by_one(self, n):
         # signings of one planted-twin graph's edges, so the matrices share
-        # an underlying graph but not their signed twins; chunks of 7 rows
-        # end inside matrices as well as between them
+        # an underlying graph but not their signed twins
         rng = np.random.default_rng(700 + n)
-        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 7)
         for g in planted_twin_graphs(800 + n, n, 3):
             signs = np.triu(rng.choice([-1, 1], size=(6, n, n)), 1)
             stack = np.concatenate([g.adj[None], np.abs(g.adj) * (signs + signs.transpose(0, 2, 1))])
@@ -699,18 +723,18 @@ class TestCanonicalCode:
             expected = [per_order_signed_code(SignedGraph(a))[1] for a in stack]
             assert core._least_sign_rows(stack, orders, switched=True) == expected
 
-    def test_chunks_of_orders_merge_to_the_reference(self, monkeypatch):
+    def test_a_twin_free_k5_keys_like_the_reference(self, monkeypatch):
         # K_5 whose negative edges form the path 3-0-4-2-1 has no signed
-        # twins, so its one order expands into all 120 arrangements, 33 per
-        # chunk
+        # twins, but two pairs of switching twins, {0, 1} and {2, 3}: the
+        # root takes 0, 2 or 4, and the 3 starts cover all 120 orders
         g = new_signed_graph(5, [(u, v, -1 if (u, v) in ((0, 3), (0, 4), (1, 2), (2, 4)) else 1)
                                  for u, v in itertools.combinations(range(5), 2)])
         assert _signed_twin_classes(g.adj) == [[v] for v in range(5)]
+        assert brute_signed_twin_classes(g.adj, up_to_sign=True) == [[0, 1], [2, 3], [4]]
         expected = per_order_signed_code(g)
-        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 33)
-        batches = evaluated_batches(monkeypatch)
+        starts = searched_starts(monkeypatch)
         assert canonical_signed_code(g) == expected
-        assert batches == [33, 33, 33, 21]
+        assert starts == [3]
 
     @pytest.mark.parametrize("n", [10, 12])
     def test_keys_of_halved_complete_graphs_past_nine_vertices(self, n):
@@ -735,13 +759,13 @@ class TestCanonicalCode:
     @pytest.mark.parametrize("g,bound", [
         (build_kn_switched_maxneg(9), 1 << 20),
         (new_signed_graph(9, [(u, v, -1 if v == u + 1 else 1)
-                              for u, v in itertools.combinations(range(9), 2)]), 8 << 20),
+                              for u, v in itertools.combinations(range(9), 2)]), 1 << 20),
     ], ids=["halved-k9", "k9-negative-path"])
     def test_keys_of_signed_k9_in_bounded_memory(self, g, bound):
-        # 126 arrangements of the halved K_9; all 9! of K_9 whose negative
-        # edges form a Hamiltonian path, which has no signed twins: its maps
-        # take 3.1 MiB, and the evaluation, the matrix of each row included,
-        # stays in chunks
+        # the halved K_9 is one start whose one cell is a signed-twin class;
+        # K_9 whose negative edges form a Hamiltonian path has no signed
+        # twins, and of its 9! orders only the branches with the least rows
+        # are kept, where evaluating all 9! orders takes 7.1 MB
         expected = canonical_signed_code(g)
         tracemalloc.start()
         try:
@@ -751,6 +775,13 @@ class TestCanonicalCode:
             tracemalloc.stop()
         assert key == expected
         assert peak < bound
+
+    def test_key_of_the_negative_path_k9(self):
+        # the literal comes from evaluating all 9! orders
+        g = new_signed_graph(9, [(u, v, -1 if v == u + 1 else 1)
+                                 for u, v in itertools.combinations(range(9), 2)])
+        assert canonical_signed_code(g) == ((1 << 36) - 1 << 4, bytes.fromhex(
+            "010101010101010101010101010102010101020201010201020202020201010201020102"))
 
     @pytest.mark.parametrize("switched", [True, False])
     def test_signed_keys_of_a_mixed_stack(self, switched, monkeypatch):
@@ -794,28 +825,44 @@ def test_only_core_labels_graphs_or_finds_sign_rows():
                 f"{path.name}:{node.lineno} uses {name or node.name}")
 
 
-def evaluated_batches(monkeypatch):
-    """The sizes of the batches of orders that _least_sign_rows evaluates from
-    now on, read from the spins it asks for."""
+def searched_starts(monkeypatch):
+    """The number of distinct starts of each matrix that _least_sign_rows
+    searches from now on, once for matrices with the same starts, read from
+    the signed twins it asks for: a stack of starts goes only to its search,
+    one matrix to _signed_twin_classes, and a stack of the matrices keyed to
+    their switching twins."""
     sizes = []
-    spins = core._tree_spins
+    firsts = core._twin_firsts
 
-    def recording(adj, tree):
-        sizes.append(len(adj))
-        return spins(adj, tree)
+    def recording(adj, up_to_sign=False):
+        if adj.ndim == 3 and not up_to_sign:
+            sizes.append(len(adj))
+        return firsts(adj, up_to_sign)
 
-    monkeypatch.setattr(core, "_tree_spins", recording)
+    monkeypatch.setattr(core, "_twin_firsts", recording)
     return sizes
 
 
 class TestSignedTwins:
-    """_least_sign_rows evaluates one order per arrangement of the signed-twin
-    classes; the codes must equal the per-order and brute-force oracles."""
+    """_least_sign_rows searches the arrangements of each twin class, one
+    vertex per signed-twin class at a time; the codes must equal the
+    per-order and brute-force oracles."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_classes_match_the_definition_on_every_small_graph(self, n):
         for g in all_labeled_signed_graphs(n):
             assert _signed_twin_classes(g.adj) == brute_signed_twin_classes(g.adj)
+            for up_to_sign in (False, True):
+                classes = brute_signed_twin_classes(g.adj, up_to_sign)
+                assert core._twin_firsts(g.adj, up_to_sign).tolist() == [
+                    c[0] for v in range(n) for c in classes if v in c]
+
+    def test_firsts_of_a_stack_are_those_of_its_matrices(self):
+        stack = np.array([g.adj for g in planted_twin_graphs(44, 7, 12)])
+        for up_to_sign in (False, True):
+            firsts = core._twin_firsts(stack, up_to_sign)
+            assert np.array_equal(firsts, [core._twin_firsts(a, up_to_sign) for a in stack])
+            assert len({tuple(f) for f in firsts.tolist()}) > 1
 
     @pytest.mark.parametrize("n", [5, 6, 7, 8, 9])
     def test_classes_match_the_definition_on_seeded_graphs(self, n):
@@ -824,6 +871,9 @@ class TestSignedTwins:
         for g in graphs:
             classes = _signed_twin_classes(g.adj)
             assert classes == brute_signed_twin_classes(g.adj)
+            switching = brute_signed_twin_classes(g.adj, up_to_sign=True)
+            assert core._twin_firsts(g.adj, up_to_sign=True).tolist() == [
+                c[0] for v in range(n) for c in switching if v in c]
             sizes.update(map(len, classes))
         assert max(sizes) >= 3
 
@@ -863,53 +913,46 @@ class TestSignedTwins:
             assert signed_isomorphic(g, h) == brute_signed_isomorphic(g, h)
         assert signed_isomorphic(g, moved) and switching_isomorphic(g, switched)
 
-    @pytest.mark.parametrize("g,classes,evaluated", [
-        (build_kn_switched_maxneg(7), [[0, 1, 2], [3, 4, 5, 6]], 35),
-        (build_gst(1, 6), [[0], [1], [2], [3, 4, 5, 6, 7, 8]], 2),
+    @pytest.mark.parametrize("g,classes,starts", [
+        (build_kn_switched_maxneg(7), [[0, 1, 2], [3, 4, 5, 6]], [1, 1, 1]),
+        (build_gst(1, 6), [[0], [1], [2], [3, 4, 5, 6, 7, 8]], [1, 1, 1]),
     ], ids=["kn_switched_maxneg(7)", "gst(1,6)"])
-    def test_one_order_per_arrangement_of_the_twins(self, g, classes, evaluated, monkeypatch):
-        # 5,040 and 1,440 optimal orders, one coset of the twin swaps each:
-        # 7! / (3! 4!) arrangements, and 2! / (1! 1!) of the twin class
-        # {1, 2} of the underlying gst(1, 6), whose vertices 3..8 are twins
-        # with one sign
+    def test_one_start_per_order_of_the_twin_cosets(self, g, classes, starts, monkeypatch):
+        # 5,040 and 1,440 optimal orders, one coset of the twin swaps each.
+        # Switched, the halved K_7 is all switching twins, so its root takes
+        # one vertex, and its one cell is then one signed-twin class; gst(1,6)
+        # has one internal position, its apex, in a class of one. Unswitched,
+        # no position is fixed first
         assert _signed_twin_classes(g.adj) == classes
         assert len(canonical_form(g.adj != 0)[1]) == 1
         expected = per_order_signed_code(g)
-        batches = evaluated_batches(monkeypatch)
+        searched = searched_starts(monkeypatch)
         assert canonical_signed_code(g) == expected
         assert signed_isomorphic(g, g)
-        assert batches == [evaluated] * 3
+        assert searched == starts
 
-    def test_arrangement_tables_are_cached_and_read_only(self):
-        # the ten winners of L2_2 at n = 6 and its target are halved K_6:
-        # one table of the C(6, 3) choices of slots for the second class
-        core._slot_takes.cache_clear()
+    def test_matrices_with_the_same_starts_are_searched_once(self, monkeypatch):
+        # the ten winners of L2_2 at n = 6 and its target are halved K_6,
+        # switchings of one another: each has the one start (K_6, +)
+        searched = searched_starts(monkeypatch)
         assert verify_theorem("L2_2", 6).passed
-        info = core._slot_takes.cache_info()
-        assert (info.misses, info.hits) == (1, 10)
-        for slots in range(1, 7):
-            for size in range(1, slots + 1):
-                take = core._slot_takes(slots, size)
-                assert not take.flags.writeable
-                assert take.tolist() == np.argsort(
-                    [[j for j in range(slots) if j not in pick] + list(pick)
-                     for pick in itertools.combinations(range(slots), size)], axis=1).tolist()
+        assert searched == [1]
 
-    def test_chunks_split_the_arrangements(self, monkeypatch):
-        # at 3 orders per chunk: the 35 arrangements of the halved K_7's one
-        # order, then the 4 orders of a 6-cycle with twin pendants 6, 7 on
-        # vertex 0 and 8, 9 on vertex 3, its reflections, each expanded
-        # into 2 arrangements by the negative pendant edge 06
+    def test_keys_of_twin_pendants_match_the_reference(self, monkeypatch):
+        # the halved K_7, and a 6-cycle with twin pendants 6, 7 on vertex 0
+        # and 8, 9 on vertex 3: its 4 orders are its reflections, and the
+        # negative pendant edge 06 keeps 6 and 7 from being signed twins
         halved = build_kn_switched_maxneg(7)
         pendants = new_signed_graph(10, [(v, (v + 1) % 6, 1) for v in range(6)]
                                     + [(0, 6, -1), (0, 7, 1), (3, 8, 1), (3, 9, 1)])
         assert len(canonical_form(pendants.adj != 0)[1]) == 4
-        expected = [canonical_signed_code(g) for g in (halved, pendants)]
-        assert expected[1] == per_order_signed_code(pendants)
-        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 3)
-        batches = evaluated_batches(monkeypatch)
-        assert [canonical_signed_code(g) for g in (halved, pendants)] == expected
-        assert batches == [3] * 11 + [2] + [3, 3, 2]
+        searched = searched_starts(monkeypatch)
+        for g in (halved, pendants):
+            assert canonical_signed_code(g) == per_order_signed_code(g)
+            assert core._signed_keys(g.adj[None], switched=False)[0] == per_order_signed_code(
+                g, switched=False)
+        # switched, every reflection of the pendants makes them positive
+        assert searched == [1, 1, 1, 2]
 
 
 @functools.lru_cache(maxsize=None)
@@ -1141,21 +1184,16 @@ class TestCanonicalForms:
                 assert int.from_bytes(bits, "big") == code
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("n,leaves,count,chunk", [
-        pytest.param(200, 1, 2, 2, id="path-200"),
-        pytest.param(200, 1, 2, None, id="path-200-default-chunk"),
-        pytest.param(302, 2, 1, None, id="forked-path-302"),
+    @pytest.mark.parametrize("n,leaves,count", [
+        pytest.param(200, 1, 2, id="path-200-default-chunk"),
+        pytest.param(302, 2, 1, id="forked-path-302"),
     ])
-    def test_graphs_past_the_float_factorials_label_without_warnings(
-            self, n, leaves, count, chunk, monkeypatch):
+    def test_graphs_past_the_float_factorials_label_without_warnings(self, n, leaves, count):
         # 171! is past the float range. The 200-vertex path has 100 mirrored
         # pairs, no twin set, so it is individualized at every position and
-        # keeps the 2 orders of its mirror symmetry at any chunk, which
-        # batches only sign rows. The 302-vertex path with two leaves on one
-        # end has one mirrored pair, those leaves, which are twins, so it
-        # keeps one order.
-        if chunk:
-            monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
+        # keeps the 2 orders of its mirror symmetry. The 302-vertex path with
+        # two leaves on one end has one mirrored pair, those leaves, which are
+        # twins, so it keeps one order.
         a = forked_path(n, leaves)
         tracemalloc.start()
         try:
@@ -1229,11 +1267,9 @@ class TestCanonicalForms:
             assert int.from_bytes(bits[0].tobytes(), "big") == code
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("chunk", [None, 2])
-    def test_matches_brute_force_labelling_on_every_graph(self, n, chunk, monkeypatch):
-        # the chunk batches sign rows only: the labelling ignores it
-        if chunk:
-            monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", chunk)
+    # one value, which keeps the ids these cases had beside a chunk size
+    @pytest.mark.parametrize("chunk", [None])
+    def test_matches_brute_force_labelling_on_every_graph(self, n, chunk):
         adj = labeled_graph_stack(n)
         assert_representatives_match_brute_force(adj)
         assert labelling_of_every_graph(n)[1] == [brute_labelling(a)[0] for a in adj]
@@ -1268,26 +1304,18 @@ class TestCanonicalForms:
         same = branch[1:] == branch[:-1]
         assert (value[1:][same] > value[:-1][same]).all()
 
-    def test_order_chunks_do_not_change_the_labelling(self, monkeypatch):
-        # K_7 and the empty graph keep one colour class of 7 vertices; on 8
-        # vertices so do the empty graph and the regular graphs, K_8 among
-        # them. 33 orders per chunk batch only the sign rows, so the stack
-        # labelling and each graph's code and orders stay the same
-        stacks = [
-            np.concatenate((seeded_unsigned_stack(7, 7, 30),
-                            [~np.eye(7, dtype=bool), np.zeros((7, 7), dtype=bool)])),
-            np.concatenate((connected_regular_graphs(8), [np.zeros((8, 8), dtype=bool)])),
-        ]
-        expected = [(_label_stack(adj, len(adj)), [canonical_form(a) for a in adj])
-                    for adj in stacks]
-        monkeypatch.setattr("signed_extremal.core._ORDER_CHUNK", 33)
-        for adj, (labels, forms) in zip(stacks, expected):
-            for got, expect in zip(_label_stack(adj, len(adj)), labels):
-                assert np.array_equal(got, expect)
-            for a, (code, orders) in zip(adj, forms):
-                got_code, got_orders = canonical_form(a)
-                assert got_code == code
-                assert np.array_equal(got_orders, orders)
+    def test_labelling_refuses_branches_past_the_work_cap(self, monkeypatch):
+        # gst(s, s) is not a twin graph, and its labelling keeps all
+        # 2 (s!)^2 optimal orders: 1,152 at s = 4, about 50 million at s = 7
+        a = build_gst(4, 4).adj != 0
+        monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 1152)
+        assert len(_label_stack(a[None], 1)[4]) == 1152
+        monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 1151)
+        with pytest.raises(ValueError, match="labelling capped at 1151 branches, got 1152"):
+            canonical_form(a)
+        monkeypatch.undo()
+        with pytest.raises(ValueError, match="labelling capped at 1048576 branches"):
+            canonical_signed_code(build_gst(7, 7))
 
     def test_one_graph_views(self):
         # canonical_form labels one graph as the stack does: its code, and

@@ -9,6 +9,7 @@ import pytest
 
 from signed_extremal.bounds import edge_bound, rho_bound
 from signed_extremal.cli import run
+from signed_extremal import core
 from signed_extremal.core import (
     canonical_signed_code,
     permute,
@@ -19,7 +20,12 @@ from signed_extremal.core import (
 from signed_extremal.families import build_complete, build_kn_switched_maxneg
 from signed_extremal.search import SearchConfig, _canonical_children, search
 
-from _oracles import per_order_signed_code, unpruned_canonical_children
+from _oracles import (
+    all_signatures,
+    connected_graphs_up_to_isomorphism,
+    per_order_signed_code,
+    unpruned_canonical_children,
+)
 from test_search import deletion_rows
 
 pytestmark = pytest.mark.slow
@@ -374,6 +380,35 @@ def test_signed_code_matches_per_order_reference_on_moved_halved_k8():
     for h in (moved, switched):
         assert canonical_signed_code(h) == per_order_signed_code(h)
     assert signed_isomorphic(g, moved) and not signed_isomorphic(g, switched)
+
+
+def test_every_signing_of_the_connected_classes_n5_matches_the_reference():
+    # one labelled representative of each of the 21 classes, every signing
+    # of its edges, keyed with and without switching
+    count = 0
+    for adj in connected_graphs_up_to_isomorphism(5):
+        for g in all_signatures(adj):
+            assert canonical_signed_code(g) == per_order_signed_code(g)
+            assert core._signed_keys(g.adj[None], switched=False)[0] == per_order_signed_code(
+                g, switched=False)
+            count += 1
+    assert count == 3_088
+
+
+def test_signings_of_k7_fall_into_the_two_graphs_on_7_vertices():
+    # every switching class of K_7 has one signing whose edges at vertex 0
+    # are positive: the 2^15 of them key to the 54 two-graphs on 7 vertices
+    # (OEIS A002854)
+    iu, ju = np.triu_indices(6, 1)
+    bits = (np.arange(1 << 15)[:, None] >> np.arange(15)) & 1
+    stack = np.ones((1 << 15, 7, 7), dtype=np.int8)
+    stack[:, 1 + iu, 1 + ju] = stack[:, 1 + ju, 1 + iu] = 1 - 2 * bits
+    stack[:, np.arange(7), np.arange(7)] = 0
+    keys = core._signed_keys(stack, switched=True)
+    assert len(set(keys)) == 54
+    sample = np.random.default_rng(7).choice(1 << 15, 20, replace=False)
+    assert [canonical_signed_code(core.SignedGraph(stack[i])) for i in sample] == [
+        keys[i] for i in sample]
 
 
 def test_switching_isomorphic_on_a_moved_halved_k9():
