@@ -381,21 +381,17 @@ def refined_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
 def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
     """The canonical bitmap of one graph, the least upper-triangle bit string
     over the orders that respect its refined colour classes as a Python int
-    (MSB first), and one optimal order per coset of the twin swaps: the
-    orders in which each twin class (_signed_twin_classes) ascends. Swapping
-    two twins is an automorphism that keeps the colours, so each coset holds
-    one such order: the first order of a graph whose colour classes are all
-    twin sets (one for K_n), ascending individualized orders otherwise."""
-    _, twins, first, _, perm = _label_stack(adj_bool[None], 1)
-    code = _packed_codes(adj_bool[None], first)[0]
-    if twins[0]:
-        return code, first
-    # the position of each vertex in each order, and consecutive members
-    # (a, b) of each twin class; a must come before b
-    pos = np.argsort(perm, 1)
-    a, b = np.array([(a, b) for c in _signed_twin_classes(adj_bool)
-                     for a, b in zip(c, c[1:])], dtype=np.intp).reshape(-1, 2).T
-    return code, perm[(pos[:, a] < pos[:, b]).all(1)]
+    (MSB first), and, ascending, its optimal orders in which each twin class
+    (_twin_firsts) ascends: one per coset of the twin swaps, automorphisms
+    that keep the colours. With a tag per twin class, the search
+    (_search_cells) tries only the least twin of a class left in a cell; a
+    graph whose colour classes are all twin sets, K_n among them, has one."""
+    n = len(adj_bool)
+    _, _, perm = _search_cells(adj_bool[None].view(np.uint8), np.zeros(1, dtype=np.intp),
+                               _refine(adj_bool[None]), _twin_firsts(adj_bool)[None], np.arange(n),
+                               "labelling")
+    perm = perm[np.lexsort(perm.T[::-1])].astype(np.min_scalar_type(n - 1))
+    return _packed_codes(adj_bool[None], perm[:1])[0], perm
 
 
 def _dense_ranks(keys: np.ndarray) -> np.ndarray:
@@ -479,6 +475,8 @@ def _least_rows(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
     for w in range(words.shape[1]):
         own = owner[rows]
         first = np.concatenate(([True], own[1:] != own[:-1]))
+        if first.all():  # one row per owner is left
+            break
         col = words[rows, w]
         rows = rows[col == np.minimum.reduceat(col, np.flatnonzero(first))[np.cumsum(first) - 1]]
     return rows
@@ -497,41 +495,70 @@ def _all_twin_classes(adj: np.ndarray, colours: np.ndarray) -> np.ndarray:
     return ~differ.any(axis=(1, 2))
 
 
+def _search_cells(values: np.ndarray, owner: np.ndarray, cell: np.ndarray, tag: np.ndarray | None,
+                  layout: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(owner, own, perm): the branches left by individualizing the positions
+    in turn (McKay and Piperno, J. Symbolic Comput. 60, 2014). Start b has
+    values[b] (n, n), entries 0 to 2; slot i of every start holds vertex
+    layout[i], with cell cell[b, i] (below 4n) and tag tag[b, i] (below n;
+    None: each vertex its own), each cell's slots consecutive. Position p
+    takes each vertex that is the first of its tag in its slot's cell (slot
+    argsort(layout)[p]): that vertex goes first, every cell splits by its
+    values to it, which fixes row p, and only each owner's branches with the
+    least row p go on (owner ascends), until each cell is one tag; the later
+    rows are then compared. Row r of perm is start own[r]'s order, vertex by
+    position; own ascends, and each start's branches come in prefix order.
+    More than _SWITCH_MAX_WORK branches at one position are refused."""
+    n = len(layout)
+    b = (n - 1).bit_length()
+    # each slot's key: its cell, below 4n after a split, its tag, when tags
+    # are given, and its vertex
+    t = 0 if tag is None else b
+    dtype = np.min_scalar_type((4 << 2 * b + t) - 1)
+    key = cell.astype(dtype) << b + t | layout.astype(dtype)
+    if tag is not None:
+        key = key | tag.astype(dtype) << b
+    low = (1 << b + t) - 1
+    own, slots, slot = np.arange(len(key)), np.arange(n, dtype=dtype), np.argsort(layout)
+    for p, s in enumerate(slot.tolist()):
+        key.sort()
+        if p:
+            # row p - 1: one plus the values to its vertex, one per cell
+            keep = _least_rows(owner, key[:, slot[p:]] >> b + t & 3)
+            owner, own, key = owner[keep], own[keep], key[keep]
+        perm = key & (1 << b) - 1
+        # the first slot of each slot's cell, and the first of each tag
+        step = key ^ np.roll(key, 1, 1)
+        start = np.maximum.accumulate(np.where(step > low, slots, 0), 1)
+        new = step >> t != 0
+        new[:, 0] = True
+        if (new == (start == slots)).all():
+            break
+        take, j = np.nonzero((start == s) & new)
+        _check_work(len(take), what)
+        owner, own, key = owner[take], own[take], key[take]
+        # the vertex at s first, then each cell by its value to it
+        to = values[own[:, None], perm[take, j, None], perm[take]]
+        key = (start[take] * 4 + to + (slots != j[:, None])) << b + t | key & low
+    perm = perm[:, slot]
+    # the rows past position p, while some owner keeps two branches
+    for q in range(p, n - 1):
+        if (owner[1:] != owner[:-1]).all():
+            break
+        keep = _least_rows(owner, values[own[:, None], perm[:, q, None], perm[:, q + 1:]])
+        owner, own, perm = owner[keep], own[keep], perm[keep]
+    return owner, own, perm
+
+
 def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(branch, perm): the optimal orders of each graph of a (G, n, n) bool
-    stack with refined colours (G, n) (_refine), found by individualizing each
-    position i in turn (McKay and Piperno, J. Symbolic Comput. 60, 2014): each
-    vertex v of the cell at i is tried there, every later cell splits into v's
-    non-neighbours, then its neighbours, and only the branches with the least
-    row i of the code go on. Row r of perm is an order of graph branch[r];
-    branch ascends, and each graph's orders come in prefix order."""
+    stack with refined colours (G, n) (_refine), its cells, and each vertex a
+    tag of its own (_search_cells). Row r of perm is an order of graph
+    branch[r]; branch ascends, and each graph's orders come in prefix order."""
     g, n = adj.shape[:2]
-    dtype, wide = np.min_scalar_type(n - 1), np.min_scalar_type(2 * n * n - 1)
-    branch = np.arange(g)
-    # each graph's vertices by colour, within a colour by vertex; each
-    # branch's cells are the runs of equal key
-    perm = np.argsort(colours, axis=1, kind="stable").astype(dtype)
-    key = np.sort(colours, axis=1)
-    for i in range(n - 1 if g else 0):
-        # the first position of each position's cell
-        start = np.where(key != key[:, np.arange(-1, n - 1)], np.arange(n, dtype=dtype), 0)
-        start = np.maximum.accumulate(start, axis=1)
-        take, p = np.nonzero(start == i)
-        _check_work(len(p), "labelling")
-        branch, perm, start = branch[take], perm[take], start[take]
-        v = perm[np.arange(len(p)), p]
-        # v goes to position i and the rest of its cell to i + 1 on; each
-        # cell from i + 1 on puts v's non-neighbours first, in vertex order
-        key = (start.astype(wide) + (start == i)) * 2 + adj[branch[:, None], v[:, None], perm]
-        key[np.arange(len(p)), p] = 2 * i
-        key = key * n + perm
-        key.sort(axis=1)
-        perm = (key % n).astype(dtype)
-        key //= n
-        # row i of the code: position q > i holds a neighbour of v iff odd
-        keep = _least_rows(branch, (key[:, i + 1:] & 1).astype(np.uint8))
-        branch, perm, key = branch[keep], perm[keep], key[keep]
-    return branch, perm
+    branch, _, perm = _search_cells(adj.view(np.uint8), np.arange(g), colours, None, np.arange(n),
+                                    "labelling")
+    return branch, perm.astype(np.min_scalar_type(n - 1))
 
 
 def _packed_codes(adj: np.ndarray, orders: np.ndarray) -> list[int]:
@@ -677,9 +704,9 @@ def _twin_quotient(adj: np.ndarray) -> tuple[list[list[int]], np.ndarray, np.nda
     the diagonal, and each class's inner sign on it (0 for a single vertex)."""
     classes = _signed_twin_classes(adj)
     first = [c[0] for c in classes]
-    signs = adj[np.ix_(first, first)].astype(int)
+    signs = adj[np.ix_(first, first)].astype(np.int64)
     signs[np.diag_indices(len(classes))] = [adj[c[0], c[-1]] for c in classes]
-    return classes, np.array(list(map(len, classes))), signs
+    return classes, np.array([len(c) for c in classes], dtype=np.int64), signs
 
 
 def _count_grid(sizes: np.ndarray) -> np.ndarray:
@@ -794,83 +821,56 @@ def _least_sign_rows(adj: np.ndarray, orders: np.ndarray, switched: bool) -> lis
     switched, so that its canonical spanning forest, one for all these
     orders, is positive.
 
-    A search within the twin classes, pruned by prefix (McKay and Piperno, J.
-    Symbolic Comput. 60, 2014). Only the least position of a class can be
-    internal in the forest, as its first member dequeued finds every
-    neighbour of the others, which share one parent. So a start, an order
-    with one vertex per class of switching twins (_twin_firsts) at each
-    internal position, fixes every spin. Each branch keeps its cells as runs
-    (_individualize): position p takes each vertex of the first cell of its
-    class, one per signed twin of the start, every cell splits by its values
-    to it, so row p is known, and each matrix keeps the branches with the
-    least row p, until each cell is one signed-twin class. Matrices with the
-    same starts are searched once. More than _SWITCH_MAX_WORK branches are
-    refused."""
+    A search within the twin classes (_search_cells). Only the least
+    position of a class can be internal in the forest, as its first member
+    dequeued finds every neighbour of the others, which share one parent.
+    So a start, an order with one vertex per class of switching twins
+    (_twin_firsts) at each internal position, fixes every spin. Each later
+    position of a class takes one vertex per signed twin of the start, until
+    each cell is one signed-twin class, whose arrangements all give one row.
+    Matrices with the same starts are searched once. More than
+    _SWITCH_MAX_WORK starts or branches are refused."""
     n = adj.shape[1]
     under = adj[0, orders[0, :, None], orders[0]] != 0
     tree = _bfs_tree(under) if switched else []
-    inner = {p for p, _ in tree}
+    inner = sorted({p for p, _ in tree})
     classes = _signed_twin_classes(under)
     fixed = [c for c in classes if c[0] in inner]
-    _check_work(len(adj) * len(orders) * math.prod(map(len, fixed)), "sign rows")
-    starts = []
-    for order in orders.tolist():
-        for pick in itertools.product(*fixed):
-            start = [*order]
-            # each class's internal position is its least
-            for p, q in zip(sorted(inner), pick):
-                start[p], start[q] = start[q], start[p]
-            starts.append(start)
-    picked = np.array(starts)
-    moved = adj[:, picked[:, :, None], picked[:, None]]
+    firsts = _twin_firsts(adj, up_to_sign=True)
+    leads = (firsts == np.arange(n)).any(0)
+    picked = orders
+    for c in fixed:
+        # each start once per vertex of c that leads its class of switching
+        # twins in some matrix, at c's least position, its internal one
+        r, q = np.nonzero(leads[picked[:, c]])
+        _check_work(len(adj) * len(r), "sign rows")
+        picked, q, r = picked[r], np.array(c)[q], np.arange(len(r))
+        picked[r, c[0]], picked[r, q] = picked[r, q], picked[r, c[0]]
+    # each matrix's starts, whose internal vertices lead in it, switched
+    at = picked[:, inner]
+    g, k = np.nonzero((firsts[:, at] == at).all(-1))
+    moved = adj[g[:, None, None], picked[k, :, None], picked[k, None]]
     spin = _tree_spins(moved, tree)
-    # each matrix's distinct switched starts with the least of a class of
-    # switching twins at each internal position, and each set of them once
-    at = picked[:, sorted(inner)]
-    least = (_twin_firsts(adj, up_to_sign=True)[:, at] == at).all(-1)
-    distinct = [_distinct_matrices(m[k])
-                for m, k in zip(spin[..., None] * moved * spin[..., None, :], least)]
+    moved *= spin[:, :, None]
+    moved *= spin[:, None]
+    # each matrix's distinct starts (every matrix has one), each set once
+    distinct = [_distinct_matrices(m) for m in np.split(moved, np.flatnonzero(np.diff(g)) + 1)]
     group = {}
     which = [group.setdefault(m.tobytes(), i) for i, m in enumerate(distinct)]
     searched = [distinct[i] for i in group.values()]
     stack = np.concatenate(searched)
     # a branch's owner is the first matrix with its starts
     owner = np.repeat([*group.values()], list(map(len, searched)))
-    twins = np.concatenate([_twin_firsts(m) for m in searched])
-    # each branch's key per slot: its cell, its signed-twin class, its vertex;
-    # the positions class by class, an internal one a cell of its own
+    # the positions class by class, an internal one a cell of its own, and
+    # each slot's tag its signed-twin class in the start
     layout, cell = np.array([(p, 2 * k + (p not in inner))
                              for k, c in enumerate(classes) for p in c]).T
-    key, own = (cell * n + twins[:, layout]) * n + layout, np.arange(len(stack))
-    slots, slot = np.arange(n), np.argsort(layout)
-    for p, s in enumerate(slot.tolist()):
-        key.sort()
-        if p:
-            # row p - 1: the values to its vertex, one per cell
-            keep = _least_rows(owner, key[:, slot[p:]] // (n * n) % 4 - 1)
-            owner, own, key = owner[keep], own[keep], key[keep]
-        perm, twin = key % n, key // n
-        cell = twin // n
-        start = np.maximum.accumulate(np.where(cell != cell[:, slots - 1], slots, 0), 1)
-        # a new cell or signed-twin class
-        new = np.diff(twin, prepend=-1) != 0
-        # done when each cell is one signed-twin class, which keeps its
-        # matrix under any arrangement
-        if (new == (start == slots)).all():
-            break
-        take, j = np.nonzero((start == s) & new)
-        _check_work(len(take), "sign rows")
-        v = perm[take, j, None]
-        owner, own, key = owner[take], own[take], key[take]
-        # the vertex at s first, then each cell by its value to it, -1/0/+1
-        # as 3/1/2, its own diagonal 0 (_individualize)
-        cell = start[take] * 4 + stack[own[:, None], v, key % n] % 3 + (slots != j[:, None])
-        key = cell * n * n + key % (n * n)
+    values = stack % 3
+    owner, own, perm = _search_cells(values, owner, cell, _twin_firsts(stack)[:, layout],
+                                     layout, "sign rows")
     iu, ju = _triu_cells(n)
-    rows = stack[own[:, None], perm[:, slot[iu]], perm[:, slot[ju]]] % 3
-    keep = _least_rows(owner, rows)
-    # every kept row of an owner is its least
-    best = dict(zip(owner[keep].tolist(), rows[keep]))
+    # every row left of an owner is its least
+    best = dict(zip(owner.tolist(), values[own[:, None], perm[:, iu], perm[:, ju]]))
     return [best[i].tobytes() for i in which]
 
 
@@ -919,7 +919,7 @@ def switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     vertices or fewer reaches.
     """
     # sorted degrees of different lengths differ as well
-    if not np.array_equal(*(np.sort(np.count_nonzero(g.adj, 0)) for g in (g1, g2))):
+    if not np.array_equal(*(np.sort(np.count_nonzero(g.adj, axis=0)) for g in (g1, g2))):
         return False
     key1, key2 = _signed_keys(np.stack([g1.adj, g2.adj]), switched=True)
     return key1 == key2

@@ -783,6 +783,29 @@ class TestCanonicalCode:
         assert canonical_signed_code(g) == ((1 << 36) - 1 << 4, bytes.fromhex(
             "010101010101010101010101010102010101020201010201020202020201010201020102"))
 
+    @pytest.mark.parametrize("parts", [(99, 100), (20, 30, 40)], ids=["k99,100", "k20,30,40"])
+    def test_keys_of_positive_complete_multipartite_graphs_in_bounded_memory(
+            self, parts, monkeypatch):
+        # each part is a twin class, and the root's part and the part of its
+        # first child hold the internal positions; each part is one class of
+        # switching twins, so one start is searched, where a start per pair
+        # of vertices from the two parts takes 9,900 matrices of 199^2 bytes
+        side = np.repeat(np.arange(len(parts)), parts)
+        g = SignedGraph((side[:, None] != side).astype(np.int8))
+        code, orders = canonical_form(g.adj != 0)
+        iu, ju = _triu_cells(g.n)
+        row = g.adj[np.ix_(orders[0], orders[0])][iu, ju].astype(np.uint8).tobytes()
+        searched = searched_starts(monkeypatch)
+        tracemalloc.start()
+        try:
+            key = canonical_signed_code(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert key == (code, row)
+        assert searched == [1]
+        assert peak < 4 << 20
+
     @pytest.mark.parametrize("switched", [True, False])
     def test_signed_keys_of_a_mixed_stack(self, switched, monkeypatch):
         # three planted-twin graphs, each with a relabelled copy, a switched
@@ -1185,7 +1208,7 @@ class TestCanonicalForms:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n,leaves,count", [
-        pytest.param(200, 1, 2, id="path-200-default-chunk"),
+        pytest.param(200, 1, 2, id="path-200"),
         pytest.param(302, 2, 1, id="forked-path-302"),
     ])
     def test_graphs_past_the_float_factorials_label_without_warnings(self, n, leaves, count):
@@ -1267,9 +1290,7 @@ class TestCanonicalForms:
             assert int.from_bytes(bits[0].tobytes(), "big") == code
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    # one value, which keeps the ids these cases had beside a chunk size
-    @pytest.mark.parametrize("chunk", [None])
-    def test_matches_brute_force_labelling_on_every_graph(self, n, chunk):
+    def test_matches_brute_force_labelling_on_every_graph(self, n):
         adj = labeled_graph_stack(n)
         assert_representatives_match_brute_force(adj)
         assert labelling_of_every_graph(n)[1] == [brute_labelling(a)[0] for a in adj]
@@ -1305,17 +1326,41 @@ class TestCanonicalForms:
         assert (value[1:][same] > value[:-1][same]).all()
 
     def test_labelling_refuses_branches_past_the_work_cap(self, monkeypatch):
-        # gst(s, s) is not a twin graph, and its labelling keeps all
-        # 2 (s!)^2 optimal orders: 1,152 at s = 4, about 50 million at s = 7
+        # gst(s, s) is not a twin graph: the labelling of a stack keeps all
+        # 2 (s!)^2 optimal orders, 1,152 at s = 4, and canonical_form, which
+        # tries one twin per class, the 2 cosets of the twin swaps. The
+        # Petersen graph has no twins, and canonical_form opens 180 branches
+        # at position 2 on the way to its 120 automorphisms
         a = build_gst(4, 4).adj != 0
         monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 1152)
         assert len(_label_stack(a[None], 1)[4]) == 1152
         monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 1151)
         with pytest.raises(ValueError, match="labelling capped at 1151 branches, got 1152"):
-            canonical_form(a)
-        monkeypatch.undo()
-        with pytest.raises(ValueError, match="labelling capped at 1048576 branches"):
-            canonical_signed_code(build_gst(7, 7))
+            _label_stack(a[None], 1)
+        assert len(canonical_form(a)[1]) == 2
+        petersen = np.zeros((10, 10), dtype=bool)
+        for i in range(5):
+            for u, v in [(i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5)]:
+                petersen[u, v] = petersen[v, u] = True
+        monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 180)
+        assert len(canonical_form(petersen)[1]) == 120
+        monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 179)
+        with pytest.raises(ValueError, match="labelling capped at 179 branches, got 180"):
+            canonical_form(petersen)
+
+    @pytest.mark.parametrize("s", [6, 7])
+    def test_gst_keys_from_one_order_per_coset_of_the_twin_swaps(self, s):
+        # gst(s, s) has 2 (s!)^2 optimal orders, about 50 million at s = 7,
+        # which canonical_form no longer builds; a relabelled, switched copy
+        # keys alike, and a copy with one edge flipped does not
+        g = build_gst(s, s)
+        rng = np.random.default_rng(s)
+        moved = switch(permute(g, rng.permutation(g.n)), np.flatnonzero(rng.random(g.n) < 0.5))
+        flipped = np.array(g.adj)
+        flipped[0, 1] = flipped[1, 0] = -flipped[0, 1]
+        assert len(canonical_form(g.adj != 0)[1]) == 2
+        assert switching_isomorphic(g, moved)
+        assert not switching_isomorphic(g, SignedGraph(flipped))
 
     def test_one_graph_views(self):
         # canonical_form labels one graph as the stack does: its code, and
