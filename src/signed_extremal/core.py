@@ -378,10 +378,10 @@ def refined_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
     return [np.flatnonzero(colours == c).tolist() for c in range(colours.max() + 1)]
 
 
-def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
+def canonical_form(adj_bool: np.ndarray) -> tuple[bytes, np.ndarray]:
     """The canonical bitmap of one graph, the least upper-triangle bit string
-    over the orders that respect its refined colour classes as a Python int
-    (MSB first), and, ascending, its optimal orders in which each twin class
+    over the orders that respect its refined colour classes as packed bytes
+    (_packed_codes), and, ascending, its optimal orders in which each twin class
     (_twin_firsts) ascends: one per coset of the twin swaps, automorphisms
     that keep the colours. With a tag per twin class, the search
     (_search_cells) tries only the least twin of a class left in a cell; a
@@ -391,7 +391,7 @@ def canonical_form(adj_bool: np.ndarray) -> tuple[int, np.ndarray]:
                                _refine(adj_bool[None]), _twin_firsts(adj_bool)[None], np.arange(n),
                                "labelling")
     perm = perm[np.lexsort(perm.T[::-1])].astype(np.min_scalar_type(n - 1))
-    return _packed_codes(adj_bool[None], perm[:1])[0], perm
+    return _packed_codes(adj_bool[None], perm[:1])[0].tobytes(), perm
 
 
 def _dense_ranks(keys: np.ndarray) -> np.ndarray:
@@ -561,21 +561,16 @@ def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np
     return branch, perm.astype(np.min_scalar_type(n - 1))
 
 
-def _packed_codes(adj: np.ndarray, orders: np.ndarray) -> list[int]:
+def _packed_codes(adj: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """The code of each graph of a (G, n, n) bool stack relabelled by its
-    order (G, n): its upper-triangle cells, row by row, as the bits of a
-    Python int, MSB first, padded with zero bits to whole bytes."""
+    order (G, n): its upper-triangle cells, row by row, packed MSB first into
+    a uint8 row padded with zero bits to whole bytes. Codes of one n have one
+    length, so as bytes they compare as the big-endian numbers they spell."""
     g, n = adj.shape[:2]
     iu, ju = _triu_cells(n)
-    packed = np.packbits(adj[np.arange(g)[:, None], orders[:, iu], orders[:, ju]], axis=1)
-    # leading zero bytes fill the first big-endian word and leave the value as it is
-    words = np.zeros((g, -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-    words[:, words.shape[1] - packed.shape[1]:] = packed
-    columns = iter(words.view(">u8").T.tolist())
-    codes = next(columns, [0] * g)
-    for column in columns:
-        codes = [code << 64 | word for code, word in zip(codes, column)]
-    return codes
+    cells = adj[np.arange(g)[:, None], orders[:, iu], orders[:, ju]]
+    # the indexing leaves the cells, and so their bytes, column-major
+    return np.ascontiguousarray(np.packbits(cells, axis=1))
 
 
 def _label_stack(adj: np.ndarray, block: int):
@@ -882,7 +877,7 @@ def _groups(keys):
     return groups.values()
 
 
-def _signed_keys(adj: np.ndarray, switched: bool) -> list[tuple[int, bytes]]:
+def _signed_keys(adj: np.ndarray, switched: bool) -> list[tuple[bytes, bytes]]:
     """The key (code, sign row) of each sign matrix of the int8 stack adj, in
     input order: the canonical bitmap of its underlying graph (canonical_form)
     and its least sign row over that graph's optimal orders, switched first
@@ -897,7 +892,7 @@ def _signed_keys(adj: np.ndarray, switched: bool) -> list[tuple[int, bytes]]:
     return keys
 
 
-def canonical_signed_code(g: SignedGraph) -> tuple[int, bytes]:
+def canonical_signed_code(g: SignedGraph) -> tuple[bytes, bytes]:
     """A complete invariant of the (relabeling, switching) class of g: the
     least underlying bitmap over class-respecting relabelings, then the least
     canonical-switch sign row over the relabelings that attain it."""

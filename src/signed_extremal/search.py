@@ -41,7 +41,8 @@ vertices tries at most 280 branches, not 8! = 40,320 orders. A graph whose
 classes are all twin sets, K_n among them, is not individualized: its orbits
 are its classes, as refinement is invariant and twin swaps are automorphisms.
 Such a child passes iff its new vertex has the least colour in M(G). Only the
-children that pass get a code, packed from 64-bit words (core._packed_codes).
+children that pass get a code, a uint8 row of packed cells (core._packed_codes);
+a level is one read-only array of them, sorted bytewise, which is code order.
 Below _MAX_N each accepted child keeps its labelling for the next level in
 canonical positions (core._canonical_labels): its colours sorted, its twin
 flag, and its optimal orders composed with the inverse of the first, which are
@@ -113,10 +114,10 @@ from .bounds import (
     rho_bound,
 )
 from .core import (
-    _SWITCH_MAX_WORK,
     SignedGraph,
     _bfs_tree,
     _canonical_labels,
+    _check_work,
     _distinct_matrices,
     _label_stack,
     _least_of_orbits,
@@ -215,14 +216,10 @@ class SearchReport:
 # Underlying-graph enumeration (one representative per isomorphism class)
 # ---------------------------------------------------------------------------
 
-def _code_cells(codes, n: int) -> np.ndarray:
+def _code_cells(codes: np.ndarray, n: int) -> np.ndarray:
     """The (len(codes), C(n, 2)) bool upper-triangle cells of class codes on
     n vertices, row by row (core._triu_cells)."""
-    ncells = n * (n - 1) // 2
-    nbytes = (ncells + 7) // 8
-    # a code packs its upper-triangle cells MSB first, padded to whole bytes
-    raw = np.frombuffer(b"".join(c.to_bytes(nbytes, "big") for c in codes), dtype=np.uint8)
-    return np.unpackbits(raw.reshape(len(codes), nbytes), axis=1, count=ncells).view(bool)
+    return np.unpackbits(codes, axis=1, count=n * (n - 1) // 2).view(bool)
 
 
 def _codes_to_adj(codes, n: int) -> np.ndarray:
@@ -352,18 +349,17 @@ def _canonical_children(n: int):
                   for hits in (perm == m, sets[branch[:, None], perm]))
     accept[~twins] = new == least
     kept = np.flatnonzero(accept)
-    codes = []
-    for lo in range(0, len(kept), _TABLE_BLOCK):
-        part = kept[lo:lo + _TABLE_BLOCK]
-        codes += _packed_codes(kids[part], first[part])
+    codes = np.concatenate([_packed_codes(kids[part], first[part]) for part in
+                            np.split(kept, range(_TABLE_BLOCK, len(kept), _TABLE_BLOCK))])
     return codes, _canonical_labels(kept, *labelled) if n < _MAX_N else None
 
 
 @lru_cache(maxsize=None)
 def _class_level(n: int):
     """(codes, labels): the classes on 1 <= n <= _MAX_N vertices in code
-    order, and their labels (core._Labels) below _MAX_N, which the level
-    above reads for its parents."""
+    order, as a read-only uint8 array of packed codes (core._packed_codes),
+    and their labels (core._Labels) below _MAX_N, which the level above reads
+    for its parents."""
     # Canonical augmentation (McKay 1998, see the module docstring). A
     # connected G on n >= 2 vertices has a non-cut vertex, so M(G) is nonempty
     # and the canonical deletion vertex d (the vertex of M(G) with the
@@ -375,13 +371,18 @@ def _class_level(n: int):
     # other path adds a vertex outside that orbit and fails the test. So no
     # class appears twice and no set of codes is needed.
     if n == 1:
-        return (0,), _canonical_labels([0], *_label_stack(np.zeros((1, 1, 1), dtype=bool), 1))
-    codes, labels = _canonical_children(n)
-    # the codes are distinct, so both sorts give one order
-    return tuple(sorted(codes)), None if labels is None else labels.take(np.argsort(codes))
+        codes = np.zeros((1, 0), dtype=np.uint8)
+        labels = _canonical_labels([0], *_label_stack(np.zeros((1, 1, 1), dtype=bool), 1))
+    else:
+        codes, labels = _canonical_children(n)
+        # rows of one length compare bytewise as their big-endian values do
+        order = np.argsort(codes.view(f"V{codes.shape[1]}")[:, 0])
+        codes, labels = codes[order], None if labels is None else labels.take(order)
+    codes.setflags(write=False)
+    return codes, labels
 
 
-def _connected_class_bitmaps(n: int) -> tuple[int, ...]:
+def _connected_class_bitmaps(n: int) -> np.ndarray:
     """The canonical bitmaps of the connected classes on n vertices, ascending."""
     return _class_level(n)[0]
 
@@ -714,7 +715,7 @@ def _scan_classes(config: SearchConfig, codes, summary: _Summary):
             # reach of its best, which only grows: the scan reaches no other
             first = lo
             built = int(np.searchsorted(-edges, -least, "right")) if tables else hi
-            tables.append(_class_rows([codes[c] for c in idx[first:built]], n))
+            tables.append(_class_rows(codes[idx[first:built]], n))
             span = _table_span(tables[-1], config.forbidden)
         system, patterns = _span_patterns(span, np.arange(lo - first, hi - first), unbal)
         if config.objective == "MAX_EDGES":
@@ -802,7 +803,8 @@ def _quotient_maximizers(quotients, dense) -> tuple[int, np.ndarray]:
     bytes. Each graph is counted once (core._switching_peak); only the graphs
     at the running peak keep their peak count vectors, which become matrices
     at the end from dense(i), the sign matrix and classes of graph i. Rejects
-    more than _SWITCH_MAX_WORK switchings at the peak before building any."""
+    more than core._SWITCH_MAX_WORK switchings at the peak (core._check_work)
+    before building any."""
     best, peak = -1, []
     for i, (sizes, signs) in enumerate(quotients):
         top, vectors = _switching_peak(sizes, signs)
@@ -812,9 +814,7 @@ def _quotient_maximizers(quotients, dense) -> tuple[int, np.ndarray]:
             peak.append((i, vectors))
     switchings = sum(math.prod(map(math.comb, quotients[i][0].tolist(), c))
                      for i, vectors in peak for c in vectors.tolist())
-    if switchings > _SWITCH_MAX_WORK:
-        raise ValueError(f"switching maximum capped at {_SWITCH_MAX_WORK} switchings "
-                         f"at the peak, got {switchings}")
+    _check_work(switchings, "switching maximum", "switchings at the peak")
     return best, _distinct_matrices(np.concatenate(
         [_switched_matrices(*dense(i), vectors) for i, vectors in peak]))
 

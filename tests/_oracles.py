@@ -294,24 +294,24 @@ def forbidden_and_balance_flags(adj: np.ndarray):
     return has, balanced
 
 
-def brute_labelling(adj_bool: np.ndarray) -> tuple[int, list[tuple[int, ...]]]:
+def brute_labelling(adj_bool: np.ndarray) -> tuple[bytes, list[tuple[int, ...]]]:
     """The least upper-triangle bitmap of one graph (n <= 11) over every order
     that keeps its tuple_sorting_color_classes in place, and the orders that
     attain it, sorted. Order p puts vertex p[i] at position i, each class
-    filling the next positions in colour order; the bitmap is read row by row,
-    padded with zeros to whole bytes, as a big-endian int."""
+    filling the next positions in colour order; the bitmap is read row by row
+    as a number, MSB first, and given as its bytes, padded with zero bits."""
     n = adj_bool.shape[0]
     classes = tuple_sorting_color_classes(adj_bool)
     orders = np.array([sum(parts, ()) for parts in itertools.product(
         *(itertools.permutations(c) for c in classes))], dtype=np.intp)
     iu, ju = np.triu_indices(n, k=1)
-    weights = np.int64(1) << (np.arange(len(iu) - 1, -1, -1) + -len(iu) % 8)
-    codes = adj_bool[orders[:, iu], orders[:, ju]].astype(np.int64) @ weights
-    best = codes.min()
-    return int(best), sorted(map(tuple, orders[codes == best].tolist()))
+    cells = adj_bool[orders[:, iu], orders[:, ju]]
+    codes = cells.astype(np.int64) @ (np.int64(1) << np.arange(len(iu) - 1, -1, -1))
+    best = codes == codes.min()
+    return np.packbits(cells[best.argmax()]).tobytes(), sorted(map(tuple, orders[best].tolist()))
 
 
-def per_order_signed_code(g: SignedGraph, switched: bool = True) -> tuple[int, bytes]:
+def per_order_signed_code(g: SignedGraph, switched: bool = True) -> tuple[bytes, bytes]:
     """canonical_signed_code, one relabeling and canonical switch per optimal
     order of brute_labelling, all n! of them for K_n; without switched, the
     key signed_isomorphic compares, the relabelings alone."""
@@ -488,8 +488,8 @@ def per_parent_orbit_masks(auts: np.ndarray, m: int) -> list[int]:
     return masks[images.min(axis=1) == masks].tolist()
 
 
-def unpruned_canonical_children(n: int) -> list[int]:
-    """Codes of the children of every (n-1)-vertex class that pass McKay's
+def unpruned_canonical_children(n: int) -> list[bytes]:
+    """Codes (brute_labelling) of the children of every (n-1)-vertex class that pass McKay's
     canonical deletion test, in generation order, with every orbit mask of
     every parent sent to the test."""
     m = n - 1

@@ -612,11 +612,18 @@ class TestTriangles:
             for c in pos + neg:
                 assert cycle_sign(g, c.vertices) == c.sign
 
+    def test_sign_must_be_plus_or_minus_one(self):
+        with pytest.raises(ValueError, match="sign must be -1 or \\+1"):
+            find_signed_triangles(build_complete(3, 1), 0)
+
     @pytest.mark.parametrize("vertices, msg", [
         ([-1, 1, 3], "outside the graph"),  # once read as vertex 4, giving +1
         ([0, 1, 9], "outside the graph"),
         ([True, 3, 4], "not an integer"),
         ([0, 2.0, 3], "not an integer"),
+        ([0, 2], "at least 3 distinct vertices"),
+        ([0, 2, 0], "at least 3 distinct vertices"),
+        ([0, 3, 2], "\\(0,3\\) is not an edge"),
     ])
     def test_cycle_sign_rejects_entries_that_are_not_vertices(self, vertices, msg):
         with pytest.raises(ValueError, match=msg):
@@ -780,7 +787,7 @@ class TestCanonicalCode:
         # the literal comes from evaluating all 9! orders
         g = new_signed_graph(9, [(u, v, -1 if v == u + 1 else 1)
                                  for u, v in itertools.combinations(range(9), 2)])
-        assert canonical_signed_code(g) == ((1 << 36) - 1 << 4, bytes.fromhex(
+        assert canonical_signed_code(g) == (bytes.fromhex("fffffffff0"), bytes.fromhex(
             "010101010101010101010101010102010101020201010201020202020201010201020102"))
 
     @pytest.mark.parametrize("parts", [(99, 100), (20, 30, 40)], ids=["k99,100", "k20,30,40"])
@@ -980,16 +987,17 @@ class TestSignedTwins:
 
 @functools.lru_cache(maxsize=None)
 def labelling_of_every_graph(n):
-    """Every labeled graph on n vertices, labelled as one stack: its codes and
-    what _label_stack returns."""
+    """Every labeled graph on n vertices, labelled as one stack: its codes
+    (stack_codes) and what _label_stack returns."""
     adj = labeled_graph_stack(n)
     labels = _label_stack(adj, len(adj))
-    return adj, _packed_codes(adj, labels[2]), labels
+    return adj, list(map(bytes, _packed_codes(adj, labels[2]))), labels
 
 
 def stack_codes(adj):
-    """The canonical bitmap of each graph of a bool stack, labelled as one stack."""
-    return _packed_codes(adj, _label_stack(adj, len(adj))[2])
+    """The canonical bitmap of each graph of a bool stack, labelled as one
+    stack, as bytes."""
+    return list(map(bytes, _packed_codes(adj, _label_stack(adj, len(adj))[2])))
 
 
 def colour_classes(colours):
@@ -1158,7 +1166,7 @@ class TestCanonicalForms:
         iu, ju = _triu_cells(n)
         for a in canon:
             code, representatives = canonical_form(a)
-            assert code == int.from_bytes(np.packbits(a[iu, ju]).tobytes(), "big")
+            assert code == np.packbits(a[iu, ju]).tobytes()
             assert representatives.tolist() == ascending_twin_orders(
                 a, sorted(brute_automorphisms(a)))
 
@@ -1170,8 +1178,8 @@ class TestCanonicalForms:
         adj, codes, _ = labelling_of_every_graph(n)
         colours = _refine(adj)
         twins = _all_twin_classes(adj, colours)
-        autos = {code: len(brute_automorphisms(adj[g]))
-                 for code, g in zip(*np.unique(codes, return_index=True))}
+        autos = {codes[g]: len(brute_automorphisms(adj[g]))
+                 for g in np.unique(codes, return_index=True)[1]}
         for code, c, twin in zip(codes, colours, twins):
             respecting = math.prod(math.factorial(k) for k in np.bincount(c))
             assert twin == (autos[code] == respecting)
@@ -1203,8 +1211,7 @@ class TestCanonicalForms:
             got, orders = canonical_form(a)
             assert got == code
             for order in orders:
-                bits = np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes()
-                assert int.from_bytes(bits, "big") == code
+                assert np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes() == code
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n,leaves,count", [
@@ -1230,27 +1237,27 @@ class TestCanonicalForms:
         assert orders.dtype == (np.uint8 if n <= 256 else np.uint16)
         iu, ju = _triu_cells(n)
         for order in orders:
-            bits = np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes()
-            assert int.from_bytes(bits, "big") == code
+            assert np.packbits(a[np.ix_(order, order)][iu, ju]).tobytes() == code
 
     @pytest.mark.parametrize("n", [1, 2, 8, 12, 20])
     def test_packed_codes_match_the_bytes_of_the_cells(self, n):
-        # codes are built from big-endian 64-bit words: none at n = 1, whose
-        # code has no cell, one up to 11 vertices, two from the 66 cells of
-        # n = 12 on and three at n = 20; seeded graphs, K_n and the empty
+        # codes are C-order uint8 rows of C(n, 2) bits padded to whole bytes:
+        # none at n = 1, whose code has no cell, one at n = 2, 9 from the 66
+        # cells of n = 12 and 24 at n = 20; seeded graphs, K_n and the empty
         # graph, each under a seeded order
         rng = np.random.default_rng(n)
         adj = np.concatenate((seeded_unsigned_stack(60 + n, n, 30),
                               [~np.eye(n, dtype=bool), np.zeros((n, n), dtype=bool)]))
         orders = np.array([rng.permutation(n) for _ in adj], dtype=np.min_scalar_type(n - 1))
         iu, ju = _triu_cells(n)
-        expect = [int.from_bytes(np.packbits(a[np.ix_(o, o)][iu, ju]).tobytes(), "big")
-                  for a, o in zip(adj, orders)]
-        assert _packed_codes(adj, orders) == expect
-        assert _packed_codes(adj[:0], orders[:0]) == []
+        expect = [np.packbits(a[np.ix_(o, o)][iu, ju]).tobytes() for a, o in zip(adj, orders)]
+        codes = _packed_codes(adj, orders)
+        assert codes.dtype == np.uint8 and codes.flags.c_contiguous
+        assert list(map(bytes, codes)) == expect
+        assert _packed_codes(adj[:0], orders[:0]).shape == (0, -(-len(iu) // 8))
         # K_n sets every cell, then pads to whole bytes
         cells = n * (n - 1) // 2
-        assert expect[-2] == ((1 << cells) - 1) << (-cells % 8)
+        assert int.from_bytes(expect[-2], "big") == ((1 << cells) - 1) << (-cells % 8)
 
     @pytest.mark.slow
     def test_the_one_order_of_a_graph_with_nine_isolated_vertices(self):
@@ -1287,7 +1294,7 @@ class TestCanonicalForms:
         for chunk in np.array_split(every, 64):
             bits = np.packbits(a[chunk[:, iu], chunk[:, ju]], axis=1)
             assert (bits == bits[0]).all()
-            assert int.from_bytes(bits[0].tobytes(), "big") == code
+            assert bits[0].tobytes() == code
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_matches_brute_force_labelling_on_every_graph(self, n):
@@ -1370,7 +1377,7 @@ class TestCanonicalForms:
         codes = _packed_codes(adj, first)
         for g, a in enumerate(adj):
             code, orders = canonical_form(a)
-            assert code == codes[g]
+            assert code == codes[g].tobytes()
             rows = first[g][None] if twins[g] else perm[branch == g]
             assert set(map(tuple, orders.tolist())) <= set(map(tuple, rows.tolist()))
             assert refined_color_classes(a) == colour_classes(colours[g])

@@ -116,6 +116,12 @@ class TestHFamilies:
             h_partition(family, s, t)
         assert str(split.value) == str(built.value)
 
+    def test_h1_partition_needs_two_clique_vertices_on_the_v_side(self):
+        # build_h builds H1(s, 1), but its partition has no v-side block
+        build_h("H1", 2, 1)
+        with pytest.raises(ValueError, match="H1 partition needs t >= 2"):
+            h_partition("H1", 2, 1)
+
 
 class TestComplete:
     def test_positive_balanced_and_triangle_safe(self):

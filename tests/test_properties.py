@@ -1,4 +1,5 @@
 import hashlib
+import sys
 
 import pytest
 
@@ -74,6 +75,24 @@ def assert_replays_numpy(bit_generator, seed, n_range, graphs, warm=False, betwe
                 rng.integers(0, 2, size=k % 2)
 
 
+def pcg64_with_zero_word(seed, k):
+    """PCG64(seed) moved to a state whose raw word k (from 0) is 0. numpy
+    steps the 128-bit state to state * M + inc mod 2^128 before each word and
+    outputs rotr64(hi ^ lo, hi >> 58), so the state after step k + 1 is taken
+    with hi < 2^58 and lo = hi, and stepped back with the inverse of M."""
+    bg = np.random.PCG64(seed)
+    state = bg.state
+    inc = state["state"]["inc"]
+    hi = state["state"]["state"] >> 70
+    s = hi << 64 | hi
+    inverse = pow(0x2360ED051FC65DA44385DF649FCCF645, -1, 1 << 128)
+    for _ in range(k + 1):
+        s = (s - inc) * inverse % (1 << 128)
+    state["state"]["state"] = s
+    bg.state = state
+    return bg
+
+
 class ScriptedBitGenerator:
     """A PCG64 without a spare half as _Words sees it: random_raw hands out
     the given words first, then those of PCG64(seed)."""
@@ -145,6 +164,31 @@ class TestReplay:
             assert (random_connected_signed_graph(fast, 1, 25)
                     == per_draw_random_connected_signed_graph(slow, 1, 25))
             assert_same_state(fast.bit_generator.state, slow.bit_generator.state)
+
+    def test_lemire_rejection_of_a_tree_parent(self, monkeypatch):
+        # a raw word of 0 has halves of 0, so a parent draw from 0..idx-1
+        # that reads one has leftover 0 < idx and goes to reject; a zero at
+        # each of the first 40 words puts one among the tree draws in 13 of
+        # these 120 graphs
+        reject, callers = properties._Words.reject, []
+
+        def spy(words, m, r):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return reject(words, m, r)
+
+        monkeypatch.setattr(properties._Words, "reject", spy)
+        took = 0
+        for seed in range(3):
+            for k in range(40):
+                assert pcg64_with_zero_word(seed, k).random_raw(k + 1)[k] == 0
+                fast, slow = (np.random.Generator(pcg64_with_zero_word(seed, k))
+                              for _ in range(2))
+                before = callers.count("_draw_graph")
+                assert (random_connected_signed_graph(fast)
+                        == per_draw_random_connected_signed_graph(slow))
+                assert_same_state(fast.bit_generator.state, slow.bit_generator.state)
+                took += callers.count("_draw_graph") > before
+        assert took == 13
 
     @pytest.mark.parametrize("bit_generator", BIT_GENERATORS)
     def test_graphs_past_the_first_chunk(self, bit_generator):

@@ -140,7 +140,10 @@ PINNED_SUMMARIES = {
 
 
 def codes_digest(codes) -> str:
-    return hashlib.sha256(",".join(map(str, codes)).encode()).hexdigest()
+    """The sha256 of the comma-joined decimal values of byte-row codes, each
+    read as a big-endian number."""
+    values = (str(int.from_bytes(c.tobytes(), "big")) for c in codes)
+    return hashlib.sha256(",".join(values).encode()).hexdigest()
 
 
 def attach(parents, masks):
@@ -264,7 +267,7 @@ class TestEnumerateUnderlying:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_augmentation_emits_each_class_once(self, n):
         children = _canonical_children(n)[0]
-        assert len(children) == len(set(children))
+        assert len(children) == len(set(map(bytes, children)))
 
     def test_underlying_class_count_n8(self):
         # connected graphs on 8 vertices (OEIS A001349)
@@ -276,12 +279,12 @@ class TestEnumerateUnderlying:
         expect = {n: _canonical_children(n)[0] for n in range(2, 8)}
         monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", 7)
         for n, children in expect.items():
-            assert _canonical_children(n)[0] == children
-            assert sorted(children) == list(_connected_class_bitmaps(n))
+            assert np.array_equal(_canonical_children(n)[0], children)
+            assert sorted(map(bytes, children)) == list(map(bytes, _connected_class_bitmaps(n)))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_pruned_augmentation_matches_the_unpruned_loop(self, n):
-        assert _canonical_children(n)[0] == unpruned_canonical_children(n)
+        assert list(map(bytes, _canonical_children(n)[0])) == unpruned_canonical_children(n)
 
     def test_orbit_masks_match_the_per_parent_oracle(self):
         # every class on m <= 7 vertices, with the labels its level carried:
@@ -323,7 +326,7 @@ class TestEnumerateUnderlying:
             adj = _codes_to_adj(codes, n)
             colours, twins, first, branch, orders = _label_stack(adj, len(adj))
             counts = np.bincount(branch, minlength=len(adj))
-            assert _packed_codes(adj, first) == list(codes)
+            assert np.array_equal(_packed_codes(adj, first), codes)
             assert labels.colours.dtype == labels.orders.dtype == np.uint8
             assert np.array_equal(labels.colours, colours)
             assert np.array_equal(labels.twins, twins)
@@ -331,6 +334,29 @@ class TestEnumerateUnderlying:
             for got, want in zip(np.split(labels.orders, np.cumsum(labels.counts)[:-1]),
                                  np.split(orders, np.cumsum(counts)[:-1])):
                 assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
+
+    def test_levels_are_read_only_byte_rows_in_code_order(self):
+        for n in range(1, SEARCH._MAX_N + 1):
+            codes = _connected_class_bitmaps(n)
+            assert codes.dtype == np.uint8 and not codes.flags.writeable
+            assert codes.shape[1] == (n * (n - 1) // 2 + 7) // 8
+            rows = list(map(bytes, codes))
+            assert rows == sorted(set(rows))
+
+    def test_enumeration_holds_less_than_256_kib(self):
+        # what the levels up to n = 8 keep, enumerated from a cleared cache:
+        # 4 bytes per class at n = 8 and the labels of the levels below,
+        # about 105 KB; one Python int per class held about 515 KB
+        SEARCH._class_level.cache_clear()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            SEARCH._class_level(8)
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+            SEARCH._class_level.cache_clear()
+        assert held < 256 << 10
 
     def test_top_level_keeps_no_labels(self):
         assert SEARCH._class_level(SEARCH._MAX_N)[1] is None
@@ -570,7 +596,7 @@ class TestClassTable:
         for c, code in enumerate(codes):
             adj = table.adj[c]
             assert np.array_equal(adj, adj.T) and not adj.diagonal().any()
-            assert int.from_bytes(np.packbits(adj[iu, ju]).tobytes(), "big") == code
+            assert np.array_equal(np.packbits(adj[iu, ju]), code)
             edges = int(adj[iu, ju].sum())
             k = int(table.widths[c])
             assert k == edges - n + 1
@@ -593,7 +619,7 @@ class TestClassTable:
         whole = whole_class_table(6)
         codes = _connected_class_bitmaps(6)
         picked = np.array([111, 0, 57, 5, 56])
-        part = SEARCH._class_rows([codes[c] for c in picked], 6)
+        part = SEARCH._class_rows(codes[picked], 6)
         for name, a, b in zip(whole._fields, whole, part):
             assert a.dtype == b.dtype and np.array_equal(a[picked], b), name
 
@@ -674,18 +700,18 @@ class TestClassSummary:
         for adj in _codes_to_adj(_connected_class_bitmaps(n), n):
             perm = rng.permutation(n)
             for a in (adj, adj[np.ix_(perm, perm)]):
-                code = int.from_bytes(np.packbits(a[iu, ju]).tobytes(), "big")
+                code = np.packbits(a[iu, ju])
                 sigs = list(all_signatures(a))
                 canon = [canonical_switch(g) for g in sigs]
                 has, balanced = forbidden_and_balance_flags(np.array([g.adj for g in sigs]))
                 for forbidden in FORBIDDEN:
-                    summary = SEARCH._Summary(*SEARCH._summary_block([code], n, forbidden))
+                    summary = SEARCH._Summary(*SEARCH._summary_block(code[None], n, forbidden))
                     assert summary.edges[0] == a[iu, ju].sum()
                     for unbal in (True, False):
                         ok = ~has[forbidden] & ~(unbal & balanced)
                         brute = len({c for c, keep in zip(canon, ok) if keep})
                         counts = _feasible_counts(summary, np.array([0]), unbal)
-                        assert counts.tolist() == [brute], (code, forbidden, unbal)
+                        assert counts.tolist() == [brute], (code.tobytes(), forbidden, unbal)
 
     @pytest.mark.parametrize("n", [3, 5, 6])
     def test_triangle_system_by_definition(self, n):
@@ -1004,8 +1030,8 @@ class TestRhoScan:
         star[0, 1:] = star[1:, 0] = True
         cycle = np.roll(np.eye(5, dtype=bool), 1, axis=1)
         adj = np.stack([star, cycle | cycle.T])
-        codes = [int.from_bytes(np.packbits(a[np.triu_indices(5, 1)]).tobytes(), "big")
-                 for a in adj]
+        iu, ju = np.triu_indices(5, 1)
+        codes = np.packbits(adj[:, iu, ju], axis=1)
         # edge counts, free bits (every pattern solves NONE), consistent, zero
         summary = SEARCH._Summary(np.array([4, 5], dtype=np.uint8),
                                   np.array([0, 1], dtype=np.uint8),

@@ -355,7 +355,7 @@ def test_spectral_maximum_n8():
 
 
 def test_pruned_augmentation_matches_the_unpruned_loop_n8():
-    assert _canonical_children(8)[0] == unpruned_canonical_children(8)
+    assert list(map(bytes, _canonical_children(8)[0])) == unpruned_canonical_children(8)
 
 
 def test_deletion_test_rows_are_pinned_n8(monkeypatch):

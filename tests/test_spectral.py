@@ -177,6 +177,8 @@ class TestQuotient:
             quotient_matrix(g, [[0, 1], [1, 2, 3]])
         with pytest.raises(ValueError):
             quotient_matrix(g, [[0, 1], [2]])
+        with pytest.raises(ValueError, match="blocks must be nonempty"):
+            quotient_matrix(g, [[0, 1], [], [2, 3]])
 
     @pytest.mark.parametrize("partition, msg", [
         ([[0.2], [1], [2], [3, 4]], "not an integer"),
