@@ -489,9 +489,9 @@ def per_parent_orbit_masks(auts: np.ndarray, m: int) -> list[int]:
 
 
 def unpruned_canonical_children(n: int) -> list[bytes]:
-    """Codes (brute_labelling) of the children of every (n-1)-vertex class that pass McKay's
-    canonical deletion test, in generation order, with every orbit mask of
-    every parent sent to the test."""
+    """Codes (brute_labelling) of the children of every (n-1)-vertex class
+    that pass McKay's canonical deletion test, in generation order, with
+    every orbit mask of every parent sent to the test."""
     m = n - 1
     parents = _codes_to_adj(_connected_class_bitmaps(m), m)
     # every automorphism of each parent, by brute force

@@ -117,7 +117,8 @@ class TestHFamilies:
         assert str(split.value) == str(built.value)
 
     def test_h1_partition_needs_two_clique_vertices_on_the_v_side(self):
-        # build_h builds H1(s, 1), but its partition has no v-side block
+        # build_h builds H1(s, 1), but the partition's layout would leave its
+        # v-side clique block empty
         build_h("H1", 2, 1)
         with pytest.raises(ValueError, match="H1 partition needs t >= 2"):
             h_partition("H1", 2, 1)

@@ -346,7 +346,7 @@ class TestEnumerateUnderlying:
     def test_enumeration_holds_less_than_256_kib(self):
         # what the levels up to n = 8 keep, enumerated from a cleared cache:
         # 4 bytes per class at n = 8 and the labels of the levels below,
-        # about 105 KB; one Python int per class held about 515 KB
+        # about 107 KB; one Python int per class held about 516 KB
         SEARCH._class_level.cache_clear()
         tracemalloc.start()
         try:
