@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._render import json_text
-from .core import SignedGraph, is_connected
+from .core import SignedGraph, _bfs_tree
 from .graphio import format_graph
 from .spectral import SpectralError, _by_shape, _eigh_values, _symmetric_eigh
 
@@ -102,7 +102,7 @@ def rho_bound(n: int) -> float:
 def balanced_clique_number(g: SignedGraph) -> int:
     """Largest vertex count of a balanced complete induced signed subgraph.
     Rejects graphs above _CLIQUE_MAX_ORDER vertices to bound the cost."""
-    return _balanced_clique_numbers([g])[0]
+    return _balanced_clique_numbers(g.adj[None])[0]
 
 
 def _grow_balanced_clique(pos, neg, size, same, other, best):
@@ -122,7 +122,14 @@ def _grow_balanced_clique(pos, neg, size, same, other, best):
     return best
 
 
-def _stack_clique_numbers(a: np.ndarray) -> list[int]:
+def _balanced_clique_numbers(a: np.ndarray) -> list[int]:
+    """balanced_clique_number of each matrix of a (k, n, n) int8 stack, in
+    order, from neighbour bitsets. A clique is balanced iff its vertices take
+    spins with sign(u,v) = spin(u)spin(v); it grows from its lowest vertex,
+    spin +1, by the lowest candidate, taken then left out, while a larger one
+    can still come."""
+    if a.shape[-1] > _CLIQUE_MAX_ORDER:
+        raise ValueError(f"balanced clique search capped at {_CLIQUE_MAX_ORDER} vertices")
     # each row's +1 and -1 entries as the bits of a little-endian word of one
     # or two bytes; a matmul would run numpy code that raises the suites' peak RSS
     words = [np.packbits(a == s, axis=2, bitorder="little") for s in (1, -1)]
@@ -137,33 +144,22 @@ def _stack_clique_numbers(a: np.ndarray) -> list[int]:
     return out
 
 
-def _balanced_clique_numbers(graphs) -> list[int]:
-    """balanced_clique_number of each graph, in order, from neighbour bitsets
-    per vertex count. A clique is balanced iff its vertices take spins with
-    sign(u,v) = spin(u)spin(v); it grows from its lowest vertex, spin +1, by the
-    lowest candidate, taken then left out, while a larger one can still come."""
-    if any(g.n > _CLIQUE_MAX_ORDER for g in graphs):
-        raise ValueError(f"balanced clique search capped at {_CLIQUE_MAX_ORDER} vertices")
-    return _by_shape([g.adj for g in graphs], _stack_clique_numbers)
-
-
 def clique_spectral_bound(g: SignedGraph) -> BoundReport:
     """Compare l1(g) against sqrt(2e (wb-1)/wb) for the balanced clique number wb."""
-    return _clique_spectral_bounds([g])[0]
+    return _clique_spectral_bounds(g.adj[None])[0]
 
 
-def _clique_spectral_bounds(graphs) -> list[BoundReport]:
-    """clique_spectral_bound of each graph, in order, with one eigh and one
-    clique search per vertex count; no edge anywhere raises before the cap."""
-    edges = [g.edge_count for g in graphs]
+def _clique_spectral_bounds(a: np.ndarray) -> list[BoundReport]:
+    """clique_spectral_bound of each matrix of a (k, n, n) int8 stack, in
+    order, with one eigh and one clique search; no edge anywhere raises
+    before the cap."""
+    edges = [int(np.count_nonzero(m)) // 2 for m in a]
     if 0 in edges:
         raise ValueError("clique spectral bound needs at least one edge")
-    cliques = _balanced_clique_numbers(graphs)
-    return [make_bound_report("clique_spectral", g.n, math.sqrt(2.0 * e * (wb - 1) / wb),
-                              float(w[-1]), spectral=True,
-                              details={"balanced_clique_number": wb, "edges": e})
-            for g, e, wb, w in zip(graphs, edges, cliques,
-                                   _by_shape([g.adj for g in graphs], _eigh_values))]
+    cliques, lam1 = _balanced_clique_numbers(a), _eigh_values(a)[:, -1].tolist()
+    return [make_bound_report("clique_spectral", a.shape[-1], math.sqrt(2.0 * e * (wb - 1) / wb),
+                              w, spectral=True, details={"balanced_clique_number": wb, "edges": e})
+            for e, wb, w in zip(edges, cliques, lam1)]
 
 
 def balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:
@@ -174,7 +170,7 @@ def balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:
     have an ambiguous side; both memberships are tried and the choice
     maximizing l1 of the result is kept.
     """
-    return _balanced_spanning_subgraphs([g])[0]
+    return SignedGraph._trusted(_balanced_spanning_subgraphs(g.adj[None])[0])
 
 
 def _principal_switchings(a: np.ndarray):
@@ -193,37 +189,34 @@ def _principal_switchings(a: np.ndarray):
     return w[:, -1], ambiguous, s, np.maximum(s[:, :, None] * s[:, None, :] * a, 0)
 
 
-def _balanced_spanning_subgraphs(graphs) -> list[SignedGraph]:
-    """balanced_spanning_subgraph of each graph, in order, its spins and one
-    candidate from a stack per vertex count; a graph with a ambiguous entries
-    takes their 2^a switchings, in itertools.product order, and keeps the first
-    maximum. Disconnected graphs and over 16 ambiguous entries raise, in graph
-    order, before any candidate is solved."""
-    spectra = _by_shape([g.adj for g in graphs], _principal_switchings)
-    stacks = []
-    for g, (_, ambiguous, spin, h) in zip(graphs, spectra):
-        if not is_connected(g):
+def _balanced_spanning_subgraphs(a: np.ndarray) -> np.ndarray:
+    """balanced_spanning_subgraph of each matrix of a (k, n, n) int8 stack, in
+    order, as one read-only such stack: its spins and one candidate each from
+    one eigh; a matrix with a ambiguous entries takes their 2^a switchings, in
+    itertools.product order, and keeps the first maximum. Disconnected graphs
+    and over 16 ambiguous entries raise, in stack order, before any candidate
+    is solved."""
+    lam1, ambiguous, spin, h = _principal_switchings(a)
+    for m, picks in zip(a, ambiguous):
+        if len(_bfs_tree(m)) < len(m) - 1:
             raise ValueError("balanced spanning subgraph extraction needs a connected graph")
-        if ambiguous:
-            if len(ambiguous) > 16:
-                raise SpectralError("too many ambiguous eigenvector entries")
+        if len(picks) > 16:
+            raise SpectralError("too many ambiguous eigenvector entries")
+    # only lambda_1 of each candidate is kept; a matrix with ambiguous
+    # entries then takes the subgraph and lambda_1 of its best switching
+    lam = _eigh_values(h)[:, -1].tolist()
+    for j, picks in enumerate(ambiguous):
+        if picks:
             # one spin row per switching: -1 on the picked ambiguous entries,
             # the last ambiguous entry varying fastest
-            spins = np.repeat(spin[None], 1 << len(ambiguous), axis=0)
-            spins[:, ambiguous] = list(itertools.product((1, -1), repeat=len(ambiguous)))
-            h = np.maximum(spins[:, :, None] * spins[:, None, :] * g.adj, 0)
-        stacks.append(h.reshape(-1, g.n, g.n))
-    # only lambda_1 of each candidate is kept
-    values = _by_shape([h for stack in stacks for h in stack], lambda a: _eigh_values(a)[:, -1])
-    out, k = [], 0
-    for stack, (lam1, *_) in zip(stacks, spectra):
-        lam = [float(v) for v in values[k:k + len(stack)]]
-        k += len(stack)
-        best = lam.index(max(lam))
-        if lam[best] < lam1 - SPECTRAL_SLACK:
-            raise SpectralError(
-                "balanced spanning subgraph lost spectral radius: "
-                f"{lam[best]} < {float(lam1)}"
-            )
-        out.append(SignedGraph._trusted(stack[best].copy()))
-    return out
+            spins = np.repeat(spin[j][None], 1 << len(picks), axis=0)
+            spins[:, picks] = list(itertools.product((1, -1), repeat=len(picks)))
+            stack = np.maximum(spins[:, :, None] * spins[:, None, :] * a[j], 0)
+            values = [float(v) for v in _by_shape(list(stack), lambda x: _eigh_values(x)[:, -1])]
+            best = values.index(max(values))
+            h[j], lam[j] = stack[best], values[best]
+    for x, x1 in zip(lam, lam1.tolist()):
+        if x < x1 - SPECTRAL_SLACK:
+            raise SpectralError(f"balanced spanning subgraph lost spectral radius: {x} < {x1}")
+    h.setflags(write=False)
+    return h

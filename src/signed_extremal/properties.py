@@ -12,12 +12,16 @@ The words wait in a plain list with an integer cursor (_Words). Each graph
 is read from it in one pass of _draw_graph, and the suite's own draws read
 the same list.
 
-Instances are drawn and judged in blocks. A block step stacks a block's
-graphs per vertex count and builds the suite's second graphs a stack at a
-time (switchings by core._switched, negations, or the underlying graphs plus
-an edge), and the judges solve each count's two stacks at once.
-interlacing_check, clique_spectral_bound and balanced_spanning_subgraph are
-judged through stacked kernels that give each graph its one-graph result.
+Instances are drawn and judged in blocks, and a block is carried as stacks:
+a drawn graph is its order and its n * n cell bytes, and a block step joins
+the cells of each vertex count into one read-only (k, n, n) int8 stack, with
+the instances' indices and the suite's own draws beside it as plain lists.
+The paired suites build their second graphs a stack at a time (switchings by
+core._switched, negations, or the underlying graphs plus an edge), and their
+judges solve each count's two stacks at once. interlacing_check,
+clique_spectral_bound and balanced_spanning_subgraph are judged through
+stacked kernels that take one count's stack. A SignedGraph is made only for
+the log of an instance that fails.
 """
 
 from __future__ import annotations
@@ -181,9 +185,9 @@ def random_connected_signed_graph(rng: np.random.Generator, n_min: int = 3,
     if not 1 <= n_min <= n_max:
         raise ValueError(f"need 1 <= n_min <= n_max, got {n_min} and {n_max}")
     words = _Words(rng.bit_generator)
-    g = _draw_graph(words, n_min, n_max)
+    n, cells = _draw_graph(words, n_min, n_max)
     words.close()
-    return g
+    return SignedGraph._trusted(np.frombuffer(cells, dtype=np.int8).reshape(n, n))
 
 
 def _pair_cells(n):
@@ -198,7 +202,8 @@ _PAIR_CELLS = tuple(_pair_cells(n) for n in range(11))
 
 
 def _draw_graph(words, n_min=3, n_max=10):
-    """The draws of random_connected_signed_graph, from the stream words.
+    """The draws of random_connected_signed_graph, from the stream words: the
+    order n and the n * n cells of its sign matrix as bytes, -1 as 255.
 
     Every draw after n is read in place from words.buf. A graph reads at
     most (n - 1)(n - 2) / 2 pair words, one density word and 32-bit halves
@@ -232,7 +237,7 @@ def _draw_graph(words, n_min=3, n_max=10):
         order[i], order[j] = order[j], order[i]
     # the parent of order[idx] is order[integers(0, idx)], by Lemire's
     # method, and a sign is 2 * integers(0, 2) - 1, the top bit of a 32-bit
-    # half; the matrix is built as bytes, -1 as 255
+    # half
     adj = bytearray(n * n)
     for idx in range(1, n):
         if idx == 1:
@@ -279,100 +284,96 @@ def _draw_graph(words, n_min=3, n_max=10):
     # a graph boundary: drop the words read so far
     del buf[:pos]
     words.pos, words.spare, words.half = 0, spare, half
-    return SignedGraph._trusted(np.frombuffer(adj, dtype=np.int8).reshape(n, n))
+    return n, adj
 
 
-# Each suite is a draw of one instance from the suite's stream, an optional
-# block step, and a judge of a block's cases and stacks, which returns one
-# failure message or None per case, in order.
+# Each suite is a draw of one instance (n, cells, extra) from the suite's
+# stream, an optional pairs step and a judge of one vertex count's stacks,
+# which returns the message of each failing instance by its stack index.
 
 def _block_step(drawn, pairs):
-    """The cases (first, second, *rest) of a block of drawn instances
-    (g, *rest) and, per vertex count, their indices and the (2, k, n, n) int8
-    stack of their two graphs: pairs maps the stack a of the drawn graphs and
-    their instances to the stacks of the first graphs (a for those drawn) and
-    the second. Derived graphs are read-only views of the stacks."""
-    if pairs is None:
-        return drawn, None
-    cases, stacks = [None] * len(drawn), []
-    for idx in _groups([d[0].n for d in drawn]):
-        part = [drawn[i] for i in idx]
-        a = np.array([d[0].adj for d in part])
-        first, second = pairs(a, part)
-        graphs = [d[0] for d in part] if first is a else map(SignedGraph._trusted, first)
-        for i, d, g, h in zip(idx, part, graphs, second):
-            cases[i] = (g, SignedGraph._trusted(h), *d[1:])
-        stacks.append((idx, np.array((first, second))))
-    return cases, stacks
+    """Per vertex count of a block of drawn instances: their indices, the
+    read-only (k, n, n) int8 stacks of their first and second graphs, and
+    their extras. The first stack joins the drawn cells; pairs maps it and
+    the extras to the first and the second stack, and without pairs there is
+    no second stack."""
+    block = []
+    for idx in _groups([d[0] for d in drawn]):
+        n, extras = drawn[idx[0]][0], [drawn[i][2] for i in idx]
+        first = np.frombuffer(b"".join([drawn[i][1] for i in idx]), dtype=np.int8)
+        first, second = first.reshape(-1, n, n), None
+        if pairs is not None:
+            first, second = pairs(first, extras)
+            first.setflags(write=False)
+            second.setflags(write=False)
+        block.append((idx, first, second, extras))
+    return block
+
+
+def _shown(m):
+    """format_graph of the int8 matrix m, a view of a read-only stack."""
+    return format_graph(SignedGraph._trusted(m))
 
 
 def _paired(failed, message):
-    """The judge giving message(*case) to each case whose descending spectra
-    x, y give failed(x, y): one solve per stack, verdicts on plain lists."""
-    def judge(cases, stacks) -> list[str | None]:
-        failures = [None] * len(cases)
-        for idx, pair in stacks:
-            w = _stacked_spectra(pair)
-            for i, x, y in zip(idx, w[0].tolist(), w[1].tolist()):
-                if failed(x, y):
-                    failures[i] = message(*cases[i])
-        return failures
+    """The judge giving message(text, extra) to each instance whose
+    descending spectra x, y give failed(x, y), text its first graph shown:
+    one solve of the two stacks, verdicts on plain lists."""
+    def judge(first, second, extras) -> dict[int, str]:
+        w = _stacked_spectra(np.array((first, second)))
+        return {j: message(_shown(first[j]), extras[j])
+                for j, (x, y) in enumerate(zip(w[0].tolist(), w[1].tolist())) if failed(x, y)}
     return judge
 
 
+def _draw_switching(words):
+    n, cells = _draw_graph(words)
+    return n, cells, words.subset(n)
+
+
 def _draw_interlacing(words):
-    g = _draw_graph(words)
+    n, cells = _draw_graph(words)
     # size = integers(1, n + 1)
-    return g, words.sample(g.n, 1 + words.below(g.n))
+    return n, cells, words.sample(n, 1 + words.below(n))
 
 
-def _judge_interlacing(cases, _) -> list[str | None]:
-    return [None if ok else
-            f"interlacing failed for kept={sorted(kept)}:\n{format_graph(g)}"
-            for (g, kept), ok in zip(cases, _interlacing_checks(cases))]
+def _judge_interlacing(a, _, kept) -> dict[int, str]:
+    return {j: f"interlacing failed for kept={sorted(kept[j])}:\n{_shown(a[j])}"
+            for j, ok in enumerate(_interlacing_checks(a, kept)) if not ok}
 
 
-def _judge_balanced_spanning(cases, _) -> list[str | None]:
-    subgraphs = _balanced_spanning_subgraphs(cases)
-    failures = [None] * len(cases)
-    for idx in _groups([g.n for g in cases]):
-        # a spanning subgraph without negative edges is balanced; graphs are
-        # looked at alone only if the stack holds a negative entry
-        n, subs = cases[idx[0]].n, [subgraphs[i] for i in idx]
-        if (any(h.n != n for h in subs)
-                or np.count_nonzero(np.array([h.adj for h in subs]) == -1)):
-            for i, h in zip(idx, subs):
-                if h.n != n or h.neg_edge_count:
-                    failures[i] = (f"result not a balanced spanning subgraph:\n"
-                                   f"{format_graph(cases[i])}")
-        ok = [i for i in idx if failures[i] is None]
-        if ok:
-            w = _stacked_spectra(np.array(([cases[i].adj for i in ok],
-                                           [subgraphs[i].adj for i in ok])))
-            for i, x, y in zip(ok, w[0].tolist(), w[1].tolist()):
-                if x[0] > y[0] + FORMULA_TOL:
-                    failures[i] = f"lambda_1 dropped: {x[0]} > {y[0]}:\n{format_graph(cases[i])}"
+def _judge_balanced_spanning(a, *_) -> dict[int, str]:
+    h = _balanced_spanning_subgraphs(a)
+    # a spanning subgraph without negative edges is balanced; subgraphs are
+    # looked at alone only if the stack holds a negative entry
+    bad = ([j for j, m in enumerate(h) if np.count_nonzero(m == -1)]
+           if np.count_nonzero(h == -1) else ())
+    failures = {j: f"result not a balanced spanning subgraph:\n{_shown(a[j])}" for j in bad}
+    ok = [j for j in range(len(a)) if j not in failures]
+    if ok:
+        w = _stacked_spectra(np.array((a[ok], h[ok])))
+        for j, x, y in zip(ok, w[0].tolist(), w[1].tolist()):
+            if x[0] > y[0] + FORMULA_TOL:
+                failures[j] = f"lambda_1 dropped: {x[0]} > {y[0]}:\n{_shown(a[j])}"
     return failures
 
 
-def _judge_clique_bound(cases, _) -> list[str | None]:
-    return [None if rep.satisfied else
-            f"clique bound violated: lambda_1={rep.observed} > "
-            f"bound={rep.bound_value}:\n{format_graph(g)}"
-            for g, rep in zip(cases, _clique_spectral_bounds(cases))]
+def _judge_clique_bound(a, *_) -> dict[int, str]:
+    return {j: f"clique bound violated: lambda_1={rep.observed} > "
+               f"bound={rep.bound_value}:\n{_shown(a[j])}"
+            for j, rep in enumerate(_clique_spectral_bounds(a)) if not rep.satisfied}
 
 
 def _draw_edge_addition(words):
     # connected unsigned graph with a spare non-edge: a pair cell holding 0
     for _ in range(50):
-        g = _draw_graph(words)
-        adj = g.adj.tobytes()
-        cells = [k for k, _ in _PAIR_CELLS[g.n] if not adj[k]]
-        if cells:
+        n, cells = _draw_graph(words)
+        empty = [k for k, _ in _PAIR_CELLS[n] if not cells[k]]
+        if empty:
             break
     else:
         raise RuntimeError("edge-addition drew 50 complete graphs in a row")
-    return g, divmod(cells[words.below(len(cells))], g.n)
+    return n, cells, divmod(empty[words.below(len(empty))], n)
 
 
 def _add_edges(a, edges):
@@ -384,27 +385,30 @@ def _add_edges(a, edges):
     return a, out
 
 
+def _draw_plain(words):
+    return *_draw_graph(words), None
+
+
 # (draw, pairs of _block_step or None, judge) of each suite; the order
 # fixes each suite's index in SUITE_NAMES, which seeds its stream
 _CHECKS = {
     "switching-invariance": (
-        lambda words: (g := _draw_graph(words), words.subset(g.n)),
-        lambda a, drawn: (a, _switched(a, [u for _, u in drawn])),
+        _draw_switching,
+        lambda a, subsets: (a, _switched(a, subsets)),
         _paired(lambda x, y: max(abs(p - q) for p, q in zip(x, y)) > FORMULA_TOL,
-                lambda g, h, u: f"spectrum changed under switching at {u}:\n{format_graph(g)}")),
+                lambda text, u: f"spectrum changed under switching at {u}:\n{text}")),
     "negation-symmetry": (
-        lambda words: (_draw_graph(words),), lambda a, drawn: (a, -a),
+        _draw_plain, lambda a, _: (a, -a),
         _paired(lambda x, y: max(abs(-p - q) for p, q in zip(reversed(x), y)) > FORMULA_TOL,
-                lambda g, h: f"negation did not reverse the spectrum:\n{format_graph(g)}")),
+                lambda text, _: f"negation did not reverse the spectrum:\n{text}")),
     "interlacing": (_draw_interlacing, None, _judge_interlacing),
-    "balanced-spanning": (_draw_graph, None, _judge_balanced_spanning),
-    "clique-bound": (_draw_graph, None, _judge_clique_bound),
+    "balanced-spanning": (_draw_plain, None, _judge_balanced_spanning),
+    "clique-bound": (_draw_plain, None, _judge_clique_bound),
     # the underlying graphs, and each with its drawn edge added
     "edge-addition": (
-        _draw_edge_addition, lambda a, drawn: _add_edges(np.abs(a), [e for _, e in drawn]),
+        _draw_edge_addition, lambda a, edges: _add_edges(np.abs(a), edges),
         _paired(lambda x, y: not x[0] < y[0],
-                lambda g, h, e: f"adding edge ({e[0]},{e[1]}) did not raise lambda_1:\n"
-                                f"{format_graph(g)}")),
+                lambda text, e: f"adding edge ({e[0]},{e[1]}) did not raise lambda_1:\n{text}")),
 }
 SUITE_NAMES = tuple(_CHECKS)
 # instances drawn before they are judged together; larger blocks hold more
@@ -419,9 +423,9 @@ def _check_count(name: str, value) -> None:
 
 
 def _case_blocks(name, seed, instances):
-    """The cases run_suite judges and their stacks (_block_step), in blocks
-    of _SUITE_BLOCK, all drawn from one stream on a generator derived from
-    (seed, suite), so suites are independent."""
+    """The blocks run_suite judges (_block_step), of _SUITE_BLOCK instances,
+    all drawn from one stream on a generator derived from (seed, suite), so
+    suites are independent."""
     words = _Words(np.random.default_rng([seed, SUITE_NAMES.index(name)]).bit_generator)
     draw, pairs, _ = _CHECKS[name]
     for start in range(0, instances, _SUITE_BLOCK):
@@ -436,13 +440,13 @@ def run_suite(name: str, seed: int, instances: int = 200) -> SuiteResult:
     _check_count("seed", seed)
     judge = _CHECKS[name][2]
     result = SuiteResult(name=name, instances=instances, violations=0)
-    start = 0
-    for cases, stacks in _case_blocks(name, seed, instances):
-        for i, failure in enumerate(judge(cases, stacks), start):
-            if failure is not None:
-                result.violations += 1
-                result.log.append(f"instance {i}: {failure}")
-        start += len(cases)
+    blocks = _case_blocks(name, seed, instances)
+    for start, block in zip(range(0, instances, _SUITE_BLOCK), blocks):
+        # each failure by its index in the block, logged in instance order
+        failures = {idx[j]: failure for idx, *stacks in block
+                    for j, failure in judge(*stacks).items()}
+        result.violations += len(failures)
+        result.log += [f"instance {start + i}: {failures[i]}" for i in sorted(failures)]
     result.log.append(
         f"{name}: {instances} instances, {result.violations} violations"
     )

@@ -343,28 +343,27 @@ def largest_root(poly_id: CharPolyId) -> float:
 def interlacing_check(g: SignedGraph, kept) -> bool:
     """Cauchy interlacing, within IDENTITY_TOL, of the principal submatrix on
     the kept vertices, which must be distinct."""
-    return _interlacing_checks([(g, kept)])[0]
+    return _interlacing_checks(g.adj[None], [kept])[0]
 
 
-def _interlacing_checks(cases) -> list[bool]:
-    """interlacing_check of each (g, kept) case, in order: one eigh per
-    vertex count for the graphs and one per kept-set size for the principal
-    submatrices. Every case is checked before any is solved."""
+def _interlacing_checks(a: np.ndarray, kept) -> list[bool]:
+    """interlacing_check of each matrix of a (k, n, n) stack and its kept
+    vertices kept[i], in order: one eigh for the stack and one per kept-set
+    size for the principal submatrices. Every kept set is checked before any
+    is solved."""
     subs = []
-    for g, kept in cases:
-        idx = _check_vertex_set(g.n, kept)
+    for m, vertices in zip(a, kept):
+        idx = _check_vertex_set(len(m), vertices)
         if not idx:
             raise ValueError("kept vertex set must be nonempty")
         if len(set(idx)) < len(idx):
             raise ValueError(f"kept vertices must be distinct, got {idx}")
         idx.sort()
-        subs.append(g.adj[idx][:, idx])
-    lams = _by_shape([g.adj for g, _ in cases], _eigh_values)
-    mus = _by_shape(subs, _eigh_values)
+        subs.append(m[idx][:, idx])
     out = []
-    for lam, mu in zip(lams, mus):
+    for lam, mu in zip(_eigh_values(a).tolist(), _by_shape(subs, _eigh_values)):
         # ascending: mu_i lies between lam_i and lam_{n-m+i}
-        lam, mu = lam.tolist(), mu.tolist()
+        mu = mu.tolist()
         shift = len(lam) - len(mu)
         out.append(all(mu[i] >= lam[i] - IDENTITY_TOL and lam[shift + i] >= mu[i] - IDENTITY_TOL
                        for i in range(len(mu))))

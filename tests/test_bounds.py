@@ -88,6 +88,26 @@ def kernel_graphs(seed):
     return graphs
 
 
+def disconnected_graph_25():
+    """A path on 24 vertices and an isolated vertex, the order of
+    many_ambiguous_graph."""
+    return new_signed_graph(25, [(i, i + 1, 1) for i in range(23)])
+
+
+def by_order(kernel, graphs, *per_graph):
+    """A stacked kernel over graphs of mixed orders: one call per vertex
+    count, in order of first appearance, on the stack of its graphs and their
+    entries of each list of per_graph; the results in graph order."""
+    out = {}
+    for n in dict.fromkeys(g.n for g in graphs):
+        idx = [i for i, g in enumerate(graphs) if g.n == n]
+        got = kernel(np.array([graphs[i].adj for i in idx]),
+                     *([values[i] for i in idx] for values in per_graph))
+        assert len(got) == len(idx)
+        out.update(zip(idx, got))
+    return [out[i] for i in range(len(graphs))]
+
+
 def same_error(call, oracle):
     """call raises the exception oracle raises, with the same message."""
     with pytest.raises(Exception) as want:
@@ -174,13 +194,13 @@ class TestBalancedCliqueNumber:
         with pytest.raises(ValueError, match="capped"):
             balanced_clique_number(build_complete(15, 1))
         with pytest.raises(ValueError, match="capped"):
-            _balanced_clique_numbers([unbalanced_c4(), build_complete(15, 1)])
+            by_order(_balanced_clique_numbers, [unbalanced_c4(), build_complete(15, 1)])
 
 
 def assert_clique_numbers_agree(graphs):
     """The stacked bitset search, the one-graph function and the recursion
     it replaced give every graph the same int."""
-    got = _balanced_clique_numbers(graphs)
+    got = by_order(_balanced_clique_numbers, graphs)
     assert len(got) == len(graphs) and all(type(wb) is int for wb in got)
     assert got == [per_graph_balanced_clique_number(g) for g in graphs]
     assert got == [balanced_clique_number(g) for g in graphs]
@@ -286,18 +306,19 @@ class TestStackedKernels:
 
     def test_balanced_spanning_matches_oracle(self):
         graphs = kernel_graphs(31)
-        got = _balanced_spanning_subgraphs(graphs)
+        got = by_order(_balanced_spanning_subgraphs, graphs)
         assert len(got) == len(graphs)
         for g, h in zip(graphs, got):
             want = per_graph_balanced_spanning_subgraph(g)
-            assert h.adj.dtype == np.int8 and not h.adj.flags.writeable
-            assert h.adj.tobytes() == want.adj.tobytes()
-        assert [balanced_spanning_subgraph(g) for g in graphs[290:310]] == got[290:310]
+            assert h.dtype == np.int8 and not h.flags.writeable
+            assert h.tobytes() == want.adj.tobytes()
+        assert ([balanced_spanning_subgraph(g).adj.tobytes() for g in graphs[290:310]]
+                == [h.tobytes() for h in got[290:310]])
 
     def test_balanced_spanning_raises_like_oracle(self):
         graphs = kernel_graphs(32)[:40]
         graphs[20:20] = [disconnected_graph()]
-        same_error(lambda: _balanced_spanning_subgraphs(graphs),
+        same_error(lambda: by_order(_balanced_spanning_subgraphs, graphs),
                    lambda: per_graph_balanced_spanning_subgraph(disconnected_graph()))
         same_error(lambda: balanced_spanning_subgraph(disconnected_graph()),
                    lambda: per_graph_balanced_spanning_subgraph(disconnected_graph()))
@@ -305,16 +326,16 @@ class TestStackedKernels:
                    lambda: per_graph_balanced_spanning_subgraph(many_ambiguous_graph()))
 
     @pytest.mark.parametrize("first_bad,later_bad", [
-        (many_ambiguous_graph(), new_signed_graph(4, [(0, 1, 1), (2, 3, -1)])),
-        (disconnected_graph(), many_ambiguous_graph()),
+        (many_ambiguous_graph(), disconnected_graph_25()),
+        (disconnected_graph_25(), many_ambiguous_graph()),
     ])
-    def test_first_bad_graph_raises_in_a_mixed_order_stack(self, first_bad, later_bad):
-        # the first bad graph is not in the first vertex-count group (n = 4),
-        # and the later one raises another error
-        plain = kernel_graphs(36)[:60]
-        graphs = [unbalanced_c4()] + plain[:30] + [first_bad] + plain[30:] + [later_bad]
-        assert first_bad.n != 4
-        same_error(lambda: _balanced_spanning_subgraphs(graphs),
+    def test_first_bad_graph_raises_in_a_stack(self, first_bad, later_bad):
+        # the first bad graph follows good ones in the stack, and the later
+        # one raises another error
+        rng = np.random.default_rng(36)
+        plain = [random_connected_signed_graph(rng, 25, 25) for _ in range(6)]
+        graphs = plain[:3] + [first_bad] + plain[3:] + [later_bad]
+        same_error(lambda: _balanced_spanning_subgraphs(np.array([g.adj for g in graphs])),
                    lambda: per_graph_balanced_spanning_subgraph(first_bad))
         errors = []
         for g in (first_bad, later_bad):
@@ -326,7 +347,7 @@ class TestStackedKernels:
     def test_clique_bound_matches_oracle(self):
         graphs = [g for g in kernel_graphs(33) if g.edge_count]
         graphs[500:500] = [disconnected_graph()]
-        got = _clique_spectral_bounds(graphs)
+        got = by_order(_clique_spectral_bounds, graphs)
         assert len(got) == len(graphs)
         for g, rep in zip(graphs, got):
             want = per_graph_clique_spectral_bound(g)
@@ -340,25 +361,30 @@ class TestStackedKernels:
     def test_clique_bound_raises_like_oracle(self):
         edgeless = new_signed_graph(3, [])
         graphs = [unbalanced_c4(), edgeless, ambiguous_graph()]
-        same_error(lambda: _clique_spectral_bounds(graphs),
+        same_error(lambda: by_order(_clique_spectral_bounds, graphs),
                    lambda: per_graph_clique_spectral_bound(edgeless))
-        same_error(lambda: _clique_spectral_bounds([unbalanced_c4(), build_complete(15, 1)]),
+        same_error(lambda: by_order(_clique_spectral_bounds,
+                                    [unbalanced_c4(), build_complete(15, 1)]),
                    lambda: per_graph_clique_spectral_bound(build_complete(15, 1)))
+        # no edge anywhere in a stack raises before the cap
+        stack = np.array([build_complete(15, 1).adj, new_signed_graph(15, []).adj])
+        same_error(lambda: _clique_spectral_bounds(stack),
+                   lambda: per_graph_clique_spectral_bound(new_signed_graph(15, [])))
 
     def test_interlacing_matches_oracle(self):
         rng = np.random.default_rng(34)
         graphs = kernel_graphs(34)
         graphs[600:600] = [disconnected_graph()]
-        cases = [(g, rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False))
-                 for g in graphs]
-        got = _interlacing_checks(cases)
-        assert got == [per_graph_interlacing_check(g, kept) for g, kept in cases]
+        kept = [rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False)
+                for g in graphs]
+        got = by_order(_interlacing_checks, graphs, kept)
+        assert got == [per_graph_interlacing_check(g, k) for g, k in zip(graphs, kept)]
         assert all(type(ok) is bool for ok in got)
 
     def test_interlacing_rejects_a_bad_case_in_a_stack(self):
-        cases = [(unbalanced_c4(), [0, 1]), (ambiguous_graph(), [4, 2, 4])]
+        stack = np.array([ambiguous_graph().adj] * 2)
         with pytest.raises(ValueError, match="distinct"):
-            _interlacing_checks(cases)
+            _interlacing_checks(stack, [[0, 1], [4, 2, 4]])
 
 
 class TestBoundReport:

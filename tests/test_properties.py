@@ -207,7 +207,9 @@ class TestReplay:
                 slow.integers(0, 2)
             words = properties._Words(fast)
             for _ in range(300):
-                assert properties._draw_graph(words) == per_draw_random_connected_signed_graph(slow)
+                n, cells = properties._draw_graph(words)
+                g = per_draw_random_connected_signed_graph(slow)
+                assert (n, bytes(cells)) == (g.n, g.adj.tobytes())
             words.close()
             assert_same_state(fast.state, slow.bit_generator.state)
 
@@ -325,6 +327,20 @@ def case_key(case):
     return tuple((p.n, p.adj.tobytes()) if isinstance(p, SignedGraph) else p for p in parts)
 
 
+def block_keys(block):
+    """The case_key of each instance of a block, in instance order, read
+    from its stacks per vertex count: the first graph, the second if the
+    suite builds one, and the suite's own draw if it makes one."""
+    keys = {}
+    for idx, first, second, extras in block:
+        stacks = (first,) if second is None else (first, second)
+        for j, i in enumerate(idx):
+            keys[i] = (tuple((len(a[j]), a[j].tobytes()) for a in stacks)
+                       + (() if extras[j] is None else (extras[j],)))
+    assert sorted(keys) == list(range(len(keys)))
+    return [keys[i] for i in range(len(keys))]
+
+
 class TestSuiteDraws:
     """Every suite judges the cases its per-draw reference draws, in order,
     in blocks of _SUITE_BLOCK: the graphs, switched subsets, kept sets and
@@ -337,10 +353,10 @@ class TestSuiteDraws:
             rng = np.random.default_rng([seed, SUITE_NAMES.index(name)])
             expected = [case_key(PER_DRAW_SUITE_DRAWS[name](rng)) for _ in range(1000)]
             for instances in (0, 1, block - 1, block, block + 1, 1000):
-                blocks = [b for b, _ in properties._case_blocks(name, seed, instances)]
+                blocks = [block_keys(b) for b in properties._case_blocks(name, seed, instances)]
                 assert [len(b) for b in blocks] == [
                     min(block, instances - start) for start in range(0, instances, block)]
-                assert [case_key(c) for b in blocks for c in b] == expected[:instances]
+                assert [key for b in blocks for key in b] == expected[:instances]
 
     @pytest.mark.parametrize("name", SUITE_NAMES)
     def test_cases_match_across_refill_boundaries(self, name, monkeypatch):
@@ -349,17 +365,17 @@ class TestSuiteDraws:
             expected = [case_key(PER_DRAW_SUITE_DRAWS[name](rng)) for _ in range(300)]
             for chunk in (1, 2, 3, 7):
                 monkeypatch.setattr(properties, "_CHUNK", chunk)
-                blocks = (b for b, _ in properties._case_blocks(name, seed, 300))
-                assert [case_key(c) for b in blocks for c in b] == expected, chunk
+                blocks = (block_keys(b) for b in properties._case_blocks(name, seed, 300))
+                assert [key for b in blocks for key in b] == expected, chunk
 
     def test_benchmark_inputs_are_pinned(self):
         # the 2,000 cases of each suite at seed 1 that the property-check
         # benchmark judges: graphs, switched subsets, kept sets, added edges
         for name, digest in BENCHMARK_CASE_PINS.items():
             h = hashlib.sha256()
-            for block, _ in properties._case_blocks(name, 1, 2000):
-                for case in block:
-                    h.update(repr(case_key(case)).encode())
+            for block in properties._case_blocks(name, 1, 2000):
+                for key in block_keys(block):
+                    h.update(repr(key).encode())
             assert h.hexdigest() == digest, name
 
 
@@ -409,20 +425,17 @@ class TestTrustedGraphs:
     @pytest.mark.parametrize("name", ["switching-invariance", "negation-symmetry",
                                       "edge-addition"])
     def test_block_derived_graphs(self, name):
-        # the graphs the block step builds a stack at a time: each case's
-        # second graph, and edge-addition's first, the underlying graph
-        for cases, _ in properties._case_blocks(name, 13, 2 * properties._SUITE_BLOCK + 50):
-            for case in cases:
-                for h in case[:2] if name == "edge-addition" else case[1:2]:
-                    assert h.adj.dtype == np.int8 and not h.adj.flags.writeable
-                    assert SignedGraph(h.adj) == h
-            # negating every first graph in place must leave every second
-            # graph of the block as it was
-            seconds = [case[1].adj.tobytes() for case in cases]
-            for case in cases:
-                case[0].adj.setflags(write=True)
-                case[0].adj *= -1
-            assert [case[1].adj.tobytes() for case in cases] == seconds
+        # the stacks the block step builds per vertex count: the drawn
+        # graphs, each instance's second graph, and edge-addition's first,
+        # the underlying graph; a failing instance's graph is a view of the
+        # first stack
+        for block in properties._case_blocks(name, 13, 2 * properties._SUITE_BLOCK + 50):
+            for _, first, second, _ in block:
+                for a in (first, second):
+                    assert a.dtype == np.int8 and not a.flags.writeable
+                    assert all(SignedGraph(m).adj.tobytes() == m.tobytes() for m in a)
+                # nothing written to one stack can reach the other
+                assert not np.shares_memory(first, second)
 
 
 class TestSuites:
@@ -462,7 +475,8 @@ class TestSuites:
             run_suite("interlacing", seed=seed, instances=1)
 
     def test_edge_addition_fails_loudly_without_a_non_edge(self, monkeypatch):
-        monkeypatch.setattr(properties, "_draw_graph", lambda words: build_complete(4, 1))
+        monkeypatch.setattr(properties, "_draw_graph",
+                            lambda words: (4, build_complete(4, 1).adj.tobytes()))
         with pytest.raises(RuntimeError, match="50 complete graphs"):
             run_suite("edge-addition", seed=0, instances=1)
 
@@ -507,6 +521,17 @@ KERNEL_PINS = {
 }
 
 
+def by_instance(block, kernel):
+    """The results of a stacked kernel on each vertex count's first stack of
+    a block, in instance order."""
+    out = {}
+    for idx, first, _, _ in block:
+        got = kernel(first)
+        assert len(got) == len(idx)
+        out.update(zip(idx, got))
+    return [out[i] for i in range(len(out))]
+
+
 @pytest.mark.slow
 class TestWorkloadScalePins:
     @pytest.mark.parametrize("name,seed", list(WORKLOAD_PINS))
@@ -518,11 +543,11 @@ class TestWorkloadScalePins:
     @pytest.mark.parametrize("seed", list(KERNEL_PINS))
     def test_kernel_outputs(self, seed):
         spanning, bound = hashlib.sha256(), hashlib.sha256()
-        for cases, _ in properties._case_blocks("balanced-spanning", seed, 2000):
-            for h in _balanced_spanning_subgraphs(cases):
-                spanning.update(h.adj.tobytes())
-        for cases, _ in properties._case_blocks("clique-bound", seed, 2000):
-            for rep in _clique_spectral_bounds(cases):
+        for block in properties._case_blocks("balanced-spanning", seed, 2000):
+            for h in by_instance(block, _balanced_spanning_subgraphs):
+                spanning.update(h.tobytes())
+        for block in properties._case_blocks("clique-bound", seed, 2000):
+            for rep in by_instance(block, _clique_spectral_bounds):
                 bound.update((rep.to_json() + rep.observed.hex() + rep.bound_value.hex()
                               + repr(rep.details) + "\n").encode())
         assert (spanning.hexdigest(), bound.hexdigest()) == KERNEL_PINS[seed]
@@ -582,8 +607,8 @@ def reference_log(name, seed, instances):
 
 def odd_orders_flip_an_edge(pairs):
     """The switching block step with odd_order_switch_flips_an_edge's fault."""
-    def faulty(a, drawn):
-        first, second = pairs(a, drawn)
+    def faulty(a, extras):
+        first, second = pairs(a, extras)
         if a.shape[-1] % 2:
             for m in second:
                 i, j = np.argwhere(m)[0]
@@ -594,8 +619,8 @@ def odd_orders_flip_an_edge(pairs):
 
 def odd_sizes_stay_unnegated(pairs):
     """The negation block step with odd_size_negation_is_identity's fault."""
-    def faulty(a, drawn):
-        first, second = pairs(a, drawn)
+    def faulty(a, extras):
+        first, second = pairs(a, extras)
         for m, h in zip(a, second):
             if np.count_nonzero(m) // 2 % 2:
                 h[...] = m
@@ -606,10 +631,10 @@ def odd_sizes_stay_unnegated(pairs):
 def odd_orders_add_an_edge_over_an_edge(pairs):
     """The edge-addition block step with odd_order_edge_lands_on_an_edge's
     fault: the drawn edge is misplaced onto the graph's first edge."""
-    def faulty(a, drawn):
+    def faulty(a, extras):
         if a.shape[-1] % 2:
-            drawn = [(g, tuple(np.argwhere(m)[0].tolist())) for (g, _), m in zip(drawn, a)]
-        return pairs(a, drawn)
+            extras = [tuple(np.argwhere(m)[0].tolist()) for m in a]
+        return pairs(a, extras)
     return faulty
 
 
@@ -710,8 +735,15 @@ class TestBlockedJudging:
         attr, fault = KERNEL_FAULTS[name]
         kernel = getattr(properties, attr)
 
-        def faulty_kernel(cases):
-            return [fault(case, result) for case, result in zip(cases, kernel(cases))]
+        def faulty_kernel(a, *kept):
+            # each result as the one-graph fault sees it: the graph (with its
+            # kept set) and the kernel's result, a subgraph restacked
+            got, graphs = kernel(a, *kept), [SignedGraph(m) for m in a]
+            if name == "interlacing":
+                return [fault(case, ok) for case, ok in zip(zip(graphs, *kept), got)]
+            if name == "balanced-spanning":
+                return np.array([fault(g, SignedGraph(h)).adj for g, h in zip(graphs, got)])
+            return [fault(g, result) for g, result in zip(graphs, got)]
 
         monkeypatch.setattr(properties, attr, faulty_kernel)
         # three blocks, the last one partial
@@ -724,3 +756,41 @@ class TestBlockedJudging:
         if name == "balanced-spanning":
             assert any("lambda_1 dropped" in line for line in expected)
             assert any("not a balanced spanning" in line for line in expected)
+
+
+def spy_on_trusted(monkeypatch):
+    """The graphs SignedGraph._trusted makes from now on, in order."""
+    made, trusted = [], SignedGraph._trusted.__func__
+
+    def counted(cls, adj):
+        made.append(trusted(cls, adj))
+        return made[-1]
+
+    monkeypatch.setattr(SignedGraph, "_trusted", classmethod(counted))
+    return made
+
+
+class TestStackNativeSuites:
+    """A suite carries its instances as stacks: a passing run makes no
+    SignedGraph, and a failing one makes one per failing instance, for its
+    log line."""
+
+    @pytest.mark.parametrize("name", SUITE_NAMES)
+    def test_passing_suite_makes_no_graph(self, name, monkeypatch):
+        made = spy_on_trusted(monkeypatch)
+        assert run_suite(name, seed=5, instances=300).passed
+        assert made == []
+
+    @pytest.mark.parametrize("name", list(OPERATION_FAULTS))
+    def test_failing_instances_alone_get_a_graph(self, name, monkeypatch):
+        expected = reference_log(name, 5, 300)
+        draw, pairs, judge = properties._CHECKS[name]
+        monkeypatch.setitem(properties._CHECKS, name, (draw, OPERATION_FAULTS[name](pairs), judge))
+        made = spy_on_trusted(monkeypatch)
+        result = run_suite(name, seed=5, instances=300)
+        assert result.log == expected
+        assert 0 < result.violations < 300
+        # one graph per failing instance, the one its log line shows; the
+        # judges make them a vertex count at a time
+        assert sorted(format_graph(g) for g in made) == sorted(
+            line.split(":\n", 1)[1] for line in result.log[:-1])

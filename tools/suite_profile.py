@@ -3,7 +3,8 @@ draws, its block step and its judge over the given instances at the given
 seed, each the minimum over the repeats, and the milliseconds and share of
 the whole (draw + step + judge) spent in LAPACK, that is in numpy.linalg's
 eigvalsh and eigh. The phases are those of properties._case_blocks and run_suite,
-timed block by block. Run from the repository root:
+timed block by block: the draws, the block step that stacks them per vertex
+count, and the judge of each count's stacks. Run from the repository root:
 PYTHONPATH=src python tools/suite_profile.py [--seed 1] [--instances 2000] [--repeat 7]"""
 import argparse
 import time
@@ -53,9 +54,10 @@ def phases(name, seed, instances):
             t0 = time.perf_counter()
             drawn = [draw(words) for _ in range(min(properties._SUITE_BLOCK, instances - start))]
             t1 = time.perf_counter()
-            cases, stacks = properties._block_step(drawn, pairs)
+            block = properties._block_step(drawn, pairs)
             t2 = time.perf_counter()
-            judge(cases, stacks)
+            for _, *stacks in block:
+                judge(*stacks)
             t3 = time.perf_counter()
             for k, dt in enumerate((t1 - t0, t2 - t1, t3 - t2)):
                 spent[k] += dt
