@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._render import json_text
-from .core import SignedGraph, _bfs_tree
+from .core import SignedGraph
 from .graphio import format_graph
-from .spectral import SpectralError, _by_shape, _eigh_values, _symmetric_eigh
+from .spectral import SpectralError, _eigh_values, _symmetric_eigh
 
 __all__ = [
     "SPECTRAL_SLACK",
@@ -31,6 +31,8 @@ __all__ = [
 SPECTRAL_SLACK = 1e-9
 # balanced_clique_number branches over every clique of the underlying graph
 _CLIQUE_MAX_ORDER = 14
+# matrix entries per stacked solve of candidate switchings (32 MB as float64)
+_STACK_ENTRIES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -173,6 +175,16 @@ def balanced_spanning_subgraph(g: SignedGraph) -> SignedGraph:
     return SignedGraph._trusted(_balanced_spanning_subgraphs(g.adj[None])[0])
 
 
+def _connected(a: np.ndarray) -> list[bool]:
+    """Whether each matrix of a (k, n, n) stack is connected: vertex 0's
+    reachable set, grown along the edges n - 1 times, is every vertex."""
+    under, seen = a != 0, np.zeros(a.shape[:2], dtype=bool)
+    seen[:, 0] = True
+    for _ in range(a.shape[-1] - 1):
+        seen |= (under & seen[:, :, None]).any(axis=1)
+    return seen.all(axis=1).tolist()
+
+
 def _principal_switchings(a: np.ndarray):
     """lambda_1 of each matrix of an (m, n, n) stack, the ambiguous entries of
     its principal vector, the spins of the vector signed as eigenvalues signs
@@ -192,29 +204,39 @@ def _principal_switchings(a: np.ndarray):
 def _balanced_spanning_subgraphs(a: np.ndarray) -> np.ndarray:
     """balanced_spanning_subgraph of each matrix of a (k, n, n) int8 stack, in
     order, as one read-only such stack: its spins and one candidate each from
-    one eigh; a matrix with a ambiguous entries takes their 2^a switchings, in
-    itertools.product order, and keeps the first maximum. Disconnected graphs
-    and over 16 ambiguous entries raise, in stack order, before any candidate
-    is solved."""
+    one eigh. Each matrix with a ambiguous entries takes their 2^a switchings,
+    in itertools.product order, and keeps the first maximum; all are solved
+    together, in stacks of at most _STACK_ENTRIES entries. Disconnected graphs
+    and over 16 ambiguous entries raise, in stack order, before any is solved."""
     lam1, ambiguous, spin, h = _principal_switchings(a)
-    for m, picks in zip(a, ambiguous):
-        if len(_bfs_tree(m)) < len(m) - 1:
+    for connected, picks in zip(_connected(a), ambiguous):
+        if not connected:
             raise ValueError("balanced spanning subgraph extraction needs a connected graph")
         if len(picks) > 16:
             raise SpectralError("too many ambiguous eigenvector entries")
     # only lambda_1 of each candidate is kept; a matrix with ambiguous
     # entries then takes the subgraph and lambda_1 of its best switching
     lam = _eigh_values(h)[:, -1].tolist()
-    for j, picks in enumerate(ambiguous):
-        if picks:
-            # one spin row per switching: -1 on the picked ambiguous entries,
-            # the last ambiguous entry varying fastest
-            spins = np.repeat(spin[j][None], 1 << len(picks), axis=0)
-            spins[:, picks] = list(itertools.product((1, -1), repeat=len(picks)))
-            stack = np.maximum(spins[:, :, None] * spins[:, None, :] * a[j], 0)
-            values = [float(v) for v in _by_shape(list(stack), lambda x: _eigh_values(x)[:, -1])]
-            best = values.index(max(values))
-            h[j], lam[j] = stack[best], values[best]
+    todo = [j for j, picks in enumerate(ambiguous) if picks]
+    if todo:
+        # one spin row per switching, the last ambiguous entry varying fastest
+        rows, owner, values = [], [], []
+        for j, base in zip(todo, spin[todo].tolist()):
+            rows += itertools.product(*[(1, -1) if i in ambiguous[j] else (v,)
+                                        for i, v in enumerate(base)])
+            owner += [j] * (1 << len(ambiguous[j]))
+        spins, step = np.array(rows, dtype=np.int8), max(1, _STACK_ENTRIES // a[0].size)
+        for k in range(0, len(rows), step):
+            s = spins[k:k + step]
+            part = np.maximum(s[:, :, None] * s[:, None, :] * a[owner[k:k + step]], 0)
+            values += _eigh_values(part)[:, -1].tolist()
+        best, start = [], 0
+        for j in todo:
+            part = values[start:start + (1 << len(ambiguous[j]))]
+            best.append(start + part.index(max(part)))
+            lam[j], start = max(part), start + len(part)
+        s = spins[best]
+        h[todo] = np.maximum(s[:, :, None] * s[:, None, :] * a[todo], 0)
     for x, x1 in zip(lam, lam1.tolist()):
         if x < x1 - SPECTRAL_SLACK:
             raise SpectralError(f"balanced spanning subgraph lost spectral radius: {x} < {x1}")

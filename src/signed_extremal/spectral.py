@@ -96,26 +96,6 @@ def _stacked_spectra(a: np.ndarray) -> np.ndarray:
     return w[..., ::-1]
 
 
-# matrix entries per stacked solve (32 MB as float64)
-_STACK_ENTRIES = 1 << 22
-
-
-def _by_shape(mats, solve) -> list:
-    """solve on the arrays of the list mats stacked by shape: one call per
-    shape (more once a stack passes _STACK_ENTRIES entries). solve returns an
-    array, or a tuple of arrays, with one row per stacked array; the rows are
-    scattered back, one per array of mats, in input order."""
-    out = [None] * len(mats)
-    for idx in _groups([a.shape for a in mats]):
-        step = max(1, _STACK_ENTRIES // math.prod(mats[idx[0]].shape))
-        for k in range(0, len(idx), step):
-            part = idx[k:k + step]
-            res = solve(np.array([mats[i] for i in part]))
-            for i, row in zip(part, zip(*res) if isinstance(res, tuple) else res):
-                out[i] = row
-    return out
-
-
 def eigenvalues(g: SignedGraph) -> Spectrum:
     """Full spectrum of the sign-adjacency matrix, deterministic for fixed input.
 
@@ -349,21 +329,26 @@ def interlacing_check(g: SignedGraph, kept) -> bool:
 def _interlacing_checks(a: np.ndarray, kept) -> list[bool]:
     """interlacing_check of each matrix of a (k, n, n) stack and its kept
     vertices kept[i], in order: one eigh for the stack and one per kept-set
-    size for the principal submatrices. Every kept set is checked before any
-    is solved."""
-    subs = []
-    for m, vertices in zip(a, kept):
-        idx = _check_vertex_set(len(m), vertices)
+    size, of its principal submatrices gathered from the stack at once. All
+    k kept sets are checked before any is solved."""
+    if len(kept) != len(a):
+        raise ValueError(f"{len(kept)} kept vertex sets for {len(a)} matrices")
+    sets = []
+    for vertices in kept:
+        idx = _check_vertex_set(a.shape[-1], vertices)
         if not idx:
             raise ValueError("kept vertex set must be nonempty")
         if len(set(idx)) < len(idx):
             raise ValueError(f"kept vertices must be distinct, got {idx}")
-        idx.sort()
-        subs.append(m[idx][:, idx])
+        sets.append(sorted(idx))
+    mus = [None] * len(a)
+    for part in _groups(map(len, sets)):
+        rows, cols = np.array(part)[:, None, None], np.array([sets[i] for i in part])
+        for i, mu in zip(part, _eigh_values(a[rows, cols[:, :, None], cols[:, None, :]]).tolist()):
+            mus[i] = mu
     out = []
-    for lam, mu in zip(_eigh_values(a).tolist(), _by_shape(subs, _eigh_values)):
+    for lam, mu in zip(_eigh_values(a).tolist(), mus):
         # ascending: mu_i lies between lam_i and lam_{n-m+i}
-        mu = mu.tolist()
         shift = len(lam) - len(mu)
         out.append(all(mu[i] >= lam[i] - IDENTITY_TOL and lam[shift + i] >= mu[i] - IDENTITY_TOL
                        for i in range(len(mu))))

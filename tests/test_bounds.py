@@ -1,14 +1,17 @@
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from signed_extremal import bounds
 from signed_extremal.bounds import (
     BoundReport,
     _balanced_clique_numbers,
     _balanced_spanning_subgraphs,
     _clique_spectral_bounds,
+    _connected,
     balanced_clique_number,
     balanced_spanning_subgraph,
     clique_spectral_bound,
@@ -18,7 +21,9 @@ from signed_extremal.bounds import (
     rho_bound,
 )
 from signed_extremal.core import (
+    SignedGraph,
     is_balanced,
+    is_connected,
     negate,
     new_signed_graph,
     switch,
@@ -106,6 +111,19 @@ def by_order(kernel, graphs, *per_graph):
         assert len(got) == len(idx)
         out.update(zip(idx, got))
     return [out[i] for i in range(len(graphs))]
+
+
+def eigh_calls(monkeypatch):
+    """A list that gains the shape of each stack np.linalg.eigh solves from
+    now on."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(x, *args, **kwargs):
+        calls.append(x.shape)
+        return eigh(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
 
 
 def same_error(call, oracle):
@@ -315,6 +333,43 @@ class TestStackedKernels:
         assert ([balanced_spanning_subgraph(g).adj.tobytes() for g in graphs[290:310]]
                 == [h.tobytes() for h in got[290:310]])
 
+    def test_balanced_spanning_in_chunks_matches_oracle(self, monkeypatch):
+        # 147 entries: three candidates of order 7 and five of order 5 per
+        # solve; 2^a is no multiple of 3 or 5, so the switchings of two
+        # ambiguous graphs share a chunk
+        graphs = kernel_graphs(31)
+        calls = eigh_calls(monkeypatch)
+        by_order(_balanced_spanning_subgraphs, graphs)
+        whole = len(calls)
+        monkeypatch.setattr(bounds, "_STACK_ENTRIES", 147)
+        got = by_order(_balanced_spanning_subgraphs, graphs)
+        stacks = {n: sum(g.n == n for g in graphs) for n in (5, 7)}
+        chunks = [(n, k) for k, n, _ in calls[whole:] if n in stacks and k != stacks[n]]
+        assert len(calls) - whole > 2 * whole
+        assert {n: max(k for m, k in chunks if m == n) for n in stacks} == {5: 5, 7: 3}
+        for g, h in zip(graphs, got):
+            assert h.tobytes() == per_graph_balanced_spanning_subgraph(g).adj.tobytes()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_connectivity_matches_is_connected(self, n):
+        # every labelled graph on n vertices, all edges positive, as one stack
+        cells = list(itertools.combinations(range(n), 2))
+        stack = np.zeros((1 << len(cells), n, n), dtype=np.int8)
+        for bit, (i, j) in enumerate(cells):
+            stack[:, i, j] = stack[:, j, i] = np.arange(len(stack)) >> bit & 1
+        want = [is_connected(SignedGraph(m)) for m in stack]
+        assert _connected(stack) == want
+        assert want.count(True) == {1: 1, 2: 1, 3: 4, 4: 38, 5: 728}[n]
+
+    def test_disconnected_last_raises_before_a_second_solve(self, monkeypatch):
+        rng = np.random.default_rng(37)
+        graphs = [ambiguous_graph()] + [random_connected_signed_graph(rng, 5, 5)
+                                        for _ in range(8)] + [disconnected_graph()]
+        calls = eigh_calls(monkeypatch)
+        same_error(lambda: _balanced_spanning_subgraphs(np.array([g.adj for g in graphs])),
+                   lambda: per_graph_balanced_spanning_subgraph(disconnected_graph()))
+        assert calls == [(10, 5, 5)]
+
     def test_balanced_spanning_raises_like_oracle(self):
         graphs = kernel_graphs(32)[:40]
         graphs[20:20] = [disconnected_graph()]
@@ -380,6 +435,24 @@ class TestStackedKernels:
         got = by_order(_interlacing_checks, graphs, kept)
         assert got == [per_graph_interlacing_check(g, k) for g, k in zip(graphs, kept)]
         assert all(type(ok) is bool for ok in got)
+
+    def test_interlacing_solves_once_per_kept_size(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        graphs = kernel_graphs(35)
+        kept = [rng.choice(g.n, size=int(rng.integers(1, g.n + 1)), replace=False)
+                for g in graphs]
+        calls = eigh_calls(monkeypatch)
+        for n in dict.fromkeys(g.n for g in graphs):
+            idx = [i for i, g in enumerate(graphs) if g.n == n]
+            before = len(calls)
+            _interlacing_checks(np.array([graphs[i].adj for i in idx]), [kept[i] for i in idx])
+            assert len(calls) - before == 1 + len({len(kept[i]) for i in idx})
+
+    @pytest.mark.parametrize("count", [1, 4])
+    def test_interlacing_rejects_a_kept_list_of_another_length(self, count):
+        stack = np.array([ambiguous_graph().adj] * 3)
+        with pytest.raises(ValueError, match=f"{count} kept vertex sets for 3 matrices"):
+            _interlacing_checks(stack, [[0, 1]] * count)
 
     def test_interlacing_rejects_a_bad_case_in_a_stack(self):
         stack = np.array([ambiguous_graph().adj] * 2)

@@ -1,5 +1,5 @@
 """tools/suite_profile.py runs against the source tree and prints one line of
-timings per property suite."""
+timings and LAPACK solve calls per property suite."""
 
 import ast
 import os
@@ -24,6 +24,7 @@ def test_prints_one_line_per_suite():
         draw, step, judge, lapack = map(float, row[1:5])
         assert min(draw, step, judge, lapack) >= 0 and lapack <= step + judge
         assert row[5].endswith("%")
+        assert row[6].isdigit() and int(row[6]) >= 0
 
 
 def test_imports_nothing_from_the_benchmark():
