@@ -482,55 +482,47 @@ def _least_rows(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _all_twin_classes(adj: np.ndarray, colours: np.ndarray) -> np.ndarray:
-    """Which graphs of a (G, n, n) bool stack have only twin sets as colour
-    classes: swapping any vertex with the first vertex of its class maps the
-    graph onto itself. These swaps generate every order that keeps the
-    classes, so all such orders attain the graph's code."""
-    graph, v = np.arange(len(adj))[:, None], np.arange(adj.shape[1])
-    first = (colours[:, :, None] == colours[:, None, :]).argmax(axis=2)
-    # the swap of u and w fixes the graph iff their rows agree off u and w
-    differ = adj[graph, first] != adj
-    differ[graph, v, v] = differ[graph, v, first] = False
-    return ~differ.any(axis=(1, 2))
-
-
-def _search_cells(values: np.ndarray, owner: np.ndarray, cell: np.ndarray, tag: np.ndarray | None,
+def _search_cells(values: np.ndarray, owner: np.ndarray, cell: np.ndarray, tag: np.ndarray,
                   layout: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(owner, own, perm): the branches left by individualizing the positions
     in turn (McKay and Piperno, J. Symbolic Comput. 60, 2014). Start b has
     values[b] (n, n), entries 0 to 2; slot i of every start holds vertex
-    layout[i], with cell cell[b, i] (below 4n) and tag tag[b, i] (below n;
-    None: each vertex its own), each cell's slots consecutive. Position p
-    takes each vertex that is the first of its tag in its slot's cell (slot
-    argsort(layout)[p]): that vertex goes first, every cell splits by its
-    values to it, which fixes row p, and only each owner's branches with the
-    least row p go on (owner ascends), until each cell is one tag; the later
-    rows are then compared. Row r of perm is start own[r]'s order, vertex by
-    position; own ascends, and each start's branches come in prefix order.
-    More than _SWITCH_MAX_WORK branches at one position are refused."""
+    layout[i], with cell cell[b, i] (below 4n) and tag tag[b, i] (below n),
+    each cell's slots consecutive. An owner with one start whose cells each
+    hold one tag has one order, its slots sorted, and takes no branch.
+    Position p takes each vertex that is the first of its tag in its slot's
+    cell (slot argsort(layout)[p]): that vertex goes first, every cell splits
+    by its values to it, which fixes row p, and only each owner's branches
+    with the least row p go on (owner ascends), until each cell is one tag;
+    the later rows are then compared. Row r of perm is start own[r]'s order,
+    vertex by position; own ascends, and each start's branches come in prefix
+    order. More than _SWITCH_MAX_WORK branches at one position are refused."""
     n = len(layout)
     b = (n - 1).bit_length()
-    # each slot's key: its cell, below 4n after a split, its tag, when tags
-    # are given, and its vertex
-    t = 0 if tag is None else b
-    dtype = np.min_scalar_type((4 << 2 * b + t) - 1)
-    key = cell.astype(dtype) << b + t | layout.astype(dtype)
-    if tag is not None:
-        key = key | tag.astype(dtype) << b
-    low = (1 << b + t) - 1
-    own, slots, slot = np.arange(len(key)), np.arange(n, dtype=dtype), np.argsort(layout)
+    # each slot's key: its cell, below 4n after a split, its tag and its vertex
+    dtype = np.min_scalar_type((4 << 3 * b) - 1)
+    key = np.sort(cell.astype(dtype) << 2 * b | tag.astype(dtype) << b | layout.astype(dtype))
+    low = (1 << 2 * b) - 1
+    slots, slot = np.arange(n, dtype=dtype), np.argsort(layout)
+    # where a slot starts a tag but not a cell
+    step = key[:, 1:] ^ key[:, :-1]
+    done = ~((step >> b != 0) & (step <= low)).any(1) & (np.bincount(owner)[owner] == 1)
+    own = np.flatnonzero(~done)
+    finished = owner[done], np.flatnonzero(done), (key[done] & (1 << b) - 1)[:, slot]
+    if done.all():
+        return finished
+    owner, key = owner[own], key[own]
     for p, s in enumerate(slot.tolist()):
         key.sort()
         if p:
             # row p - 1: one plus the values to its vertex, one per cell
-            keep = _least_rows(owner, key[:, slot[p:]] >> b + t & 3)
+            keep = _least_rows(owner, key[:, slot[p:]] >> 2 * b & 3)
             owner, own, key = owner[keep], own[keep], key[keep]
         perm = key & (1 << b) - 1
         # the first slot of each slot's cell, and the first of each tag
         step = key ^ np.roll(key, 1, 1)
         start = np.maximum.accumulate(np.where(step > low, slots, 0), 1)
-        new = step >> t != 0
+        new = step >> b != 0
         new[:, 0] = True
         if (new == (start == slots)).all():
             break
@@ -539,7 +531,7 @@ def _search_cells(values: np.ndarray, owner: np.ndarray, cell: np.ndarray, tag: 
         owner, own, key = owner[take], own[take], key[take]
         # the vertex at s first, then each cell by its value to it
         to = values[own[:, None], perm[take, j, None], perm[take]]
-        key = (start[take] * 4 + to + (slots != j[:, None])) << b + t | key & low
+        key = (start[take] * 4 + to + (slots != j[:, None])) << 2 * b | key & low
     perm = perm[:, slot]
     # the rows past position p, while some owner keeps two branches
     for q in range(p, n - 1):
@@ -547,18 +539,10 @@ def _search_cells(values: np.ndarray, owner: np.ndarray, cell: np.ndarray, tag: 
             break
         keep = _least_rows(owner, values[own[:, None], perm[:, q, None], perm[:, q + 1:]])
         owner, own, perm = owner[keep], own[keep], perm[keep]
-    return owner, own, perm
-
-
-def _individualize(adj: np.ndarray, colours: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(branch, perm): the optimal orders of each graph of a (G, n, n) bool
-    stack with refined colours (G, n) (_refine), its cells, and each vertex a
-    tag of its own (_search_cells). Row r of perm is an order of graph
-    branch[r]; branch ascends, and each graph's orders come in prefix order."""
-    g, n = adj.shape[:2]
-    branch, _, perm = _search_cells(adj.view(np.uint8), np.arange(g), colours, None, np.arange(n),
-                                    "labelling")
-    return branch, perm.astype(np.min_scalar_type(n - 1))
+    owner, own, perm = map(np.concatenate, zip(finished, (owner, own, perm)))
+    # an owner that finished at once has one row, so a stable sort keeps order
+    order = np.argsort(owner, kind="stable")
+    return owner[order], own[order], perm[order]
 
 
 def _packed_codes(adj: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -574,34 +558,29 @@ def _packed_codes(adj: np.ndarray, orders: np.ndarray) -> np.ndarray:
 
 
 def _label_stack(adj: np.ndarray, block: int):
-    """(colours, twins, first, branch, perm) of a (G, n, n) bool stack:
-    refined colours (_refine) in the smallest unsigned dtype that holds
-    n - 1, whether all colour classes are twin sets (_all_twin_classes), each
-    graph's first optimal order, whose code (_packed_codes) is its canonical
-    bitmap, and the optimal orders perm of the other graphs, row r an order
-    of graph branch[r] (_individualize). Refinement and the twin test take
-    `block` graphs at a time, and individualization `block` non-twin graphs
-    at a time, whichever block they came from."""
+    """(tags, first, branch, perm) of a (G, n, n) bool stack, in the smallest
+    unsigned dtype that holds n - 1: the least twin of each vertex
+    (_twin_firsts), each graph's first optimal order, whose code
+    (_packed_codes) is its canonical bitmap, and the optimal orders in which
+    each twin class ascends, one per coset of the twin swaps, row r an order
+    of graph branch[r], each graph's in prefix order. Refinement (_refine),
+    tags and the search (_search_cells) take `block` graphs at a time; a
+    graph whose colour classes are all twin sets, K_n among them, keeps its
+    one order, by colour and within a colour by vertex, without a branch."""
     g, n = adj.shape[:2]
-    colours = np.empty((g, n), dtype=np.min_scalar_type(n - 1))
-    first = np.empty_like(colours)
-    twins = np.empty(g, dtype=bool)
+    dtype = np.min_scalar_type(n - 1)
+    tags = np.empty((g, n), dtype=dtype)
+    branch, perm = [], []
     for lo in range(0, g, block):
-        colours[lo:lo + block] = c = _refine(adj[lo:lo + block])
-        twins[lo:lo + block] = _all_twin_classes(adj[lo:lo + block], c)
-        # a twin graph's vertices by colour, within a colour by vertex
-        first[lo:lo + block] = np.argsort(c, axis=1, kind="stable")
-    graphs = np.flatnonzero(~twins)
-    branch, perm = [graphs[:0]], [first[:0]]
-    for lo in range(0, len(graphs), block):
-        part = graphs[lo:lo + block]
-        b, p = _individualize(adj[part], colours[part])
-        branch.append(part[b])
-        perm.append(p)
+        part = adj[lo:lo + block]
+        tags[lo:lo + block] = _twin_firsts(part)
+        b, _, p = _search_cells(part.view(np.uint8), np.arange(len(part)), _refine(part),
+                                tags[lo:lo + block], np.arange(n), "labelling")
+        branch.append(b + lo)
+        perm.append(p.astype(dtype))
     branch, perm = np.concatenate(branch), np.concatenate(perm)
     counts = np.bincount(branch, minlength=g)
-    first[~twins] = perm[(np.cumsum(counts) - counts)[~twins]]
-    return colours, twins, first, branch, perm
+    return tags, perm[np.cumsum(counts) - counts], branch, perm
 
 
 class _Labels(NamedTuple):
@@ -609,28 +588,30 @@ class _Labels(NamedTuple):
     enumeration carries from the level that accepts a class to the level
     where it is a parent (_canonical_labels)."""
 
-    colours: np.ndarray     # (G, n) refined colours, ascending along the positions
-    twins: np.ndarray       # (G,) whether all colour classes are twin sets
-    orders: np.ndarray      # (rows, n) the automorphisms of the other graphs, graph by graph
-    counts: np.ndarray      # (G,) rows of each graph, 0 for a twin graph
+    tags: np.ndarray        # (G, n) the least position of each position's twin class
+    orders: np.ndarray      # (rows, n) automorphisms, one per coset of the twin swaps
+    counts: np.ndarray      # (G,) rows of each graph, 1 for a twin graph
 
     def take(self, index) -> "_Labels":
         """The labels of the graphs index (a slice or an index array), in that order."""
         counts = self.counts[index]
         starts = (np.cumsum(self.counts) - self.counts)[index]
         rows = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-        return _Labels(self.colours[index], self.twins[index], self.orders[rows], counts)
+        return _Labels(self.tags[index], self.orders[rows], counts)
 
 
-def _canonical_labels(index, colours, twins, first, branch, perm) -> _Labels:
+def _canonical_labels(index, tags, first, branch, perm) -> _Labels:
     """The labels of the graphs index, ascending, of a stack that _label_stack
-    labelled, in canonical positions: their colours sorted, and each non-twin
-    graph's optimal orders composed with the inverse of its first order, which
-    are the automorphisms of its canonical form."""
+    labelled, in canonical positions: each position's least twin, and each
+    graph's optimal orders composed with the inverse of its first order, the
+    automorphisms of its canonical form, one per coset of its twin swaps,
+    the identity first. As each twin class ascends in every order, each maps
+    the k-th position of a twin class to the k-th position of its image."""
+    inverse = np.argsort(first, axis=1).astype(first.dtype)
     rows = np.isin(branch, index)
-    inverse = np.argsort(first[branch[rows]], axis=1).astype(first.dtype)
-    return _Labels(np.sort(colours[index], axis=1), twins[index],
-                   np.take_along_axis(inverse, perm[rows], 1),
+    tags = np.take_along_axis(tags[index], first[index], 1)
+    return _Labels(np.take_along_axis(inverse[index], tags, 1),
+                   np.take_along_axis(inverse[branch[rows]], perm[rows], 1),
                    np.bincount(branch, minlength=len(first))[index])
 
 
@@ -638,30 +619,36 @@ def _least_of_orbits(labels: _Labels, masks: np.ndarray) -> np.ndarray:
     """least[g, j]: whether the vertex subset masks[j] is the least of its
     orbit under the automorphisms of graph g, for graphs in canonical form
     with their labels. masks holds ascending bitmasks, 0 first, and with each
-    mask the mask less its lowest bit. A twin graph's orbits are its classes,
-    runs of positions in canonical form; the other graphs' mask images under
-    their automorphisms live only for the call."""
-    colours, twins, orders, counts = labels
-    m = colours.shape[1]
+    mask the mask less its lowest bit.
+
+    The twin swaps T are normal in Aut(G), so the least of S's orbit is the
+    least, over the carried orders r, of fill(r(S)), where fill moves the
+    members of S in each twin class to that class's least positions. So S is
+    least iff fill(S) = S, that is S holds the predecessor in its twin class
+    of each of its positions, and S is the least of the r(S): each r maps
+    the k-th position of a twin class to the k-th of its image, so it keeps
+    fill(S) = S. The mask images live only for the call."""
+    tags, orders, counts = labels
+    m = tags.shape[1]
     sizes = np.bitwise_count(masks)
-    # an orbit of a twin graph's masks has its least mask filling each class
-    # from its first position
-    class_starts = (np.diff(colours, axis=1, prepend=-1) != 0) @ (1 << np.arange(m))
-    least = masks & ~((masks << 1) | class_starts[:, None]) == 0
+    # each position's predecessor in its twin class, itself if it is the least
+    before = np.tril(tags[:, :, None] == tags[:, None, :], -1)
+    pred = np.where(before.any(2), (before * np.arange(m)).max(2), np.arange(m))
     column = np.zeros(1 << m, dtype=np.intp)
     column[masks] = np.arange(len(masks))
     first = masks & -masks
-    # image[r, S] is S under the automorphism of row r: the image of S less
-    # its lowest bit, joined with that bit's image, built size by size from
-    # column 0, the empty set
+    # image[r, S] is S under map r, the orders and then each graph's
+    # predecessors: the image of S less its lowest bit, joined with that
+    # bit's image, built size by size from column 0, the empty set
     dtype = np.min_scalar_type((1 << m) - 1)
-    bit_image = np.left_shift(dtype.type(1), orders)
-    image = np.zeros((len(orders), len(masks)), dtype=dtype)
+    bit_image = np.left_shift(dtype.type(1), np.concatenate((orders, pred.astype(orders.dtype))))
+    image = np.zeros((len(bit_image), len(masks)), dtype=dtype)
     for k in range(1, sizes.max() + 1):
         col = np.flatnonzero(sizes == k)
         image[:, col] = (image[:, column[masks[col] ^ first[col]]]
                          | bit_image[:, np.bitwise_count(first[col] - 1)])
-    least[~twins] = np.minimum.reduceat(image, (np.cumsum(counts) - counts)[~twins], 0) == masks
+    least = image[len(orders):] & ~masks == 0
+    least &= np.minimum.reduceat(image[:len(orders)], np.cumsum(counts) - counts, 0) == masks
     return least
 
 
@@ -672,13 +659,21 @@ def _twin_firsts(adj: np.ndarray, up_to_sign: bool = False) -> np.ndarray:
     one e = +-1, whose swap is a switching automorphism. Both are
     equivalences. With s = adj[a, b], the rows off the pair differ by
     |A_a - e A_b|^2 - 2 s^2 in squared norm, and |A_a - e A_b|^2 = (A^2)_aa +
-    (A^2)_bb - 2 e (A^2)_ab is least at e = sign (A^2)_ab: one matmul decides
-    every pair, in integers exact in float64."""
-    a = adj.astype(np.float64)
-    d, sq = (a * a).sum(-1), a @ a
-    # a vertex is its own twin, so each row's first twin is its class's least
-    return (d[..., None] + d[..., None, :] - 2 * (abs(sq) if up_to_sign else sq)
-            == 2 * a * a).argmax(-1)
+    (A^2)_bb - 2 e (A^2)_ab is least at e = sign (A^2)_ab. So a and b are
+    twins iff (A^2)_aa + (A^2)_bb = 2 (e (A^2)_ab + s^2): one matmul decides
+    every pair, in integers of magnitude at most 2n, exact in float32."""
+    a = adj.astype(np.float32)
+    sq = a @ a
+    d = sq.diagonal(0, -2, -1).copy()
+    if up_to_sign:
+        np.abs(sq, out=sq)
+    a *= a
+    sq += a
+    sq *= 2
+    # a's buffer takes (A^2)_aa + (A^2)_bb; a vertex is its own twin, so each
+    # row's first twin is its class's least
+    np.add(d[..., None], d[..., None, :], out=a)
+    return (a == sq).argmax(-1)
 
 
 def _signed_twin_classes(adj: np.ndarray) -> list[list[int]]:

@@ -30,26 +30,29 @@ The rule is invariant under Aut(P), so it drops whole orbits, and the masks
 are found one block of parents at a time, as the least image of each mask
 under the block's automorphisms (_orbit_masks). At n = 8 it sends 16,950
 children to the test instead of 67,141; 11,933 pass, as before.
-Each class is labelled once, as a child (core._label_stack): colour refinement
-and the twin test run a block of children at a time, and the children whose
-classes are not all twin sets are individualized together, _TABLE_BLOCK of
-them at a time, whichever block they came from: at n = 8, 2,804 of the 11,933
-children, in three batches. Colour refinement cannot split a regular graph, so
-core._individualize tries each position in turn, keeping the branches whose
-next row of the code is least (McKay and Piperno, 2014): a cubic child on 8
-vertices tries at most 280 branches, not 8! = 40,320 orders. A graph whose
-classes are all twin sets, K_n among them, is not individualized: its orbits
-are its classes, as refinement is invariant and twin swaps are automorphisms.
-Such a child passes iff its new vertex has the least colour in M(G). Only the
-children that pass get a code, a uint8 row of packed cells (core._packed_codes);
-a level is one read-only array of them, sorted bytewise, which is code order.
+Each class is labelled once, as a child (core._label_stack), _TABLE_BLOCK
+children at a time: colour refinement, the least twin of each vertex, and a
+search that individualizes each position in turn, keeping the branches whose
+next row of the code is least and trying one vertex per twin class of a cell
+(McKay and Piperno, J. Symbolic Comput. 60, 2014). So each child keeps one
+optimal order per coset of its twin swaps: a cubic child on 8 vertices opens
+at most 48 branches at a position and 88 in all, not 8! = 40,320 orders, and a
+child whose colour classes are all twin sets, K_n among them, keeps its one
+order without a branch (at n = 8, all but 2,804 of the 11,933 children, and
+those keep 6,686 orders).
+Vertex labels are positions in these orders, and the least label of a twin
+class is that of its least twin, so a child passes iff its new vertex's twin
+class and M(G) get the same least label. Only the children that pass get a
+code, a uint8 row of packed cells (core._packed_codes); a level is one
+read-only array of them, sorted bytewise, which is code order.
 Below _MAX_N each accepted child keeps its labelling for the next level in
-canonical positions (core._canonical_labels): its colours sorted, its twin
-flag, and its optimal orders composed with the inverse of the first, which are
-the automorphisms of its canonical form (1,690 rows for the 853 classes on 7
-vertices). So no parent is labelled again: a twin parent keeps the masks that
-fill each class, a run of positions, from its first position, and any other
-parent maps masks through its automorphisms (core._least_of_orbits).
+canonical positions (core._canonical_labels): each position's least twin and
+its orders composed with the inverse of the first, automorphisms of its
+canonical form, one per coset of the twin swaps (1,272 rows for the 853
+classes on 7 vertices, one for each of the 570 whose colour classes are twin
+sets). So no parent is labelled again: the twin swaps are normal in Aut(P), so
+a mask is the least of its orbit iff it fills each twin class from its least
+position and no carried automorphism maps it lower (core._least_of_orbits).
 
 The signatures of a class are the 2^k sign patterns on its k edges off the
 canonical spanning tree. With the tree pinned +1, the sign of a triangle is
@@ -337,18 +340,15 @@ def _canonical_children(n: int):
         in_set = _deletion_sets(adj, comps[part])
         kids.append((adj[in_set[:, m]], in_set[in_set[:, m]]))
     kids, sets = map(np.concatenate, zip(*kids))
-    labelled = _label_stack(kids, _TABLE_BLOCK)
-    colours, twins, first, branch, perm = labelled
-    # a twin child's orbits are its colour classes, whose labels ascend
-    # with the colour: accept iff its new vertex has the least in M(G)
-    accept = colours[:, m] == np.where(sets, colours, n).min(axis=1)
-    # any other child's labels are positions in its optimal orders:
-    # accept iff the new vertex and M(G) get the same least label
+    # freed before the labelling, whose refinement of a block sets the peak
+    del owner, masks, bits
+    tags, first, branch, perm = labelled = _label_stack(kids, _TABLE_BLOCK)
+    # a vertex's least label is the least position of its twin class over
+    # the child's orders: accept iff the new vertex and M(G) get the same one
     starts = np.flatnonzero(np.diff(branch, prepend=-1))
-    new, least = (np.minimum.reduceat(hits.argmax(axis=1), starts)
-                  for hits in (perm == m, sets[branch[:, None], perm]))
-    accept[~twins] = new == least
-    kept = np.flatnonzero(accept)
+    new, least = (np.minimum.reduceat(hits[branch[:, None], perm].argmax(axis=1), starts)
+                  for hits in (tags == tags[:, m:], sets))
+    kept = np.flatnonzero(new == least)
     codes = np.concatenate([_packed_codes(kids[part], first[part]) for part in
                             np.split(kept, range(_TABLE_BLOCK, len(kept), _TABLE_BLOCK))])
     return codes, _canonical_labels(kept, *labelled) if n < _MAX_N else None

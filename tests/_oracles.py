@@ -167,6 +167,27 @@ def brute_switching_isomorphic(g1: SignedGraph, g2: SignedGraph) -> bool:
     return bool((moved == g2.adj).all(axis=(2, 3)).any())
 
 
+def brute_switching_key(adj: np.ndarray) -> list[bytes]:
+    """For each sign matrix of a (G, n, n) stack, the least upper-triangle
+    sign row, -1/0/+1 as the bytes 2/0/1, over all n! relabelings
+    (permutation_rows) and all 2^n switchings, of which the 2^(n-1) that keep
+    vertex 0 give every switched matrix: a complete invariant of its
+    switching-isomorphism class. Rows are compared as base-3 numbers, which
+    order as the rows do."""
+    n = adj.shape[-1]
+    perms = permutation_rows(n)
+    iu, ju = np.triu_indices(n, 1)
+    spins = np.array([(1, *s) for s in itertools.product((1, -1), repeat=n - 1)], dtype=np.int8)
+    flips = spins[:, iu] * spins[:, ju]
+    weights = 3 ** np.arange(len(iu) - 1, -1, -1, dtype=np.int64)
+    keys = []
+    for a in adj:
+        rows = (a[perms[:, iu], perms[:, ju]][:, None, :] * flips).reshape(-1, len(iu))
+        rows = np.where(rows == -1, 2, rows).astype(np.uint8)
+        keys.append(rows[np.argmin(rows @ weights)].tobytes())
+    return keys
+
+
 def connected_labeled_graphs(n: int):
     """All labeled connected graphs on n vertices as boolean matrices."""
     cells = [(i, j) for i in range(n) for j in range(i + 1, n)]
@@ -340,6 +361,14 @@ def brute_signed_twin_classes(adj: np.ndarray, up_to_sign: bool = False) -> list
         for e in ((1, -1) if up_to_sign else (1,))))
                for v in range(n)}
     return sorted(map(list, classes))
+
+
+def colour_classes_are_twin_sets(adj_bool: np.ndarray) -> bool:
+    """Whether each class of tuple_sorting_color_classes lies in one class of
+    brute_signed_twin_classes: a twin graph, whose colour-respecting orders
+    are all automorphisms."""
+    twins = brute_signed_twin_classes(adj_bool)
+    return all(any(set(c) <= set(x) for x in twins) for c in tuple_sorting_color_classes(adj_bool))
 
 
 def planted_twin_graphs(seed: int, n: int, count: int):

@@ -13,7 +13,6 @@ import pytest
 from signed_extremal import core
 from signed_extremal.core import (
     SignedGraph,
-    _all_twin_classes,
     _bfs_tree,
     _count_weights,
     _dense_ranks,
@@ -67,6 +66,7 @@ from _oracles import (
     brute_signed_twin_classes,
     brute_switch,
     brute_switching_isomorphic,
+    colour_classes_are_twin_sets,
     connected_labeled_graphs,
     forbidden_and_balance_flags,
     isin_signed_graph_adj,
@@ -991,13 +991,13 @@ def labelling_of_every_graph(n):
     (stack_codes) and what _label_stack returns."""
     adj = labeled_graph_stack(n)
     labels = _label_stack(adj, len(adj))
-    return adj, list(map(bytes, _packed_codes(adj, labels[2]))), labels
+    return adj, list(map(bytes, _packed_codes(adj, labels[1]))), labels
 
 
 def stack_codes(adj):
     """The canonical bitmap of each graph of a bool stack, labelled as one
     stack, as bytes."""
-    return list(map(bytes, _packed_codes(adj, _label_stack(adj, len(adj))[2])))
+    return list(map(bytes, _packed_codes(adj, _label_stack(adj, len(adj))[1])))
 
 
 def colour_classes(colours):
@@ -1158,7 +1158,7 @@ class TestCanonicalForms:
         # and the orders attaining its own bitmap are exactly its
         # automorphisms, of which canonical_form keeps those in which each
         # twin class ascends
-        adj, codes, (_, _, first, _, _) = labelling_of_every_graph(n)
+        adj, codes, (_, first, _, _) = labelling_of_every_graph(n)
         # one graph per class and its first optimal order
         reps = np.unique(codes, return_index=True)[1]
         orders = first[reps]
@@ -1171,33 +1171,37 @@ class TestCanonicalForms:
                 a, sorted(brute_automorphisms(a)))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_all_twin_classes_iff_every_class_respecting_order_is_an_automorphism(self, n):
-        # the orders that keep the colour classes are prod |class|! in number
-        # and include every automorphism; they are all automorphisms iff each
-        # class is a twin set. |Aut| is counted once per isomorphism class
-        adj, codes, _ = labelling_of_every_graph(n)
-        colours = _refine(adj)
-        twins = _all_twin_classes(adj, colours)
-        autos = {codes[g]: len(brute_automorphisms(adj[g]))
-                 for g in np.unique(codes, return_index=True)[1]}
-        for code, c, twin in zip(codes, colours, twins):
-            respecting = math.prod(math.factorial(k) for k in np.bincount(c))
-            assert twin == (autos[code] == respecting)
-        # the path on 4 vertices is the smallest graph that is not
-        assert twins.all() == (n <= 3)
+    def test_orders_count_the_cosets_of_the_twin_swaps(self, n):
+        # every labelled graph keeps |Aut| / prod |X|! orders over its twin
+        # classes X, each counted once per isomorphism class by brute force;
+        # a graph whose automorphisms are all twin swaps keeps one order
+        adj, codes, (_, _, branch, _) = labelling_of_every_graph(n)
+        cosets = {}
+        for g in np.unique(codes, return_index=True)[1]:
+            swaps = math.prod(math.factorial(len(x)) for x in brute_signed_twin_classes(adj[g]))
+            cosets[codes[g]] = len(brute_automorphisms(adj[g])) // swaps
+        counts = np.bincount(branch, minlength=len(adj))
+        assert counts.tolist() == [cosets[code] for code in codes]
+        # the path on 4 vertices is the smallest graph with two cosets
+        assert (counts == 1).all() == (n <= 3)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
-    def test_twin_graph_automorphisms_map_each_colour_class_onto_itself(self, n):
+    def test_twin_graphs_keep_one_order_by_colour_then_vertex(self, n):
         # colour refinement is isomorphism-invariant, so every automorphism
         # maps each refined colour class onto itself, and when every class is
-        # a twin set, every such permutation is an automorphism: the orbits
-        # of a twin graph are its colour classes, which the enumeration reads
-        # in place of orders. Checked on every labelled graph
-        adj = labeled_graph_stack(n)
-        colours = _refine(adj)
-        twins = _all_twin_classes(adj, colours)
+        # a twin set, every such permutation is an automorphism, and the one
+        # order kept sorts the vertices by colour and then by vertex. The
+        # twin graphs are found once per isomorphism class by the oracles;
+        # the rest are checked on every labelled graph
+        adj, codes, (_, first, branch, _) = labelling_of_every_graph(n)
+        twin = {codes[g]: colour_classes_are_twin_sets(adj[g])
+                for g in np.unique(codes, return_index=True)[1]}
+        twins = np.array([twin[code] for code in codes])
+        colours = _refine(adj[twins])
+        assert np.bincount(branch, minlength=len(adj))[twins].tolist() == [1] * twins.sum()
+        assert np.array_equal(first[twins], np.argsort(colours, axis=1, kind="stable"))
         # the permutations p with colours[p] == colours depend on the colours only
-        keys, which = np.unique(colours[twins], axis=0, return_inverse=True)
+        keys, which = np.unique(colours, axis=0, return_inverse=True)
         perms = permutation_rows(n)
         respecting = (keys[:, perms] == keys[:, None]).all(axis=2)[which.ravel()]
         assert np.array_equal(brute_automorphism_table(adj[twins]), respecting)
@@ -1315,45 +1319,45 @@ class TestCanonicalForms:
         adj = connected_regular_graphs(n)
         assert len(adj) == count
         assert_representatives_match_brute_force(adj)
-        # seeded graphs, the regular graphs and the empty graph take both
-        # routes, twin graphs and individualization, in one stack
+        # seeded graphs, the regular graphs and the empty graph in one
+        # stack: twin graphs, which take no branch, and others
         mixed = np.concatenate((seeded_unsigned_stack(31, n, 40), adj,
                                 [np.zeros((n, n), dtype=bool)]))
-        twins = _all_twin_classes(mixed, _refine(mixed))
-        assert twins.any() and not twins.all()
+        twins = [colour_classes_are_twin_sets(a) for a in mixed]
+        assert any(twins) and not all(twins)
         assert stack_codes(mixed) == [brute_labelling(a)[0] for a in mixed]
         assert_representatives_match_brute_force(mixed)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_optimal_orders_ascend_lexicographically(self, n):
-        _, _, (_, _, _, branch, perm) = labelling_of_every_graph(n)
+        _, _, (_, _, branch, perm) = labelling_of_every_graph(n)
         # as base-n numbers, orders compare as they do lexicographically
         value = perm.astype(np.int64) @ n ** np.arange(n - 1, -1, -1)
         same = branch[1:] == branch[:-1]
         assert (value[1:][same] > value[:-1][same]).all()
 
     def test_labelling_refuses_branches_past_the_work_cap(self, monkeypatch):
-        # gst(s, s) is not a twin graph: the labelling of a stack keeps all
-        # 2 (s!)^2 optimal orders, 1,152 at s = 4, and canonical_form, which
-        # tries one twin per class, the 2 cosets of the twin swaps. The
-        # Petersen graph has no twins, and canonical_form opens 180 branches
-        # at position 2 on the way to its 120 automorphisms
+        # gst(s, s) is not a twin graph, but both labellings try one twin per
+        # class: of its 2 (s!)^2 optimal orders they keep the 2 cosets of the
+        # twin swaps, 2 branches at position 0. The Petersen graph has no
+        # twins, and both open 180 branches at position 2 on the way to its
+        # 120 automorphisms
         a = build_gst(4, 4).adj != 0
-        monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 1152)
-        assert len(_label_stack(a[None], 1)[4]) == 1152
-        monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 1151)
-        with pytest.raises(ValueError, match="labelling capped at 1151 branches, got 1152"):
+        monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 2)
+        assert len(_label_stack(a[None], 1)[3]) == len(canonical_form(a)[1]) == 2
+        monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 1)
+        with pytest.raises(ValueError, match="labelling capped at 1 branches, got 2"):
             _label_stack(a[None], 1)
-        assert len(canonical_form(a)[1]) == 2
         petersen = np.zeros((10, 10), dtype=bool)
         for i in range(5):
             for u, v in [(i, (i + 1) % 5), (i, i + 5), (i + 5, (i + 2) % 5 + 5)]:
                 petersen[u, v] = petersen[v, u] = True
         monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 180)
-        assert len(canonical_form(petersen)[1]) == 120
+        assert len(_label_stack(petersen[None], 1)[3]) == len(canonical_form(petersen)[1]) == 120
         monkeypatch.setattr(core, "_SWITCH_MAX_WORK", 179)
-        with pytest.raises(ValueError, match="labelling capped at 179 branches, got 180"):
-            canonical_form(petersen)
+        for label in (canonical_form, lambda a: _label_stack(a[None], 1)):
+            with pytest.raises(ValueError, match="labelling capped at 179 branches, got 180"):
+                label(petersen)
 
     @pytest.mark.parametrize("s", [6, 7])
     def test_gst_keys_from_one_order_per_coset_of_the_twin_swaps(self, s):
@@ -1370,14 +1374,14 @@ class TestCanonicalForms:
         assert not switching_isomorphic(g, SignedGraph(flipped))
 
     def test_one_graph_views(self):
-        # canonical_form labels one graph as the stack does: its code, and
-        # its first order or a subset of its individualized orders
+        # canonical_form labels one graph as the stack does: its code, its
+        # orders, one per coset of the twin swaps, and its least twins
         adj = seeded_unsigned_stack(11, 6, 12)
-        colours, twins, first, branch, perm = _label_stack(adj, len(adj))
+        tags, first, branch, perm = _label_stack(adj, len(adj))
         codes = _packed_codes(adj, first)
         for g, a in enumerate(adj):
             code, orders = canonical_form(a)
             assert code == codes[g].tobytes()
-            rows = first[g][None] if twins[g] else perm[branch == g]
-            assert set(map(tuple, orders.tolist())) <= set(map(tuple, rows.tolist()))
-            assert refined_color_classes(a) == colour_classes(colours[g])
+            assert np.array_equal(orders, perm[branch == g])
+            assert tags[g].tolist() == [min(x) for v in range(6)
+                                        for x in brute_signed_twin_classes(a) if v in x]

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import hashlib
 import itertools
 import math
@@ -12,10 +13,8 @@ import pytest
 from signed_extremal.bounds import SPECTRAL_SLACK, neg_edge_bound, rho_bound
 from signed_extremal.core import (
     SignedGraph,
-    _all_twin_classes,
     _label_stack,
     _packed_codes,
-    _refine,
     _switching_peak,
     _twin_quotient,
     canonical_signed_code,
@@ -66,7 +65,11 @@ from _oracles import (
     all_mask_neg_counts,
     all_signatures,
     brute_automorphism_table,
+    brute_automorphisms,
+    brute_signed_twin_classes,
     brute_switch,
+    brute_switching_key,
+    colour_classes_are_twin_sets,
     connected_graphs_up_to_isomorphism,
     connected_labeled_graphs,
     forbidden_and_balance_flags,
@@ -312,9 +315,9 @@ class TestEnumerateUnderlying:
     def test_carried_labels_match_a_fresh_labelling(self, block, monkeypatch):
         # every class on n <= 7 vertices, enumerated from a cleared cache in
         # blocks of _TABLE_BLOCK and of 7: the labels its level carries to
-        # the next are those of core._label_stack on its canonical form,
-        # colours, twin flags and row counts exactly and each non-twin
-        # class's automorphisms as a set
+        # the next are those of core._label_stack on its canonical form, row
+        # counts exactly and each class's automorphisms as a set, and its
+        # least twins, which are those of the oracle
         if block:
             monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", block)
         SEARCH._class_level.cache_clear()
@@ -324,16 +327,40 @@ class TestEnumerateUnderlying:
             SEARCH._class_level.cache_clear()
         for n, (codes, labels) in enumerate(levels, start=1):
             adj = _codes_to_adj(codes, n)
-            colours, twins, first, branch, orders = _label_stack(adj, len(adj))
+            tags, first, branch, orders = _label_stack(adj, len(adj))
             counts = np.bincount(branch, minlength=len(adj))
             assert np.array_equal(_packed_codes(adj, first), codes)
-            assert labels.colours.dtype == labels.orders.dtype == np.uint8
-            assert np.array_equal(labels.colours, colours)
-            assert np.array_equal(labels.twins, twins)
+            assert labels.tags.dtype == labels.orders.dtype == np.uint8
+            assert np.array_equal(labels.tags, tags)
             assert np.array_equal(labels.counts, counts)
             for got, want in zip(np.split(labels.orders, np.cumsum(labels.counts)[:-1]),
                                  np.split(orders, np.cumsum(counts)[:-1])):
                 assert set(map(tuple, got.tolist())) == set(map(tuple, want.tolist()))
+            if n <= 6:
+                assert labels.tags.tolist() == [
+                    [min(x) for v in range(n) for x in brute_signed_twin_classes(a) if v in x]
+                    for a in adj]
+
+    def test_classes_carry_one_order_per_coset_of_the_twin_swaps(self):
+        # each class on n <= 6 vertices carries |Aut(G)| / prod |X|! orders
+        # over its twin classes X, by brute force, and a twin graph one; the
+        # identity comes first, and every order is an automorphism of the
+        # canonical form that keeps each twin class ascending
+        for n in range(1, 7):
+            codes, labels = SEARCH._class_level(n)
+            starts = np.cumsum(labels.counts) - labels.counts
+            assert (labels.orders[starts] == np.arange(n)).all()
+            for a, rows in zip(_codes_to_adj(codes, n),
+                               np.split(labels.orders, np.cumsum(labels.counts)[:-1])):
+                autos = brute_automorphisms(a)
+                twins = brute_signed_twin_classes(a)
+                assert len(rows) == len(autos) // math.prod(math.factorial(len(x)) for x in twins)
+                assert len(rows) == 1 or not colour_classes_are_twin_sets(a)
+                assert set(map(tuple, rows.tolist())) <= autos
+                assert all((np.diff(rows[:, x], axis=1) > 0).all() for x in twins)
+        # 1,690 automorphisms at n = 7, 702 cosets, and one row for each of
+        # the 570 twin graphs
+        assert SEARCH._class_level(7)[1].counts.sum() == 1272
 
     def test_levels_are_read_only_byte_rows_in_code_order(self):
         for n in range(1, SEARCH._MAX_N + 1):
@@ -363,17 +390,16 @@ class TestEnumerateUnderlying:
         assert SEARCH._class_level(SEARCH._MAX_N - 1)[1] is not None
 
     @pytest.mark.parametrize("block", [None, 7])
-    def test_individualization_sees_each_non_twin_child_once(self, block, monkeypatch):
-        # at each level n <= 7, the graphs individualized are the children
-        # sent to the labelling (those whose new vertex is in M(G)) whose
-        # colour classes are not all twin sets, each once, in full batches
-        # of _TABLE_BLOCK but the last; no level labels a parent again, and
-        # none takes the one-graph labelling
+    def test_labelling_sees_each_child_once(self, block, monkeypatch):
+        # at each level n <= 7, the graphs labelled are the children sent to
+        # the labelling (those whose new vertex is in M(G)), each once, in
+        # full blocks of _TABLE_BLOCK but the last; no level labels a parent
+        # again, and none takes the one-graph labelling
         if block:
             monkeypatch.setattr(SEARCH, "_TABLE_BLOCK", block)
         sent, seen = collections.defaultdict(list), collections.defaultdict(list)
         core = sys.modules[canonical_signed_code.__module__]
-        deletion_sets, individualize = SEARCH._deletion_sets, core._individualize
+        deletion_sets, search_cells = SEARCH._deletion_sets, core._search_cells
         relabelled = []
 
         def deletion_spy(adj, comps):
@@ -381,12 +407,12 @@ class TestEnumerateUnderlying:
             sent[adj.shape[1]].append(adj[in_set[:, -1]])
             return in_set
 
-        def individualize_spy(adj, colours):
-            seen[adj.shape[1]].append(adj.copy())
-            return individualize(adj, colours)
+        def search_spy(values, *args):
+            seen[values.shape[1]].append(values.view(bool).copy())
+            return search_cells(values, *args)
 
         monkeypatch.setattr(SEARCH, "_deletion_sets", deletion_spy)
-        monkeypatch.setattr(core, "_individualize", individualize_spy)
+        monkeypatch.setattr(core, "_search_cells", search_spy)
         monkeypatch.setattr(core, "canonical_form", lambda adj: relabelled.append(adj))
         SEARCH._class_level.cache_clear()
         try:
@@ -396,15 +422,59 @@ class TestEnumerateUnderlying:
         assert not relabelled
         assert sorted(sent) == list(range(2, 8))
         for n, stacks in sent.items():
-            kids = np.concatenate(stacks)
-            twins = _all_twin_classes(kids, _refine(kids))
-            expect = [a.tobytes() for a in kids[~twins]]
+            expect = [a.tobytes() for a in np.concatenate(stacks)]
             got = [a.tobytes() for batch in seen[n] for a in batch]
-            assert len(set(expect)) == len(expect)
-            assert collections.Counter(got) == collections.Counter(expect)
+            assert got == expect
             full, rest = divmod(len(expect), SEARCH._TABLE_BLOCK)
             sizes = [SEARCH._TABLE_BLOCK] * full + [rest] * (rest > 0)
             assert [len(batch) for batch in seen[n]] == sizes
+
+    def test_twin_graphs_take_no_branch(self, monkeypatch):
+        # the search takes a branch only for a graph with two tags in one
+        # colour class: never for canonical_form of K_n, of gst(s, t)'s
+        # underlying graph with s != t, or of a twin child (by the oracle) of
+        # a level n <= 6, labelled alone; every other child branches.
+        # gst(s, s) swaps its apexes and sides, so it keeps two cosets
+        core = sys.modules[canonical_signed_code.__module__]
+        check_work, branches = core._check_work, []
+
+        def spy(count, what, *args):
+            branches.append(what)
+            return check_work(count, what, *args)
+
+        monkeypatch.setattr(core, "_check_work", spy)
+
+        def branched(label, a):
+            branches.clear()
+            label(a)
+            return bool(branches)
+
+        for n in range(1, 13):
+            assert not branched(core.canonical_form, ~np.eye(n, dtype=bool))
+        for s, t in [(1, 2), (1, 5), (2, 3), (3, 6)]:
+            assert not branched(core.canonical_form, build_gst(s, t).adj != 0)
+        assert branched(core.canonical_form, build_gst(3, 3).adj != 0)
+        sent = collections.defaultdict(list)
+        deletion_sets = SEARCH._deletion_sets
+
+        def deletion_spy(adj, comps):
+            in_set = deletion_sets(adj, comps)
+            sent[adj.shape[1]].append(adj[in_set[:, -1]])
+            return in_set
+
+        monkeypatch.setattr(SEARCH, "_deletion_sets", deletion_spy)
+        SEARCH._class_level.cache_clear()
+        try:
+            SEARCH._class_level(6)
+        finally:
+            SEARCH._class_level.cache_clear()
+        twins = 0
+        for n, stacks in sent.items():
+            for a in np.concatenate(stacks):
+                twin = colour_classes_are_twin_sets(a)
+                assert branched(lambda a: _label_stack(a[None], 1), a) != twin
+                twins += twin
+        assert twins > 0
 
     def test_degree_bound_matches_the_definition(self):
         # every class on m <= 7 vertices, seeded graphs on 9 to 11, and
@@ -996,6 +1066,84 @@ class TestSearch:
         rep = search(SearchConfig(n=6, objective="MAX_EDGES"))
         for w in rep.witnesses:
             assert canonical_switch(w) == w
+
+
+@functools.lru_cache(maxsize=None)
+def brute_witness_classes(n):
+    """The optimum and the brute_switching_key of every optimal signed graph
+    of each (objective, forbidden, require_unbalanced) cell, by brute force
+    over every signature of one connected graph per isomorphism class (each
+    signed graph on n vertices relabels onto one of them)."""
+    adj = np.array([g.adj for a in connected_graphs_up_to_isomorphism(n)
+                    for g in all_signatures(a)])
+    rho = np.abs(np.linalg.eigvalsh(adj.astype(np.float64))).max(axis=1)
+    edges = np.count_nonzero(adj, axis=(1, 2)) // 2
+    neg = np.count_nonzero(adj == -1, axis=(1, 2)) // 2
+    has, balanced = forbidden_and_balance_flags(adj)
+    keys = {}
+
+    iu, ju = np.triu_indices(n, 1)
+    spins = np.array(list(itertools.product((1, -1), repeat=n)), dtype=np.int8)
+    flips = spins[:, iu] * spins[:, ju]
+    weights = 3 ** np.arange(len(iu), dtype=np.int64)
+
+    def classes(rows):
+        # brute keys are switching invariants, so each labelled switching
+        # class, named by its least base-3 cell row over the 2^n
+        # switchings, is keyed once; 1,024 matrices at a time
+        least = []
+        for part in np.split(rows, range(1024, len(rows), 1024)):
+            cells = adj[part][:, iu, ju][:, None, :] * flips
+            least += (np.where(cells == -1, 2, cells) @ weights).min(axis=1).tolist()
+        for r, name in zip(rows.tolist(), least):
+            if name not in keys:
+                keys[name] = brute_switching_key(adj[r][None])[0]
+        return {keys[name] for name in least}
+
+    out = {}
+    for forbidden in FORBIDDEN:
+        for unbal in (True, False):
+            ok = ~has[forbidden] & ~(unbal & balanced)
+            most = edges[ok].max()
+            top = rho[ok].max()
+            at_most = ok & (edges == most)
+            out["MAX_EDGES", forbidden, unbal] = most, classes(np.flatnonzero(at_most))
+            out["MAX_RHO", forbidden, unbal] = top, classes(
+                np.flatnonzero(ok & (rho >= top - SPECTRAL_SLACK)))
+            peak = neg[at_most].max()
+            out["MAX_NEG_EDGES_AT_MAX_EDGES", forbidden, unbal] = peak, classes(
+                np.flatnonzero(at_most & (neg == peak)))
+    return out
+
+
+class TestWitnessSets:
+    @pytest.mark.parametrize("n", [4, 5, pytest.param(6, marks=pytest.mark.slow)])
+    def test_witness_classes_match_brute_force(self, n):
+        # in every cell the witnesses' switching-isomorphism classes are the
+        # optimal ones: MAX_EDGES and MAX_RHO report one witness per class;
+        # MAX_NEG_EDGES_AT_MAX_EDGES reports, as documented, every distinct
+        # optimal switching of its edge witnesses, several per class in some
+        # cells, with no dedupe by class
+        several = 0
+        for (objective, forbidden, unbal), (optimum, classes) in brute_witness_classes(n).items():
+            cell = objective, forbidden, unbal
+            rep = search(SearchConfig(n=n, objective=objective, forbidden=forbidden,
+                                      require_unbalanced=unbal))
+            stack = np.array([w.adj for w in rep.witnesses])
+            keys = brute_switching_key(stack)
+            assert set(keys) == classes, cell
+            assert rep.optimum == pytest.approx(optimum, abs=1e-9), cell
+            if objective != "MAX_NEG_EDGES_AT_MAX_EDGES":
+                assert len(keys) == len(classes), cell
+                continue
+            has, balanced = forbidden_and_balance_flags(stack)
+            assert not (has[forbidden] | (unbal & balanced)).any(), cell
+            assert (np.count_nonzero(stack, axis=(1, 2)) // 2
+                    == brute_witness_classes(n)["MAX_EDGES", forbidden, unbal][0]).all(), cell
+            assert (np.count_nonzero(stack == -1, axis=(1, 2)) // 2 == optimum).all(), cell
+            assert len({a.tobytes() for a in stack}) == len(stack), cell
+            several += len(stack) > len(classes)
+        assert several
 
 
 class TestRhoScan:
