@@ -381,17 +381,13 @@ def refined_color_classes(adj_bool: np.ndarray) -> list[list[int]]:
 def canonical_form(adj_bool: np.ndarray) -> tuple[bytes, np.ndarray]:
     """The canonical bitmap of one graph, the least upper-triangle bit string
     over the orders that respect its refined colour classes as packed bytes
-    (_packed_codes), and, ascending, its optimal orders in which each twin class
-    (_twin_firsts) ascends: one per coset of the twin swaps, automorphisms
-    that keep the colours. With a tag per twin class, the search
-    (_search_cells) tries only the least twin of a class left in a cell; a
-    graph whose colour classes are all twin sets, K_n among them, has one."""
-    n = len(adj_bool)
-    _, _, perm = _search_cells(adj_bool[None].view(np.uint8), np.zeros(1, dtype=np.intp),
-                               _refine(adj_bool[None]), _twin_firsts(adj_bool)[None], np.arange(n),
-                               "labelling")
-    perm = perm[np.lexsort(perm.T[::-1])].astype(np.min_scalar_type(n - 1))
-    return _packed_codes(adj_bool[None], perm[:1])[0].tobytes(), perm
+    (_packed_codes), and its optimal orders in which each twin class ascends,
+    one per coset of the twin swaps: _label_stack of a one-graph stack. The
+    orders ascend: the search gives them in prefix order, and two that part
+    take the least vertices of two twin classes with none in the prefix, as
+    an automorphism that fixes the prefix fixes the twin classes it meets."""
+    _, first, _, perm = _label_stack(adj_bool[None], 1)
+    return _packed_codes(adj_bool[None], first)[0].tobytes(), perm
 
 
 def _dense_ranks(keys: np.ndarray) -> np.ndarray:
@@ -759,14 +755,15 @@ def _switching_peak(sizes: np.ndarray, signs: np.ndarray) -> tuple[int, np.ndarr
 
 
 def _distinct_matrices(stack: np.ndarray) -> np.ndarray:
-    """The distinct matrices of an int8 stack (G, n, n), sorted by their bytes.
-    Sorted as one void scalar each, which compares bytewise; np.unique would
-    import numpy.ma on its first call, about 10 ms and 0.5 MB."""
-    n = stack.shape[1]
-    rows = np.sort(stack.reshape(len(stack), n * n).view(np.dtype((np.void, n * n))).ravel())
+    """The distinct rows of an int8 stack (G, ...), matrices or any other
+    shape, sorted by their bytes. Sorted as one void scalar each, which
+    compares bytewise; np.unique would import numpy.ma on its first call,
+    about 10 ms and 0.5 MB."""
+    width = math.prod(stack.shape[1:])
+    rows = np.sort(stack.reshape(len(stack), width).view(np.dtype((np.void, width))).ravel())
     keep = np.ones(len(rows), dtype=bool)
     keep[1:] = rows[1:] != rows[:-1]
-    return rows[keep].view(np.int8).reshape(-1, n, n)
+    return rows[keep].view(np.int8).reshape(-1, *stack.shape[1:])
 
 
 def _switched_matrices(adj: np.ndarray, classes: list[list[int]],
@@ -818,7 +815,8 @@ def _least_sign_rows(adj: np.ndarray, orders: np.ndarray, switched: bool) -> lis
     (_twin_firsts) at each internal position, fixes every spin. Each later
     position of a class takes one vertex per signed twin of the start, until
     each cell is one signed-twin class, whose arrangements all give one row.
-    Matrices with the same starts are searched once. More than
+    Each matrix owns its distinct starts, found with one sort of them all,
+    and keeps the first row left of its branches. More than
     _SWITCH_MAX_WORK starts or branches are refused."""
     n = adj.shape[1]
     under = adj[0, orders[0, :, None], orders[0]] != 0
@@ -843,14 +841,12 @@ def _least_sign_rows(adj: np.ndarray, orders: np.ndarray, switched: bool) -> lis
     spin = _tree_spins(moved, tree)
     moved *= spin[:, :, None]
     moved *= spin[:, None]
-    # each matrix's distinct starts (every matrix has one), each set once
-    distinct = [_distinct_matrices(m) for m in np.split(moved, np.flatnonzero(np.diff(g)) + 1)]
-    group = {}
-    which = [group.setdefault(m.tobytes(), i) for i, m in enumerate(distinct)]
-    searched = [distinct[i] for i in group.values()]
-    stack = np.concatenate(searched)
-    # a branch's owner is the first matrix with its starts
-    owner = np.repeat([*group.values()], list(map(len, searched)))
+    # each matrix's distinct starts (every matrix has one): its index,
+    # big-endian, ahead of each start's cells sorts the rows by matrix
+    rows = _distinct_matrices(np.concatenate(
+        (g.astype(">u4")[:, None].view(np.int8), moved.reshape(len(g), -1)), 1))
+    owner = rows[:, :4].copy().view(">u4")[:, 0].astype(np.intp)
+    stack = rows[:, 4:].reshape(-1, n, n)
     # the positions class by class, an internal one a cell of its own, and
     # each slot's tag its signed-twin class in the start
     layout, cell = np.array([(p, 2 * k + (p not in inner))
@@ -858,10 +854,11 @@ def _least_sign_rows(adj: np.ndarray, orders: np.ndarray, switched: bool) -> lis
     values = stack % 3
     owner, own, perm = _search_cells(values, owner, cell, _twin_firsts(stack)[:, layout],
                                      layout, "sign rows")
-    iu, ju = _triu_cells(n)
     # every row left of an owner is its least
-    best = dict(zip(owner.tolist(), values[own[:, None], perm[:, iu], perm[:, ju]]))
-    return [best[i].tobytes() for i in which]
+    first = np.flatnonzero(np.diff(owner, prepend=-1))
+    own, perm = own[first, None], perm[first]
+    iu, ju = _triu_cells(n)
+    return [row.tobytes() for row in values[own, perm[:, iu], perm[:, ju]]]
 
 
 def _groups(keys):

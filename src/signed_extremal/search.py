@@ -142,7 +142,6 @@ from .families import (
     build_complete,
     build_gst,
     build_gst_maxneg,
-    build_kn_switched_maxneg,
     gst_partition,
 )
 from .graphio import format_graph
@@ -772,18 +771,16 @@ def _recheck_witness(w: SignedGraph, config: SearchConfig, value):
 def _scan(config: SearchConfig, progress):
     """The optimum of a MAX_EDGES or MAX_RHO search, its witnesses (one per
     switching-isomorphism class, in key order), their keys
-    (canonical_signed_code) and the report's counters."""
+    (canonical_signed_code) and the report's counters. More than
+    core._SWITCH_MAX_WORK signatures at the optimum are refused before any
+    is built (core._check_work), as the witness keys are one stacked call."""
     if progress:
         # one call per enumerated level, as each level's classes are ready
         for k in range(1, config.n + 1):
             progress({"vertices": k, "classes": len(_connected_class_bitmaps(k))})
     best, table, _, system, patterns, counters = _scan_classes(
         config, _connected_class_bitmaps(config.n), _class_summary(config.n, config.forbidden))
-    if len(system) > 5000:
-        raise ValueError(
-            f"{len(system)} signatures tie the optimum; witness "
-            "materialization is only supported for constrained searches"
-        )
+    _check_work(len(system), "witness keys", "signatures")
     stack = _signature_stack(table, system, patterns, np.int8)
     seen = {}
     for key, a in zip(_signed_keys(stack, switched=True), stack):
@@ -958,13 +955,6 @@ def _verify_l2_2(n: int, progress) -> BoundReport:
     # |S|(n - |S|) negative edges, so best == bound below makes |S| the halving
     spins = _tree_spins(winners, _bfs_tree(winners[0]))
     structure_ok = not (spins[:, :, None] * winners * spins[:, None, :] < 0).any()
-    if n <= 6:
-        # cheap cross-validation of the structural predicate by switching
-        # isomorphism: every winner and the target are signed K_n, so one
-        # call labels K_n once and finds all their sign rows together
-        target, *keys = _signed_keys(
-            np.concatenate([build_kn_switched_maxneg(n).adj[None], winners]), switched=True)
-        structure_ok = structure_ok and all(key == target for key in keys)
     bound = (n // 2) * ((n + 1) // 2)
     return make_bound_report(
         "l2_2", n, bound, best, SignedGraph._trusted(winners[0]),

@@ -48,10 +48,11 @@ from signed_extremal.families import (
 from signed_extremal.search import (
     _ClassTable,
     _codes_to_adj,
+    _complete_signature_classes,
     _connected_class_bitmaps,
+    _neg_edge_maximizers,
     _table_block,
     enumerate_underlying,
-    verify_theorem,
 )
 
 from _oracles import (
@@ -452,13 +453,13 @@ class TestSwitchingIsomorphic:
         h = negate(g)
         assert not switching_isomorphic(g, h)
 
-    @pytest.mark.parametrize("cap", [19, 89], ids=["starts", "position-1"])
+    @pytest.mark.parametrize("cap", [19, 179], ids=["starts", "position-1"])
     def test_branch_cap(self, cap, monkeypatch):
         # K_10 whose negative edges form a Hamiltonian path has no switching
         # twins: each of the two matrices keyed has 10 starts, one per vertex
-        # at the root, and the two, searched once, open 9 branches each at
-        # position 1; K_10 is labelled without branches, and no vertex count
-        # is capped
+        # at the root, and each matrix searches its own, so the two open
+        # 2 x 10 x 9 branches at position 1; K_10 is labelled without
+        # branches, and no vertex count is capped
         g = new_signed_graph(10, [(u, v, -1 if v == u + 1 else 1)
                                   for u, v in itertools.combinations(range(10), 2)])
         assert brute_signed_twin_classes(g.adj, up_to_sign=True) == [[v] for v in range(10)]
@@ -813,6 +814,34 @@ class TestCanonicalCode:
         assert searched == [1]
         assert peak < 4 << 20
 
+    def test_distinct_rows_of_any_shape(self):
+        # the distinct rows of a stack, matrices or 2-D rows, sorted by bytes
+        rng = np.random.default_rng(4)
+        rows = rng.integers(-1, 2, size=(40, 6)).astype(np.int8)
+        stack = np.concatenate([rows, rows[::3], rows[:5]])
+        want = sorted({r.tobytes() for r in stack})
+        for shape in [(6,), (2, 3), (1, 2, 3)]:
+            got = core._distinct_matrices(stack.reshape(-1, *shape))
+            assert got.shape == (len(want), *shape) and got.dtype == np.int8
+            assert [r.tobytes() for r in got] == want
+
+    @pytest.mark.parametrize("n", [6, 9])
+    def test_each_matrix_keys_as_it_does_alone(self, n):
+        # 50 switched copies of one labelled graph and 6 re-signings of its
+        # edges, shuffled: each matrix owns its starts, so each keys in the
+        # stack as it does alone, with and without switching
+        rng = np.random.default_rng(50 + n)
+        g = next(planted_twin_graphs(1400 + n, n, 1))
+        signs = np.triu(rng.choice([-1, 1], size=(6, n, n)), 1)
+        resigned = np.abs(g.adj) * (signs + signs.transpose(0, 2, 1))
+        copies = [switch(g, np.flatnonzero(rng.random(n) < 0.5)).adj for _ in range(50)]
+        stack = np.concatenate([copies, resigned]).astype(np.int8)[rng.permutation(56)]
+        keys = {switched: core._signed_keys(stack, switched) for switched in (True, False)}
+        for switched, got in keys.items():
+            assert got == [core._signed_keys(a[None], switched)[0] for a in stack]
+        # switching makes the 50 copies one key; unswitched they are several
+        assert len(set(keys[False])) > len(set(keys[True]))
+
     @pytest.mark.parametrize("switched", [True, False])
     def test_signed_keys_of_a_mixed_stack(self, switched, monkeypatch):
         # three planted-twin graphs, each with a relabelled copy, a switched
@@ -856,20 +885,19 @@ def test_only_core_labels_graphs_or_finds_sign_rows():
 
 
 def searched_starts(monkeypatch):
-    """The number of distinct starts of each matrix that _least_sign_rows
-    searches from now on, once for matrices with the same starts, read from
-    the signed twins it asks for: a stack of starts goes only to its search,
-    one matrix to _signed_twin_classes, and a stack of the matrices keyed to
-    their switching twins."""
+    """The number of distinct starts that _least_sign_rows searches for each
+    matrix it keys from now on, in order: each matrix owns its starts, so
+    they are counted per owner at the search (_search_cells) whose work is
+    "sign rows"; the labelling's searches are not counted."""
     sizes = []
-    firsts = core._twin_firsts
+    search = core._search_cells
 
-    def recording(adj, up_to_sign=False):
-        if adj.ndim == 3 and not up_to_sign:
-            sizes.append(len(adj))
-        return firsts(adj, up_to_sign)
+    def recording(values, owner, *args):
+        if args[-1] == "sign rows":
+            sizes.extend(np.bincount(owner).tolist())
+        return search(values, owner, *args)
 
-    monkeypatch.setattr(core, "_twin_firsts", recording)
+    monkeypatch.setattr(core, "_search_cells", recording)
     return sizes
 
 
@@ -961,12 +989,15 @@ class TestSignedTwins:
         assert signed_isomorphic(g, g)
         assert searched == starts
 
-    def test_matrices_with_the_same_starts_are_searched_once(self, monkeypatch):
-        # the ten winners of L2_2 at n = 6 and its target are halved K_6,
-        # switchings of one another: each has the one start (K_6, +)
+    def test_matrices_with_the_same_starts_each_search_their_own(self, monkeypatch):
+        # the ten maximizers of L2_2 at n = 6 and the halved K_6 are
+        # switchings of one another: each has the one start (K_6, +), which
+        # each searches as its own, and all key alike
+        winners = _neg_edge_maximizers(_complete_signature_classes(6, "C3_MINUS"))[1]
+        stack = np.concatenate([build_kn_switched_maxneg(6).adj[None], winners])
         searched = searched_starts(monkeypatch)
-        assert verify_theorem("L2_2", 6).passed
-        assert searched == [1]
+        assert len(set(core._signed_keys(stack, switched=True))) == 1
+        assert searched == [1] * 11
 
     def test_keys_of_twin_pendants_match_the_reference(self, monkeypatch):
         # the halved K_7, and a 6-cycle with twin pendants 6, 7 on vertex 0
@@ -1335,6 +1366,27 @@ class TestCanonicalForms:
         value = perm.astype(np.int64) @ n ** np.arange(n - 1, -1, -1)
         same = branch[1:] == branch[:-1]
         assert (value[1:][same] > value[:-1][same]).all()
+
+    def test_canonical_form_orders_ascend_on_every_class(self):
+        # canonical_form sorts nothing: the search gives its orders ascending
+        branched = 0
+        for n in range(3, 8):
+            for a in _codes_to_adj(_connected_class_bitmaps(n), n):
+                orders = canonical_form(a)[1].tolist()
+                assert all(p < q for p, q in zip(orders, orders[1:]))
+                branched += len(orders) > 1
+        assert branched > 100
+
+    def test_canonical_form_orders_ascend_on_seeded_graphs(self):
+        # unsigned graphs with planted twins, whose twin classes are partly
+        # placed when other cells branch
+        branched = 0
+        for n in range(2, 13):
+            for g in [*seeded_signed_graphs(1200 + n, n, 12), *planted_twin_graphs(1300 + n, n, 12)]:
+                orders = canonical_form(g.adj != 0)[1].tolist()
+                assert all(p < q for p, q in zip(orders, orders[1:]))
+                branched += len(orders) > 1
+        assert branched > 20
 
     def test_labelling_refuses_branches_past_the_work_cap(self, monkeypatch):
         # gst(s, s) is not a twin graph, but both labellings try one twin per

@@ -1677,46 +1677,58 @@ class TestVerifyTheorem:
         assert rep.details == {"classes": 1, "maximizers": 10}
         assert rep.notes == "1 negative-triangle-free switching classes, 10 maximizers"
 
-    def test_l2_2_codes_the_target_once(self, monkeypatch):
-        # n = 6 labels K_6 once and computes the sign rows of the target and
-        # of every maximizer in one call, with no whole switching key
-        labels, rows, codes = [], [], []
+    def test_l2_2_keys_no_matrix(self, monkeypatch):
+        # the balance test alone decides the verdict, so no switching key is
+        # computed, neither in search nor through core's public keys
         core = sys.modules[canonical_signed_code.__module__]
-        label, row, code = core.canonical_form, core._least_sign_rows, core.canonical_signed_code
+        calls = []
 
-        def counting(calls, fn):
-            return lambda *args, **kwargs: calls.append(args) or fn(*args, **kwargs)
+        def spy(*args, **kwargs):
+            calls.append(args)
 
-        monkeypatch.setattr(core, "canonical_form", counting(labels, label))
-        monkeypatch.setattr(core, "_least_sign_rows", counting(rows, row))
-        monkeypatch.setattr(core, "canonical_signed_code", counting(codes, code))
-        rep = verify_theorem("L2_2", 6)
-        assert rep.passed and not codes
-        assert len(labels) == 1 and np.array_equal(labels[0][0], ~np.eye(6, dtype=bool))
-        assert len(rows) == 1 and len(rows[0][0]) == rep.details["maximizers"] + 1
+        monkeypatch.setattr(core, "_signed_keys", spy)
+        monkeypatch.setattr(SEARCH, "_signed_keys", spy)
+        for n in range(3, 13):
+            assert verify_theorem("L2_2", n).passed
+        assert not calls
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_l2_2_winners_key_like_the_halved_kn(self, n):
+        # the balance test of _verify_l2_2 checked by switching isomorphism:
+        # every maximizer keys like build_kn_switched_maxneg(n), in one call
+        core = sys.modules[canonical_signed_code.__module__]
+        best, winners = SEARCH._neg_edge_maximizers(
+            SEARCH._complete_signature_classes(n, "C3_MINUS"))
+        target, *keys = core._signed_keys(
+            np.concatenate([build_kn_switched_maxneg(n).adj[None], winners]), switched=True)
+        assert best == (n // 2) * ((n + 1) // 2)
+        assert len(keys) == math.comb(n, n // 2) // (2 if n % 2 == 0 else 1)
+        assert all(key == target for key in keys)
 
     def test_l2_2_fails_on_an_unbalanced_maximizer(self, monkeypatch):
-        # past n = 6 no canonical code cross-checks the winners, so the balance
-        # test alone must reject an unbalanced K_8 at the peak: one cross edge
-        # of the halving made positive and one inner edge negative keeps 16
-        # negative edges, and two edges are no cut of K_8
-        a = build_kn_switched_maxneg(8).adj.copy()
-        (u, v), (x, y) = np.argwhere(a < 0)[0], np.argwhere(a > 0)[0]
-        a[u, v] = a[v, u] = 1
-        a[x, y] = a[y, x] = -1
-        odd = SignedGraph(a)
-        assert odd.neg_edge_count == 16 and not is_balanced(odd)
+        # no canonical code cross-checks the winners, so the balance test
+        # alone must reject an unbalanced K_n at the peak, at n = 6 and 8:
+        # one cross edge of the halving made positive and one inner edge
+        # negative keeps the count, 9 and 16, and two edges are no cut of K_n
         maximizers = SEARCH._neg_edge_maximizers
+        for n in (6, 8):
+            a = build_kn_switched_maxneg(n).adj.copy()
+            (u, v), (x, y) = np.argwhere(a < 0)[0], np.argwhere(a > 0)[0]
+            a[u, v] = a[v, u] = 1
+            a[x, y] = a[y, x] = -1
+            odd = SignedGraph(a)
+            assert odd.neg_edge_count == (n // 2) ** 2 and not is_balanced(odd)
 
-        def with_odd(adj):
-            best, winners = maximizers(adj)
-            return best, np.concatenate([winners, odd.adj[None]])
+            def with_odd(adj, odd=odd):
+                best, winners = maximizers(adj)
+                return best, np.concatenate([winners, odd.adj[None]])
 
-        assert verify_theorem("L2_2", 8).passed
-        monkeypatch.setattr(SEARCH, "_neg_edge_maximizers", with_odd)
-        rep = verify_theorem("L2_2", 8)
-        assert rep.observed == rep.bound_value == 16 and rep.satisfied
-        assert not rep.passed
+            assert verify_theorem("L2_2", n).passed
+            monkeypatch.setattr(SEARCH, "_neg_edge_maximizers", with_odd)
+            rep = verify_theorem("L2_2", n)
+            assert rep.observed == rep.bound_value == (n // 2) ** 2 and rep.satisfied
+            assert not rep.passed
+            monkeypatch.setattr(SEARCH, "_neg_edge_maximizers", maximizers)
 
     def test_l2_2_largest_order(self):
         # K_12 has 55 non-tree edges, past the 32 bits of the class tables

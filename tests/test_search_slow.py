@@ -3,6 +3,7 @@ pytest -m slow."""
 
 import hashlib
 import io
+import sys
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from _oracles import (
 )
 from test_search import deletion_rows
 
+SEARCH = sys.modules[search.__module__]
+
 pytestmark = pytest.mark.slow
 
 # sha256 of the stdout of `<argv> --format json`, less its final newline: every
@@ -36,7 +39,9 @@ pytestmark = pytest.mark.slow
 # scan ran in batches of 256 classes with an optional worker pool, with the
 # config's since-removed "workers":1 key taken out; the closed-form ranges
 # after them (t1_2_neg n = 9..16, l3_6_order n = 5..40) were recorded when
-# t1_2_neg compared the peaks of the gst splits by hand.
+# t1_2_neg compared the peaks of the gst splits by hand. The four n = 7 `none`
+# cells of max-edges and max-neg-edges-at-max-edges, refused before, were
+# recorded when core's work cap became the only limit on witness keys.
 PINNED_REPORTS = {
     "search --n 4 --objective max-edges --forbid c3-minus":
         "3de588893c60d4aa0b669079b35c9ccb4f344f74563e1171c1e2d25ba83a9821",
@@ -154,6 +159,10 @@ PINNED_REPORTS = {
         "513b310ef56993d46474559760b7b7da1687d540fad2a27799e3efeae66b51bd",
     "search --n 7 --objective max-edges --forbid c3-plus --allow-balanced":
         "22a2dc932d46fffd62449c19c06668a150bb924465be50f95d510af8e3b4142c",
+    "search --n 7 --objective max-edges --forbid none":
+        "41661663a5c64bfea1a73a8230c77bf3e1d862b5353b75179c749f41490be8f4",
+    "search --n 7 --objective max-edges --forbid none --allow-balanced":
+        "92c466c1b462d3e5a1a54614e5bb8dc78c6a20a79402892a7ccb6c24345faf1b",
     "search --n 7 --objective max-rho --forbid c3-minus":
         "ae65758e486b7fabef31b4c285e85bc96b4afafe011a74c69016ab64a173891e",
     "search --n 7 --objective max-rho --forbid c3-minus --allow-balanced":
@@ -174,6 +183,10 @@ PINNED_REPORTS = {
         "a873da2507ab7300a08706c6418c1f495de496568bbe28e7494f5252397a1e71",
     "search --n 7 --objective max-neg-edges-at-max-edges --forbid c3-plus --allow-balanced":
         "ec2c876aa6974769ef4371c3340f6e1cedb711df85ac59d550c65ac181845997",
+    "search --n 7 --objective max-neg-edges-at-max-edges --forbid none":
+        "5d5be7d80020fc213f4189d95b66b7c2a49e6b92162224dbadc2aa59d086b4f8",
+    "search --n 7 --objective max-neg-edges-at-max-edges --forbid none --allow-balanced":
+        "0461278816ddd0465646163a5472073e73f11ce306aaae1f2f148bce744a3035",
     "search --n 8 --objective max-edges":
         "57a6a958b193708828e56af049f8bd0ed9c4509d344d8a58c900d2a9fe9568a9",
     "search --n 8 --objective max-rho":
@@ -326,20 +339,32 @@ PINNED_REPORTS = {
         "b0f2b5f2a2e8f2ef06a0a4358554d7db3cb255dd9c2840f019e5a8ab6e30c467",
 }
 
-_TIES = ("signatures tie the optimum; witness materialization is only supported "
-         "for constrained searches")
+_KEYS = "witness keys capped at 1048576 signatures, got"
 
-# the n = 7 NONE cells whose tied K_7 signatures exceed the witness cap
+# the n = 8 NONE cells whose tied K_8 signatures, every signing or every one
+# but (K_8, +), pass core's one work cap on witness keys
 PINNED_REFUSALS = {
-    "search --n 7 --objective max-edges --forbid none":
-        f"32767 {_TIES}",
-    "search --n 7 --objective max-edges --forbid none --allow-balanced":
-        f"32768 {_TIES}",
-    "search --n 7 --objective max-neg-edges-at-max-edges --forbid none":
-        f"32767 {_TIES}",
-    "search --n 7 --objective max-neg-edges-at-max-edges --forbid none --allow-balanced":
-        f"32768 {_TIES}",
+    "search --n 8 --objective max-edges --forbid none": f"{_KEYS} 2097151",
+    "search --n 8 --objective max-edges --forbid none --allow-balanced": f"{_KEYS} 2097152",
+    "search --n 8 --objective max-neg-edges-at-max-edges --forbid none": f"{_KEYS} 2097151",
+    "search --n 8 --objective max-neg-edges-at-max-edges --forbid none --allow-balanced":
+        f"{_KEYS} 2097152",
 }
+
+
+def test_two_graph_cells_n7():
+    # every signing of K_7 ties under NONE. K_n is admissible there, so the
+    # optimum of MAX_EDGES is n(n - 1)/2, and (K_n, -) makes every edge
+    # negative, so that of MAX_NEG_EDGES_AT_MAX_EDGES is n(n - 1)/2 too
+    # (perfbench's workloads.selector_optimum). The edge witnesses are the 54
+    # two-graphs on 7 vertices (OEIS A002854), 53 without the balanced
+    # (K_7, +), and the negative-edge maximum is (K_7, -) alone
+    for require_unbalanced, classes in ((True, 53), (False, 54)):
+        for objective, witnesses in (("MAX_EDGES", classes), ("MAX_NEG_EDGES_AT_MAX_EDGES", 1)):
+            rep = search(SearchConfig(n=7, objective=objective, forbidden="NONE",
+                                      require_unbalanced=require_unbalanced))
+            assert rep.optimum == 21 and len(rep.witnesses) == witnesses
+        assert rep.witnesses[0] == build_complete(7, -1)
 
 
 def test_edge_maximum_n8():
@@ -431,7 +456,12 @@ def test_report_pinned(argv):
 
 
 @pytest.mark.parametrize("argv", sorted(PINNED_REFUSALS))
-def test_refusal_pinned(argv, capsys):
+def test_refusal_pinned(argv, capsys, monkeypatch):
+    # refused before any tied signature becomes a matrix
+    def no_stack(*args):
+        raise AssertionError("signature stack built")
+
+    monkeypatch.setattr(SEARCH, "_signature_stack", no_stack)
     out = io.StringIO()
     assert run([*argv.split(), "--format", "json"], out=out) == 2
     assert out.getvalue() == ""
